@@ -1,9 +1,9 @@
 //! Fault-injection soak benchmark: a 4-stream session swept across fault
 //! rates, measuring recovery overhead and event volume.
 //!
-//! The `off` row runs with no `FaultInjector` hooked in — the unhooked
-//! hot path — and is the baseline the graceful-degradation machinery is
-//! judged against (the hook is zero-cost when disabled). Each faulted row
+//! The `off` row runs with no `FaultInjector` hooked in — `step_on` skips
+//! its injector-only sections — and is the baseline the
+//! graceful-degradation machinery is judged against. Each faulted row
 //! arms worker panics, transient channel errors, inflated stage times,
 //! frame drops, and snapshot corruption at the given rate against a tight
 //! latency budget, so every recovery policy (retry, serial fallback,
@@ -20,8 +20,7 @@ use pipeline::executor::ExecutionPolicy;
 use pipeline::runner::run_sequence;
 use platform::bus::FrameEvent;
 use runtime::{
-    FairnessPolicy, FaultPlan, FaultPlanConfig, LatencyBudget, SessionConfig, SessionScheduler,
-    StreamSpec,
+    FaultPlan, FaultPlanConfig, LatencyBudget, ServiceConfig, ServiceCore, ShardLayout, StreamSpec,
 };
 use std::io::Write;
 use std::sync::Arc;
@@ -107,12 +106,14 @@ fn main() {
                 }
             })
             .collect();
-        let cfg = SessionConfig {
-            total_cores: 8,
-            fairness: FairnessPolicy::EqualShare,
+        // four 2-core shards: all streams run at once, two stripes each
+        let cfg = ServiceConfig {
+            total_cores: 2 * STREAMS,
+            layout: ShardLayout::Grouped { group: 2 },
             max_concurrent: STREAMS,
+            ..Default::default()
         };
-        let report = SessionScheduler::new(cfg).run(specs);
+        let report = ServiceCore::new(cfg).run_batch(specs).session;
         assert!(
             report.is_clean(),
             "faulted soak run had stream failures: {:?}",

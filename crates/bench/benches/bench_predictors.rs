@@ -4,7 +4,7 @@
 //! Four sections, one JSON line per row:
 //!
 //! - `predictors/cost/<class>` — prediction cost per call, point
-//!   estimate (the deprecated scalar path) versus full distribution
+//!   estimate (`predict(ctx).mean_ms`) versus full distribution
 //!   (`{"point_ns", "distribution_ns"}`): the API redesign must not
 //!   make every plan pay for quantiles it already computed.
 //! - `predictors/calibration/<class>` — observed p50/p95/p99 coverage
@@ -53,13 +53,12 @@ fn wave_series(n: usize, lo: f64, hi: f64, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Per-call prediction cost: the deprecated point path versus the full
-/// distribution, over `iters` calls.
+/// Per-call prediction cost: reading only the point estimate versus
+/// consuming the full distribution, over `iters` calls.
 fn cost_row(name: &str, p: &dyn Predictor, ctx: &PredictContext, iters: usize) -> String {
     let start = Instant::now();
     for _ in 0..iters {
-        #[allow(deprecated)]
-        std::hint::black_box(p.predict_ms(ctx));
+        std::hint::black_box(p.predict(ctx).mean_ms);
     }
     let point_ns = start.elapsed().as_nanos() as f64 / iters as f64;
     let start = Instant::now();

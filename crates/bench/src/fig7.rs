@@ -8,8 +8,8 @@ use pipeline::app::AppConfig;
 use pipeline::executor::ExecutionPolicy;
 use pipeline::latency::{jitter, jitter_reduction, DelayLine};
 use pipeline::runner::{run_corpus, run_sequence};
-use runtime::manager::{ManagerConfig, ResourceManager};
-use runtime::run::run_managed_sequence;
+use runtime::manager::ManagerConfig;
+use runtime::{StreamEngine, StreamSpec};
 use triplec::triple::{TripleC, TripleCConfig};
 use xray::{HiddenEpisode, ScenarioConfig, SequenceConfig};
 
@@ -92,9 +92,10 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
     let straightforward = straightforward_run.trace.latencies();
 
     // (b) Triple-C semi-automatic parallelization
-    let model = train_model(cfg, &app);
-    let mut manager = ResourceManager::new(model, ManagerConfig::default());
-    let managed_run = run_managed_sequence(test_seq, &app, &mut manager);
+    let spec = StreamSpec::builder(test_seq, app.clone(), train_model(cfg, &app)).build();
+    let managed_run = StreamEngine::new(0, spec, ManagerConfig::default().cores)
+        .run()
+        .expect("no injector, no unrecoverable frame");
     let managed = managed_run.trace.latencies();
     let predicted = managed_run.predictions.clone();
 
@@ -103,7 +104,9 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
     // budget, so only overruns show as jitter. Frame 0 initializes the
     // budget (it runs serial by construction) and is excluded from the
     // summaries.
-    let budget = manager.budget().expect("budget initialized after the run");
+    let budget = managed_run
+        .budget
+        .expect("budget initialized after the run");
     let delay = DelayLine::new(budget.target_ms);
     let managed_output: Vec<f64> = managed
         .iter()
@@ -116,7 +119,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
     let s_jit = jitter(&straightforward);
     let m_jit = jitter(&managed_output);
     let reduction = jitter_reduction(&s_jit, &m_jit);
-    let accuracy = manager.accuracy();
+    let accuracy = managed_run.accuracy;
 
     let mut out = String::new();
     out.push_str(&format!(

@@ -9,9 +9,8 @@ use crate::config::ExperimentConfig;
 use crate::fig7::train_model;
 use crate::report::table;
 use pipeline::app::AppConfig;
-use runtime::manager::{ManagerConfig, ResourceManager};
-use runtime::qos::{QosController, QosLevel};
-use runtime::run::run_managed_sequence_qos;
+use runtime::qos::{run_with_qos, QosController, QosLevel};
+use runtime::{StreamEngine, StreamSpec};
 use xray::{HiddenEpisode, ScenarioConfig, SequenceConfig};
 
 /// One pressure point.
@@ -52,31 +51,26 @@ pub fn run(cfg: &ExperimentConfig) -> (Vec<QosPoint>, String) {
     let mut results = Vec::new();
     let mut reference_budget = None;
     for &cores in &[8usize, 4, 2, 1] {
-        let model = model_template();
-        let mut manager = ResourceManager::new(
-            model,
-            ManagerConfig {
-                cores,
-                ..Default::default()
-            },
-        );
+        let mut spec = StreamSpec::builder(seq.clone(), app.clone(), model_template());
         if let Some(b) = reference_budget {
-            manager.set_budget(b);
+            spec = spec.budget(b);
         }
         let mut controller = QosController::new(3, 10);
-        let run = run_managed_sequence_qos(seq.clone(), &app, &mut manager, &mut controller);
+        let (run, levels) =
+            run_with_qos(StreamEngine::new(0, spec.build(), cores), &mut controller)
+                .expect("no injector, no unrecoverable frame");
         if reference_budget.is_none() {
-            reference_budget = manager.budget();
+            reference_budget = run.budget;
         }
-        let lat = run.inner.trace.latencies();
+        let lat = run.trace.latencies();
         let mean = lat.iter().sum::<f64>() / lat.len() as f64;
-        let degraded = run.levels.iter().filter(|&&l| l != QosLevel::Full).count() as f64
-            / run.levels.len() as f64;
+        let degraded =
+            levels.iter().filter(|&&l| l != QosLevel::Full).count() as f64 / levels.len() as f64;
         results.push(QosPoint {
             cores,
             mean_latency: mean,
             degraded_fraction: degraded,
-            infeasible: manager.infeasible_frames(),
+            infeasible: run.infeasible_frames,
         });
     }
 

@@ -27,12 +27,10 @@ pub struct PredictContext {
 /// A predictive distribution for one upcoming execution.
 ///
 /// Every [`Predictor`] produces one per call: the point estimate plus
-/// the p50/p95/p99 tail of the predicted computation time, and — for
-/// frame-level predictions assembled by the
-/// [`TripleC`](crate::triple::TripleC) facade — an optional
-/// memory-over-time profile across the frame. Quantiles are monotone by
-/// construction ([`Prediction::from_quantiles`] clamps), so schedulers
-/// may cost any quantile without re-validating the distribution.
+/// the p50/p95/p99 tail of the predicted computation time. Quantiles are
+/// monotone by construction ([`Prediction::from_quantiles`] clamps), so
+/// schedulers may cost any quantile without re-validating the
+/// distribution.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Prediction {
     /// Expected computation time, ms (the point estimate).
@@ -43,10 +41,6 @@ pub struct Prediction {
     pub p95_ms: f64,
     /// 99th percentile, ms.
     pub p99_ms: f64,
-    /// Optional memory-over-time profile: predicted resident bytes at
-    /// the start of each successive task of the frame, in execution
-    /// order. `None` for plain per-task time predictions.
-    pub time_profile: Option<Vec<f64>>,
 }
 
 impl Prediction {
@@ -59,7 +53,6 @@ impl Prediction {
             p50_ms: v,
             p95_ms: v,
             p99_ms: v,
-            time_profile: None,
         }
     }
 
@@ -74,15 +67,7 @@ impl Prediction {
             p50_ms: p50,
             p95_ms: p95,
             p99_ms: p99,
-            time_profile: None,
         }
-    }
-
-    /// Attaches a memory-over-time profile.
-    #[must_use]
-    pub fn with_profile(mut self, profile: Vec<f64>) -> Self {
-        self.time_profile = Some(profile);
-        self
     }
 
     /// The `q`-quantile of the distribution, interpolated piecewise-
@@ -103,33 +88,24 @@ impl Prediction {
         }
     }
 
-    /// Whether every statistic (and every profile sample, if present) is
-    /// finite.
+    /// Whether every statistic is finite.
     pub fn is_finite(&self) -> bool {
-        let stats = [self.mean_ms, self.p50_ms, self.p95_ms, self.p99_ms];
-        stats.iter().all(|v| v.is_finite())
-            && self
-                .time_profile
-                .as_ref()
-                .is_none_or(|p| p.iter().all(|v| v.is_finite()))
+        self.to_bits()
+            .iter()
+            .all(|&bits| f64::from_bits(bits).is_finite())
     }
 
-    /// Lossless bit pattern of the whole distribution — the four summary
-    /// statistics followed by any profile samples — for bit-identity
-    /// assertions (snapshot/restore and clone contracts). Two predictions
-    /// compare bit-equal iff every field is bit-equal, which is stricter
-    /// than `==` around signed zeros and NaN payloads.
-    pub fn to_bits(&self) -> Vec<u64> {
-        let mut bits = vec![
+    /// Lossless bit pattern of the four summary statistics, for
+    /// bit-identity assertions (snapshot/restore and clone contracts).
+    /// Two predictions compare bit-equal iff every field is bit-equal,
+    /// which is stricter than `==` around signed zeros and NaN payloads.
+    pub fn to_bits(&self) -> [u64; 4] {
+        [
             self.mean_ms.to_bits(),
             self.p50_ms.to_bits(),
             self.p95_ms.to_bits(),
             self.p99_ms.to_bits(),
-        ];
-        if let Some(profile) = &self.time_profile {
-            bits.extend(profile.iter().map(|v| v.to_bits()));
-        }
-        bits
+        ]
     }
 }
 
@@ -255,16 +231,6 @@ pub trait Predictor: Send {
     /// is wider. Scheduling against `p99_ms` instead of `mean_ms` trades
     /// average-case packing density for fewer budget overruns.
     fn predict(&self, ctx: &PredictContext) -> Prediction;
-    /// Point estimate of the next execution time, ms.
-    #[deprecated(note = "use `predict(ctx).mean_ms`")]
-    fn predict_ms(&self, ctx: &PredictContext) -> f64 {
-        self.predict(ctx).mean_ms
-    }
-    /// The `q`-quantile of the next execution time, ms.
-    #[deprecated(note = "use `predict(ctx).quantile(q)`")]
-    fn predict_quantile(&self, ctx: &PredictContext, q: f64) -> f64 {
-        self.predict(ctx).quantile(q)
-    }
     /// Feeds the measured execution time after the task ran.
     fn observe(&mut self, actual_ms: f64, ctx: &PredictContext);
     /// Model summary string for the Table 2(b) report.

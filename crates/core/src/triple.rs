@@ -73,7 +73,7 @@ pub struct FramePrediction {
 /// let ctx = PredictContext::default();
 /// let frame_ms = model.predict_frame_time(Scenario::from_id(0), &ctx);
 /// assert!((frame_ms - 5.5).abs() < 1e-9); // 2.5 + 1.0 + 2.0
-/// let dist = model.predict_frame_distribution(Scenario::from_id(0), &ctx);
+/// let dist = model.predict_task("REG", &ctx).expect("trained task");
 /// assert!(dist.p99_ms >= dist.mean_ms - 1e-9);
 /// ```
 pub struct TripleC {
@@ -178,19 +178,6 @@ impl TripleC {
         self.predictors.get(task).map(|(_, p)| p.predict(ctx))
     }
 
-    /// Point estimate of one task's computation time, ms.
-    #[deprecated(note = "use `predict_task(task, ctx).map(|p| p.mean_ms)`")]
-    pub fn predict_task_ms(&self, task: &str, ctx: &PredictContext) -> Option<f64> {
-        self.predict_task(task, ctx).map(|p| p.mean_ms)
-    }
-
-    /// Conservative `q`-quantile prediction of one task's computation
-    /// time.
-    #[deprecated(note = "use `predict_task(task, ctx).map(|p| p.quantile(q))`")]
-    pub fn predict_task_quantile(&self, task: &str, ctx: &PredictContext, q: f64) -> Option<f64> {
-        self.predict_task(task, ctx).map(|p| p.quantile(q))
-    }
-
     /// Feeds a measured execution time back into the task's predictor.
     /// Returns whether a trained predictor absorbed the observation.
     ///
@@ -289,46 +276,6 @@ impl TripleC {
             .filter_map(|t| self.predict_task(t, ctx))
             .map(|p| p.mean_ms)
             .sum()
-    }
-
-    /// Predictive distribution of a whole frame's serial computation
-    /// time under `scenario`, with the memory-over-time profile attached.
-    ///
-    /// Per-task quantiles are summed, which upper-bounds the frame
-    /// quantile (exact only under comonotone task times) — conservative
-    /// by design, since the scheduler admits against tail estimates. The
-    /// profile holds the predicted resident bytes at the start of each
-    /// active task, in execution order (Table 1 footprints).
-    pub fn predict_frame_distribution(
-        &self,
-        scenario: Scenario,
-        ctx: &PredictContext,
-    ) -> Prediction {
-        let mut mean = 0.0;
-        let mut p50 = 0.0;
-        let mut p95 = 0.0;
-        let mut p99 = 0.0;
-        for t in scenario.active_tasks() {
-            if let Some(p) = self.predict_task(t, ctx) {
-                mean += p.mean_ms;
-                p50 += p.p50_ms;
-                p95 += p.p95_ms;
-                p99 += p.p99_ms;
-            }
-        }
-        let table = self.memory_table();
-        let profile: Vec<f64> = scenario
-            .active_tasks()
-            .iter()
-            .map(|&task| {
-                table
-                    .iter()
-                    .filter(|m| m.task == task)
-                    .map(|m| m.total() as f64)
-                    .fold(0.0, f64::max)
-            })
-            .collect();
-        Prediction::from_quantiles(mean, p50, p95, p99).with_profile(profile)
     }
 
     /// Full per-frame resource prediction.

@@ -101,6 +101,18 @@ impl Default for StageRetry {
     }
 }
 
+/// What a frame without a recovery context runs with: nothing armed, no
+/// retry, no serial fallback.
+const UNARMED: FrameFaults = FrameFaults {
+    rdg_panic_jobs: 0,
+    rdg_channel_errors: 0,
+    stage_delay_ms: 0.0,
+};
+const NO_RETRY: StageRetry = StageRetry {
+    max_retries: 0,
+    serial_fallback: false,
+};
+
 /// A frame that could not complete even after retries. Only reachable
 /// when [`StageRetry::serial_fallback`] is disabled.
 #[derive(Debug, Clone)]
@@ -201,33 +213,10 @@ pub fn process_frame_on(
     .expect("infallible without fault recovery")
 }
 
-/// Like [`process_frame`], additionally emitting a
+/// Like [`process_frame_on`], additionally emitting a
 /// [`platform::bus::FrameEvent::StageExecuted`] onto `bus` for every
 /// data-parallel (striped) stage the frame runs. Pixel outputs and trace
 /// records are identical to the unobserved path.
-pub fn process_frame_observed(
-    frame_index: usize,
-    frame: &ImageU16,
-    state: &mut AppState,
-    cfg: &AppConfig,
-    policy: &ExecutionPolicy,
-    stream: StreamId,
-    bus: &mut EventBus,
-) -> FrameOutput {
-    process_frame_observed_on(
-        StripePool::global(),
-        frame_index,
-        frame,
-        state,
-        cfg,
-        policy,
-        stream,
-        bus,
-    )
-}
-
-/// Like [`process_frame_observed`], dispatching striped stages onto
-/// `pool` instead of the process-global one.
 #[allow(clippy::too_many_arguments)]
 pub fn process_frame_observed_on(
     pool: &StripePool,
@@ -252,8 +241,8 @@ pub fn process_frame_observed_on(
     .expect("infallible without fault recovery")
 }
 
-/// Like [`process_frame_observed`], with deterministic fault injection
-/// and graceful degradation.
+/// Like [`process_frame_observed_on`], with deterministic fault
+/// injection and graceful degradation.
 ///
 /// Every fault kind armed in `faults` is announced with a
 /// [`FrameEvent::FaultInjected`] and is guaranteed a terminal event by
@@ -266,36 +255,7 @@ pub fn process_frame_observed_on(
 /// Pixel outputs are bit-identical to [`process_frame`] for every frame
 /// this returns `Ok` for: injected stripe faults fire before any band is
 /// written, so retries and the serial fallback see pristine state.
-#[allow(clippy::too_many_arguments)]
-pub fn process_frame_recovering(
-    frame_index: usize,
-    frame: &ImageU16,
-    state: &mut AppState,
-    cfg: &AppConfig,
-    policy: &ExecutionPolicy,
-    stream: StreamId,
-    bus: &mut EventBus,
-    faults: FrameFaults,
-    retry: &StageRetry,
-) -> Result<FrameOutput, FrameError> {
-    process_frame_recovering_on(
-        StripePool::global(),
-        frame_index,
-        frame,
-        state,
-        cfg,
-        policy,
-        stream,
-        bus,
-        faults,
-        retry,
-    )
-}
-
-/// Like [`process_frame_recovering`], dispatching striped stages onto
-/// `pool` instead of the process-global one. Fault injection and the
-/// retry/fallback protocol are identical; recovery semantics do not
-/// depend on which pool executes the stripes.
+/// Recovery semantics do not depend on which pool executes the stripes.
 #[allow(clippy::too_many_arguments)]
 pub fn process_frame_recovering_on(
     pool: &StripePool,
@@ -357,28 +317,31 @@ fn process_frame_inner(
     // Pool-targeting kinds wait here until the striped RDG dispatch
     // consumes them; a frame with no such dispatch absorbs them with a
     // zero-attempt `Recovered` in the bookkeeping section.
+    //
+    // Without a recovery context the frame runs unarmed with zero retries
+    // and no serial fallback, so a genuine pool error comes back as `Err`
+    // and surfaces through the infallible wrappers' `expect`.
+    let (faults, retry) = recovery.unwrap_or((&UNARMED, &NO_RETRY));
     let mut pending_pool_kinds: Vec<FaultKind> = Vec::new();
-    if let Some((faults, _)) = recovery {
-        if faults.rdg_channel_errors > 0 {
-            pending_pool_kinds.push(FaultKind::ChannelError);
-        }
-        if faults.rdg_panic_jobs > 0 {
-            pending_pool_kinds.push(FaultKind::WorkerPanic);
-        }
-        for &kind in &pending_pool_kinds {
-            emit_fault(observer, |stream| FrameEvent::FaultInjected {
-                stream,
-                frame: frame_index,
-                kind,
-            });
-        }
-        if faults.stage_delay_ms > 0.0 {
-            emit_fault(observer, |stream| FrameEvent::FaultInjected {
-                stream,
-                frame: frame_index,
-                kind: FaultKind::StageDelay,
-            });
-        }
+    if faults.rdg_channel_errors > 0 {
+        pending_pool_kinds.push(FaultKind::ChannelError);
+    }
+    if faults.rdg_panic_jobs > 0 {
+        pending_pool_kinds.push(FaultKind::WorkerPanic);
+    }
+    for &kind in &pending_pool_kinds {
+        emit_fault(observer, |stream| FrameEvent::FaultInjected {
+            stream,
+            frame: frame_index,
+            kind,
+        });
+    }
+    if faults.stage_delay_ms > 0.0 {
+        emit_fault(observer, |stream| FrameEvent::FaultInjected {
+            stream,
+            frame: frame_index,
+            kind: FaultKind::StageDelay,
+        });
     }
 
     // Scripted scenario storms force the three switches for frames a
@@ -426,8 +389,10 @@ fn process_frame_inner(
             task_times.push((task, ms));
             schedule.serial(0, ms);
             Some(out)
-        } else if let Some((faults, retry)) = recovery {
-            // fault-aware dispatch: armed pool faults fire on the early
+        } else {
+            // striped: dispatch to the persistent worker pool, then
+            // schedule the per-stripe worker times measured inside the
+            // pool on distinct cores. Armed pool faults fire on the early
             // attempts (channel errors first, then the panic batch), each
             // failure is retried with a clean dispatch up to
             // `retry.max_retries` times, and exhaustion falls back to the
@@ -528,24 +493,6 @@ fn process_frame_inner(
                     }
                 }
             }
-        } else {
-            // striped: dispatch to the persistent worker pool, then
-            // schedule the per-stripe worker times measured inside the
-            // pool on distinct cores
-            let out =
-                rdg_parallel_pooled(pool, frame, work_roi, &rdg_cfg, stripes, &mut state.par_rdg);
-            let mut jobs = Vec::with_capacity(stripes);
-            let mut serial_ms = 0.0;
-            for (i, &ms) in state.par_rdg.stripe_times_ms().iter().enumerate() {
-                serial_ms += ms;
-                jobs.push(VirtualJob {
-                    core: i,
-                    duration_ms: ms,
-                });
-            }
-            task_times.push((task, serial_ms));
-            run_stage(&mut schedule, &jobs, task, observer, frame_index);
-            Some(out)
         }
     } else {
         None
@@ -778,22 +725,20 @@ fn process_frame_inner(
     // Applied as a serial pseudo-task at the end of the graph: pixel
     // outputs are untouched, but the frame's measured latency inflates so
     // budget overrun and downshift policies react to it.
-    if let Some((faults, _)) = recovery {
-        if faults.stage_delay_ms > 0.0 {
-            let (_, ms) = time_ms(|| {
-                std::thread::sleep(std::time::Duration::from_secs_f64(
-                    faults.stage_delay_ms / 1000.0,
-                ))
-            });
-            task_times.push(("FAULT_DELAY", ms));
-            schedule.serial(0, ms);
-            emit_fault(observer, |stream| FrameEvent::Recovered {
-                stream,
-                frame: frame_index,
-                kind: FaultKind::StageDelay,
-                attempts: 0,
-            });
-        }
+    if faults.stage_delay_ms > 0.0 {
+        let (_, ms) = time_ms(|| {
+            std::thread::sleep(std::time::Duration::from_secs_f64(
+                faults.stage_delay_ms / 1000.0,
+            ))
+        });
+        task_times.push(("FAULT_DELAY", ms));
+        schedule.serial(0, ms);
+        emit_fault(observer, |stream| FrameEvent::Recovered {
+            stream,
+            frame: frame_index,
+            kind: FaultKind::StageDelay,
+            attempts: 0,
+        });
     }
 
     // --- bookkeeping -----------------------------------------------------
@@ -1039,33 +984,41 @@ mod tests {
         }
     }
 
-    fn run_recovering(
+    /// Runs a clean sequence under `policy` with a capture bus attached,
+    /// through the observed entry point (no recovery context) or the
+    /// recovering one.
+    fn run_observed(
         frames: usize,
         seed: u64,
-        faults: FrameFaults,
-        retry: StageRetry,
+        policy: ExecutionPolicy,
+        recovery: Option<(FrameFaults, StageRetry)>,
     ) -> (Vec<FrameOutput>, Vec<FrameEvent>) {
         let cfg = AppConfig::default();
         let mut state = AppState::new(160, 160);
         let (mut bus, log) = capture_bus();
+        let pool = StripePool::global();
         let outs = clean_sequence(frames, seed)
-            .map(|f| {
-                process_frame_recovering(
-                    f.index,
-                    &f.image,
-                    &mut state,
-                    &cfg,
-                    &striped_policy(),
-                    7,
-                    &mut bus,
-                    faults,
-                    &retry,
+            .map(|f| match recovery {
+                None => process_frame_observed_on(
+                    pool, f.index, &f.image, &mut state, &cfg, &policy, 7, &mut bus,
+                ),
+                Some((faults, retry)) => process_frame_recovering_on(
+                    pool, f.index, &f.image, &mut state, &cfg, &policy, 7, &mut bus, faults, &retry,
                 )
-                .expect("frame failed despite serial fallback")
+                .expect("frame failed despite serial fallback"),
             })
             .collect();
         let events = log.lock().unwrap().clone();
         (outs, events)
+    }
+
+    fn run_recovering(
+        frames: usize,
+        seed: u64,
+        faults: FrameFaults,
+    ) -> (Vec<FrameOutput>, Vec<FrameEvent>) {
+        let recovery = Some((faults, StageRetry::default()));
+        run_observed(frames, seed, striped_policy(), recovery)
     }
 
     fn assert_bit_identical(nominal: &[FrameOutput], faulted: &[FrameOutput]) {
@@ -1084,13 +1037,48 @@ mod tests {
     #[test]
     fn recovering_without_faults_matches_nominal_and_stays_silent() {
         let nominal = run(8, 52, striped_policy());
-        let (faulted, events) =
-            run_recovering(8, 52, FrameFaults::default(), StageRetry::default());
+        let (faulted, events) = run_recovering(8, 52, FrameFaults::default());
         assert_bit_identical(&nominal, &faulted);
         assert!(
             events.iter().all(|e| e.replay_key().is_none()),
             "fault-family events emitted without faults armed"
         );
+    }
+
+    /// `(frame, task, jobs)` of every `StageExecuted`, in emission order.
+    fn stage_sequence(events: &[FrameEvent]) -> Vec<(usize, &'static str, usize)> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                FrameEvent::StageExecuted {
+                    frame, task, jobs, ..
+                } => Some((frame, task, jobs)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn striped_dispatch_without_recovery_context_matches_serial_and_unarmed() {
+        let serial = run(8, 52, ExecutionPolicy::default());
+        for rdg_stripes in [2, 4] {
+            let policy = ExecutionPolicy {
+                rdg_stripes,
+                aux_stripes: 1,
+                cores: 8,
+            };
+            let (bare, bare_events) = run_observed(8, 52, policy, None);
+            let unarmed = Some((FrameFaults::default(), StageRetry::default()));
+            let (unarmed, unarmed_events) = run_observed(8, 52, policy, unarmed);
+            assert_bit_identical(&serial, &bare);
+            assert_bit_identical(&bare, &unarmed);
+            let stages = stage_sequence(&bare_events);
+            assert!(
+                stages.iter().any(|&(_, _, jobs)| jobs == rdg_stripes),
+                "no {rdg_stripes}-stripe RDG stage ever dispatched"
+            );
+            assert_eq!(stages, stage_sequence(&unarmed_events));
+        }
     }
 
     #[test]
@@ -1100,7 +1088,7 @@ mod tests {
             rdg_panic_jobs: 1,
             ..Default::default()
         };
-        let (faulted, events) = run_recovering(8, 52, faults, StageRetry::default());
+        let (faulted, events) = run_recovering(8, 52, faults);
         assert_bit_identical(&nominal, &faulted);
         // every injection is matched by a terminal Recovered on its frame
         let injected: Vec<usize> = events
@@ -1134,7 +1122,7 @@ mod tests {
             rdg_channel_errors: 10,
             ..Default::default()
         };
-        let (faulted, events) = run_recovering(8, 52, faults, StageRetry::default());
+        let (faulted, events) = run_recovering(8, 52, faults);
         assert_bit_identical(&nominal, &faulted);
         assert!(
             events.iter().any(|e| matches!(
@@ -1164,7 +1152,8 @@ mod tests {
         };
         let mut failures = 0;
         for f in clean_sequence(8, 53) {
-            match process_frame_recovering(
+            match process_frame_recovering_on(
+                StripePool::global(),
                 f.index,
                 &f.image,
                 &mut state,
@@ -1192,7 +1181,7 @@ mod tests {
             stage_delay_ms: 5.0,
             ..Default::default()
         };
-        let (outs, events) = run_recovering(3, 54, faults, StageRetry::default());
+        let (outs, events) = run_recovering(3, 54, faults);
         for o in &outs {
             let delay = o
                 .record

@@ -7,8 +7,7 @@
 //! the bandwidth experiments), [`spacetime`] the analytic space-time
 //! buffer-occupation model of Section 5 (the "prediction" side, Fig. 5),
 //! [`bandwidth`] aggregates per-bus communication loads, [`mapping`]
-//! describes task-to-core partitionings, [`executor`] is a persistent
-//! worker pool used by the pipeline, [`bus`] is the typed frame-event bus
+//! describes task-to-core partitionings, [`bus`] is the typed frame-event bus
 //! every layer above publishes onto, and [`profile`]/[`trace`] collect the
 //! computation-time statistics the prediction models train on.
 //! [`metrics`] and [`span`] form the observability layer: both feed off
@@ -19,7 +18,6 @@ pub mod arch;
 pub mod bandwidth;
 pub mod bus;
 pub mod cache;
-pub mod executor;
 pub mod hierarchy;
 pub mod mapping;
 pub mod metrics;
@@ -36,7 +34,6 @@ pub use bus::{
     DEFAULT_STREAM,
 };
 pub use cache::{Access, CacheSim, CacheStats};
-pub use executor::CorePool;
 pub use hierarchy::{CacheHierarchy, HierarchyTraffic};
 pub use mapping::{Mapping, MappingError, Partition};
 pub use metrics::{

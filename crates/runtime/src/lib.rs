@@ -9,10 +9,11 @@
 //! * [`adaptation`] — the repartitioning policy (stripe-count selection);
 //! * [`manager`] — the initialization / adaptation / profiling loop;
 //! * [`qos`] — quality degradation when the budget is infeasible;
-//! * [`run`] — the managed closed-loop sequence executor;
-//! * [`session`] — multi-stream sessions: concurrent streams admitted
-//!   against a shared core budget with a fairness policy;
-//! * [`service`] — the sharded, prediction-admitted service tier
+//! * [`session`] — what goes into and comes out of a stream
+//!   ([`StreamSpec`], [`StreamResult`], [`SessionReport`]);
+//! * [`service`] — [`StreamEngine`], whose `step_on` is the one managed
+//!   closed loop (plan → execute → absorb → recover), and the sharded,
+//!   prediction-admitted [`ServiceCore`] that schedules engines
 //!   (per-core-group stripe-pool shards, demand-driven admission with
 //!   eviction/migration, bounded ingress queues with backpressure, and
 //!   the [`ServiceHandle`] ingestion front-end);
@@ -33,7 +34,6 @@ pub mod faults;
 pub mod manager;
 pub mod qos;
 pub mod recovery;
-pub mod run;
 pub mod selection;
 pub mod service;
 pub mod session;
@@ -43,18 +43,16 @@ pub use adaptation::{choose_policy, predicted_latency, CostPrediction, STRIPE_EF
 pub use budget::LatencyBudget;
 pub use faults::{fault_hash, FaultInjector, FaultPlan, FaultPlanConfig};
 pub use manager::{CalibrationSnapshot, ManagerConfig, Plan, ResourceManager};
-pub use platform::metrics::percentile;
-pub use qos::{QosController, QosLevel};
+pub use qos::{run_with_qos, QosController, QosLevel};
 pub use recovery::{RecoveryAction, RecoveryPolicy, RecoveryState};
-pub use run::{run_managed_sequence, run_managed_sequence_qos, ManagedRun, QosManagedRun};
 pub use selection::{ModelSelector, Promotion, SelectionConfig};
 pub use service::{
     predict_demand, AdmissionPolicy, BackpressurePolicy, EvictionPolicy, ServiceConfig,
     ServiceCore, ServiceHandle, ServiceReport, ShardLayout, ShardTopology, StreamDemand,
     StreamEngine, StreamServiceStats,
 };
-pub use session::{
-    allocate_cores, FairnessPolicy, SessionConfig, SessionConfigBuilder, SessionReport,
-    SessionScheduler, StreamFailure, StreamResult, StreamSession, StreamSpec, StreamSpecBuilder,
-};
+pub use session::{SessionReport, StreamFailure, StreamResult, StreamSpec, StreamSpecBuilder};
 pub use workload::{ReplayClock, ReplayReport, RunLedger, Trace, TraceError, TraceRunner};
+
+#[cfg(test)]
+pub(crate) mod test_support;

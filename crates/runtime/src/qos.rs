@@ -9,7 +9,12 @@
 //! that would lead to an incomplete or unacceptable result" (Section 3) —
 //! the mandatory analysis chain always runs.
 
+use crate::service::StreamEngine;
+use crate::session::{StreamFailure, StreamResult};
+use imaging::parallel::StripePool;
 use pipeline::app::AppConfig;
+use platform::bus::FrameEvent;
+use xray::SequenceGenerator;
 
 /// Algorithmic quality levels, best first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -138,9 +143,96 @@ impl QosController {
     }
 }
 
+/// Runs one stream under both its resource manager and a QoS controller:
+/// when the latency budget is infeasible even fully parallel, algorithmic
+/// quality degrades (fewer RDG scales, reduced zoom) instead of latency;
+/// sustained comfort restores quality. Returns the stream's result and
+/// the quality level in force after each executed frame.
+pub fn run_with_qos(
+    mut engine: StreamEngine,
+    controller: &mut QosController,
+) -> Result<(StreamResult, Vec<QosLevel>), StreamFailure> {
+    let base = engine.app_mut().clone();
+    *engine.app_mut() = controller.level().apply(&base);
+    let mut levels = Vec::with_capacity(engine.seq().frames);
+    for frame in SequenceGenerator::new(engine.seq().clone()) {
+        // comfort is judged against the budget the frame was planned
+        // under (none yet on a frame that initializes it)
+        let budget = engine.manager_mut().budget();
+        let infeasible_before = engine.manager_mut().infeasible_frames();
+        engine.step_on(StripePool::global(), frame.index, &frame.image)?;
+        let Some(latency_ms) = engine.latency_of(frame.index) else {
+            continue; // dropped at the input: nothing to judge
+        };
+        let feasible = engine.manager_mut().infeasible_frames() == infeasible_before;
+        let comfortable = budget.is_some_and(|b| latency_ms < 0.6 * b.target_ms);
+        let before = controller.level();
+        let level = controller.update(feasible, comfortable);
+        if level != before {
+            *engine.app_mut() = level.apply(&base);
+            let stream = engine.manager_mut().stream();
+            engine.emit(FrameEvent::QosIntervention {
+                stream,
+                frame: frame.index,
+                level: level.severity(),
+            });
+        }
+        levels.push(level);
+    }
+    Ok((engine.finish(), levels))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::budget::LatencyBudget;
+    use crate::session::StreamSpec;
+    use crate::test_support::{seq, trained_model};
+
+    fn engine(seed: u64, frames: usize, budget_ms: f64) -> StreamEngine {
+        let spec = StreamSpec::builder(seq(seed, frames), AppConfig::default(), trained_model())
+            .budget(LatencyBudget::new(budget_ms, 0.1))
+            .build();
+        StreamEngine::new(0, spec, 8)
+    }
+
+    #[test]
+    fn qos_run_degrades_under_impossible_budget() {
+        // unreachable budget: every frame is infeasible
+        let mut ctrl = QosController::new(2, 100);
+        let (result, levels) = run_with_qos(engine(106, 10, 0.001), &mut ctrl).unwrap();
+        assert_eq!(result.trace.len(), 10);
+        assert_eq!(result.infeasible_frames, 10);
+        assert!(
+            levels.iter().any(|&l| l != QosLevel::Full),
+            "controller never degraded: {levels:?}"
+        );
+        // the degraded configuration really reached the frames: the last
+        // level halves the zoom output
+        let full = AppConfig::default().zoom;
+        assert_eq!(*levels.last().unwrap(), QosLevel::ReducedZoom);
+        let last = result.displays.iter().flatten().last().expect("a display");
+        assert_eq!(last.dims(), (full.out_width / 2, full.out_height / 2));
+    }
+
+    #[test]
+    fn qos_run_holds_and_restores_full_quality_under_generous_budget() {
+        let mut ctrl = QosController::new(2, 4);
+        let (result, levels) = run_with_qos(engine(105, 8, 10_000.0), &mut ctrl).unwrap();
+        assert_eq!(result.trace.len(), 8);
+        assert!(levels.iter().all(|&l| l == QosLevel::Full), "{levels:?}");
+
+        // a controller that starts degraded climbs back after sustained
+        // comfort
+        let mut ctrl = QosController::new(1, 2);
+        ctrl.update(false, false);
+        ctrl.update(false, false);
+        assert_eq!(ctrl.level(), QosLevel::ReducedZoom);
+        let (_, levels) = run_with_qos(engine(105, 8, 10_000.0), &mut ctrl).unwrap();
+        assert_eq!(levels[0], QosLevel::ReducedZoom);
+        assert_eq!(*levels.last().unwrap(), QosLevel::Full, "{levels:?}");
+    }
 
     #[test]
     fn levels_order_and_transitions() {

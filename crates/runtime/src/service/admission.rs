@@ -184,41 +184,8 @@ pub enum EvictionPolicy {
 mod tests {
     use super::*;
     use crate::budget::LatencyBudget;
+    use crate::test_support::{seq, trained_model};
     use pipeline::app::AppConfig;
-    use pipeline::executor::ExecutionPolicy;
-    use pipeline::runner::run_sequence;
-    use triplec::triple::{TripleC, TripleCConfig};
-    use xray::{NoiseConfig, SequenceConfig};
-
-    fn seq(seed: u64, frames: usize) -> SequenceConfig {
-        SequenceConfig {
-            width: 128,
-            height: 128,
-            frames,
-            seed,
-            noise: NoiseConfig {
-                quantum_scale: 0.3,
-                electronic_std: 2.0,
-            },
-            ..Default::default()
-        }
-    }
-
-    fn trained_model() -> TripleC {
-        let profile = run_sequence(
-            seq(100, 10),
-            &AppConfig::default(),
-            &ExecutionPolicy::default(),
-        );
-        let cfg = TripleCConfig {
-            geometry: triplec::FrameGeometry {
-                width: 128,
-                height: 128,
-            },
-            ..Default::default()
-        };
-        TripleC::train(&profile.task_series(), &profile.scenarios, cfg)
-    }
 
     #[test]
     fn unbudgeted_stream_demands_one_core() {

@@ -13,14 +13,13 @@
 //!
 //! Admission compares each stream's Triple-C [`StreamDemand`] against
 //! per-shard free cores (best-fit placement); a re-admitted stream that
-//! lands on a different shard emits [`FrameEvent::ShardRebalanced`]. The
-//! legacy wave scheduler ([`SessionScheduler`](crate::session::SessionScheduler))
-//! is a thin wrapper over the same [`StreamEngine`] building block via
-//! the crate-internal `run_waves`.
+//! lands on a different shard emits [`FrameEvent::ShardRebalanced`].
+//! This is the crate's only multi-stream scheduler: every stream it runs
+//! goes through [`StreamEngine::step_on`], and `StreamAdmitted` /
+//! `StreamEvicted` bracket each residency on a shard.
 
 use crate::session::{
-    allocate_cores, panic_payload_message, FairnessPolicy, SessionConfig, SessionReport,
-    StreamFailure, StreamResult, StreamSession, StreamSpec,
+    panic_payload_message, SessionReport, StreamFailure, StreamResult, StreamSpec,
 };
 use imaging::parallel::StripePool;
 use platform::arch::ArchModel;
@@ -163,11 +162,6 @@ impl ServiceCore {
     pub fn with_observability(mut self, obs: Observability) -> Self {
         self.obs = Some(obs);
         self
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
     }
 
     /// Registers the streams and starts the admission loop on a service
@@ -515,139 +509,15 @@ fn service_loop(
     }
 }
 
-/// Runs every stream to completion in admission waves (the legacy
-/// scheduler contract): waves of at most `min(max_concurrent,
-/// total_cores)` streams, each wave's cores divided by the fairness
-/// policy, streams of a wave executing concurrently on the process-global
-/// stripe pool. Results are returned in stream order.
-pub(crate) fn run_waves(
-    cfg: &SessionConfig,
-    obs: Option<&Observability>,
-    specs: Vec<StreamSpec>,
-) -> SessionReport {
-    let t0 = Instant::now();
-    let wave_size = cfg.max_concurrent.min(cfg.total_cores).max(1);
-    let mut pending: VecDeque<(StreamId, StreamSpec)> = specs
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| (i as StreamId, s))
-        .collect();
-    let mut results: Vec<StreamResult> = Vec::new();
-    let mut failures: Vec<StreamFailure> = Vec::new();
-
-    while !pending.is_empty() {
-        let take = wave_size.min(pending.len());
-        let wave: Vec<(StreamId, StreamSpec)> = pending.drain(..take).collect();
-        let weights: Vec<f64> = wave
-            .iter()
-            .map(|(_, s)| match cfg.fairness {
-                FairnessPolicy::EqualShare => 1.0,
-                FairnessPolicy::WeightedDemand => s.weight,
-            })
-            .collect();
-        let cores = allocate_cores(cfg.total_cores, &weights);
-        let sessions: Vec<StreamSession> = wave
-            .into_iter()
-            .zip(&cores)
-            .map(|((id, spec), &c)| {
-                let mut sess = StreamSession::new(id, spec, c);
-                if let Some(obs) = obs {
-                    sess.attach_observability(obs);
-                }
-                sess
-            })
-            .collect();
-        // A panicking stream must neither unwind into the scheduler
-        // nor take its siblings down: every join is caught and folded
-        // into the report's failure list alongside the explicit
-        // per-stream failures.
-        std::thread::scope(|scope| {
-            let handles: Vec<(StreamId, _)> = sessions
-                .into_iter()
-                .map(|sess| {
-                    let id = sess.id();
-                    (id, scope.spawn(move || sess.run()))
-                })
-                .collect();
-            for (id, h) in handles {
-                match h.join() {
-                    Ok(Ok(r)) => results.push(r),
-                    Ok(Err(f)) => failures.push(f),
-                    Err(payload) => failures.push(StreamFailure {
-                        stream: id,
-                        message: format!(
-                            "stream thread panicked: {}",
-                            panic_payload_message(payload.as_ref())
-                        ),
-                        frames_completed: 0,
-                    }),
-                }
-            }
-        });
-    }
-
-    results.sort_by_key(|r| r.stream);
-    failures.sort_by_key(|f| f.stream);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    let total_frames: usize = results.iter().map(|r| r.trace.len()).sum();
-    let aggregate_fps = if wall_ms > 0.0 {
-        total_frames as f64 / (wall_ms / 1000.0)
-    } else {
-        0.0
-    };
-    SessionReport {
-        streams: results,
-        failures,
-        wall_ms,
-        total_frames,
-        aggregate_fps,
-        metrics: obs.map(|o| o.snapshot()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::LatencyBudget;
-    use crate::session::SessionScheduler;
+    use crate::test_support::{seq, trained_model};
     use pipeline::app::AppConfig;
-    use pipeline::executor::ExecutionPolicy;
-    use pipeline::runner::run_sequence;
-    use triplec::triple::{TripleC, TripleCConfig};
-    use xray::{NoiseConfig, SequenceConfig};
-
-    fn seq(seed: u64, frames: usize) -> SequenceConfig {
-        SequenceConfig {
-            width: 128,
-            height: 128,
-            frames,
-            seed,
-            noise: NoiseConfig {
-                quantum_scale: 0.3,
-                electronic_std: 2.0,
-            },
-            ..Default::default()
-        }
-    }
-
-    fn trained_model() -> TripleC {
-        let profile = run_sequence(
-            seq(100, 10),
-            &AppConfig::default(),
-            &ExecutionPolicy::default(),
-        );
-        let cfg = TripleCConfig {
-            geometry: triplec::FrameGeometry {
-                width: 128,
-                height: 128,
-            },
-            ..Default::default()
-        };
-        TripleC::train(&profile.task_series(), &profile.scenarios, cfg)
-    }
 
     #[test]
-    fn service_outputs_match_the_wave_scheduler_bit_identically() {
+    fn service_outputs_match_unscheduled_engines_bit_identically() {
         let specs = || {
             vec![
                 StreamSpec::builder(seq(201, 5), AppConfig::default(), trained_model()).build(),
@@ -655,7 +525,16 @@ mod tests {
                 StreamSpec::builder(seq(203, 6), AppConfig::default(), trained_model()).build(),
             ]
         };
-        let waves = SessionScheduler::new(SessionConfig::default()).run(specs());
+        // the reference has no scheduler in it at all
+        let reference: Vec<StreamResult> = specs()
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                StreamEngine::new(i as StreamId, spec, 1)
+                    .run()
+                    .expect("nominal stream completes")
+            })
+            .collect();
         let svc = ServiceCore::new(ServiceConfig {
             layout: ShardLayout::Grouped { group: 2 },
             ..Default::default()
@@ -664,7 +543,7 @@ mod tests {
         assert!(svc.session.is_clean(), "{:?}", svc.session.failures);
         assert_eq!(svc.shards, 4);
         assert_eq!(svc.session.streams.len(), 3);
-        for (a, b) in waves.streams.iter().zip(&svc.session.streams) {
+        for (a, b) in reference.iter().zip(&svc.session.streams) {
             assert_eq!(a.stream, b.stream);
             assert_eq!(a.scenarios, b.scenarios, "stream {}", a.stream);
             assert_eq!(a.displays, b.displays, "pixel outputs diverged");

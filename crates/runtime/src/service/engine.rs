@@ -1,35 +1,33 @@
 //! The resumable per-stream execution engine.
 //!
-//! [`StreamEngine`] is the session tier's building block: one stream's
-//! manager, application state, recovery bookkeeping, and result
-//! accumulators, driven one frame at a time through [`StreamEngine::step_on`].
-//! Because each step is externally driven, the engine can be parked
-//! between frames — the service core admits, evicts, and migrates engines
-//! across pool shards without losing stream state, and the wave-mode
-//! compatibility wrapper ([`StreamSession`](crate::session::StreamSession))
-//! simply drives the engine to completion on one thread.
+//! [`StreamEngine`] is the runtime manager's per-frame loop (Section 6,
+//! Fig. 7 of the paper): one stream's manager, application state, recovery
+//! bookkeeping, and result accumulators, driven one frame at a time
+//! through [`StreamEngine::step_on`] — the only plan → execute → absorb →
+//! recover body in the crate. Because each step is externally driven, the
+//! engine can be parked between frames: the service core admits, evicts,
+//! and migrates engines across pool shards without losing stream state,
+//! and [`StreamEngine::run`] drives one to completion on the calling
+//! thread with no scheduler involved.
 //!
-//! The per-frame semantics (plan → execute → absorb → recover) are the
-//! managed closed loop of `runtime::run`, bit-identical to the former
-//! monolithic session loop: pixel outputs depend only on the input
-//! sequence and application configuration, never on where or when the
-//! engine was scheduled.
+//! Pixel outputs depend only on the input sequence and application
+//! configuration, never on where or when the engine was scheduled.
 
 use crate::faults::{fault_hash, FaultInjector};
-use crate::manager::{ManagerConfig, ResourceManager};
+use crate::manager::{ManagerConfig, Plan, ResourceManager};
 use crate::recovery::{RecoveryAction, RecoveryPolicy, RecoveryState};
 use crate::service::admission::AdmissionPolicy;
 use crate::session::{StreamFailure, StreamResult, StreamSpec};
 use imaging::image::ImageU16;
 use imaging::parallel::StripePool;
-use pipeline::app::AppState;
-use pipeline::executor::{process_frame_observed_on, process_frame_recovering_on};
+use pipeline::app::{AppConfig, AppState};
+use pipeline::executor::{process_frame_recovering_on, FrameFaults};
 use platform::bus::{DegradeMode, FaultKind, FrameEvent, RepartitionReason, StreamId};
 use platform::metrics::Observability;
 use platform::trace::TraceLog;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use xray::SequenceConfig;
+use xray::{SequenceConfig, SequenceGenerator};
 
 /// One stream's complete execution state, advanced frame by frame.
 ///
@@ -37,12 +35,12 @@ use xray::SequenceConfig;
 /// [`StreamSpec`] with an allocated core count, and its manager's bus can
 /// be wired to an [`Observability`] instance before the first step. The
 /// engine then accepts frames in strictly increasing sequence order (the
-/// order [`SequenceGenerator`](xray::SequenceGenerator) produces them)
+/// order [`SequenceGenerator`] produces them)
 /// and is consumed by [`finish`](Self::finish) into a [`StreamResult`].
 pub struct StreamEngine {
     id: StreamId,
     seq: SequenceConfig,
-    app: pipeline::app::AppConfig,
+    app: AppConfig,
     manager: ResourceManager,
     cores: usize,
     injector: Option<Arc<dyn FaultInjector>>,
@@ -122,23 +120,13 @@ impl StreamEngine {
         obs.attach(self.manager.bus_mut());
     }
 
-    /// The stream id.
-    pub fn id(&self) -> StreamId {
-        self.id
-    }
-
-    /// The modelled cores the engine was granted.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
     /// The stream's input-sequence configuration.
-    pub fn seq(&self) -> &SequenceConfig {
+    pub(crate) fn seq(&self) -> &SequenceConfig {
         &self.seq
     }
 
     /// Frames consumed so far (executed plus injection-dropped).
-    pub fn frames_done(&self) -> usize {
+    pub(crate) fn frames_done(&self) -> usize {
         self.trace.len() + self.dropped_frames
     }
 
@@ -147,9 +135,22 @@ impl StreamEngine {
         &mut self.manager
     }
 
-    /// Emits a service-tier lifecycle event onto the stream's own bus so
-    /// attached observability sees admission/eviction alongside the
-    /// frame-level events.
+    /// The application configuration the next frame will run with (the
+    /// QoS driver swaps quality levels in between frames).
+    pub(crate) fn app_mut(&mut self) -> &mut AppConfig {
+        &mut self.app
+    }
+
+    /// Effective latency of frame `index` if it was the last one
+    /// executed (`None` when the step dropped it at the input).
+    pub(crate) fn latency_of(&self, index: usize) -> Option<f64> {
+        let last = self.trace.records().last()?;
+        (last.frame == index).then_some(last.latency_ms)
+    }
+
+    /// Emits a lifecycle event from the surrounding driver (service-tier
+    /// admission/eviction, QoS interventions) onto the stream's own bus so
+    /// attached observability sees it alongside the frame-level events.
     pub(crate) fn emit(&mut self, event: FrameEvent) {
         self.manager.bus_mut().emit(event);
     }
@@ -165,15 +166,24 @@ impl StreamEngine {
         self.manager.model_mut().try_restore_bytes(bytes).is_ok()
     }
 
-    /// Advances the stream by one frame on the process-global stripe pool.
-    pub fn step(&mut self, index: usize, image: &ImageU16) -> Result<(), StreamFailure> {
-        self.step_on(StripePool::global(), index, image)
+    /// Runs the stream's own sequence to completion on the calling thread
+    /// and the process-global pool: the scheduler-free reference every
+    /// service-tier identity test compares against.
+    pub fn run(mut self) -> Result<StreamResult, StreamFailure> {
+        for frame in SequenceGenerator::new(self.seq.clone()) {
+            self.step_on(StripePool::global(), frame.index, &frame.image)?;
+        }
+        Ok(self.finish())
     }
 
-    /// Advances the stream by one frame, running data-parallel stages on
-    /// the given pool shard. Unrecoverable frame failures (only possible
-    /// with fault injection and `serial_fallback` disabled) surface as a
-    /// [`StreamFailure`] error instead of unwinding.
+    /// Advances the stream by one frame — the one plan → execute → absorb
+    /// → recover body every driver goes through — running data-parallel
+    /// stages on the given pool shard. The fault-injection sections only
+    /// run for a stream built with an injector: without one the stream
+    /// never downshifts, drops no frame and emits no fault-family event.
+    /// Unrecoverable frame failures (only possible with fault injection
+    /// and `serial_fallback` disabled) surface as a [`StreamFailure`]
+    /// error instead of unwinding.
     pub fn step_on(
         &mut self,
         pool: &StripePool,
@@ -183,13 +193,196 @@ impl StreamEngine {
         if self.started.is_none() {
             self.started = Some(Instant::now());
         }
-        match self.injector.clone() {
-            None => {
-                self.step_nominal(pool, index, image);
-                Ok(())
-            }
-            Some(injector) => self.step_faulted(pool, &injector, index, image),
+        let injector = self.injector.clone();
+        let policy = self.recovery;
+        let stream = self.id;
+        if injector
+            .as_ref()
+            .is_some_and(|i| i.drops_frame(stream, index))
+        {
+            let bus = self.manager.bus_mut();
+            bus.emit(FrameEvent::FaultInjected {
+                stream,
+                frame: index,
+                kind: FaultKind::FrameDrop,
+            });
+            bus.emit(FrameEvent::DegradedMode {
+                stream,
+                frame: index,
+                mode: DegradeMode::OutputDropped,
+                cause: FaultKind::FrameDrop,
+            });
+            self.dropped_frames += 1;
+            return Ok(());
         }
+
+        let ft0 = Instant::now();
+        // the ROI the frame will process is known from tracking state
+        let roi_kpixels = self
+            .state
+            .current_roi
+            .map(|r| r.area() as f64 / 1000.0)
+            .unwrap_or_else(|| (image.width() * image.height()) as f64 / 1000.0);
+        let mut plan = self.manager.plan(roi_kpixels);
+        let planned_rdg = plan.policy.rdg_stripes;
+        // a cap only ever exists after an injector-driven downshift
+        self.rec.apply_cap(&mut plan.policy);
+        self.predictions.push(plan.predicted_total_ms);
+        self.planned_cost_ms
+            .push(self.admission.cost(&plan.prediction()));
+        self.stripes.push(plan.policy.rdg_stripes);
+
+        let faults = injector
+            .as_ref()
+            .map_or_else(FrameFaults::default, |i| i.frame_faults(stream, index));
+        let out = process_frame_recovering_on(
+            pool,
+            index,
+            image,
+            &mut self.state,
+            &self.app,
+            &plan.policy,
+            stream,
+            self.manager.bus_mut(),
+            faults,
+            &policy.retry,
+        )
+        .map_err(|err| StreamFailure {
+            stream,
+            message: err.to_string(),
+            frames_completed: self.trace.len(),
+        })?;
+        self.manager.absorb(&out);
+
+        if injector.is_some() {
+            self.note_overrun(index, &plan, planned_rdg, out.record.latency_ms);
+        }
+        // model quarantine bookkeeping: release first, then check for a
+        // new corruption checkpoint on this frame
+        self.release_quarantine(index);
+        if let Some(injector) = &injector {
+            if injector.corrupts_snapshot(stream, index) {
+                self.corrupt_snapshot_checkpoint(index, injector.seed());
+            }
+        }
+
+        // per-frame deadline: late frames fall back to the last good
+        // output (wall-clock dependent, so off by default)
+        let wall_ms = ft0.elapsed().as_secs_f64() * 1000.0;
+        let mut display = out.display;
+        if let (Some(_), Some(deadline)) = (&injector, policy.frame_deadline_ms) {
+            if wall_ms > deadline {
+                self.manager.bus_mut().emit(FrameEvent::DegradedMode {
+                    stream,
+                    frame: index,
+                    mode: DegradeMode::OutputDropped,
+                    cause: FaultKind::Overrun,
+                });
+                display = self.last_good_display.clone();
+            } else if display.is_some() {
+                self.last_good_display = display.clone();
+            }
+        }
+
+        self.scenarios.push(out.scenario.id());
+        // drift quarantine needs no injector: scenario storms in the input
+        // content are enough to trigger it (no-op unless configured)
+        self.check_drift(index, plan.scenario.id(), out.scenario.id());
+        self.displays.push(display);
+        self.trace.push(out.record);
+        self.frame_wall_ms.push(wall_ms);
+        Ok(())
+    }
+
+    /// Stripe downshift on repeated budget overruns, and the lift once
+    /// the stream ran clean again.
+    fn note_overrun(&mut self, idx: usize, plan: &Plan, planned_rdg: usize, latency_ms: f64) {
+        let overrun = self
+            .manager
+            .budget()
+            .is_some_and(|b| latency_ms > b.target_ms);
+        let policy = self.recovery;
+        let stream = self.id;
+        let action = self
+            .rec
+            .note_frame(overrun, plan.policy.rdg_stripes, &policy);
+        let bus = self.manager.bus_mut();
+        match action {
+            RecoveryAction::Downshift(cap) => {
+                bus.emit(FrameEvent::DegradedMode {
+                    stream,
+                    frame: idx,
+                    mode: DegradeMode::StripeDownshift,
+                    cause: FaultKind::Overrun,
+                });
+                bus.emit(FrameEvent::RepartitionDecided {
+                    stream,
+                    frame: idx,
+                    from_rdg_stripes: plan.policy.rdg_stripes,
+                    to_rdg_stripes: cap,
+                    aux_stripes: plan.policy.aux_stripes.min(cap),
+                    reason: RepartitionReason::Downshift,
+                });
+            }
+            RecoveryAction::Lift(_) => {
+                bus.emit(FrameEvent::Recovered {
+                    stream,
+                    frame: idx,
+                    kind: FaultKind::Overrun,
+                    attempts: 0,
+                });
+                bus.emit(FrameEvent::RepartitionDecided {
+                    stream,
+                    frame: idx,
+                    from_rdg_stripes: plan.policy.rdg_stripes,
+                    to_rdg_stripes: planned_rdg,
+                    aux_stripes: plan.policy.aux_stripes,
+                    reason: RepartitionReason::Lift,
+                });
+            }
+            RecoveryAction::None => {}
+        }
+    }
+
+    /// An injected snapshot corruption: checkpoint, deterministically
+    /// garble, and attempt the restore. The corrupted snapshot must be
+    /// rejected with an `Err` (never a panic), leaving the live model
+    /// untouched; the model is then quarantined.
+    fn corrupt_snapshot_checkpoint(&mut self, idx: usize, seed: u64) {
+        let stream = self.id;
+        self.manager.bus_mut().emit(FrameEvent::FaultInjected {
+            stream,
+            frame: idx,
+            kind: FaultKind::SnapshotCorruption,
+        });
+        let pristine = self.manager.model().snapshot_bytes();
+        let mut garbled = pristine.clone();
+        if !garbled.is_empty() {
+            let h = fault_hash(seed, stream, idx, 0xC0);
+            let at = (h as usize) % garbled.len();
+            garbled[at] ^= 0xA5;
+        }
+        if self.manager.model_mut().try_restore_bytes(&garbled).is_ok() {
+            // the garble happened to still decode as a valid snapshot:
+            // roll back to the pristine checkpoint
+            self.manager
+                .model_mut()
+                .try_restore_bytes(&pristine)
+                .expect("pristine snapshot restores");
+        }
+        let online = self.manager.model().online_training();
+        if online {
+            self.manager.model_mut().set_online_training(false);
+        }
+        let policy = self.recovery;
+        self.rec.enter_quarantine(online, &policy);
+        self.quarantine_cause = FaultKind::SnapshotCorruption;
+        self.manager.bus_mut().emit(FrameEvent::DegradedMode {
+            stream,
+            frame: idx,
+            mode: DegradeMode::ModelQuarantine,
+            cause: FaultKind::SnapshotCorruption,
+        });
     }
 
     /// Releases a pending model quarantine if its countdown expires this
@@ -251,231 +444,6 @@ impl StreamEngine {
         }
     }
 
-    /// The unhooked hot path: no fault bookkeeping, no recovery branches.
-    fn step_nominal(&mut self, pool: &StripePool, index: usize, image: &ImageU16) {
-        let ft0 = Instant::now();
-        let roi_kpixels = self
-            .state
-            .current_roi
-            .map(|r| r.area() as f64 / 1000.0)
-            .unwrap_or_else(|| (image.width() * image.height()) as f64 / 1000.0);
-        let plan = self.manager.plan(roi_kpixels);
-        self.predictions.push(plan.predicted_total_ms);
-        self.planned_cost_ms
-            .push(self.admission.cost(&plan.prediction()));
-        self.stripes.push(plan.policy.rdg_stripes);
-
-        let out = process_frame_observed_on(
-            pool,
-            index,
-            image,
-            &mut self.state,
-            &self.app,
-            &plan.policy,
-            self.id,
-            self.manager.bus_mut(),
-        );
-        self.manager.absorb(&out);
-        self.scenarios.push(out.scenario.id());
-        // drift quarantine is the one recovery policy active on the
-        // nominal path (it needs no injector — scenario storms in the
-        // input content are enough to trigger it); zero-cost when off
-        if self.recovery.drift_threshold.is_some() {
-            self.release_quarantine(index);
-            self.check_drift(index, plan.scenario.id(), out.scenario.id());
-        }
-        self.displays.push(out.display);
-        self.trace.push(out.record);
-        self.frame_wall_ms
-            .push(ft0.elapsed().as_secs_f64() * 1000.0);
-    }
-
-    /// The fault-injecting, gracefully-degrading path.
-    fn step_faulted(
-        &mut self,
-        pool: &StripePool,
-        injector: &Arc<dyn FaultInjector>,
-        idx: usize,
-        image: &ImageU16,
-    ) -> Result<(), StreamFailure> {
-        let policy = self.recovery;
-        if injector.drops_frame(self.id, idx) {
-            let stream = self.id;
-            let bus = self.manager.bus_mut();
-            bus.emit(FrameEvent::FaultInjected {
-                stream,
-                frame: idx,
-                kind: FaultKind::FrameDrop,
-            });
-            bus.emit(FrameEvent::DegradedMode {
-                stream,
-                frame: idx,
-                mode: DegradeMode::OutputDropped,
-                cause: FaultKind::FrameDrop,
-            });
-            self.dropped_frames += 1;
-            return Ok(());
-        }
-
-        let ft0 = Instant::now();
-        let roi_kpixels = self
-            .state
-            .current_roi
-            .map(|r| r.area() as f64 / 1000.0)
-            .unwrap_or_else(|| (image.width() * image.height()) as f64 / 1000.0);
-        let mut plan = self.manager.plan(roi_kpixels);
-        let planned_rdg = plan.policy.rdg_stripes;
-        self.rec.apply_cap(&mut plan.policy);
-        self.predictions.push(plan.predicted_total_ms);
-        self.planned_cost_ms
-            .push(self.admission.cost(&plan.prediction()));
-        self.stripes.push(plan.policy.rdg_stripes);
-
-        let faults = injector.frame_faults(self.id, idx);
-        let out = match process_frame_recovering_on(
-            pool,
-            idx,
-            image,
-            &mut self.state,
-            &self.app,
-            &plan.policy,
-            self.id,
-            self.manager.bus_mut(),
-            faults,
-            &policy.retry,
-        ) {
-            Ok(out) => out,
-            Err(err) => {
-                return Err(StreamFailure {
-                    stream: self.id,
-                    message: err.to_string(),
-                    frames_completed: self.trace.len(),
-                });
-            }
-        };
-        self.manager.absorb(&out);
-
-        // stripe downshift on repeated budget overruns
-        let overrun = self
-            .manager
-            .budget()
-            .is_some_and(|b| out.record.latency_ms > b.target_ms);
-        match self
-            .rec
-            .note_frame(overrun, plan.policy.rdg_stripes, &policy)
-        {
-            RecoveryAction::Downshift(cap) => {
-                let stream = self.id;
-                let aux = plan.policy.aux_stripes.min(cap);
-                let bus = self.manager.bus_mut();
-                bus.emit(FrameEvent::DegradedMode {
-                    stream,
-                    frame: idx,
-                    mode: DegradeMode::StripeDownshift,
-                    cause: FaultKind::Overrun,
-                });
-                bus.emit(FrameEvent::RepartitionDecided {
-                    stream,
-                    frame: idx,
-                    from_rdg_stripes: plan.policy.rdg_stripes,
-                    to_rdg_stripes: cap,
-                    aux_stripes: aux,
-                    reason: RepartitionReason::Downshift,
-                });
-            }
-            RecoveryAction::Lift(_) => {
-                let stream = self.id;
-                let bus = self.manager.bus_mut();
-                bus.emit(FrameEvent::Recovered {
-                    stream,
-                    frame: idx,
-                    kind: FaultKind::Overrun,
-                    attempts: 0,
-                });
-                bus.emit(FrameEvent::RepartitionDecided {
-                    stream,
-                    frame: idx,
-                    from_rdg_stripes: plan.policy.rdg_stripes,
-                    to_rdg_stripes: planned_rdg,
-                    aux_stripes: plan.policy.aux_stripes,
-                    reason: RepartitionReason::Lift,
-                });
-            }
-            RecoveryAction::None => {}
-        }
-
-        // model quarantine bookkeeping: release first, then check for
-        // a new corruption checkpoint on this frame
-        self.release_quarantine(idx);
-        if injector.corrupts_snapshot(self.id, idx) {
-            let stream = self.id;
-            self.manager.bus_mut().emit(FrameEvent::FaultInjected {
-                stream,
-                frame: idx,
-                kind: FaultKind::SnapshotCorruption,
-            });
-            // checkpoint, deterministically garble, and attempt the
-            // restore: the corrupted snapshot must be rejected with an
-            // Err (never a panic), leaving the live model untouched
-            let pristine = self.manager.model().snapshot_bytes();
-            let mut garbled = pristine.clone();
-            if !garbled.is_empty() {
-                let h = fault_hash(injector.seed(), self.id, idx, 0xC0);
-                let at = (h as usize) % garbled.len();
-                garbled[at] ^= 0xA5;
-            }
-            if self.manager.model_mut().try_restore_bytes(&garbled).is_ok() {
-                // the garble happened to still decode as a valid
-                // snapshot: roll back to the pristine checkpoint
-                self.manager
-                    .model_mut()
-                    .try_restore_bytes(&pristine)
-                    .expect("pristine snapshot restores");
-            }
-            let online = self.manager.model().online_training();
-            if online {
-                self.manager.model_mut().set_online_training(false);
-            }
-            self.rec.enter_quarantine(online, &policy);
-            self.quarantine_cause = FaultKind::SnapshotCorruption;
-            self.manager.bus_mut().emit(FrameEvent::DegradedMode {
-                stream,
-                frame: idx,
-                mode: DegradeMode::ModelQuarantine,
-                cause: FaultKind::SnapshotCorruption,
-            });
-        }
-
-        // per-frame deadline: late frames fall back to the last good
-        // output (wall-clock dependent, so off by default)
-        let wall_ms = ft0.elapsed().as_secs_f64() * 1000.0;
-        let mut display = out.display;
-        if let Some(deadline) = policy.frame_deadline_ms {
-            if wall_ms > deadline {
-                let stream = self.id;
-                self.manager.bus_mut().emit(FrameEvent::DegradedMode {
-                    stream,
-                    frame: idx,
-                    mode: DegradeMode::OutputDropped,
-                    cause: FaultKind::Overrun,
-                });
-                display = self.last_good_display.clone();
-            }
-        }
-        if display.is_some() {
-            self.last_good_display = display.clone();
-        }
-
-        self.scenarios.push(out.scenario.id());
-        if policy.drift_threshold.is_some() {
-            self.check_drift(idx, plan.scenario.id(), out.scenario.id());
-        }
-        self.displays.push(display);
-        self.trace.push(out.record);
-        self.frame_wall_ms.push(wall_ms);
-        Ok(())
-    }
-
     /// Consumes the engine into its final [`StreamResult`]. `wall_ms`
     /// covers first step to finish (queue wait before the first frame is
     /// reported separately by the service tier as admission latency).
@@ -490,6 +458,7 @@ impl StreamEngine {
             accuracy: self.manager.accuracy(),
             calibration: self.manager.calibration(),
             infeasible_frames: self.manager.infeasible_frames(),
+            budget: self.manager.budget(),
             trace: self.trace,
             predictions: self.predictions,
             planned_cost_ms: self.planned_cost_ms,
@@ -505,5 +474,43 @@ impl StreamEngine {
                 .map(|c| c.lock().unwrap().clone())
                 .unwrap_or_default(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::budget::LatencyBudget;
+    use crate::faults::{FaultPlan, FaultPlanConfig};
+    use crate::test_support::{seq, trained_model};
+
+    /// The injector-only sections of `step_on` must be inert when the
+    /// injector arms nothing: a zero-rate plan is indistinguishable from
+    /// no injector on every deterministic output plane.
+    #[test]
+    fn zero_rate_injector_matches_no_injector() {
+        let model = trained_model();
+        let spec = || {
+            StreamSpec::builder(seq(120, 10), AppConfig::default(), model.clone())
+                .budget(LatencyBudget::new(10_000.0, 0.1))
+        };
+        let bare = StreamEngine::new(0, spec().build(), 4).run().unwrap();
+        let plan = FaultPlan::new(5, FaultPlanConfig::default());
+        let hooked = StreamEngine::new(0, spec().faults(Arc::new(plan)).build(), 4)
+            .run()
+            .unwrap();
+
+        assert_eq!(bare.trace.len(), 10);
+        assert!(
+            bare.displays.iter().any(|d| d.is_some()),
+            "comparison is vacuous: no display was ever produced"
+        );
+        assert_eq!(bare.scenarios, hooked.scenarios);
+        assert_eq!(bare.stripes, hooked.stripes);
+        assert_eq!(bare.planned_cost_ms, hooked.planned_cost_ms);
+        assert_eq!(bare.displays, hooked.displays);
+        assert_eq!(hooked.dropped_frames, 0);
+        assert!(hooked.fault_events.is_empty(), "{:?}", hooked.fault_events);
+        assert_eq!(bare.budget, hooked.budget);
     }
 }

@@ -1,8 +1,7 @@
 //! The service tier: sharded pools, prediction-driven admission, bounded
 //! ingress with backpressure.
 //!
-//! This module re-architects the former monolithic session loop into
-//! composable pieces (ISSUE 7 / ROADMAP item 1):
+//! The tier is built from composable pieces:
 //!
 //! * [`engine`] — [`StreamEngine`], one stream's resumable per-frame
 //!   stepper (plan → execute → absorb → recover), parkable between
@@ -21,10 +20,9 @@
 //! * [`handle`] — [`ServiceHandle`], the ingestion front-end (submit
 //!   frames, poll completions, scrape metrics).
 //!
-//! The legacy wave scheduler
-//! ([`SessionScheduler`](crate::session::SessionScheduler)) remains the
-//! stable compatibility surface; it drives the same [`StreamEngine`]
-//! building block, so outputs are bit-identical across both modes.
+//! [`StreamEngine::step_on`] is the frame loop and [`ServiceCore`] the
+//! scheduler; nothing else in the crate plans, executes or absorbs a
+//! frame, so outputs are bit-identical wherever an engine is driven from.
 
 pub mod admission;
 pub mod core;
@@ -42,5 +40,3 @@ pub use shard::{ShardLayout, ShardTopology};
 pub use self::core::{
     ServiceConfig, ServiceCore, ServiceReport, StreamCompletion, StreamServiceStats,
 };
-
-pub(crate) use self::core::run_waves;

@@ -1,100 +1,35 @@
-//! Multi-stream sessions: N concurrent imaging streams on one platform.
+//! Stream specifications and results: what goes into and comes out of
+//! one imaging stream.
 //!
 //! An interventional X-ray suite can host several simultaneous imaging
 //! streams (biplane acquisition, multiple exam rooms sharing a
-//! reconstruction server). Each [`StreamSession`] owns its own
-//! [`ResourceManager`] and prediction-model instance and runs the managed
-//! closed loop of `runtime::run` independently; the [`SessionScheduler`]
-//! admits sessions against a shared modelled-core budget, divides the
-//! cores by a [`FairnessPolicy`], and executes admitted streams
-//! concurrently on host threads over the process-wide
-//! [`StripePool`](imaging::parallel::StripePool).
+//! reconstruction server). A [`StreamSpec`] describes one stream — input
+//! sequence, application configuration, its own trained model and
+//! resource-management parameters. A
+//! [`StreamEngine`](crate::service::StreamEngine) turns it into a
+//! [`StreamResult`] frame by frame, and the
+//! [`ServiceCore`](crate::service::ServiceCore) schedules many of them
+//! against a shared modelled-core budget, collecting a [`SessionReport`].
 //!
-//! Stream outputs are bit-identical to a serial back-to-back run: pixel
-//! results depend only on the input sequence and the application
+//! Stream outputs are bit-identical however the stream was scheduled:
+//! pixel results depend only on the input sequence and the application
 //! configuration, never on the partitioning policy or on measured timing
 //! (the property the striping tests establish per task).
-//!
-//! This module is the stable *compatibility surface* over the
-//! [`service`](crate::service) tier: [`StreamSession`] wraps the
-//! resumable [`StreamEngine`] and the wave
-//! loop of [`SessionScheduler::run`] is implemented by the service core,
-//! so both scheduling modes share one per-frame execution path.
 
 use crate::budget::LatencyBudget;
 use crate::faults::FaultInjector;
-use crate::manager::{CalibrationSnapshot, ManagerConfig, ResourceManager};
+use crate::manager::{CalibrationSnapshot, ManagerConfig};
 use crate::recovery::RecoveryPolicy;
 use crate::service::admission::AdmissionPolicy;
-use crate::service::engine::StreamEngine;
 use imaging::image::ImageU16;
 use pipeline::app::AppConfig;
 use platform::bus::{FrameEvent, StreamId};
-use platform::metrics::{MetricsSnapshot, Observability};
-use platform::span::SpanCollector;
+use platform::metrics::MetricsSnapshot;
 use platform::trace::TraceLog;
 use std::sync::Arc;
 use triplec::accuracy::AccuracyReport;
 use triplec::triple::TripleC;
-use xray::{SequenceConfig, SequenceGenerator};
-
-/// How the shared core budget is divided among concurrently admitted
-/// streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FairnessPolicy {
-    /// Every admitted stream gets an equal share of the cores.
-    EqualShare,
-    /// Cores are apportioned proportionally to each stream's declared
-    /// demand weight (e.g. predicted frame cost).
-    WeightedDemand,
-}
-
-/// Divides `total` cores among streams with the given demand weights:
-/// every stream receives one core up front, then each remaining core
-/// goes to the stream maximizing `weight / (allocated + 1)` — the
-/// highest-averages (D'Hondt/Jefferson) rule, ties broken by lowest
-/// stream index.
-///
-/// Divisor methods are monotone in weight by construction: a stream with
-/// strictly larger weight never ends up with fewer cores (the property
-/// the `allocate_cores` proptests pin down; the previous
-/// largest-remainder scheme violated it at the one-core minimum
-/// boundary). Allocations always sum to `total` when `total >= n`.
-///
-/// When there are more streams than cores every stream still receives one
-/// core (the scheduler's admission policy prevents that case by queueing
-/// the excess streams).
-pub fn allocate_cores(total: usize, weights: &[f64]) -> Vec<usize> {
-    assert!(total > 0, "at least one core required");
-    let n = weights.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n >= total {
-        return vec![1; n];
-    }
-    let sum: f64 = weights.iter().map(|w| w.max(0.0)).sum();
-    // degenerate weights: fall back to equal shares
-    let weights: Vec<f64> = if sum <= 1e-12 {
-        vec![1.0; n]
-    } else {
-        weights.iter().map(|w| w.max(0.0)).collect()
-    };
-    let mut alloc = vec![1usize; n];
-    for _ in n..total {
-        let mut best = 0usize;
-        let mut best_quotient = f64::NEG_INFINITY;
-        for (i, &w) in weights.iter().enumerate() {
-            let quotient = w / (alloc[i] as f64 + 1.0);
-            if quotient > best_quotient {
-                best = i;
-                best_quotient = quotient;
-            }
-        }
-        alloc[best] += 1;
-    }
-    alloc
-}
+use xray::SequenceConfig;
 
 /// Everything needed to run one stream: its input sequence, application
 /// configuration, trained model, and resource-management parameters.
@@ -106,18 +41,18 @@ pub struct StreamSpec {
     /// Trained prediction model (each stream gets its own instance).
     pub model: TripleC,
     /// Manager parameters; `cores` is overwritten by the scheduler's
-    /// allocation.
+    /// grant.
     pub manager_cfg: ManagerConfig,
     /// Fixed per-stream latency budget (None = initialize from the first
     /// frame, the paper's default).
     pub budget: Option<LatencyBudget>,
-    /// Demand weight under [`FairnessPolicy::WeightedDemand`].
-    pub weight: f64,
-    /// Fault-injection hook. `None` (the default) runs the unhooked hot
-    /// path — no fault bookkeeping, no extra branches per dispatch.
+    /// Fault-injection hook. `None` (the default) arms nothing: the
+    /// stream never drops a frame, never downshifts and emits no
+    /// fault-family event.
     pub faults: Option<Arc<dyn FaultInjector>>,
-    /// Degradation policy used when `faults` is set (and for genuine
-    /// runtime faults on the recovering path).
+    /// Degradation policy. Stage retry (for genuine pool faults) and
+    /// drift quarantine apply to every stream; downshift, corruption
+    /// quarantine and the frame deadline only act when `faults` is set.
     pub recovery: RecoveryPolicy,
     /// Which point of the predicted cost distribution admission and
     /// shard placement size this stream's core grant against (default:
@@ -128,7 +63,7 @@ pub struct StreamSpec {
 impl StreamSpec {
     /// Starts building a spec from its three required ingredients; every
     /// other knob defaults (management parameters from the platform's
-    /// [`ArchModel`](platform::arch::ArchModel), unit weight, no faults).
+    /// [`ArchModel`](platform::arch::ArchModel), no faults).
     pub fn builder(seq: SequenceConfig, app: AppConfig, model: TripleC) -> StreamSpecBuilder {
         StreamSpecBuilder {
             spec: Self {
@@ -137,30 +72,11 @@ impl StreamSpec {
                 model,
                 manager_cfg: ManagerConfig::default(),
                 budget: None,
-                weight: 1.0,
                 faults: None,
                 recovery: RecoveryPolicy::default(),
                 admission: AdmissionPolicy::default(),
             },
         }
-    }
-
-    /// A spec with default management parameters and unit weight.
-    #[deprecated(note = "use `StreamSpec::builder(seq, app, model).build()`")]
-    pub fn new(seq: SequenceConfig, app: AppConfig, model: TripleC) -> Self {
-        Self::builder(seq, app, model).build()
-    }
-
-    /// Enables fault injection with the given hook and recovery policy.
-    #[deprecated(note = "use `StreamSpec::builder(..).faults(injector).recovery(policy).build()`")]
-    pub fn with_faults(
-        mut self,
-        injector: Arc<dyn FaultInjector>,
-        recovery: RecoveryPolicy,
-    ) -> Self {
-        self.faults = Some(injector);
-        self.recovery = recovery;
-        self
     }
 }
 
@@ -181,13 +97,6 @@ impl StreamSpecBuilder {
     /// first frame.
     pub fn budget(mut self, budget: LatencyBudget) -> Self {
         self.spec.budget = Some(budget);
-        self
-    }
-
-    /// Sets the demand weight used by
-    /// [`FairnessPolicy::WeightedDemand`].
-    pub fn weight(mut self, weight: f64) -> Self {
-        self.spec.weight = weight;
         self
     }
 
@@ -213,66 +122,6 @@ impl StreamSpecBuilder {
     /// Finishes the spec.
     pub fn build(self) -> StreamSpec {
         self.spec
-    }
-}
-
-/// One admitted stream: a manager plus its sequence, ready to run.
-///
-/// A thin wrapper over [`StreamEngine`]: the engine holds all stream
-/// state and steps frame by frame; the session adds the stream-level
-/// span and drives the engine over its full sequence on one thread.
-pub struct StreamSession {
-    engine: StreamEngine,
-    tracer: Option<SpanCollector>,
-}
-
-impl StreamSession {
-    /// Builds a session from a spec with an allocated core count.
-    pub fn new(id: StreamId, spec: StreamSpec, cores: usize) -> Self {
-        Self {
-            engine: StreamEngine::new(id, spec, cores),
-            tracer: None,
-        }
-    }
-
-    /// Attaches an [`Observability`] instance: the stream's bus feeds its
-    /// metrics registry and span collector, and the session wraps its own
-    /// run in a stream-level span.
-    pub fn attach_observability(&mut self, obs: &Observability) {
-        self.engine.attach_observability(obs);
-        self.tracer = Some(obs.spans().clone());
-    }
-
-    /// The stream id.
-    pub fn id(&self) -> StreamId {
-        self.engine.id()
-    }
-
-    /// The modelled cores allocated to this stream.
-    pub fn cores(&self) -> usize {
-        self.engine.cores()
-    }
-
-    /// The stream's resource manager (e.g. to attach bus subscribers
-    /// before running).
-    pub fn manager_mut(&mut self) -> &mut ResourceManager {
-        self.engine.manager_mut()
-    }
-
-    /// Runs the stream's full sequence through the managed closed loop,
-    /// consuming the session. Unrecoverable frame failures (only possible
-    /// with fault injection and `serial_fallback` disabled) surface as a
-    /// [`StreamFailure`] error instead of unwinding.
-    pub fn run(self) -> Result<StreamResult, StreamFailure> {
-        let Self { mut engine, tracer } = self;
-        let _stream_span = tracer.map(|t| {
-            t.span("stream", "session", engine.id())
-                .arg("cores", engine.cores() as f64)
-        });
-        for frame in SequenceGenerator::new(engine.seq().clone()) {
-            engine.step(frame.index, &frame.image)?;
-        }
-        Ok(engine.finish())
     }
 }
 
@@ -345,6 +194,10 @@ pub struct StreamResult {
     pub calibration: CalibrationSnapshot,
     /// Frames whose budget was infeasible even fully parallel.
     pub infeasible_frames: usize,
+    /// The latency budget in force when the stream finished (fixed by the
+    /// spec or initialized from the first frame; `None` when no frame
+    /// executed).
+    pub budget: Option<LatencyBudget>,
     /// Frames dropped at the input by fault injection (never executed).
     pub dropped_frames: usize,
     /// Fault-family events ([`FrameEvent::replay_key`] is `Some`) the
@@ -359,125 +212,12 @@ impl StreamResult {
     }
 }
 
-/// Scheduler configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SessionConfig {
-    /// The shared modelled-core budget streams are admitted against.
-    pub total_cores: usize,
-    /// How the budget is divided among concurrent streams.
-    pub fairness: FairnessPolicy,
-    /// Cap on concurrently running streams (further streams queue). The
-    /// effective concurrency is also bounded by `total_cores`, since every
-    /// admitted stream needs at least one core.
-    pub max_concurrent: usize,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        let cores = platform::arch::ArchModel::default().cores;
-        Self {
-            total_cores: cores,
-            fairness: FairnessPolicy::EqualShare,
-            max_concurrent: cores,
-        }
-    }
-}
-
-impl SessionConfig {
-    /// Starts building a config; every knob defaults from the platform's
-    /// [`ArchModel`](platform::arch::ArchModel).
-    pub fn builder() -> SessionConfigBuilder {
-        SessionConfigBuilder {
-            cfg: Self::default(),
-            max_concurrent: None,
-        }
-    }
-}
-
-/// Typed builder for [`SessionConfig`] (from [`SessionConfig::builder`]).
-#[must_use = "builders do nothing until `build()` is called"]
-pub struct SessionConfigBuilder {
-    cfg: SessionConfig,
-    max_concurrent: Option<usize>,
-}
-
-impl SessionConfigBuilder {
-    /// Sets the shared modelled-core budget. Unless
-    /// [`Self::max_concurrent`] is also set, the concurrency cap follows
-    /// this value.
-    pub fn total_cores(mut self, cores: usize) -> Self {
-        self.cfg.total_cores = cores;
-        self
-    }
-
-    /// Sets how the core budget is divided among concurrent streams.
-    pub fn fairness(mut self, fairness: FairnessPolicy) -> Self {
-        self.cfg.fairness = fairness;
-        self
-    }
-
-    /// Caps concurrently running streams (defaults to the core budget).
-    pub fn max_concurrent(mut self, streams: usize) -> Self {
-        self.max_concurrent = Some(streams);
-        self
-    }
-
-    /// Finishes the config.
-    pub fn build(self) -> SessionConfig {
-        SessionConfig {
-            max_concurrent: self.max_concurrent.unwrap_or(self.cfg.total_cores),
-            ..self.cfg
-        }
-    }
-}
-
-/// Admits streams against the shared core budget and runs them.
-pub struct SessionScheduler {
-    cfg: SessionConfig,
-    obs: Option<Observability>,
-}
-
-impl SessionScheduler {
-    /// A scheduler over the given configuration.
-    pub fn new(cfg: SessionConfig) -> Self {
-        Self { cfg, obs: None }
-    }
-
-    /// Attaches an [`Observability`] instance: every stream the scheduler
-    /// runs feeds its metrics registry and span collector, and the final
-    /// [`SessionReport`] carries a [`MetricsSnapshot`].
-    #[must_use = "returns the scheduler with observability attached"]
-    pub fn with_observability(mut self, obs: Observability) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SessionConfig {
-        &self.cfg
-    }
-
-    /// Runs every stream to completion: streams are admitted in waves of
-    /// at most `min(max_concurrent, total_cores)`, each wave's cores are
-    /// divided by the fairness policy, and the wave's streams execute
-    /// concurrently (one host thread each, data-parallel stages on the
-    /// shared stripe pool). Results are returned in stream order.
-    ///
-    /// A thin wrapper over the service tier's wave driver
-    /// ([`service`](crate::service)); behaviour is unchanged from the
-    /// pre-service monolithic scheduler.
-    pub fn run(&self, specs: Vec<StreamSpec>) -> SessionReport {
-        crate::service::run_waves(&self.cfg, self.obs.as_ref(), specs)
-    }
-}
-
 /// Result of a whole session.
 pub struct SessionReport {
     /// Per-stream results, ordered by stream id.
     pub streams: Vec<StreamResult>,
     /// Streams that did not complete (unrecoverable frame failures or
-    /// caught thread panics), ordered by stream id. Previously a failing
-    /// stream unwound into the scheduler and aborted the whole session.
+    /// caught thread panics), ordered by stream id.
     pub failures: Vec<StreamFailure>,
     /// Host wall-clock time of the whole session, ms.
     pub wall_ms: f64,
@@ -486,7 +226,7 @@ pub struct SessionReport {
     /// Aggregate throughput across streams, frames per second.
     pub aggregate_fps: f64,
     /// Point-in-time metrics dump, present when the scheduler ran with
-    /// [`SessionScheduler::with_observability`].
+    /// [`ServiceCore::with_observability`](crate::service::ServiceCore::with_observability).
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -500,143 +240,48 @@ impl SessionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::executor::ExecutionPolicy;
-    use pipeline::runner::run_sequence;
+    use crate::service::{ServiceConfig, ServiceCore, ShardLayout, StreamEngine};
+    use crate::test_support::{seq, trained_model};
     use platform::bus::{DegradeMode, FaultKind};
-    use triplec::triple::TripleCConfig;
-    use xray::NoiseConfig;
 
-    fn seq(seed: u64, frames: usize) -> SequenceConfig {
-        SequenceConfig {
-            width: 128,
-            height: 128,
-            frames,
-            seed,
-            noise: NoiseConfig {
-                quantum_scale: 0.3,
-                electronic_std: 2.0,
-            },
-            ..Default::default()
-        }
+    fn run(specs: Vec<StreamSpec>) -> SessionReport {
+        run_with(ServiceConfig::default(), specs)
     }
 
-    fn trained_model() -> TripleC {
-        let profile = run_sequence(
-            seq(100, 10),
-            &AppConfig::default(),
-            &ExecutionPolicy::default(),
-        );
-        let cfg = TripleCConfig {
-            geometry: triplec::FrameGeometry {
-                width: 128,
-                height: 128,
-            },
-            ..Default::default()
-        };
-        TripleC::train(&profile.task_series(), &profile.scenarios, cfg)
-    }
-
-    #[test]
-    fn allocate_equal_shares() {
-        assert_eq!(allocate_cores(8, &[1.0, 1.0]), vec![4, 4]);
-        assert_eq!(allocate_cores(8, &[1.0, 1.0, 1.0, 1.0]), vec![2, 2, 2, 2]);
-        assert_eq!(allocate_cores(8, &[1.0]), vec![8]);
-    }
-
-    #[test]
-    fn allocate_uneven_split_sums_to_total() {
-        let a = allocate_cores(8, &[1.0, 1.0, 1.0]);
-        assert_eq!(a.iter().sum::<usize>(), 8);
-        assert!(a.iter().all(|&c| c >= 2), "{a:?}");
-    }
-
-    #[test]
-    fn allocate_weighted_demand() {
-        let a = allocate_cores(8, &[3.0, 1.0]);
-        assert_eq!(a, vec![6, 2]);
-        let b = allocate_cores(9, &[2.0, 1.0]);
-        assert_eq!(b, vec![6, 3]);
-    }
-
-    #[test]
-    fn allocate_minimum_one_core_each() {
-        let a = allocate_cores(4, &[100.0, 1.0, 1.0]);
-        assert_eq!(a.iter().sum::<usize>(), 4);
-        assert!(a.iter().all(|&c| c >= 1), "{a:?}");
-        assert!(a[0] >= a[1]);
-        // more streams than cores: one core each (admission prevents this)
-        assert_eq!(allocate_cores(2, &[1.0; 5]), vec![1; 5]);
-    }
-
-    #[test]
-    fn allocate_zero_weights_fall_back_to_equal() {
-        assert_eq!(allocate_cores(8, &[0.0, 0.0]), vec![4, 4]);
-    }
-
-    #[test]
-    fn single_stream_session_matches_managed_run() {
-        let spec = StreamSpec::builder(seq(101, 6), AppConfig::default(), trained_model()).build();
-        let report = SessionScheduler::new(SessionConfig::default()).run(vec![spec]);
-        assert_eq!(report.streams.len(), 1);
-        let s = &report.streams[0];
-        assert_eq!(s.trace.len(), 6);
-        assert_eq!(s.accuracy.count, 6);
-        assert_eq!(report.total_frames, 6);
-        assert!(report.aggregate_fps > 0.0);
-
-        // same frames through the single-stream managed loop
-        let mut mgr = crate::manager::ResourceManager::new(
-            trained_model(),
-            ManagerConfig {
-                cores: s.cores,
-                ..Default::default()
-            },
-        );
-        let run = crate::run::run_managed_sequence(seq(101, 6), &AppConfig::default(), &mut mgr);
-        for (a, b) in s.trace.records().iter().zip(run.trace.records()) {
-            assert_eq!(a.scenario, b.scenario, "frame {}", a.frame);
-        }
+    /// Batch-runs on one shard over the global pool, so a tight-budget
+    /// stream is granted up to the whole core budget and stripes on the
+    /// shared pool.
+    fn run_with(cfg: ServiceConfig, specs: Vec<StreamSpec>) -> SessionReport {
+        ServiceCore::new(ServiceConfig {
+            layout: ShardLayout::Single,
+            ..cfg
+        })
+        .run_batch(specs)
+        .session
     }
 
     #[test]
     fn two_streams_round_trip_with_queueing() {
         // force queueing: budget of 2 cores, max 1 concurrent stream
-        let cfg = SessionConfig {
+        let cfg = ServiceConfig {
             total_cores: 2,
-            fairness: FairnessPolicy::EqualShare,
             max_concurrent: 1,
+            ..Default::default()
         };
         let specs = vec![
             StreamSpec::builder(seq(102, 4), AppConfig::default(), trained_model()).build(),
             StreamSpec::builder(seq(103, 5), AppConfig::default(), trained_model()).build(),
         ];
-        let report = SessionScheduler::new(cfg).run(specs);
+        let report = run_with(cfg, specs);
         assert_eq!(report.streams.len(), 2);
         assert_eq!(report.streams[0].stream, 0);
         assert_eq!(report.streams[1].stream, 1);
         assert_eq!(report.streams[0].trace.len(), 4);
         assert_eq!(report.streams[1].trace.len(), 5);
-        // each admitted alone: full budget allocated
-        assert_eq!(report.streams[0].cores, 2);
-        assert_eq!(report.streams[1].cores, 2);
+        // no fixed budget: each stream enters with the minimal grant
+        assert_eq!(report.streams[0].cores, 1);
+        assert_eq!(report.streams[1].cores, 1);
         assert_eq!(report.total_frames, 9);
-    }
-
-    #[test]
-    fn weighted_streams_get_proportional_cores() {
-        let a = StreamSpec::builder(seq(104, 3), AppConfig::default(), trained_model())
-            .weight(3.0)
-            .build();
-        let b = StreamSpec::builder(seq(105, 3), AppConfig::default(), trained_model())
-            .weight(1.0)
-            .build();
-        let cfg = SessionConfig::builder()
-            .total_cores(8)
-            .fairness(FairnessPolicy::WeightedDemand)
-            .build();
-        let report = SessionScheduler::new(cfg).run(vec![a, b]);
-        assert_eq!(report.streams[0].cores, 6);
-        assert_eq!(report.streams[1].cores, 2);
     }
 
     use crate::faults::{FaultPlan, FaultPlanConfig};
@@ -696,8 +341,9 @@ mod tests {
         let nominal = StreamSpec::builder(seq(110, 8), AppConfig::default(), trained_model())
             .budget(generous_budget())
             .build();
-        let clean = SessionScheduler::new(SessionConfig::default()).run(vec![nominal]);
-        assert!(clean.is_clean());
+        let clean = StreamEngine::new(0, nominal, 1)
+            .run()
+            .expect("nominal run is clean");
 
         let plan = FaultPlan::new(
             99,
@@ -714,10 +360,10 @@ mod tests {
             .faults(std::sync::Arc::new(plan))
             .budget(LatencyBudget::new(5.0, 0.1))
             .build();
-        let faulted = SessionScheduler::new(SessionConfig::default()).run(vec![spec]);
+        let faulted = run(vec![spec]);
         assert!(faulted.is_clean(), "failures: {:?}", faulted.failures);
 
-        let a = &clean.streams[0];
+        let a = &clean;
         let b = &faulted.streams[0];
         assert_eq!(a.scenarios, b.scenarios);
         assert_eq!(
@@ -757,7 +403,7 @@ mod tests {
                 .faults(std::sync::Arc::new(plan))
                 .budget(generous_budget())
                 .build();
-            let report = SessionScheduler::new(SessionConfig::default()).run(vec![spec]);
+            let report = run(vec![spec]);
             assert!(report.is_clean());
             report.streams[0]
                 .fault_events
@@ -781,7 +427,7 @@ mod tests {
             .faults(std::sync::Arc::new(script))
             .budget(generous_budget())
             .build();
-        let report = SessionScheduler::new(SessionConfig::default()).run(vec![spec]);
+        let report = run(vec![spec]);
         let s = &report.streams[0];
         assert_eq!(s.dropped_frames, 2);
         assert_eq!(s.trace.len(), 4);
@@ -833,7 +479,7 @@ mod tests {
             })
             .budget(generous_budget())
             .build();
-        let report = SessionScheduler::new(SessionConfig::default()).run(vec![spec]);
+        let report = run(vec![spec]);
         assert!(report.is_clean());
         let keys: Vec<String> = report.streams[0]
             .fault_events
@@ -884,7 +530,7 @@ mod tests {
         let healthy =
             StreamSpec::builder(seq(115, 6), AppConfig::default(), trained_model()).build();
 
-        let report = SessionScheduler::new(SessionConfig::default()).run(vec![doomed, healthy]);
+        let report = run(vec![doomed, healthy]);
         assert_eq!(report.failures.len(), 1, "failures: {:?}", report.failures);
         assert_eq!(report.failures[0].stream, 0);
         assert!(report.failures[0].message.contains("failed after retries"));
@@ -901,7 +547,7 @@ mod tests {
             .build();
         let healthy =
             StreamSpec::builder(seq(117, 5), AppConfig::default(), trained_model()).build();
-        let report = SessionScheduler::new(SessionConfig::default()).run(vec![doomed, healthy]);
+        let report = run(vec![doomed, healthy]);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].stream, 0);
         assert!(
@@ -918,7 +564,7 @@ mod tests {
     #[test]
     fn per_stream_p99_is_reported() {
         let spec = StreamSpec::builder(seq(106, 8), AppConfig::default(), trained_model()).build();
-        let report = SessionScheduler::new(SessionConfig::default()).run(vec![spec]);
+        let report = run(vec![spec]);
         let s = &report.streams[0];
         assert_eq!(s.frame_wall_ms.len(), 8);
         let p99 = s.p99_wall_ms();

@@ -71,11 +71,12 @@ fn main() -> Result<()> {
         .collect();
 
     let obs = Observability::new();
-    let cfg = SessionConfig::builder().total_cores(8).build();
     println!("running 4 streams x 12 frames (2 streams under fault injection)...");
-    let report = SessionScheduler::new(cfg)
+    // the default service: 8 cores in four 2-core shards, one stream each
+    let report = ServiceCore::new(ServiceConfig::default())
         .with_observability(obs.clone())
-        .run(specs);
+        .run_batch(specs)
+        .session;
 
     println!(
         "\nsession: {} frames, {:.1} fps aggregate, {} failures",

@@ -6,7 +6,6 @@
 
 use triple_c::pipeline::latency::{jitter, jitter_reduction, DelayLine};
 use triple_c::prelude::*;
-use triple_c::runtime::run::run_managed_sequence;
 use triple_c::xray::{HiddenEpisode, ScenarioConfig};
 
 fn dynamic_sequence(size: usize, frames: usize, seed: u64) -> SequenceConfig {
@@ -61,13 +60,15 @@ fn main() {
 
     // managed: Triple-C predictions drive per-frame repartitioning
     println!("running the Triple-C-managed (semi-auto parallel) mapping...");
-    let mut manager = ResourceManager::new(model, ManagerConfig::default());
-    let managed = run_managed_sequence(test, &app, &mut manager);
+    let spec = StreamSpec::builder(test, app.clone(), model).build();
+    let managed = StreamEngine::new(0, spec, ManagerConfig::default().cores)
+        .run()
+        .expect("no injector, no unrecoverable frame");
     let managed_lat = managed.trace.latencies();
 
     // the clinically relevant number is the *output* latency: the delay
     // line holds early frames at the budget (frame 0 initializes it)
-    let budget = manager.budget().expect("budget set after first frame");
+    let budget = managed.budget.expect("budget set after first frame");
     let delay = DelayLine::new(budget.target_ms);
     let output_lat: Vec<f64> = managed_lat
         .iter()
@@ -100,7 +101,7 @@ fn main() {
     );
     println!(
         "prediction accuracy over the run: {:.1}% (paper reports 97%)",
-        manager.accuracy().mean_accuracy * 100.0
+        managed.accuracy.mean_accuracy * 100.0
     );
     println!("latency budget held at {:.1} ms", budget.target_ms);
     println!("\nper-frame stripe choices: {:?}", managed.stripes);

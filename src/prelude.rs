@@ -1,8 +1,9 @@
 //! One-line import for the common surface of the stack.
 //!
 //! `use triple_c::prelude::*;` brings in the types that nearly every
-//! program touches: the predictor ([`TripleC`]), the multi-stream
-//! session layer ([`SessionScheduler`], [`StreamSpec`]), the event bus
+//! program touches: the predictor ([`TripleC`]), the stream layer
+//! ([`StreamSpec`] in, [`StreamEngine`] as the frame loop, [`ServiceCore`]
+//! as the scheduler, [`SessionReport`] out), the event bus
 //! ([`EventBus`], [`FrameEvent`]), the observability bundle
 //! ([`Observability`]) and the unified [`Error`]/[`Result`] pair.
 //! Specialist modules (cache hierarchy, bandwidth models, fault
@@ -22,11 +23,10 @@ pub use runtime::budget::LatencyBudget;
 pub use runtime::manager::{CalibrationSnapshot, ManagerConfig, ResourceManager};
 pub use runtime::recovery::RecoveryPolicy;
 pub use runtime::selection::SelectionConfig;
-pub use runtime::service::AdmissionPolicy;
-pub use runtime::session::{
-    FairnessPolicy, SessionConfig, SessionReport, SessionScheduler, StreamFailure, StreamResult,
-    StreamSession, StreamSpec,
+pub use runtime::service::{
+    AdmissionPolicy, ServiceConfig, ServiceCore, ShardLayout, StreamEngine,
 };
+pub use runtime::session::{SessionReport, StreamFailure, StreamResult, StreamSpec};
 pub use triplec::predictor::{PredictContext, Prediction};
 pub use triplec::scenario::Scenario;
 pub use triplec::triple::{TripleC, TripleCConfig};

@@ -4,8 +4,8 @@
 use triple_c::pipeline::app::{AppConfig, AppState};
 use triple_c::pipeline::executor::{process_frame, ExecutionPolicy};
 use triple_c::pipeline::runner::run_sequence;
-use triple_c::runtime::manager::{ManagerConfig, ResourceManager};
-use triple_c::runtime::run::run_managed_sequence;
+use triple_c::runtime::manager::ManagerConfig;
+use triple_c::runtime::{StreamEngine, StreamResult, StreamSpec};
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
 use triple_c::xray::{NoiseConfig, SequenceConfig, SequenceGenerator};
 
@@ -23,6 +23,14 @@ fn sequence(seed: u64, frames: usize) -> SequenceConfig {
         },
         ..Default::default()
     }
+}
+
+/// One stream through the managed closed loop, no scheduler involved.
+fn run_managed(seq: SequenceConfig, app: &AppConfig, model: TripleC) -> StreamResult {
+    let spec = StreamSpec::builder(seq, app.clone(), model).build();
+    StreamEngine::new(0, spec, ManagerConfig::default().cores)
+        .run()
+        .expect("no injector, no unrecoverable frame")
 }
 
 /// The pipeline's selected marker couple must coincide with the rendered
@@ -74,9 +82,7 @@ fn trained_model_predicts_its_own_distribution() {
     };
     let model = TripleC::train(&profile.task_series(), &profile.scenarios, cfg);
 
-    let mut manager = ResourceManager::new(model, ManagerConfig::default());
-    let _ = run_managed_sequence(sequence(72, 20), &app, &mut manager);
-    let report = manager.accuracy();
+    let report = run_managed(sequence(72, 20), &app, model).accuracy;
     assert!(report.count >= 19);
     assert!(
         report.mean_accuracy > 0.55,
@@ -102,8 +108,7 @@ fn managed_band_not_wider_than_serial() {
         ..Default::default()
     };
     let model = TripleC::train(&profile.task_series(), &profile.scenarios, cfg);
-    let mut manager = ResourceManager::new(model, ManagerConfig::default());
-    let managed = run_managed_sequence(sequence(73, 16), &app, &mut manager);
+    let managed = run_managed(sequence(73, 16), &app, model);
     let m = managed.trace.latency_summary();
 
     assert!(

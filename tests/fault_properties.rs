@@ -25,8 +25,8 @@ use triple_c::pipeline::executor::ExecutionPolicy;
 use triple_c::pipeline::runner::run_sequence;
 use triple_c::platform::bus::FrameEvent;
 use triple_c::runtime::{
-    FairnessPolicy, FaultPlan, FaultPlanConfig, LatencyBudget, SessionConfig, SessionReport,
-    SessionScheduler, StreamSpec,
+    FaultPlan, FaultPlanConfig, LatencyBudget, ServiceConfig, ServiceCore, SessionReport,
+    ShardLayout, StreamSpec,
 };
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
 use triple_c::xray::{NoiseConfig, SequenceConfig};
@@ -76,13 +76,15 @@ fn model() -> TripleC {
     shared.lock().unwrap().clone()
 }
 
+/// One stream through the service tier on a single 8-core shard over the
+/// global pool, so a tight budget is granted (and stripes across) up to
+/// all eight cores.
 fn run_one(spec: StreamSpec) -> SessionReport {
-    let cfg = SessionConfig {
-        total_cores: 8,
-        fairness: FairnessPolicy::EqualShare,
-        max_concurrent: 1,
+    let cfg = ServiceConfig {
+        layout: ShardLayout::Single,
+        ..Default::default()
     };
-    SessionScheduler::new(cfg).run(vec![spec])
+    ServiceCore::new(cfg).run_batch(vec![spec]).session
 }
 
 fn spec_with(stream_seed: u64, budget: LatencyBudget, plan: Option<FaultPlan>) -> StreamSpec {

@@ -17,11 +17,10 @@ use triple_c::imaging::parallel::StripePool;
 use triple_c::pipeline::app::AppConfig;
 use triple_c::pipeline::executor::ExecutionPolicy;
 use triple_c::pipeline::runner::run_sequence;
-use triple_c::platform::bus::FrameEvent;
+use triple_c::platform::bus::{FrameEvent, StreamId};
 use triple_c::runtime::{
-    BackpressurePolicy, EvictionPolicy, FairnessPolicy, FaultPlan, FaultPlanConfig, LatencyBudget,
-    ServiceConfig, ServiceCore, SessionConfig, SessionReport, SessionScheduler, ShardLayout,
-    StreamSpec,
+    BackpressurePolicy, EvictionPolicy, FaultPlan, FaultPlanConfig, LatencyBudget, ServiceConfig,
+    ServiceCore, SessionReport, ShardLayout, StreamEngine, StreamResult, StreamSpec,
 };
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
 use triple_c::xray::{NoiseConfig, SequenceConfig};
@@ -72,18 +71,23 @@ fn run_faulted(
                 .build()
         })
         .collect();
-    let cfg = SessionConfig {
+    // one shard over the shared global pool: the pool-level faults (and
+    // the thread accounting below) hit the process-wide workers. A
+    // tight-budget stream is granted the whole shard, so those are
+    // admitted in turn; generous-budget streams run side by side.
+    let cfg = ServiceConfig {
         total_cores: 8,
-        fairness: FairnessPolicy::EqualShare,
+        layout: ShardLayout::Single,
         max_concurrent: seeds.len(),
+        ..Default::default()
     };
-    SessionScheduler::new(cfg).run(specs)
+    ServiceCore::new(cfg).run_batch(specs).session
 }
 
 /// Every `FaultInjected` event has a terminal `Recovered` (same kind) or
 /// `DegradedMode` (caused by that kind) on the same stream and frame.
-fn assert_every_fault_terminated(report: &SessionReport) {
-    for s in &report.streams {
+fn assert_every_fault_terminated(streams: &[StreamResult]) {
+    for s in streams {
         for e in &s.fault_events {
             if let FrameEvent::FaultInjected {
                 stream,
@@ -122,8 +126,12 @@ fn assert_recovered_session(report: &SessionReport, seeds: &[u64], frames: usize
         "session had stream failures: {:?}",
         report.failures
     );
-    assert_eq!(report.streams.len(), seeds.len());
-    for s in &report.streams {
+    assert_recovered_streams(&report.streams, seeds, frames);
+}
+
+fn assert_recovered_streams(streams: &[StreamResult], seeds: &[u64], frames: usize) {
+    assert_eq!(streams.len(), seeds.len());
+    for s in streams {
         assert_eq!(
             s.trace.len() + s.dropped_frames,
             frames,
@@ -147,7 +155,7 @@ fn assert_recovered_session(report: &SessionReport, seeds: &[u64], frames: usize
             s.stream
         );
     }
-    assert_every_fault_terminated(report);
+    assert_every_fault_terminated(streams);
 }
 
 #[test]
@@ -214,9 +222,8 @@ fn faulted_four_stream_run_replays_event_for_event() {
     );
     let budget = LatencyBudget::new(10_000.0, 0.1);
 
-    let keys = |report: &SessionReport| -> Vec<Vec<String>> {
-        report
-            .streams
+    let keys = |streams: &[StreamResult]| -> Vec<Vec<String>> {
+        streams
             .iter()
             .map(|s| {
                 s.fault_events
@@ -231,7 +238,7 @@ fn faulted_four_stream_run_replays_event_for_event() {
     let second = run_faulted(&model, &seeds, frames, plan, budget);
     assert_recovered_session(&first, &seeds, frames);
     assert_recovered_session(&second, &seeds, frames);
-    let (k1, k2) = (keys(&first), keys(&second));
+    let (k1, k2) = (keys(&first.streams), keys(&second.streams));
     assert!(
         k1.iter().map(|s| s.len()).sum::<usize>() > 0,
         "replay comparison is vacuous: no fault events recorded"
@@ -244,8 +251,8 @@ fn faulted_four_stream_run_replays_event_for_event() {
 /// every eviction checkpoint round-trips byte-identically (asserted by
 /// the service core itself via `snapshot_roundtrip_ok`), the replay keys
 /// are stable across two service executions of the same seed, and both
-/// the keys and the scenario trace match an uninterrupted wave-scheduler
-/// run of the same streams.
+/// the keys and the scenario trace match an uninterrupted run of the same
+/// streams through bare engines with no scheduler at all.
 #[test]
 fn evicted_streams_replay_and_snapshot_round_trip() {
     let model = trained_model();
@@ -287,9 +294,8 @@ fn evicted_streams_replay_and_snapshot_round_trip() {
         eviction: EvictionPolicy::TimeSlice { frames: 2 },
         max_concurrent: 1,
     };
-    let keys = |report: &SessionReport| -> Vec<Vec<String>> {
-        report
-            .streams
+    let keys = |streams: &[StreamResult]| -> Vec<Vec<String>> {
+        streams
             .iter()
             .map(|s| {
                 s.fault_events
@@ -318,34 +324,39 @@ fn evicted_streams_replay_and_snapshot_round_trip() {
             );
         }
     }
-    let (k1, k2) = (keys(&first.session), keys(&second.session));
+    let (k1, k2) = (keys(&first.session.streams), keys(&second.session.streams));
     assert!(
         k1.iter().map(|s| s.len()).sum::<usize>() > 0,
         "replay comparison is vacuous: no fault events recorded"
     );
     assert_eq!(k1, k2, "evicted executions of seed 555 diverged");
 
-    // an uninterrupted wave run of the same streams (same per-stream core
-    // grant: 2 cores over 2 streams is one each) sees the identical fault
-    // schedule and scenario trace — eviction/re-admission is transparent
-    let wave = SessionScheduler::new(SessionConfig {
-        total_cores: 2,
-        fairness: FairnessPolicy::EqualShare,
-        max_concurrent: 2,
-    })
-    .run(specs(&seeds));
-    assert_recovered_session(&wave, &seeds, frames);
+    // an uninterrupted run of the same streams on the calling thread
+    // (same per-stream core grant: a generous budget demands one core)
+    // sees the identical fault schedule and scenario trace —
+    // eviction/re-admission is transparent
+    let uninterrupted: Vec<StreamResult> = specs(&seeds)
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            StreamEngine::new(i as StreamId, spec, 1)
+                .run()
+                .expect("every armed fault recovers")
+        })
+        .collect();
+    assert_recovered_streams(&uninterrupted, &seeds, frames);
     assert_eq!(
-        keys(&wave),
+        keys(&uninterrupted),
         k1,
         "eviction/re-admission perturbed the fault replay keys"
     );
-    for (ws, ss) in wave.streams.iter().zip(first.session.streams.iter()) {
-        assert_eq!(ws.stream, ss.stream);
+    for (us, ss) in uninterrupted.iter().zip(first.session.streams.iter()) {
+        assert_eq!(us.stream, ss.stream);
+        assert_eq!(us.cores, ss.cores);
         assert_eq!(
-            ws.scenarios, ss.scenarios,
-            "stream {}: scenario trace diverged across schedulers",
-            ws.stream
+            us.scenarios, ss.scenarios,
+            "stream {}: scenario trace diverged between the service and a bare engine",
+            us.stream
         );
     }
 }

@@ -1,18 +1,17 @@
 //! Mixed-resolution identity: the same high-resolution stream fleet run
 //! through the sharded service tier (queued, admission-controlled,
 //! concurrent) must produce **bit-identical** display output to running
-//! the identical specs serially back-to-back through the plain
-//! `SessionScheduler`. Pixel results are a pure function of the stream
-//! seed, geometry, and app config — never of queueing, admission, or
-//! partitioning decisions.
+//! the identical specs serially back-to-back through bare
+//! `StreamEngine`s on the calling thread. Pixel results are a pure
+//! function of the stream seed, geometry, and app config — never of
+//! queueing, admission, or partitioning decisions.
 //!
 //! 512² runs in the tier-1 suite; the 1024²/2048² fleet is `#[ignore]`d
 //! into the nightly soak (`cargo test --release -- --ignored`).
 
 use runtime::workload::{pixel_digest, FrameOutcome, Trace, TraceRunner};
 use runtime::{
-    BackpressurePolicy, EvictionPolicy, FairnessPolicy, ServiceConfig, SessionConfig,
-    SessionReport, SessionScheduler, ShardLayout,
+    BackpressurePolicy, EvictionPolicy, ServiceConfig, ShardLayout, StreamEngine, StreamResult,
 };
 
 fn fleet_trace(resolutions: &[(usize, usize)], frames: usize) -> Trace {
@@ -39,13 +38,17 @@ fn service_cfg() -> ServiceConfig {
     }
 }
 
-fn serial_baseline(runner: &TraceRunner) -> SessionReport {
-    let cfg = SessionConfig {
-        total_cores: 8,
-        fairness: FairnessPolicy::EqualShare,
-        max_concurrent: 1,
-    };
-    SessionScheduler::new(cfg).run(runner.specs())
+fn serial_baseline(runner: &TraceRunner) -> Vec<StreamResult> {
+    runner
+        .specs()
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            StreamEngine::new(i as platform::bus::StreamId, spec, 1)
+                .run()
+                .expect("nominal stream completes")
+        })
+        .collect()
 }
 
 /// Runs the fleet both ways and asserts the pixel plane is identical:
@@ -54,7 +57,6 @@ fn serial_baseline(runner: &TraceRunner) -> SessionReport {
 fn assert_service_identical_to_serial(trace: Trace) {
     let runner = TraceRunner::new(trace).with_service_config(service_cfg());
     let serial = serial_baseline(&runner);
-    assert!(serial.failures.is_empty(), "{:?}", serial.failures);
 
     let replay = TraceRunner::new(runner.trace().clone())
         .with_service_config(service_cfg())
@@ -62,8 +64,8 @@ fn assert_service_identical_to_serial(trace: Trace) {
     let service = &replay.report.session;
     assert!(service.failures.is_empty(), "{:?}", service.failures);
 
-    assert_eq!(serial.streams.len(), service.streams.len());
-    for (a, b) in serial.streams.iter().zip(&service.streams) {
+    assert_eq!(serial.len(), service.streams.len());
+    for (a, b) in serial.iter().zip(&service.streams) {
         assert_eq!(a.stream, b.stream);
         assert_eq!(
             a.scenarios, b.scenarios,
@@ -91,7 +93,7 @@ fn assert_service_identical_to_serial(trace: Trace) {
             e.stream,
             e.frame
         );
-        let expect = serial.streams[e.stream as usize].displays[e.frame]
+        let expect = serial[e.stream as usize].displays[e.frame]
             .as_ref()
             .map(|img| pixel_digest(img.as_slice()));
         assert_eq!(

@@ -57,8 +57,10 @@ fn faulted_report() -> (SessionReport, Observability) {
     );
     let specs: Vec<StreamSpec> = (0..4)
         .map(|i| {
+            // infeasible in debug and release builds alike, so every frame
+            // is planned at full stripe width and emits stage events
             let b = StreamSpec::builder(seq(300 + i, 10), AppConfig::default(), model.clone())
-                .budget(LatencyBudget::new(5.0, 0.1));
+                .budget(LatencyBudget::new(1.0, 0.1));
             if i < 2 {
                 b.faults(Arc::new(plan)).build()
             } else {
@@ -68,10 +70,11 @@ fn faulted_report() -> (SessionReport, Observability) {
         .collect();
 
     let obs = Observability::new();
-    let cfg = SessionConfig::builder().total_cores(8).build();
-    let report = SessionScheduler::new(cfg)
+    // the default service: 8 cores in four 2-core shards, one stream each
+    let report = ServiceCore::new(ServiceConfig::default())
         .with_observability(obs.clone())
-        .run(specs);
+        .run_batch(specs)
+        .session;
     (report, obs)
 }
 

@@ -6,7 +6,6 @@ use triple_c::imaging::registration::RigidTransform;
 use triple_c::pipeline::latency::DelayLine;
 use triple_c::platform::arch::CacheGeometry;
 use triple_c::platform::cache::CacheSim;
-use triple_c::runtime::allocate_cores;
 use triple_c::triplec::accuracy::accuracy;
 use triple_c::triplec::ewma::Ewma;
 use triple_c::triplec::markov::MarkovChain;
@@ -192,56 +191,5 @@ proptest! {
         prop_assert_eq!(s.accesses, addrs.len() as u64);
         prop_assert!(s.misses <= s.accesses);
         prop_assert!(s.writebacks <= s.misses);
-    }
-
-    /// Core apportionment: every stream receives at least one core, and
-    /// the allocations sum exactly to the budget whenever the budget
-    /// covers one core per stream. With more streams than cores the
-    /// allocator degenerates to one core each (the service admission
-    /// loop queues the excess instead of starving anyone).
-    #[test]
-    fn allocate_cores_sum_and_minimum(
-        total in 1usize..64,
-        weights in prop::collection::vec(0.0f64..100.0, 1..16),
-    ) {
-        let alloc = allocate_cores(total, &weights);
-        prop_assert_eq!(alloc.len(), weights.len());
-        prop_assert!(alloc.iter().all(|&c| c >= 1), "{:?}", alloc);
-        if weights.len() < total {
-            prop_assert_eq!(alloc.iter().sum::<usize>(), total);
-        } else {
-            prop_assert!(alloc.iter().all(|&c| c == 1), "{:?}", alloc);
-        }
-    }
-
-    /// Divisor-method monotonicity: a stream with strictly larger demand
-    /// weight never receives fewer cores than a lighter one.
-    #[test]
-    fn allocate_cores_monotone_in_weight(
-        total in 1usize..64,
-        weights in prop::collection::vec(0.0f64..100.0, 2..16),
-    ) {
-        let alloc = allocate_cores(total, &weights);
-        for i in 0..weights.len() {
-            for j in 0..weights.len() {
-                if weights[i] > weights[j] {
-                    prop_assert!(
-                        alloc[i] >= alloc[j],
-                        "w[{}]={} > w[{}]={} but cores {} < {}",
-                        i, weights[i], j, weights[j], alloc[i], alloc[j],
-                    );
-                }
-            }
-        }
-    }
-
-    /// Degenerate all-zero weights fall back to equal shares: the split
-    /// is balanced to within one core.
-    #[test]
-    fn allocate_cores_zero_weights_balanced(total in 1usize..64, n in 1usize..16) {
-        let alloc = allocate_cores(total, &vec![0.0; n]);
-        let lo = *alloc.iter().min().unwrap();
-        let hi = *alloc.iter().max().unwrap();
-        prop_assert!(hi - lo <= 1, "{:?}", alloc);
     }
 }

@@ -66,7 +66,7 @@ fn median_p99(report: &ServiceReport) -> f64 {
         .iter()
         .map(|s| s.p99_wall_ms())
         .collect();
-    triple_c::runtime::percentile(&p99s, 0.5)
+    triple_c::platform::metrics::percentile(&p99s, 0.5)
 }
 
 /// OS-level thread count of this process (linux); None elsewhere.

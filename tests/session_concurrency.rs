@@ -1,16 +1,17 @@
 //! Integration: multi-stream sessions.
 //!
-//! Concurrent `StreamSession`s must produce **bit-identical** per-frame
-//! outputs to running the same streams serially back-to-back (pixel
-//! results are independent of partitioning policy and timing), and on a
-//! multi-core host, running streams concurrently must multiply aggregate
-//! throughput.
+//! Streams scheduled concurrently by the `ServiceCore` must produce
+//! **bit-identical** per-frame outputs to running the same streams
+//! serially back-to-back through bare `StreamEngine`s (pixel results are
+//! independent of partitioning policy and timing), and on a multi-core
+//! host, running streams concurrently must multiply aggregate throughput.
 
 use triple_c::pipeline::app::AppConfig;
 use triple_c::pipeline::executor::ExecutionPolicy;
 use triple_c::pipeline::runner::run_sequence;
+use triple_c::platform::bus::StreamId;
 use triple_c::runtime::{
-    FairnessPolicy, LatencyBudget, SessionConfig, SessionReport, SessionScheduler, StreamSpec,
+    LatencyBudget, ServiceConfig, ServiceCore, StreamEngine, StreamResult, StreamSpec,
 };
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
 use triple_c::xray::{NoiseConfig, SequenceConfig};
@@ -52,23 +53,31 @@ fn specs(model: &TripleC, seeds: &[u64], frames: usize) -> Vec<StreamSpec> {
         .collect()
 }
 
-fn run_with_concurrency(
-    model: &TripleC,
-    seeds: &[u64],
-    frames: usize,
-    max: usize,
-) -> SessionReport {
-    let cfg = SessionConfig {
-        total_cores: 8,
-        fairness: FairnessPolicy::EqualShare,
-        max_concurrent: max,
-    };
-    SessionScheduler::new(cfg).run(specs(model, seeds, frames))
+/// The serial reference: every stream run to completion on the calling
+/// thread, one after the other, with no scheduler in the path.
+fn run_serial(specs: Vec<StreamSpec>) -> Vec<StreamResult> {
+    specs
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            StreamEngine::new(i as StreamId, spec, 1)
+                .run()
+                .expect("nominal stream completes")
+        })
+        .collect()
 }
 
-fn assert_streams_bit_identical(serial: &SessionReport, concurrent: &SessionReport) {
-    assert_eq!(serial.streams.len(), concurrent.streams.len());
-    for (a, b) in serial.streams.iter().zip(&concurrent.streams) {
+/// All streams at once through the service tier (the default 8-core
+/// budget admits up to eight 1-core streams concurrently).
+fn run_concurrent(specs: Vec<StreamSpec>) -> Vec<StreamResult> {
+    let report = ServiceCore::new(ServiceConfig::default()).run_batch(specs);
+    assert!(report.session.is_clean(), "{:?}", report.session.failures);
+    report.session.streams
+}
+
+fn assert_streams_bit_identical(serial: &[StreamResult], concurrent: &[StreamResult]) {
+    assert_eq!(serial.len(), concurrent.len());
+    for (a, b) in serial.iter().zip(concurrent) {
         assert_eq!(a.stream, b.stream);
         assert_eq!(
             a.scenarios, b.scenarios,
@@ -90,11 +99,11 @@ fn assert_streams_bit_identical(serial: &SessionReport, concurrent: &SessionRepo
 fn two_concurrent_streams_bit_identical_to_serial() {
     let model = trained_model();
     let seeds = [7, 8];
-    let serial = run_with_concurrency(&model, &seeds, 8, 1);
-    let concurrent = run_with_concurrency(&model, &seeds, 8, 2);
+    let serial = run_serial(specs(&model, &seeds, 8));
+    let concurrent = run_concurrent(specs(&model, &seeds, 8));
     assert_streams_bit_identical(&serial, &concurrent);
     // both streams actually produced output frames
-    for s in &serial.streams {
+    for s in &serial {
         assert!(
             s.displays.iter().any(|d| d.is_some()),
             "stream {} never produced a display",
@@ -110,21 +119,26 @@ fn four_concurrent_streams_multiply_aggregate_throughput() {
     let frames = 10;
     // a generous fixed budget keeps every plan serial, so the serial and
     // concurrent runs execute identical work (no intra-stream striping)
-    let with_budget = |max: usize| {
+    let with_budget = || {
         let mut specs = specs(&model, &seeds, frames);
         for s in &mut specs {
             s.budget = Some(LatencyBudget::new(10_000.0, 0.1));
         }
-        let cfg = SessionConfig {
-            total_cores: 8,
-            fairness: FairnessPolicy::EqualShare,
-            max_concurrent: max,
-        };
-        SessionScheduler::new(cfg).run(specs)
+        specs
     };
+    /// Runs the streams and returns them with the aggregate frames/s.
+    fn timed(
+        run: fn(Vec<StreamSpec>) -> Vec<StreamResult>,
+        specs: Vec<StreamSpec>,
+    ) -> (Vec<StreamResult>, f64) {
+        let t0 = std::time::Instant::now();
+        let streams = run(specs);
+        let frames: usize = streams.iter().map(|s| s.trace.len()).sum();
+        (streams, frames as f64 / t0.elapsed().as_secs_f64())
+    }
 
-    let serial = with_budget(1);
-    let concurrent = with_budget(4);
+    let (serial, serial_fps) = timed(run_serial, with_budget());
+    let (concurrent, concurrent_fps) = timed(run_concurrent, with_budget());
 
     // outputs stay bit-identical under concurrency, always
     assert_streams_bit_identical(&serial, &concurrent);
@@ -137,14 +151,10 @@ fn four_concurrent_streams_multiply_aggregate_throughput() {
         eprintln!("skipping throughput assertion: only {host} host core(s)");
         return;
     }
-    let speedup = concurrent.aggregate_fps / serial.aggregate_fps;
+    let speedup = concurrent_fps / serial_fps;
     assert!(
         speedup >= 2.5,
         "4-stream aggregate throughput speedup {speedup:.2}x < 2.5x \
-         (serial {:.1} fps over {:.0} ms, concurrent {:.1} fps over {:.0} ms)",
-        serial.aggregate_fps,
-        serial.wall_ms,
-        concurrent.aggregate_fps,
-        concurrent.wall_ms
+         (serial {serial_fps:.1} fps, concurrent {concurrent_fps:.1} fps)"
     );
 }
