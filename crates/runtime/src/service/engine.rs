@@ -194,7 +194,6 @@ impl StreamEngine {
             self.started = Some(Instant::now());
         }
         let injector = self.injector.clone();
-        let policy = self.recovery;
         let stream = self.id;
         if injector
             .as_ref()
@@ -245,7 +244,7 @@ impl StreamEngine {
             stream,
             self.manager.bus_mut(),
             faults,
-            &policy.retry,
+            &self.recovery.retry,
         )
         .map_err(|err| StreamFailure {
             stream,
@@ -270,7 +269,7 @@ impl StreamEngine {
         // output (wall-clock dependent, so off by default)
         let wall_ms = ft0.elapsed().as_secs_f64() * 1000.0;
         let mut display = out.display;
-        if let (Some(_), Some(deadline)) = (&injector, policy.frame_deadline_ms) {
+        if let (Some(_), Some(deadline)) = (&injector, self.recovery.frame_deadline_ms) {
             if wall_ms > deadline {
                 self.manager.bus_mut().emit(FrameEvent::DegradedMode {
                     stream,
@@ -301,11 +300,10 @@ impl StreamEngine {
             .manager
             .budget()
             .is_some_and(|b| latency_ms > b.target_ms);
-        let policy = self.recovery;
         let stream = self.id;
         let action = self
             .rec
-            .note_frame(overrun, plan.policy.rdg_stripes, &policy);
+            .note_frame(overrun, plan.policy.rdg_stripes, &self.recovery);
         let bus = self.manager.bus_mut();
         match action {
             RecoveryAction::Downshift(cap) => {
@@ -374,8 +372,7 @@ impl StreamEngine {
         if online {
             self.manager.model_mut().set_online_training(false);
         }
-        let policy = self.recovery;
-        self.rec.enter_quarantine(online, &policy);
+        self.rec.enter_quarantine(online, &self.recovery);
         self.quarantine_cause = FaultKind::SnapshotCorruption;
         self.manager.bus_mut().emit(FrameEvent::DegradedMode {
             stream,
