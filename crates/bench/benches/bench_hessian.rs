@@ -1,8 +1,8 @@
 //! Multi-scale Hessian pipeline benchmarks: the fused, tiled, SIMD RDG
-//! core against the reference three-pass engine, whole-frame and per
-//! scale.
+//! core against the unfused three-pass oracle (`rdg_full_reference`),
+//! whole-frame and per scale.
 //!
-//! The fused engine is bit-identical to the reference (pinned by the
+//! The fused core is bit-identical to the oracle (pinned by the
 //! `fused_rdg_identity` property tests); this bench quantifies the
 //! speedup. `rdg_serial/full_frame/1024` is directly comparable to the
 //! same id in `BENCH_convolve.json`, which was recorded before the fusion
@@ -36,8 +36,8 @@ fn synthetic_f32(w: usize, h: usize) -> ImageF32 {
     })
 }
 
-/// Whole-frame serial RDG: fused engine (the default) vs the reference
-/// three-pass engine, warm buffers, recycled outputs (steady-state loop).
+/// Whole-frame serial RDG: the fused core vs the unfused three-pass
+/// oracle, warm buffers, recycled outputs (steady-state loop).
 fn bench_rdg_engines(c: &mut Criterion) {
     let frame = synthetic_u16(SIZE, SIZE);
     let cfg = RdgConfig::default();
@@ -86,7 +86,7 @@ fn bench_hessian_scale(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fused", sigma), &sigma, |b, &sigma| {
             b.iter(|| {
                 let (g, d1, d2) = kernels.get(sigma);
-                fused_ridge_scale(&src, &mut acc, &mut scratch, g, d1, d2, roi);
+                fused_ridge_scale(&src, acc.as_mut_slice(), &mut scratch, g, d1, d2, roi);
             })
         });
     }

@@ -17,7 +17,13 @@ use bench_harness::*;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(|s| s.as_str()).unwrap_or("all");
-    let cfg = ExperimentConfig::from_args(&args);
+    let cfg = match ExperimentConfig::from_args(&args) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            std::process::exit(2);
+        }
+    };
     let csv = export::csv_dir_from_args(&args)
         .map(|d| export::CsvExporter::new(&d).expect("create csv dir"));
 

@@ -6,6 +6,8 @@
 //! experiments (Table 1, Fig. 2, Fig. 5) always use the paper's
 //! 1024x1024 / 4 MB-L2 parameters — they cost nothing to evaluate.
 
+use crate::fig6::MAX_STRIPE_VARIANTS;
+
 /// Configuration shared by the measured experiments.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -33,11 +35,17 @@ impl Default for ExperimentConfig {
     }
 }
 
+/// Smallest frame edge the measured experiments accept: the Fig. 6 sweep
+/// floors its ROI edge at 16 px and needs two distinct ROI sizes to fit a
+/// line through.
+const MIN_SIZE: usize = 17;
+
 impl ExperimentConfig {
     /// Parses `--size N`, `--frames N`, `--corpus-scale X`, `--stripes a,b`
     /// style flags from an argument list (unknown flags are ignored so the
-    /// caller can route subcommands first).
-    pub fn from_args(args: &[String]) -> Self {
+    /// caller can route subcommands first). A value an experiment cannot
+    /// run with is an error naming the flag, not a panic further down.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
         let mut cfg = Self::default();
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
@@ -75,7 +83,26 @@ impl ExperimentConfig {
                 _ => {}
             }
         }
-        cfg
+        if cfg.size < MIN_SIZE {
+            return Err(format!(
+                "--size must be at least {MIN_SIZE} (got {})",
+                cfg.size
+            ));
+        }
+        let stripes = &cfg.fig6_stripes;
+        if stripes.len() > MAX_STRIPE_VARIANTS {
+            return Err(format!(
+                "--stripes takes at most {MAX_STRIPE_VARIANTS} counts (got {})",
+                stripes.len()
+            ));
+        }
+        if stripes.contains(&0) {
+            return Err("--stripes counts must be positive".into());
+        }
+        if !stripes.contains(&1) {
+            return Err("--stripes must include 1, the serial baseline of Fig. 6".into());
+        }
+        Ok(cfg)
     }
 
     /// The triplec geometry for model configuration at the experiment size.
@@ -91,8 +118,9 @@ impl ExperimentConfig {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Vec<String> {
-        s.iter().map(|s| s.to_string()).collect()
+    fn parse(s: &[&str]) -> Result<ExperimentConfig, String> {
+        let args: Vec<String> = s.iter().map(|s| s.to_string()).collect();
+        ExperimentConfig::from_args(&args)
     }
 
     #[test]
@@ -104,7 +132,7 @@ mod tests {
 
     #[test]
     fn parses_size_and_frames() {
-        let c = ExperimentConfig::from_args(&args(&["--size", "128", "--frames", "50"]));
+        let c = parse(&["--size", "128", "--frames", "50"]).unwrap();
         assert_eq!(c.size, 128);
         assert_eq!(c.fig3_frames, 50);
         assert_eq!(c.fig7_frames, 50);
@@ -112,19 +140,66 @@ mod tests {
 
     #[test]
     fn parses_stripes_list() {
-        let c = ExperimentConfig::from_args(&args(&["--stripes", "1,2,4,8"]));
+        let c = parse(&["--stripes", "1,2,4,8"]).unwrap();
         assert_eq!(c.fig6_stripes, vec![1, 2, 4, 8]);
     }
 
     #[test]
     fn ignores_unknown_flags() {
-        let c = ExperimentConfig::from_args(&args(&["fig3", "--whatever", "--size", "64"]));
+        let c = parse(&["fig3", "--whatever", "--size", "64"]).unwrap();
         assert_eq!(c.size, 64);
     }
 
     #[test]
     fn corpus_scale_parsed() {
-        let c = ExperimentConfig::from_args(&args(&["--corpus-scale", "0.25"]));
+        let c = parse(&["--corpus-scale", "0.25"]).unwrap();
         assert!((c.corpus_scale - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn no_flags_is_the_default_and_valid() {
+        let c = parse(&["fig6"]).unwrap();
+        assert_eq!(c.size, ExperimentConfig::default().size);
+        assert_eq!(c.fig6_stripes, vec![1, 2]);
+    }
+
+    #[test]
+    fn rejects_sizes_too_small_to_sweep() {
+        for size in ["0", "1", "16"] {
+            let err = parse(&["fig6", "--size", size]).unwrap_err();
+            assert!(err.contains("--size"), "{err}");
+        }
+        assert_eq!(parse(&["--size", "17"]).unwrap().size, 17);
+    }
+
+    #[test]
+    fn rejects_more_stripe_variants_than_a_sweep_point_holds() {
+        let err = parse(&["--stripes", "1,2,3,4,5,6,7,8,9"]).unwrap_err();
+        assert!(err.contains("at most 8"), "{err}");
+        assert_eq!(
+            parse(&["--stripes", "1,2,3,4,5,6,7,8"])
+                .unwrap()
+                .fig6_stripes
+                .len(),
+            8
+        );
+    }
+
+    #[test]
+    fn rejects_a_zero_stripe_count() {
+        let err = parse(&["--stripes", "0,1,2"]).unwrap_err();
+        assert!(err.contains("positive"), "{err}");
+        assert!(parse(&["--stripes", "0,2"]).is_err());
+    }
+
+    #[test]
+    fn rejects_a_stripe_list_without_the_serial_baseline() {
+        let err = parse(&["--stripes", "2,4"]).unwrap_err();
+        assert!(err.contains("include 1"), "{err}");
+        // the baseline may sit anywhere in the list
+        assert_eq!(
+            parse(&["--stripes", "2,1"]).unwrap().fig6_stripes,
+            vec![2, 1]
+        );
     }
 }

@@ -5,11 +5,14 @@
 use crate::config::ExperimentConfig;
 use crate::report::table;
 use imaging::image::Roi;
-use imaging::ridge::{rdg_roi, rdg_stripe, RdgBuffers, RdgConfig};
-use platform::profile::time_ms;
-use platform::schedule::{stage_makespan, VirtualJob};
+use imaging::parallel::{StripeFault, StripePool};
+use imaging::ridge::{rdg_banded, RdgBuffers, RdgConfig};
+use platform::schedule::{VirtualJob, VirtualSchedule};
 use triplec::linear::LinearModel;
 use xray::{SequenceConfig, SequenceGenerator};
+
+/// Most stripe counts one sweep compares (the width of a [`SweepPoint`]).
+pub(crate) const MAX_STRIPE_VARIANTS: usize = 8;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
@@ -18,7 +21,7 @@ pub struct SweepPoint {
     pub roi_kpixels: f64,
     /// Effective latency per stripe count, ms (same order as the config's
     /// stripe list).
-    pub latency_ms: [f64; 8],
+    pub latency_ms: [f64; MAX_STRIPE_VARIANTS],
     /// Number of valid entries in `latency_ms`.
     pub variants: usize,
 }
@@ -48,9 +51,30 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
     let frame = SequenceGenerator::new(seq).next().expect("one frame").image;
     let rdg_cfg = RdgConfig::default();
     let mut bufs = RdgBuffers::new(cfg.size, cfg.size);
+    // Every variant is the pipeline's own RDG call. A one-thread pool runs
+    // the bands one after another, so each band's time is measured
+    // uncontended whatever the host; the effective latency is then the
+    // call's serial sections plus the bands' makespan on the modelled
+    // platform.
+    let pool = StripePool::new(1);
 
     let stripes = &cfg.fig6_stripes;
-    assert!(stripes.len() <= 8, "at most 8 stripe variants");
+    assert!(
+        stripes.len() <= MAX_STRIPE_VARIANTS,
+        "at most {MAX_STRIPE_VARIANTS} stripe variants"
+    );
+    let serial_idx = stripes
+        .iter()
+        .position(|&k| k == 1)
+        .expect("validated: the stripe list holds the serial variant");
+    // one untimed call fills the output pool and every band's ring
+    let widest = stripes.iter().copied().max().unwrap_or(1);
+    let fault = StripeFault::default();
+    let full = frame.full_roi();
+    let out = rdg_banded(&pool, &frame, full, &rdg_cfg, widest, fault, &mut bufs)
+        .expect("an unfaulted band job panicked");
+    bufs.recycle(out);
+
     let n_points = 12usize;
     let mut points = Vec::with_capacity(n_points);
     let mut serial_points = Vec::with_capacity(n_points);
@@ -63,33 +87,23 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
         let roi = Roi::new(off, off, edge, edge);
         let kpx = roi.area() as f64 / 1000.0;
 
-        let mut latencies = [0.0f64; 8];
-        for (vi, &k) in stripes.iter().enumerate() {
-            let latency = if k <= 1 {
-                let (_, ms) = time_ms(|| rdg_roi(&frame, roi, &rdg_cfg, &mut bufs));
-                ms
-            } else {
-                // measure each stripe's work; effective latency = makespan
-                // on the modelled platform
-                let jobs: Vec<VirtualJob> = roi
-                    .stripes(k)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(ci, s)| {
-                        let (_, ms) = time_ms(|| rdg_stripe(&frame, s, &rdg_cfg));
-                        VirtualJob {
-                            core: ci,
-                            duration_ms: ms,
-                        }
-                    })
-                    .collect();
-                stage_makespan(8, &jobs)
-            };
-            latencies[vi] = latency;
+        let mut latencies = [0.0f64; MAX_STRIPE_VARIANTS];
+        for (latency, &k) in latencies.iter_mut().zip(stripes) {
+            let out = rdg_banded(&pool, &frame, roi, &rdg_cfg, k, fault, &mut bufs)
+                .expect("an unfaulted band job panicked");
+            bufs.recycle(out);
+            let times = bufs.times();
+            let bands: Vec<VirtualJob> = times
+                .band_ms
+                .iter()
+                .enumerate()
+                .map(|(core, &duration_ms)| VirtualJob { core, duration_ms })
+                .collect();
+            let mut schedule = VirtualSchedule::new(8);
+            schedule.serial(0, times.serial_ms);
+            *latency = schedule.stage(&bands);
         }
-        if stripes.first() == Some(&1) {
-            serial_points.push((kpx, latencies[0]));
-        }
+        serial_points.push((kpx, latencies[serial_idx]));
         points.push(SweepPoint {
             roi_kpixels: kpx,
             latency_ms: latencies,
@@ -106,7 +120,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
             let mut n = 0;
             for p in &points {
                 if p.latency_ms[idx] > 0.0 {
-                    ratio += p.latency_ms[0] / p.latency_ms[idx];
+                    ratio += p.latency_ms[serial_idx] / p.latency_ms[idx];
                     n += 1;
                 }
             }
@@ -194,13 +208,11 @@ mod tests {
 
     #[test]
     fn two_stripe_parallel_is_faster() {
-        let (r, _) = run(&tiny());
         // the Fig. 6 separation of the two curves: virtual makespan of two
-        // half-size stripes beats serial
-        assert!(
-            r.two_stripe_speedup > 1.2,
-            "speedup {}",
-            r.two_stripe_speedup
-        );
+        // half-size stripes beats serial. Each sweep is a ratio of single
+        // host timings, so judge the median of five.
+        let mut speedups: Vec<f64> = (0..5).map(|_| run(&tiny()).0.two_stripe_speedup).collect();
+        speedups.sort_by(f64::total_cmp);
+        assert!(speedups[2] > 1.2, "speedups {speedups:?}");
     }
 }

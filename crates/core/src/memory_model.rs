@@ -141,7 +141,11 @@ pub fn paper_table1() -> Vec<TaskMemory> {
 ///   replaced by the *width-linear* [`rdg_tile_bytes`] term. Recycled
 ///   output images parked in the buffer pools add to the measured
 ///   `byte_size()` once frames are returned but are excluded here;
-///   [`rdg_intermediate_bytes`] gives the exact warm working set.
+///   [`rdg_intermediate_bytes`] gives the exact warm working set. Striping
+///   adds nothing frame-sized: all bands of a `k`-stripe call share these
+///   planes, and each band beyond the first brings its own ring
+///   (`(k - 1) ×` [`rdg_tile_bytes`]) and a flood-fill stack that grows
+///   with the structure it traces.
 /// * MKX intermediate: the Hessian component planes + convolution scratch
 ///   (28 B/px) + the pooled 4 B/px best-scale map inside `MkxBuffers`
 ///   = 32 B/px (MKX still uses the full-frame Hessian path because it
@@ -178,7 +182,8 @@ pub fn kernel_radius(sigma: f32) -> usize {
 /// largest scale in `scales`: three `(2r+1)`-row f32 rings (row-filtered
 /// `src*g`, `src*d1`, `src*d2`). The Hessian components themselves live
 /// only in registers. Grow-only, so the warm size is set by the maximum
-/// radius.
+/// radius. One ring set per row band: a serial call holds one, a `k`-stripe
+/// call `k` (each full frame width, whatever the ROI).
 pub fn rdg_tile_bytes(width: usize, scales: &[f32]) -> usize {
     let r = scales.iter().map(|&s| kernel_radius(s)).max().unwrap_or(0);
     let ring_rows = 2 * r + 1;
@@ -194,9 +199,10 @@ pub fn rdg_kernel_bytes(scales: &[f32]) -> usize {
         .sum()
 }
 
-/// Exact warm intermediate working set of the fused RDG engine at `geom`
+/// Exact warm intermediate working set of serial (one-band) RDG at `geom`
 /// running `scales`: the per-pixel planes plus the width-linear tile ring
-/// and the cached kernel taps. Pinned against the implementation's actual
+/// and the cached kernel taps; a `k`-stripe call adds `(k - 1) ×`
+/// [`rdg_tile_bytes`]. Both pinned against the implementation's actual
 /// `RdgBuffers::byte_size()` by an integration test.
 pub fn rdg_intermediate_bytes(geom: FrameGeometry, scales: &[f32]) -> usize {
     geom.pixels() * per_pixel::RDG_INTERMEDIATE

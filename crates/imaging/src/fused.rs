@@ -74,11 +74,18 @@ const MAX_TAPS: usize = 129;
 /// fused pass, bit-identical to the unfused
 /// `hessian_at_scale` + `accumulate_max_response` sequence.
 ///
+/// `acc` holds the accumulator's full-width rows `roi.y..roi.bottom()`
+/// (one entry of [`crate::image::Image::row_bands`]; the whole buffer for
+/// a full-frame ROI), so disjoint row bands of one accumulator can be
+/// swept concurrently. The source is read `radius` rows beyond the band on
+/// either side, which makes every band's rows bit-identical to the same
+/// rows of a whole-ROI sweep.
+///
 /// `g`/`d1`/`d2` must share one radius (they do for one sigma, by
 /// construction of [`Kernel1D::gaussian`] and its derivatives).
 pub fn fused_ridge_scale(
     src: &ImageF32,
-    acc: &mut ImageF32,
+    acc: &mut [f32],
     scratch: &mut FusedScratch,
     g: &Kernel1D,
     d1: &Kernel1D,
@@ -95,7 +102,7 @@ pub fn fused_ridge_scale(
 /// `max(acc, resp)` select against a zeroed accumulator is `resp`).
 pub fn fused_ridge_scale_init(
     src: &ImageF32,
-    acc: &mut ImageF32,
+    acc: &mut [f32],
     scratch: &mut FusedScratch,
     g: &Kernel1D,
     d1: &Kernel1D,
@@ -107,18 +114,22 @@ pub fn fused_ridge_scale_init(
 
 fn fused_ridge_scale_impl<const INIT: bool>(
     src: &ImageF32,
-    acc: &mut ImageF32,
+    acc: &mut [f32],
     scratch: &mut FusedScratch,
     g: &Kernel1D,
     d1: &Kernel1D,
     d2: &Kernel1D,
     roi: Roi,
 ) {
-    assert_eq!(src.dims(), acc.dims(), "src/acc dims must match");
     let roi = roi.clamp_to(src.width(), src.height());
     if roi.is_empty() {
         return;
     }
+    assert_eq!(
+        acc.len(),
+        roi.height * src.width(),
+        "acc must hold the ROI's full-width rows"
+    );
     let r = g.radius();
     assert_eq!(r, d1.radius(), "kernel radii must match");
     assert_eq!(r, d2.radius(), "kernel radii must match");
@@ -181,7 +192,7 @@ fn fused_ridge_scale_impl<const INIT: bool>(
 /// One scale's worth of borrowed state for the fused sweep loop.
 struct Sweep<'a> {
     src: &'a ImageF32,
-    acc: &'a mut ImageF32,
+    acc: &'a mut [f32],
     ring_g: &'a mut [f32],
     ring_d1: &'a mut [f32],
     ring_d2: &'a mut [f32],
@@ -274,7 +285,7 @@ impl Sweep<'_> {
                 tg,
                 t1,
                 t2,
-                &mut acc.row_mut(y)[x0..x1],
+                &mut acc[(y - roi.y) * w..][x0..x1],
             );
         }
     }
@@ -580,23 +591,26 @@ mod tests {
                     hessian_at_scale(&src, &mut h_imgs, &mut hs, roi, sigma);
                     accumulate_max_response(&h_imgs, &mut ref_acc, roi, ridge_response);
 
-                    let mut fused_acc = ImageF32::new(w, h);
-                    let mut scratch = FusedScratch::new();
                     let g = Kernel1D::gaussian(sigma);
                     let d1 = Kernel1D::gaussian_d1(sigma);
                     let d2 = Kernel1D::gaussian_d2(sigma);
-                    fused_ridge_scale(&src, &mut fused_acc, &mut scratch, &g, &d1, &d2, roi);
-
                     let c = roi.clamp_to(w, h);
-                    for y in c.y..c.bottom() {
-                        for x in c.x..c.right() {
-                            assert_eq!(
-                                fused_acc.get(x, y).to_bits(),
-                                ref_acc.get(x, y).to_bits(),
-                                "{w}x{h} sigma {sigma} roi {roi:?} at ({x},{y}): {} vs {}",
-                                fused_acc.get(x, y),
-                                ref_acc.get(x, y)
-                            );
+                    // swept whole and as three row bands of one accumulator
+                    for bands in [1usize, 3] {
+                        let mut fused_acc = ImageF32::new(w, h);
+                        let mut scratch = FusedScratch::new();
+                        let parts = c.stripes(bands);
+                        for (&band, rows) in parts.iter().zip(fused_acc.row_bands(&parts)) {
+                            fused_ridge_scale(&src, rows, &mut scratch, &g, &d1, &d2, band);
+                        }
+                        for y in c.y..c.bottom() {
+                            for x in c.x..c.right() {
+                                assert_eq!(
+                                    fused_acc.get(x, y).to_bits(),
+                                    ref_acc.get(x, y).to_bits(),
+                                    "{w}x{h} sigma {sigma} roi {roi:?} {bands} band(s) at ({x},{y})"
+                                );
+                            }
                         }
                     }
                 }
@@ -613,12 +627,13 @@ mod tests {
         let g = Kernel1D::gaussian(2.5);
         let d1 = Kernel1D::gaussian_d1(2.5);
         let d2 = Kernel1D::gaussian_d2(2.5);
-        fused_ridge_scale(&src, &mut acc, &mut scratch, &g, &d1, &d2, src.full_roi());
+        let acc = acc.as_mut_slice();
+        fused_ridge_scale(&src, acc, &mut scratch, &g, &d1, &d2, src.full_roi());
         let r = g.radius();
         let expected = 3 * (2 * r + 1) * 64 * std::mem::size_of::<f32>();
         assert_eq!(scratch.byte_size(), expected);
         // a second identical pass reuses the buffers
-        fused_ridge_scale(&src, &mut acc, &mut scratch, &g, &d1, &d2, src.full_roi());
+        fused_ridge_scale(&src, acc, &mut scratch, &g, &d1, &d2, src.full_roi());
         assert_eq!(scratch.byte_size(), expected);
     }
 
@@ -632,7 +647,7 @@ mod tests {
         let d2 = Kernel1D::gaussian_d2(1.5);
         fused_ridge_scale(
             &src,
-            &mut acc,
+            acc.as_mut_slice(),
             &mut scratch,
             &g,
             &d1,

@@ -73,6 +73,28 @@ impl KernelCache {
         (&e.g, &e.d1, &e.d2)
     }
 
+    /// The kernel triples of `sigmas`, in order, all borrowed at once so
+    /// that every band job of one RDG call can share them. Builds on first
+    /// use like [`KernelCache::get`]; the set has to fit the cache.
+    pub(crate) fn get_all(&mut self, sigmas: &[f32]) -> Vec<(&Kernel1D, &Kernel1D, &Kernel1D)> {
+        assert!(
+            sigmas.len() <= KERNEL_CACHE_CAPACITY,
+            "more scales than the kernel cache holds"
+        );
+        // Each lookup stamps its entry most recently used, so a later
+        // miss of the same call never evicts it.
+        for &sigma in sigmas {
+            self.get(sigma);
+        }
+        sigmas
+            .iter()
+            .map(|sigma| {
+                let e = &self.map[&sigma.to_bits()];
+                (&e.g, &e.d1, &e.d2)
+            })
+            .collect()
+    }
+
     /// Number of cached sigma triples (bounded by
     /// [`KERNEL_CACHE_CAPACITY`]).
     pub fn len(&self) -> usize {

@@ -333,20 +333,23 @@ impl<T: Copy> Image<T> {
         }
     }
 
-    /// Splits the image into disjoint horizontal stripe views for parallel
-    /// processing. Each entry is `(roi, rows)` where `rows` are the mutable
-    /// rows of that stripe.
-    pub fn stripes_mut(&mut self, n: usize) -> Vec<(Roi, &mut [T])> {
-        let rois = self.full_roi().stripes(n);
-        let mut out = Vec::with_capacity(rois.len());
-        let mut rest: &mut [T] = &mut self.data;
+    /// Splits the image into one disjoint mutable band of full-width rows
+    /// per entry of `parts` (rows `p.y..p.bottom()`), so band workers can
+    /// write straight into a shared image without crops or pastes.
+    /// `parts` must run top to bottom without overlap, as
+    /// [`Roi::stripes`] returns them.
+    pub fn row_bands<'a>(&'a mut self, parts: &'a [Roi]) -> impl Iterator<Item = &'a mut [T]> + 'a {
         let width = self.width;
-        for roi in rois {
-            let (head, tail) = rest.split_at_mut(roi.height * width);
-            out.push((roi, head));
+        let mut rest: &mut [T] = &mut self.data;
+        let mut consumed = 0usize;
+        parts.iter().map(move |p| {
+            let tail = std::mem::take(&mut rest);
+            let (_, tail) = tail.split_at_mut(p.y * width - consumed);
+            let (band, tail) = tail.split_at_mut(p.height * width);
             rest = tail;
-        }
-        out
+            consumed = p.bottom() * width;
+            band
+        })
     }
 }
 
@@ -510,20 +513,19 @@ mod tests {
     }
 
     #[test]
-    fn stripes_mut_are_disjoint_and_complete() {
-        let mut img: ImageU16 = Image::new(4, 10);
-        let stripes = img.stripes_mut(3);
-        assert_eq!(stripes.len(), 3);
-        for (i, (_, rows)) in stripes.into_iter().enumerate() {
+    fn row_bands_are_disjoint_and_cover_their_rows() {
+        let mut img: ImageU16 = Image::new(4, 12);
+        // an ROI that starts below the top and ends above the bottom
+        let parts = Roi::new(1, 1, 2, 10).stripes(3);
+        let bands: Vec<&mut [u16]> = img.row_bands(&parts).collect();
+        assert_eq!(bands.len(), 3);
+        for (i, rows) in bands.into_iter().enumerate() {
+            assert_eq!(rows.len(), parts[i].height * 4, "full-width rows");
             rows.fill(i as u16 + 1);
         }
-        // rows 0..4 -> 1, 4..7 -> 2, 7..10 -> 3
-        assert_eq!(img.get(0, 0), 1);
-        assert_eq!(img.get(0, 3), 1);
-        assert_eq!(img.get(0, 4), 2);
-        assert_eq!(img.get(0, 6), 2);
-        assert_eq!(img.get(0, 7), 3);
-        assert_eq!(img.get(0, 9), 3);
+        // rows 1..5 -> 1, 5..8 -> 2, 8..11 -> 3; rows 0 and 11 untouched
+        let col: Vec<u16> = (0..12).map(|y| img.get(0, y)).collect();
+        assert_eq!(col, [0, 1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0]);
     }
 
     #[test]

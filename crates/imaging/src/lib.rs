@@ -19,8 +19,8 @@
 //! (separable Gaussian-derivative convolution), [`hessian`]
 //! (eigenvalue-based ridge/blob responses), [`fused`] (tiled single-pass
 //! SIMD multi-scale Hessian core), [`simd`] (explicit 8-lane `f32`
-//! vectors) and [`parallel`] (striped data-parallel execution used by the
-//! semi-automatic parallelization).
+//! vectors) and [`parallel`] (the persistent worker pool that striped
+//! stages of the semi-automatic parallelization run on).
 //!
 //! All tasks expose their buffer sizes so the Table-1 memory accounting and
 //! the cache/bandwidth models of `triplec-core` can be derived from the
@@ -54,7 +54,7 @@ pub use metrics::{cnr, mad, psnr, region_mean};
 pub use overlay::{draw_couple, draw_cross, draw_roi};
 pub use registration::{register, RegConfig, RegOutput, RigidTransform};
 pub use ridge::{
-    rdg_full, rdg_full_reference, rdg_roi, RdgBuffers, RdgConfig, RdgEngine, RdgOutput,
+    rdg_banded, rdg_full, rdg_full_reference, rdg_roi, RdgBuffers, RdgConfig, RdgOutput,
 };
 pub use roi_est::{estimate_roi, RoiEstConfig};
 pub use zoom::{zoom, ZoomConfig, ZoomFilter};

@@ -1,11 +1,11 @@
-//! Data-parallel (striped) task execution on a persistent worker pool.
+//! The persistent worker pool that data-parallel (striped) stages run on.
 //!
 //! The RDG tasks have a streaming nature and can be data-partitioned
-//! (Section 6): the frame is split into horizontal stripes and each stripe
-//! is filtered independently (the bounded filter support makes stripes with
-//! halo exact). Feature-level tasks (CPLS SEL, GW EXT) are partitioned
-//! functionally instead, because they operate on extracted features rather
-//! than image data.
+//! (Section 6): the ROI is split into horizontal row bands and
+//! [`crate::ridge::rdg_banded`] runs one job per band on this pool.
+//! Feature-level tasks (CPLS SEL, GW EXT) are partitioned functionally
+//! instead, because they operate on extracted features rather than image
+//! data.
 //!
 //! Earlier revisions spawned fresh `std::thread::scope` workers for every
 //! stripe of every frame; at 30 Hz that is hundreds of thread spawns per
@@ -16,13 +16,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
-use crate::image::{ImageF32, ImageU16, Roi};
-use crate::ridge::{assemble_stripes, rdg_roi, rdg_stripe, RdgBuffers, RdgConfig, RdgOutput};
+use crate::image::{ImageU16, Roi};
+use crate::ridge::{rdg_banded, RdgBuffers, RdgConfig, RdgOutput};
 
 /// A lifetime-erased unit of work executed on a pool worker.
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -143,14 +142,7 @@ impl StripePool {
     /// If any job panics, the panic message is re-raised here after the
     /// whole batch has drained (workers survive and stay reusable).
     pub fn run<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        self.run_on(jobs.into_iter().enumerate().collect());
-    }
-
-    /// Like [`StripePool::run`], with an explicit worker index per job
-    /// (wrapped modulo the pool size). Jobs given the same index always
-    /// run on the same worker thread, which models per-core assignment.
-    pub fn run_on<'scope>(&self, jobs: Vec<(usize, Box<dyn FnOnce() + Send + 'scope>)>) {
-        if let Err(e) = self.try_run_on(jobs) {
+        if let Err(e) = self.try_run(jobs) {
             panic!("{e}");
         }
     }
@@ -164,21 +156,13 @@ impl StripePool {
         &self,
         jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>,
     ) -> Result<(), PoolError> {
-        self.try_run_on(jobs.into_iter().enumerate().collect())
-    }
-
-    /// Non-panicking [`StripePool::run_on`] (see [`StripePool::try_run`]).
-    pub fn try_run_on<'scope>(
-        &self,
-        jobs: Vec<(usize, Box<dyn FnOnce() + Send + 'scope>)>,
-    ) -> Result<(), PoolError> {
         if jobs.is_empty() {
             return Ok(());
         }
         let (done_tx, done_rx) = unbounded::<bool>();
         let mut submitted = 0usize;
         let mut disconnected = false;
-        for (i, job) in jobs {
+        for (i, job) in jobs.into_iter().enumerate() {
             // SAFETY: the loop below blocks until every *submitted* job has
             // signalled completion (the done sender is dropped only after
             // the job ran or was dropped unexecuted by a dying worker), so
@@ -233,206 +217,43 @@ impl Drop for StripePool {
     }
 }
 
-/// Runs `work` once per stripe of `roi` on the shared worker pool and
-/// collects the results in stripe order.
-///
-/// With `stripes == 1` the work runs inline on the calling thread, so the
-/// serial and parallel paths share one code path.
-pub fn for_each_stripe<R: Send>(
-    roi: Roi,
-    stripes: usize,
-    work: impl Fn(Roi) -> R + Sync,
-) -> Vec<R> {
-    for_each_stripe_on(StripePool::global(), roi, stripes, work)
+/// Deterministic faults to inject into one [`rdg_banded`] call (testing
+/// only; the nominal path passes the default, which injects nothing).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StripeFault {
+    /// Panic this many band jobs at job start. The panic fires in the
+    /// first banded dispatch, before the job touches its scratch or its
+    /// rows, and a retry rewrites every row anyway, so a clean retry is
+    /// bit-identical to an unfaulted run.
+    pub panic_jobs: usize,
+    /// Fail the dispatch with a transient [`PoolError::Disconnected`]
+    /// before any job is submitted.
+    pub channel_error: bool,
 }
 
-/// [`for_each_stripe`] on an explicit pool.
-pub fn for_each_stripe_on<R: Send>(
-    pool: &StripePool,
-    roi: Roi,
-    stripes: usize,
-    work: impl Fn(Roi) -> R + Sync,
-) -> Vec<R> {
-    assert!(stripes > 0, "stripe count must be positive");
-    let parts = roi.stripes(stripes);
-    if parts.len() <= 1 {
-        return parts.into_iter().map(&work).collect();
-    }
-    let mut results: Vec<Option<R>> = Vec::with_capacity(parts.len());
-    results.resize_with(parts.len(), || None);
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
-        .iter_mut()
-        .zip(parts.iter())
-        .map(|(slot, &part)| {
-            let work = &work;
-            Box::new(move || {
-                *slot = Some(work(part));
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.run(jobs);
-    results
-        .into_iter()
-        .map(|r| r.expect("stripe worker completed"))
-        .collect()
-}
-
-/// Per-stripe reusable working set of the pooled parallel RDG path.
-struct StripeScratch {
-    /// The stripe's halo-extended sub-frame (copied from the source frame).
-    sub: ImageU16,
-    /// Full RDG working buffers sized to the sub-frame.
-    bufs: RdgBuffers,
-}
-
-/// Frame-persistent buffers of [`rdg_parallel_pooled`]: per-stripe scratch
-/// plus recycled full-frame output images. After the first frame of a
-/// steady-state sequence no heap allocation happens on this path.
+/// The buffer argument of [`rdg_parallel_pooled`]: an [`RdgBuffers`] sized
+/// on first use.
+#[doc(hidden)]
 #[derive(Default)]
-pub struct ParallelRdgBuffers {
-    scratches: Vec<Option<StripeScratch>>,
-    filtered_pool: Vec<ImageU16>,
-    ridgeness_pool: Vec<ImageF32>,
-    stripe_ms: Vec<f64>,
-    allocations: usize,
-}
+pub struct ParallelRdgBuffers(Option<RdgBuffers>);
 
+#[doc(hidden)]
 impl ParallelRdgBuffers {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Wall-clock milliseconds each stripe of the most recent
-    /// [`rdg_parallel_pooled`] call spent inside its worker, in stripe
-    /// order. Feeds the executor's virtual schedule.
-    pub fn stripe_times_ms(&self) -> &[f64] {
-        &self.stripe_ms
-    }
-
-    /// Number of image allocations this buffer set has performed; constant
-    /// across frames once warmed up (asserted by tests).
-    pub fn allocations(&self) -> usize {
-        self.allocations
-    }
-
-    /// Total bytes held (scratch + pooled outputs) — the data-parallel
-    /// side of the Table 1 "intermediate" storage accounting.
-    pub fn byte_size(&self) -> usize {
-        let scratch: usize = self
-            .scratches
-            .iter()
-            .flatten()
-            .map(|s| s.sub.byte_size() + s.bufs.byte_size())
-            .sum();
-        let pooled: usize = self
-            .filtered_pool
-            .iter()
-            .map(|i| i.byte_size())
-            .sum::<usize>()
-            + self
-                .ridgeness_pool
-                .iter()
-                .map(|i| i.byte_size())
-                .sum::<usize>();
-        scratch + pooled
-    }
-
-    /// Returns a finished output's images to the pool for reuse.
     pub fn recycle(&mut self, out: RdgOutput) {
-        if self.filtered_pool.len() < 2 {
-            self.filtered_pool.push(out.filtered);
+        if let Some(bufs) = &mut self.0 {
+            bufs.recycle(out);
         }
-        if self.ridgeness_pool.len() < 2 {
-            self.ridgeness_pool.push(out.ridgeness);
-        }
-    }
-
-    fn take_filtered(&mut self, src: &ImageU16) -> ImageU16 {
-        match self.filtered_pool.pop() {
-            Some(mut img) if img.dims() == src.dims() => {
-                img.copy_from(src);
-                img
-            }
-            _ => {
-                self.allocations += 1;
-                src.clone()
-            }
-        }
-    }
-
-    fn take_ridgeness(&mut self, width: usize, height: usize) -> ImageF32 {
-        match self.ridgeness_pool.pop() {
-            Some(mut img) if img.dims() == (width, height) => {
-                img.fill(0.0);
-                img
-            }
-            _ => {
-                self.allocations += 1;
-                ImageF32::new(width, height)
-            }
-        }
-    }
-
-    /// Ensures stripe `i`'s scratch matches the halo-extended dims,
-    /// (re)allocating only when the geometry changes.
-    fn ensure_scratch(&mut self, i: usize, ext: Roi) -> &mut StripeScratch {
-        if self.scratches.len() <= i {
-            self.scratches.resize_with(i + 1, || None);
-        }
-        let slot = &mut self.scratches[i];
-        let fits = matches!(slot, Some(s) if s.sub.dims() == (ext.width, ext.height));
-        if !fits {
-            self.allocations += 1;
-            *slot = Some(StripeScratch {
-                sub: ImageU16::new(ext.width, ext.height),
-                bufs: RdgBuffers::new(ext.width, ext.height),
-            });
-        }
-        slot.as_mut().expect("scratch just ensured")
     }
 }
 
-/// Splits `data` (a `width`-pixel-per-row image buffer) into one disjoint
-/// mutable row band per stripe, so workers can write their results straight
-/// into the shared full-frame output without crops or pastes.
-fn row_bands<'a, T>(data: &'a mut [T], width: usize, parts: &[Roi]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(parts.len());
-    let mut consumed = 0usize;
-    let mut rest = data;
-    for p in parts {
-        let start = p.y * width;
-        let (_, tail) = rest.split_at_mut(start - consumed);
-        let (band, tail) = tail.split_at_mut(p.height * width);
-        out.push(band);
-        rest = tail;
-        consumed = (p.y + p.height) * width;
-    }
-    out
-}
-
-/// Data-parallel ridge detection: `stripes`-way striped RDG over `roi`.
-///
-/// The ridge-response map *and* the ridge-suppressed filtered image are
-/// bit-identical to [`crate::ridge::rdg_roi`] for every stripe count
-/// (verified by tests): suppression is re-synthesized from the assembled
-/// response with the global serial thresholds, so downstream pixel results
-/// never depend on the partitioning policy.
-///
-/// Convenience wrapper over [`rdg_parallel_pooled`] with one-shot buffers;
-/// sequence runners should hold a [`ParallelRdgBuffers`] instead and reuse
-/// it across frames.
-pub fn rdg_parallel(src: &ImageU16, roi: Roi, cfg: &RdgConfig, stripes: usize) -> RdgOutput {
-    let mut bufs = ParallelRdgBuffers::new();
-    rdg_parallel_pooled(StripePool::global(), src, roi, cfg, stripes, &mut bufs)
-}
-
-/// Data-parallel ridge detection on an explicit pool with reusable buffers.
-///
-/// Stripe workers write their filtered/ridgeness results directly into
-/// disjoint row bands of pooled full-frame outputs — no per-frame crop,
-/// paste or image allocation once `bufs` is warm. Per-stripe wall-clock
-/// times are recorded in `bufs` (see
-/// [`ParallelRdgBuffers::stripe_times_ms`]).
+/// [`rdg_banded`] under the signature `examples/benchmark/src/ladder.rs`
+/// imports. That file is frozen between benchmark re-issues; this adapter
+/// and [`ParallelRdgBuffers`] go when it is next re-issued.
+#[doc(hidden)]
 pub fn rdg_parallel_pooled(
     pool: &StripePool,
     src: &ImageU16,
@@ -441,334 +262,77 @@ pub fn rdg_parallel_pooled(
     stripes: usize,
     bufs: &mut ParallelRdgBuffers,
 ) -> RdgOutput {
-    match rdg_parallel_pooled_inner(pool, src, roi, cfg, stripes, bufs, 0) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Deterministic faults to inject into one
-/// [`rdg_parallel_pooled_faulted`] call (testing only; the nominal path
-/// never constructs one).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StripeFault {
-    /// Panic this many stripe jobs at job start. The panic fires before
-    /// the job touches its scratch or output band, so a failed attempt
-    /// leaves no partial writes and a clean retry is bit-identical to an
-    /// unfaulted run.
-    pub panic_jobs: usize,
-    /// Fail the dispatch with a transient [`PoolError::Disconnected`]
-    /// before any job is submitted.
-    pub channel_error: bool,
-}
-
-impl StripeFault {
-    /// Whether this fault spec injects anything.
-    pub fn is_armed(&self) -> bool {
-        self.panic_jobs > 0 || self.channel_error
-    }
-}
-
-/// [`rdg_parallel_pooled`] with fault injection: failures (injected or
-/// real) are returned as [`PoolError`] instead of unwinding, and a failed
-/// attempt recycles its output buffers so a retry allocates nothing.
-pub fn rdg_parallel_pooled_faulted(
-    pool: &StripePool,
-    src: &ImageU16,
-    roi: Roi,
-    cfg: &RdgConfig,
-    stripes: usize,
-    bufs: &mut ParallelRdgBuffers,
-    fault: StripeFault,
-) -> Result<RdgOutput, PoolError> {
-    if fault.channel_error {
-        return Err(PoolError::Disconnected);
-    }
-    rdg_parallel_pooled_inner(pool, src, roi, cfg, stripes, bufs, fault.panic_jobs)
-}
-
-fn rdg_parallel_pooled_inner(
-    pool: &StripePool,
-    src: &ImageU16,
-    roi: Roi,
-    cfg: &RdgConfig,
-    stripes: usize,
-    bufs: &mut ParallelRdgBuffers,
-    panic_jobs: usize,
-) -> Result<RdgOutput, PoolError> {
-    assert!(stripes > 0, "stripe count must be positive");
-    let roi = roi.clamp_to(src.width(), src.height());
-    let width = src.width();
-    let parts = roi.stripes(stripes);
-
-    let halo = rdg_halo(cfg);
-    let mut filtered = bufs.take_filtered(src);
-    let mut ridgeness = bufs.take_ridgeness(src.width(), src.height());
-
-    {
-        let exts: Vec<Roi> = parts
-            .iter()
-            .map(|p| p.inflate(halo, src.width(), src.height()))
-            .collect();
-        bufs.stripe_ms.clear();
-        bufs.stripe_ms.resize(parts.len(), 0.0);
-        for (i, &ext) in exts.iter().enumerate() {
-            bufs.ensure_scratch(i, ext);
-        }
-
-        let filtered_bands = row_bands(filtered.as_mut_slice(), width, &parts);
-        let ridgeness_bands = row_bands(ridgeness.as_mut_slice(), width, &parts);
-
-        let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(parts.len());
-        for (i, ((((&stripe, &ext), fband), rband), (scratch, ms))) in parts
-            .iter()
-            .zip(exts.iter())
-            .zip(filtered_bands)
-            .zip(ridgeness_bands)
-            .zip(
-                bufs.scratches
-                    .iter_mut()
-                    .flatten()
-                    .zip(bufs.stripe_ms.iter_mut()),
-            )
-            .enumerate()
-        {
-            if i < panic_jobs {
-                // injected fault: dies at job start, before any write
-                jobs.push(Box::new(move || {
-                    panic!("injected stripe-worker fault (job {i})");
-                }));
-                continue;
-            }
-            jobs.push(Box::new(move || {
-                let t0 = Instant::now();
-                let StripeScratch { sub, bufs } = scratch;
-                for (i, y) in (ext.y..ext.bottom()).enumerate() {
-                    sub.row_mut(i)
-                        .copy_from_slice(&src.row(y)[ext.x..ext.right()]);
-                }
-                let local = Roi::new(
-                    stripe.x - ext.x,
-                    stripe.y - ext.y,
-                    stripe.width,
-                    stripe.height,
-                );
-                let out = rdg_roi(sub, local, cfg, bufs);
-                for row in 0..stripe.height {
-                    let sy = local.y + row;
-                    let dst = row * width + stripe.x;
-                    fband[dst..dst + stripe.width]
-                        .copy_from_slice(&out.filtered.row(sy)[local.x..local.right()]);
-                    rband[dst..dst + stripe.width]
-                        .copy_from_slice(&out.ridgeness.row(sy)[local.x..local.right()]);
-                }
-                bufs.recycle(out);
-                *ms = t0.elapsed().as_secs_f64() * 1e3;
-            }));
-        }
-        let dispatch = if jobs.len() <= 1 && panic_jobs == 0 {
-            // Single stripe, nominal path: run inline, sharing the code
-            // path (no catch_unwind, no channel hop).
-            for job in jobs {
-                job();
-            }
-            Ok(())
-        } else if jobs.len() <= 1 {
-            // Single inline job with an injected panic: catch it locally
-            // so the fault cannot unwind into the session thread.
-            let mut result = Ok(());
-            for job in jobs {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                    result = Err(PoolError::JobPanicked(vec![panic_message(
-                        payload.as_ref(),
-                    )]));
-                }
-            }
-            result
-        } else {
-            pool.try_run(jobs)
-        };
-        if let Err(e) = dispatch {
-            // Failed attempts leave no partial state behind: the output
-            // images go back to the buffer pool (a retry re-copies from
-            // `src` and re-zeroes, so nothing from this attempt leaks).
-            bufs.recycle(RdgOutput {
-                filtered,
-                ridgeness,
-                ridge_pixels: 0,
-                segments: 0,
-            });
-            return Err(e);
-        }
-    }
-
-    // The stripe workers suppressed with *local* per-stripe thresholds;
-    // re-synthesize the filtered output from the assembled response with
-    // the *global* threshold, using the exact serial formulas over the
-    // bit-identical assembled map. This makes the filtered image (and
-    // therefore everything downstream of marker extraction) bit-identical
-    // to the serial path no matter the stripe count.
-    let (mean, std) = crate::ridge::response_stats(&ridgeness, roi);
-    let weak_threshold = (mean + cfg.weak_factor * std).max(cfg.response_floor);
-    let threshold = (mean + cfg.threshold_factor * std).max(weak_threshold);
-    let mut ridge_pixels = 0usize;
-    for y in roi.y..roi.bottom() {
-        let src_row = src.row(y);
-        let rid_row = ridgeness.row(y);
-        let out_row = filtered.row_mut(y);
-        for x in roi.x..roi.right() {
-            let r = rid_row[x];
-            if r > threshold {
-                ridge_pixels += 1;
-                let v = src_row[x] as f32 + cfg.suppression * r;
-                out_row[x] = v.clamp(0.0, u16::MAX as f32) as u16;
-            } else {
-                out_row[x] = src_row[x];
-            }
-        }
-    }
-
-    Ok(RdgOutput {
-        filtered,
-        ridgeness,
-        ridge_pixels,
-        segments: 0,
-    })
-}
-
-/// Halo width needed by the active scale set (3 sigma of the largest).
-fn rdg_halo(cfg: &RdgConfig) -> usize {
-    cfg.scales
-        .iter()
-        .chain(if cfg.fine_enabled {
-            cfg.fine_scales.iter()
-        } else {
-            [].iter()
-        })
-        .map(|&s| (3.0 * s).ceil() as usize)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Legacy assembling parallel RDG built on [`rdg_stripe`] crops; kept for
-/// comparison benchmarks and as the reference for the pooled direct-write
-/// path.
-#[doc(hidden)]
-pub fn rdg_parallel_assembling(
-    src: &ImageU16,
-    roi: Roi,
-    cfg: &RdgConfig,
-    stripes: usize,
-) -> RdgOutput {
-    let roi = roi.clamp_to(src.width(), src.height());
-    let parts = for_each_stripe(roi, stripes, |stripe| rdg_stripe(src, stripe, cfg));
-    let threshold_hint = estimate_threshold(&parts, cfg.threshold_factor);
-    assemble_stripes(src, parts, threshold_hint)
-}
-
-fn estimate_threshold(parts: &[(Roi, ImageU16, ImageF32)], factor: f32) -> f32 {
-    let mut sum = 0.0f64;
-    let mut sum2 = 0.0f64;
-    let mut n = 0usize;
-    for (_, _, r) in parts {
-        for y in 0..r.height() {
-            for &v in r.row(y) {
-                sum += v as f64;
-                sum2 += (v as f64) * (v as f64);
-                n += 1;
-            }
-        }
-    }
-    if n == 0 {
-        return 0.0;
-    }
-    let mean = sum / n as f64;
-    let std = ((sum2 / n as f64 - mean * mean).max(0.0)).sqrt();
-    (mean + factor as f64 * std) as f32
+    let (w, h) = src.dims();
+    let bufs = match &mut bufs.0 {
+        Some(b) if b.dims() == (w, h) => b,
+        slot => slot.insert(RdgBuffers::new(w, h)),
+    };
+    rdg_banded(pool, src, roi, cfg, stripes, StripeFault::default(), bufs)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::Image;
-    use crate::ridge::rdg_full;
+    use crate::ridge::rdg_roi;
 
-    #[test]
-    fn for_each_stripe_covers_roi_in_order() {
-        let roi = Roi::new(0, 0, 8, 20);
-        let results = for_each_stripe(roi, 4, |s| s);
-        assert_eq!(results.len(), 4);
-        let mut y = 0;
-        for s in &results {
-            assert_eq!(s.y, y);
-            y += s.height;
-        }
-        assert_eq!(y, 20);
-    }
+    type Job<'a> = Box<dyn FnOnce() + Send + 'a>;
 
-    #[test]
-    fn single_stripe_runs_inline() {
-        let roi = Roi::new(0, 0, 8, 8);
-        let results = for_each_stripe(roi, 1, |s| s.area());
-        assert_eq!(results, vec![64]);
-    }
-
-    #[test]
-    fn stripe_results_can_be_heavy() {
-        // results larger than Copy types work (ownership transfer)
-        let roi = Roi::new(0, 0, 4, 16);
-        let results = for_each_stripe(roi, 4, |s| vec![s.y; s.height]);
-        assert_eq!(results.len(), 4);
-        assert_eq!(results[0], vec![0; 4]);
-        assert_eq!(results[3], vec![12; 4]);
+    /// One job per slot, writing `value(i)` into slot `i`.
+    fn slot_jobs<'a>(
+        slots: &'a mut [usize],
+        value: &'a (dyn Fn(usize) -> usize + Sync),
+    ) -> Vec<Job<'a>> {
+        slots
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slot)| Box::new(move || *slot = value(i)) as Job<'a>)
+            .collect()
     }
 
     #[test]
     fn pool_reuses_threads_across_batches() {
         let pool = StripePool::new(2);
         for round in 0..50 {
-            let roi = Roi::new(0, 0, 4, 8);
-            let r = for_each_stripe_on(&pool, roi, 4, |s| s.y + round);
-            assert_eq!(r.len(), 4);
+            let mut slots = [0usize; 4];
+            pool.run(slot_jobs(&mut slots, &|i| i + round));
+            assert_eq!(slots, [round, round + 1, round + 2, round + 3]);
         }
         assert_eq!(pool.threads(), 2);
+        assert_eq!(pool.live_threads(), 2);
     }
 
     #[test]
     fn pool_propagates_worker_panic_and_survives() {
         let pool = StripePool::new(2);
-        let roi = Roi::new(0, 0, 4, 4);
+        let mut slots = [0usize; 4];
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            for_each_stripe_on(&pool, roi, 4, |s| {
-                if s.y == 2 {
-                    panic!("boom in stripe {}", s.y);
+            pool.run(slot_jobs(&mut slots, &|i| {
+                if i == 2 {
+                    panic!("boom in job {i}");
                 }
-                s.y
-            });
+                i
+            }));
         }));
         assert!(result.is_err(), "panic must propagate to the dispatcher");
         // the pool stays usable after a job panic
-        let ok = for_each_stripe_on(&pool, roi, 4, |s| s.y);
-        assert_eq!(ok, vec![0, 1, 2, 3]);
+        pool.run(slot_jobs(&mut slots, &|i| i + 10));
+        assert_eq!(slots, [10, 11, 12, 13]);
     }
 
     #[test]
     fn try_run_reports_panics_without_unwinding() {
         let pool = StripePool::new(2);
         let mut results = [0usize; 4];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                Box::new(move || {
-                    if i == 1 {
-                        panic!("fault in job {i}");
-                    }
-                    *slot = i + 10;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let err = pool.try_run(jobs).unwrap_err();
+        let err = pool
+            .try_run(slot_jobs(&mut results, &|i| {
+                if i == 1 {
+                    panic!("fault in job {i}");
+                }
+                i + 10
+            }))
+            .unwrap_err();
         match &err {
             PoolError::JobPanicked(msgs) => {
                 assert_eq!(msgs.len(), 1);
@@ -780,8 +344,8 @@ mod tests {
         assert_eq!(results, [10, 0, 12, 13]);
         // the pool remains fully usable with all threads alive
         assert_eq!(pool.live_threads(), 2);
-        let ok: Vec<usize> = for_each_stripe_on(&pool, Roi::new(0, 0, 4, 4), 4, |s| s.y);
-        assert_eq!(ok, vec![0, 1, 2, 3]);
+        pool.try_run(slot_jobs(&mut results, &|i| i)).unwrap();
+        assert_eq!(results, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -789,124 +353,18 @@ mod tests {
         let pool = StripePool::new(3);
         assert_eq!(pool.live_threads(), 3);
         for round in 0..10 {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..6)
+            let jobs: Vec<Job<'_>> = (0..6)
                 .map(|i| {
                     Box::new(move || {
                         if (i + round) % 2 == 0 {
                             panic!("round {round} job {i}");
                         }
-                    }) as Box<dyn FnOnce() + Send + '_>
+                    }) as Job<'_>
                 })
                 .collect();
             assert!(pool.try_run(jobs).is_err());
             assert_eq!(pool.live_threads(), 3, "round {round} leaked a thread");
         }
-    }
-
-    #[test]
-    fn faulted_rdg_panic_then_clean_retry_is_bit_identical() {
-        let src = wire_frame(96, 96);
-        let cfg = RdgConfig::default();
-        let pool = StripePool::new(4);
-        let mut bufs = ParallelRdgBuffers::new();
-        let reference = rdg_parallel_pooled(
-            &pool,
-            &src,
-            src.full_roi(),
-            &cfg,
-            4,
-            &mut ParallelRdgBuffers::new(),
-        );
-
-        // armed fault: the attempt fails cleanly
-        let fault = StripeFault {
-            panic_jobs: 1,
-            channel_error: false,
-        };
-        let err =
-            rdg_parallel_pooled_faulted(&pool, &src, src.full_roi(), &cfg, 4, &mut bufs, fault)
-                .unwrap_err();
-        assert!(matches!(err, PoolError::JobPanicked(_)), "{err:?}");
-        assert_eq!(pool.live_threads(), 4);
-
-        // retry without the fault: output identical to a never-faulted run
-        let out = rdg_parallel_pooled_faulted(
-            &pool,
-            &src,
-            src.full_roi(),
-            &cfg,
-            4,
-            &mut bufs,
-            StripeFault::default(),
-        )
-        .unwrap();
-        assert_eq!(out.filtered, reference.filtered);
-        assert_eq!(out.ridgeness, reference.ridgeness);
-        bufs.recycle(out);
-
-        // the failed attempt recycled its buffers: retry allocated nothing new
-        let warm = bufs.allocations();
-        let again = rdg_parallel_pooled_faulted(
-            &pool,
-            &src,
-            src.full_roi(),
-            &cfg,
-            4,
-            &mut bufs,
-            StripeFault {
-                panic_jobs: 2,
-                channel_error: false,
-            },
-        );
-        assert!(again.is_err());
-        assert_eq!(bufs.allocations(), warm, "failed attempt allocated");
-    }
-
-    #[test]
-    fn faulted_rdg_channel_error_is_transient() {
-        let src = wire_frame(64, 64);
-        let cfg = RdgConfig::default();
-        let pool = StripePool::new(2);
-        let mut bufs = ParallelRdgBuffers::new();
-        let fault = StripeFault {
-            panic_jobs: 0,
-            channel_error: true,
-        };
-        assert_eq!(
-            rdg_parallel_pooled_faulted(&pool, &src, src.full_roi(), &cfg, 2, &mut bufs, fault)
-                .unwrap_err(),
-            PoolError::Disconnected
-        );
-        // the next dispatch succeeds — the error was transient by design
-        let out = rdg_parallel_pooled_faulted(
-            &pool,
-            &src,
-            src.full_roi(),
-            &cfg,
-            2,
-            &mut bufs,
-            StripeFault::default(),
-        )
-        .unwrap();
-        bufs.recycle(out);
-    }
-
-    #[test]
-    fn faulted_rdg_single_stripe_inline_panic_is_caught() {
-        // with one stripe the job runs inline on the calling thread; an
-        // injected panic must still surface as an Err, not an unwind
-        let src = wire_frame(64, 64);
-        let cfg = RdgConfig::default();
-        let pool = StripePool::new(2);
-        let mut bufs = ParallelRdgBuffers::new();
-        let fault = StripeFault {
-            panic_jobs: 1,
-            channel_error: false,
-        };
-        let err =
-            rdg_parallel_pooled_faulted(&pool, &src, src.full_roi(), &cfg, 1, &mut bufs, fault)
-                .unwrap_err();
-        assert!(matches!(err, PoolError::JobPanicked(_)));
     }
 
     #[test]
@@ -916,153 +374,30 @@ mod tests {
         let data: Vec<u64> = (0..64).collect();
         let mut sums = [0u64; 4];
         let chunks: Vec<&[u64]> = data.chunks(16).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = sums
+        let jobs: Vec<Job<'_>> = sums
             .iter_mut()
             .zip(chunks)
-            .map(|(slot, chunk)| {
-                Box::new(move || *slot = chunk.iter().sum()) as Box<dyn FnOnce() + Send + '_>
-            })
+            .map(|(slot, chunk)| Box::new(move || *slot = chunk.iter().sum()) as Job<'_>)
             .collect();
         pool.run(jobs);
         assert_eq!(sums.iter().sum::<u64>(), (0..64).sum());
     }
 
-    fn wire_frame(w: usize, h: usize) -> ImageU16 {
-        Image::from_fn(w, h, |x, y| {
-            let mut v = 2000.0f32;
-            let d = (x as f32 - y as f32).abs() / 1.5;
-            v -= 900.0 * (-d * d / 2.0).exp();
-            v as u16
-        })
-    }
-
     #[test]
-    fn parallel_rdg_response_matches_serial() {
-        let src = wire_frame(96, 96);
-        let cfg = RdgConfig::default();
-        let mut bufs = RdgBuffers::new(96, 96);
-        let serial = rdg_full(&src, &cfg, &mut bufs);
-        for stripes in [2usize, 3, 4] {
-            let par = rdg_parallel(&src, src.full_roi(), &cfg, stripes);
-            for y in 0..96 {
-                for x in 0..96 {
-                    let a = serial.ridgeness.get(x, y);
-                    let b = par.ridgeness.get(x, y);
-                    assert!(
-                        (a - b).abs() <= 1e-3 * a.abs().max(1.0),
-                        "{stripes} stripes: mismatch at ({x},{y}): {a} vs {b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_rdg_bit_identical_to_serial() {
-        // The pooled stripe path must reproduce the serial ridge response
-        // bit for bit for every stripe count: the halo gives each stripe
-        // the exact same input neighbourhood the full-frame filter sees.
-        let src = wire_frame(96, 96);
-        let cfg = RdgConfig::default();
-        let serial = rdg_full(&src, &cfg, &mut RdgBuffers::new(96, 96));
-        let pool = StripePool::new(4);
-        for stripes in [1usize, 2, 4, 7] {
-            let mut bufs = ParallelRdgBuffers::new();
-            let par = rdg_parallel_pooled(&pool, &src, src.full_roi(), &cfg, stripes, &mut bufs);
-            for y in 0..96 {
-                for x in 0..96 {
-                    assert_eq!(
-                        serial.ridgeness.get(x, y).to_bits(),
-                        par.ridgeness.get(x, y).to_bits(),
-                        "{stripes} stripes: ridgeness differs at ({x},{y}): {} vs {}",
-                        serial.ridgeness.get(x, y),
-                        par.ridgeness.get(x, y)
-                    );
-                    // the suppressed output too: the global-threshold
-                    // re-synthesis makes the filtered image independent of
-                    // the partitioning
-                    assert_eq!(
-                        serial.filtered.get(x, y),
-                        par.filtered.get(x, y),
-                        "{stripes} stripes: filtered differs at ({x},{y})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_rdg_is_deterministic_across_frames() {
-        // Reusing the same ParallelRdgBuffers for consecutive frames must
-        // not leak state between frames: 3 runs on the same input produce
-        // identical outputs, and the warm path performs no new allocations.
-        let src = wire_frame(96, 96);
-        let cfg = RdgConfig::default();
-        let pool = StripePool::new(3);
-        let mut bufs = ParallelRdgBuffers::new();
-        // `first` is held for comparison (not recycled), so frame 2 must
-        // allocate one more output pair; from frame 3 on the pool is warm
-        // and the allocation count stays flat.
-        let first = rdg_parallel_pooled(&pool, &src, src.full_roi(), &cfg, 3, &mut bufs);
-        let mut warm_allocs = None;
-        for frame in 1..4 {
-            let out = rdg_parallel_pooled(&pool, &src, src.full_roi(), &cfg, 3, &mut bufs);
-            assert_eq!(out.ridge_pixels, first.ridge_pixels, "frame {frame}");
-            assert_eq!(
-                out.filtered, first.filtered,
-                "frame {frame}: filtered differs"
-            );
-            assert_eq!(
-                out.ridgeness, first.ridgeness,
-                "frame {frame}: ridgeness differs"
-            );
-            bufs.recycle(out);
-            match warm_allocs {
-                None => warm_allocs = Some(bufs.allocations()),
-                Some(warm) => assert_eq!(
-                    bufs.allocations(),
-                    warm,
-                    "steady-state frame {frame} must not allocate"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn stripe_times_are_recorded() {
-        let src = wire_frame(64, 64);
+    fn benchmark_adapter_sizes_itself_and_matches_serial() {
         let cfg = RdgConfig::default();
         let pool = StripePool::new(2);
-        let mut bufs = ParallelRdgBuffers::new();
-        let out = rdg_parallel_pooled(&pool, &src, src.full_roi(), &cfg, 4, &mut bufs);
-        assert_eq!(bufs.stripe_times_ms().len(), 4);
-        assert!(bufs.stripe_times_ms().iter().all(|&t| t >= 0.0));
-        bufs.recycle(out);
-    }
-
-    #[test]
-    fn parallel_rdg_pixel_count_close_to_serial() {
-        let src = Image::from_fn(96, 96, |x, y| {
-            let mut v = 2000.0f32;
-            for k in 0..3 {
-                let d = (x as f32 - y as f32 + (k * 20) as f32).abs() / 1.5;
-                v -= 700.0 * (-d * d / 2.0).exp();
-            }
-            v as u16
-        });
-        let cfg = RdgConfig::default();
-        let serial = rdg_full(&src, &cfg, &mut RdgBuffers::new(96, 96));
-        let par = rdg_parallel(&src, src.full_roi(), &cfg, 3);
-        // serial counts hysteresis-expanded (weak-threshold) pixels while
-        // the assembled count uses the strong threshold only, so allow a
-        // generous band
-        let lo = serial.ridge_pixels / 6;
-        let hi = serial.ridge_pixels * 6 + 16;
-        assert!(
-            (lo..=hi).contains(&par.ridge_pixels),
-            "serial {} parallel {}",
-            serial.ridge_pixels,
-            par.ridge_pixels
-        );
+        let mut par = ParallelRdgBuffers::new();
+        for edge in [64usize, 48] {
+            let src: ImageU16 = Image::from_fn(edge, edge, |x, y| {
+                let d = (x as f32 - y as f32).abs() / 1.5;
+                (2000.0 - 900.0 * (-d * d / 2.0).exp()) as u16
+            });
+            let serial = rdg_roi(&src, src.full_roi(), &cfg, &mut RdgBuffers::new(edge, edge));
+            let out = rdg_parallel_pooled(&pool, &src, src.full_roi(), &cfg, 2, &mut par);
+            assert_eq!(out.filtered, serial.filtered);
+            assert_eq!(out.ridgeness, serial.ridgeness);
+            par.recycle(out);
+        }
     }
 }

@@ -11,31 +11,24 @@
 //! content-dependent fluctuations on top, caused by the ridge-tracing pass
 //! whose cost grows with the amount of curvilinear structure in the frame —
 //! exactly the structural + stochastic split Triple-C models.
+//!
+//! There is one kernel. It runs the paper's three linear-scan subtasks
+//! over one set of shared buffers (Fig. 5) and takes the stripe count as a
+//! parameter (Fig. 6): stage A once, stage B as one job per row band of
+//! the ROI, the response statistics once, stage C per band with the
+//! *global* thresholds. Every band writes its own rows of the shared
+//! images, so the output pixels do not depend on the stripe count.
+
+use std::time::Instant;
 
 use crate::fused::{fused_ridge_scale, fused_ridge_scale_init, FusedScratch};
 use crate::hessian::{
     accumulate_max_response, hessian_at_scale, ridge_response, HessianImages, HessianScratch,
     KernelCache,
 };
-use crate::image::{ImageF32, ImageU16, Roi};
+use crate::image::{Image, ImageF32, ImageU16, Roi};
+use crate::parallel::{PoolError, StripeFault, StripePool};
 use crate::simd::{F32x8, SimdF32};
-
-/// Which multi-scale Hessian core the RDG task runs.
-///
-/// Both engines are bit-identical (property-tested); they differ only in
-/// speed and intermediate footprint. The reference engine stays compiled
-/// so benches and tests can always diff the fused path against it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RdgEngine {
-    /// Fused, tiled, SIMD row+column+response sweep ([`crate::fused`]):
-    /// one read of the source per scale, tile-ring intermediates only.
-    #[default]
-    Fused,
-    /// Unfused reference: three `convolve_rows` + three `convolve_cols`
-    /// passes per scale through full-frame intermediates, then a separate
-    /// response/accumulate pass.
-    Reference,
-}
 
 /// Configuration of the ridge-detection task.
 #[derive(Debug, Clone)]
@@ -68,8 +61,6 @@ pub struct RdgConfig {
     /// intensity = original + `suppression` * ridgeness (brightening dark
     /// ridges back to background level).
     pub suppression: f32,
-    /// Which Hessian core runs stage B (bit-identical either way).
-    pub engine: RdgEngine,
 }
 
 impl Default for RdgConfig {
@@ -82,16 +73,15 @@ impl Default for RdgConfig {
             weak_factor: 0.25,
             response_floor: 32.0,
             suppression: 1.0,
-            engine: RdgEngine::Fused,
         }
     }
 }
 
-/// Full-frame working set of the *reference* (unfused) engine: the three
-/// Hessian component images plus the separable-convolution scratch.
-/// Allocated lazily on the first reference-engine frame, so the default
-/// (fused) path never pays for it — the fused path's only stage-B
-/// intermediates are the tile ring in [`FusedScratch`].
+/// Full-frame working set of the unfused oracle ([`rdg_roi_reference`]):
+/// the three Hessian component images plus the separable-convolution
+/// scratch. Allocated lazily on the first oracle call, so the fused path
+/// never pays for it — its only stage-B intermediates are the tile rings
+/// in [`FusedScratch`].
 #[derive(Debug)]
 struct ReferenceScratch {
     hessian: HessianImages,
@@ -118,36 +108,66 @@ impl ReferenceScratch {
     }
 }
 
+/// What one row band's jobs write besides their rows of the shared images.
+/// None of it is frame-sized: a `k`-stripe call needs `k` of these, i.e.
+/// `k - 1` tile rings more than a serial one.
+#[derive(Debug, Default)]
+struct BandScratch {
+    /// Stage B: the fused sweep's row-filtered tile ring.
+    ring: FusedScratch,
+    /// Stage C: flood-fill work stack of the tracing pass.
+    trace_stack: Vec<(usize, usize)>,
+    /// Stage C: what the band's trace counted.
+    ridge_pixels: usize,
+    segments: usize,
+}
+
+/// Where the wall-clock time of one RDG call went. `serial_ms` plus every
+/// entry of `band_ms` is the call's whole work; on a platform that runs
+/// the bands side by side its latency is `serial_ms` plus the longest band.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RdgTimes {
+    /// Milliseconds on the calling thread outside the band jobs: stage A,
+    /// the global response statistics and the output-image set-up.
+    pub serial_ms: f64,
+    /// Milliseconds each band spent in its stage-B and stage-C jobs, in
+    /// band order (top to bottom).
+    pub band_ms: Vec<f64>,
+}
+
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
 /// Reusable working memory of the RDG task. These buffers are the
-/// "intermediate" storage of Table 1 and the A/B/C buffers of Fig. 5.
+/// "intermediate" storage of Table 1 and the A/B/C buffers of Fig. 5; one
+/// set serves every stripe count.
 #[derive(Debug)]
 pub struct RdgBuffers {
     /// A: the input frame converted to f32.
     src_f32: ImageF32,
-    /// B: the fused engine's tile-ring scratch (row-filtered ring +
-    /// Hessian row slices) — the only stage-B intermediate on the
-    /// default path.
-    fused: FusedScratch,
-    /// Per-sigma `(G, G', G'')` cache shared by the fused engine.
+    /// Per-band scratch, grown to the largest stripe count seen.
+    bands: Vec<BandScratch>,
+    /// Per-sigma `(G, G', G'')` cache shared by all bands.
     kernels: KernelCache,
-    /// Full-frame intermediates of the reference engine, `None` until a
-    /// reference-engine frame runs.
+    /// Full-frame intermediates of the oracle, `None` until
+    /// [`rdg_roi_reference`] runs.
     reference: Option<Box<ReferenceScratch>>,
     /// C: the multi-scale ridge-response accumulator.
     acc: ImageF32,
     /// Generation-stamped visited mask of the tracing pass: a pixel counts
     /// as visited when its stamp equals `visit_gen`, so clearing between
     /// frames is a counter bump instead of a full rewrite.
-    visited: Vec<u32>,
+    visited: Image<u32>,
     visit_gen: u32,
-    /// Reusable flood-fill work stack of the tracing pass.
-    trace_stack: Vec<(usize, usize)>,
     /// Recycled output images (see [`RdgBuffers::recycle`]).
     u16_pool: Vec<ImageU16>,
     f32_pool: Vec<ImageF32>,
     /// Image allocations performed by the output pool; stays constant once
     /// the pool is warm (asserted by tests).
     allocations: usize,
+    /// Breakdown of the most recent call.
+    times: RdgTimes,
 }
 
 impl RdgBuffers {
@@ -155,30 +175,29 @@ impl RdgBuffers {
     pub fn new(width: usize, height: usize) -> Self {
         Self {
             src_f32: ImageF32::new(width, height),
-            fused: FusedScratch::new(),
+            bands: Vec::new(),
             kernels: KernelCache::new(),
             reference: None,
             acc: ImageF32::new(width, height),
-            visited: vec![0; width * height],
+            visited: Image::new(width, height),
             visit_gen: 0,
-            trace_stack: Vec::new(),
             u16_pool: Vec::new(),
             f32_pool: Vec::new(),
             allocations: 0,
+            times: RdgTimes::default(),
         }
     }
 
     /// Total intermediate storage in bytes (Table 1 accounting), including
-    /// any recycled output images currently parked in the pool and — if a
-    /// reference-engine frame ever ran — the reference engine's full-frame
-    /// intermediates.
+    /// any recycled output images currently parked in the pool and — if the
+    /// oracle ever ran — its full-frame intermediates.
     pub fn byte_size(&self) -> usize {
         self.src_f32.byte_size()
-            + self.fused.byte_size()
+            + self.bands.iter().map(|b| b.ring.byte_size()).sum::<usize>()
             + self.kernels.byte_size()
             + self.reference.as_ref().map_or(0, |r| r.byte_size())
             + self.acc.byte_size()
-            + self.visited.len() * std::mem::size_of::<u32>()
+            + self.visited.byte_size()
             + self.u16_pool.iter().map(|i| i.byte_size()).sum::<usize>()
             + self.f32_pool.iter().map(|i| i.byte_size()).sum::<usize>()
     }
@@ -200,7 +219,13 @@ impl RdgBuffers {
         self.allocations
     }
 
-    fn dims(&self) -> (usize, usize) {
+    /// Where the time of the most recent successful call went. Feeds the
+    /// executor's task times and virtual schedule.
+    pub fn times(&self) -> &RdgTimes {
+        &self.times
+    }
+
+    pub(crate) fn dims(&self) -> (usize, usize) {
         self.src_f32.dims()
     }
 
@@ -218,14 +243,13 @@ impl RdgBuffers {
         }
     }
 
-    /// A pooled ridgeness image, zeroed everywhere `rdg_roi`'s synthesis
-    /// loop will not overwrite (i.e. outside `roi`). The interior is left
-    /// as stale pool data — cheaper than a full-frame clear, and the
-    /// caller copies the response over every interior pixel.
+    /// A pooled ridgeness image, zeroed everywhere stage C will not
+    /// overwrite (i.e. outside `roi`). The interior is left as stale pool
+    /// data — cheaper than a full-frame clear, and stage C copies the
+    /// response over every interior pixel.
     fn take_ridgeness(&mut self, width: usize, height: usize, roi: Roi) -> ImageF32 {
         match self.f32_pool.pop() {
             Some(mut img) if img.dims() == (width, height) => {
-                let roi = roi.clamp_to(width, height);
                 for y in 0..height {
                     let row = img.row_mut(y);
                     if y < roi.y || y >= roi.bottom() {
@@ -252,9 +276,14 @@ pub struct RdgOutput {
     pub filtered: ImageU16,
     /// The multi-scale ridge-response map (also consumed by GW EXT).
     pub ridgeness: ImageF32,
-    /// Number of pixels classified as ridge (content-dependent load proxy).
+    /// Number of pixels classified as ridge (content-dependent load
+    /// proxy), summed over the bands: each band traces its own rows, so a
+    /// weak pixel linked to a strong one only across a band boundary is
+    /// not counted.
     pub ridge_pixels: usize,
-    /// Number of connected ridge segments traced.
+    /// Number of connected ridge segments traced, summed over the bands (a
+    /// segment crossing a band boundary counts once per band it has a
+    /// strong pixel in).
     pub segments: usize,
 }
 
@@ -270,28 +299,135 @@ pub fn rdg_full(src: &ImageU16, cfg: &RdgConfig, bufs: &mut RdgBuffers) -> RdgOu
     rdg_roi(src, src.full_roi(), cfg, bufs)
 }
 
-/// Runs full-frame ridge detection on the unfused reference engine,
-/// regardless of `cfg.engine`. Kept exported so benches and property
-/// tests can always diff the fused pipeline against the original
-/// three-pass implementation.
-pub fn rdg_full_reference(src: &ImageU16, cfg: &RdgConfig, bufs: &mut RdgBuffers) -> RdgOutput {
-    let mut cfg = cfg.clone();
-    cfg.engine = RdgEngine::Reference;
-    rdg_roi(src, src.full_roi(), &cfg, bufs)
+/// Runs ridge detection restricted to `roi`, as one band on the calling
+/// thread. Pixels outside the ROI pass through unfiltered with zero
+/// ridgeness.
+pub fn rdg_roi(src: &ImageU16, roi: Roi, cfg: &RdgConfig, bufs: &mut RdgBuffers) -> RdgOutput {
+    rdg_kernel(src, roi, cfg, bufs, Bands::One { oracle: false })
+        .expect("a lone inline band has no dispatch to fail")
 }
 
-/// Runs ridge detection restricted to `roi`. Pixels outside the ROI pass
-/// through unfiltered with zero ridgeness.
-pub fn rdg_roi(src: &ImageU16, roi: Roi, cfg: &RdgConfig, bufs: &mut RdgBuffers) -> RdgOutput {
+/// [`rdg_roi`] split into `stripes` row bands of `roi`. More than one band
+/// makes stages B and C one `pool` job per band; one band runs inline
+/// exactly as [`rdg_roi`] does. `filtered` and `ridgeness` are
+/// bit-identical to [`rdg_roi`] for every stripe count, and per-band times
+/// land in [`RdgBuffers::times`].
+///
+/// `fault` injects deterministic failures into the first banded dispatch
+/// (testing only): the call then returns the [`PoolError`] having written
+/// no output, and a clean retry is bit-identical to an unfaulted call. A
+/// call with a single band dispatches nothing and so cannot fail.
+pub fn rdg_banded(
+    pool: &StripePool,
+    src: &ImageU16,
+    roi: Roi,
+    cfg: &RdgConfig,
+    stripes: usize,
+    fault: StripeFault,
+    bufs: &mut RdgBuffers,
+) -> Result<RdgOutput, PoolError> {
+    let bands = Bands::Striped {
+        pool,
+        stripes,
+        fault,
+    };
+    rdg_kernel(src, roi, cfg, bufs, bands)
+}
+
+/// Runs full-frame ridge detection with the unfused oracle in stage B (see
+/// [`rdg_roi_reference`]).
+pub fn rdg_full_reference(src: &ImageU16, cfg: &RdgConfig, bufs: &mut RdgBuffers) -> RdgOutput {
+    rdg_roi_reference(src, src.full_roi(), cfg, bufs)
+}
+
+/// [`rdg_roi`] with stage B computed by the original unfused engine: three
+/// `convolve_rows` + three `convolve_cols` passes per scale through
+/// full-frame intermediates, then a separate response/accumulate pass.
+/// Bit-identical to the fused sweep by contract; kept as the oracle tests
+/// and benches diff it against. Always one band, inline.
+pub fn rdg_roi_reference(
+    src: &ImageU16,
+    roi: Roi,
+    cfg: &RdgConfig,
+    bufs: &mut RdgBuffers,
+) -> RdgOutput {
+    rdg_kernel(src, roi, cfg, bufs, Bands::One { oracle: true })
+        .expect("a lone inline band has no dispatch to fail")
+}
+
+/// How one kernel call lays out and runs its bands.
+enum Bands<'a> {
+    /// One band, inline; `oracle` swaps stage B for the unfused engine.
+    One { oracle: bool },
+    /// `stripes` bands; more than one are dispatched to `pool`.
+    Striped {
+        pool: &'a StripePool,
+        stripes: usize,
+        fault: StripeFault,
+    },
+}
+
+/// Runs one stage's band jobs: a lone band inline on the calling thread
+/// (no pool hop, no boxing, no `catch_unwind`), several on the pool.
+fn run_bands<'s, J: FnOnce() + Send + 's>(
+    pool: Option<&StripePool>,
+    bands: usize,
+    jobs: impl Iterator<Item = J>,
+) -> Result<(), PoolError> {
+    if bands <= 1 {
+        jobs.for_each(|job| job());
+        return Ok(());
+    }
+    pool.expect("only a one-band call runs without a pool")
+        .try_run(
+            jobs.map(|job| Box::new(job) as Box<dyn FnOnce() + Send + 's>)
+                .collect(),
+        )
+}
+
+/// The RDG kernel: every public entry point above is this function.
+fn rdg_kernel(
+    src: &ImageU16,
+    roi: Roi,
+    cfg: &RdgConfig,
+    bufs: &mut RdgBuffers,
+    bands: Bands<'_>,
+) -> Result<RdgOutput, PoolError> {
     assert_eq!(
         src.dims(),
         bufs.dims(),
         "buffer geometry must match the frame"
     );
     assert!(!cfg.scales.is_empty(), "at least one scale required");
-    let roi = roi.clamp_to(src.width(), src.height());
+    let (w, h) = src.dims();
+    let roi = roi.clamp_to(w, h);
+    let (pool, stripes, fault, oracle) = match bands {
+        Bands::One { oracle } => (None, 1, StripeFault::default(), oracle),
+        Bands::Striped {
+            pool,
+            stripes,
+            fault,
+        } => (Some(pool), stripes, fault, false),
+    };
+    let parts = roi.stripes(stripes);
+    // A fault needs a dispatch to fail, and a lone band has none.
+    let fault = if parts.len() > 1 {
+        fault
+    } else {
+        StripeFault::default()
+    };
+    if fault.channel_error {
+        return Err(PoolError::Disconnected);
+    }
+    if bufs.bands.len() < parts.len() {
+        bufs.bands.resize_with(parts.len(), BandScratch::default);
+    }
+    bufs.times.band_ms.clear();
+    bufs.times.band_ms.resize(parts.len(), 0.0);
 
-    // Stage A: integer-to-float conversion (streaming pass over the input).
+    // Stage A: integer-to-float conversion (streaming pass over the input),
+    // once for the whole ROI plus the halo every band's sweep reads.
+    let t0 = Instant::now();
     let active_scales: Vec<f32> = cfg
         .scales
         .iter()
@@ -307,7 +443,7 @@ pub fn rdg_roi(src: &ImageU16, roi: Roi, cfg: &RdgConfig, bufs: &mut RdgBuffers)
         .map(|&s| (3.0 * s).ceil() as usize)
         .max()
         .unwrap_or(0);
-    let conv_roi = roi.inflate(halo, src.width(), src.height());
+    let conv_roi = roi.inflate(halo, w, h);
     for y in conv_roi.y..conv_roi.bottom() {
         // Slice-wise widening lets the compiler emit packed u16→f32
         // conversions (no per-element bounds checks to defeat it).
@@ -318,51 +454,75 @@ pub fn rdg_roi(src: &ImageU16, roi: Roi, cfg: &RdgConfig, bufs: &mut RdgBuffers)
         }
     }
 
-    // Stage B: multi-scale Hessian ridge response, max over scales.
-    match cfg.engine {
-        RdgEngine::Fused => {
-            // Destructure for disjoint borrows of the scratch fields.
-            let RdgBuffers {
-                src_f32,
-                fused,
-                kernels,
-                acc,
-                ..
-            } = &mut *bufs;
-            // The first scale initializes the accumulator (bit-identical
-            // to zeroing + accumulating, without the extra pass); the
-            // remaining scales fold in with `max`.
-            for (i, &sigma) in active_scales.iter().enumerate() {
-                let (g, d1, d2) = kernels.get(sigma);
-                if i == 0 {
-                    fused_ridge_scale_init(src_f32, acc, fused, g, d1, d2, roi);
+    // Stage B: multi-scale Hessian ridge response, max over scales. Each
+    // band sweeps its rows of the shared accumulator with its own ring.
+    let mut serial_ms;
+    if oracle {
+        for y in roi.y..roi.bottom() {
+            bufs.acc.row_mut(y)[roi.x..roi.right()].fill(0.0);
+        }
+        let RdgBuffers {
+            src_f32,
+            reference,
+            acc,
+            ..
+        } = &mut *bufs;
+        let rs = reference.get_or_insert_with(|| Box::new(ReferenceScratch::new(w, h)));
+        for &sigma in &active_scales {
+            hessian_at_scale(src_f32, &mut rs.hessian, &mut rs.conv, roi, sigma);
+            accumulate_max_response(&rs.hessian, acc, roi, ridge_response);
+        }
+        serial_ms = ms_since(t0);
+    } else {
+        // Destructure for disjoint borrows of the scratch fields.
+        let RdgBuffers {
+            src_f32,
+            bands,
+            kernels,
+            acc,
+            times,
+            ..
+        } = &mut *bufs;
+        let kernels = kernels.get_all(&active_scales);
+        let src_f32 = &*src_f32;
+        // The first scale initializes the accumulator (bit-identical to
+        // zeroing + accumulating, without the extra pass); the remaining
+        // scales fold in with `max`.
+        let sweep = |band: Roi, rows: &mut [f32], ring: &mut FusedScratch| {
+            for (k, &(g, d1, d2)) in kernels.iter().enumerate() {
+                if k == 0 {
+                    fused_ridge_scale_init(src_f32, rows, ring, g, d1, d2, band);
                 } else {
-                    fused_ridge_scale(src_f32, acc, fused, g, d1, d2, roi);
+                    fused_ridge_scale(src_f32, rows, ring, g, d1, d2, band);
                 }
             }
-        }
-        RdgEngine::Reference => {
-            for y in roi.y..roi.bottom() {
-                bufs.acc.row_mut(y)[roi.x..roi.right()].fill(0.0);
-            }
-            let (w, h) = src.dims();
-            let RdgBuffers {
-                src_f32,
-                reference,
-                acc,
-                ..
-            } = &mut *bufs;
-            let rs = reference.get_or_insert_with(|| Box::new(ReferenceScratch::new(w, h)));
-            for &sigma in &active_scales {
-                hessian_at_scale(src_f32, &mut rs.hessian, &mut rs.conv, roi, sigma);
-                accumulate_max_response(&rs.hessian, acc, roi, ridge_response);
-            }
-        }
+        };
+        let sweep = &sweep;
+        serial_ms = ms_since(t0);
+        let jobs = parts
+            .iter()
+            .zip(acc.row_bands(&parts))
+            .zip(bands.iter_mut().zip(&mut times.band_ms))
+            .enumerate()
+            .map(|(i, ((&band, rows), (scratch, ms)))| {
+                move || {
+                    if i < fault.panic_jobs {
+                        // injected fault: dies at job start, before any write
+                        panic!("injected stripe-worker fault (job {i})");
+                    }
+                    let t0 = Instant::now();
+                    sweep(band, rows, &mut scratch.ring);
+                    *ms = ms_since(t0);
+                }
+            });
+        run_bands(pool, parts.len(), jobs)?;
     }
 
     // Stage C: hysteresis thresholding — strong seeds expand through the
     // weak-threshold region (data-dependent cost) — and synthesis of the
-    // ridge-suppressed output.
+    // ridge-suppressed output. The thresholds come from the whole ROI, so
+    // no band's pixels depend on where the band boundaries fall.
+    let t0 = Instant::now();
     let (mean, std) = response_stats(&bufs.acc, roi);
     let weak_threshold = (mean + cfg.weak_factor * std).max(cfg.response_floor);
     let threshold = (mean + cfg.threshold_factor * std).max(weak_threshold);
@@ -373,58 +533,102 @@ pub fn rdg_roi(src: &ImageU16, roi: Roi, cfg: &RdgConfig, bufs: &mut RdgBuffers)
         bufs.visited.fill(0);
         bufs.visit_gen = 1;
     }
-    let (ridge_pixels, segments) = trace_segments(
-        &bufs.acc,
-        roi,
-        threshold,
-        weak_threshold,
-        &mut bufs.visited,
-        bufs.visit_gen,
-        &mut bufs.trace_stack,
-    );
-
     let mut filtered = bufs.take_filtered(src);
-    let mut ridgeness = bufs.take_ridgeness(src.width(), src.height(), roi);
-    for y in roi.y..roi.bottom() {
-        let acc_row = &bufs.acc.row(y)[roi.x..roi.right()];
-        let rid_row = &mut ridgeness.row_mut(y)[roi.x..roi.right()];
-        // Copy the response into the ridgeness output while tracking the
-        // row maximum in the same SIMD pass; rows whose response never
-        // exceeds the strong threshold (the common case) skip the
-        // brighten scan entirely. Same per-pixel results as the original
-        // interleaved loop.
-        let mut vmax = F32x8::splat(f32::NEG_INFINITY);
-        let lanes = F32x8::WIDTH;
-        let n = acc_row.len() - acc_row.len() % lanes;
-        let mut row_max = f32::NEG_INFINITY;
-        let mut x = 0;
-        while x < n {
-            let a = F32x8::load(&acc_row[x..x + lanes]);
-            a.store(&mut rid_row[x..x + lanes]);
-            vmax = F32x8::select_gt(a, vmax, a, vmax);
-            x += lanes;
-        }
-        let mut folded = [0.0f32; 8];
-        vmax.store(&mut folded);
-        for &m in &folded[..if n > 0 { lanes } else { 0 }] {
-            row_max = row_max.max(m);
-        }
-        for x in n..acc_row.len() {
-            rid_row[x] = acc_row[x];
-            row_max = row_max.max(acc_row[x]);
-        }
-        if row_max > threshold {
-            let out_row = &mut filtered.row_mut(y)[roi.x..roi.right()];
-            brighten_row(out_row, acc_row, threshold, cfg.suppression);
-        }
+    let mut ridgeness = bufs.take_ridgeness(w, h, roi);
+    serial_ms += ms_since(t0);
+
+    let dispatched = {
+        let RdgBuffers {
+            bands,
+            acc,
+            visited,
+            visit_gen,
+            times,
+            ..
+        } = &mut *bufs;
+        let (acc, gen) = (&*acc, *visit_gen);
+        // One band's rows of the two outputs, from the shared response.
+        let synthesize = |band: Roi, filtered: &mut [u16], ridgeness: &mut [f32]| {
+            for y in band.y..band.bottom() {
+                let acc_row = &acc.row(y)[band.x..band.right()];
+                let o = (y - band.y) * w;
+                let rid_row = &mut ridgeness[o + band.x..o + band.right()];
+                // Copy the response into the ridgeness output while tracking
+                // the row maximum in the same SIMD pass; rows whose response
+                // never exceeds the strong threshold (the common case) skip
+                // the brighten scan entirely. Same per-pixel results as the
+                // original interleaved loop.
+                let mut vmax = F32x8::splat(f32::NEG_INFINITY);
+                let lanes = F32x8::WIDTH;
+                let n = acc_row.len() - acc_row.len() % lanes;
+                let mut row_max = f32::NEG_INFINITY;
+                let mut x = 0;
+                while x < n {
+                    let a = F32x8::load(&acc_row[x..x + lanes]);
+                    a.store(&mut rid_row[x..x + lanes]);
+                    vmax = F32x8::select_gt(a, vmax, a, vmax);
+                    x += lanes;
+                }
+                let mut folded = [0.0f32; 8];
+                vmax.store(&mut folded);
+                for &m in &folded[..if n > 0 { lanes } else { 0 }] {
+                    row_max = row_max.max(m);
+                }
+                for x in n..acc_row.len() {
+                    rid_row[x] = acc_row[x];
+                    row_max = row_max.max(acc_row[x]);
+                }
+                if row_max > threshold {
+                    let out_row = &mut filtered[o + band.x..o + band.right()];
+                    brighten_row(out_row, acc_row, threshold, cfg.suppression);
+                }
+            }
+        };
+        let synthesize = &synthesize;
+        let jobs = parts
+            .iter()
+            .zip(visited.row_bands(&parts))
+            .zip(filtered.row_bands(&parts).zip(ridgeness.row_bands(&parts)))
+            .zip(bands.iter_mut().zip(&mut times.band_ms))
+            .map(
+                |(((&band, visited), (filtered, ridgeness)), (scratch, ms))| {
+                    move || {
+                        let t0 = Instant::now();
+                        (scratch.ridge_pixels, scratch.segments) = trace_segments(
+                            acc,
+                            band,
+                            threshold,
+                            weak_threshold,
+                            visited,
+                            gen,
+                            &mut scratch.trace_stack,
+                        );
+                        synthesize(band, filtered, ridgeness);
+                        *ms += ms_since(t0);
+                    }
+                },
+            );
+        run_bands(pool, parts.len(), jobs)
+    };
+    if let Err(e) = dispatched {
+        // A failed attempt keeps its output images for the retry.
+        bufs.recycle(RdgOutput {
+            filtered,
+            ridgeness,
+            ridge_pixels: 0,
+            segments: 0,
+        });
+        return Err(e);
     }
 
-    RdgOutput {
+    bufs.times.serial_ms = serial_ms;
+    let traced = &bufs.bands[..parts.len()];
+    Ok(RdgOutput {
         filtered,
         ridgeness,
-        ridge_pixels,
-        segments,
-    }
+        ridge_pixels: traced.iter().map(|b| b.ridge_pixels).sum(),
+        segments: traced.iter().map(|b| b.segments).sum(),
+    })
 }
 
 /// Ridge-suppression synthesis of one output row: pixels whose response
@@ -498,6 +702,10 @@ fn brighten_row(out: &mut [u16], resp: &[f32], threshold: f32, suppression: f32)
 }
 
 /// Mean and standard deviation of the response inside `roi`.
+///
+/// Kept out of line: inlined into the kernel, this loop compiles a third
+/// slower (0.51 vs 0.38 ms over a 1024² response on the AVX-512 host).
+#[inline(never)]
 pub(crate) fn response_stats(acc: &ImageF32, roi: Roi) -> (f32, f32) {
     let n = roi.area();
     if n == 0 {
@@ -751,6 +959,10 @@ fn structure_tensor_clamped(
 /// wires costs far more than a quiet frame, which is the "structural
 /// fluctuation caused by the dependency of the processing time on the video
 /// content" that the paper's EWMA + Markov decomposition targets.
+///
+/// The fill never leaves `roi`, and `visited` holds the mask's full-width
+/// rows `roi.y..roi.bottom()` only, so row bands trace side by side; the
+/// coherence analysis reads `acc` beyond the band.
 fn trace_segments(
     acc: &ImageF32,
     roi: Roi,
@@ -761,21 +973,21 @@ fn trace_segments(
     stack: &mut Vec<(usize, usize)>,
 ) -> (usize, usize) {
     let weak = weak.min(threshold);
-    let (w, h) = acc.dims();
-    debug_assert_eq!(visited.len(), w * h);
-    let _ = h;
+    let w = acc.width();
+    debug_assert_eq!(visited.len(), roi.height * w);
+    let at = |x: usize, y: usize| (y - roi.y) * w + x;
     let mut ridge_pixels = 0usize;
     let mut segments = 0usize;
     stack.clear();
     let mut coherence = 0.0f32;
     for y in roi.y..roi.bottom() {
         for x in roi.x..roi.right() {
-            if visited[y * w + x] == gen || acc.get(x, y) <= threshold {
+            if visited[at(x, y)] == gen || acc.get(x, y) <= threshold {
                 continue;
             }
             segments += 1;
             stack.push((x, y));
-            visited[y * w + x] = gen;
+            visited[at(x, y)] = gen;
             while let Some((cx, cy)) = stack.pop() {
                 ridge_pixels += 1;
                 coherence += local_coherence(acc, cx, cy, 4);
@@ -795,8 +1007,8 @@ fn trace_segments(
                             continue;
                         }
                         let (nx, ny) = (nx as usize, ny as usize);
-                        if visited[ny * w + nx] != gen && acc.get(nx, ny) > weak {
-                            visited[ny * w + nx] = gen;
+                        if visited[at(nx, ny)] != gen && acc.get(nx, ny) > weak {
+                            visited[at(nx, ny)] = gen;
                             stack.push((nx, ny));
                         }
                     }
@@ -844,72 +1056,9 @@ pub fn quick_structure_probe(src: &ImageU16, step: usize) -> f64 {
     }
 }
 
-/// Runs RDG on a cropped sub-frame with halo and pastes the result back.
-///
-/// This is the unit of work of the data-parallel (striped) RDG execution:
-/// each worker processes one stripe of the frame independently on local
-/// buffers, which is possible because the filter support is bounded by the
-/// largest kernel radius.
-pub fn rdg_stripe(src: &ImageU16, stripe: Roi, cfg: &RdgConfig) -> (Roi, ImageU16, ImageF32) {
-    let halo = cfg
-        .scales
-        .iter()
-        .chain(if cfg.fine_enabled {
-            cfg.fine_scales.iter()
-        } else {
-            [].iter()
-        })
-        .map(|&s| (3.0 * s).ceil() as usize)
-        .max()
-        .unwrap_or(0);
-    let ext = stripe.inflate(halo, src.width(), src.height());
-    let sub = src.crop(ext);
-    let mut bufs = RdgBuffers::new(sub.width(), sub.height());
-    // The stripe's position inside the cropped sub-image.
-    let local = Roi::new(
-        stripe.x - ext.x,
-        stripe.y - ext.y,
-        stripe.width,
-        stripe.height,
-    );
-    let out = rdg_roi(&sub, local, cfg, &mut bufs);
-    (stripe, out.filtered.crop(local), out.ridgeness.crop(local))
-}
-
-/// Assembles per-stripe results into full-frame outputs. The per-stripe
-/// segment statistics are not preserved (stripe tracing is local), so the
-/// assembled output reports pixel counts only.
-pub fn assemble_stripes(
-    src: &ImageU16,
-    parts: Vec<(Roi, ImageU16, ImageF32)>,
-    threshold_hint: f32,
-) -> RdgOutput {
-    let mut filtered = src.clone();
-    let mut ridgeness = ImageF32::new(src.width(), src.height());
-    let mut ridge_pixels = 0usize;
-    for (roi, f, r) in parts {
-        filtered.paste(&f, roi.x, roi.y);
-        ridgeness.paste(&r, roi.x, roi.y);
-        for y in 0..r.height() {
-            for x in 0..r.width() {
-                if r.get(x, y) > threshold_hint {
-                    ridge_pixels += 1;
-                }
-            }
-        }
-    }
-    RdgOutput {
-        filtered,
-        ridgeness,
-        ridge_pixels,
-        segments: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::Image;
 
     /// Synthesizes a frame with a dark diagonal wire and a dark blob pair.
     fn test_frame(w: usize, h: usize) -> ImageU16 {
@@ -998,38 +1147,238 @@ mod tests {
         assert!(pb > 10.0 * (pq + 1.0), "busy {} quiet {}", pb, pq);
     }
 
-    #[test]
-    fn striped_rdg_matches_full_frame_filter() {
-        let src = test_frame(96, 96);
+    /// Three parallel diagonal wires: plenty of segments crossing every
+    /// band boundary.
+    fn busy_frame(w: usize, h: usize) -> ImageU16 {
+        Image::from_fn(w, h, |x, y| {
+            let mut v = 2000.0f32;
+            for k in 0..3 {
+                let d = (x as f32 - y as f32 + (k * 20) as f32).abs() / 1.5;
+                v -= 700.0 * (-d * d / 2.0).exp();
+            }
+            v as u16
+        })
+    }
+
+    fn striped(
+        pool: &StripePool,
+        src: &ImageU16,
+        roi: Roi,
+        stripes: usize,
+        bufs: &mut RdgBuffers,
+    ) -> RdgOutput {
         let cfg = RdgConfig::default();
+        rdg_banded(pool, src, roi, &cfg, stripes, StripeFault::default(), bufs).unwrap()
+    }
+
+    #[test]
+    fn striped_pixels_match_serial_and_counters_sum_the_band_traces() {
+        let src = busy_frame(96, 96);
+        let cfg = RdgConfig::default();
+        let pool = StripePool::new(4);
         let mut bufs = RdgBuffers::new(96, 96);
-        let full = rdg_full(&src, &cfg, &mut bufs);
-
-        let parts: Vec<_> = src
-            .full_roi()
-            .stripes(3)
-            .into_iter()
-            .map(|s| rdg_stripe(&src, s, &cfg))
-            .collect();
-
-        // The ridgeness maps must agree exactly pixel-for-pixel (halo is
-        // sufficient). The filtered image can differ slightly because the
-        // suppression threshold is computed from per-region statistics, so
-        // compare the raw ridge response instead.
-        for (roi, _f, r) in &parts {
-            for y in 0..r.height() {
-                for x in 0..r.width() {
-                    let fx = roi.x + x;
-                    let fy = roi.y + y;
-                    let a = full.ridgeness.get(fx, fy);
-                    let b = r.get(x, y);
-                    assert!(
-                        (a - b).abs() <= 1e-3 * a.abs().max(1.0),
-                        "ridgeness mismatch at ({fx},{fy}): {a} vs {b}"
+        for roi in [src.full_roi(), Roi::new(9, 14, 70, 61)] {
+            let serial = rdg_roi(&src, roi, &cfg, &mut RdgBuffers::new(96, 96));
+            assert!(serial.ridge_pixels > 0 && serial.segments > 0);
+            // the thresholds every band has to use: those of the whole ROI
+            let (mean, std) = response_stats(&serial.ridgeness, roi);
+            let weak = (mean + cfg.weak_factor * std).max(cfg.response_floor);
+            let strong = (mean + cfg.threshold_factor * std).max(weak);
+            for stripes in [1usize, 2, 4, 7] {
+                let out = striped(&pool, &src, roi, stripes, &mut bufs);
+                assert_eq!(out.filtered, serial.filtered, "{stripes} stripes");
+                assert_eq!(out.ridgeness, serial.ridgeness, "{stripes} stripes");
+                // an independent trace of each band over the serial response
+                let (mut pixels, mut segments) = (0, 0);
+                for band in roi.stripes(stripes) {
+                    let mut visited = vec![0u32; band.height * 96];
+                    let (p, s) = trace_segments(
+                        &serial.ridgeness,
+                        band,
+                        strong,
+                        weak,
+                        &mut visited,
+                        1,
+                        &mut Vec::new(),
+                    );
+                    pixels += p;
+                    segments += s;
+                }
+                assert_eq!(
+                    (out.ridge_pixels, out.segments),
+                    (pixels, segments),
+                    "{stripes} stripes"
+                );
+                if stripes == 1 {
+                    assert_eq!(
+                        (out.ridge_pixels, out.segments),
+                        (serial.ridge_pixels, serial.segments)
                     );
                 }
+                bufs.recycle(out);
             }
         }
+    }
+
+    #[test]
+    fn faulted_dispatch_fails_cleanly_and_a_retry_is_bit_identical() {
+        let src = test_frame(96, 96);
+        let cfg = RdgConfig::default();
+        let pool = StripePool::new(4);
+        let roi = src.full_roi();
+        let reference = striped(&pool, &src, roi, 4, &mut RdgBuffers::new(96, 96));
+        let mut bufs = RdgBuffers::new(96, 96);
+        let panic_jobs = |n| StripeFault {
+            panic_jobs: n,
+            channel_error: false,
+        };
+
+        // armed fault: the attempt fails cleanly
+        let err = rdg_banded(&pool, &src, roi, &cfg, 4, panic_jobs(1), &mut bufs).unwrap_err();
+        assert!(matches!(err, PoolError::JobPanicked(_)), "{err:?}");
+        assert_eq!(pool.live_threads(), 4);
+
+        // retry without the fault: output identical to a never-faulted run
+        let out = striped(&pool, &src, roi, 4, &mut bufs);
+        assert_eq!(out.filtered, reference.filtered);
+        assert_eq!(out.ridgeness, reference.ridgeness);
+        assert_eq!(out.ridge_pixels, reference.ridge_pixels);
+        bufs.recycle(out);
+
+        // a failed attempt takes no output image out of the warm pool
+        let warm = bufs.allocations();
+        assert!(rdg_banded(&pool, &src, roi, &cfg, 4, panic_jobs(2), &mut bufs).is_err());
+        let out = striped(&pool, &src, roi, 4, &mut bufs);
+        assert_eq!(
+            bufs.allocations(),
+            warm,
+            "failed attempt cost an allocation"
+        );
+        assert_eq!(out.filtered, reference.filtered);
+    }
+
+    #[test]
+    fn channel_error_is_transient() {
+        let src = test_frame(64, 64);
+        let cfg = RdgConfig::default();
+        let pool = StripePool::new(2);
+        let mut bufs = RdgBuffers::new(64, 64);
+        let fault = StripeFault {
+            panic_jobs: 0,
+            channel_error: true,
+        };
+        assert_eq!(
+            rdg_banded(&pool, &src, src.full_roi(), &cfg, 2, fault, &mut bufs).unwrap_err(),
+            PoolError::Disconnected
+        );
+        // the next dispatch succeeds — the error was transient by design
+        striped(&pool, &src, src.full_roi(), 2, &mut bufs);
+    }
+
+    #[test]
+    fn a_lone_band_has_no_dispatch_to_fault() {
+        // one stripe (asked for, or all a one-row ROI yields) runs inline:
+        // an armed fault has nothing to fail and stays unconsumed
+        let src = test_frame(64, 64);
+        let cfg = RdgConfig::default();
+        let pool = StripePool::new(2);
+        let fault = StripeFault {
+            panic_jobs: 1,
+            channel_error: true,
+        };
+        for (roi, stripes) in [(src.full_roi(), 1), (Roi::new(0, 30, 64, 1), 4)] {
+            let serial = rdg_roi(&src, roi, &cfg, &mut RdgBuffers::new(64, 64));
+            let mut bufs = RdgBuffers::new(64, 64);
+            let out = rdg_banded(&pool, &src, roi, &cfg, stripes, fault, &mut bufs).unwrap();
+            assert_eq!(out.filtered, serial.filtered);
+            assert_eq!(out.ridgeness, serial.ridgeness);
+            assert_eq!(bufs.times().band_ms.len(), 1);
+        }
+    }
+
+    #[test]
+    fn striped_rdg_is_deterministic_across_frames() {
+        // Reusing one RdgBuffers for consecutive striped frames must not
+        // leak state between frames: every run on the same input produces
+        // identical outputs, and the warm path performs no new allocations.
+        let src = test_frame(96, 96);
+        let pool = StripePool::new(3);
+        let mut bufs = RdgBuffers::new(96, 96);
+        // `first` is held for comparison (not recycled), so frame 2 must
+        // allocate one more output pair; from frame 3 on the pool is warm
+        // and the allocation count stays flat.
+        let first = striped(&pool, &src, src.full_roi(), 3, &mut bufs);
+        let mut warm_allocs = None;
+        for frame in 1..4 {
+            let out = striped(&pool, &src, src.full_roi(), 3, &mut bufs);
+            assert_eq!(out.ridge_pixels, first.ridge_pixels, "frame {frame}");
+            assert_eq!(out.segments, first.segments, "frame {frame}");
+            assert_eq!(out.filtered, first.filtered, "frame {frame}");
+            assert_eq!(out.ridgeness, first.ridgeness, "frame {frame}");
+            bufs.recycle(out);
+            match warm_allocs {
+                None => warm_allocs = Some(bufs.allocations()),
+                Some(warm) => assert_eq!(
+                    bufs.allocations(),
+                    warm,
+                    "steady-state frame {frame} must not allocate"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn warm_buffers_do_not_grow_when_the_roi_changes_size() {
+        // One buffer set serves every ROI geometry and stripe count: once
+        // it has seen the widest striping, neither the output pool nor any
+        // scratch grows again, whatever the ROI does from frame to frame.
+        let src = busy_frame(96, 96);
+        let pool = StripePool::new(2);
+        let mut bufs = RdgBuffers::new(96, 96);
+        let out = striped(&pool, &src, src.full_roi(), 4, &mut bufs);
+        bufs.recycle(out);
+        let (allocations, bytes) = (bufs.allocations(), bufs.byte_size());
+        let rois = [
+            Roi::new(8, 8, 60, 70),
+            Roi::new(20, 0, 76, 33),
+            src.full_roi(),
+            Roi::new(0, 40, 96, 5),
+        ];
+        for (frame, &roi) in rois.iter().cycle().take(8).enumerate() {
+            for stripes in [2usize, 4] {
+                let out = striped(&pool, &src, roi, stripes, &mut bufs);
+                bufs.recycle(out);
+                assert_eq!(bufs.allocations(), allocations, "frame {frame}");
+                assert_eq!(bufs.byte_size(), bytes, "frame {frame}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_breakdown_accounts_for_the_wall_time_of_a_striped_call() {
+        // On a one-thread pool the bands run one after another, so a call's
+        // wall time is its serial sections plus all its bands plus whatever
+        // the breakdown fails to name. Host noise can only widen that last
+        // share, so the best of a few calls bounds it.
+        let src = busy_frame(256, 256);
+        let pool = StripePool::new(1);
+        let mut bufs = RdgBuffers::new(256, 256);
+        let mut best = 0.0f64;
+        for _ in 0..9 {
+            let t0 = Instant::now();
+            let out = striped(&pool, &src, src.full_roi(), 4, &mut bufs);
+            let wall_ms = ms_since(t0);
+            bufs.recycle(out);
+            let times = bufs.times();
+            assert_eq!(times.band_ms.len(), 4);
+            assert!(times.serial_ms > 0.0 && times.band_ms.iter().all(|&ms| ms > 0.0));
+            let named_ms = times.serial_ms + times.band_ms.iter().sum::<f64>();
+            best = best.max(named_ms / wall_ms);
+        }
+        assert!(
+            best >= 0.9,
+            "breakdown covers only {best:.3} of the wall time"
+        );
     }
 
     #[test]

@@ -5,7 +5,6 @@ use imaging::enhance::{EnhConfig, EnhState};
 use imaging::guidewire::{GwConfig, GwScratch};
 use imaging::image::{ImageU16, Roi};
 use imaging::markers::{MkxBuffers, MkxConfig};
-use imaging::parallel::ParallelRdgBuffers;
 use imaging::registration::RegConfig;
 use imaging::ridge::{RdgBuffers, RdgConfig};
 use imaging::roi_est::RoiEstConfig;
@@ -104,15 +103,10 @@ pub fn structure_probe(frame: &ImageU16, block: usize) -> f64 {
 
 /// Mutable state of the pipeline, carried across frames.
 pub struct AppState {
-    /// RDG working buffers (frame-sized, reused).
+    /// RDG working buffers (frame-sized, reused): one set for the
+    /// detection pass and the guide-wire verification pass, at every
+    /// stripe count and ROI geometry.
     pub rdg_bufs: RdgBuffers,
-    /// Striped-RDG buffers (per-stripe scratch + recycled outputs) of the
-    /// main detection pass.
-    pub par_rdg: ParallelRdgBuffers,
-    /// Striped-RDG buffers of the guide-wire verification pass (kept
-    /// separate: its ROI geometry differs from the detection pass, and
-    /// sharing one set would reallocate the stripe scratch every frame).
-    pub par_gw: ParallelRdgBuffers,
     /// MKX working buffers.
     pub mkx_bufs: MkxBuffers,
     /// Temporal-integration state of ENH.
@@ -146,8 +140,6 @@ impl AppState {
     pub fn new(width: usize, height: usize) -> Self {
         Self {
             rdg_bufs: RdgBuffers::new(width, height),
-            par_rdg: ParallelRdgBuffers::new(),
-            par_gw: ParallelRdgBuffers::new(),
             mkx_bufs: MkxBuffers::new(width, height),
             enh_state: EnhState::new(width, height),
             gw_scratch: GwScratch::new(),

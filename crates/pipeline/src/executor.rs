@@ -13,11 +13,9 @@ use imaging::couples::cpls_select;
 use imaging::guidewire::gw_extract_with;
 use imaging::image::{ImageU16, Roi};
 use imaging::markers::mkx_extract;
-use imaging::parallel::{
-    rdg_parallel_pooled, rdg_parallel_pooled_faulted, PoolError, StripeFault, StripePool,
-};
+use imaging::parallel::{PoolError, StripeFault, StripePool};
 use imaging::registration::register;
-use imaging::ridge::{rdg_roi, RdgOutput};
+use imaging::ridge::{rdg_banded, RdgOutput, RdgTimes};
 use imaging::roi_est::estimate_roi;
 use imaging::zoom::zoom_band_with;
 use platform::bus::{DegradeMode, EventBus, FaultKind, FrameEvent, StreamId};
@@ -281,18 +279,45 @@ pub fn process_frame_recovering_on(
     )
 }
 
-/// Runs a parallel stage, reporting it to the observer when present.
+/// Puts one partitionable stage on the virtual schedule: one job per
+/// stripe, job `i` on core `i`. Only a stage of more than one job is a
+/// parallel stage and reported to the observer; a lone job is the serial
+/// task it always was.
 fn run_stage(
     schedule: &mut VirtualSchedule,
-    jobs: &[VirtualJob],
+    job_ms: impl IntoIterator<Item = f64>,
     task: &'static str,
     observer: &mut Option<(StreamId, &mut EventBus)>,
     frame_index: usize,
 ) -> f64 {
+    let jobs: Vec<VirtualJob> = job_ms
+        .into_iter()
+        .enumerate()
+        .map(|(core, duration_ms)| VirtualJob { core, duration_ms })
+        .collect();
     match observer {
-        Some((stream, bus)) => schedule.stage_observed(jobs, task, *stream, frame_index, bus),
-        None => schedule.stage(jobs),
+        Some((stream, bus)) if jobs.len() > 1 => {
+            schedule.stage_observed(&jobs, task, *stream, frame_index, bus);
+        }
+        _ => {
+            schedule.stage(&jobs);
+        }
     }
+    jobs.iter().map(|j| j.duration_ms).sum()
+}
+
+/// Schedules one RDG call from its own breakdown — the serial sections on
+/// core 0, then the bands side by side — and returns all of its work, ms.
+fn run_rdg_stage(
+    schedule: &mut VirtualSchedule,
+    times: &RdgTimes,
+    task: &'static str,
+    observer: &mut Option<(StreamId, &mut EventBus)>,
+    frame_index: usize,
+) -> f64 {
+    schedule.serial(0, times.serial_ms);
+    let bands = times.band_ms.iter().copied();
+    times.serial_ms + run_stage(schedule, bands, task, observer, frame_index)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -380,120 +405,90 @@ fn process_frame_inner(
     let roi_kpixels = work_roi.area() as f64 / 1000.0;
 
     // --- RDG ------------------------------------------------------------
-    let mut rdg_striped = rdg_active && policy.rdg_stripes.max(1) > 1;
+    // Dispatched to the persistent worker pool as `rdg_stripes` row bands
+    // (one band runs inline on this thread). Armed pool faults fire on the
+    // early attempts (channel errors first, then the panic batch), each
+    // failure is retried with a clean dispatch up to `retry.max_retries`
+    // times, and exhaustion falls back to one band, which has no dispatch
+    // left to fail and the same pixels.
     let rdg_out: Option<RdgOutput> = if rdg_active {
         let task: &'static str = if roi_estimated { "RDG_ROI" } else { "RDG_FULL" };
-        let stripes = policy.rdg_stripes.max(1);
-        if stripes == 1 {
-            let (out, ms) = time_ms(|| rdg_roi(frame, work_roi, &rdg_cfg, &mut state.rdg_bufs));
-            task_times.push((task, ms));
-            schedule.serial(0, ms);
-            Some(out)
-        } else {
-            // striped: dispatch to the persistent worker pool, then
-            // schedule the per-stripe worker times measured inside the
-            // pool on distinct cores. Armed pool faults fire on the early
-            // attempts (channel errors first, then the panic batch), each
-            // failure is retried with a clean dispatch up to
-            // `retry.max_retries` times, and exhaustion falls back to the
-            // bit-identical serial path.
-            let mut attempts = 0u32;
-            let mut panic_jobs = faults.rdg_panic_jobs;
-            let mut channel_left = faults.rdg_channel_errors;
-            let mut last_kind = FaultKind::WorkerPanic;
-            loop {
-                let fault = if channel_left > 0 {
-                    channel_left -= 1;
-                    StripeFault {
-                        panic_jobs: 0,
-                        channel_error: true,
-                    }
-                } else {
-                    let f = StripeFault {
-                        panic_jobs,
-                        channel_error: false,
-                    };
-                    panic_jobs = 0;
-                    f
-                };
-                match rdg_parallel_pooled_faulted(
-                    pool,
-                    frame,
-                    work_roi,
-                    &rdg_cfg,
-                    stripes,
-                    &mut state.par_rdg,
-                    fault,
-                ) {
-                    Ok(out) => {
-                        if attempts > 0 {
-                            // a genuine (un-armed) failure still deserves
-                            // a terminal event
-                            if pending_pool_kinds.is_empty() {
-                                pending_pool_kinds.push(last_kind);
-                            }
-                            for kind in pending_pool_kinds.drain(..) {
-                                emit_fault(observer, |stream| FrameEvent::Recovered {
-                                    stream,
-                                    frame: frame_index,
-                                    kind,
-                                    attempts,
-                                });
-                            }
+        let mut stripes = policy.rdg_stripes.max(1);
+        let mut attempts = 0u32;
+        let mut panic_jobs = faults.rdg_panic_jobs;
+        let mut channel_left = faults.rdg_channel_errors;
+        // kind of the last failed attempt while its terminal event is owed
+        let mut failed: Option<FaultKind> = None;
+        let out = loop {
+            let fault = if channel_left > 0 {
+                channel_left -= 1;
+                StripeFault {
+                    panic_jobs: 0,
+                    channel_error: true,
+                }
+            } else {
+                StripeFault {
+                    panic_jobs: std::mem::take(&mut panic_jobs),
+                    channel_error: false,
+                }
+            };
+            let bufs = &mut state.rdg_bufs;
+            match rdg_banded(pool, frame, work_roi, &rdg_cfg, stripes, fault, bufs) {
+                Ok(out) => break out,
+                Err(err) => {
+                    let kind = fault_kind_of(&err);
+                    if attempts < retry.max_retries {
+                        attempts += 1;
+                        failed = Some(kind);
+                        emit_fault(observer, |stream| FrameEvent::RetryAttempted {
+                            stream,
+                            frame: frame_index,
+                            kind,
+                            attempt: attempts,
+                        });
+                    } else if retry.serial_fallback {
+                        // a genuine (un-armed) failure still deserves a
+                        // terminal event
+                        if pending_pool_kinds.is_empty() {
+                            pending_pool_kinds.push(kind);
                         }
-                        let mut jobs = Vec::with_capacity(stripes);
-                        let mut serial_ms = 0.0;
-                        for (i, &ms) in state.par_rdg.stripe_times_ms().iter().enumerate() {
-                            serial_ms += ms;
-                            jobs.push(VirtualJob {
-                                core: i,
-                                duration_ms: ms,
-                            });
-                        }
-                        task_times.push((task, serial_ms));
-                        run_stage(&mut schedule, &jobs, task, observer, frame_index);
-                        break Some(out);
-                    }
-                    Err(err) => {
-                        last_kind = fault_kind_of(&err);
-                        if attempts < retry.max_retries {
-                            attempts += 1;
-                            emit_fault(observer, |stream| FrameEvent::RetryAttempted {
+                        for cause in pending_pool_kinds.drain(..) {
+                            emit_fault(observer, |stream| FrameEvent::DegradedMode {
                                 stream,
                                 frame: frame_index,
-                                kind: last_kind,
-                                attempt: attempts,
-                            });
-                        } else if retry.serial_fallback {
-                            if pending_pool_kinds.is_empty() {
-                                pending_pool_kinds.push(last_kind);
-                            }
-                            for kind in pending_pool_kinds.drain(..) {
-                                emit_fault(observer, |stream| FrameEvent::DegradedMode {
-                                    stream,
-                                    frame: frame_index,
-                                    mode: DegradeMode::SerialFallback,
-                                    cause: kind,
-                                });
-                            }
-                            let (out, ms) =
-                                time_ms(|| rdg_roi(frame, work_roi, &rdg_cfg, &mut state.rdg_bufs));
-                            task_times.push((task, ms));
-                            schedule.serial(0, ms);
-                            // output came from the serial buffer pool
-                            rdg_striped = false;
-                            break Some(out);
-                        } else {
-                            return Err(FrameError {
-                                frame: frame_index,
-                                stage: task,
-                                error: err,
+                                mode: DegradeMode::SerialFallback,
+                                cause,
                             });
                         }
+                        failed = None;
+                        stripes = 1;
+                    } else {
+                        return Err(FrameError {
+                            frame: frame_index,
+                            stage: task,
+                            error: err,
+                        });
                     }
                 }
             }
+        };
+        if let Some(last_kind) = failed {
+            if pending_pool_kinds.is_empty() {
+                pending_pool_kinds.push(last_kind);
+            }
+            for kind in pending_pool_kinds.drain(..) {
+                emit_fault(observer, |stream| FrameEvent::Recovered {
+                    stream,
+                    frame: frame_index,
+                    kind,
+                    attempts,
+                });
+            }
         }
+        let times = state.rdg_bufs.times();
+        let ms = run_rdg_stage(&mut schedule, times, task, observer, frame_index);
+        task_times.push((task, ms));
+        Some(out)
     } else {
         None
     };
@@ -570,38 +565,23 @@ fn process_frame_inner(
             // runs its own ridge filter over the tracking ROI (a
             // data-partitionable streaming pass), followed by the serial
             // DP path search.
-            let gw_stripes = policy.aux_stripes.max(1);
-            let mut gw_serial_ms = 0.0;
-            let gw_striped = gw_stripes > 1;
-            let gw_rdg = if !gw_striped {
-                let (out, ms) = time_ms(|| rdg_roi(frame, roi, &cfg.rdg, &mut state.rdg_bufs));
-                gw_serial_ms += ms;
-                schedule.serial(0, ms);
-                out
-            } else {
-                let out =
-                    rdg_parallel_pooled(pool, frame, roi, &cfg.rdg, gw_stripes, &mut state.par_gw);
-                let mut jobs = Vec::with_capacity(gw_stripes);
-                for (i, &ms) in state.par_gw.stripe_times_ms().iter().enumerate() {
-                    gw_serial_ms += ms;
-                    jobs.push(VirtualJob {
-                        core: i,
-                        duration_ms: ms,
-                    });
-                }
-                run_stage(&mut schedule, &jobs, "GW_EXT", observer, frame_index);
-                out
-            };
+            let gw_rdg = rdg_banded(
+                pool,
+                frame,
+                roi,
+                &cfg.rdg,
+                policy.aux_stripes.max(1),
+                StripeFault::default(),
+                &mut state.rdg_bufs,
+            )
+            .expect("a band job of GW EXT's ridge pass panicked");
+            let times = state.rdg_bufs.times();
+            let ridge_ms = run_rdg_stage(&mut schedule, times, "GW_EXT", observer, frame_index);
             let (gw, ms) =
                 time_ms(|| gw_extract_with(&gw_rdg.ridgeness, c, &cfg.gw, &mut state.gw_scratch));
-            if gw_striped {
-                state.par_gw.recycle(gw_rdg);
-            } else {
-                state.rdg_bufs.recycle(gw_rdg);
-            }
-            gw_serial_ms += ms;
+            state.rdg_bufs.recycle(gw_rdg);
             schedule.serial(0, ms);
-            task_times.push(("GW_EXT", gw_serial_ms));
+            task_times.push(("GW_EXT", ridge_ms + ms));
 
             if gw.wire_found {
                 next_roi = Some(roi);
@@ -624,31 +604,15 @@ fn process_frame_inner(
         // ENH: the accumulation is data-partitionable over disjoint rows;
         // the readout is a cheap serial pass.
         let weight = state.enh_state.next_weight(&cfg.enh);
-        let mut enh_serial_ms = 0.0;
-        if stripes == 1 {
-            let (_, ms) = time_ms(|| {
+        let stripe_ms = enh_roi.stripes(stripes).into_iter().map(|stripe| {
+            time_ms(|| {
                 state
                     .enh_state
-                    .accumulate(frame, &transform, enh_roi, weight)
-            });
-            enh_serial_ms += ms;
-            schedule.serial(0, ms);
-        } else {
-            let mut jobs = Vec::with_capacity(stripes);
-            for (i, stripe) in enh_roi.stripes(stripes).into_iter().enumerate() {
-                let (_, ms) = time_ms(|| {
-                    state
-                        .enh_state
-                        .accumulate(frame, &transform, stripe, weight)
-                });
-                enh_serial_ms += ms;
-                jobs.push(VirtualJob {
-                    core: i,
-                    duration_ms: ms,
-                });
-            }
-            run_stage(&mut schedule, &jobs, "ENH", observer, frame_index);
-        }
+                    .accumulate(frame, &transform, stripe, weight)
+            })
+            .1
+        });
+        let mut enh_serial_ms = run_stage(&mut schedule, stripe_ms, "ENH", observer, frame_index);
         state.enh_state.commit();
         // pooled readout buffer: re-created only when the ROI geometry
         // changes, so steady-state tracking frames allocate nothing here
@@ -673,49 +637,22 @@ fn process_frame_inner(
         // it is the one per-frame allocation that cannot be pooled.
         let mut out_img = ImageU16::new(cfg.zoom.out_width, cfg.zoom.out_height);
         let src_roi = enhanced.full_roi();
-        let mut zoom_serial_ms = 0.0;
-        if stripes == 1 {
-            let (_, ms) = time_ms(|| {
+        let bands = Roi::full(cfg.zoom.out_width, cfg.zoom.out_height).stripes(stripes);
+        let band_ms = bands.into_iter().map(|band| {
+            time_ms(|| {
                 zoom_band_with(
                     &enhanced,
                     src_roi,
                     &cfg.zoom,
                     &mut out_img,
-                    0,
-                    cfg.zoom.out_height,
+                    band.y,
+                    band.bottom(),
                     &mut state.zoom_scratch,
                 )
-            });
-            zoom_serial_ms += ms;
-            schedule.serial(0, ms);
-        } else {
-            let band = cfg.zoom.out_height.div_ceil(stripes);
-            let mut jobs = Vec::with_capacity(stripes);
-            for i in 0..stripes {
-                let y0 = i * band;
-                let y1 = ((i + 1) * band).min(cfg.zoom.out_height);
-                if y0 >= y1 {
-                    continue;
-                }
-                let (_, ms) = time_ms(|| {
-                    zoom_band_with(
-                        &enhanced,
-                        src_roi,
-                        &cfg.zoom,
-                        &mut out_img,
-                        y0,
-                        y1,
-                        &mut state.zoom_scratch,
-                    )
-                });
-                zoom_serial_ms += ms;
-                jobs.push(VirtualJob {
-                    core: i,
-                    duration_ms: ms,
-                });
-            }
-            run_stage(&mut schedule, &jobs, "ZOOM", observer, frame_index);
-        }
+            })
+            .1
+        });
+        let zoom_serial_ms = run_stage(&mut schedule, band_ms, "ZOOM", observer, frame_index);
         task_times.push(("ZOOM", zoom_serial_ms));
         state.enh_view = Some(enhanced);
         display = Some(out_img);
@@ -753,14 +690,10 @@ fn process_frame_inner(
             attempts: 0,
         });
     }
-    // Return the RDG output images to the pool they came from, so the next
-    // frame's detection pass runs allocation free.
+    // Return the RDG output images to the buffer pool, so the next frame's
+    // detection pass runs allocation free.
     if let Some(out) = rdg_out {
-        if rdg_striped {
-            state.par_rdg.recycle(out);
-        } else {
-            state.rdg_bufs.recycle(out);
-        }
+        state.rdg_bufs.recycle(out);
     }
     state.prev_couple = couple;
     if couple.is_none() || state.reg_failures > cfg.max_reg_failures {
@@ -1079,6 +1012,50 @@ mod tests {
             );
             assert_eq!(stages, stage_sequence(&unarmed_events));
         }
+    }
+
+    #[test]
+    fn striped_rdg_task_time_is_the_whole_call_not_the_bands_alone() {
+        let cfg = AppConfig::default();
+        let policy = ExecutionPolicy {
+            rdg_stripes: 4,
+            aux_stripes: 1,
+            cores: 8,
+        };
+        let mut state = AppState::new(160, 160);
+        let (mut bus, log) = capture_bus();
+        let pool = StripePool::global();
+        let mut checked = 0;
+        for f in clean_sequence(8, 52) {
+            let out = process_frame_observed_on(
+                pool, f.index, &f.image, &mut state, &cfg, &policy, 7, &mut bus,
+            );
+            let Some(task_ms) = out.record.task_time("RDG_FULL") else {
+                continue;
+            };
+            // a full-frame RDG frame runs no GW pass, so the buffers still
+            // hold the detection pass's breakdown
+            let times = state.rdg_bufs.times();
+            assert_eq!(times.band_ms.len(), 4);
+            assert!(times.serial_ms > 0.0);
+            let band_sum: f64 = times.band_ms.iter().sum();
+            assert_eq!(task_ms, times.serial_ms + band_sum, "frame {}", f.index);
+            // the parallel stage on the bus is the bands; the task time
+            // adds the serial sections around them
+            let stage_ms = log.lock().unwrap().iter().find_map(|e| match *e {
+                FrameEvent::StageExecuted {
+                    frame,
+                    task: "RDG_FULL",
+                    serial_ms,
+                    ..
+                } if frame == f.index => Some(serial_ms),
+                _ => None,
+            });
+            assert_eq!(stage_ms, Some(band_sum), "frame {}", f.index);
+            assert!(task_ms > band_sum);
+            checked += 1;
+        }
+        assert!(checked > 0, "no full-frame RDG ever ran");
     }
 
     #[test]

@@ -5,11 +5,12 @@
 use triple_c::imaging::enhance::EnhState;
 use triple_c::imaging::image::Image;
 use triple_c::imaging::markers::MkxBuffers;
-use triple_c::imaging::ridge::{rdg_full, RdgBuffers, RdgConfig};
+use triple_c::imaging::parallel::{StripeFault, StripePool};
+use triple_c::imaging::ridge::{rdg_banded, rdg_full, RdgBuffers, RdgConfig};
 use triple_c::imaging::zoom::{zoom_band_with, ZoomConfig, ZoomFilter, ZoomScratch};
 use triple_c::triplec::memory_model::{
     enh_intermediate_bytes, implementation_table, lookup, per_pixel, rdg_intermediate_bytes,
-    zoom_scratch_bytes, FrameGeometry, RDG_DEFAULT_SCALES,
+    rdg_tile_bytes, zoom_scratch_bytes, FrameGeometry, RDG_DEFAULT_SCALES,
 };
 
 const W: usize = 128;
@@ -47,6 +48,33 @@ fn rdg_intermediate_formula_matches_warm_fused_buffers() {
         bufs.byte_size(),
         rdg_intermediate_bytes(geom, &RDG_DEFAULT_SCALES),
         "RDG warm-state formula drifted from the fused engine's buffers"
+    );
+}
+
+#[test]
+fn rdg_intermediate_formula_matches_warm_two_stripe_buffers() {
+    // The second band brings one more tile ring and nothing frame-sized:
+    // both bands work in the one set of per-pixel planes.
+    let mut bufs = RdgBuffers::new(W, H);
+    let frame = test_frame();
+    let _out = rdg_banded(
+        &StripePool::new(2),
+        &frame,
+        frame.full_roi(),
+        &RdgConfig::default(),
+        2,
+        StripeFault::default(),
+        &mut bufs,
+    )
+    .expect("an unfaulted band job panicked");
+    let geom = FrameGeometry {
+        width: W,
+        height: H,
+    };
+    assert_eq!(
+        bufs.byte_size(),
+        rdg_intermediate_bytes(geom, &RDG_DEFAULT_SCALES) + rdg_tile_bytes(W, &RDG_DEFAULT_SCALES),
+        "a second stripe must cost exactly one more tile ring"
     );
 }
 
