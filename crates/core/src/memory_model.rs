@@ -146,10 +146,11 @@ pub fn paper_table1() -> Vec<TaskMemory> {
 ///   planes, and each band beyond the first brings its own ring
 ///   (`(k - 1) ×` [`rdg_tile_bytes`]) and a flood-fill stack that grows
 ///   with the structure it traces.
-/// * MKX intermediate: the Hessian component planes + convolution scratch
-///   (28 B/px) + the pooled 4 B/px best-scale map inside `MkxBuffers`
-///   = 32 B/px (MKX still uses the full-frame Hessian path because it
-///   needs all three planes per scale).
+/// * MKX intermediate: `src_f32` (4) + multi-scale blob-response maximum
+///   (4) + per-pixel winning scale (4) = 12 B/px. MKX runs the same fused
+///   sweep as RDG with the blob response in place of the ridge one, so its
+///   per-scale intermediates are one [`rdg_tile_bytes`] ring as well;
+///   [`mkx_intermediate_bytes`] gives the exact warm working set.
 /// * RDG output: filtered u16 (2) + ridgeness f32 (4) = 6 B/px.
 /// * ENH intermediate: the f32 temporal accumulator = 4 B/px, plus the
 ///   width-linear SIMD staging row ([`enh_row_bytes`]).
@@ -162,8 +163,9 @@ pub mod per_pixel {
     pub const RDG_INTERMEDIATE: usize = 12;
     /// RDG output bytes/pixel (filtered + ridgeness).
     pub const RDG_OUTPUT: usize = 6;
-    /// MKX intermediate bytes/pixel (RDG buffers + best-scale map).
-    pub const MKX_INTERMEDIATE: usize = 32;
+    /// MKX intermediate bytes/pixel (fused engine; see
+    /// [`super::mkx_intermediate_bytes`] for the width-linear ring term).
+    pub const MKX_INTERMEDIATE: usize = 12;
     /// ENH intermediate bytes/pixel (f32 accumulator).
     pub const ENH_INTERMEDIATE: usize = 4;
 }
@@ -171,6 +173,10 @@ pub mod per_pixel {
 /// The RDG scale set active under `RdgConfig::default()` (coarse scales
 /// 1.5 and 2.5 plus the fine scale 4.0, which is enabled by default).
 pub const RDG_DEFAULT_SCALES: [f32; 3] = [1.5, 2.5, 4.0];
+
+/// The MKX scale set of `MkxConfig::default()`; the table's MKX rows are
+/// pinned to the real default by `tests/memory_model_consistency.rs`.
+const MKX_DEFAULT_SCALES: [f32; 2] = [1.5, 2.5];
 
 /// Gaussian-derivative kernel radius for `sigma` — must match
 /// `Kernel1D::gaussian*` in `triplec-imaging` (`ceil(3*sigma)`, min 1).
@@ -206,6 +212,16 @@ pub fn rdg_kernel_bytes(scales: &[f32]) -> usize {
 /// `RdgBuffers::byte_size()` by an integration test.
 pub fn rdg_intermediate_bytes(geom: FrameGeometry, scales: &[f32]) -> usize {
     geom.pixels() * per_pixel::RDG_INTERMEDIATE
+        + rdg_tile_bytes(geom.width, scales)
+        + rdg_kernel_bytes(scales)
+}
+
+/// Exact warm intermediate working set of MKX at `geom` running `scales`:
+/// the per-pixel planes plus one tile ring ([`rdg_tile_bytes`] — MKX is one
+/// band) and the cached kernel taps. Pinned against the implementation's
+/// actual `MkxBuffers::byte_size()` by an integration test.
+pub fn mkx_intermediate_bytes(geom: FrameGeometry, scales: &[f32]) -> usize {
+    geom.pixels() * per_pixel::MKX_INTERMEDIATE
         + rdg_tile_bytes(geom.width, scales)
         + rdg_kernel_bytes(scales)
 }
@@ -256,6 +272,7 @@ pub fn implementation_table(geom: FrameGeometry, zoom_out: usize) -> Vec<TaskMem
     let frame = geom.frame_bytes();
     let rdg_out = px * per_pixel::RDG_OUTPUT;
     let rdg_intermediate = rdg_intermediate_bytes(geom, &RDG_DEFAULT_SCALES);
+    let mkx_intermediate = mkx_intermediate_bytes(geom, &MKX_DEFAULT_SCALES);
     vec![
         TaskMemory {
             task: "RDG_FULL",
@@ -275,28 +292,28 @@ pub fn implementation_table(geom: FrameGeometry, zoom_out: usize) -> Vec<TaskMem
             task: "MKX_FULL",
             rdg_selected: Some(false),
             input: frame,
-            intermediate: px * per_pixel::MKX_INTERMEDIATE,
+            intermediate: mkx_intermediate,
             output: frame,
         },
         TaskMemory {
             task: "MKX_FULL",
             rdg_selected: Some(true),
             input: rdg_out,
-            intermediate: px * per_pixel::MKX_INTERMEDIATE,
+            intermediate: mkx_intermediate,
             output: frame,
         },
         TaskMemory {
             task: "MKX_ROI",
             rdg_selected: Some(false),
             input: frame,
-            intermediate: px * per_pixel::MKX_INTERMEDIATE,
+            intermediate: mkx_intermediate,
             output: frame,
         },
         TaskMemory {
             task: "MKX_ROI",
             rdg_selected: Some(true),
             input: rdg_out,
-            intermediate: px * per_pixel::MKX_INTERMEDIATE,
+            intermediate: mkx_intermediate,
             output: frame,
         },
         TaskMemory {
@@ -390,10 +407,19 @@ mod tests {
             l.intermediate,
             512 * 512 * per_pixel::RDG_INTERMEDIATE + tile_l + taps
         );
-        // MKX keeps the full-frame Hessian path, so it still scales x4.
+        // MKX runs the same engine on its own scale set.
         let ms = lookup(&small, "MKX_FULL", false).unwrap();
         let ml = lookup(&large, "MKX_FULL", false).unwrap();
-        assert_eq!(ml.intermediate, 4 * ms.intermediate);
+        let taps = rdg_kernel_bytes(&MKX_DEFAULT_SCALES);
+        let tile = rdg_tile_bytes(256, &MKX_DEFAULT_SCALES);
+        assert_eq!(
+            ms.intermediate,
+            256 * 256 * per_pixel::MKX_INTERMEDIATE + tile + taps
+        );
+        assert_eq!(
+            ml.intermediate,
+            512 * 512 * per_pixel::MKX_INTERMEDIATE + 2 * tile + taps
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Fused, tiled, SIMD-vectorized multi-scale Hessian sweep.
+//! Fused, tiled, SIMD-vectorized multi-scale Hessian sweep: the one engine
+//! behind both detectors, ridge (RDG) and blob (MKX EXT).
 //!
-//! The reference RDG core materializes, per scale, three row-filtered
+//! The unfused engine materializes, per scale, three row-filtered
 //! full-frame intermediates and three full-frame Hessian components —
 //! six extra frame-sized reads/writes (~12 MB of traffic per scale at
 //! 1024², see `memory_model`). This module computes the same per-pixel
@@ -13,17 +14,22 @@
 //! 2. a *tiled column + response stage*: for each output row, the three
 //!    column convolutions are evaluated straight out of the ring in
 //!    8-lane SIMD chunks ([`crate::simd::F32x8`]), and the
-//!    eigenvalue/ridge-response math plus the max-over-scales
-//!    accumulation run on the same registers — `Ixx`/`Iyy`/`Ixy` never
-//!    exist in memory at all, let alone as full frames.
+//!    eigenvalue/response math plus the max-over-scales accumulation run
+//!    on the same registers — `Ixx`/`Iyy`/`Ixy` never exist in memory at
+//!    all, let alone as full frames.
+//!
+//! The response is the sweep's one type parameter (`Response`):
+//! `RidgeMax` folds [`crate::hessian::ridge_response`] into a running
+//! maximum, `BlobMax` folds [`crate::hessian::blob_response`] and
+//! records the winning scale per pixel. Row stage, column stage and sweep
+//! loop are shared.
 //!
 //! **Bit-exactness.** Every per-pixel accumulation keeps the reference
 //! op order (`0 + t₀·s₀ + t₁·s₁ + …`, taps ascending, clamped-replicate
-//! borders) and the response math keeps the exact expression order of
-//! [`crate::hessian::ridge_response`], so the fused output is
-//! bit-identical to `convolve_rows` → `convolve_cols` →
-//! `accumulate_max_response` (property-tested in
-//! `tests/fused_rdg_identity.rs`).
+//! borders) and each response keeps the exact expression order of its
+//! scalar form, so the fused output is bit-identical to `convolve_rows` →
+//! `convolve_cols` → a scalar response/accumulate pass (property-tested
+//! in `tests/fused_rdg_identity.rs`).
 
 use crate::image::{ImageF32, Roi};
 use crate::kernel::Kernel1D;
@@ -32,8 +38,9 @@ use crate::simd::{F32x8, SimdF32};
 /// Reusable working memory of the fused sweep: three row-filtered ring
 /// buffers. Grows on first use to the largest scale's ring and never
 /// shrinks, so steady-state frames allocate nothing. This — not three
-/// full frames — is the RDG "intermediate" storage the fused path adds
-/// on top of `src`/`acc` (accounted by `memory_model::rdg_tile_bytes`).
+/// full frames — is the "intermediate" storage the fused path adds on
+/// top of the detectors' `src`/response planes (accounted by
+/// `memory_model::rdg_tile_bytes`).
 #[derive(Debug, Default)]
 pub struct FusedScratch {
     /// Ring of `src * G` rows (feeds `Iyy`).
@@ -92,7 +99,7 @@ pub fn fused_ridge_scale(
     d2: &Kernel1D,
     roi: Roi,
 ) {
-    fused_ridge_scale_impl::<false>(src, acc, scratch, g, d1, d2, roi);
+    fused_scale::<_, false>(src, RidgeMax { acc }, scratch, g, d1, d2, roi);
 }
 
 /// First-scale variant: *overwrites* `acc` over `roi` with the scale's
@@ -109,12 +116,21 @@ pub fn fused_ridge_scale_init(
     d2: &Kernel1D,
     roi: Roi,
 ) {
-    fused_ridge_scale_impl::<true>(src, acc, scratch, g, d1, d2, roi);
+    fused_scale::<_, true>(src, RidgeMax { acc }, scratch, g, d1, d2, roi);
 }
 
-fn fused_ridge_scale_impl<const INIT: bool>(
+/// One scale of the fused sweep over `roi`, folding every pixel's Hessian
+/// into `out`. With `INIT` the scale *overwrites* `out` over `roi` —
+/// bit-identical to resetting the planes (response `+0.0`) and folding,
+/// without the reset pass or the read; the first scale of a multi-scale
+/// max runs this way, the others with `INIT = false`.
+///
+/// `out` holds the full-width rows `roi.y..roi.bottom()` of its planes;
+/// what the ridge entry points above say about row bands, the source halo
+/// and the kernel triple holds for every response.
+pub(crate) fn fused_scale<R: Response, const INIT: bool>(
     src: &ImageF32,
-    acc: &mut [f32],
+    out: R,
     scratch: &mut FusedScratch,
     g: &Kernel1D,
     d1: &Kernel1D,
@@ -126,9 +142,9 @@ fn fused_ridge_scale_impl<const INIT: bool>(
         return;
     }
     assert_eq!(
-        acc.len(),
+        out.len(),
         roi.height * src.width(),
-        "acc must hold the ROI's full-width rows"
+        "the output must hold the ROI's full-width rows"
     );
     let r = g.radius();
     assert_eq!(r, d1.radius(), "kernel radii must match");
@@ -144,7 +160,7 @@ fn fused_ridge_scale_impl<const INIT: bool>(
     } = scratch;
     let sweep = Sweep {
         src,
-        acc,
+        out,
         ring_g,
         ring_d1,
         ring_d2,
@@ -168,12 +184,12 @@ fn fused_ridge_scale_impl<const INIT: bool>(
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: the AVX-512F requirement is checked at runtime above.
-            unsafe { sweep_avx512::<INIT>(sweep) };
+            unsafe { sweep_avx512::<R, INIT>(sweep) };
             return;
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the AVX2 requirement is checked at runtime above.
-            unsafe { sweep_avx2::<INIT>(sweep) };
+            unsafe { sweep_avx2::<R, INIT>(sweep) };
             return;
         }
     }
@@ -189,10 +205,135 @@ fn fused_ridge_scale_impl<const INIT: bool>(
     sweep.run::<F32x8, 4, INIT>();
 }
 
-/// One scale's worth of borrowed state for the fused sweep loop.
-struct Sweep<'a> {
-    src: &'a ImageF32,
+/// What the sweep does with a pixel's Hessian: the response measure and
+/// how it folds into the caller's planes. The column stage hands it the
+/// three component sums while they are still in registers.
+pub(crate) trait Response {
+    /// Entries per output plane: the band's full-width rows.
+    fn len(&self) -> usize;
+    /// Folds one lane chunk of Hessian sums into the planes at
+    /// `i..i + V::WIDTH`.
+    fn fold<V: SimdF32, const INIT: bool>(&mut self, i: usize, xx: V, yy: V, xy: V);
+    /// [`Response::fold`] for the one pixel at `i` (row tails), same bits.
+    fn fold_one<const INIT: bool>(&mut self, i: usize, xx: f32, yy: f32, xy: f32);
+}
+
+/// [`crate::hessian::eigenvalues`] per lane, `(hi, lo)`, in its exact
+/// expression order: `(diff²·0.25 + ixy²).sqrt()` around `tr·0.5`.
+#[inline(always)]
+fn eigenvalues<V: SimdF32>(xx: V, yy: V, xy: V) -> (V, V) {
+    let tr_half = (xx + yy) * V::splat(0.5);
+    let diff = xx - yy;
+    let disc = (diff * diff * V::splat(0.25) + xy * xy).sqrt();
+    (tr_half + disc, tr_half - disc)
+}
+
+/// Running maximum of [`crate::hessian::ridge_response`] over scales.
+struct RidgeMax<'a> {
     acc: &'a mut [f32],
+}
+
+impl Response for RidgeMax<'_> {
+    fn len(&self) -> usize {
+        self.acc.len()
+    }
+
+    /// The exact expression order of `ridge_response`, with a branch-free
+    /// select for the `hi ≤ 0` early-out, then an exact `resp > acc` select.
+    #[inline(always)]
+    fn fold<V: SimdF32, const INIT: bool>(&mut self, i: usize, xx: V, yy: V, xy: V) {
+        let one = V::splat(1.0);
+        let zero = V::splat(0.0);
+        let (hi, lo) = eigenvalues(xx, yy, xy);
+        let aniso = one - (lo.abs() / hi).min(one);
+        let resp = V::select_gt(hi, zero, hi * aniso, zero);
+        let acc = &mut self.acc[i..i + V::WIDTH];
+        if INIT {
+            // `resp` is +0.0 or positive in every lane, so `max(resp, 0.0)`
+            // against a freshly zeroed accumulator is `resp` itself.
+            resp.store(acc);
+        } else {
+            let cur = V::load(acc);
+            V::select_gt(resp, cur, resp, cur).store(acc);
+        }
+    }
+
+    #[inline(always)]
+    fn fold_one<const INIT: bool>(&mut self, i: usize, xx: f32, yy: f32, xy: f32) {
+        let r = crate::hessian::ridge_response(xx, yy, xy);
+        let a = &mut self.acc[i];
+        if INIT {
+            *a = if r > 0.0 { r } else { 0.0 };
+        } else if r > *a {
+            *a = r;
+        }
+    }
+}
+
+/// Running maximum of [`crate::hessian::blob_response`] over scales, with
+/// the scale that won each pixel. A scale wins on a strict `r > acc`; with
+/// `INIT` every pixel's scale is `sigma`, as if the planes had been reset
+/// to response `+0.0` at the first scale.
+pub(crate) struct BlobMax<'a> {
+    pub(crate) acc: &'a mut [f32],
+    /// Per-pixel winning scale, laid out like `acc`.
+    pub(crate) scale: &'a mut [f32],
+    /// The scale being swept.
+    pub(crate) sigma: f32,
+}
+
+impl Response for BlobMax<'_> {
+    fn len(&self) -> usize {
+        assert_eq!(
+            self.acc.len(),
+            self.scale.len(),
+            "response and scale rows must share one layout"
+        );
+        self.acc.len()
+    }
+
+    /// The expression order of `blob_response` — `(hi + lo)·(lo / hi)` —
+    /// with its branches as one select: `lo > 0` implies `hi > 0`
+    /// (`hi ≥ lo`), so the isotropy gate needs no select of its own, and
+    /// every other lane gets the scalar early-out's `+0.0` (`lo == -0.0`
+    /// included).
+    #[inline(always)]
+    fn fold<V: SimdF32, const INIT: bool>(&mut self, i: usize, xx: V, yy: V, xy: V) {
+        let zero = V::splat(0.0);
+        let (hi, lo) = eigenvalues(xx, yy, xy);
+        let r = V::select_gt(lo, zero, (hi + lo) * (lo / hi), zero);
+        let acc = &mut self.acc[i..i + V::WIDTH];
+        let scale = &mut self.scale[i..i + V::WIDTH];
+        let sigma = V::splat(self.sigma);
+        if INIT {
+            // A NaN response (overflowed sums) loses the strict `r > 0.0`
+            // against a reset accumulator; every other lane is `r` itself.
+            V::select_gt(r, zero, r, zero).store(acc);
+            sigma.store(scale);
+        } else {
+            let cur = V::load(acc);
+            V::select_gt(r, cur, r, cur).store(acc);
+            V::select_gt(r, cur, sigma, V::load(scale)).store(scale);
+        }
+    }
+
+    #[inline(always)]
+    fn fold_one<const INIT: bool>(&mut self, i: usize, xx: f32, yy: f32, xy: f32) {
+        let r = crate::hessian::blob_response(xx, yy, xy);
+        if INIT {
+            self.acc[i] = if r > 0.0 { r } else { 0.0 };
+            self.scale[i] = self.sigma;
+        } else if r > self.acc[i] {
+            self.acc[i] = r;
+            self.scale[i] = self.sigma;
+        }
+    }
+}
+
+/// One scale's worth of borrowed state for the fused sweep loop.
+struct Sweep<'a, R> {
+    src: &'a ImageF32,
+    out: R,
     ring_g: &'a mut [f32],
     ring_d1: &'a mut [f32],
     ring_d2: &'a mut [f32],
@@ -210,7 +351,7 @@ struct Sweep<'a> {
 /// the (fully inlined) loop body with 256-bit vectors available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn sweep_avx2<const INIT: bool>(sweep: Sweep<'_>) {
+unsafe fn sweep_avx2<R: Response, const INIT: bool>(sweep: Sweep<'_, R>) {
     sweep.run::<F32x8, 4, INIT>();
 }
 
@@ -220,16 +361,16 @@ unsafe fn sweep_avx2<const INIT: bool>(sweep: Sweep<'_>) {
 /// accumulators) exploits to hide FP latency.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
-unsafe fn sweep_avx512<const INIT: bool>(sweep: Sweep<'_>) {
+unsafe fn sweep_avx512<R: Response, const INIT: bool>(sweep: Sweep<'_, R>) {
     sweep.run::<F32x8, 8, INIT>();
 }
 
-impl Sweep<'_> {
+impl<R: Response> Sweep<'_, R> {
     #[inline(always)]
     fn run<V: SimdF32, const U: usize, const INIT: bool>(self) {
         let Sweep {
             src,
-            acc,
+            mut out,
             ring_g,
             ring_d1,
             ring_d2,
@@ -277,7 +418,7 @@ impl Sweep<'_> {
                 let sy = (y + j).saturating_sub(r).min(h - 1);
                 *o = (sy % ring_rows) * w + x0;
             }
-            col_response_row::<V, U, INIT>(
+            col_response_row::<V, U, INIT, R>(
                 ring_g,
                 ring_d1,
                 ring_d2,
@@ -285,7 +426,9 @@ impl Sweep<'_> {
                 tg,
                 t1,
                 t2,
-                &mut acc[(y - roi.y) * w..][x0..x1],
+                &mut out,
+                (y - roi.y) * w + x0,
+                x1 - x0,
             );
         }
     }
@@ -429,23 +572,20 @@ fn row_filter3<V: SimdF32, const U: usize>(
     }
 }
 
-/// The fused column-convolution + eigenvalue/ridge-response + running-max
-/// stage for one output row. For each 8-lane pixel chunk the three column
-/// sums (taps ascending, from `0.0` — the per-pixel op order of
-/// `convolve_cols`) accumulate in registers, flow straight into the
-/// response math (exact expression order of
-/// [`crate::hessian::ridge_response`]: shared `tr·0.5`,
-/// `(diff²·0.25 + ixy²).sqrt()`, branch-free select for the `hi ≤ 0`
-/// early-out) and update `acc` with an exact `resp > acc` select — the
-/// Hessian components never touch memory at all. The scalar tail repeats
-/// the same accumulation order and calls `ridge_response` directly, so
-/// every pixel is bit-identical to the unfused reference.
+/// The fused column-convolution + response stage for one output row. For
+/// each 8-lane pixel chunk the three column sums (taps ascending, from
+/// `0.0` — the per-pixel op order of `convolve_cols`) accumulate in
+/// registers and flow straight into [`Response::fold`] — the Hessian
+/// components never touch memory at all. The scalar tail repeats the same
+/// accumulation order and folds through the scalar response, so every
+/// pixel is bit-identical to the unfused reference.
 ///
 /// `offsets[j]` is the base index of tap `j`'s (clamped) ring row, already
-/// shifted by the ROI's left edge.
+/// shifted by the ROI's left edge; the row's `len` pixels fold into `out`
+/// from index `at`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn col_response_row<V: SimdF32, const U: usize, const INIT: bool>(
+fn col_response_row<V: SimdF32, const U: usize, const INIT: bool, R: Response>(
     ring_g: &[f32],
     ring_d1: &[f32],
     ring_d2: &[f32],
@@ -453,14 +593,15 @@ fn col_response_row<V: SimdF32, const U: usize, const INIT: bool>(
     tg: &[f32],
     t1: &[f32],
     t2: &[f32],
-    acc: &mut [f32],
+    out: &mut R,
+    at: usize,
+    len: usize,
 ) {
     // The per-pixel column sums are latency chains (each tap's add depends
     // on the previous tap). Four chunks per tap iteration give the core
     // 12 independent accumulator chains to interleave, which is what
     // hides the FP-add latency; per-pixel op order is untouched.
     let lanes = V::WIDTH;
-    let len = acc.len();
     let n = len - len % lanes;
     let n_wide = len - len % (lanes * U);
     let zero = V::splat(0.0);
@@ -496,8 +637,7 @@ fn col_response_row<V: SimdF32, const U: usize, const INIT: bool>(
             }
         }
         for c in 0..U {
-            let xc = x + c * lanes;
-            respond_update::<V, INIT>(xx[c], yy[c], xy[c], &mut acc[xc..xc + lanes]);
+            out.fold::<V, INIT>(at + x + c * lanes, xx[c], yy[c], xy[c]);
         }
         x += lanes * U;
     }
@@ -514,10 +654,10 @@ fn col_response_row<V: SimdF32, const U: usize, const INIT: bool>(
                 xy = xy + V::splat(t1[j]) * V::load_at(ring_d1, o);
             }
         }
-        respond_update::<V, INIT>(xx, yy, xy, &mut acc[x..x + lanes]);
+        out.fold::<V, INIT>(at + x, xx, yy, xy);
         x += lanes;
     }
-    for (x, a) in acc.iter_mut().enumerate().take(len).skip(n) {
+    for x in n..len {
         let mut xx = 0.0f32;
         let mut yy = 0.0f32;
         let mut xy = 0.0f32;
@@ -527,37 +667,7 @@ fn col_response_row<V: SimdF32, const U: usize, const INIT: bool>(
             yy += t2[j] * ring_g[o];
             xy += t1[j] * ring_d1[o];
         }
-        let r = crate::hessian::ridge_response(xx, yy, xy);
-        if INIT {
-            *a = if r > 0.0 { r } else { 0.0 };
-        } else if r > *a {
-            *a = r;
-        }
-    }
-}
-
-/// Ridge response + running max for one lane chunk of Hessian sums, in
-/// the exact expression order of [`crate::hessian::ridge_response`].
-#[inline(always)]
-fn respond_update<V: SimdF32, const INIT: bool>(xx: V, yy: V, xy: V, acc: &mut [f32]) {
-    let half = V::splat(0.5);
-    let quarter = V::splat(0.25);
-    let one = V::splat(1.0);
-    let zero = V::splat(0.0);
-    let tr_half = (xx + yy) * half;
-    let diff = xx - yy;
-    let disc = (diff * diff * quarter + xy * xy).sqrt();
-    let hi = tr_half + disc;
-    let lo = tr_half - disc;
-    let aniso = one - (lo.abs() / hi).min(one);
-    let resp = V::select_gt(hi, zero, hi * aniso, zero);
-    if INIT {
-        // `resp` is +0.0 or positive in every lane, so `max(resp, 0.0)`
-        // against a freshly zeroed accumulator is `resp` itself.
-        resp.store(acc);
-    } else {
-        let cur = V::load(acc);
-        V::select_gt(resp, cur, resp, cur).store(acc);
+        out.fold_one::<INIT>(at + x, xx, yy, xy);
     }
 }
 
@@ -565,52 +675,100 @@ fn respond_update<V: SimdF32, const INIT: bool>(xx: V, yy: V, xy: V, acc: &mut [
 mod tests {
     use super::*;
     use crate::hessian::{
-        accumulate_max_response, hessian_at_scale, ridge_response, HessianImages, HessianScratch,
+        accumulate_max_response, blob_response, hessian_at_scale, ridge_response, ReferenceScratch,
     };
     use crate::image::Image;
 
-    /// The in-crate smoke check of the bit-exactness contract; the full
-    /// randomized sweep lives in `tests/fused_rdg_identity.rs`.
+    /// The in-crate smoke check of the bit-exactness contract, for both
+    /// responses; the full randomized sweeps live in
+    /// `tests/fused_rdg_identity.rs`. Every scale takes a turn as the
+    /// overwriting first one, the planes are compared after each scale,
+    /// and each ROI is swept whole and as three row bands of one set of
+    /// planes: a band's rows do not depend on where the bands are cut,
+    /// for the blob response and its winning-scale plane too.
     #[test]
     fn fused_scale_bit_identical_to_reference() {
         for &(w, h) in &[(64usize, 48usize), (33, 61), (17, 17)] {
             let src: ImageF32 =
                 Image::from_fn(w, h, |x, y| ((x * 31 + y * 17) % 101) as f32 * 0.37 - 12.5);
-            for &sigma in &[1.5f32, 2.5, 4.0] {
+            let mut sigmas = [1.5f32, 2.5, 4.0];
+            for _ in 0..sigmas.len() {
+                sigmas.rotate_left(1);
                 for roi in [
                     src.full_roi(),
                     Roi::new(3, 5, w.saturating_sub(7).max(1), h.saturating_sub(9).max(1)),
                 ] {
-                    let mut h_imgs = HessianImages {
-                        ixx: ImageF32::new(w, h),
-                        iyy: ImageF32::new(w, h),
-                        ixy: ImageF32::new(w, h),
-                    };
-                    let mut hs = HessianScratch::new(w, h);
-                    let mut ref_acc = ImageF32::new(w, h);
-                    hessian_at_scale(&src, &mut h_imgs, &mut hs, roi, sigma);
-                    accumulate_max_response(&h_imgs, &mut ref_acc, roi, ridge_response);
+                    check_both_responses(&src, &sigmas, roi);
+                }
+            }
+        }
+    }
 
-                    let g = Kernel1D::gaussian(sigma);
-                    let d1 = Kernel1D::gaussian_d1(sigma);
-                    let d2 = Kernel1D::gaussian_d2(sigma);
-                    let c = roi.clamp_to(w, h);
-                    // swept whole and as three row bands of one accumulator
-                    for bands in [1usize, 3] {
-                        let mut fused_acc = ImageF32::new(w, h);
-                        let mut scratch = FusedScratch::new();
-                        let parts = c.stripes(bands);
-                        for (&band, rows) in parts.iter().zip(fused_acc.row_bands(&parts)) {
-                            fused_ridge_scale(&src, rows, &mut scratch, &g, &d1, &d2, band);
-                        }
-                        for y in c.y..c.bottom() {
-                            for x in c.x..c.right() {
-                                assert_eq!(
-                                    fused_acc.get(x, y).to_bits(),
-                                    ref_acc.get(x, y).to_bits(),
-                                    "{w}x{h} sigma {sigma} roi {roi:?} {bands} band(s) at ({x},{y})"
-                                );
-                            }
+    fn check_both_responses(src: &ImageF32, sigmas: &[f32], roi: Roi) {
+        let (w, h) = src.dims();
+        let c = roi.clamp_to(w, h);
+        let mut rs = ReferenceScratch::new(w, h);
+        let mut ref_ridge = ImageF32::new(w, h);
+        let mut ref_blob = ImageF32::new(w, h);
+        let mut ref_scale = ImageF32::filled(w, h, sigmas[0]);
+        // [ridge, blob, winning scale] per banding; stale values where the
+        // first scale has to overwrite
+        let mut fused: Vec<(usize, [ImageF32; 3])> = [1usize, 3]
+            .iter()
+            .map(|&bands| (bands, [-7.0f32; 3].map(|v| ImageF32::filled(w, h, v))))
+            .collect();
+        let mut scratch = FusedScratch::new();
+        for (k, &sigma) in sigmas.iter().enumerate() {
+            hessian_at_scale(src, &mut rs.hessian, &mut rs.conv, roi, sigma);
+            accumulate_max_response(&rs.hessian, &mut ref_ridge, roi, ridge_response);
+            for y in c.y..c.bottom() {
+                for x in c.x..c.right() {
+                    let hess = &rs.hessian;
+                    let r =
+                        blob_response(hess.ixx.get(x, y), hess.iyy.get(x, y), hess.ixy.get(x, y));
+                    if r > ref_blob.get(x, y) {
+                        ref_blob.set(x, y, r);
+                        ref_scale.set(x, y, sigma);
+                    }
+                }
+            }
+
+            let g = Kernel1D::gaussian(sigma);
+            let d1 = Kernel1D::gaussian_d1(sigma);
+            let d2 = Kernel1D::gaussian_d2(sigma);
+            for (bands, [ridge, blob, scale]) in &mut fused {
+                let parts = c.stripes(*bands);
+                let rows = ridge
+                    .row_bands(&parts)
+                    .zip(blob.row_bands(&parts).zip(scale.row_bands(&parts)));
+                for (&band, (acc, (blob, scale))) in parts.iter().zip(rows) {
+                    let blob = BlobMax {
+                        acc: blob,
+                        scale,
+                        sigma,
+                    };
+                    if k == 0 {
+                        fused_ridge_scale_init(src, acc, &mut scratch, &g, &d1, &d2, band);
+                        fused_scale::<_, true>(src, blob, &mut scratch, &g, &d1, &d2, band);
+                    } else {
+                        fused_ridge_scale(src, acc, &mut scratch, &g, &d1, &d2, band);
+                        fused_scale::<_, false>(src, blob, &mut scratch, &g, &d1, &d2, band);
+                    }
+                }
+                let planes = [
+                    (&*ridge, &ref_ridge),
+                    (&*blob, &ref_blob),
+                    (&*scale, &ref_scale),
+                ];
+                for (p, (got, want)) in planes.into_iter().enumerate() {
+                    for y in c.y..c.bottom() {
+                        for x in c.x..c.right() {
+                            assert_eq!(
+                                got.get(x, y).to_bits(),
+                                want.get(x, y).to_bits(),
+                                "{w}x{h} scales {:?} roi {roi:?} {bands} band(s) plane {p} at ({x},{y})",
+                                &sigmas[..=k]
+                            );
                         }
                     }
                 }

@@ -145,6 +145,37 @@ impl HessianScratch {
     }
 }
 
+/// Full-frame working set of the unfused oracles (`rdg_roi_reference`,
+/// `mkx_extract_reference`): the three Hessian component images plus the
+/// separable-convolution scratch. Allocated lazily on the first oracle
+/// call, so the fused paths never pay for it — their only per-scale
+/// intermediates are the tile rings in `FusedScratch`.
+#[derive(Debug)]
+pub(crate) struct ReferenceScratch {
+    pub(crate) hessian: HessianImages,
+    pub(crate) conv: HessianScratch,
+}
+
+impl ReferenceScratch {
+    pub(crate) fn new(width: usize, height: usize) -> Self {
+        Self {
+            hessian: HessianImages {
+                ixx: ImageF32::new(width, height),
+                iyy: ImageF32::new(width, height),
+                ixy: ImageF32::new(width, height),
+            },
+            conv: HessianScratch::new(width, height),
+        }
+    }
+
+    pub(crate) fn byte_size(&self) -> usize {
+        self.hessian.ixx.byte_size()
+            + self.hessian.iyy.byte_size()
+            + self.hessian.ixy.byte_size()
+            + self.conv.byte_size()
+    }
+}
+
 /// Computes the scale-normalized Hessian of `src` at scale `sigma`,
 /// restricted to `roi`, writing into `out`.
 ///

@@ -6,9 +6,10 @@
 //! frame when the RDG switch is off — the two cases have different input
 //! buffer requirements (Table 1).
 
-use crate::hessian::{blob_response, hessian_at_scale, HessianImages, HessianScratch};
+use crate::fused::{fused_scale, BlobMax, FusedScratch};
+use crate::hessian::{blob_response, hessian_at_scale, KernelCache, ReferenceScratch};
 use crate::image::{ImageF32, ImageU16, Roi};
-use crate::simd::{F32x8, SimdF32};
+use crate::simd::{F32x8, LANES};
 
 /// A candidate balloon marker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,16 +57,24 @@ impl Default for MkxConfig {
     }
 }
 
-/// Reusable working memory of the MKX task.
+/// Reusable working memory of the MKX task: three frame-sized planes (the
+/// "intermediate" storage of Table 1) plus the fused sweep's width-linear
+/// ring and the cached kernel taps.
 #[derive(Debug)]
 pub struct MkxBuffers {
+    /// The input frame converted to f32.
     src_f32: ImageF32,
-    hessian: HessianImages,
-    scratch: HessianScratch,
+    /// The multi-scale blob-response maximum.
     acc: ImageF32,
-    /// Per-pixel winning scale of the multi-scale max (pooled here so
-    /// steady-state frames allocate nothing in `mkx_extract`).
-    best_scale: Vec<f32>,
+    /// Per-pixel winning scale of that maximum.
+    scale: ImageF32,
+    /// The fused sweep's row-filtered tile ring.
+    ring: FusedScratch,
+    /// Per-sigma `(G, G', G'')` cache.
+    kernels: KernelCache,
+    /// Full-frame intermediates of the oracle, `None` until
+    /// [`mkx_extract_reference`] runs.
+    reference: Option<Box<ReferenceScratch>>,
 }
 
 impl MkxBuffers {
@@ -73,26 +82,23 @@ impl MkxBuffers {
     pub fn new(width: usize, height: usize) -> Self {
         Self {
             src_f32: ImageF32::new(width, height),
-            hessian: HessianImages {
-                ixx: ImageF32::new(width, height),
-                iyy: ImageF32::new(width, height),
-                ixy: ImageF32::new(width, height),
-            },
-            scratch: HessianScratch::new(width, height),
             acc: ImageF32::new(width, height),
-            best_scale: vec![0.0; width * height],
+            scale: ImageF32::new(width, height),
+            ring: FusedScratch::new(),
+            kernels: KernelCache::new(),
+            reference: None,
         }
     }
 
-    /// Total intermediate storage in bytes.
+    /// Total intermediate storage in bytes (Table 1 accounting), including
+    /// — if the oracle ever ran — its full-frame intermediates.
     pub fn byte_size(&self) -> usize {
         self.src_f32.byte_size()
-            + self.hessian.ixx.byte_size()
-            + self.hessian.iyy.byte_size()
-            + self.hessian.ixy.byte_size()
-            + self.scratch.byte_size()
             + self.acc.byte_size()
-            + self.best_scale.len() * std::mem::size_of::<f32>()
+            + self.scale.byte_size()
+            + self.ring.byte_size()
+            + self.kernels.byte_size()
+            + self.reference.as_ref().map_or(0, |r| r.byte_size())
     }
 }
 
@@ -106,21 +112,59 @@ pub struct MkxOutput {
     pub raw_maxima: usize,
 }
 
-/// Extracts candidate markers inside `roi`.
+/// Extracts candidate markers inside `roi`: the multi-scale blob response
+/// by the fused Hessian sweep (one pass over the source per scale), then
+/// its local maxima above a threshold relative to the ROI's peak, pruned
+/// strongest first. A maximum needs its whole 3×3 neighbourhood inside the
+/// ROI, so the result depends on nothing an earlier call left in `bufs`.
 pub fn mkx_extract(src: &ImageU16, roi: Roi, cfg: &MkxConfig, bufs: &mut MkxBuffers) -> MkxOutput {
+    mkx_kernel(src, roi, cfg, bufs, false)
+}
+
+/// [`mkx_extract`] with the response computed by the original unfused
+/// engine: three `convolve_rows` + three `convolve_cols` passes per scale
+/// through full-frame intermediates, then a scalar [`blob_response`] pass.
+/// Bit-identical to the fused sweep by contract; kept as the oracle tests
+/// diff it against.
+pub fn mkx_extract_reference(
+    src: &ImageU16,
+    roi: Roi,
+    cfg: &MkxConfig,
+    bufs: &mut MkxBuffers,
+) -> MkxOutput {
+    mkx_kernel(src, roi, cfg, bufs, true)
+}
+
+/// The MKX kernel: both public entry points above are this function.
+fn mkx_kernel(
+    src: &ImageU16,
+    roi: Roi,
+    cfg: &MkxConfig,
+    bufs: &mut MkxBuffers,
+    oracle: bool,
+) -> MkxOutput {
     assert_eq!(
         src.dims(),
         bufs.src_f32.dims(),
         "buffer geometry must match the frame"
     );
     assert!(!cfg.scales.is_empty(), "at least one scale required");
-    let roi = roi.clamp_to(src.width(), src.height());
+    let (w, h) = src.dims();
+    let roi = roi.clamp_to(w, h);
     if roi.is_empty() {
         return MkxOutput {
             candidates: Vec::new(),
             raw_maxima: 0,
         };
     }
+    let MkxBuffers {
+        src_f32,
+        acc,
+        scale,
+        ring,
+        kernels,
+        reference,
+    } = bufs;
 
     let halo = cfg
         .scales
@@ -128,87 +172,89 @@ pub fn mkx_extract(src: &ImageU16, roi: Roi, cfg: &MkxConfig, bufs: &mut MkxBuff
         .map(|&s| (3.0 * s).ceil() as usize)
         .max()
         .unwrap_or(0);
-    let conv_roi = roi.inflate(halo, src.width(), src.height());
+    let conv_roi = roi.inflate(halo, w, h);
     for y in conv_roi.y..conv_roi.bottom() {
         let s = &src.row(y)[conv_roi.x..conv_roi.right()];
-        let d = &mut bufs.src_f32.row_mut(y)[conv_roi.x..conv_roi.right()];
+        let d = &mut src_f32.row_mut(y)[conv_roi.x..conv_roi.right()];
         for (d, &s) in d.iter_mut().zip(s) {
             *d = s as f32;
         }
     }
 
-    let w = src.width();
-    for y in roi.y..roi.bottom() {
-        bufs.acc.row_mut(y)[roi.x..roi.right()].fill(0.0);
-        // strongest scale per pixel; remember which scale won
-        bufs.best_scale[y * w + roi.x..y * w + roi.right()].fill(cfg.scales[0]);
-    }
-    for &sigma in &cfg.scales {
-        hessian_at_scale(
-            &bufs.src_f32,
-            &mut bufs.hessian,
-            &mut bufs.scratch,
-            roi,
-            sigma,
-        );
+    // Strongest scale per pixel, remembering which scale won.
+    if oracle {
+        let rs = reference.get_or_insert_with(|| Box::new(ReferenceScratch::new(w, h)));
+        let span = roi.x..roi.right();
         for y in roi.y..roi.bottom() {
-            let span = roi.x..roi.right();
-            blob_accumulate_row(
-                &bufs.hessian.ixx.row(y)[span.clone()],
-                &bufs.hessian.iyy.row(y)[span.clone()],
-                &bufs.hessian.ixy.row(y)[span.clone()],
-                &mut bufs.acc.row_mut(y)[span.clone()],
-                &mut bufs.best_scale[y * w + roi.x..y * w + roi.right()],
+            acc.row_mut(y)[span.clone()].fill(0.0);
+            scale.row_mut(y)[span.clone()].fill(cfg.scales[0]);
+        }
+        for &sigma in &cfg.scales {
+            hessian_at_scale(src_f32, &mut rs.hessian, &mut rs.conv, roi, sigma);
+            for y in roi.y..roi.bottom() {
+                let ixx = &rs.hessian.ixx.row(y)[span.clone()];
+                let iyy = &rs.hessian.iyy.row(y)[span.clone()];
+                let ixy = &rs.hessian.ixy.row(y)[span.clone()];
+                let acc = &mut acc.row_mut(y)[span.clone()];
+                let scale = &mut scale.row_mut(y)[span.clone()];
+                for i in 0..acc.len() {
+                    let r = blob_response(ixx[i], iyy[i], ixy[i]);
+                    if r > acc[i] {
+                        acc[i] = r;
+                        scale[i] = sigma;
+                    }
+                }
+            }
+        }
+    } else {
+        // The first scale overwrites both planes (bit-identical to the
+        // oracle's fills + merge, without the fill passes); the remaining
+        // scales fold in on a strict `r > acc`.
+        let rows = roi.y * w..roi.bottom() * w;
+        let acc = &mut acc.as_mut_slice()[rows.clone()];
+        let scale = &mut scale.as_mut_slice()[rows];
+        for (k, &sigma) in cfg.scales.iter().enumerate() {
+            let (g, d1, d2) = kernels.get(sigma);
+            let out = BlobMax {
+                acc: &mut *acc,
+                scale: &mut *scale,
                 sigma,
-            );
+            };
+            if k == 0 {
+                fused_scale::<_, true>(src_f32, out, ring, g, d1, d2, roi);
+            } else {
+                fused_scale::<_, false>(src_f32, out, ring, g, d1, d2, roi);
+            }
         }
     }
 
     // local maxima above a relative threshold
-    let peak = {
-        let mut m = 0.0f32;
-        for y in roi.y..roi.bottom() {
-            for &v in &bufs.acc.row(y)[roi.x..roi.right()] {
-                m = m.max(v);
-            }
-        }
-        m
-    };
+    let peak = peak_response(acc, roi);
     // Absolute floor guards against numerical residue on flat frames, where
     // every pixel would otherwise tie as a "local maximum".
     let threshold = (cfg.threshold_rel * peak).max(1e-3);
     let mut raw: Vec<Marker> = Vec::new();
     if peak > 1e-3 {
-        for y in roi.y.max(1)..roi.bottom().min(src.height() - 1) {
-            for x in roi.x.max(1)..roi.right().min(src.width() - 1) {
-                let v = bufs.acc.get(x, y);
+        // One pixel in from the ROI's edges: the 3×3 test and the sub-pixel
+        // fit read only responses this call wrote.
+        let (x0, x1) = (roi.x + 1, roi.right() - 1);
+        for y in roi.y + 1..roi.bottom() - 1 {
+            let (up, row, down) = (acc.row(y - 1), acc.row(y), acc.row(y + 1));
+            for x in x0..x1 {
+                let v = row[x];
                 if v <= threshold {
                     continue;
                 }
-                let mut is_max = true;
-                'nb: for dy in -1i64..=1 {
-                    for dx in -1i64..=1 {
-                        if dx == 0 && dy == 0 {
-                            continue;
-                        }
-                        let n = bufs
-                            .acc
-                            .get((x as i64 + dx) as usize, (y as i64 + dy) as usize);
-                        if n > v {
-                            is_max = false;
-                            break 'nb;
-                        }
-                    }
+                let around = [&up[x - 1..x + 2], &row[x - 1..x + 2], &down[x - 1..x + 2]];
+                if around.iter().any(|r| r.iter().any(|&n| n > v)) {
+                    continue;
                 }
-                if is_max {
-                    let (sx, sy) = subpixel_refine(&bufs.acc, x, y);
-                    raw.push(Marker {
-                        x: sx,
-                        y: sy,
-                        strength: v,
-                        scale: bufs.best_scale[y * src.width() + x],
-                    });
-                }
+                raw.push(Marker {
+                    x: x as f64 + subpixel_offset(row[x - 1], v, row[x + 1]),
+                    y: y as f64 + subpixel_offset(up[x], v, down[x]),
+                    strength: v,
+                    scale: scale.get(x, y),
+                });
             }
         }
     }
@@ -235,123 +281,36 @@ pub fn mkx_extract(src: &ImageU16, roi: Roi, cfg: &MkxConfig, bufs: &mut MkxBuff
     }
 }
 
-/// One row of the multi-scale blob max: `acc = max(acc, blob_response)` with
-/// the winning scale recorded per pixel.
-///
-/// The vector body inlines `hessian::blob_response` with the same expression
-/// association (`(diff*diff)*0.25 + ixy*ixy`, `tr*0.5 ± disc`) and maps its
-/// branches onto per-lane selects: `iso` keeps `lo/hi` only where `hi > 0`,
-/// and the final `0 > lo` select reproduces the `lo <= 0 => 0` early-out. The
-/// only lanes where the select form can differ bitwise from the scalar branch
-/// are `lo == -0.0` (scalar `+0.0` vs vector `-0.0`); neither value survives
-/// the strict `r > acc` max against the zero-filled accumulator, so `acc` and
-/// `best_scale` stay bit-identical.
-#[inline(always)]
-fn blob_accumulate_row_body<V: SimdF32>(
-    ixx: &[f32],
-    iyy: &[f32],
-    ixy: &[f32],
-    acc: &mut [f32],
-    best_scale: &mut [f32],
-    sigma: f32,
-) {
-    let n = acc.len();
-    debug_assert!(ixx.len() == n && iyy.len() == n && ixy.len() == n && best_scale.len() == n);
-    let half = V::splat(0.5);
-    let quarter = V::splat(0.25);
-    let zero = V::splat(0.0);
-    let vsig = V::splat(sigma);
-    let mut i = 0;
-    while i + V::WIDTH <= n {
-        // Safety: `i + V::WIDTH <= n` bounds every load/store below.
-        unsafe {
-            let xx = V::load_at(ixx, i);
-            let yy = V::load_at(iyy, i);
-            let xy = V::load_at(ixy, i);
-            let tr = xx + yy;
-            let diff = xx - yy;
-            let disc = (diff * diff * quarter + xy * xy).sqrt();
-            let hi = tr * half + disc;
-            let lo = tr * half - disc;
-            let iso = V::select_gt(hi, zero, lo / hi, zero);
-            let resp = (hi + lo) * iso;
-            let r = V::select_gt(zero, lo, zero, resp);
-            let a = V::load_at(acc, i);
-            V::select_gt(r, a, r, a).store_at(acc, i);
-            let b = V::load_at(best_scale, i);
-            V::select_gt(r, a, vsig, b).store_at(best_scale, i);
+/// Largest response inside `roi`, at least `0.0`. Eight running maxima, one
+/// per lane, folded at the end: the response holds no NaN and no `-0.0`, so
+/// the maximum does not depend on the order it is taken in, and a single
+/// scalar `max` chain is one dependent compare per pixel.
+fn peak_response(acc: &ImageF32, roi: Roi) -> f32 {
+    let mut lanes = F32x8::splat(0.0);
+    let mut peak = 0.0f32;
+    for y in roi.y..roi.bottom() {
+        let mut chunks = acc.row(y)[roi.x..roi.right()].chunks_exact(LANES);
+        for c in &mut chunks {
+            let v = F32x8::load(c);
+            lanes = F32x8::select_gt(v, lanes, v, lanes);
         }
-        i += V::WIDTH;
-    }
-    for j in i..n {
-        let r = blob_response(ixx[j], iyy[j], ixy[j]);
-        if r > acc[j] {
-            acc[j] = r;
-            best_scale[j] = sigma;
+        for &v in chunks.remainder() {
+            peak = peak.max(v);
         }
     }
+    lanes.0.iter().fold(peak, |m, &v| m.max(v))
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn blob_accumulate_row_avx2(
-    ixx: &[f32],
-    iyy: &[f32],
-    ixy: &[f32],
-    acc: &mut [f32],
-    best_scale: &mut [f32],
-    sigma: f32,
-) {
-    blob_accumulate_row_body::<F32x8>(ixx, iyy, ixy, acc, best_scale, sigma);
-}
-
-fn blob_accumulate_row(
-    ixx: &[f32],
-    iyy: &[f32],
-    ixy: &[f32],
-    acc: &mut [f32],
-    best_scale: &mut [f32],
-    sigma: f32,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // Safety: AVX2 support verified at runtime.
-            unsafe { blob_accumulate_row_avx2(ixx, iyy, ixy, acc, best_scale, sigma) };
-            return;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        blob_accumulate_row_body::<crate::simd::NeonF32x4>(ixx, iyy, ixy, acc, best_scale, sigma);
-        return;
-    }
-    #[allow(unreachable_code)]
-    blob_accumulate_row_body::<F32x8>(ixx, iyy, ixy, acc, best_scale, sigma)
-}
-
-/// Parabolic sub-pixel refinement of a local maximum.
-fn subpixel_refine(acc: &ImageF32, x: usize, y: usize) -> (f64, f64) {
-    let v = acc.get(x, y) as f64;
-    let refine = |lo: f64, hi: f64| {
-        let denom = lo - 2.0 * v + hi;
-        if denom.abs() < 1e-12 {
-            0.0
-        } else {
-            (0.5 * (lo - hi) / denom).clamp(-0.5, 0.5)
-        }
-    };
-    let dx = if x > 0 && x + 1 < acc.width() {
-        refine(acc.get(x - 1, y) as f64, acc.get(x + 1, y) as f64)
-    } else {
+/// Parabolic sub-pixel offset of a local maximum `v` between its two
+/// neighbours along one axis, in `[-0.5, 0.5]`.
+fn subpixel_offset(lo: f32, v: f32, hi: f32) -> f64 {
+    let (lo, v, hi) = (lo as f64, v as f64, hi as f64);
+    let denom = lo - 2.0 * v + hi;
+    if denom.abs() < 1e-12 {
         0.0
-    };
-    let dy = if y > 0 && y + 1 < acc.height() {
-        refine(acc.get(x, y - 1) as f64, acc.get(x, y + 1) as f64)
     } else {
-        0.0
-    };
-    (x as f64 + dx, y as f64 + dy)
+        (0.5 * (lo - hi) / denom).clamp(-0.5, 0.5)
+    }
 }
 
 #[cfg(test)]
@@ -371,35 +330,49 @@ mod tests {
         })
     }
 
+    /// A blob moved across a sub-frame ROI's left edge: buffers that ran a
+    /// full-frame call first hold that call's responses just outside the
+    /// ROI, fresh ones hold zeros there, and the candidates must not tell
+    /// the two apart. (Scanning the ROI's edge pixels themselves, as this
+    /// function once did, reports a flank "maximum" at x = 32 for the
+    /// blobs centred at 30 and 31 on fresh buffers only.)
     #[test]
-    fn blob_accumulate_row_matches_scalar_bits() {
-        let n = 61;
-        let mut state = 0x1234_5678u32;
-        let mut next = move || {
-            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-            (state >> 8) as f32 / (1 << 24) as f32 * 40.0 - 20.0
-        };
-        let ixx: Vec<f32> = (0..n).map(|_| next()).collect();
-        let iyy: Vec<f32> = (0..n).map(|_| next()).collect();
-        let ixy: Vec<f32> = (0..n).map(|_| next()).collect();
-        let mut acc_fast = vec![0.0f32; n];
-        let mut bs_fast = vec![1.0f32; n];
-        let mut acc_ref = vec![0.0f32; n];
-        let mut bs_ref = vec![1.0f32; n];
-        // Two scales over the same accumulator exercises the max-so-far path.
-        for sigma in [1.5f32, 2.5] {
-            blob_accumulate_row(&ixx, &iyy, &ixy, &mut acc_fast, &mut bs_fast, sigma);
-            for j in 0..n {
-                let r = blob_response(ixx[j], iyy[j], ixy[j]);
-                if r > acc_ref[j] {
-                    acc_ref[j] = r;
-                    bs_ref[j] = sigma;
+    fn result_does_not_depend_on_what_earlier_calls_left_in_the_buffers() {
+        let cfg = MkxConfig::default();
+        let roi = Roi::new(32, 8, 28, 48);
+        for step in 0..24 {
+            let cx = 26.0 + step as f32 * 0.5;
+            let src = frame_with_blobs(64, 64, &[(cx, 30.0, 1100.0), (50.0, 40.0, 900.0)]);
+            let fresh = mkx_extract(&src, roi, &cfg, &mut MkxBuffers::new(64, 64));
+            let mut bufs = MkxBuffers::new(64, 64);
+            mkx_extract(&src, src.full_roi(), &cfg, &mut bufs);
+            let reused = mkx_extract(&src, roi, &cfg, &mut bufs);
+            assert_eq!(fresh.raw_maxima, reused.raw_maxima, "blob at x = {cx}");
+            assert_eq!(fresh.candidates, reused.candidates, "blob at x = {cx}");
+            assert!(!fresh.candidates.is_empty(), "the second blob is inside");
+            assert!(
+                fresh.candidates.iter().all(|m| m.x >= 32.5),
+                "a maximum at pixel 33 or beyond refines to 32.5 at the least: {:?}",
+                fresh.candidates
+            );
+        }
+    }
+
+    #[test]
+    fn lane_wise_peak_equals_the_scalar_max_chain() {
+        let acc: ImageF32 = Image::from_fn(37, 9, |x, y| ((x * 29 + y * 13) % 53) as f32 * 0.75);
+        for roi in [acc.full_roi(), Roi::new(3, 2, 21, 5), Roi::new(30, 0, 7, 9)] {
+            let mut chain = 0.0f32;
+            for y in roi.y..roi.bottom() {
+                for &v in &acc.row(y)[roi.x..roi.right()] {
+                    chain = chain.max(v);
                 }
             }
-            for j in 0..n {
-                assert_eq!(acc_fast[j].to_bits(), acc_ref[j].to_bits(), "acc[{j}]");
-                assert_eq!(bs_fast[j].to_bits(), bs_ref[j].to_bits(), "scale[{j}]");
-            }
+            assert_eq!(
+                peak_response(&acc, roi).to_bits(),
+                chain.to_bits(),
+                "{roi:?}"
+            );
         }
     }
 

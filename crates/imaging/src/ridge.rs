@@ -23,8 +23,7 @@ use std::time::Instant;
 
 use crate::fused::{fused_ridge_scale, fused_ridge_scale_init, FusedScratch};
 use crate::hessian::{
-    accumulate_max_response, hessian_at_scale, ridge_response, HessianImages, HessianScratch,
-    KernelCache,
+    accumulate_max_response, hessian_at_scale, ridge_response, KernelCache, ReferenceScratch,
 };
 use crate::image::{Image, ImageF32, ImageU16, Roi};
 use crate::parallel::{PoolError, StripeFault, StripePool};
@@ -74,37 +73,6 @@ impl Default for RdgConfig {
             response_floor: 32.0,
             suppression: 1.0,
         }
-    }
-}
-
-/// Full-frame working set of the unfused oracle ([`rdg_roi_reference`]):
-/// the three Hessian component images plus the separable-convolution
-/// scratch. Allocated lazily on the first oracle call, so the fused path
-/// never pays for it — its only stage-B intermediates are the tile rings
-/// in [`FusedScratch`].
-#[derive(Debug)]
-struct ReferenceScratch {
-    hessian: HessianImages,
-    conv: HessianScratch,
-}
-
-impl ReferenceScratch {
-    fn new(width: usize, height: usize) -> Self {
-        Self {
-            hessian: HessianImages {
-                ixx: ImageF32::new(width, height),
-                iyy: ImageF32::new(width, height),
-                ixy: ImageF32::new(width, height),
-            },
-            conv: HessianScratch::new(width, height),
-        }
-    }
-
-    fn byte_size(&self) -> usize {
-        self.hessian.ixx.byte_size()
-            + self.hessian.iyy.byte_size()
-            + self.hessian.ixy.byte_size()
-            + self.conv.byte_size()
     }
 }
 

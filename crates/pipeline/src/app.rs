@@ -67,6 +67,11 @@ impl Default for AppConfig {
 /// mean absolute gradient of the reduced image. Dominant curvilinear
 /// structures (contrast-filled vessels) survive the averaging; noise does
 /// not.
+///
+/// Streams the frame once, row by row: integer column sums over a block's
+/// rows, block sums from those, and two rolling rows of block means for
+/// the gradient. Block sums are integers, so the result is bit-equal to
+/// summing each block pixel by pixel in `f64`.
 pub fn structure_probe(frame: &ImageU16, block: usize) -> f64 {
     assert!(block > 0);
     let (w, h) = frame.dims();
@@ -75,30 +80,36 @@ pub fn structure_probe(frame: &ImageU16, block: usize) -> f64 {
     if bw < 2 || bh < 2 {
         return 0.0;
     }
-    // block-average
-    let mut small = vec![0.0f64; bw * bh];
-    for by in 0..bh {
-        for bx in 0..bw {
-            let mut sum = 0.0f64;
-            for y in 0..block {
-                for x in 0..block {
-                    sum += frame.get(bx * block + x, by * block + y) as f64;
-                }
-            }
-            small[by * bw + bx] = sum / (block * block) as f64;
-        }
-    }
-    // mean absolute gradient
+    assert!(
+        block <= (u32::MAX / u16::MAX as u32) as usize,
+        "a column of {block} u16 pixels can overflow its u32 sum"
+    );
+    let area = (block * block) as f64;
+    let mut cols = vec![0u32; bw * block];
+    let mut above = vec![0.0f64; bw];
+    let mut means = vec![0.0f64; bw];
     let mut total = 0.0f64;
-    let mut count = 0usize;
-    for y in 0..bh - 1 {
-        for x in 0..bw - 1 {
-            let v = small[y * bw + x];
-            total += (small[y * bw + x + 1] - v).abs() + (small[(y + 1) * bw + x] - v).abs();
-            count += 2;
+    for by in 0..bh {
+        cols.fill(0);
+        for y in by * block..(by + 1) * block {
+            for (c, &p) in cols.iter_mut().zip(frame.row(y)) {
+                *c += p as u32;
+            }
         }
+        for (m, c) in means.iter_mut().zip(cols.chunks_exact(block)) {
+            *m = c.iter().map(|&v| v as u64).sum::<u64>() as f64 / area;
+        }
+        // mean absolute gradient of the row of blocks above, whose lower
+        // neighbours have just become known
+        if by > 0 {
+            for x in 0..bw - 1 {
+                let v = above[x];
+                total += (above[x + 1] - v).abs() + (means[x] - v).abs();
+            }
+        }
+        std::mem::swap(&mut above, &mut means);
     }
-    total / count as f64
+    total / (2 * (bw - 1) * (bh - 1)) as f64
 }
 
 /// Mutable state of the pipeline, carried across frames.
@@ -169,6 +180,69 @@ impl AppState {
 mod tests {
     use super::*;
     use imaging::image::Image;
+
+    /// The probe as it was first written: the block-averaged image in
+    /// full, every pixel through `get`.
+    fn structure_probe_reference(frame: &ImageU16, block: usize) -> f64 {
+        assert!(block > 0);
+        let (w, h) = frame.dims();
+        let bw = w / block;
+        let bh = h / block;
+        if bw < 2 || bh < 2 {
+            return 0.0;
+        }
+        // block-average
+        let mut small = vec![0.0f64; bw * bh];
+        for by in 0..bh {
+            for bx in 0..bw {
+                let mut sum = 0.0f64;
+                for y in 0..block {
+                    for x in 0..block {
+                        sum += frame.get(bx * block + x, by * block + y) as f64;
+                    }
+                }
+                small[by * bw + bx] = sum / (block * block) as f64;
+            }
+        }
+        // mean absolute gradient
+        let mut total = 0.0f64;
+        let mut count = 0usize;
+        for y in 0..bh - 1 {
+            for x in 0..bw - 1 {
+                let v = small[y * bw + x];
+                total += (small[y * bw + x + 1] - v).abs() + (small[(y + 1) * bw + x] - v).abs();
+                count += 2;
+            }
+        }
+        total / count as f64
+    }
+
+    #[test]
+    fn streamed_probe_is_bit_equal_to_the_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        // sizes that are and are not multiples of the block; the last one
+        // holds the brightest pixels
+        for (w, h, top) in [
+            (64, 48, 4000),
+            (61, 47, 4000),
+            (33, 130, 4000),
+            (130, 9, u16::MAX),
+        ] {
+            let frame = Image::from_fn(w, h, |x, y| {
+                let d = (x as f32 - y as f32).abs() / 2.0;
+                let v = top as f32 * (0.5 - 0.3 * (-d * d / 8.0).exp());
+                v as u16 + rng.gen_range(0..top / 4)
+            });
+            for block in [1, 3, 4, 5] {
+                assert_eq!(
+                    structure_probe(&frame, block).to_bits(),
+                    structure_probe_reference(&frame, block).to_bits(),
+                    "{w}x{h} block {block}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn probe_separates_structured_from_flat() {

@@ -47,10 +47,12 @@ impl Default for ExecutionPolicy {
     }
 }
 
-/// Tasks that can be data-partitioned (striped) on the platform; the
-/// remaining tasks are feature-level (CPLS SEL, REG, ROI EST) or
-/// extraction passes with global candidate state (MKX EXT) and stay
-/// serial within a frame.
+/// Tasks that are data-partitioned (striped) on the platform; the
+/// remaining tasks are feature-level (CPLS SEL, REG, ROI EST) and stay
+/// serial within a frame. So does MKX EXT, though its response sweep is
+/// band-safe (the fused sweep RDG stripes): its peak, threshold scan and
+/// pruning are global, and it is heavy only on first frames, which the
+/// manager does not stripe yet — it stays one job until it does.
 pub const STRIPABLE_TASKS: [&str; 5] = ["RDG_FULL", "RDG_ROI", "GW_EXT", "ENH", "ZOOM"];
 
 /// Faults to inject into one frame's execution (all disabled by default).

@@ -3,7 +3,9 @@
 //! ROI, stripe count and fine-scale switch state, the kernel's outputs
 //! (`filtered` and `ridgeness`) must be **bit-identical** to
 //! `rdg_roi_reference`. This is the contract that lets the performance
-//! work ride under every existing RDG test.
+//! work ride under every existing RDG test. MKX EXT runs the same sweep
+//! with the blob response and is held to `mkx_extract_reference` the same
+//! way, candidate for candidate.
 //!
 //! The vendored offline proptest does not replay regression files, so one
 //! historical shrink is pinned as the explicit unit test at the bottom.
@@ -11,6 +13,7 @@
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use triple_c::imaging::image::{Image, ImageU16, Roi};
+use triple_c::imaging::markers::{mkx_extract, mkx_extract_reference, MkxBuffers, MkxConfig};
 use triple_c::imaging::parallel::{StripeFault, StripePool};
 use triple_c::imaging::ridge::{rdg_banded, rdg_roi, rdg_roi_reference, RdgBuffers, RdgConfig};
 
@@ -187,6 +190,62 @@ proptest! {
                 prop_assert_eq!(fused.segments == 0, reference.segments == 0);
             }
             bufs.recycle(fused);
+        }
+    }
+
+    /// Fused marker extraction returns the oracle's candidates bit for bit:
+    /// arbitrary content, geometry and ROIs (frame-escaping, degenerate and
+    /// one-row ones included), one to three scales in either order, over
+    /// two rounds on buffers that a call on a different ROI used first —
+    /// what that call left in the planes must not show.
+    #[test]
+    fn fused_mkx_matches_reference(
+        width in 16usize..96,
+        height in 16usize..96,
+        seed in 0u64..u64::MAX,
+        rois in prop::collection::vec((0usize..64, 0usize..64, 1usize..112, 1usize..112), 3..4),
+        one_row in any::<bool>(),
+        n_scales in 1usize..4,
+        coarse_first in any::<bool>(),
+    ) {
+        let mut scales = vec![1.0f32, 1.5, 2.5];
+        scales.truncate(n_scales);
+        if coarse_first {
+            scales.reverse();
+        }
+        let cfg = MkxConfig { scales, ..MkxConfig::default() };
+        let mut rois: Vec<Roi> = rois
+            .into_iter()
+            .map(|(x, y, width, height)| Roi { x, y, width, height })
+            .collect();
+        if one_row {
+            rois[2].height = 1;
+        }
+        let mut fused_bufs = MkxBuffers::new(width, height);
+        let mut oracle_bufs = MkxBuffers::new(width, height);
+        mkx_extract(&frame(width, height, !seed), rois[0], &cfg, &mut fused_bufs);
+        for (round, &roi) in rois[1..].iter().enumerate() {
+            let src = frame(width, height, seed.wrapping_add(round as u64));
+            let fused = mkx_extract(&src, roi, &cfg, &mut fused_bufs);
+            let oracle = mkx_extract_reference(&src, roi, &cfg, &mut oracle_bufs);
+            prop_assert!(
+                fused.raw_maxima == oracle.raw_maxima
+                    && fused.candidates.len() == oracle.candidates.len(),
+                "round {round}: fused {} maxima, {} candidates; oracle {}, {}",
+                fused.raw_maxima,
+                fused.candidates.len(),
+                oracle.raw_maxima,
+                oracle.candidates.len()
+            );
+            for (f, o) in fused.candidates.iter().zip(&oracle.candidates) {
+                prop_assert!(
+                    f.x.to_bits() == o.x.to_bits()
+                        && f.y.to_bits() == o.y.to_bits()
+                        && f.strength.to_bits() == o.strength.to_bits()
+                        && f.scale.to_bits() == o.scale.to_bits(),
+                    "round {round}: fused {f:?}, oracle {o:?}"
+                );
+            }
         }
     }
 }

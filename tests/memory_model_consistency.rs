@@ -4,13 +4,14 @@
 
 use triple_c::imaging::enhance::EnhState;
 use triple_c::imaging::image::Image;
-use triple_c::imaging::markers::MkxBuffers;
+use triple_c::imaging::markers::{mkx_extract, mkx_extract_reference, MkxBuffers, MkxConfig};
 use triple_c::imaging::parallel::{StripeFault, StripePool};
 use triple_c::imaging::ridge::{rdg_banded, rdg_full, RdgBuffers, RdgConfig};
 use triple_c::imaging::zoom::{zoom_band_with, ZoomConfig, ZoomFilter, ZoomScratch};
 use triple_c::triplec::memory_model::{
-    enh_intermediate_bytes, implementation_table, lookup, per_pixel, rdg_intermediate_bytes,
-    rdg_tile_bytes, zoom_scratch_bytes, FrameGeometry, RDG_DEFAULT_SCALES,
+    enh_intermediate_bytes, implementation_table, lookup, mkx_intermediate_bytes, per_pixel,
+    rdg_intermediate_bytes, rdg_kernel_bytes, rdg_tile_bytes, zoom_scratch_bytes, FrameGeometry,
+    RDG_DEFAULT_SCALES,
 };
 
 const W: usize = 128;
@@ -94,13 +95,43 @@ fn rdg_output_formula_matches_actual_output() {
 
 #[test]
 fn mkx_intermediate_formula_tracks_buffers() {
-    // The per-pixel best-scale map is pooled inside MkxBuffers, so the
-    // buffers alone account for the full 32 B/px model.
-    let bufs = MkxBuffers::new(W, H);
+    // Fresh buffers are the three per-pixel planes and nothing else.
+    let mut bufs = MkxBuffers::new(W, H);
     assert_eq!(
         bufs.byte_size(),
         W * H * per_pixel::MKX_INTERMEDIATE,
-        "MKX intermediate formula drifted"
+        "MKX per-pixel constant drifted from fresh MkxBuffers"
+    );
+    assert_eq!(per_pixel::MKX_INTERMEDIATE, 12);
+    // One fused call adds the width-linear tile ring and the kernel taps.
+    let (frame, cfg) = (test_frame(), MkxConfig::default());
+    mkx_extract(&frame, frame.full_roi(), &cfg, &mut bufs);
+    let geom = FrameGeometry {
+        width: W,
+        height: H,
+    };
+    let warm = mkx_intermediate_bytes(geom, &cfg.scales);
+    assert_eq!(
+        bufs.byte_size(),
+        warm,
+        "MKX warm-state formula drifted from the fused engine's buffers"
+    );
+    // The table's MKX rows describe that warm set for the default scales.
+    let table = implementation_table(geom, 64);
+    for rdg_selected in [false, true] {
+        for task in ["MKX_FULL", "MKX_ROI"] {
+            assert_eq!(
+                lookup(&table, task, rdg_selected).unwrap().intermediate,
+                warm
+            );
+        }
+    }
+    // The oracle's five full-frame planes (20 B/px) and its own copy of
+    // the kernel taps exist only once the oracle has run.
+    mkx_extract_reference(&frame, frame.full_roi(), &cfg, &mut bufs);
+    assert_eq!(
+        bufs.byte_size(),
+        warm + W * H * 20 + rdg_kernel_bytes(&cfg.scales)
     );
 }
 
