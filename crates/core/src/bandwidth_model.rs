@@ -90,12 +90,13 @@ pub fn scenario_edges(scenario: Scenario, geom: FrameGeometry, roi_fraction: f64
             to: "ROI_EST",
             bytes_per_frame: 512,
         });
-        // guide-wire extraction reads the ridge map inside the ROI
-        let gw_in = ((px as f64 * roi_fraction) as usize) * 4;
+        // The edge of Fig. 2 taken literally: guide-wire extraction reads
+        // the ridge map RDG made — its f32 response accumulator, not a copy
+        // — and only inside the bounding box of its search corridor.
         edges.push(Edge {
             from: "ROI_EST",
             to: "GW_EXT",
-            bytes_per_frame: gw_in,
+            bytes_per_frame: gw_corridor_box_pixels(px as f64 * roi_fraction) * 4,
         });
     }
     if scenario.reg_successful {
@@ -118,6 +119,20 @@ pub fn scenario_edges(scenario: Scenario, geom: FrameGeometry, roi_fraction: f64
         });
     }
     edges
+}
+
+/// Pixels of GW EXT's corridor box on a tracked ROI of `roi_pixels`, under
+/// the default ROI EST and GW EXT configurations of `triplec-imaging`. ROI
+/// EST gives a marker couple `len` pixels apart a ROI of edge `3·len + 32`
+/// (margin factor 1, 16 px of margin either side); the corridor's box is the
+/// couple's bounding box — at most `len` square — grown on every side by
+/// the corridor half-width (8 samples, 1 px apart) and the far tap of the
+/// bilinear sample.
+fn gw_corridor_box_pixels(roi_pixels: f64) -> usize {
+    let roi_edge = roi_pixels.sqrt();
+    let len = ((roi_edge - 32.0) / 3.0).max(0.0);
+    let box_edge = (len + 2.0 * (8.0 + 1.0)).min(roi_edge);
+    (box_edge * box_edge) as usize
 }
 
 /// Total inter-task bandwidth of a scenario, bytes/s.
@@ -329,6 +344,26 @@ mod tests {
             bw_worst > 2.0 * bw_best,
             "worst {bw_worst:.2e} vs best {bw_best:.2e}"
         );
+    }
+
+    #[test]
+    fn gw_edge_is_the_corridor_box_not_the_roi() {
+        // a 200 x 220 ROI at 1024²: markers ~59 px apart, box ~77 px square
+        let roi_fraction = 200.0 * 220.0 / GEOM.pixels() as f64;
+        let gw_bytes = |fraction| {
+            scenario_edges(Scenario::best_case(), GEOM, fraction)
+                .iter()
+                .find(|e| e.to == "GW_EXT")
+                .expect("a tracked scenario feeds GW EXT")
+                .bytes_per_frame
+        };
+        let bytes = gw_bytes(roi_fraction);
+        assert!((70 * 70 * 4..84 * 84 * 4).contains(&bytes), "{bytes} B");
+        // never more than the ROI's response, and growing with the ROI
+        for fraction in [1e-4, 0.01, roi_fraction, 0.5, 1.0] {
+            assert!(gw_bytes(fraction) <= (GEOM.pixels() as f64 * fraction) as usize * 4);
+            assert!(gw_bytes(fraction) <= gw_bytes(fraction * 1.5));
+        }
     }
 
     #[test]

@@ -141,7 +141,9 @@ pub fn paper_table1() -> Vec<TaskMemory> {
 ///   replaced by the *width-linear* [`rdg_tile_bytes`] term. Recycled
 ///   output images parked in the buffer pools add to the measured
 ///   `byte_size()` once frames are returned but are excluded here;
-///   [`rdg_intermediate_bytes`] gives the exact warm working set. Striping
+///   [`rdg_intermediate_bytes`] gives the exact warm working set and
+///   [`rdg_resident_bytes`] what a pipeline engine holds between frames.
+///   Striping
 ///   adds nothing frame-sized: all bands of a `k`-stripe call share these
 ///   planes, and each band beyond the first brings its own ring
 ///   (`(k - 1) ×` [`rdg_tile_bytes`]) and a flood-fill stack that grows
@@ -214,6 +216,16 @@ pub fn rdg_intermediate_bytes(geom: FrameGeometry, scales: &[f32]) -> usize {
     geom.pixels() * per_pixel::RDG_INTERMEDIATE
         + rdg_tile_bytes(geom.width, scales)
         + rdg_kernel_bytes(scales)
+}
+
+/// What a pipeline engine's `RdgBuffers` holds between frames once it has
+/// run RDG with `scales`: the warm working set plus one parked output pair
+/// ([`per_pixel::RDG_OUTPUT`]). One, not two: a frame has one RDG call,
+/// and GW EXT samples that call's response accumulator (sweeping only what
+/// the accumulator lacks over its corridor's box) without output images of
+/// its own. Pinned against a tracking `AppState` by an integration test.
+pub fn rdg_resident_bytes(geom: FrameGeometry, scales: &[f32]) -> usize {
+    rdg_intermediate_bytes(geom, scales) + geom.pixels() * per_pixel::RDG_OUTPUT
 }
 
 /// Exact warm intermediate working set of MKX at `geom` running `scales`:

@@ -11,7 +11,7 @@
 //! the paper models GW EXT with a Markov chain.
 
 use crate::couples::Couple;
-use crate::image::ImageF32;
+use crate::image::{ImageF32, Roi};
 use crate::simd::{F32x8, SimdF32};
 
 /// Configuration of guide-wire extraction.
@@ -101,6 +101,28 @@ fn sample_bilinear(map: &ImageF32, x: f64, y: f64) -> f32 {
     let v01 = map.get(x0, y1);
     let v11 = map.get(x1, y1);
     v00 * (1.0 - fx) * (1.0 - fy) + v10 * fx * (1.0 - fy) + v01 * (1.0 - fx) * fy + v11 * fx * fy
+}
+
+/// Bounding box of the pixels [`gw_extract_with`] can read from a
+/// `width x height` ridge map for `couple`: the markers' bounding box grown
+/// by the corridor's half-width, one more column and row for the far tap of
+/// the bilinear sample, clamped to the map as the sampler clamps.
+pub fn corridor_box(couple: &Couple, cfg: &GwConfig, width: usize, height: usize) -> Roi {
+    if width == 0 || height == 0 {
+        return Roi::new(0, 0, 0, 0);
+    }
+    // The slack absorbs the rounding of `a + u·t·len ± n·off`; it costs a
+    // column only when a sample lands within it of a pixel boundary.
+    let reach = cfg.corridor_half_width as f64 * cfg.lateral_step.abs() + 1e-6;
+    let span = |a: f64, b: f64, n: usize| {
+        let top = (n - 1) as f64;
+        let first = (a.min(b) - reach).clamp(0.0, top).floor() as usize;
+        let last = ((a.max(b) + reach).clamp(0.0, top).floor() as usize + 1).min(n - 1);
+        (first, last - first + 1)
+    };
+    let (x, w) = span(couple.a.x, couple.b.x, width);
+    let (y, h) = span(couple.a.y, couple.b.y, height);
+    Roi::new(x, y, w, h)
 }
 
 /// Searches for the guide wire joining the two markers of `couple` in the
@@ -583,6 +605,42 @@ mod tests {
                 assert_eq!(fast.cells_evaluated, reference.cells_evaluated);
                 assert_eq!(fast.path, reference.path);
             }
+        }
+    }
+
+    #[test]
+    fn corridor_box_holds_every_tap_of_the_sampler() {
+        // NaN outside the box: a single tap out there, even at weight zero,
+        // would poison the sampled response
+        let map = Image::from_fn(64, 48, |x, y| ((x * 31 + y * 17) % 13) as f32);
+        let cfg = GwConfig::default();
+        for c in [
+            couple(10.0, 32.0, 54.0, 32.0),
+            couple(50.25, 40.5, 12.75, 9.125),
+            // corridor clamped against the frame corners
+            couple(0.0, 0.0, 20.0, 3.0),
+            couple(63.0, 47.0, 40.5, 44.0),
+            couple(2.5, 45.0, 61.0, 1.5),
+            // markers on pixel centres, axis-aligned: taps on box edges
+            couple(20.0, 8.0, 20.0, 30.0),
+        ] {
+            let window = corridor_box(&c, &cfg, 64, 48);
+            let masked = Image::from_fn(64, 48, |x, y| {
+                if window.contains(x, y) {
+                    map.get(x, y)
+                } else {
+                    f32::NAN
+                }
+            });
+            let whole = gw_extract(&map, &c, &cfg);
+            let boxed = gw_extract(&masked, &c, &cfg);
+            assert_eq!(
+                boxed.mean_response.to_bits(),
+                whole.mean_response.to_bits(),
+                "{window}"
+            );
+            assert_eq!(boxed.path, whole.path);
+            assert_eq!(boxed.wire_found, whole.wire_found);
         }
     }
 

@@ -2,10 +2,11 @@
 //!
 //! The RDG tasks have a streaming nature and can be data-partitioned
 //! (Section 6): the ROI is split into horizontal row bands and
-//! [`crate::ridge::rdg_banded`] runs one job per band on this pool.
-//! Feature-level tasks (CPLS SEL, GW EXT) are partitioned functionally
-//! instead, because they operate on extracted features rather than image
-//! data.
+//! [`crate::ridge::rdg_banded`] runs one job per band on this pool, as does
+//! the response sweep GW EXT needs
+//! ([`crate::ridge::ridge_response_banded`]). Feature-level tasks (CPLS
+//! SEL, GW EXT's path search) are partitioned functionally instead,
+//! because they operate on extracted features rather than image data.
 //!
 //! Earlier revisions spawned fresh `std::thread::scope` workers for every
 //! stripe of every frame; at 30 Hz that is hundreds of thread spawns per

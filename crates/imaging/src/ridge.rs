@@ -76,6 +76,19 @@ impl Default for RdgConfig {
     }
 }
 
+impl RdgConfig {
+    /// The scales one call folds, in sweep order: the base scales, then
+    /// the fine ones when `fine_enabled`.
+    fn active_scales(&self) -> Vec<f32> {
+        let fine: &[f32] = if self.fine_enabled {
+            &self.fine_scales
+        } else {
+            &[]
+        };
+        self.scales.iter().chain(fine).copied().collect()
+    }
+}
+
 /// What one row band's jobs write besides their rows of the shared images.
 /// None of it is frame-sized: a `k`-stripe call needs `k` of these, i.e.
 /// `k - 1` tile rings more than a serial one.
@@ -90,16 +103,17 @@ struct BandScratch {
     segments: usize,
 }
 
-/// Where the wall-clock time of one RDG call went. `serial_ms` plus every
-/// entry of `band_ms` is the call's whole work; on a platform that runs
-/// the bands side by side its latency is `serial_ms` plus the longest band.
+/// Where the wall-clock time of one RDG call (or one
+/// [`ridge_response_banded`] sweep) went. `serial_ms` plus every entry of
+/// `band_ms` is the call's whole work; on a platform that runs the bands
+/// side by side its latency is `serial_ms` plus the longest band.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RdgTimes {
     /// Milliseconds on the calling thread outside the band jobs: stage A,
     /// the global response statistics and the output-image set-up.
     pub serial_ms: f64,
     /// Milliseconds each band spent in its stage-B and stage-C jobs, in
-    /// band order (top to bottom).
+    /// band order (top to bottom). Empty when a sweep had nothing to fold.
     pub band_ms: Vec<f64>,
 }
 
@@ -123,14 +137,20 @@ pub struct RdgBuffers {
     reference: Option<Box<ReferenceScratch>>,
     /// C: the multi-scale ridge-response accumulator.
     acc: ImageF32,
+    /// What `acc` holds since the last successful call: the maximum over
+    /// these scales of the response, everywhere inside this ROI. `None`
+    /// after a failed sweep and after [`ridge_response_banded`], whose
+    /// window is part response, part zeros.
+    swept: Option<(Roi, Vec<f32>)>,
     /// Generation-stamped visited mask of the tracing pass: a pixel counts
     /// as visited when its stamp equals `visit_gen`, so clearing between
     /// frames is a counter bump instead of a full rewrite.
     visited: Image<u32>,
     visit_gen: u32,
-    /// Recycled output images (see [`RdgBuffers::recycle`]).
+    /// Recycled output images (see [`RdgBuffers::recycle`]); a ridgeness
+    /// image comes with the ROI outside which it is known to be zero.
     u16_pool: Vec<ImageU16>,
-    f32_pool: Vec<ImageF32>,
+    f32_pool: Vec<(ImageF32, Roi)>,
     /// Image allocations performed by the output pool; stays constant once
     /// the pool is warm (asserted by tests).
     allocations: usize,
@@ -147,6 +167,7 @@ impl RdgBuffers {
             kernels: KernelCache::new(),
             reference: None,
             acc: ImageF32::new(width, height),
+            swept: None,
             visited: Image::new(width, height),
             visit_gen: 0,
             u16_pool: Vec::new(),
@@ -167,17 +188,29 @@ impl RdgBuffers {
             + self.acc.byte_size()
             + self.visited.byte_size()
             + self.u16_pool.iter().map(|i| i.byte_size()).sum::<usize>()
-            + self.f32_pool.iter().map(|i| i.byte_size()).sum::<usize>()
+            + self
+                .f32_pool
+                .iter()
+                .map(|(i, _)| i.byte_size())
+                .sum::<usize>()
     }
 
     /// Returns a finished output's images for reuse by the next frame: the
     /// steady-state sequence path performs zero per-frame heap allocation.
+    /// `out.ridgeness` must still be zero outside the ROI it was made for
+    /// (it is unless the caller wrote to it): the next call clears only
+    /// what that ROI covers and its own does not.
+    ///
+    /// The pipeline has one output in flight per frame and so parks one
+    /// pair. The second slot serves callers that hold two at once, as the
+    /// RDG-then-RDG composition GW EXT used to be (the benchmark's shadow
+    /// of it, the identity tests' oracle) still does.
     pub fn recycle(&mut self, out: RdgOutput) {
         if self.u16_pool.len() < 2 {
             self.u16_pool.push(out.filtered);
         }
         if self.f32_pool.len() < 2 {
-            self.f32_pool.push(out.ridgeness);
+            self.f32_pool.push((out.ridgeness, out.roi));
         }
     }
 
@@ -191,6 +224,13 @@ impl RdgBuffers {
     /// executor's task times and virtual schedule.
     pub fn times(&self) -> &RdgTimes {
         &self.times
+    }
+
+    /// The response accumulator, in frame coordinates. Defined where the
+    /// most recent successful call says it is: inside the ROI of an RDG
+    /// call, inside the window of a [`ridge_response_banded`] sweep.
+    pub fn response(&self) -> &ImageF32 {
+        &self.acc
     }
 
     pub(crate) fn dims(&self) -> (usize, usize) {
@@ -211,22 +251,16 @@ impl RdgBuffers {
         }
     }
 
-    /// A pooled ridgeness image, zeroed everywhere stage C will not
-    /// overwrite (i.e. outside `roi`). The interior is left as stale pool
-    /// data — cheaper than a full-frame clear, and stage C copies the
-    /// response over every interior pixel.
+    /// A pooled ridgeness image, zero everywhere stage C will not
+    /// overwrite (i.e. outside `roi`). The pooled image is zero outside the
+    /// ROI it was last written with, so only that ROI's pixels outside
+    /// `roi` are cleared — ROI-sized work while tracking, everything
+    /// outside `roi` after a full-frame call. The interior is left as stale
+    /// pool data: stage C copies the response over every interior pixel.
     fn take_ridgeness(&mut self, width: usize, height: usize, roi: Roi) -> ImageF32 {
         match self.f32_pool.pop() {
-            Some(mut img) if img.dims() == (width, height) => {
-                for y in 0..height {
-                    let row = img.row_mut(y);
-                    if y < roi.y || y >= roi.bottom() {
-                        row.fill(0.0);
-                    } else {
-                        row[..roi.x].fill(0.0);
-                        row[roi.right()..].fill(0.0);
-                    }
-                }
+            Some((mut img, written)) if img.dims() == (width, height) => {
+                zero_outside(&mut img, written, roi);
                 img
             }
             _ => {
@@ -237,12 +271,30 @@ impl RdgBuffers {
     }
 }
 
+/// Zeroes the pixels of `outer` that `keep` does not cover. Both lie inside
+/// `img`; `keep` need not lie inside `outer`.
+fn zero_outside(img: &mut ImageF32, outer: Roi, keep: Roi) {
+    for y in outer.y..outer.bottom() {
+        let row = &mut img.row_mut(y)[outer.x..outer.right()];
+        if y < keep.y || y >= keep.bottom() {
+            row.fill(0.0);
+        } else {
+            // `keep`'s columns relative to `outer`'s left edge
+            let left = keep.x.saturating_sub(outer.x).min(row.len());
+            let right = keep.right().saturating_sub(outer.x).min(row.len());
+            row[..left].fill(0.0);
+            row[right..].fill(0.0);
+        }
+    }
+}
+
 /// Result of the RDG task.
 #[derive(Debug, Clone)]
 pub struct RdgOutput {
     /// The ridge-suppressed frame handed to marker extraction.
     pub filtered: ImageU16,
-    /// The multi-scale ridge-response map (also consumed by GW EXT).
+    /// The multi-scale ridge-response map: a copy of the accumulator GW
+    /// EXT reads through [`RdgBuffers::response`].
     pub ridgeness: ImageF32,
     /// Number of pixels classified as ridge (content-dependent load
     /// proxy), summed over the bands: each band traces its own rows, so a
@@ -253,6 +305,8 @@ pub struct RdgOutput {
     /// segment crossing a band boundary counts once per band it has a
     /// strong pixel in).
     pub segments: usize,
+    /// The ROI of the call: `ridgeness` is zero outside it.
+    roi: Roi,
 }
 
 impl RdgOutput {
@@ -323,6 +377,58 @@ pub fn rdg_roi_reference(
         .expect("a lone inline band has no dispatch to fail")
 }
 
+/// The ridge response GW EXT samples, without the rest of an RDG call:
+/// afterwards [`RdgBuffers::response`] equals, everywhere inside `window`,
+/// the `ridgeness` [`rdg_roi`] returns for `roi` under `cfg` — the response
+/// inside `roi`, `0.0` outside it — bit for bit. No tracing, no output
+/// images.
+///
+/// Pass `same_frame` when the last successful call on `bufs` read this very
+/// `src`. If that was an RDG call whose scale list is a prefix of `cfg`'s
+/// and whose ROI covers `window ∩ roi`, the accumulator it left is kept and
+/// only `cfg`'s remaining scales are folded in (the response is pointwise
+/// and a maximum over scales); otherwise every scale is swept. Either way
+/// the work is stage A and stage B over `window ∩ roi`, as `stripes` row
+/// bands like [`rdg_banded`]'s, with `fault` and [`RdgBuffers::times`]
+/// meaning what they mean there; a failed sweep can simply be repeated.
+#[allow(clippy::too_many_arguments)]
+pub fn ridge_response_banded(
+    pool: &StripePool,
+    src: &ImageU16,
+    window: Roi,
+    roi: Roi,
+    cfg: &RdgConfig,
+    same_frame: bool,
+    stripes: usize,
+    fault: StripeFault,
+    bufs: &mut RdgBuffers,
+) -> Result<(), PoolError> {
+    let (w, h) = src.dims();
+    let window = window.clamp_to(w, h);
+    let region = window.intersect(&roi);
+    let scales = cfg.active_scales();
+    let folded = match bufs.swept.take() {
+        Some((swept, have))
+            if same_frame && swept.intersect(&region) == region && scales.starts_with(&have) =>
+        {
+            have.len()
+        }
+        _ => 0,
+    };
+    let bands = Bands::Striped {
+        pool,
+        stripes,
+        fault,
+    };
+    response_sweep(src, region, &scales[folded..], folded == 0, bufs, bands)?;
+    // `roi` stops short of the window only where ROI EST hit its size cap
+    // or the frame edge.
+    let t0 = Instant::now();
+    zero_outside(&mut bufs.acc, window, region);
+    bufs.times.serial_ms += ms_since(t0);
+    Ok(())
+}
+
 /// How one kernel call lays out and runs its bands.
 enum Bands<'a> {
     /// One band, inline; `oracle` swaps stage B for the unfused engine.
@@ -353,22 +459,26 @@ fn run_bands<'s, J: FnOnce() + Send + 's>(
         )
 }
 
-/// The RDG kernel: every public entry point above is this function.
-fn rdg_kernel(
+/// Stages A and B, the part of the kernel that makes the response: folds
+/// `scales` over `region` (already clamped to the frame) into `bufs.acc`,
+/// one job per row band. With `init` the first scale overwrites the
+/// accumulator; without, all of them fold into what it holds. Starts
+/// `bufs.times` afresh and returns the pool and the bands, for stage C.
+fn response_sweep<'a>(
     src: &ImageU16,
-    roi: Roi,
-    cfg: &RdgConfig,
+    region: Roi,
+    scales: &[f32],
+    init: bool,
     bufs: &mut RdgBuffers,
-    bands: Bands<'_>,
-) -> Result<RdgOutput, PoolError> {
+    bands: Bands<'a>,
+) -> Result<(Option<&'a StripePool>, Vec<Roi>), PoolError> {
     assert_eq!(
         src.dims(),
         bufs.dims(),
         "buffer geometry must match the frame"
     );
-    assert!(!cfg.scales.is_empty(), "at least one scale required");
+    assert!(!(init && scales.is_empty()), "at least one scale required");
     let (w, h) = src.dims();
-    let roi = roi.clamp_to(w, h);
     let (pool, stripes, fault, oracle) = match bands {
         Bands::One { oracle } => (None, 1, StripeFault::default(), oracle),
         Bands::Striped {
@@ -377,7 +487,13 @@ fn rdg_kernel(
             fault,
         } => (Some(pool), stripes, fault, false),
     };
-    let parts = roi.stripes(stripes);
+    bufs.swept = None;
+    bufs.times.serial_ms = 0.0;
+    bufs.times.band_ms.clear();
+    if scales.is_empty() {
+        return Ok((pool, Vec::new()));
+    }
+    let parts = region.stripes(stripes);
     // A fault needs a dispatch to fail, and a lone band has none.
     let fault = if parts.len() > 1 {
         fault
@@ -390,28 +506,17 @@ fn rdg_kernel(
     if bufs.bands.len() < parts.len() {
         bufs.bands.resize_with(parts.len(), BandScratch::default);
     }
-    bufs.times.band_ms.clear();
     bufs.times.band_ms.resize(parts.len(), 0.0);
 
     // Stage A: integer-to-float conversion (streaming pass over the input),
-    // once for the whole ROI plus the halo every band's sweep reads.
+    // once for the whole region plus the halo every band's sweep reads.
     let t0 = Instant::now();
-    let active_scales: Vec<f32> = cfg
-        .scales
-        .iter()
-        .chain(if cfg.fine_enabled {
-            cfg.fine_scales.iter()
-        } else {
-            [].iter()
-        })
-        .copied()
-        .collect();
-    let halo = active_scales
+    let halo = scales
         .iter()
         .map(|&s| (3.0 * s).ceil() as usize)
         .max()
         .unwrap_or(0);
-    let conv_roi = roi.inflate(halo, w, h);
+    let conv_roi = region.inflate(halo, w, h);
     for y in conv_roi.y..conv_roi.bottom() {
         // Slice-wise widening lets the compiler emit packed u16→f32
         // conversions (no per-element bounds checks to defeat it).
@@ -424,10 +529,11 @@ fn rdg_kernel(
 
     // Stage B: multi-scale Hessian ridge response, max over scales. Each
     // band sweeps its rows of the shared accumulator with its own ring.
-    let mut serial_ms;
     if oracle {
-        for y in roi.y..roi.bottom() {
-            bufs.acc.row_mut(y)[roi.x..roi.right()].fill(0.0);
+        if init {
+            for y in region.y..region.bottom() {
+                bufs.acc.row_mut(y)[region.x..region.right()].fill(0.0);
+            }
         }
         let RdgBuffers {
             src_f32,
@@ -436,11 +542,11 @@ fn rdg_kernel(
             ..
         } = &mut *bufs;
         let rs = reference.get_or_insert_with(|| Box::new(ReferenceScratch::new(w, h)));
-        for &sigma in &active_scales {
-            hessian_at_scale(src_f32, &mut rs.hessian, &mut rs.conv, roi, sigma);
-            accumulate_max_response(&rs.hessian, acc, roi, ridge_response);
+        for &sigma in scales {
+            hessian_at_scale(src_f32, &mut rs.hessian, &mut rs.conv, region, sigma);
+            accumulate_max_response(&rs.hessian, acc, region, ridge_response);
         }
-        serial_ms = ms_since(t0);
+        bufs.times.serial_ms = ms_since(t0);
     } else {
         // Destructure for disjoint borrows of the scratch fields.
         let RdgBuffers {
@@ -451,14 +557,14 @@ fn rdg_kernel(
             times,
             ..
         } = &mut *bufs;
-        let kernels = kernels.get_all(&active_scales);
+        let kernels = kernels.get_all(scales);
         let src_f32 = &*src_f32;
-        // The first scale initializes the accumulator (bit-identical to
-        // zeroing + accumulating, without the extra pass); the remaining
-        // scales fold in with `max`.
+        // An overwriting first scale is bit-identical to zeroing +
+        // accumulating, without the extra pass; the others fold in with
+        // `max`.
         let sweep = |band: Roi, rows: &mut [f32], ring: &mut FusedScratch| {
             for (k, &(g, d1, d2)) in kernels.iter().enumerate() {
-                if k == 0 {
+                if init && k == 0 {
                     fused_ridge_scale_init(src_f32, rows, ring, g, d1, d2, band);
                 } else {
                     fused_ridge_scale(src_f32, rows, ring, g, d1, d2, band);
@@ -466,7 +572,7 @@ fn rdg_kernel(
             }
         };
         let sweep = &sweep;
-        serial_ms = ms_since(t0);
+        times.serial_ms = ms_since(t0);
         let jobs = parts
             .iter()
             .zip(acc.row_bands(&parts))
@@ -485,6 +591,23 @@ fn rdg_kernel(
             });
         run_bands(pool, parts.len(), jobs)?;
     }
+    Ok((pool, parts))
+}
+
+/// The RDG kernel — the response sweep, then stage C. Every entry point
+/// that returns an [`RdgOutput`] is this function.
+fn rdg_kernel(
+    src: &ImageU16,
+    roi: Roi,
+    cfg: &RdgConfig,
+    bufs: &mut RdgBuffers,
+    bands: Bands<'_>,
+) -> Result<RdgOutput, PoolError> {
+    let (w, h) = src.dims();
+    let roi = roi.clamp_to(w, h);
+    let scales = cfg.active_scales();
+    let (pool, parts) = response_sweep(src, roi, &scales, true, bufs, bands)?;
+    bufs.swept = Some((roi, scales));
 
     // Stage C: hysteresis thresholding — strong seeds expand through the
     // weak-threshold region (data-dependent cost) — and synthesis of the
@@ -503,7 +626,7 @@ fn rdg_kernel(
     }
     let mut filtered = bufs.take_filtered(src);
     let mut ridgeness = bufs.take_ridgeness(w, h, roi);
-    serial_ms += ms_since(t0);
+    bufs.times.serial_ms += ms_since(t0);
 
     let dispatched = {
         let RdgBuffers {
@@ -578,25 +701,22 @@ fn rdg_kernel(
             );
         run_bands(pool, parts.len(), jobs)
     };
-    if let Err(e) = dispatched {
-        // A failed attempt keeps its output images for the retry.
-        bufs.recycle(RdgOutput {
-            filtered,
-            ridgeness,
-            ridge_pixels: 0,
-            segments: 0,
-        });
-        return Err(e);
-    }
-
-    bufs.times.serial_ms = serial_ms;
     let traced = &bufs.bands[..parts.len()];
-    Ok(RdgOutput {
+    let out = RdgOutput {
         filtered,
         ridgeness,
         ridge_pixels: traced.iter().map(|b| b.ridge_pixels).sum(),
         segments: traced.iter().map(|b| b.segments).sum(),
-    })
+        roi,
+    };
+    match dispatched {
+        Ok(()) => Ok(out),
+        Err(e) => {
+            // A failed attempt keeps its output images for the retry.
+            bufs.recycle(out);
+            Err(e)
+        }
+    }
 }
 
 /// Ridge-suppression synthesis of one output row: pixels whose response
@@ -1320,6 +1440,92 @@ mod tests {
                 assert_eq!(bufs.byte_size(), bytes, "frame {frame}");
             }
         }
+    }
+
+    #[test]
+    fn recycled_ridgeness_is_zero_outside_every_new_roi() {
+        // The pooled image is cleared only where its last ROI reaches and
+        // the new one does not: whatever the ROI did between two calls —
+        // moved, shrank, grew, jumped away, went full frame and back — the
+        // output equals one made on fresh buffers.
+        let src = busy_frame(96, 96);
+        let cfg = RdgConfig::default();
+        let mut bufs = RdgBuffers::new(96, 96);
+        let rois = [
+            Roi::new(10, 12, 40, 36),
+            Roi::new(18, 20, 40, 36),
+            Roi::new(24, 26, 12, 10),
+            Roi::new(4, 2, 80, 70),
+            Roi::new(60, 64, 30, 28),
+            Roi::new(0, 0, 20, 20),
+            src.full_roi(),
+            Roi::new(40, 8, 9, 80),
+            Roi::new(0, 50, 96, 1),
+        ];
+        for roi in rois {
+            let out = rdg_roi(&src, roi, &cfg, &mut bufs);
+            let fresh = rdg_roi(&src, roi, &cfg, &mut RdgBuffers::new(96, 96));
+            assert_eq!(out.ridgeness, fresh.ridgeness, "{roi}");
+            assert_eq!(out.filtered, fresh.filtered, "{roi}");
+            bufs.recycle(out);
+        }
+        assert_eq!(bufs.allocations(), 2);
+    }
+
+    #[test]
+    fn response_window_equals_the_ridgeness_of_a_whole_call() {
+        // What GW EXT reads: inside the window, the accumulator after a
+        // response sweep is the `ridgeness` of an RDG call over `roi` —
+        // response inside `roi`, zero outside — whether it resumes the
+        // accumulator of an RDG call on the same frame or starts over.
+        let src = busy_frame(96, 96);
+        let coarse = RdgConfig {
+            fine_enabled: false,
+            ..RdgConfig::default()
+        };
+        let full = RdgConfig::default();
+        let pool = StripePool::new(2);
+        let roi = Roi::new(20, 24, 40, 30);
+        let window = Roi::new(30, 10, 50, 30);
+        let whole = rdg_roi(&src, roi, &full, &mut RdgBuffers::new(96, 96));
+        for (resume, stripes) in [(true, 1), (true, 2), (false, 2)] {
+            let mut bufs = RdgBuffers::new(96, 96);
+            let out = rdg_roi(&src, Roi::new(8, 8, 80, 80), &coarse, &mut bufs);
+            bufs.recycle(out);
+            let fault = StripeFault::default();
+            ridge_response_banded(
+                &pool, &src, window, roi, &full, resume, stripes, fault, &mut bufs,
+            )
+            .unwrap();
+            // resuming folds the one scale RDG left out, one job per band
+            let bands = if stripes == 1 { 1 } else { 2 };
+            assert_eq!(bufs.times().band_ms.len(), bands);
+            for y in window.y..window.bottom() {
+                for x in window.x..window.right() {
+                    assert_eq!(
+                        bufs.response().get(x, y).to_bits(),
+                        whole.ridgeness.get(x, y).to_bits(),
+                        "resume {resume}, {stripes} stripes, ({x}, {y})"
+                    );
+                }
+            }
+            // a second sweep finds no RDG accumulator to resume
+            ridge_response_banded(&pool, &src, window, roi, &full, true, 1, fault, &mut bufs)
+                .unwrap();
+            assert_eq!(bufs.response().get(35, 30), whole.ridgeness.get(35, 30));
+        }
+        // every scale already there: nothing to sweep, no band dispatched
+        let mut bufs = RdgBuffers::new(96, 96);
+        let out = rdg_roi(&src, Roi::new(8, 8, 80, 80), &full, &mut bufs);
+        bufs.recycle(out);
+        let fault = StripeFault {
+            panic_jobs: 1,
+            channel_error: true,
+        };
+        ridge_response_banded(&pool, &src, window, roi, &full, true, 2, fault, &mut bufs).unwrap();
+        assert!(bufs.times().band_ms.is_empty());
+        assert_eq!(bufs.response().get(35, 30), whole.ridgeness.get(35, 30));
+        assert_eq!(bufs.response().get(75, 12), 0.0);
     }
 
     #[test]

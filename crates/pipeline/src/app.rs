@@ -115,8 +115,8 @@ pub fn structure_probe(frame: &ImageU16, block: usize) -> f64 {
 /// Mutable state of the pipeline, carried across frames.
 pub struct AppState {
     /// RDG working buffers (frame-sized, reused): one set for the
-    /// detection pass and the guide-wire verification pass, at every
-    /// stripe count and ROI geometry.
+    /// detection pass and for GW EXT, which reads the response accumulator
+    /// that pass leaves behind, at every stripe count and ROI geometry.
     pub rdg_bufs: RdgBuffers,
     /// MKX working buffers.
     pub mkx_bufs: MkxBuffers,

@@ -10,12 +10,12 @@
 use crate::app::{structure_probe, AppConfig, AppState};
 use imaging::couples::cpls_select;
 
-use imaging::guidewire::gw_extract_with;
+use imaging::guidewire::{corridor_box, gw_extract_with};
 use imaging::image::{ImageU16, Roi};
 use imaging::markers::mkx_extract;
 use imaging::parallel::{PoolError, StripeFault, StripePool};
 use imaging::registration::register;
-use imaging::ridge::{rdg_banded, RdgOutput, RdgTimes};
+use imaging::ridge::{rdg_banded, ridge_response_banded, RdgOutput, RdgTimes};
 use imaging::roi_est::estimate_roi;
 use imaging::zoom::zoom_band_with;
 use platform::bus::{DegradeMode, EventBus, FaultKind, FrameEvent, StreamId};
@@ -30,7 +30,7 @@ pub struct ExecutionPolicy {
     /// Stripe count of the RDG task (1 = serial).
     pub rdg_stripes: usize,
     /// Stripe count of the other data-partitionable streaming tasks
-    /// (GW EXT's internal ridge filter, ENH, ZOOM).
+    /// (GW EXT's response sweep, ENH, ZOOM).
     pub aux_stripes: usize,
     /// Number of modelled cores available.
     pub cores: usize,
@@ -53,6 +53,13 @@ impl Default for ExecutionPolicy {
 /// band-safe (the fused sweep RDG stripes): its peak, threshold scan and
 /// pruning are global, and it is heavy only on first frames, which the
 /// manager does not stripe yet — it stays one job until it does.
+///
+/// RDG's bands and GW EXT's run on the worker pool. GW EXT's entry covers
+/// the response sweep over its corridor's box (the scales RDG's
+/// accumulator lacks there, or all of them); its path search is serial.
+/// ENH's and ZOOM's bands run one after another on the calling thread and
+/// are parallel on the virtual schedule only: 0.2 + 0.5 ms at ROI size, not
+/// worth a dispatch.
 pub const STRIPABLE_TASKS: [&str; 5] = ["RDG_FULL", "RDG_ROI", "GW_EXT", "ENH", "ZOOM"];
 
 /// Faults to inject into one frame's execution (all disabled by default).
@@ -209,6 +216,7 @@ pub fn process_frame_on(
         policy,
         &mut None,
         None,
+        StripeFault::default(),
     )
     .expect("infallible without fault recovery")
 }
@@ -237,6 +245,7 @@ pub fn process_frame_observed_on(
         policy,
         &mut Some((stream, bus)),
         None,
+        StripeFault::default(),
     )
     .expect("infallible without fault recovery")
 }
@@ -278,6 +287,7 @@ pub fn process_frame_recovering_on(
         policy,
         &mut Some((stream, bus)),
         Some((&faults, retry)),
+        StripeFault::default(),
     )
 }
 
@@ -322,6 +332,84 @@ fn run_rdg_stage(
     times.serial_ms + run_stage(schedule, bands, task, observer, frame_index)
 }
 
+/// Runs one banded dispatch under the frame's retry policy. `attempt`
+/// dispatches at the stripe count it is given; each failure is retried
+/// with a clean dispatch up to `retry.max_retries` times, and exhaustion
+/// falls back to one band, which has no dispatch left to fail and the same
+/// pixels, or fails the frame when the policy has no fallback.
+///
+/// `owed` holds the armed fault kinds that wait for this dispatch to
+/// consume them. Once an attempt has failed they are drained with the
+/// terminal event: `Recovered` when a retry delivered, `DegradedMode` on the
+/// fallback. A failure nothing was armed for gets its own terminal event.
+fn dispatch_recovering<T>(
+    task: &'static str,
+    frame_index: usize,
+    mut stripes: usize,
+    retry: &StageRetry,
+    owed: &mut Vec<FaultKind>,
+    observer: &mut Option<(StreamId, &mut EventBus)>,
+    mut attempt: impl FnMut(usize) -> Result<T, PoolError>,
+) -> Result<T, FrameError> {
+    let mut attempts = 0u32;
+    // kind of the last failed attempt while its terminal event is owed
+    let mut failed: Option<FaultKind> = None;
+    let out = loop {
+        match attempt(stripes) {
+            Ok(out) => break out,
+            Err(err) => {
+                let kind = fault_kind_of(&err);
+                if attempts < retry.max_retries {
+                    attempts += 1;
+                    failed = Some(kind);
+                    emit_fault(observer, |stream| FrameEvent::RetryAttempted {
+                        stream,
+                        frame: frame_index,
+                        kind,
+                        attempt: attempts,
+                    });
+                } else if retry.serial_fallback {
+                    if owed.is_empty() {
+                        owed.push(kind);
+                    }
+                    for cause in owed.drain(..) {
+                        emit_fault(observer, |stream| FrameEvent::DegradedMode {
+                            stream,
+                            frame: frame_index,
+                            mode: DegradeMode::SerialFallback,
+                            cause,
+                        });
+                    }
+                    failed = None;
+                    stripes = 1;
+                } else {
+                    return Err(FrameError {
+                        frame: frame_index,
+                        stage: task,
+                        error: err,
+                    });
+                }
+            }
+        }
+    };
+    if let Some(last_kind) = failed {
+        if owed.is_empty() {
+            owed.push(last_kind);
+        }
+        for kind in owed.drain(..) {
+            emit_fault(observer, |stream| FrameEvent::Recovered {
+                stream,
+                frame: frame_index,
+                kind,
+                attempts,
+            });
+        }
+    }
+    Ok(out)
+}
+
+/// `gw_fault` is injected into GW EXT's first sweep dispatch (testing
+/// only, like every [`StripeFault`]).
 #[allow(clippy::too_many_arguments)]
 fn process_frame_inner(
     pool: &StripePool,
@@ -332,6 +420,7 @@ fn process_frame_inner(
     policy: &ExecutionPolicy,
     observer: &mut Option<(StreamId, &mut EventBus)>,
     recovery: Option<(&FrameFaults, &StageRetry)>,
+    mut gw_fault: StripeFault,
 ) -> Result<FrameOutput, FrameError> {
     let (w, h) = frame.dims();
     let mut task_times: Vec<(&'static str, f64)> = Vec::with_capacity(9);
@@ -409,84 +498,36 @@ fn process_frame_inner(
     // --- RDG ------------------------------------------------------------
     // Dispatched to the persistent worker pool as `rdg_stripes` row bands
     // (one band runs inline on this thread). Armed pool faults fire on the
-    // early attempts (channel errors first, then the panic batch), each
-    // failure is retried with a clean dispatch up to `retry.max_retries`
-    // times, and exhaustion falls back to one band, which has no dispatch
-    // left to fail and the same pixels.
+    // early attempts (channel errors first, then the panic batch) and the
+    // dispatch recovers by the frame's retry policy.
     let rdg_out: Option<RdgOutput> = if rdg_active {
         let task: &'static str = if roi_estimated { "RDG_ROI" } else { "RDG_FULL" };
-        let mut stripes = policy.rdg_stripes.max(1);
-        let mut attempts = 0u32;
         let mut panic_jobs = faults.rdg_panic_jobs;
         let mut channel_left = faults.rdg_channel_errors;
-        // kind of the last failed attempt while its terminal event is owed
-        let mut failed: Option<FaultKind> = None;
-        let out = loop {
-            let fault = if channel_left > 0 {
-                channel_left -= 1;
-                StripeFault {
-                    panic_jobs: 0,
-                    channel_error: true,
-                }
-            } else {
-                StripeFault {
-                    panic_jobs: std::mem::take(&mut panic_jobs),
-                    channel_error: false,
-                }
-            };
-            let bufs = &mut state.rdg_bufs;
-            match rdg_banded(pool, frame, work_roi, &rdg_cfg, stripes, fault, bufs) {
-                Ok(out) => break out,
-                Err(err) => {
-                    let kind = fault_kind_of(&err);
-                    if attempts < retry.max_retries {
-                        attempts += 1;
-                        failed = Some(kind);
-                        emit_fault(observer, |stream| FrameEvent::RetryAttempted {
-                            stream,
-                            frame: frame_index,
-                            kind,
-                            attempt: attempts,
-                        });
-                    } else if retry.serial_fallback {
-                        // a genuine (un-armed) failure still deserves a
-                        // terminal event
-                        if pending_pool_kinds.is_empty() {
-                            pending_pool_kinds.push(kind);
-                        }
-                        for cause in pending_pool_kinds.drain(..) {
-                            emit_fault(observer, |stream| FrameEvent::DegradedMode {
-                                stream,
-                                frame: frame_index,
-                                mode: DegradeMode::SerialFallback,
-                                cause,
-                            });
-                        }
-                        failed = None;
-                        stripes = 1;
-                    } else {
-                        return Err(FrameError {
-                            frame: frame_index,
-                            stage: task,
-                            error: err,
-                        });
+        let out = dispatch_recovering(
+            task,
+            frame_index,
+            policy.rdg_stripes.max(1),
+            retry,
+            &mut pending_pool_kinds,
+            observer,
+            |stripes| {
+                let fault = if channel_left > 0 {
+                    channel_left -= 1;
+                    StripeFault {
+                        panic_jobs: 0,
+                        channel_error: true,
                     }
-                }
-            }
-        };
-        if let Some(last_kind) = failed {
-            if pending_pool_kinds.is_empty() {
-                pending_pool_kinds.push(last_kind);
-            }
-            for kind in pending_pool_kinds.drain(..) {
-                emit_fault(observer, |stream| FrameEvent::Recovered {
-                    stream,
-                    frame: frame_index,
-                    kind,
-                    attempts,
-                });
-            }
-        }
+                } else {
+                    StripeFault {
+                        panic_jobs: std::mem::take(&mut panic_jobs),
+                        channel_error: false,
+                    }
+                };
+                let bufs = &mut state.rdg_bufs;
+                rdg_banded(pool, frame, work_roi, &rdg_cfg, stripes, fault, bufs)
+            },
+        )?;
         let times = state.rdg_bufs.times();
         let ms = run_rdg_stage(&mut schedule, times, task, observer, frame_index);
         task_times.push((task, ms));
@@ -563,25 +604,33 @@ fn process_frame_inner(
             schedule.serial(0, ms);
 
             // guide-wire verification: "the guide wire can be detected by
-            // a ridge filter in guide-wire extraction" (Section 3) — GW
-            // runs its own ridge filter over the tracking ROI (a
-            // data-partitionable streaming pass), followed by the serial
-            // DP path search.
-            let gw_rdg = rdg_banded(
-                pool,
-                frame,
-                roi,
-                &cfg.rdg,
+            // a ridge filter in guide-wire extraction" (Section 3). GW
+            // samples the ridge response of the new ROI in a corridor
+            // between the markers, so only the corridor's box is swept (a
+            // data-partitionable streaming pass) and, where this frame's
+            // RDG call has been, only the scales it left out. The serial
+            // DP path search follows.
+            let window = corridor_box(c, &cfg.gw, w, h);
+            let same_frame = rdg_out.is_some();
+            dispatch_recovering(
+                "GW_EXT",
+                frame_index,
                 policy.aux_stripes.max(1),
-                StripeFault::default(),
-                &mut state.rdg_bufs,
-            )
-            .expect("a band job of GW EXT's ridge pass panicked");
+                retry,
+                &mut Vec::new(),
+                observer,
+                |stripes| {
+                    let fault = std::mem::take(&mut gw_fault);
+                    let bufs = &mut state.rdg_bufs;
+                    ridge_response_banded(
+                        pool, frame, window, roi, &cfg.rdg, same_frame, stripes, fault, bufs,
+                    )
+                },
+            )?;
             let times = state.rdg_bufs.times();
             let ridge_ms = run_rdg_stage(&mut schedule, times, "GW_EXT", observer, frame_index);
-            let (gw, ms) =
-                time_ms(|| gw_extract_with(&gw_rdg.ridgeness, c, &cfg.gw, &mut state.gw_scratch));
-            state.rdg_bufs.recycle(gw_rdg);
+            let response = state.rdg_bufs.response();
+            let (gw, ms) = time_ms(|| gw_extract_with(response, c, &cfg.gw, &mut state.gw_scratch));
             schedule.serial(0, ms);
             task_times.push(("GW_EXT", ridge_ms + ms));
 
@@ -1152,6 +1201,124 @@ mod tests {
             }
         }
         assert!(failures > 0, "no frame ever failed");
+    }
+
+    /// Runs a clean sequence with `gw_fault` armed on every frame's GW EXT
+    /// sweep, under `recovery` (`None`: no recovery context). Stops at the
+    /// first frame that fails. The fine scales stay off in RDG, so that GW
+    /// EXT has a scale left to sweep on every tracked frame.
+    fn run_gw_faulted(
+        policy: ExecutionPolicy,
+        recovery: Option<StageRetry>,
+        gw_fault: StripeFault,
+    ) -> (Vec<FrameOutput>, Option<FrameError>, Vec<FrameEvent>) {
+        let cfg = AppConfig {
+            fine_probe_factor: 100.0,
+            ..Default::default()
+        };
+        let mut state = AppState::new(160, 160);
+        let (mut bus, log) = capture_bus();
+        let faults = FrameFaults::default();
+        let mut outs = Vec::new();
+        let mut error = None;
+        for f in clean_sequence(10, 52) {
+            match process_frame_inner(
+                StripePool::global(),
+                f.index,
+                &f.image,
+                &mut state,
+                &cfg,
+                &policy,
+                &mut Some((7, &mut bus)),
+                recovery.as_ref().map(|retry| (&faults, retry)),
+                gw_fault,
+            ) {
+                Ok(out) => outs.push(out),
+                Err(e) => {
+                    error = Some(e);
+                    break;
+                }
+            }
+        }
+        let events = log.lock().unwrap().clone();
+        (outs, error, events)
+    }
+
+    #[test]
+    fn gw_sweep_band_panic_goes_through_the_retry_policy() {
+        let policy = ExecutionPolicy {
+            rdg_stripes: 1,
+            aux_stripes: 2,
+            cores: 8,
+        };
+        let (nominal, error, events) = run_gw_faulted(policy, None, StripeFault::default());
+        assert!(error.is_none() && events.iter().all(|e| e.replay_key().is_none()));
+        let band_panic = StripeFault {
+            panic_jobs: 1,
+            channel_error: false,
+        };
+
+        // default policy: one retry per frame delivers the nominal frame
+        let (faulted, error, events) =
+            run_gw_faulted(policy, Some(StageRetry::default()), band_panic);
+        assert!(error.is_none(), "{error:?}");
+        assert_bit_identical(&nominal, &faulted);
+        let swept: Vec<usize> = stage_sequence(&events)
+            .into_iter()
+            .filter(|&(_, task, jobs)| task == "GW_EXT" && jobs == 2)
+            .map(|(frame, ..)| frame)
+            .collect();
+        assert!(swept.len() >= 4, "GW EXT swept two bands on {swept:?} only");
+        let fault_family: Vec<&FrameEvent> =
+            events.iter().filter(|e| e.replay_key().is_some()).collect();
+        assert_eq!(fault_family.len(), 2 * swept.len(), "{fault_family:?}");
+        for (pair, &f) in fault_family.chunks(2).zip(&swept) {
+            assert!(
+                matches!(
+                    pair,
+                    [
+                        FrameEvent::RetryAttempted { frame: a, kind: FaultKind::WorkerPanic, attempt: 1, .. },
+                        FrameEvent::Recovered { frame: b, kind: FaultKind::WorkerPanic, attempts: 1, .. },
+                    ] if *a == f && *b == f
+                ),
+                "frame {f}: {pair:?}"
+            );
+        }
+
+        // no retries left: one band, the same pixels, one `DegradedMode`
+        let no_retries = StageRetry {
+            max_retries: 0,
+            serial_fallback: true,
+        };
+        let (degraded, error, events) = run_gw_faulted(policy, Some(no_retries), band_panic);
+        assert!(error.is_none(), "{error:?}");
+        assert_bit_identical(&nominal, &degraded);
+        let fallbacks = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    FrameEvent::DegradedMode {
+                        mode: DegradeMode::SerialFallback,
+                        cause: FaultKind::WorkerPanic,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(fallbacks, swept.len());
+        assert_eq!(
+            events.iter().filter(|e| e.replay_key().is_some()).count(),
+            fallbacks
+        );
+
+        // no recovery context: the frame fails, the thread does not
+        let (outs, error, _) = run_gw_faulted(policy, None, band_panic);
+        let error = error.expect("a band panic without a retry policy fails the frame");
+        assert_eq!(error.stage, "GW_EXT");
+        assert_eq!(error.frame, swept[0]);
+        assert_eq!(outs.len(), swept[0]);
+        assert!(matches!(error.error, PoolError::JobPanicked(_)));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use platform::schedule::DISPATCH_OVERHEAD_MS;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostPrediction {
     /// Predicted computation time of the data-partitionable tasks
-    /// (RDG, GW EXT's ridge filter, ENH, ZOOM), ms.
+    /// (RDG, GW EXT's response sweep, ENH, ZOOM), ms.
     pub stripable_ms: f64,
     /// Predicted time of the remaining (serial, feature-level) tasks, ms.
     pub serial_ms: f64,

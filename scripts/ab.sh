@@ -3,9 +3,9 @@
 #
 #   usage: scripts/ab.sh <parent-rev> <pairs> [workload…]     (default: all)
 #
-# Builds the benchmark package of <parent-rev> from a git worktree under
-# .bench_build/ab/parent (removed again on exit) and the one of the working
-# tree in place, both with the command line of BENCHMARK.json. Pair i runs
+# Builds the benchmark package of <parent-rev> from a `git archive` copy
+# under .bench_build/ab/parent (removed again on exit) and the one of the
+# working tree in place, both with the command line of BENCHMARK.json. Pair i runs
 # each workload on seed i, once per side, back to back; odd pairs run the
 # parent first, even pairs the change. Every result line is kept in
 # .bench_build/ab/out/<workload>.<side>.<i>.json.
@@ -33,13 +33,12 @@ shift 2
 build=.bench_build/ab
 parent=$build/parent
 drop_parent() {
-  git worktree remove --force "$parent" 2>/dev/null || rm -rf "$parent"
-  git worktree prune
+  rm -rf "$parent"
 }
 drop_parent
 trap drop_parent EXIT
-rm -rf "$build/out" && mkdir -p "$build/out"
-git worktree add --quiet --detach "$parent" "$rev"
+rm -rf "$build/out" && mkdir -p "$build/out" "$parent"
+git archive "$rev" | tar -x -C "$parent"
 
 python3 - "$parent" "$build/out" "$pairs" "$@" <<'EOF'
 import json

@@ -8,11 +8,14 @@ use triple_c::imaging::markers::{mkx_extract, mkx_extract_reference, MkxBuffers,
 use triple_c::imaging::parallel::{StripeFault, StripePool};
 use triple_c::imaging::ridge::{rdg_banded, rdg_full, RdgBuffers, RdgConfig};
 use triple_c::imaging::zoom::{zoom_band_with, ZoomConfig, ZoomFilter, ZoomScratch};
+use triple_c::pipeline::app::{AppConfig, AppState};
+use triple_c::pipeline::executor::{process_frame, ExecutionPolicy};
 use triple_c::triplec::memory_model::{
     enh_intermediate_bytes, implementation_table, lookup, mkx_intermediate_bytes, per_pixel,
-    rdg_intermediate_bytes, rdg_kernel_bytes, rdg_tile_bytes, zoom_scratch_bytes, FrameGeometry,
-    RDG_DEFAULT_SCALES,
+    rdg_intermediate_bytes, rdg_kernel_bytes, rdg_resident_bytes, rdg_tile_bytes,
+    zoom_scratch_bytes, FrameGeometry, RDG_DEFAULT_SCALES,
 };
+use triple_c::xray::{NoiseConfig, SequenceConfig, SequenceGenerator};
 
 const W: usize = 128;
 const H: usize = 96;
@@ -77,6 +80,52 @@ fn rdg_intermediate_formula_matches_warm_two_stripe_buffers() {
         rdg_intermediate_bytes(geom, &RDG_DEFAULT_SCALES) + rdg_tile_bytes(W, &RDG_DEFAULT_SCALES),
         "a second stripe must cost exactly one more tile ring"
     );
+}
+
+#[test]
+fn rdg_resident_formula_matches_a_tracking_engine() {
+    // Between frames a tracking engine holds the warm working set and one
+    // parked output pair: the frame's one RDG call made it, and GW EXT,
+    // which reads that call's accumulator, took none. (Two pairs, 12 B/px,
+    // while GW EXT ran an RDG call of its own.) All three default scales
+    // are warm from the first tracked frame on, whichever call folds 4.0.
+    let sequence = SequenceGenerator::new(SequenceConfig {
+        width: 160,
+        height: 160,
+        frames: 10,
+        seed: 52,
+        noise: NoiseConfig {
+            quantum_scale: 0.3,
+            electronic_std: 2.0,
+        },
+        ..Default::default()
+    });
+    let geom = FrameGeometry {
+        width: 160,
+        height: 160,
+    };
+    let cfg = AppConfig::default();
+    let mut state = AppState::new(160, 160);
+    let mut tracked = 0;
+    for f in sequence {
+        let out = process_frame(
+            f.index,
+            &f.image,
+            &mut state,
+            &cfg,
+            &ExecutionPolicy::default(),
+        );
+        if out.record.task_time("RDG_ROI").is_some() && out.record.task_time("GW_EXT").is_some() {
+            tracked += 1;
+            assert_eq!(
+                state.rdg_bufs.byte_size(),
+                rdg_resident_bytes(geom, &RDG_DEFAULT_SCALES),
+                "frame {}",
+                f.index
+            );
+        }
+    }
+    assert!(tracked >= 5, "only {tracked} tracked frames");
 }
 
 #[test]
