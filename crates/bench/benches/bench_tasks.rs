@@ -3,13 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imaging::couples::{cpls_select, CplsConfig};
-use imaging::enhance::{enh_integrate, EnhConfig, EnhState};
-use imaging::guidewire::{gw_extract, GwConfig};
-use imaging::image::Roi;
+use imaging::enhance::{EnhConfig, EnhState};
+use imaging::guidewire::{gw_extract_with, GwConfig, GwScratch};
+use imaging::image::{ImageU16, Roi};
 use imaging::markers::{mkx_extract, Marker, MkxBuffers, MkxConfig};
 use imaging::registration::RigidTransform;
 use imaging::ridge::{rdg_full, rdg_roi, RdgBuffers, RdgConfig};
-use imaging::zoom::{zoom, ZoomConfig};
+use imaging::zoom::{zoom_band_with, ZoomConfig, ZoomScratch};
 use xray::{SequenceConfig, SequenceGenerator};
 
 const SIZE: usize = 256;
@@ -94,7 +94,8 @@ fn bench_features(c: &mut Criterion) {
         score: 0.0,
     };
     c.bench_function("gw_extract_140px", |b| {
-        b.iter(|| gw_extract(&map, &couple, &GwConfig::default()));
+        let mut scratch = GwScratch::new();
+        b.iter(|| gw_extract_with(&map, &couple, &GwConfig::default(), &mut scratch));
     });
 }
 
@@ -112,7 +113,14 @@ fn bench_enh_zoom(c: &mut Criterion) {
     let mut group = c.benchmark_group("enh_zoom");
     group.sample_size(10);
     group.bench_function("enh_integrate_roi", |b| {
-        b.iter(|| enh_integrate(&frame, &t, roi, &EnhConfig::default(), &mut state));
+        let cfg = EnhConfig::default();
+        let mut enhanced = ImageU16::new(roi.width, roi.height);
+        b.iter(|| {
+            let weight = state.next_weight(&cfg);
+            state.accumulate(&frame, &t, roi, weight);
+            state.commit();
+            state.readout_into(roi, cfg.gain, &mut enhanced);
+        });
     });
     group.bench_function("zoom_roi_to_256", |b| {
         let cfg = ZoomConfig {
@@ -120,7 +128,9 @@ fn bench_enh_zoom(c: &mut Criterion) {
             out_height: 256,
             ..Default::default()
         };
-        b.iter(|| zoom(&frame, roi, &cfg));
+        let mut out = ImageU16::new(cfg.out_width, cfg.out_height);
+        let mut scratch = ZoomScratch::new();
+        b.iter(|| zoom_band_with(&frame, roi, &cfg, &mut out, 0, cfg.out_height, &mut scratch));
     });
     group.finish();
 }

@@ -17,7 +17,7 @@ use xray::long_trace_sequence;
 
 /// Measures a content-dependent RDG computation-time series with the
 /// pipeline's coarse-to-fine adaptation (the Fig. 3 regime).
-pub fn collect_rdg_series(cfg: &ExperimentConfig, frames: usize) -> Vec<f64> {
+fn collect_rdg_series(cfg: &ExperimentConfig, frames: usize) -> Vec<f64> {
     let seq = long_trace_sequence(cfg.size, cfg.size, frames);
     profile_rdg_direct(seq, &AppConfig::default())
 }
@@ -379,16 +379,16 @@ mod tests {
 
     #[test]
     fn decomposition_beats_constant() {
-        let (r, _) = decomposition(&tiny());
-        let constant = r.iter().find(|(n, _)| n.starts_with("constant")).unwrap().1;
-        let paper = r.iter().find(|(n, _)| n.contains("paper")).unwrap().1;
-        // on a content-driven series the composite model must beat the mean
-        assert!(
-            paper >= constant - 0.05,
-            "paper model {:.2} worse than constant {:.2}",
-            paper,
-            constant
-        );
+        // on a content-driven series the composite model must beat the
+        // mean. The series is one host-timed profile per run, so judge the
+        // median of five.
+        let gains = crate::five_sorted(|| {
+            let (r, _) = decomposition(&tiny());
+            let constant = r.iter().find(|(n, _)| n.starts_with("constant")).unwrap().1;
+            let paper = r.iter().find(|(n, _)| n.contains("paper")).unwrap().1;
+            paper - constant
+        });
+        assert!(gains[2] >= -0.05, "paper minus constant {gains:?}");
     }
 
     #[test]
@@ -408,11 +408,13 @@ mod tests {
 
     #[test]
     fn online_training_comparison_runs() {
-        let (r, _) = online_training(&tiny());
-        assert_eq!(r.len(), 2);
-        let frozen = r[0].1;
-        let online = r[1].1;
-        // online adaptation must not hurt after a regime change
-        assert!(online >= frozen - 0.1, "online {online} << frozen {frozen}");
+        // online adaptation must not hurt after a regime change. The series
+        // is one host-timed profile per run, so judge the median of five.
+        let gains = crate::five_sorted(|| {
+            let (r, _) = online_training(&tiny());
+            assert_eq!(r.len(), 2);
+            r[1].1 - r[0].1
+        });
+        assert!(gains[2] >= -0.1, "online minus frozen {gains:?}");
     }
 }

@@ -154,13 +154,11 @@ mod tests {
 
     #[test]
     fn accuracy_clearly_above_chance() {
-        let (r, _) = run(&tiny());
         // even at tiny scale the one-step predictor should be far better
-        // than nothing; the full-scale run approaches the paper's 97%
-        assert!(
-            r.frame_level.mean_accuracy > 0.6,
-            "frame accuracy {:.2}",
-            r.frame_level.mean_accuracy
-        );
+        // than nothing; the full-scale run approaches the paper's 97%.
+        // Each run trains and scores on host timings, so judge the median
+        // of five.
+        let accuracies = crate::five_sorted(|| run(&tiny()).0.frame_level.mean_accuracy);
+        assert!(accuracies[2] > 0.6, "frame accuracies {accuracies:?}");
     }
 }

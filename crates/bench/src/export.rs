@@ -39,23 +39,6 @@ impl CsvExporter {
         f.flush()?;
         Ok(path)
     }
-
-    /// Writes string rows as `<name>.csv` with the given header.
-    pub fn write_rows(
-        &self,
-        name: &str,
-        header: &[&str],
-        rows: &[Vec<String>],
-    ) -> io::Result<PathBuf> {
-        let path = self.dir.join(format!("{name}.csv"));
-        let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
-        writeln!(f, "{}", header.join(","))?;
-        for row in rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        f.flush()?;
-        Ok(path)
-    }
 }
 
 /// Parses `--csv <dir>` from the argument list.
@@ -90,17 +73,6 @@ mod tests {
         assert_eq!(lines[0], "a,b");
         assert_eq!(lines[1], "1,10");
         assert_eq!(lines[3], "3,");
-    }
-
-    #[test]
-    fn rows_round_trip() {
-        let e = CsvExporter::new(&tmp()).unwrap();
-        let p = e
-            .write_rows("rows", &["task", "ms"], &[vec!["RDG".into(), "40".into()]])
-            .unwrap();
-        let text = std::fs::read_to_string(p).unwrap();
-        assert!(text.contains("task,ms"));
-        assert!(text.contains("RDG,40"));
     }
 
     #[test]

@@ -211,8 +211,7 @@ mod tests {
         // the Fig. 6 separation of the two curves: virtual makespan of two
         // half-size stripes beats serial. Each sweep is a ratio of single
         // host timings, so judge the median of five.
-        let mut speedups: Vec<f64> = (0..5).map(|_| run(&tiny()).0.two_stripe_speedup).collect();
-        speedups.sort_by(f64::total_cmp);
+        let speedups = crate::five_sorted(|| run(&tiny()).0.two_stripe_speedup);
         assert!(speedups[2] > 1.2, "speedups {speedups:?}");
     }
 }

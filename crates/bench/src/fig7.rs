@@ -114,8 +114,8 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
         .map(|&c| delay.output_latency(c))
         .collect();
 
-    let s_sum = platform::trace::summary_of(&straightforward);
-    let m_sum = platform::trace::summary_of(&managed_output);
+    let s_sum = platform::metrics::summary_of(&straightforward);
+    let m_sum = platform::metrics::summary_of(&managed_output);
     let s_jit = jitter(&straightforward);
     let m_jit = jitter(&managed_output);
     let reduction = jitter_reduction(&s_jit, &m_jit);
@@ -143,7 +143,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
         s_sum.max,
         s_sum.worst_vs_avg * 100.0
     ));
-    let raw_sum = platform::trace::summary_of(&managed[1..]);
+    let raw_sum = platform::metrics::summary_of(&managed[1..]);
     out.push_str(&format!(
         "semi-auto (compute): mean {:.1} ms, band [{:.1}, {:.1}]\n",
         raw_sum.mean, raw_sum.min, raw_sum.max

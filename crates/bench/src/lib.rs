@@ -37,3 +37,12 @@ pub mod table1;
 pub mod table2;
 
 pub use config::ExperimentConfig;
+
+/// Five runs of a measurement made from host timings, sorted: tests judge
+/// the median (`[2]`), which a descheduled run cannot move.
+#[cfg(test)]
+pub(crate) fn five_sorted(mut run: impl FnMut() -> f64) -> [f64; 5] {
+    let mut runs = [(); 5].map(|()| run());
+    runs.sort_by(f64::total_cmp);
+    runs
+}

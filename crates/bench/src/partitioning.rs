@@ -15,8 +15,8 @@ use crate::report::table;
 use pipeline::app::AppConfig;
 use pipeline::executor::{ExecutionPolicy, STRIPABLE_TASKS};
 use pipeline::runner::run_sequence;
+use platform::metrics::summary_of;
 use platform::schedule::{pipelined_schedule, stage_makespan, VirtualJob};
-use platform::trace::summary_of;
 use xray::SequenceConfig;
 
 /// The four pipeline stages of the functional partitioning.

@@ -23,7 +23,7 @@ pub fn accuracy(predicted: f64, actual: f64) -> f64 {
 }
 
 /// Relative error of a single prediction (unclamped).
-pub fn relative_error(predicted: f64, actual: f64) -> f64 {
+fn relative_error(predicted: f64, actual: f64) -> f64 {
     if actual.abs() < 1e-12 {
         return if predicted.abs() < 1e-12 {
             0.0
@@ -89,7 +89,7 @@ pub fn evaluate(pairs: &[(f64, f64)]) -> AccuracyReport {
 /// from [`FrameEvent::FrameExecuted`] events.
 ///
 /// Subscribe the log to a bus and keep a [`PredictionLogHandle`] to read
-/// the pairs (and an [`AccuracyReport`]) at any time:
+/// an [`AccuracyReport`] over the pairs at any time:
 ///
 /// ```
 /// use platform::bus::{EventBus, FrameEvent};
@@ -101,7 +101,7 @@ pub fn evaluate(pairs: &[(f64, f64)]) -> AccuracyReport {
 ///     stream: 0, frame: 0, scenario: 5,
 ///     predicted_total_ms: 40.0, actual_total_ms: 41.0, latency_ms: 12.0,
 /// });
-/// assert_eq!(handle.pairs(), vec![(40.0, 41.0)]);
+/// assert_eq!(handle.report().count, 1);
 /// assert!(handle.report().mean_accuracy > 0.97);
 /// ```
 pub struct PredictionLog {
@@ -110,7 +110,7 @@ pub struct PredictionLog {
 
 impl PredictionLog {
     /// Creates a log and its reader handle.
-    pub fn new() -> (Self, PredictionLogHandle) {
+    fn new() -> (Self, PredictionLogHandle) {
         let pairs = Arc::new(Mutex::new(Vec::new()));
         (
             Self {
@@ -151,21 +151,6 @@ pub struct PredictionLogHandle {
 }
 
 impl PredictionLogHandle {
-    /// Snapshot of the logged `(predicted, actual)` pairs.
-    pub fn pairs(&self) -> Vec<(f64, f64)> {
-        self.pairs.lock().unwrap().clone()
-    }
-
-    /// Number of pairs logged so far.
-    pub fn len(&self) -> usize {
-        self.pairs.lock().unwrap().len()
-    }
-
-    /// True if nothing was logged yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Accuracy report over the logged pairs (the Section 7 metric).
     pub fn report(&self) -> AccuracyReport {
         evaluate(&self.pairs.lock().unwrap())
@@ -245,7 +230,7 @@ mod tests {
     fn prediction_log_collects_frame_executed_pairs() {
         let mut bus = EventBus::new();
         let handle = PredictionLog::subscribe_to(&mut bus);
-        assert!(handle.is_empty());
+        assert_eq!(handle.report().count, 0);
         bus.emit(executed(0, 10.0, 10.0));
         bus.emit(executed(1, 11.0, 10.0));
         // non-FrameExecuted events are ignored
@@ -256,13 +241,8 @@ mod tests {
         });
         bus.emit(executed(2, 13.0, 10.0));
         bus.emit(executed(3, 10.0, 10.0));
-        assert_eq!(handle.len(), 4);
-        assert_eq!(
-            handle.pairs(),
-            vec![(10.0, 10.0), (11.0, 10.0), (13.0, 10.0), (10.0, 10.0)]
-        );
         // identical numbers to evaluating the raw pairs directly
-        let direct = evaluate(&handle.pairs());
+        let direct = evaluate(&[(10.0, 10.0), (11.0, 10.0), (13.0, 10.0), (10.0, 10.0)]);
         assert_eq!(handle.report(), direct);
         assert!((direct.mean_accuracy - 0.9).abs() < 1e-12);
     }

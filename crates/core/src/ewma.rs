@@ -59,11 +59,6 @@ impl Ewma {
         y
     }
 
-    /// Resets to the uninitialized state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-
     pub(crate) fn encode(&self, w: &mut crate::snapshot::Writer) {
         w.f64(self.alpha);
         w.opt_f64(self.value);
@@ -152,14 +147,6 @@ mod tests {
     #[should_panic(expected = "alpha must be in")]
     fn zero_alpha_rejected() {
         let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn reset_forgets_history() {
-        let mut e = Ewma::new(0.3);
-        e.update(10.0);
-        e.reset();
-        assert_eq!(e.update(70.0), 70.0);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use memory_model::{implementation_table, paper_table1, FrameGeometry, TaskMe
 pub use model::{ModelSnapshot, ResourceModel};
 pub use predictor::{
     ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor, PredictContext, Prediction,
-    Predictor, ResidualWindow, RESIDUAL_WINDOW,
+    Predictor,
 };
 pub use quantize::Quantizer;
 pub use scenario::{Scenario, ScenarioChain, ScenarioScript, ScriptSegment, TASKS};

@@ -16,13 +16,6 @@ pub struct LinearModel {
 }
 
 impl LinearModel {
-    /// The paper's published RDG growth function (Eq. 3), for reference
-    /// output in the experiment tables. `x` is the ROI size in kilopixels.
-    pub const PAPER_RDG: LinearModel = LinearModel {
-        slope: 0.067,
-        intercept: 20.6,
-    };
-
     /// Evaluates the model.
     pub fn eval(&self, x: f64) -> f64 {
         self.slope * x + self.intercept
@@ -121,13 +114,6 @@ mod tests {
             m.intercept
         );
         assert!(m.r_squared(&pts) > 0.9);
-    }
-
-    #[test]
-    fn paper_constant_evaluates() {
-        // Fig. 6: at 300 kpx the paper's line gives ~40.7 ms
-        let y = LinearModel::PAPER_RDG.eval(300.0);
-        assert!((y - 40.7).abs() < 0.2, "y {y}");
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! `Pij = nij / sum_k nik`, where nij denotes the number of transitions
 //! from interval i to interval j." (Eq. 2, Section 4)
 
-use rand::Rng;
-
 /// A first-order Markov chain with row-stochastic transition matrix.
 ///
 /// ```
@@ -110,19 +108,6 @@ impl MarkovChain {
         }
     }
 
-    /// Samples the next state from `i`.
-    pub fn sample_next(&self, i: usize, rng: &mut impl Rng) -> usize {
-        let r: f64 = rng.gen();
-        let mut acc = 0.0;
-        for j in 0..self.states {
-            acc += self.prob(i, j);
-            if r < acc {
-                return j;
-            }
-        }
-        self.states - 1
-    }
-
     /// The `q`-quantile of `f(next_state)` from state `i`: the smallest
     /// value `v` among the images of the next-state distribution such
     /// that `P(f(next) <= v) >= q`. Used for conservative (guaranteed-
@@ -140,27 +125,6 @@ impl MarkovChain {
             }
         }
         pairs.last().map(|&(v, _)| v).unwrap_or(0.0)
-    }
-
-    /// Stationary distribution by power iteration (uniform start).
-    #[allow(clippy::needless_range_loop)] // (i, j) indexing mirrors the math
-    pub fn stationary(&self, iterations: usize) -> Vec<f64> {
-        let mut pi = vec![1.0 / self.states as f64; self.states];
-        let mut next = vec![0.0; self.states];
-        for _ in 0..iterations {
-            next.fill(0.0);
-            for i in 0..self.states {
-                let w = pi[i];
-                if w == 0.0 {
-                    continue;
-                }
-                for j in 0..self.states {
-                    next[j] += w * self.prob(i, j);
-                }
-            }
-            std::mem::swap(&mut pi, &mut next);
-        }
-        pi
     }
 
     /// Verifies every row sums to 1 within tolerance (model invariant).
@@ -202,7 +166,7 @@ impl MarkovChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn estimate_matches_eq2() {
@@ -246,38 +210,6 @@ mod tests {
         assert!((c.prob(0, 0) - 0.5).abs() < 1e-12);
         assert!((c.prob(0, 1) - 0.5).abs() < 1e-12);
         assert!(c.is_row_stochastic(1e-12));
-    }
-
-    #[test]
-    fn sampling_follows_distribution() {
-        let c = MarkovChain::estimate(&[0, 1, 0, 1, 0, 0, 0, 1, 0, 0], 2);
-        // from 0: count 0->1: 3, 0->0: 3 (seq transitions from 0: 0->1 x3, 0->0 x3)
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let n = 20000;
-        let ones = (0..n).filter(|_| c.sample_next(0, &mut rng) == 1).count();
-        let p = ones as f64 / n as f64;
-        assert!(
-            (p - c.prob(0, 1)).abs() < 0.02,
-            "sampled {p} expected {}",
-            c.prob(0, 1)
-        );
-    }
-
-    #[test]
-    fn stationary_of_symmetric_chain_is_uniform() {
-        let c = MarkovChain::estimate(&[0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0], 2);
-        let pi = c.stationary(200);
-        assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // this chain is roughly doubly stochastic; distribution near uniform
-        assert!(pi[0] > 0.3 && pi[0] < 0.7, "pi {:?}", pi);
-    }
-
-    #[test]
-    fn stationary_absorbing_state() {
-        // 0 -> 1, 1 -> 1: state 1 absorbs
-        let c = MarkovChain::estimate(&[0, 1, 1, 1, 1], 2);
-        let pi = c.stationary(500);
-        assert!(pi[1] > 0.99, "pi {:?}", pi);
     }
 
     #[test]

@@ -54,24 +54,14 @@ impl HigherOrderChain {
         }
     }
 
-    /// The chain's order.
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
-    /// Number of base states.
-    pub fn states(&self) -> usize {
-        self.states
-    }
-
     /// Number of contexts actually observed in training.
-    pub fn observed_contexts(&self) -> usize {
+    fn observed_contexts(&self) -> usize {
         self.counts.len()
     }
 
     /// The theoretical context-space size `states^order` (saturating) —
     /// the exponential growth the paper warns about.
-    pub fn context_space(&self) -> u64 {
+    fn context_space(&self) -> u64 {
         (self.states as u64).saturating_pow(self.order as u32)
     }
 
@@ -99,7 +89,7 @@ impl HigherOrderChain {
     /// Probability of `next` given a context of the last `order` states
     /// (most recent last). Unseen contexts fall back to the marginal
     /// distribution; an all-zero marginal falls back to uniform.
-    pub fn prob(&self, context: &[usize], next: usize) -> f64 {
+    fn prob(&self, context: &[usize], next: usize) -> f64 {
         assert_eq!(
             context.len(),
             self.order,
@@ -129,13 +119,6 @@ impl HigherOrderChain {
     /// Expected value of `f(next_state)` given a context.
     pub fn expected_next(&self, context: &[usize], f: impl Fn(usize) -> f64) -> f64 {
         (0..self.states).map(|j| self.prob(context, j) * f(j)).sum()
-    }
-
-    /// Most likely next state given a context.
-    pub fn most_likely_next(&self, context: &[usize]) -> usize {
-        (0..self.states)
-            .max_by(|&a, &b| self.prob(context, a).total_cmp(&self.prob(context, b)))
-            .unwrap_or(0)
     }
 }
 
@@ -224,10 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn expected_and_most_likely() {
+    fn expected_next_follows_the_context() {
         let seq = vec![0usize, 0, 1, 0, 0, 1, 0, 0, 1];
         let c = HigherOrderChain::estimate(&seq, 2, 2);
-        assert_eq!(c.most_likely_next(&[0, 0]), 1);
         let e = c.expected_next(&[0, 0], |j| j as f64 * 10.0);
         assert!(e > 9.0, "expected {e}");
     }

@@ -155,7 +155,7 @@ pub fn paper_table1() -> Vec<TaskMemory> {
 ///   [`mkx_intermediate_bytes`] gives the exact warm working set.
 /// * RDG output: filtered u16 (2) + ridgeness f32 (4) = 6 B/px.
 /// * ENH intermediate: the f32 temporal accumulator = 4 B/px, plus the
-///   width-linear SIMD staging row ([`enh_row_bytes`]).
+///   width-linear SIMD staging row ([`enh_intermediate_bytes`] adds it).
 /// * ZOOM intermediate: width-linear only — the per-output-column tap
 ///   plan plus the pooled horizontally-resolved row cache
 ///   ([`zoom_scratch_bytes`]).
@@ -182,7 +182,7 @@ const MKX_DEFAULT_SCALES: [f32; 2] = [1.5, 2.5];
 
 /// Gaussian-derivative kernel radius for `sigma` — must match
 /// `Kernel1D::gaussian*` in `triplec-imaging` (`ceil(3*sigma)`, min 1).
-pub fn kernel_radius(sigma: f32) -> usize {
+fn kernel_radius(sigma: f32) -> usize {
     ((3.0 * sigma).ceil() as usize).max(1)
 }
 
@@ -240,7 +240,7 @@ pub fn mkx_intermediate_bytes(geom: FrameGeometry, scales: &[f32]) -> usize {
 
 /// Bytes of ENH's width-linear staging row: the warp/sample stage resolves
 /// each source row into one f32 row that the SIMD EWMA kernel consumes.
-pub fn enh_row_bytes(width: usize) -> usize {
+fn enh_row_bytes(width: usize) -> usize {
     width * std::mem::size_of::<f32>()
 }
 
@@ -253,10 +253,10 @@ pub fn enh_intermediate_bytes(geom: FrameGeometry) -> usize {
 
 /// Per-output-column plan-entry bytes of the separable zoom: two u32
 /// source indices + two f32 weights (bilinear).
-pub const ZOOM_BIL_PLAN_BYTES: usize = 16;
+const ZOOM_BIL_PLAN_BYTES: usize = 16;
 /// Per-output-column plan-entry bytes of the separable zoom: four u32
 /// source indices + four f32 weights + the f32 weight sum (bicubic).
-pub const ZOOM_CUB_PLAN_BYTES: usize = 36;
+const ZOOM_CUB_PLAN_BYTES: usize = 36;
 
 /// Exact warm scratch of the separable ZOOM at `out_width`: the
 /// per-column tap plan plus `n_taps` pooled horizontally-resolved f32

@@ -81,8 +81,8 @@ impl ModelSnapshot {
 
     /// Serializes the snapshot to a self-describing byte stream.
     ///
-    /// The inverse, [`ModelSnapshot::from_bytes`], validates every field
-    /// and never panics on corrupt input — the contract the runtime's
+    /// The inverse, [`ResourceModel::try_restore_bytes`], validates every
+    /// field and never panics on corrupt input — the contract the runtime's
     /// model-quarantine recovery relies on.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_header();
@@ -93,7 +93,7 @@ impl ModelSnapshot {
     /// Decodes a snapshot serialized by [`ModelSnapshot::to_bytes`].
     /// Truncated, garbled or wrong-format bytes return a
     /// [`SnapshotError`]; this function never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = Reader::header(bytes)?;
         let snap = Self::decode_tagged(&mut r)?;
         r.expect_end()?;

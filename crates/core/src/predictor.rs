@@ -120,7 +120,7 @@ impl std::fmt::Display for Prediction {
 }
 
 /// Default capacity of a predictor's [`ResidualWindow`].
-pub const RESIDUAL_WINDOW: usize = 64;
+const RESIDUAL_WINDOW: usize = 64;
 
 /// Bounded ring of recent prediction residuals with empirical
 /// nearest-rank quantiles.
@@ -131,7 +131,7 @@ pub const RESIDUAL_WINDOW: usize = 64;
 /// *own* full prediction and widens tail quantiles to cover whichever
 /// estimate is larger.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ResidualWindow {
+struct ResidualWindow {
     cap: usize,
     buf: Vec<f64>,
     pos: usize,
@@ -139,7 +139,7 @@ pub struct ResidualWindow {
 
 impl ResidualWindow {
     /// An empty window holding at most `cap` residuals.
-    pub fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         assert!(cap > 0, "residual window needs capacity");
         Self {
             cap,
@@ -149,7 +149,7 @@ impl ResidualWindow {
     }
 
     /// Records a residual, evicting the oldest once full.
-    pub fn push(&mut self, residual: f64) {
+    fn push(&mut self, residual: f64) {
         if self.buf.len() < self.cap {
             self.buf.push(residual);
         } else {
@@ -158,18 +158,13 @@ impl ResidualWindow {
         self.pos = (self.pos + 1) % self.cap;
     }
 
-    /// Residuals currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Whether no residual has been recorded yet.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Nearest-rank `q`-quantile of the held residuals; `0.0` when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         if self.buf.is_empty() {
             return 0.0;
         }
@@ -180,15 +175,13 @@ impl ResidualWindow {
         sorted[rank - 1]
     }
 
-    pub(crate) fn encode(&self, w: &mut crate::snapshot::Writer) {
+    fn encode(&self, w: &mut crate::snapshot::Writer) {
         w.u32(self.cap as u32);
         w.f64_slice(&self.buf);
         w.u32(self.pos as u32);
     }
 
-    pub(crate) fn decode(
-        r: &mut crate::snapshot::Reader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
+    fn decode(r: &mut crate::snapshot::Reader<'_>) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError::Corrupt;
         let cap = r.u32()? as usize;
         if cap == 0 || cap > (1 << 16) {
@@ -227,7 +220,7 @@ pub trait Predictor: Send {
     /// The mean is the paper's point estimate (Eq. 1/Eq. 3 plus the
     /// Markov fluctuation term); the tail quantiles come from the
     /// chain's [`quantile_next`](crate::markov::MarkovChain::quantile_next)
-    /// and the predictor's error-tracked [`ResidualWindow`], whichever
+    /// and the predictor's error-tracked window of recent residuals, whichever
     /// is wider. Scheduling against `p99_ms` instead of `mean_ms` trades
     /// average-case packing density for fewer budget overruns.
     fn predict(&self, ctx: &PredictContext) -> Prediction;
@@ -239,7 +232,7 @@ pub trait Predictor: Send {
 
 /// Constant-time model for tasks with stable cost (MKX, REG, ROI EST, ENH,
 /// ZOOM in Table 2(b)). The constant carries an error-tracked
-/// [`ResidualWindow`] so even "stable" tasks report tail quantiles.
+/// window of recent residuals so even "stable" tasks report tail quantiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstantPredictor {
     value_ms: f64,
@@ -421,11 +414,6 @@ impl EwmaMarkovPredictor {
         self.online
     }
 
-    /// The residual quantizer (for inspection / the Table 2(a) report).
-    pub fn quantizer(&self) -> &Quantizer {
-        &self.quantizer
-    }
-
     /// The residual Markov chain (for the Table 2(a) report).
     pub fn chain(&self) -> &MarkovChain {
         &self.chain
@@ -569,11 +557,6 @@ impl LinearMarkovPredictor {
     /// Whether online adaptation is enabled.
     pub(crate) fn online(&self) -> bool {
         self.online
-    }
-
-    /// The fitted growth function (compare with Eq. 3).
-    pub fn growth(&self) -> LinearModel {
-        self.model
     }
 
     pub(crate) fn encode(&self, w: &mut crate::snapshot::Writer) {
@@ -735,12 +718,12 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0] {
             w.push(v);
         }
-        assert_eq!(w.len(), 4);
+        assert_eq!(w.buf.len(), 4);
         assert_eq!(w.quantile(0.5), 2.0);
         assert_eq!(w.quantile(1.0), 4.0);
         // pushing evicts the oldest (1.0)
         w.push(10.0);
-        assert_eq!(w.len(), 4);
+        assert_eq!(w.buf.len(), 4);
         assert_eq!(w.quantile(0.0), 2.0);
         assert_eq!(w.quantile(1.0), 10.0);
     }
@@ -802,7 +785,7 @@ mod tests {
             })
             .collect();
         let p = LinearMarkovPredictor::train(&points, 16, "RDG");
-        let g = p.growth();
+        let g = p.model;
         assert!((g.slope - 0.07).abs() < 0.01, "slope {}", g.slope);
         assert!(
             (g.intercept - 20.0).abs() < 2.0,
@@ -828,7 +811,7 @@ mod tests {
             .collect();
         let (train, test) = points.split_at(2000);
         let mut p = LinearMarkovPredictor::train(train, 24, "RDG");
-        let line = p.growth();
+        let line = p.model;
         for &(roi, y) in &train[train.len() - 20..] {
             p.observe(y, &PredictContext { roi_kpixels: roi });
         }

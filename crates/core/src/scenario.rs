@@ -196,27 +196,6 @@ impl ScenarioScript {
         }
         None
     }
-
-    /// Total number of frames the script covers.
-    pub fn len_frames(&self) -> usize {
-        self.segments.iter().map(|s| s.frames).sum()
-    }
-
-    /// The raw segment list.
-    pub fn segments(&self) -> &[ScriptSegment] {
-        &self.segments
-    }
-
-    /// Expands the script into a per-frame scenario-id sequence of length
-    /// `frames` (frames past the end repeat the final segment's scenario,
-    /// or scenario 0 for an empty script) — the training-sequence shape
-    /// [`ScenarioChain::estimate`] expects.
-    pub fn expand(&self, frames: usize) -> Vec<u8> {
-        let last = self.segments.last().map_or(0, |s| s.scenario);
-        (0..frames)
-            .map(|f| self.scenario_at(f).map_or(last, |s| s.id()))
-            .collect()
-    }
 }
 
 /// A Markov chain over scenario ids: predicts the next frame's switch
@@ -250,11 +229,6 @@ impl ScenarioChain {
     pub fn expected_next(&self, current: Scenario, f: impl Fn(Scenario) -> f64) -> f64 {
         self.chain
             .expected_next(current.id() as usize, |j| f(Scenario::from_id(j as u8)))
-    }
-
-    /// Long-run scenario occupancy.
-    pub fn stationary(&self) -> Vec<f64> {
-        self.chain.stationary(300)
     }
 
     /// The underlying 8x8 chain.
@@ -355,14 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn stationary_sums_to_one() {
-        let seq = vec![0u8, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3];
-        let sc = ScenarioChain::estimate(&seq);
-        let pi = sc.stationary();
-        assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_scenario_id_rejected() {
         let _ = Scenario::from_id(8);
@@ -371,7 +337,6 @@ mod tests {
     #[test]
     fn script_hold_and_thrash() {
         let hold = ScenarioScript::hold(5, 3);
-        assert_eq!(hold.len_frames(), 3);
         for f in 0..3 {
             assert_eq!(hold.scenario_at(f).unwrap().id(), 5);
         }
@@ -382,13 +347,6 @@ mod tests {
             .map(|f| thrash.scenario_at(f).unwrap().id())
             .collect();
         assert_eq!(ids, vec![1, 1, 6, 6, 1, 1, 6, 6]);
-    }
-
-    #[test]
-    fn script_expand_repeats_tail() {
-        let script = ScenarioScript::thrash(&[0, 7], 1, 2);
-        assert_eq!(script.expand(6), vec![0, 7, 0, 7, 7, 7]);
-        assert_eq!(ScenarioScript::new(vec![]).expand(2), vec![0, 0]);
     }
 
     #[test]

@@ -16,10 +16,10 @@ use std::fmt;
 use std::sync::Mutex;
 
 /// Leading magic of every serialized snapshot.
-pub const MAGIC: [u8; 4] = *b"TCSN";
+const MAGIC: [u8; 4] = *b"TCSN";
 
 /// Current format version.
-pub const VERSION: u16 = 1;
+const VERSION: u16 = 1;
 
 /// Upper bound on any serialized vector length; a garbled length field
 /// beyond this is rejected instead of attempting a huge allocation.

@@ -16,7 +16,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population variance.
-pub fn variance(xs: &[f64]) -> f64 {
+fn variance(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }

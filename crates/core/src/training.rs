@@ -7,7 +7,7 @@
 
 use crate::model::ResourceModel;
 use crate::predictor::{ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor};
-use crate::stats::{autocorrelation, fit_exponential_decay, mean, std_dev};
+use crate::stats::{autocorrelation, mean, std_dev};
 
 /// A profiled computation-time series of one task.
 #[derive(Debug, Clone)]
@@ -92,7 +92,7 @@ impl Default for TrainingConfig {
 }
 
 /// Pearson correlation between two equal-length series.
-pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
+fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
     if xs.len() < 2 {
         return 0.0;
@@ -139,7 +139,7 @@ pub fn select_model(series: &TaskSeries, cfg: &TrainingConfig) -> ModelKind {
 }
 
 /// Trains a predictor of the given kind.
-pub fn train_kind(
+fn train_kind(
     series: &TaskSeries,
     kind: ModelKind,
     cfg: &TrainingConfig,
@@ -175,13 +175,6 @@ pub fn train_auto(
 ) -> (ModelKind, Box<dyn ResourceModel>) {
     let kind = select_model(series, cfg);
     (kind, train_kind(series, kind, cfg))
-}
-
-/// Validates Markov suitability of a series by ACF decay analysis
-/// (Section 4's autocorrelation check). Returns the fitted decay.
-pub fn markov_suitability(samples: &[f64], max_lag: usize) -> crate::stats::DecayFit {
-    let acf = autocorrelation(samples, max_lag);
-    fit_exponential_decay(&acf)
 }
 
 #[cfg(test)]
@@ -245,20 +238,6 @@ mod tests {
             .predict(&crate::predictor::PredictContext::default())
             .mean_ms;
         assert!((pred - 24.01).abs() < 0.1);
-    }
-
-    #[test]
-    fn markov_suitability_on_ar_series() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-        let mut ar = 0.0;
-        let xs: Vec<f64> = (0..5000)
-            .map(|_| {
-                ar = 0.8 * ar + rng.gen_range(-1.0..1.0);
-                ar
-            })
-            .collect();
-        let fit = markov_suitability(&xs, 10);
-        assert!(fit.markov_suitable, "{:?}", fit);
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl TripleCSnapshot {
 
     /// Decodes bytes produced by [`TripleCSnapshot::to_bytes`]. Truncated
     /// or garbled input returns a [`SnapshotError`]; this never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = Reader::header(bytes)?;
         let tag = r.u8()?;
         if tag != TAG_FACADE {
@@ -311,18 +311,6 @@ impl TripleC {
         self.scenario_chain.predict_next(current)
     }
 
-    /// Scenario-weighted expected frame time: the expectation of the next
-    /// frame's cost over the scenario transition distribution.
-    pub fn expected_next_frame_time(&self, current: Scenario, ctx: &PredictContext) -> f64 {
-        self.scenario_chain
-            .expected_next(current, |s| self.predict_frame_time(s, ctx))
-    }
-
-    /// The scenario chain (for inspection).
-    pub fn scenario_chain(&self) -> &ScenarioChain {
-        &self.scenario_chain
-    }
-
     /// Re-estimates the scenario chain from a recently observed
     /// scenario-id sequence.
     ///
@@ -440,18 +428,6 @@ mod tests {
         // training mostly stays in scenario 7
         let next = t.predict_next_scenario(Scenario::from_id(7));
         assert_eq!(next.id(), 7);
-    }
-
-    #[test]
-    fn expected_frame_time_between_extremes() {
-        let t = trained();
-        let ctx = PredictContext::default();
-        let e = t.expected_next_frame_time(Scenario::from_id(7), &ctx);
-        let s7 = t.predict_frame_time(Scenario::from_id(7), &ctx);
-        let s5 = t.predict_frame_time(Scenario::from_id(5), &ctx);
-        let lo = s5.min(s7) - 1e-9;
-        let hi = s5.max(s7) + 1e-9;
-        assert!(e >= lo && e <= hi, "e {e} not in [{lo}, {hi}]");
     }
 
     #[test]

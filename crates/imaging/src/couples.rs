@@ -27,11 +27,6 @@ impl Couple {
     pub fn length(&self) -> f64 {
         self.a.distance(&self.b)
     }
-
-    /// Orientation of the marker axis, radians in `(-pi, pi]`.
-    pub fn angle(&self) -> f64 {
-        (self.b.y - self.a.y).atan2(self.b.x - self.a.x)
-    }
 }
 
 /// Configuration of couples selection.
@@ -246,12 +241,5 @@ mod tests {
         };
         assert_eq!(c.center(), (5.0, 0.0));
         assert!((c.length() - 10.0).abs() < 1e-12);
-        assert!(c.angle().abs() < 1e-12);
-        let d = Couple {
-            a: mk(0.0, 0.0, 1.0),
-            b: mk(0.0, 5.0, 1.0),
-            score: 0.0,
-        };
-        assert!((d.angle() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 }

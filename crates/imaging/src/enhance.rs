@@ -221,17 +221,9 @@ impl EnhState {
         self.frames_integrated += 1;
     }
 
-    /// Reads the enhanced view of `roi` out of the accumulator.
-    pub fn readout(&self, roi: Roi, gain: f32) -> ImageU16 {
-        let roi = roi.clamp_to(self.acc.width(), self.acc.height());
-        let mut out = ImageU16::new(roi.width, roi.height);
-        self.readout_into(roi, gain, &mut out);
-        out
-    }
-
-    /// [`EnhState::readout`] into a caller-owned buffer (which must match
-    /// the clamped ROI geometry), so sequence runners can reuse one image
-    /// across frames instead of allocating per readout. Bit-identical to
+    /// Reads the enhanced view of `roi` out of the accumulator into a
+    /// caller-owned buffer (which must match the clamped ROI geometry), so
+    /// sequence runners reuse one image across frames. Bit-identical to
     /// [`EnhState::readout_into_reference`] (the SIMD gain/clamp chain
     /// preserves NaN and `-0.0` exactly like scalar `clamp`).
     pub fn readout_into(&self, roi: Roi, gain: f32, out: &mut ImageU16) {
@@ -571,7 +563,7 @@ fn scale_clamp_row(src: &[f32], gain: f32, out: &mut [u16]) {
 /// Bilinear sample of a u16 frame at fractional coordinates with border
 /// replication.
 #[inline]
-pub fn sample_frame(frame: &ImageU16, x: f64, y: f64) -> f32 {
+fn sample_frame(frame: &ImageU16, x: f64, y: f64) -> f32 {
     let (w, h) = frame.dims();
     let xf = x.clamp(0.0, (w - 1) as f64);
     let yf = y.clamp(0.0, (h - 1) as f64);
@@ -588,47 +580,42 @@ pub fn sample_frame(frame: &ImageU16, x: f64, y: f64) -> f32 {
     v00 * (1.0 - fx) * (1.0 - fy) + v10 * fx * (1.0 - fy) + v01 * (1.0 - fx) * fy + v11 * fx * fy
 }
 
-/// Warps `frame` by `transform` (inverse mapping) and integrates it into
-/// the running average, restricted to `roi`. Returns the enhanced view of
-/// the ROI as a u16 image.
-pub fn enh_integrate(
-    frame: &ImageU16,
-    transform: &RigidTransform,
-    roi: Roi,
-    cfg: &EnhConfig,
-    state: &mut EnhState,
-) -> ImageU16 {
-    let roi = roi.clamp_to(frame.width(), frame.height());
-    let w_new = state.next_weight(cfg);
-    state.accumulate(frame, transform, roi, w_new);
-    state.commit();
-    state.readout(roi, cfg.gain)
-}
-
-/// Computes the noise standard deviation of an image region (used by tests
-/// and the experiments to verify the SNR gain of temporal integration).
-pub fn region_std(img: &ImageU16, roi: Roi) -> f64 {
-    let roi = roi.clamp_to(img.width(), img.height());
-    let n = roi.area();
-    if n < 2 {
-        return 0.0;
-    }
-    let mut sum = 0.0f64;
-    let mut sum2 = 0.0f64;
-    for y in roi.y..roi.bottom() {
-        for &v in &img.row(y)[roi.x..roi.right()] {
-            sum += v as f64;
-            sum2 += (v as f64) * (v as f64);
-        }
-    }
-    let mean = sum / n as f64;
-    ((sum2 / n as f64 - mean * mean).max(0.0)).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::Image;
+
+    /// One ENH step as the executor sequences it — weight, accumulate,
+    /// commit, read out — returning the enhanced view of the clamped ROI.
+    fn enh_integrate(
+        frame: &ImageU16,
+        transform: &RigidTransform,
+        roi: Roi,
+        cfg: &EnhConfig,
+        state: &mut EnhState,
+    ) -> ImageU16 {
+        let roi = roi.clamp_to(frame.width(), frame.height());
+        let w_new = state.next_weight(cfg);
+        state.accumulate(frame, transform, roi, w_new);
+        state.commit();
+        let mut out = ImageU16::new(roi.width, roi.height);
+        state.readout_into(roi, cfg.gain, &mut out);
+        out
+    }
+
+    /// Noise standard deviation of an image region.
+    fn region_std(img: &ImageU16, roi: Roi) -> f64 {
+        let n = roi.area() as f64;
+        let (mut sum, mut sum2) = (0.0f64, 0.0f64);
+        for y in roi.y..roi.bottom() {
+            for &v in &img.row(y)[roi.x..roi.right()] {
+                sum += v as f64;
+                sum2 += (v as f64) * (v as f64);
+            }
+        }
+        let mean = sum / n;
+        (sum2 / n - mean * mean).max(0.0).sqrt()
+    }
 
     #[test]
     fn first_frame_passes_through() {

@@ -126,15 +126,8 @@ pub fn corridor_box(couple: &Couple, cfg: &GwConfig, width: usize, height: usize
 }
 
 /// Searches for the guide wire joining the two markers of `couple` in the
-/// ridge-response map produced by RDG.
-///
-/// Convenience wrapper over [`gw_extract_with`] with one-shot scratch;
-/// per-frame callers should hold a [`GwScratch`] and reuse it.
-pub fn gw_extract(ridgeness: &ImageF32, couple: &Couple, cfg: &GwConfig) -> GwOutput {
-    gw_extract_with(ridgeness, couple, cfg, &mut GwScratch::new())
-}
-
-/// [`gw_extract`] with caller-owned reusable scratch.
+/// ridge-response map produced by RDG. `scratch` is caller-owned so
+/// per-frame callers reuse it across frames.
 pub fn gw_extract_with(
     ridgeness: &ImageF32,
     couple: &Couple,
@@ -235,7 +228,7 @@ pub fn gw_extract_with(
     }
 }
 
-/// Scalar reference for [`gw_extract`]: the plain per-cell DP loop the
+/// Scalar reference for [`gw_extract_with`]: the plain per-cell DP loop the
 /// SIMD row kernel must reproduce exactly (same windowed strict-`>`
 /// argmax with lowest-index tie-break, same evaluation count).
 pub fn gw_extract_reference(ridgeness: &ImageF32, couple: &Couple, cfg: &GwConfig) -> GwOutput {
@@ -480,7 +473,7 @@ mod tests {
     fn finds_wire_on_straight_ridge() {
         let map = line_map(64, 64, 32.0);
         let c = couple(10.0, 32.0, 54.0, 32.0);
-        let out = gw_extract(&map, &c, &GwConfig::default());
+        let out = gw_extract_with(&map, &c, &GwConfig::default(), &mut GwScratch::new());
         assert!(out.wire_found, "mean {} ", out.mean_response);
         assert!(out.mean_response > 50.0);
         // path stays near the ridge
@@ -493,7 +486,7 @@ mod tests {
     fn no_wire_on_empty_map() {
         let map: ImageF32 = Image::new(64, 64);
         let c = couple(10.0, 32.0, 54.0, 32.0);
-        let out = gw_extract(&map, &c, &GwConfig::default());
+        let out = gw_extract_with(&map, &c, &GwConfig::default(), &mut GwScratch::new());
         assert!(!out.wire_found);
         assert_eq!(out.mean_response, 0.0);
     }
@@ -515,7 +508,7 @@ mod tests {
             min_mean_rel: 0.5,
             ..Default::default()
         };
-        let out = gw_extract(&map, &c, &cfg);
+        let out = gw_extract_with(&map, &c, &cfg, &mut GwScratch::new());
         assert!(!out.wire_found, "mean {}", out.mean_response);
     }
 
@@ -528,7 +521,7 @@ mod tests {
             (100.0 * (-d * d / 2.0).exp()) as f32
         });
         let c = couple(2.0, 30.0, 62.0, 34.0);
-        let out = gw_extract(&map, &c, &GwConfig::default());
+        let out = gw_extract_with(&map, &c, &GwConfig::default(), &mut GwScratch::new());
         assert!(out.wire_found);
         // midpoint of the path should sit near the curve midpoint (y=32)
         let (_, my) = out.path[out.path.len() / 2];
@@ -538,8 +531,18 @@ mod tests {
     #[test]
     fn cost_grows_with_marker_separation() {
         let map = line_map(128, 64, 32.0);
-        let near = gw_extract(&map, &couple(10.0, 32.0, 30.0, 32.0), &GwConfig::default());
-        let far = gw_extract(&map, &couple(10.0, 32.0, 120.0, 32.0), &GwConfig::default());
+        let near = gw_extract_with(
+            &map,
+            &couple(10.0, 32.0, 30.0, 32.0),
+            &GwConfig::default(),
+            &mut GwScratch::new(),
+        );
+        let far = gw_extract_with(
+            &map,
+            &couple(10.0, 32.0, 120.0, 32.0),
+            &GwConfig::default(),
+            &mut GwScratch::new(),
+        );
         assert!(far.cells_evaluated > 2 * near.cells_evaluated);
     }
 
@@ -547,7 +550,7 @@ mod tests {
     fn degenerate_couple_is_rejected() {
         let map = line_map(64, 64, 32.0);
         let c = couple(20.0, 32.0, 20.0, 32.0);
-        let out = gw_extract(&map, &c, &GwConfig::default());
+        let out = gw_extract_with(&map, &c, &GwConfig::default(), &mut GwScratch::new());
         assert!(!out.wire_found);
         assert!(out.path.is_empty());
     }
@@ -562,7 +565,7 @@ mod tests {
         let short = couple(30.0, 32.0, 60.0, 32.0);
         for c in [&long, &short, &long] {
             let reused = gw_extract_with(&map, c, &GwConfig::default(), &mut scratch);
-            let fresh = gw_extract(&map, c, &GwConfig::default());
+            let fresh = gw_extract_with(&map, c, &GwConfig::default(), &mut GwScratch::new());
             assert_eq!(reused.wire_found, fresh.wire_found);
             assert_eq!(
                 reused.mean_response.to_bits(),
@@ -632,8 +635,8 @@ mod tests {
                     f32::NAN
                 }
             });
-            let whole = gw_extract(&map, &c, &cfg);
-            let boxed = gw_extract(&masked, &c, &cfg);
+            let whole = gw_extract_with(&map, &c, &cfg, &mut GwScratch::new());
+            let boxed = gw_extract_with(&masked, &c, &cfg, &mut GwScratch::new());
             assert_eq!(
                 boxed.mean_response.to_bits(),
                 whole.mean_response.to_bits(),
@@ -651,7 +654,7 @@ mod tests {
             (100.0 * (-d * d / 2.0).exp()) as f32
         });
         let c = couple(10.0, 10.0, 50.0, 50.0);
-        let out = gw_extract(&map, &c, &GwConfig::default());
+        let out = gw_extract_with(&map, &c, &GwConfig::default(), &mut GwScratch::new());
         assert!(out.wire_found, "mean {}", out.mean_response);
     }
 }

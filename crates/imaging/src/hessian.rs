@@ -21,12 +21,12 @@ pub struct HessianImages {
 /// realistic scale set (default RDG uses 3, MKX a handful); beyond it the
 /// least-recently-used triple is evicted, so an adversarial sequence of
 /// per-frame scale tweaks cannot grow the cache without bound.
-pub const KERNEL_CACHE_CAPACITY: usize = 16;
+const KERNEL_CACHE_CAPACITY: usize = 16;
 
 /// Bounded per-sigma cache of the `(G, G', G'')` kernel triple with O(1)
 /// lookup (hash on the sigma bits). Steady-state frames that reuse a
 /// scale set build no tap vectors and perform no allocation; an eviction
-/// scan is O([`KERNEL_CACHE_CAPACITY`]) and only runs on a miss with the
+/// scan is O(`KERNEL_CACHE_CAPACITY`) and only runs on a miss with the
 /// cache full.
 #[derive(Debug, Default)]
 pub struct KernelCache {
@@ -96,7 +96,7 @@ impl KernelCache {
     }
 
     /// Number of cached sigma triples (bounded by
-    /// [`KERNEL_CACHE_CAPACITY`]).
+    /// `KERNEL_CACHE_CAPACITY`).
     pub fn len(&self) -> usize {
         self.map.len()
     }

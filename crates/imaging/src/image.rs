@@ -299,31 +299,6 @@ impl<T: Copy> Image<T> {
         self.data.copy_from_slice(&src.data);
     }
 
-    /// Copies the ROI into a new, tightly packed image.
-    pub fn crop(&self, roi: Roi) -> Image<T> {
-        let roi = roi.clamp_to(self.width, self.height);
-        let mut data = Vec::with_capacity(roi.area());
-        for y in roi.y..roi.bottom() {
-            data.extend_from_slice(&self.row(y)[roi.x..roi.right()]);
-        }
-        Image {
-            width: roi.width,
-            height: roi.height,
-            data,
-        }
-    }
-
-    /// Pastes `src` with its top-left corner at `(x, y)`, clipping at the
-    /// destination border.
-    pub fn paste(&mut self, src: &Image<T>, x: usize, y: usize) {
-        let w = src.width.min(self.width.saturating_sub(x));
-        let h = src.height.min(self.height.saturating_sub(y));
-        for row in 0..h {
-            let dst_off = (y + row) * self.width + x;
-            self.data[dst_off..dst_off + w].copy_from_slice(&src.row(row)[..w]);
-        }
-    }
-
     /// Applies `f` to every pixel, producing a new image of type `U`.
     pub fn map<U: Copy>(&self, mut f: impl FnMut(T) -> U) -> Image<U> {
         Image {
@@ -386,11 +361,6 @@ impl ImageF32 {
     /// Converts to `u16` with clamping to the pixel range.
     pub fn to_u16(&self) -> ImageU16 {
         self.map(|v| v.clamp(0.0, Pixel::MAX as f32) as Pixel)
-    }
-
-    /// Maximum value; `0.0` for an empty image.
-    pub fn max_value(&self) -> f32 {
-        self.data.iter().copied().fold(0.0_f32, f32::max)
     }
 }
 
@@ -483,25 +453,6 @@ mod tests {
         assert_eq!(img.get_clamped(-5, -5), 0);
         assert_eq!(img.get_clamped(10, 10), 8);
         assert_eq!(img.get_clamped(-1, 1), 3);
-    }
-
-    #[test]
-    fn crop_extracts_roi() {
-        let img = Image::from_fn(8, 8, |x, y| (y * 8 + x) as u16);
-        let c = img.crop(Roi::new(2, 3, 3, 2));
-        assert_eq!(c.dims(), (3, 2));
-        assert_eq!(c.get(0, 0), 26);
-        assert_eq!(c.get(2, 1), 36);
-    }
-
-    #[test]
-    fn paste_clips_at_border() {
-        let mut dst: ImageU16 = Image::new(4, 4);
-        let src = Image::filled(3, 3, 7u16);
-        dst.paste(&src, 2, 2);
-        assert_eq!(dst.get(2, 2), 7);
-        assert_eq!(dst.get(3, 3), 7);
-        assert_eq!(dst.get(1, 1), 0);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! The examples and experiments write intermediate and enhanced frames as
 //! binary PGM files — the simplest format any image viewer opens. 16-bit
-//! images are windowed to 8 bits on write (with the window returned), or
-//! written losslessly as 16-bit PGM (maxval 65535).
+//! images are windowed to 8 bits on write (with the window returned).
 
-use crate::image::{Image, ImageU16};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use crate::image::ImageU16;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// Writes a u16 image as an 8-bit binary PGM, windowed to `[lo, hi]`
@@ -33,156 +32,51 @@ pub fn write_pgm8(
     Ok((lo, hi))
 }
 
-/// Writes a u16 image losslessly as a 16-bit binary PGM (big-endian
-/// samples, maxval 65535, per the Netpbm specification).
-pub fn write_pgm16(path: &Path, img: &ImageU16) -> io::Result<()> {
-    let mut f = BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "P5\n{} {}\n65535", img.width(), img.height())?;
-    let mut bytes = Vec::with_capacity(img.width() * img.height() * 2);
-    for y in 0..img.height() {
-        for &v in img.row(y) {
-            bytes.extend_from_slice(&v.to_be_bytes());
-        }
-    }
-    f.write_all(&bytes)?;
-    f.flush()?;
-    Ok(())
-}
-
-/// Reads a binary PGM (P5) with maxval 255 or 65535 into a u16 image.
-pub fn read_pgm(path: &Path) -> io::Result<ImageU16> {
-    let mut reader = BufReader::new(std::fs::File::open(path)?);
-
-    fn read_token(r: &mut impl BufRead) -> io::Result<String> {
-        let mut token = String::new();
-        loop {
-            let mut byte = [0u8; 1];
-            r.read_exact(&mut byte)?;
-            let c = byte[0] as char;
-            if c == '#' {
-                // comment: skip to end of line
-                let mut line = String::new();
-                r.read_line(&mut line)?;
-                continue;
-            }
-            if c.is_whitespace() {
-                if token.is_empty() {
-                    continue;
-                }
-                return Ok(token);
-            }
-            token.push(c);
-        }
-    }
-
-    let magic = read_token(&mut reader)?;
-    if magic != "P5" {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("not a binary PGM: {magic}"),
-        ));
-    }
-    let parse = |t: String| -> io::Result<usize> {
-        t.parse()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad header: {e}")))
-    };
-    let width = parse(read_token(&mut reader)?)?;
-    let height = parse(read_token(&mut reader)?)?;
-    let maxval = parse(read_token(&mut reader)?)?;
-    if width == 0 || height == 0 || width * height > 1 << 28 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "implausible dimensions",
-        ));
-    }
-
-    let n = width * height;
-    let data = if maxval <= 255 {
-        let mut raw = vec![0u8; n];
-        reader.read_exact(&mut raw)?;
-        raw.into_iter().map(u16::from).collect()
-    } else if maxval <= 65535 {
-        let mut raw = vec![0u8; n * 2];
-        reader.read_exact(&mut raw)?;
-        raw.chunks_exact(2)
-            .map(|c| u16::from_be_bytes([c[0], c[1]]))
-            .collect()
-    } else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "maxval too large",
-        ));
-    };
-    Ok(Image::from_vec(width, height, data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::Image;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    /// Writes `img` windowed and returns the window and the 8-bit payload
+    /// behind the checked header.
+    fn written(name: &str, img: &ImageU16, window: Option<(u16, u16)>) -> ((u16, u16), Vec<u8>) {
         let dir = std::env::temp_dir().join("triplec_io_tests");
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
-    #[test]
-    fn pgm16_round_trips_losslessly() {
-        let img = Image::from_fn(17, 9, |x, y| (x * 301 + y * 4099) as u16);
-        let p = tmp("rt16.pgm");
-        write_pgm16(&p, &img).unwrap();
-        let back = read_pgm(&p).unwrap();
-        assert_eq!(img, back);
+        let p = dir.join(name);
+        let used = write_pgm8(&p, img, window).unwrap();
+        let bytes = std::fs::read(&p).unwrap();
+        let header = format!("P5\n{} {}\n255\n", img.width(), img.height());
+        assert!(bytes.starts_with(header.as_bytes()));
+        let px = bytes[header.len()..].to_vec();
+        assert_eq!(px.len(), img.width() * img.height());
+        (used, px)
     }
 
     #[test]
     fn pgm8_windows_and_round_trips_shape() {
         let img = Image::from_fn(8, 8, |x, _| (x * 1000) as u16);
-        let p = tmp("rt8.pgm");
-        let (lo, hi) = write_pgm8(&p, &img, None).unwrap();
+        let ((lo, hi), px) = written("rt8.pgm", &img, None);
         assert_eq!((lo, hi), (0, 7000));
-        let back = read_pgm(&p).unwrap();
-        assert_eq!(back.dims(), (8, 8));
         // monotone gradient preserved
         for x in 1..8 {
-            assert!(back.get(x, 0) >= back.get(x - 1, 0));
+            assert!(px[x] >= px[x - 1]);
         }
-        assert_eq!(back.get(0, 0), 0);
-        assert_eq!(back.get(7, 0), 255);
+        assert_eq!(px[0], 0);
+        assert_eq!(px[7], 255);
     }
 
     #[test]
     fn explicit_window_clamps() {
         let img = Image::from_vec(3, 1, vec![0u16, 500, 5000]);
-        let p = tmp("win.pgm");
-        write_pgm8(&p, &img, Some((100, 1000))).unwrap();
-        let back = read_pgm(&p).unwrap();
-        assert_eq!(back.get(0, 0), 0); // clamped low
-        assert_eq!(back.get(2, 0), 255); // clamped high
-    }
-
-    #[test]
-    fn rejects_non_pgm() {
-        let p = tmp("bad.pgm");
-        std::fs::write(&p, b"P6\n1 1\n255\nxxx").unwrap();
-        assert!(read_pgm(&p).is_err());
-    }
-
-    #[test]
-    fn header_comments_skipped() {
-        let p = tmp("comment.pgm");
-        std::fs::write(&p, b"P5\n# a comment line\n2 1\n255\nAB").unwrap();
-        let img = read_pgm(&p).unwrap();
-        assert_eq!(img.dims(), (2, 1));
-        assert_eq!(img.get(0, 0), b'A' as u16);
+        let (_, px) = written("win.pgm", &img, Some((100, 1000)));
+        assert_eq!(px[0], 0); // clamped low
+        assert_eq!(px[2], 255); // clamped high
     }
 
     #[test]
     fn flat_image_does_not_divide_by_zero() {
         let img = Image::filled(4, 4, 1234u16);
-        let p = tmp("flat.pgm");
-        let (lo, hi) = write_pgm8(&p, &img, None).unwrap();
+        let ((lo, hi), _) = written("flat.pgm", &img, None);
         assert!(hi > lo);
-        assert!(read_pgm(&p).is_ok());
     }
 }

@@ -254,33 +254,19 @@ pub fn convolve_cols_reference(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: 
     }
 }
 
-/// Separable convolution: row kernel `kx` then column kernel `ky`,
-/// restricted to `roi`. `scratch` must have the same dimensions as `src`
-/// and is clobbered; reusing it across calls avoids per-frame allocation.
-///
-/// The row pass runs on an inflated ROI so the column pass reads valid
-/// neighbours above/below the ROI (halo handling for stripe parallelism).
-pub fn convolve_separable(
-    src: &ImageF32,
-    dst: &mut ImageF32,
-    scratch: &mut ImageF32,
-    roi: Roi,
-    kx: &Kernel1D,
-    ky: &Kernel1D,
-) {
-    assert_eq!(src.dims(), scratch.dims(), "scratch dims must match src");
-    let halo = ky.radius();
-    let row_roi = roi.inflate(halo, src.width(), src.height());
-    // Only the vertical inflation matters for the column pass, but inflating
-    // uniformly keeps the helper simple and the extra columns are cheap.
-    convolve_rows(src, scratch, row_roi, kx);
-    convolve_cols(scratch, dst, roi, ky);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::Image;
+
+    /// Rows over the halo-inflated ROI, then columns, as `hessian` composes
+    /// the two passes.
+    fn rows_then_cols(src: &ImageF32, dst: &mut ImageF32, roi: Roi, kx: &Kernel1D, ky: &Kernel1D) {
+        let mut scratch: ImageF32 = Image::new(src.width(), src.height());
+        let row_roi = roi.inflate(ky.radius(), src.width(), src.height());
+        convolve_rows(src, &mut scratch, row_roi, kx);
+        convolve_cols(&scratch, dst, roi, ky);
+    }
 
     fn close(a: f32, b: f32, eps: f32) -> bool {
         (a - b).abs() <= eps
@@ -338,9 +324,8 @@ mod tests {
     fn smoothing_constant_image_is_identity() {
         let src: ImageF32 = Image::filled(16, 16, 42.0);
         let mut dst: ImageF32 = Image::new(16, 16);
-        let mut scratch: ImageF32 = Image::new(16, 16);
         let g = Kernel1D::gaussian(1.5);
-        convolve_separable(&src, &mut dst, &mut scratch, src.full_roi(), &g, &g);
+        rows_then_cols(&src, &mut dst, src.full_roi(), &g, &g);
         for y in 0..16 {
             for x in 0..16 {
                 assert!(
@@ -356,9 +341,8 @@ mod tests {
     fn identity_kernel_copies() {
         let src = Image::from_fn(8, 8, |x, y| (x * y) as f32);
         let mut dst: ImageF32 = Image::new(8, 8);
-        let mut scratch: ImageF32 = Image::new(8, 8);
         let id = Kernel1D::new(vec![0.0, 1.0, 0.0]);
-        convolve_separable(&src, &mut dst, &mut scratch, src.full_roi(), &id, &id);
+        rows_then_cols(&src, &mut dst, src.full_roi(), &id, &id);
         assert_eq!(src, dst);
     }
 
@@ -463,13 +447,11 @@ mod tests {
         let d2 = Kernel1D::gaussian_d2(1.4);
 
         let mut full: ImageF32 = Image::new(32, 32);
-        let mut scratch: ImageF32 = Image::new(32, 32);
-        convolve_separable(&src, &mut full, &mut scratch, src.full_roi(), &g, &d2);
+        rows_then_cols(&src, &mut full, src.full_roi(), &g, &d2);
 
         let mut striped: ImageF32 = Image::new(32, 32);
         for roi in src.full_roi().stripes(4) {
-            let mut scratch2: ImageF32 = Image::new(32, 32);
-            convolve_separable(&src, &mut striped, &mut scratch2, roi, &g, &d2);
+            rows_then_cols(&src, &mut striped, roi, &g, &d2);
         }
         for y in 0..32 {
             for x in 0..32 {

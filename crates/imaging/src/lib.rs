@@ -15,6 +15,11 @@
 //! | ENH | [`enhance`] | motion-compensated temporal integration |
 //! | ZOOM | [`zoom`](mod@zoom) | ROI magnification for display |
 //!
+//! GW EXT, ENH and ZOOM each have one entry point, the pooled one the
+//! pipeline executor calls (`gw_extract_with`, `EnhState::accumulate` +
+//! `readout_into`, `zoom_band_with`): scratch and outputs are caller-owned,
+//! so warm frames allocate nothing.
+//!
 //! Supporting modules: [`image`] (buffers, ROIs, stripes), [`kernel`]
 //! (separable Gaussian-derivative convolution), [`hessian`]
 //! (eigenvalue-based ridge/blob responses), [`fused`] (tiled single-pass
@@ -35,8 +40,6 @@ pub mod image;
 pub mod io;
 pub mod kernel;
 pub mod markers;
-pub mod metrics;
-pub mod overlay;
 pub mod parallel;
 pub mod registration;
 pub mod ridge;
@@ -45,16 +48,14 @@ pub mod simd;
 pub mod zoom;
 
 pub use couples::{cpls_select, Couple, CplsConfig, CplsOutput};
-pub use enhance::{enh_integrate, EnhConfig, EnhState};
-pub use guidewire::{gw_extract, GwConfig, GwOutput};
+pub use enhance::{EnhConfig, EnhState};
+pub use guidewire::{gw_extract_with, GwConfig, GwOutput};
 pub use image::{Image, ImageF32, ImageU16, Pixel, Roi};
-pub use io::{read_pgm, write_pgm16, write_pgm8};
+pub use io::write_pgm8;
 pub use markers::{mkx_extract, Marker, MkxBuffers, MkxConfig, MkxOutput};
-pub use metrics::{cnr, mad, psnr, region_mean};
-pub use overlay::{draw_couple, draw_cross, draw_roi};
 pub use registration::{register, RegConfig, RegOutput, RigidTransform};
 pub use ridge::{
     rdg_banded, rdg_full, rdg_full_reference, rdg_roi, RdgBuffers, RdgConfig, RdgOutput,
 };
 pub use roi_est::{estimate_roi, RoiEstConfig};
-pub use zoom::{zoom, ZoomConfig, ZoomFilter};
+pub use zoom::{zoom_band_with, ZoomConfig, ZoomFilter};

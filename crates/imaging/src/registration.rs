@@ -107,7 +107,7 @@ pub struct RegOutput {
 /// The two marker pairs give an exact rotation (axis angles) and
 /// translation (center displacement); the residual measures how well the
 /// inter-marker distances agree (a proxy for mis-detection).
-pub fn estimate_transform(current: &Couple, reference: &Couple) -> (RigidTransform, f64) {
+fn estimate_transform(current: &Couple, reference: &Couple) -> (RigidTransform, f64) {
     // Orient both couples consistently: order endpoints so the pairing
     // minimizes total endpoint distance.
     let direct = current.a.distance(&reference.a) + current.b.distance(&reference.b);

@@ -10,7 +10,7 @@
 //! planned once per geometry, each needed *source* row is resolved
 //! horizontally into a pooled f32 row buffer (reused across output rows
 //! while upscaling), and the vertical combine runs as a SIMD stream.
-//! [`zoom_band`] is bit-identical to [`zoom_band_reference`], the scalar
+//! [`zoom_band_with`] is bit-identical to [`zoom_band_reference`], the scalar
 //! separable form (enforced by `tests/simd_stage_identity.rs`).
 
 use crate::image::{ImageU16, Roi};
@@ -215,31 +215,10 @@ impl ZoomScratch {
     }
 }
 
-/// Magnifies `roi` of `src` to the configured output size.
-pub fn zoom(src: &ImageU16, roi: Roi, cfg: &ZoomConfig) -> ImageU16 {
-    let mut out = ImageU16::new(cfg.out_width, cfg.out_height);
-    zoom_band(src, roi, cfg, &mut out, 0, cfg.out_height);
-    out
-}
-
 /// Computes output rows `y0..y1` of the zoom into `out` (which must have
 /// the configured output dimensions). Disjoint row bands are independent,
-/// so the zoom can be data-partitioned across cores.
-///
-/// Allocates its scratch internally; sequence runners should hold a
-/// [`ZoomScratch`] and call [`zoom_band_with`] instead.
-pub fn zoom_band(
-    src: &ImageU16,
-    roi: Roi,
-    cfg: &ZoomConfig,
-    out: &mut ImageU16,
-    y0: usize,
-    y1: usize,
-) {
-    zoom_band_with(src, roi, cfg, out, y0, y1, &mut ZoomScratch::new());
-}
-
-/// [`zoom_band`] with caller-owned scratch: the separable SIMD path.
+/// so the zoom can be data-partitioned across cores. `scratch` is
+/// caller-owned so sequence runners reuse it: the separable SIMD path.
 /// Bit-identical to [`zoom_band_reference`].
 pub fn zoom_band_with(
     src: &ImageU16,
@@ -529,6 +508,15 @@ fn vcubic_row(rows: [&[f32]; 4], wy: [f32; 4], swy: f32, out: &mut [u16]) {
 mod tests {
     use super::*;
     use crate::image::Image;
+
+    /// Magnifies `roi` of `src` to the configured output size: all rows as
+    /// one band on fresh scratch.
+    fn zoom(src: &ImageU16, roi: Roi, cfg: &ZoomConfig) -> ImageU16 {
+        let mut out = ImageU16::new(cfg.out_width, cfg.out_height);
+        let mut scratch = ZoomScratch::new();
+        zoom_band_with(src, roi, cfg, &mut out, 0, cfg.out_height, &mut scratch);
+        out
+    }
 
     #[test]
     fn identity_zoom_copies() {

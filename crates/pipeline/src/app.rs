@@ -62,6 +62,24 @@ impl Default for AppConfig {
     }
 }
 
+impl AppConfig {
+    /// Coarse-to-fine adaptation: whether RDG's fine scales run on a frame
+    /// whose whole-frame [`structure_probe`] reads `probe`, given whether
+    /// they ran on the previous one. Hysteresis (on above the threshold,
+    /// off only below 90 % of it, unchanged in between) prevents
+    /// flip-flopping on probe noise.
+    pub fn fine_scales_active(&self, probe: f64, was_active: bool) -> bool {
+        let fine_on = self.structure_threshold * self.fine_probe_factor;
+        if probe > fine_on {
+            true
+        } else if probe < fine_on * 0.9 {
+            false
+        } else {
+            was_active
+        }
+    }
+}
+
 /// Noise-robust structure probe for the RDG switch: block-averages the
 /// frame (suppressing quantum noise by the block factor) and measures the
 /// mean absolute gradient of the reduced image. Dominant curvilinear
@@ -266,6 +284,18 @@ mod tests {
         let raw_grad = imaging::ridge::quick_structure_probe(&noisy, 1);
         let blocked = structure_probe(&noisy, 4);
         assert!(blocked < raw_grad / 2.0, "blocked {blocked} raw {raw_grad}");
+    }
+
+    #[test]
+    fn fine_scales_switch_with_hysteresis() {
+        let cfg = AppConfig::default();
+        let on = cfg.structure_threshold * cfg.fine_probe_factor;
+        assert!(cfg.fine_scales_active(on + 0.1, false));
+        assert!(!cfg.fine_scales_active(on * 0.9 - 0.1, true));
+        // inside the band the previous decision holds
+        for held in [false, true] {
+            assert_eq!(cfg.fine_scales_active(on * 0.95, held), held);
+        }
     }
 
     #[test]

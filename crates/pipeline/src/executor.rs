@@ -475,14 +475,8 @@ fn process_frame_inner(
     let rdg_active = forced.map_or(probe > cfg.structure_threshold, |s| s.rdg_active);
     // coarse-to-fine adaptation: heavy content triggers the fine scales.
     // Deciding from the whole-frame probe keeps serial and striped
-    // executions identical; hysteresis (on above the threshold, off only
-    // below 90% of it) prevents flip-flopping on probe noise.
-    let fine_on = cfg.structure_threshold * cfg.fine_probe_factor;
-    if probe > fine_on {
-        state.fine_active = true;
-    } else if probe < fine_on * 0.9 {
-        state.fine_active = false;
-    }
+    // executions identical.
+    state.fine_active = cfg.fine_scales_active(probe, state.fine_active);
     let mut rdg_cfg = cfg.rdg.clone();
     rdg_cfg.fine_enabled = state.fine_active;
 

@@ -146,26 +146,26 @@ pub fn edge_live(edge: &GraphEdge, scenario: Scenario) -> bool {
     })
 }
 
-/// The task nodes reachable (live) under a scenario, in graph order.
-pub fn live_tasks(scenario: Scenario) -> Vec<&'static str> {
-    flow_graph()
-        .iter()
-        .filter(|e| edge_live(e, scenario))
-        .filter_map(|e| match e.to {
-            Node::Task(t) => Some(t),
-            _ => None,
-        })
-        .fold(Vec::new(), |mut acc, t| {
-            if !acc.contains(&t) {
-                acc.push(t);
-            }
-            acc
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The task nodes reachable (live) under a scenario, in graph order.
+    fn live_tasks(scenario: Scenario) -> Vec<&'static str> {
+        flow_graph()
+            .iter()
+            .filter(|e| edge_live(e, scenario))
+            .filter_map(|e| match e.to {
+                Node::Task(t) => Some(t),
+                _ => None,
+            })
+            .fold(Vec::new(), |mut acc, t| {
+                if !acc.contains(&t) {
+                    acc.push(t);
+                }
+                acc
+            })
+    }
 
     #[test]
     fn graph_has_all_nine_tasks() {

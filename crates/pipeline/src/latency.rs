@@ -7,6 +7,8 @@
 //! the paper's headline is a ~70% jitter reduction from semi-automatic
 //! parallelization.
 
+use platform::metrics::summary_of;
+
 /// A fixed-budget output delay line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayLine {
@@ -44,23 +46,10 @@ pub struct JitterReport {
     pub mean_delta: f64,
 }
 
-/// Computes jitter metrics.
+/// Computes jitter metrics: spread and deviation from the series summary
+/// ([`summary_of`]), plus the frame-to-frame change only jitter asks for.
 pub fn jitter(latencies: &[f64]) -> JitterReport {
-    if latencies.is_empty() {
-        return JitterReport {
-            peak_to_peak: 0.0,
-            std: 0.0,
-            mean_delta: 0.0,
-        };
-    }
-    let min = latencies.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = latencies.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-    let var = latencies
-        .iter()
-        .map(|l| (l - mean) * (l - mean))
-        .sum::<f64>()
-        / latencies.len() as f64;
+    let s = summary_of(latencies);
     let mean_delta = if latencies.len() < 2 {
         0.0
     } else {
@@ -71,8 +60,8 @@ pub fn jitter(latencies: &[f64]) -> JitterReport {
             / (latencies.len() - 1) as f64
     };
     JitterReport {
-        peak_to_peak: max - min,
-        std: var.sqrt(),
+        peak_to_peak: s.max - s.min,
+        std: s.std,
         mean_delta,
     }
 }

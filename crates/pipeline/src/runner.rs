@@ -72,25 +72,21 @@ impl ProfileRun {
 /// Profiles the RDG FULL task directly on every frame of a sequence
 /// (offline task profiling, as used to build the paper's Table 2(a)
 /// transition matrix and the Fig. 3 trace): the content-adaptive
-/// fine-scale switch is applied exactly as the pipeline executor applies
-/// it, but the task runs regardless of the flow-graph switches.
+/// fine-scale switch is the executor's own
+/// ([`AppConfig::fine_scales_active`]), but the task runs regardless of
+/// the flow-graph switches.
 pub fn profile_rdg_direct(cfg: SequenceConfig, app: &AppConfig) -> Vec<f64> {
     use imaging::ridge::{rdg_full, RdgBuffers};
     use platform::profile::time_ms;
 
     let mut bufs = RdgBuffers::new(cfg.width, cfg.height);
-    let mut fine_active = false;
-    let fine_on = app.structure_threshold * app.fine_probe_factor;
+    // the fine scales start off, as in a fresh `AppState`
+    let mut rdg_cfg = app.rdg.clone();
+    rdg_cfg.fine_enabled = false;
     let mut series = Vec::with_capacity(cfg.frames);
     for frame in SequenceGenerator::new(cfg) {
         let probe = crate::app::structure_probe(&frame.image, app.probe_block);
-        if probe > fine_on {
-            fine_active = true;
-        } else if probe < fine_on * 0.9 {
-            fine_active = false;
-        }
-        let mut rdg_cfg = app.rdg.clone();
-        rdg_cfg.fine_enabled = fine_active;
+        rdg_cfg.fine_enabled = app.fine_scales_active(probe, rdg_cfg.fine_enabled);
         let (_, ms) = time_ms(|| rdg_full(&frame.image, &rdg_cfg, &mut bufs));
         series.push(ms);
     }
@@ -122,9 +118,7 @@ pub fn run_corpus(
             run.samples.entry(task).or_default().extend(samples);
         }
         run.scenarios.extend(sub.scenarios);
-        for r in sub.trace.records() {
-            run.trace.push(r.clone());
-        }
+        run.trace.append(sub.trace);
     }
     run
 }

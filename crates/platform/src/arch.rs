@@ -94,7 +94,7 @@ impl ArchModel {
     }
 
     /// The L2 domain a core belongs to.
-    pub fn l2_domain_of(&self, core: usize) -> usize {
+    fn l2_domain_of(&self, core: usize) -> usize {
         assert!(core < self.cores, "core {core} out of range");
         core / self.cores_per_l2
     }
@@ -102,11 +102,6 @@ impl ArchModel {
     /// Whether two cores share an L2 cache.
     pub fn share_l2(&self, a: usize, b: usize) -> bool {
         self.l2_domain_of(a) == self.l2_domain_of(b)
-    }
-
-    /// Aggregate compute throughput, cycles/s.
-    pub fn total_cycles_per_sec(&self) -> f64 {
-        self.cores as f64 * self.clock_hz
     }
 }
 
@@ -157,11 +152,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn invalid_core_rejected() {
         ArchModel::default().l2_domain_of(8);
-    }
-
-    #[test]
-    fn total_throughput() {
-        let a = ArchModel::default();
-        assert!((a.total_cycles_per_sec() - 8.0 * 2.327e9).abs() < 1.0);
     }
 }

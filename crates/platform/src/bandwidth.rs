@@ -42,7 +42,7 @@ impl BusLoad {
     }
 
     /// Utilization fractions against the architecture limits.
-    pub fn utilization(&self, arch: &ArchModel) -> (f64, f64) {
+    fn utilization(&self, arch: &ArchModel) -> (f64, f64) {
         (
             self.cache_bus / arch.bus_cache,
             self.memory_bus / arch.bus_memory,

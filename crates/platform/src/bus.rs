@@ -524,16 +524,6 @@ impl EventBus {
         self.subscribers.push(sub);
     }
 
-    /// Number of subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// Total events emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
     /// Emits one event to every subscriber, in subscription order.
     pub fn emit(&mut self, event: FrameEvent) {
         self.emitted += 1;
@@ -581,7 +571,7 @@ mod tests {
             bus.emit(plan(0, i));
         }
         assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(bus.emitted(), 5);
+        assert_eq!(bus.emitted, 5);
     }
 
     #[test]
@@ -592,7 +582,6 @@ mod tests {
         let mut bus = EventBus::new();
         bus.subscribe(Box::new(move |_: &FrameEvent| *sa.lock().unwrap() += 1));
         bus.subscribe(Box::new(move |_: &FrameEvent| *sb.lock().unwrap() += 1));
-        assert_eq!(bus.subscriber_count(), 2);
         bus.emit(plan(0, 0));
         bus.emit(plan(0, 1));
         assert_eq!(*a.lock().unwrap(), 2);
@@ -603,7 +592,7 @@ mod tests {
     fn emit_without_subscribers_is_cheap_and_safe() {
         let mut bus = EventBus::new();
         bus.emit(plan(3, 7));
-        assert_eq!(bus.emitted(), 1);
+        assert_eq!(bus.emitted, 1);
     }
 
     #[test]

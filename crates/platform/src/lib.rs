@@ -8,17 +8,18 @@
 //! buffer-occupation model of Section 5 (the "prediction" side, Fig. 5),
 //! [`bandwidth`] aggregates per-bus communication loads, [`mapping`]
 //! describes task-to-core partitionings, [`bus`] is the typed frame-event bus
-//! every layer above publishes onto, and [`profile`]/[`trace`] collect the
-//! computation-time statistics the prediction models train on.
-//! [`metrics`] and [`span`] form the observability layer: both feed off
-//! the event bus via built-in subscribers and export plain-text/JSON
-//! snapshots and Chrome `trace_event` timelines.
+//! every layer above publishes onto, and [`profile`]/[`trace`] time task
+//! executions and keep the per-frame records the prediction models train
+//! on. [`metrics`] and [`span`] form the observability layer: both feed
+//! off the event bus via built-in subscribers and export plain-text
+//! snapshots and Chrome `trace_event` timelines; [`metrics`] also holds
+//! the one series summary ([`summary_of`]) and percentile the experiments
+//! report latencies with.
 
 pub mod arch;
 pub mod bandwidth;
 pub mod bus;
 pub mod cache;
-pub mod hierarchy;
 pub mod mapping;
 pub mod metrics;
 pub mod profile;
@@ -34,13 +35,12 @@ pub use bus::{
     DEFAULT_STREAM,
 };
 pub use cache::{Access, CacheSim, CacheStats};
-pub use hierarchy::{CacheHierarchy, HierarchyTraffic};
 pub use mapping::{Mapping, MappingError, Partition};
 pub use metrics::{
-    Counter, Gauge, Histogram, Labels, MetricsRegistry, MetricsSnapshot, MetricsSubscriber,
+    summary_of, Counter, Histogram, Labels, LatencySummary, MetricsRegistry, MetricsSnapshot,
     Observability,
 };
-pub use profile::{time_ms, Profiler, TaskStats};
+pub use profile::time_ms;
 pub use schedule::{
     pipelined_schedule, stage_makespan, PipelinedResult, VirtualJob, VirtualSchedule,
     DISPATCH_OVERHEAD_MS,
@@ -48,5 +48,5 @@ pub use schedule::{
 pub use spacetime::{
     predict_traffic, simulate_traffic, BufferSpec, PassSpec, TaskAccessModel, TaskTraffic,
 };
-pub use span::{SpanCollector, SpanGuard, SpanRecord, TraceSubscriber};
-pub use trace::{summary_of, FrameRecord, LatencySummary, TraceLog};
+pub use span::{SpanCollector, TraceSubscriber};
+pub use trace::{FrameRecord, TraceLog};

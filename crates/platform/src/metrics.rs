@@ -4,18 +4,18 @@
 //! The resource manager repartitions the flow graph from *measured*
 //! per-frame signals (Sections 4–6 of the paper), and every layer already
 //! publishes those signals as typed [`FrameEvent`]s. This module turns
-//! the event stream into queryable telemetry: a [`MetricsSubscriber`]
-//! attached to a bus aggregates events into a shared [`MetricsRegistry`]
-//! (so the manager, executor, session scheduler and recovery path need
-//! only emit the events they already emit), and a [`MetricsSnapshot`]
-//! renders the registry as plain text or JSON for session reports.
+//! the event stream into queryable telemetry: the metrics subscriber
+//! that [`Observability::attach`] puts on a bus aggregates events into a
+//! shared [`MetricsRegistry`] (so the manager, executor, session
+//! scheduler and recovery path need only emit the events they already
+//! emit), and a [`MetricsSnapshot`] renders the registry as plain text
+//! for session reports.
 //!
-//! Handles returned by the registry ([`Counter`], [`Gauge`],
-//! [`Histogram`]) are `Arc`-shared atomics: recording is lock-free, and
-//! the registry's map is only locked on first registration of a series
-//! and on snapshot. The subscriber additionally meters its own cost
-//! (the `metrics_self_ns` counter), so the observability layer's
-//! overhead is itself observable.
+//! Handles returned by the registry ([`Counter`], [`Histogram`]) are
+//! `Arc`-shared atomics: recording is lock-free, and the registry's map
+//! is only locked on first registration of a series and on snapshot. The
+//! subscriber additionally meters its own cost (the `metrics_self_ns`
+//! counter), so the observability layer's overhead is itself observable.
 
 use crate::bus::{EventBus, FrameEvent, StreamId, Subscriber};
 use crate::span::{SpanCollector, TraceSubscriber};
@@ -80,7 +80,7 @@ struct Key {
 /// 1-based nearest rank of percentile `p` over `count` samples.
 ///
 /// The single rank formula shared by the exact series [`percentile`]
-/// and the bucketed [`Histogram::percentile_ms`], so the two report the
+/// and the bucketed [`HistogramSnapshot`] percentiles, so the two report the
 /// same rank semantics (they differ only by bucket quantization).
 fn nearest_rank(p: f64, count: u64) -> u64 {
     ((p.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count)
@@ -90,7 +90,7 @@ fn nearest_rank(p: f64, count: u64) -> u64 {
 /// `0.0` on an empty slice.
 ///
 /// Exact (sorts a copy of the data) — the small-series complement of
-/// [`Histogram::percentile_ms`], which answers the same question from
+/// [`Histogram`], which answers the same question from
 /// fixed buckets without retaining samples. Used for per-stream p99s in
 /// session reports and benchmark tables.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
@@ -103,6 +103,52 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     sorted[rank - 1]
 }
 
+/// Summary statistics of a latency series.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LatencySummary {
+    /// Number of frames.
+    pub frames: usize,
+    /// Mean latency, ms.
+    pub mean: f64,
+    /// Standard deviation (jitter), ms.
+    pub std: f64,
+    /// Minimum latency, ms.
+    pub min: f64,
+    /// Maximum latency, ms.
+    pub max: f64,
+    /// `(max - mean) / mean`: the worst-vs-average-case gap the paper
+    /// reports (85% straightforward vs. 20% semi-automatic).
+    pub worst_vs_avg: f64,
+}
+
+/// Mean, spread and extremes of a latency series, ms; all zero on an
+/// empty slice.
+pub fn summary_of(xs: &[f64]) -> LatencySummary {
+    if xs.is_empty() {
+        return LatencySummary {
+            frames: 0,
+            mean: 0.0,
+            std: 0.0,
+            min: 0.0,
+            max: 0.0,
+            worst_vs_avg: 0.0,
+        };
+    }
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+    let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    LatencySummary {
+        frames: xs.len(),
+        mean,
+        std: var.sqrt(),
+        min,
+        max,
+        worst_vs_avg: if mean > 0.0 { (max - mean) / mean } else { 0.0 },
+    }
+}
+
 /// A monotonically increasing counter. Cloning shares the underlying
 /// atomic cell.
 #[derive(Debug, Clone, Default)]
@@ -110,7 +156,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// Increments by one.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
@@ -127,16 +173,16 @@ impl Counter {
 
 /// A last-value-wins gauge holding an `f64`. Cloning shares the cell.
 #[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
+struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// Sets the value.
-    pub fn set(&self, v: f64) {
+    fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -210,9 +256,10 @@ impl HistogramCore {
         self.max_us.fetch_max(v_us, Ordering::Relaxed);
     }
 
-    /// Nearest-rank percentile (`p` in `[0, 1]`), ms. The bucket's upper
-    /// bound, clamped to the recorded min/max (so a single sample — and
-    /// the extremes — are reported exactly).
+    /// Nearest-rank percentile (`p` in `[0, 1]`), ms; 0.0 when empty. The
+    /// bucket's upper bound (quantization error ≤ 12.5 % relative), clamped
+    /// to the recorded min/max (so a single sample — and the extremes —
+    /// are reported exactly).
     fn percentile_ms(&self, p: f64) -> f64 {
         let count = self.count.load(Ordering::Relaxed);
         if count == 0 {
@@ -272,21 +319,6 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
-
-    /// Nearest-rank percentile (`p` in `[0, 1]`), ms; 0.0 when empty.
-    /// Quantization error is bounded by the bucket width (≤ 12.5 %
-    /// relative), and the extremes are exact.
-    pub fn percentile_ms(&self, p: f64) -> f64 {
-        self.0.percentile_ms(p)
-    }
-
-    /// Maximum recorded value, ms (0.0 when empty).
-    pub fn max_ms(&self) -> f64 {
-        if self.count() == 0 {
-            return 0.0;
-        }
-        self.0.max_us.load(Ordering::Relaxed) as f64 / 1000.0
-    }
 }
 
 /// Point-in-time value of one counter series.
@@ -335,8 +367,7 @@ pub struct HistogramSnapshot {
 }
 
 /// A consistent point-in-time dump of every registered series, ordered
-/// by name then labels. Renders as aligned plain text via [`std::fmt::Display`]
-/// and as JSON via [`MetricsSnapshot::to_json`].
+/// by name then labels. Renders as aligned plain text via [`std::fmt::Display`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// All counter series.
@@ -371,65 +402,6 @@ impl MetricsSnapshot {
         self.histograms
             .iter()
             .find(|h| h.name == name && h.labels == labels)
-    }
-
-    /// The snapshot as a JSON object (`{"counters": [...], "gauges":
-    /// [...], "histograms": [...]}`), no external dependencies.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\": [");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}{}\", \"value\": {}}}",
-                c.name,
-                c.labels.render(),
-                c.value
-            ));
-        }
-        out.push_str("], \"gauges\": [");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}{}\", \"value\": {}}}",
-                g.name,
-                g.labels.render(),
-                fmt_f64(g.value)
-            ));
-        }
-        out.push_str("], \"histograms\": [");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}{}\", \"count\": {}, \"sum_ms\": {}, \"min_ms\": {}, \
-                 \"max_ms\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}",
-                h.name,
-                h.labels.render(),
-                h.count,
-                fmt_f64(h.sum_ms),
-                fmt_f64(h.min_ms),
-                fmt_f64(h.max_ms),
-                fmt_f64(h.p50_ms),
-                fmt_f64(h.p95_ms),
-                fmt_f64(h.p99_ms)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// JSON-safe float rendering (no NaN/inf literals).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -488,7 +460,7 @@ impl MetricsRegistry {
     }
 
     /// The gauge series `name{labels}`, created on first use.
-    pub fn gauge(&self, name: &'static str, labels: Labels) -> Gauge {
+    fn gauge(&self, name: &'static str, labels: Labels) -> Gauge {
         let key = Key { name, labels };
         if let Some(g) = self.gauges.read().get(&key) {
             return g.clone();
@@ -543,7 +515,7 @@ impl MetricsRegistry {
 /// DESIGN.md §4f). Handles are cached per series, so the steady-state
 /// cost per event is a handle lookup plus a few atomic operations; that
 /// cost is itself accumulated in the `metrics_self_ns` counter.
-pub struct MetricsSubscriber {
+struct MetricsSubscriber {
     registry: Arc<MetricsRegistry>,
     counters: HashMap<Key, Counter>,
     gauges: HashMap<Key, Gauge>,
@@ -553,7 +525,7 @@ pub struct MetricsSubscriber {
 
 impl MetricsSubscriber {
     /// A subscriber feeding `registry`.
-    pub fn new(registry: Arc<MetricsRegistry>) -> Self {
+    fn new(registry: Arc<MetricsRegistry>) -> Self {
         let self_ns = registry.counter("metrics_self_ns", Labels::none());
         Self {
             registry,
@@ -565,7 +537,7 @@ impl MetricsSubscriber {
     }
 
     /// Creates a subscriber over `registry` and attaches it to `bus`.
-    pub fn subscribe_to(bus: &mut EventBus, registry: Arc<MetricsRegistry>) {
+    fn subscribe_to(bus: &mut EventBus, registry: Arc<MetricsRegistry>) {
         bus.subscribe(Box::new(Self::new(registry)));
     }
 
@@ -767,7 +739,7 @@ impl Observability {
         &self.spans
     }
 
-    /// Attaches a [`MetricsSubscriber`] and a [`TraceSubscriber`] to
+    /// Attaches a metrics subscriber and a [`TraceSubscriber`] to
     /// `bus`: everything the bus emits from now on lands in this
     /// instance's registry and span collector.
     pub fn attach(&self, bus: &mut EventBus) {
@@ -808,6 +780,28 @@ impl std::fmt::Debug for Observability {
 mod tests {
     use super::*;
 
+    fn max_ms(h: &Histogram) -> f64 {
+        h.0.snapshot("h", Labels::none()).max_ms
+    }
+
+    #[test]
+    fn summary_statistics() {
+        let s = summary_of(&[10.0, 20.0, 30.0]);
+        assert_eq!(s.frames, 3);
+        assert!((s.mean - 20.0).abs() < 1e-12);
+        assert_eq!(s.min, 10.0);
+        assert_eq!(s.max, 30.0);
+        assert!((s.worst_vs_avg - 0.5).abs() < 1e-12);
+        assert!((s.std - (200.0f64 / 3.0).sqrt()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_summary_is_zero() {
+        let s = summary_of(&[]);
+        assert_eq!(s.frames, 0);
+        assert_eq!(s.mean, 0.0);
+    }
+
     #[test]
     fn bucket_index_is_monotone_and_exact_below_sub() {
         for v in 0..HIST_SUB {
@@ -827,9 +821,9 @@ mod tests {
     fn empty_histogram_percentiles_are_zero() {
         let h = Histogram::default();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.percentile_ms(0.5), 0.0);
-        assert_eq!(h.percentile_ms(0.99), 0.0);
-        assert_eq!(h.max_ms(), 0.0);
+        assert_eq!(h.0.percentile_ms(0.5), 0.0);
+        assert_eq!(h.0.percentile_ms(0.99), 0.0);
+        assert_eq!(max_ms(&h), 0.0);
     }
 
     #[test]
@@ -838,12 +832,12 @@ mod tests {
         h.record(12.345);
         for p in [0.0, 0.5, 0.95, 0.99, 1.0] {
             assert!(
-                (h.percentile_ms(p) - 12.345).abs() < 1e-9,
+                (h.0.percentile_ms(p) - 12.345).abs() < 1e-9,
                 "p{p} = {}",
-                h.percentile_ms(p)
+                h.0.percentile_ms(p)
             );
         }
-        assert!((h.max_ms() - 12.345).abs() < 1e-9);
+        assert!((max_ms(&h) - 12.345).abs() < 1e-9);
     }
 
     #[test]
@@ -852,10 +846,10 @@ mod tests {
         h.record(1e12); // ~31 years, far beyond the last octave
         h.record(1.0);
         assert_eq!(h.count(), 2);
-        let p99 = h.percentile_ms(0.99);
+        let p99 = h.0.percentile_ms(0.99);
         assert!(p99.is_finite());
-        assert!(p99 <= h.max_ms());
-        assert!(h.max_ms() >= 1e12 * 0.999);
+        assert!(p99 <= max_ms(&h));
+        assert!(max_ms(&h) >= 1e12 * 0.999);
     }
 
     #[test]
@@ -864,10 +858,10 @@ mod tests {
         for i in 1..=1000 {
             h.record(i as f64);
         }
-        let p50 = h.percentile_ms(0.50);
-        let p95 = h.percentile_ms(0.95);
-        let p99 = h.percentile_ms(0.99);
-        assert!(p50 <= p95 && p95 <= p99 && p99 <= h.max_ms());
+        let p50 = h.0.percentile_ms(0.50);
+        let p95 = h.0.percentile_ms(0.95);
+        let p99 = h.0.percentile_ms(0.99);
+        assert!(p50 <= p95 && p95 <= p99 && p99 <= max_ms(&h));
         // ≤ 12.5 % bucket quantization error
         assert!((p50 - 500.0).abs() / 500.0 < 0.125, "p50 {p50}");
         assert!((p99 - 990.0).abs() / 990.0 < 0.125, "p99 {p99}");
@@ -879,7 +873,7 @@ mod tests {
         h.record(-5.0);
         h.record(0.0);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.percentile_ms(1.0), 0.0);
+        assert_eq!(h.0.percentile_ms(1.0), 0.0);
     }
 
     #[test]
@@ -947,7 +941,7 @@ mod tests {
         }
         for p in [0.5, 0.95, 0.99] {
             let exact = percentile(&xs, p);
-            let bucketed = h.percentile_ms(p);
+            let bucketed = h.0.percentile_ms(p);
             assert!(
                 (bucketed - exact).abs() / exact < 0.125,
                 "p{p}: exact {exact} vs bucketed {bucketed}"
@@ -996,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_renders_text_and_json() {
+    fn snapshot_renders_text() {
         let reg = MetricsRegistry::new();
         reg.counter("frames_executed", Labels::stream(0)).add(7);
         reg.histogram("frame_latency_ms", Labels::stage(0, "RDG_FULL"))
@@ -1004,12 +998,9 @@ mod tests {
         let snap = reg.snapshot();
         let text = snap.to_string();
         assert!(text.contains("frames_executed{stream=0} 7"), "{text}");
-        let json = snap.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(
-            json.contains("\"frame_latency_ms{stream=0,stage=RDG_FULL}\""),
-            "{json}"
+            text.contains("frame_latency_ms{stream=0,stage=RDG_FULL} count=1"),
+            "{text}"
         );
-        assert!(json.contains("\"count\": 1"), "{json}");
     }
 }

@@ -1,10 +1,9 @@
-//! Wall-clock profiling utilities.
+//! Wall-clock profiling.
 //!
 //! Computation-time statistics are obtained by profiling the executed
-//! application (Section 7); these helpers time task executions in
-//! milliseconds and accumulate per-task summary statistics.
+//! application (Section 7); [`time_ms`] times one task execution in
+//! milliseconds.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Times a closure, returning its result and the elapsed milliseconds.
@@ -12,118 +11,6 @@ pub fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let start = Instant::now();
     let r = f();
     (r, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Streaming summary statistics of one task's execution times.
-#[derive(Debug, Clone, Default)]
-pub struct TaskStats {
-    n: usize,
-    sum: f64,
-    sum2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl TaskStats {
-    /// Records one sample (milliseconds).
-    pub fn record(&mut self, ms: f64) {
-        if self.n == 0 {
-            self.min = ms;
-            self.max = ms;
-        } else {
-            self.min = self.min.min(ms);
-            self.max = self.max.max(ms);
-        }
-        self.n += 1;
-        self.sum += ms;
-        self.sum2 += ms * ms;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.n
-    }
-
-    /// Sample mean; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Population standard deviation; 0 when empty.
-    pub fn std(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        let m = self.mean();
-        ((self.sum2 / self.n as f64) - m * m).max(0.0).sqrt()
-    }
-
-    /// Minimum sample; 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum sample; 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Worst-case over average-case ratio (the headline Fig. 7 metric).
-    pub fn worst_over_avg(&self) -> f64 {
-        let m = self.mean();
-        if m <= 0.0 {
-            0.0
-        } else {
-            self.max() / m
-        }
-    }
-}
-
-/// A profiler accumulating [`TaskStats`] per task name.
-#[derive(Debug, Clone, Default)]
-pub struct Profiler {
-    tasks: BTreeMap<&'static str, TaskStats>,
-}
-
-impl Profiler {
-    /// Empty profiler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a sample for `task`.
-    pub fn record(&mut self, task: &'static str, ms: f64) {
-        self.tasks.entry(task).or_default().record(ms);
-    }
-
-    /// Times a closure and records its duration under `task`.
-    pub fn time<R>(&mut self, task: &'static str, f: impl FnOnce() -> R) -> R {
-        let (r, ms) = time_ms(f);
-        self.record(task, ms);
-        r
-    }
-
-    /// Stats of one task.
-    pub fn get(&self, task: &str) -> Option<&TaskStats> {
-        self.tasks.get(task)
-    }
-
-    /// Iterates over all task stats.
-    pub fn iter(&self) -> impl Iterator<Item = (&&'static str, &TaskStats)> {
-        self.tasks.iter()
-    }
 }
 
 #[cfg(test)]
@@ -134,50 +21,5 @@ mod tests {
     fn time_ms_measures_something() {
         let ((), ms) = time_ms(|| std::thread::sleep(std::time::Duration::from_millis(5)));
         assert!(ms >= 4.0, "measured {ms}");
-    }
-
-    #[test]
-    fn stats_mean_min_max() {
-        let mut s = TaskStats::default();
-        for v in [2.0, 4.0, 6.0] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 3);
-        assert!((s.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 6.0);
-        assert!((s.std() - (8.0f64 / 3.0).sqrt()).abs() < 1e-9);
-        assert!((s.worst_over_avg() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = TaskStats::default();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.worst_over_avg(), 0.0);
-    }
-
-    #[test]
-    fn profiler_accumulates_per_task() {
-        let mut p = Profiler::new();
-        p.record("RDG", 10.0);
-        p.record("RDG", 20.0);
-        p.record("MKX", 2.5);
-        assert_eq!(p.get("RDG").unwrap().count(), 2);
-        assert!((p.get("RDG").unwrap().mean() - 15.0).abs() < 1e-12);
-        assert_eq!(p.get("MKX").unwrap().count(), 1);
-        assert!(p.get("ENH").is_none());
-        assert_eq!(p.iter().count(), 2);
-    }
-
-    #[test]
-    fn profiler_time_records_and_returns() {
-        let mut p = Profiler::new();
-        let v = p.time("X", || 42);
-        assert_eq!(v, 42);
-        assert_eq!(p.get("X").unwrap().count(), 1);
     }
 }

@@ -1,24 +1,20 @@
-//! Span tracing: scoped timing records exported as Chrome `trace_event`
+//! Span tracing: timing records exported as Chrome `trace_event`
 //! JSON (loadable in `chrome://tracing` and Perfetto).
 //!
-//! A [`SpanCollector`] is a cheap-to-clone, thread-safe sink of
-//! [`SpanRecord`]s, all timestamped against one shared epoch so spans
-//! from concurrent streams line up on a single timeline. Spans are
-//! produced three ways:
+//! A [`SpanCollector`] is a cheap-to-clone, thread-safe sink of span
+//! records, all timestamped against one shared epoch so spans from
+//! concurrent streams line up on a single timeline. [`TraceSubscriber`]
+//! bridges the [`FrameEvent`] bus into a collector, so every layer that
+//! already emits events gets spans for free, of two kinds:
 //!
-//! * [`SpanCollector::span`] returns a RAII [`SpanGuard`] that records a
-//!   complete (`"ph": "X"`) span covering its own lifetime — wrap stage
-//!   execution, prediction, or recovery scopes in one;
-//! * [`SpanCollector::complete_ending_now`] back-dates a complete span
-//!   from a duration that was already measured (the executor reports
-//!   stage makespans after the fact);
-//! * [`SpanCollector::instant`] drops a zero-width (`"ph": "i"`) marker
-//!   for point decisions — plans, repartitions, faults, retries.
+//! * a complete (`"ph": "X"`) span, back-dated from a duration that was
+//!   already measured (the executor reports stage makespans after the
+//!   fact);
+//! * a zero-width (`"ph": "i"`) marker for point decisions — plans,
+//!   repartitions, faults, retries.
 //!
-//! [`TraceSubscriber`] bridges the [`FrameEvent`] bus into a collector,
-//! so every layer that already emits events gets spans for free. In the
-//! exported JSON the process is `pid` 1 and each stream is a `tid`,
-//! named via `thread_name` metadata.
+//! In the exported JSON the process is `pid` 1 and each stream is a
+//! `tid`, named via `thread_name` metadata.
 
 use crate::bus::{EventBus, FrameEvent, StreamId, Subscriber};
 use parking_lot::Mutex;
@@ -27,7 +23,7 @@ use std::time::Instant;
 
 /// Chrome trace phase of a span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanPhase {
+enum SpanPhase {
     /// A duration span (`"ph": "X"`, has `dur`).
     Complete,
     /// A zero-width marker (`"ph": "i"`, thread-scoped).
@@ -36,21 +32,21 @@ pub enum SpanPhase {
 
 /// One recorded span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
+struct SpanRecord {
     /// Span name (the `name` field in the trace).
-    pub name: &'static str,
+    name: &'static str,
     /// Category (`cat` field; Perfetto filters on it).
-    pub cat: &'static str,
+    cat: &'static str,
     /// Complete or instant.
-    pub phase: SpanPhase,
+    phase: SpanPhase,
     /// Stream the span belongs to (becomes the `tid`).
-    pub stream: StreamId,
+    stream: StreamId,
     /// Start time, µs since the collector's epoch.
-    pub ts_us: u64,
+    ts_us: u64,
     /// Duration, µs (0 for instants).
-    pub dur_us: u64,
+    dur_us: u64,
     /// Numeric key/value annotations (`args` object in the trace).
-    pub args: Vec<(&'static str, f64)>,
+    args: Vec<(&'static str, f64)>,
 }
 
 #[derive(Debug)]
@@ -90,23 +86,9 @@ impl SpanCollector {
         self.inner.spans.lock().push(record);
     }
 
-    /// Opens a RAII guard: the complete span is recorded when the guard
-    /// drops, covering the guard's lifetime.
-    #[must_use = "the span covers the guard's lifetime; dropping it immediately records a zero-length span"]
-    pub fn span(&self, name: &'static str, cat: &'static str, stream: StreamId) -> SpanGuard {
-        SpanGuard {
-            collector: self.clone(),
-            name,
-            cat,
-            stream,
-            start_us: self.now_us(),
-            args: Vec::new(),
-        }
-    }
-
     /// Records a complete span that ends now and started `dur_us` ago
     /// (for durations measured elsewhere, e.g. stage makespans).
-    pub fn complete_ending_now(
+    fn complete_ending_now(
         &self,
         name: &'static str,
         cat: &'static str,
@@ -127,7 +109,7 @@ impl SpanCollector {
     }
 
     /// Records an instant marker at "now".
-    pub fn instant(
+    fn instant(
         &self,
         name: &'static str,
         cat: &'static str,
@@ -156,7 +138,7 @@ impl SpanCollector {
     }
 
     /// A copy of every span collected so far, in recording order.
-    pub fn records(&self) -> Vec<SpanRecord> {
+    fn records(&self) -> Vec<SpanRecord> {
         self.inner.spans.lock().clone()
     }
 
@@ -209,48 +191,6 @@ impl SpanCollector {
     }
 }
 
-/// RAII guard from [`SpanCollector::span`]: records a complete span
-/// covering its lifetime when dropped.
-#[must_use = "the span covers the guard's lifetime; dropping it immediately records a zero-length span"]
-#[derive(Debug)]
-pub struct SpanGuard {
-    collector: SpanCollector,
-    name: &'static str,
-    cat: &'static str,
-    stream: StreamId,
-    start_us: u64,
-    args: Vec<(&'static str, f64)>,
-}
-
-impl SpanGuard {
-    /// Attaches a numeric annotation (builder style).
-    pub fn arg(mut self, key: &'static str, value: f64) -> Self {
-        self.args.push((key, value));
-        self
-    }
-
-    /// Attaches a numeric annotation through a borrow (for guards held
-    /// across statements).
-    pub fn add_arg(&mut self, key: &'static str, value: f64) {
-        self.args.push((key, value));
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let end = self.collector.now_us();
-        self.collector.push(SpanRecord {
-            name: self.name,
-            cat: self.cat,
-            phase: SpanPhase::Complete,
-            stream: self.stream,
-            ts_us: self.start_us,
-            dur_us: end.saturating_sub(self.start_us),
-            args: std::mem::take(&mut self.args),
-        });
-    }
-}
-
 /// A bus [`Subscriber`] turning [`FrameEvent`]s into spans:
 /// duration-carrying events ([`FrameEvent::StageExecuted`],
 /// [`FrameEvent::FrameExecuted`], [`FrameEvent::PredictionIssued`])
@@ -262,7 +202,7 @@ pub struct TraceSubscriber {
 
 impl TraceSubscriber {
     /// A subscriber feeding `spans`.
-    pub fn new(spans: SpanCollector) -> Self {
+    fn new(spans: SpanCollector) -> Self {
         Self { spans }
     }
 
@@ -492,22 +432,6 @@ impl Subscriber for TraceSubscriber {
 mod tests {
     use super::*;
     use crate::bus::FaultKind;
-
-    #[test]
-    fn guard_records_complete_span_on_drop() {
-        let spans = SpanCollector::new();
-        {
-            let _g = spans.span("work", "test", 3).arg("frame", 7.0);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let recs = spans.records();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].name, "work");
-        assert_eq!(recs[0].phase, SpanPhase::Complete);
-        assert_eq!(recs[0].stream, 3);
-        assert!(recs[0].dur_us >= 500, "dur {}", recs[0].dur_us);
-        assert_eq!(recs[0].args, vec![("frame", 7.0)]);
-    }
 
     #[test]
     fn complete_ending_now_backdates_start() {

@@ -32,24 +32,6 @@ impl FrameRecord {
     }
 }
 
-/// Latency summary of a trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Number of frames.
-    pub frames: usize,
-    /// Mean latency, ms.
-    pub mean: f64,
-    /// Standard deviation (jitter), ms.
-    pub std: f64,
-    /// Minimum latency, ms.
-    pub min: f64,
-    /// Maximum latency, ms.
-    pub max: f64,
-    /// `(max - mean) / mean`: the worst-vs-average-case gap the paper
-    /// reports (85% straightforward vs. 20% semi-automatic).
-    pub worst_vs_avg: f64,
-}
-
 /// A log of frame records with summary helpers.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
@@ -65,6 +47,11 @@ impl TraceLog {
     /// Appends a record.
     pub fn push(&mut self, r: FrameRecord) {
         self.records.push(r);
+    }
+
+    /// Appends every record of `other`, in order.
+    pub fn append(&mut self, other: TraceLog) {
+        self.records.extend(other.records);
     }
 
     /// All records.
@@ -103,38 +90,6 @@ impl TraceLog {
         }
         h
     }
-
-    /// Latency summary of the log.
-    pub fn latency_summary(&self) -> LatencySummary {
-        summary_of(&self.latencies())
-    }
-}
-
-/// Summary statistics of an arbitrary latency series.
-pub fn summary_of(xs: &[f64]) -> LatencySummary {
-    if xs.is_empty() {
-        return LatencySummary {
-            frames: 0,
-            mean: 0.0,
-            std: 0.0,
-            min: 0.0,
-            max: 0.0,
-            worst_vs_avg: 0.0,
-        };
-    }
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-    let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    LatencySummary {
-        frames: xs.len(),
-        mean,
-        std: var.sqrt(),
-        min,
-        max,
-        worst_vs_avg: if mean > 0.0 { (max - mean) / mean } else { 0.0 },
-    }
 }
 
 #[cfg(test)]
@@ -159,33 +114,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_statistics() {
-        let s = summary_of(&[10.0, 20.0, 30.0]);
-        assert_eq!(s.frames, 3);
-        assert!((s.mean - 20.0).abs() < 1e-12);
-        assert_eq!(s.min, 10.0);
-        assert_eq!(s.max, 30.0);
-        assert!((s.worst_vs_avg - 0.5).abs() < 1e-12);
-        assert!((s.std - (200.0f64 / 3.0).sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_summary_is_zero() {
-        let s = summary_of(&[]);
-        assert_eq!(s.frames, 0);
-        assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
     fn log_accumulates_and_summarizes() {
         let mut log = TraceLog::new();
         for i in 0..10 {
             log.push(rec(i, (i % 3) as u8, 10.0 + i as f64));
         }
         assert_eq!(log.len(), 10);
-        let s = log.latency_summary();
-        assert_eq!(s.frames, 10);
-        assert!((s.mean - 14.5).abs() < 1e-12);
         let hist = log.scenario_histogram();
         assert_eq!(hist[0], 4);
         assert_eq!(hist[1], 3);

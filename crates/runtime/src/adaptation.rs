@@ -31,7 +31,7 @@ impl CostPrediction {
 
 /// Striping efficiency: a stripe of `1/k` of the rows costs slightly more
 /// than `1/k` of the full-frame time because of the convolution halo.
-pub const STRIPE_EFFICIENCY: f64 = 0.9;
+const STRIPE_EFFICIENCY: f64 = 0.9;
 
 /// Predicted effective latency when the stripable tasks run with
 /// `stripes` stripes.

@@ -37,11 +37,6 @@ impl LatencyBudget {
     pub fn planning_target(&self) -> f64 {
         self.target_ms * (1.0 - self.headroom)
     }
-
-    /// Whether a completion time fits the budget.
-    pub fn fits(&self, completion_ms: f64) -> bool {
-        completion_ms <= self.target_ms
-    }
 }
 
 #[cfg(test)]
@@ -52,8 +47,6 @@ mod tests {
     fn planning_target_below_budget() {
         let b = LatencyBudget::new(60.0, 0.15);
         assert!((b.planning_target() - 51.0).abs() < 1e-12);
-        assert!(b.fits(60.0));
-        assert!(!b.fits(60.1));
     }
 
     #[test]

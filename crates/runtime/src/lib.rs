@@ -39,7 +39,7 @@ pub mod service;
 pub mod session;
 pub mod workload;
 
-pub use adaptation::{choose_policy, predicted_latency, CostPrediction, STRIPE_EFFICIENCY};
+pub use adaptation::{choose_policy, predicted_latency, CostPrediction};
 pub use budget::LatencyBudget;
 pub use faults::{fault_hash, FaultInjector, FaultPlan, FaultPlanConfig};
 pub use manager::{CalibrationSnapshot, ManagerConfig, Plan, ResourceManager};
@@ -52,7 +52,7 @@ pub use service::{
     StreamEngine, StreamServiceStats,
 };
 pub use session::{SessionReport, StreamFailure, StreamResult, StreamSpec, StreamSpecBuilder};
-pub use workload::{ReplayClock, ReplayReport, RunLedger, Trace, TraceError, TraceRunner};
+pub use workload::{ReplayReport, RunLedger, Trace, TraceError, TraceRunner};
 
 #[cfg(test)]
 pub(crate) mod test_support;

@@ -202,11 +202,6 @@ impl ResourceManager {
         self.stream
     }
 
-    /// Index of the frame currently being planned/executed.
-    pub fn current_frame(&self) -> usize {
-        self.frame_index
-    }
-
     /// Attaches a subscriber to the manager's event bus.
     pub fn subscribe(&mut self, sub: Box<dyn Subscriber>) {
         self.bus.subscribe(sub);
@@ -430,11 +425,6 @@ impl ResourceManager {
         self.pairs.report()
     }
 
-    /// The `(predicted, actual)` pairs (for the Fig. 7 prediction curve).
-    pub fn prediction_pairs(&self) -> Vec<(f64, f64)> {
-        self.pairs.pairs()
-    }
-
     /// Read access to the model.
     pub fn model(&self) -> &TripleC {
         &self.model
@@ -449,11 +439,6 @@ impl ResourceManager {
     /// far.
     pub fn calibration(&self) -> CalibrationSnapshot {
         self.calibration.snapshot()
-    }
-
-    /// The champion/challenger selector, when enabled.
-    pub fn selector(&self) -> Option<&ModelSelector> {
-        self.selector.as_ref()
     }
 }
 
@@ -652,7 +637,6 @@ mod tests {
         // AccuracyReport exactly (bit-identical fields)
         let external = triplec::accuracy::evaluate(&pairs.lock().unwrap());
         assert_eq!(external, m.accuracy());
-        assert_eq!(m.prediction_pairs(), *pairs.lock().unwrap());
         // the bus carried a PlanIssued and a FrameExecuted per frame
         let ev = events.lock().unwrap();
         let plans = ev
@@ -843,6 +827,6 @@ mod tests {
         {
             assert!(challenger_err_ms < champion_err_ms);
         }
-        assert!(m.selector().unwrap().promotions() >= 1);
+        assert!(m.selector.as_ref().unwrap().promotions() >= 1);
     }
 }

@@ -39,7 +39,7 @@ impl QosLevel {
     }
 
     /// The next lower quality level, if any.
-    pub fn degrade(self) -> Option<QosLevel> {
+    fn degrade(self) -> Option<QosLevel> {
         match self {
             QosLevel::Full => Some(QosLevel::ReducedScales),
             QosLevel::ReducedScales => Some(QosLevel::ReducedZoom),
@@ -48,7 +48,7 @@ impl QosLevel {
     }
 
     /// The next higher quality level, if any.
-    pub fn improve(self) -> Option<QosLevel> {
+    fn improve(self) -> Option<QosLevel> {
         match self {
             QosLevel::Full => None,
             QosLevel::ReducedScales => Some(QosLevel::Full),
@@ -58,7 +58,7 @@ impl QosLevel {
 
     /// Numeric severity for event payloads: 0 = full quality, higher =
     /// more degraded.
-    pub fn severity(self) -> u8 {
+    fn severity(self) -> u8 {
         match self {
             QosLevel::Full => 0,
             QosLevel::ReducedScales => 1,

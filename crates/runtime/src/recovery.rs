@@ -96,11 +96,6 @@ impl RecoveryState {
         Self::default()
     }
 
-    /// The stripe cap currently in force, if any.
-    pub fn stripe_cap(&self) -> Option<usize> {
-        self.stripe_cap
-    }
-
     /// Whether the model is currently quarantined.
     pub fn quarantined(&self) -> bool {
         self.quarantine_left > 0
@@ -201,16 +196,6 @@ impl RecoveryState {
         }
         false
     }
-
-    /// The current drift hit-rate over the partially or fully filled
-    /// window (`None` while empty).
-    pub fn drift_hit_rate(&self) -> Option<f64> {
-        if self.drift_hits.is_empty() {
-            return None;
-        }
-        let hits = self.drift_hits.iter().filter(|&&h| h).count();
-        Some(hits as f64 / self.drift_hits.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +214,7 @@ mod tests {
             st.note_frame(true, 8, &policy),
             RecoveryAction::Downshift(4)
         );
-        assert_eq!(st.stripe_cap(), Some(4));
+        assert_eq!(st.stripe_cap, Some(4));
         // further overruns halve again
         assert_eq!(st.note_frame(true, 4, &policy), RecoveryAction::None);
         assert_eq!(
@@ -242,7 +227,7 @@ mod tests {
             st.note_frame(false, 2, &policy),
             RecoveryAction::Lift(DegradeMode::StripeDownshift)
         );
-        assert_eq!(st.stripe_cap(), None);
+        assert_eq!(st.stripe_cap, None);
     }
 
     #[test]
@@ -259,7 +244,7 @@ mod tests {
         );
         // already at the floor: no further downshift event
         assert_eq!(st.note_frame(true, 2, &policy), RecoveryAction::None);
-        assert_eq!(st.stripe_cap(), Some(2));
+        assert_eq!(st.stripe_cap, Some(2));
     }
 
     #[test]
@@ -291,7 +276,7 @@ mod tests {
             assert_eq!(st.note_frame(true, 8, &policy), RecoveryAction::None);
             assert_eq!(st.note_frame(false, 8, &policy), RecoveryAction::None);
         }
-        assert_eq!(st.stripe_cap(), None);
+        assert_eq!(st.stripe_cap, None);
     }
 
     #[test]
@@ -306,7 +291,7 @@ mod tests {
         for _ in 0..6 {
             assert!(!st.note_scenario(7, 7, &policy));
         }
-        assert_eq!(st.drift_hit_rate(), Some(1.0));
+        assert!(st.drift_hits.iter().all(|&h| h));
         // all misses: trigger exactly once the window fills with misses
         let mut fired = 0;
         for _ in 0..4 {
@@ -326,7 +311,7 @@ mod tests {
         for _ in 0..32 {
             assert!(!st.note_scenario(1, 2, &policy));
         }
-        assert_eq!(st.drift_hit_rate(), None);
+        assert!(st.drift_hits.is_empty());
     }
 
     #[test]

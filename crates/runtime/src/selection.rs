@@ -138,11 +138,6 @@ impl ModelSelector {
         self.promotions
     }
 
-    /// Read access to the shadow challenger (tests, benchmarks).
-    pub fn challenger(&self) -> &TripleC {
-        &self.challenger
-    }
-
     /// Scores one absorbed frame and shadow-trains the challenger.
     ///
     /// Must run *before* the champion observes the frame's task times,

@@ -60,11 +60,6 @@ impl ServiceHandle {
         self.queues.keys().copied().collect()
     }
 
-    /// Current depth of one stream's ingress queue.
-    pub fn queue_depth(&self, stream: StreamId) -> Option<usize> {
-        self.queues.get(&stream).map(|q| q.depth())
-    }
-
     /// Submits one frame to a stream's ingress queue. Under blocking
     /// backpressure this call blocks while the queue is full.
     pub fn submit(
@@ -80,18 +75,6 @@ impl ServiceHandle {
             PushOutcome::Enqueued => SubmitOutcome::Accepted,
             PushOutcome::DroppedOldest => SubmitOutcome::DroppedOldest,
             PushOutcome::Closed => SubmitOutcome::Rejected,
-        }
-    }
-
-    /// Declares one stream's input finished: its worker drains the queue
-    /// and completes. Returns false for unknown streams.
-    pub fn close_stream(&self, stream: StreamId) -> bool {
-        match self.queues.get(&stream) {
-            Some(q) => {
-                q.close();
-                true
-            }
-            None => false,
         }
     }
 

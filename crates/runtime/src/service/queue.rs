@@ -142,16 +142,6 @@ impl FrameQueue {
         self.not_full.notify_all();
     }
 
-    /// Frames currently queued.
-    pub fn depth(&self) -> usize {
-        self.inner.lock().unwrap().frames.len()
-    }
-
-    /// Whether [`close`](Self::close) was called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
-    }
-
     /// Closed *and* drained: the consumer has nothing left to do.
     pub fn is_finished(&self) -> bool {
         let g = self.inner.lock().unwrap();
@@ -169,6 +159,11 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Frames currently queued.
+    fn depth(q: &FrameQueue) -> usize {
+        q.inner.lock().unwrap().frames.len()
+    }
+
     fn img(tag: u16) -> ImageU16 {
         let mut im = ImageU16::new(4, 4);
         im.fill(tag);
@@ -181,7 +176,7 @@ mod tests {
         for i in 0..3 {
             assert_eq!(q.push(i, img(i as u16)), PushOutcome::Enqueued);
         }
-        assert_eq!(q.depth(), 3);
+        assert_eq!(depth(&q), 3);
         assert_eq!(q.pop().unwrap().0, 0);
         assert_eq!(q.pop().unwrap().0, 1);
         q.close();
@@ -199,7 +194,7 @@ mod tests {
         assert_eq!(q.push(0, img(0)), PushOutcome::Enqueued);
         assert_eq!(q.push(1, img(1)), PushOutcome::Enqueued);
         assert_eq!(q.push(2, img(2)), PushOutcome::DroppedOldest);
-        assert_eq!(q.depth(), 2);
+        assert_eq!(depth(&q), 2);
         assert_eq!(q.pop().unwrap().0, 1, "frame 0 was dropped");
         assert_eq!(q.pop().unwrap().0, 2);
         assert_eq!(q.stats().dropped, 1);
@@ -227,7 +222,7 @@ mod tests {
         // unblock the first push
         assert_eq!(q.pop().unwrap().0, 0);
         // give the producer time to enqueue 1 and block on 2, then close
-        while q.depth() < 1 {
+        while depth(&q) < 1 {
             std::thread::yield_now();
         }
         q.close();

@@ -91,26 +91,6 @@ impl ShardTopology {
         self.shards.len()
     }
 
-    /// Total cores across all shards.
-    pub fn total_cores(&self) -> usize {
-        self.shards.iter().map(|s| s.cores).sum()
-    }
-
-    /// Width of the widest shard.
-    pub fn widest_cores(&self) -> usize {
-        self.shards.iter().map(|s| s.cores).max().unwrap_or(1)
-    }
-
-    /// Cores owned by one shard.
-    pub fn shard_cores(&self, shard: usize) -> usize {
-        self.shards[shard].cores
-    }
-
-    /// Unreserved cores on one shard.
-    pub fn free_cores(&self, shard: usize) -> usize {
-        self.shards[shard].free
-    }
-
     /// Best-fit placement: the feasible shard with the least free
     /// headroom (ties broken by lowest index, so placement is
     /// deterministic). `None` when no shard currently fits `cores`.
@@ -157,7 +137,7 @@ mod tests {
     fn single_layout_uses_the_global_pool() {
         let t = ShardTopology::new(ShardLayout::Single, 8);
         assert_eq!(t.shard_count(), 1);
-        assert_eq!(t.total_cores(), 8);
+        assert_eq!(t.shards.iter().map(|s| s.cores).sum::<usize>(), 8);
         assert!(t.pool(0).is_none(), "single shard must not spawn a pool");
     }
 
@@ -165,11 +145,10 @@ mod tests {
     fn grouped_layout_splits_evenly_with_remainder() {
         let t = ShardTopology::new(ShardLayout::Grouped { group: 3 }, 8);
         assert_eq!(t.shard_count(), 3);
-        assert_eq!(t.shard_cores(0), 3);
-        assert_eq!(t.shard_cores(1), 3);
-        assert_eq!(t.shard_cores(2), 2);
-        assert_eq!(t.total_cores(), 8);
-        assert_eq!(t.widest_cores(), 3);
+        assert_eq!(t.shards[0].cores, 3);
+        assert_eq!(t.shards[1].cores, 3);
+        assert_eq!(t.shards[2].cores, 2);
+        assert_eq!(t.shards.iter().map(|s| s.cores).sum::<usize>(), 8);
         assert!(t.pool(0).is_some());
     }
 

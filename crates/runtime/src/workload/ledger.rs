@@ -25,7 +25,7 @@ use crate::service::admission::AdmissionPolicy;
 use platform::bus::StreamId;
 
 /// Header magic of a ledger file.
-pub const LEDGER_MAGIC: &str = "triplec-ledger";
+const LEDGER_MAGIC: &str = "triplec-ledger";
 
 /// How the service admitted a submitted frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,8 +7,9 @@
 //!   arrival schedules, resolution mixes, scripted scenario storms, fault
 //!   overlays — with typed-error parsing and canonical serialization.
 //! - [`runner`]: [`TraceRunner`] replays a trace deterministically
-//!   through the service tier ([`ServiceHandle`]-driven, virtual-clock
-//!   compressed for tests, real-time paced for benches).
+//!   through the service tier ([`ServiceHandle`]-driven on a virtual
+//!   clock: arrival times are bookkeeping, frames are submitted as fast
+//!   as backpressure allows).
 //! - [`ledger`]: [`RunLedger`], the per-frame replay record whose
 //!   diffable plane is deterministic under a fixed trace — the substrate
 //!   of the golden-trace regression tests in `tests/golden_traces.rs`.
@@ -20,7 +21,7 @@ pub mod runner;
 pub mod trace;
 
 pub use ledger::{latency_class, pixel_digest, FrameOutcome, LedgerEntry, RunLedger, SubmitClass};
-pub use runner::{ReplayClock, ReplayReport, TraceRunner};
+pub use runner::{ReplayReport, TraceRunner};
 pub use trace::{
     Arrival, ArrivalModel, FaultOverlay, StreamProfile, StreamTrace, Trace, TraceError,
 };

@@ -45,21 +45,9 @@ use triplec::triple::{TripleC, TripleCConfig};
 use triplec::{FrameGeometry, TASKS};
 use xray::{ScenarioConfig, SequenceConfig, SequenceGenerator};
 
-/// How replay time maps to host time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayClock {
-    /// Arrival times are bookkeeping only: frames are submitted as fast
-    /// as backpressure allows (tests; time-compressed).
-    Virtual,
-    /// The runner sleeps until each frame's scheduled arrival
-    /// (benches; real-time pacing).
-    RealTime,
-}
-
 /// Replays traces through the service tier.
 pub struct TraceRunner {
     trace: Trace,
-    clock: ReplayClock,
     service_cfg: ServiceConfig,
     obs: Option<Observability>,
     drift: Option<(f64, usize)>,
@@ -73,7 +61,6 @@ impl TraceRunner {
     pub fn new(trace: Trace) -> Self {
         Self {
             trace,
-            clock: ReplayClock::Virtual,
             service_cfg: ServiceConfig::default(),
             obs: None,
             drift: None,
@@ -107,13 +94,6 @@ impl TraceRunner {
     #[must_use = "builders do nothing until `run()`"]
     pub fn with_service_config(mut self, cfg: ServiceConfig) -> Self {
         self.service_cfg = cfg;
-        self
-    }
-
-    /// Selects the replay clock.
-    #[must_use = "builders do nothing until `run()`"]
-    pub fn with_clock(mut self, clock: ReplayClock) -> Self {
-        self.clock = clock;
         self
     }
 
@@ -220,13 +200,6 @@ impl TraceRunner {
         let t0 = Instant::now();
         let mut submits: Vec<SubmitClass> = Vec::with_capacity(schedule.len());
         for arrival in &schedule {
-            if self.clock == ReplayClock::RealTime {
-                let elapsed_ms = t0.elapsed().as_secs_f64() * 1000.0;
-                let wait = arrival.at_ms - elapsed_ms;
-                if wait > 0.0 {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(wait / 1000.0));
-                }
-            }
             let frame = sources[arrival.stream as usize]
                 .next()
                 .expect("schedule never outruns the sequence");

@@ -33,7 +33,7 @@ use triplec::scenario::ScriptSegment;
 pub const TRACE_VERSION: u32 = 1;
 
 /// Header magic of a trace file.
-pub const TRACE_MAGIC: &str = "triplec-trace";
+const TRACE_MAGIC: &str = "triplec-trace";
 
 /// Typed parse/validation error for traces and ledgers. Carries the
 /// 1-based line number where applicable.
@@ -178,7 +178,7 @@ pub enum ArrivalModel {
 impl ArrivalModel {
     /// Expands the model into per-frame arrival times (ms, ascending,
     /// quantized to 1 µs). Deterministic per model + seed.
-    pub fn arrival_times_ms(&self, frames: usize) -> Vec<f64> {
+    fn arrival_times_ms(&self, frames: usize) -> Vec<f64> {
         let quant = |t: f64| (t * 1000.0).round() / 1000.0;
         match *self {
             ArrivalModel::Fixed { period_ms } => {

@@ -106,11 +106,6 @@ impl Canvas {
         self.img.to_u16()
     }
 
-    /// Consumes the canvas, returning the raw f32 image.
-    pub fn into_f32(self) -> ImageF32 {
-        self.img
-    }
-
     /// Mutable access to the raw image (noise model).
     pub fn raw_mut(&mut self) -> &mut ImageF32 {
         &mut self.img

@@ -14,9 +14,7 @@ use crate::scenario::{HiddenEpisode, ScenarioConfig};
 use crate::sequence::SequenceConfig;
 
 /// Number of sequences in the paper's training set.
-pub const TRAIN_SEQUENCES: usize = 37;
-/// Total number of frames in the paper's training set.
-pub const TRAIN_FRAMES: usize = 1921;
+const TRAIN_SEQUENCES: usize = 37;
 
 /// Builds one corpus sequence configuration.
 ///
@@ -145,7 +143,7 @@ mod tests {
         let corpus = training_corpus(128, 128);
         assert_eq!(corpus.len(), TRAIN_SEQUENCES);
         let total: usize = corpus.iter().map(|c| c.frames).sum();
-        assert_eq!(total, TRAIN_FRAMES);
+        assert_eq!(total, 1921);
     }
 
     #[test]

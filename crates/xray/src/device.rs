@@ -50,7 +50,7 @@ impl Default for DeviceConfig {
 }
 
 /// Positions of the two markers under a given motion state.
-pub fn marker_positions(
+fn marker_positions(
     cfg: &DeviceConfig,
     motion: &MotionState,
     frame_center: (f64, f64),

@@ -29,9 +29,7 @@ pub mod phantom;
 pub mod scenario;
 pub mod sequence;
 
-pub use dataset::{
-    long_trace_sequence, test_corpus, training_corpus, TRAIN_FRAMES, TRAIN_SEQUENCES,
-};
+pub use dataset::{long_trace_sequence, test_corpus, training_corpus};
 pub use device::DeviceConfig;
 pub use motion::{MotionConfig, MotionState};
 pub use noise::NoiseConfig;

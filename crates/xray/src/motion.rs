@@ -60,11 +60,6 @@ impl MotionState {
             rot: 0.0,
         }
     }
-
-    /// Displacement magnitude.
-    pub fn magnitude(&self) -> f64 {
-        (self.dx * self.dx + self.dy * self.dy).sqrt()
-    }
 }
 
 /// Evaluates the motion model at frame index `frame`, drawing jitter from
@@ -104,7 +99,7 @@ mod tests {
         for f in 0..300 {
             let m = motion_at(&cfg, f, &mut rng);
             let bound = cfg.cardiac_amp + cfg.respiratory_amp + 3.0 * cfg.jitter_std + 1.0;
-            assert!(m.magnitude() < 2.0 * bound, "frame {f}: {:?}", m);
+            assert!(m.dx.hypot(m.dy) < 2.0 * bound, "frame {f}: {:?}", m);
             assert!(m.rot.abs() <= cfg.rotation_amp + 1e-9);
         }
     }
@@ -130,7 +125,7 @@ mod tests {
         let cfg = MotionConfig::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let states: Vec<MotionState> = (0..60).map(|f| motion_at(&cfg, f, &mut rng)).collect();
-        let max = states.iter().map(|m| m.magnitude()).fold(0.0, f64::max);
+        let max = states.iter().map(|m| m.dx.hypot(m.dy)).fold(0.0, f64::max);
         assert!(max > 3.0, "max displacement {}", max);
     }
 

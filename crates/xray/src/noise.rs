@@ -30,7 +30,7 @@ impl Default for NoiseConfig {
 /// A standard normal sampler based on the Box-Muller transform, avoiding a
 /// dependency on `rand_distr` (not in the sanctioned crate set).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StandardNormal;
+struct StandardNormal;
 
 impl Distribution<f32> for StandardNormal {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f32 {

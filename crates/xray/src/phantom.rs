@@ -107,24 +107,23 @@ pub fn generate_tree(
     vessels
 }
 
-/// Total polyline length of a vessel set (content-quantity metric used by
-/// tests and by the sequence generator's load scripting).
-pub fn total_length(vessels: &[Vessel]) -> f64 {
-    vessels
-        .iter()
-        .map(|v| {
-            v.path
-                .windows(2)
-                .map(|w| ((w[1].0 - w[0].0).powi(2) + (w[1].1 - w[0].1).powi(2)).sqrt())
-                .sum::<f64>()
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Total polyline length of a vessel set.
+    fn total_length(vessels: &[Vessel]) -> f64 {
+        vessels
+            .iter()
+            .map(|v| {
+                v.path
+                    .windows(2)
+                    .map(|w| ((w[1].0 - w[0].0).powi(2) + (w[1].1 - w[0].1).powi(2)).sqrt())
+                    .sum::<f64>()
+            })
+            .sum()
+    }
 
     #[test]
     fn generates_requested_primary_branches() {

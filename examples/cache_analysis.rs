@@ -1,14 +1,14 @@
 //! The cache-memory and communication-bandwidth side of Triple-C
 //! (Section 5 of the paper): derive Table 1, predict the intra-task swap
 //! traffic of the overflow tasks with the space-time model, cross-check
-//! against a trace-driven two-level cache simulation, and size the bus
+//! against a trace-driven cache simulation, and size the bus
 //! loads of each application scenario against the platform of Fig. 4.
 //!
 //! Run with: `cargo run --release --example cache_analysis`
 
 use triple_c::platform::arch::MB;
 use triple_c::platform::bandwidth::{add_intra_task, inter_task_load};
-use triple_c::platform::hierarchy::CacheHierarchy;
+use triple_c::platform::cache::CacheSim;
 use triple_c::platform::mapping::{Mapping, Partition};
 use triple_c::platform::spacetime::simulate_traffic;
 use triple_c::prelude::*;
@@ -66,16 +66,18 @@ fn main() -> Result<()> {
         arch.bus_memory / 1e9
     );
 
-    // --- two-level view: how much the L1 filters ------------------------
-    let mut hierarchy = CacheHierarchy::paper();
-    hierarchy.linear_scan(0, geom.frame_bytes(), false);
-    hierarchy.linear_scan(0, geom.frame_bytes(), false);
-    let t = hierarchy.traffic();
+    // --- which level holds a frame: two passes through each cache alone --
+    let [l1_miss, l2_miss] = [arch.l1, arch.l2].map(|level| {
+        let mut sim = CacheSim::new(level);
+        sim.linear_scan(0, geom.frame_bytes(), false);
+        let second = sim.linear_scan(0, geom.frame_bytes(), false);
+        second.misses * level.line_size as u64
+    });
     println!(
-        "\ntwo passes over one frame through L1+L2: cpu->L1 {:.1} MB, L1->L2 {:.1} MB, L2->mem {:.1} MB",
-        t.cpu_to_l1 as f64 / 1e6,
-        t.l1_to_l2 as f64 / 1e6,
-        t.l2_to_mem as f64 / 1e6
+        "\nsecond pass over one {:.1} MB frame: a lone L1 refetches {:.1} MB, a lone L2 {:.1} MB",
+        geom.frame_bytes() as f64 / 1e6,
+        l1_miss as f64 / 1e6,
+        l2_miss as f64 / 1e6
     );
 
     // --- per-scenario bus loads under a mapping -------------------------

@@ -24,7 +24,7 @@ fn main() {
         sequence.frames
     );
     let profile = run_sequence(sequence, &AppConfig::default(), &ExecutionPolicy::default());
-    let summary = profile.trace.latency_summary();
+    let summary = triple_c::platform::metrics::summary_of(&profile.trace.latencies());
     println!(
         "  serial latency: mean {:.1} ms, band [{:.1}, {:.1}] ms",
         summary.mean, summary.min, summary.max

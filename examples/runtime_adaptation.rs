@@ -108,6 +108,6 @@ fn main() {
 }
 
 fn platform_summary(lat: &[f64]) -> (f64, f64, f64, f64) {
-    let s = triple_c::platform::trace::summary_of(lat);
+    let s = triple_c::platform::metrics::summary_of(lat);
     (s.mean, s.min, s.max, s.worst_vs_avg)
 }

@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# The ROADMAP's tracked quantities, counted with the commands the ROADMAP
+# gives, as a markdown table (CI appends it to the job summary; re-anchors
+# paste it).
+#
+#   usage: scripts/tracked.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+row() {
+  printf '| %s | %s |\n' "$1" "$(tr -d ' ' <<<"$2")"
+}
+
+echo '| quantity | now |'
+echo '|---|---|'
+row '`API.txt` lines' "$(wc -l <API.txt)"
+row 'src LOC (`find crates/*/src src -name "*.rs" \| xargs cat \| wc -l`)' \
+  "$(find crates/*/src src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+row '`unsafe` lines in `crates/imaging/src`' "$(grep -r unsafe crates/imaging/src | wc -l)"
+row '`#[deprecated]` shims' "$(grep -r '#\[deprecated' crates/*/src src | wc -l)"
+row '`pub fn process_frame*`' "$(grep -r 'pub fn process_frame' crates/pipeline/src | wc -l)"
+row '`crates/bench/benches` targets / lines' \
+  "$(find crates/bench/benches -name '*.rs' | wc -l)/$(cat crates/bench/benches/*.rs | wc -l)"
+row '`BENCH_*.json` snapshots' "$(find . -maxdepth 1 -name 'BENCH_*.json' | wc -l)"

@@ -6,7 +6,7 @@
 //! as the scheduler, [`SessionReport`] out), the event bus
 //! ([`EventBus`], [`FrameEvent`]), the observability bundle
 //! ([`Observability`]) and the unified [`Error`]/[`Result`] pair.
-//! Specialist modules (cache hierarchy, bandwidth models, fault
+//! Specialist modules (cache simulator, bandwidth models, fault
 //! planning) stay behind their full paths on purpose — the prelude is
 //! for the 90% path, not the whole API.
 
@@ -18,7 +18,7 @@ pub use pipeline::runner::{run_corpus, run_sequence};
 pub use platform::arch::ArchModel;
 pub use platform::bus::{EventBus, FrameEvent, StreamId, Subscriber};
 pub use platform::metrics::{Labels, MetricsRegistry, MetricsSnapshot, Observability};
-pub use platform::span::{SpanCollector, SpanGuard};
+pub use platform::span::SpanCollector;
 pub use runtime::budget::LatencyBudget;
 pub use runtime::manager::{CalibrationSnapshot, ManagerConfig, ResourceManager};
 pub use runtime::recovery::RecoveryPolicy;

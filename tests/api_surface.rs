@@ -9,8 +9,12 @@
 //! UPDATE_API=1 cargo test --test api_surface
 //! git diff API.txt   # review the surface change, then commit it
 //! ```
+//!
+//! A second test keeps the surface to what runs: a `pub fn` or `pub const`
+//! that no file but its own mentions has no caller, and fails the suite
+//! until it is deleted or loses `pub`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 
 /// Source roots that define the public surface.
@@ -34,6 +38,10 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
         for e in entries.flatten() {
             let p = e.path();
             if p.is_dir() {
+                // the benchmark package builds into its own directory
+                if p.file_name().is_some_and(|n| n == "target") {
+                    continue;
+                }
                 rust_files(&p, out);
             } else if p.extension().is_some_and(|x| x == "rs") {
                 out.push(p);
@@ -150,5 +158,86 @@ fn public_api_matches_checked_in_surface() {
             .map(|s| format!("  - {s}"))
             .collect::<Vec<_>>()
             .join("\n"),
+    );
+}
+
+/// The name a surface line (`<file>: pub <kind> <name>…`) defines, with its
+/// file and whether the item is a function or constant.
+fn defined_name(line: &str) -> Option<(&str, &str, bool)> {
+    let (file, sig) = line.split_once(": pub ")?;
+    let mut words = sig.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+    let kind = words.next().filter(|&k| k != "use")?;
+    // `const fn`, `unsafe fn`: the name follows the last keyword
+    let name = words.find(|&w| w != "fn")?;
+    Some((file, name, matches!(kind, "fn" | "const" | "unsafe")))
+}
+
+/// Identifiers a source file mentions. In `lib.rs`, `mod.rs` and
+/// `prelude.rs` re-export statements (`pub use …;`) are left out: naming an
+/// item to re-export it is not a use of it.
+fn mentions(path: &Path) -> HashSet<String> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let reexports = matches!(
+        path.file_name().and_then(|n| n.to_str()),
+        Some("lib.rs" | "mod.rs" | "prelude.rs")
+    );
+    let mut words = HashSet::new();
+    let mut in_reexport = false;
+    for line in text.lines() {
+        in_reexport |= reexports && line.trim_start().starts_with("pub use ");
+        if in_reexport {
+            in_reexport = !line.contains(';');
+            continue;
+        }
+        words.extend(
+            line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .map(str::to_string),
+        );
+    }
+    words
+}
+
+#[test]
+fn every_public_fn_and_const_is_mentioned_outside_its_file() {
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let surface = current_surface(&repo);
+    let mut definitions: BTreeMap<&str, Vec<(&str, bool)>> = BTreeMap::new();
+    for (file, name, callable) in surface.iter().filter_map(|l| defined_name(l)) {
+        definitions.entry(name).or_default().push((file, callable));
+    }
+
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&repo.join(dir), &mut files);
+    }
+    let mentioned: Vec<(String, HashSet<String>)> = files
+        .iter()
+        .map(|f| {
+            let rel = f.strip_prefix(&repo).unwrap_or(f).display().to_string();
+            (rel, mentions(f))
+        })
+        .collect();
+
+    // a name defined on several surface lines cannot be attributed to one
+    // of them textually; those are left to review
+    let orphans: Vec<String> = definitions
+        .iter()
+        .filter_map(|(name, defs)| match defs[..] {
+            [(file, true)] => Some((name, file)),
+            _ => None,
+        })
+        .filter(|(name, file)| {
+            !mentioned
+                .iter()
+                .any(|(other, words)| other != file && words.contains(**name))
+        })
+        .map(|(name, file)| format!("  {file}: {name}"))
+        .collect();
+    assert!(
+        orphans.is_empty(),
+        "public items no file but their own mentions (delete them, or drop \
+         `pub` if their own file still calls them):\n{}",
+        orphans.join("\n")
     );
 }

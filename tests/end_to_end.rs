@@ -4,6 +4,7 @@
 use triple_c::pipeline::app::{AppConfig, AppState};
 use triple_c::pipeline::executor::{process_frame, ExecutionPolicy};
 use triple_c::pipeline::runner::run_sequence;
+use triple_c::platform::metrics::summary_of;
 use triple_c::runtime::manager::ManagerConfig;
 use triple_c::runtime::{StreamEngine, StreamResult, StreamSpec};
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
@@ -97,7 +98,7 @@ fn trained_model_predicts_its_own_distribution() {
 fn managed_band_not_wider_than_serial() {
     let app = AppConfig::default();
     let serial = run_sequence(sequence(73, 16), &app, &ExecutionPolicy::default());
-    let s = serial.trace.latency_summary();
+    let s = summary_of(&serial.trace.latencies());
 
     let profile = run_sequence(sequence(74, 16), &app, &ExecutionPolicy::default());
     let cfg = TripleCConfig {
@@ -109,7 +110,7 @@ fn managed_band_not_wider_than_serial() {
     };
     let model = TripleC::train(&profile.task_series(), &profile.scenarios, cfg);
     let managed = run_managed(sequence(73, 16), &app, model);
-    let m = managed.trace.latency_summary();
+    let m = summary_of(&managed.trace.latencies());
 
     assert!(
         m.max <= s.max * 1.35,

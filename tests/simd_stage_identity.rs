@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use triple_c::imaging::couples::Couple;
 use triple_c::imaging::enhance::EnhState;
-use triple_c::imaging::guidewire::{gw_extract, gw_extract_reference, GwConfig};
+use triple_c::imaging::guidewire::{gw_extract_reference, gw_extract_with, GwConfig, GwScratch};
 use triple_c::imaging::image::{Image, ImageF32, ImageU16, Roi};
 use triple_c::imaging::markers::Marker;
 use triple_c::imaging::registration::RigidTransform;
@@ -160,7 +160,7 @@ proptest! {
             max_kink,
             ..GwConfig::default()
         };
-        let fast = gw_extract(&ridgeness, &couple, &cfg);
+        let fast = gw_extract_with(&ridgeness, &couple, &cfg, &mut GwScratch::new());
         let reference = gw_extract_reference(&ridgeness, &couple, &cfg);
         prop_assert_eq!(fast.wire_found, reference.wire_found);
         prop_assert_eq!(fast.mean_response.to_bits(), reference.mean_response.to_bits());
