@@ -289,6 +289,9 @@ pub enum FrameEvent {
         cores: usize,
         /// Wall-clock time spent waiting in the admission queue, ms.
         queued_ms: f64,
+        /// The rank key the stream was chosen on: its predicted remaining
+        /// work, ms (the least among the streams ready at the time).
+        remaining_ms: f64,
     },
     /// A stream could not be admitted (no shard had headroom for its
     /// predicted demand, or the concurrency cap was reached) and was
@@ -302,8 +305,10 @@ pub enum FrameEvent {
         /// stream).
         depth: usize,
     },
-    /// A running stream was evicted from its shard (time-slice expiry or
-    /// capacity reclaim) and re-queued for admission. Its model state is
+    /// A resident stream gave up its shard grant to a waiting stream that
+    /// could not be placed otherwise — one with less predicted remaining
+    /// work, or any ready one when this stream had nothing queued — and
+    /// went back to waiting for admission. Its model state is
     /// snapshotted; execution resumes exactly at `frame` on re-admission.
     StreamEvicted {
         /// Evicted stream.
@@ -312,6 +317,8 @@ pub enum FrameEvent {
         frame: usize,
         /// Shard the stream was evicted from.
         shard: usize,
+        /// The stream the grant went to.
+        by: StreamId,
     },
     /// A re-admitted stream landed on a different shard than its previous
     /// placement: a migration across core groups.
@@ -674,6 +681,7 @@ mod tests {
                 shard: 0,
                 cores: 2,
                 queued_ms: 0.5,
+                remaining_ms: 40.0,
             },
             FrameEvent::StreamQueued {
                 stream: 1,
@@ -684,6 +692,7 @@ mod tests {
                 stream: 1,
                 frame: 2,
                 shard: 0,
+                by: 4,
             },
             FrameEvent::ShardRebalanced {
                 stream: 1,
@@ -774,6 +783,7 @@ mod tests {
                 shard: 1,
                 cores: 2,
                 queued_ms: 0.1,
+                remaining_ms: 40.0,
             }
             .replay_key(),
             None
@@ -783,6 +793,7 @@ mod tests {
                 stream: 3,
                 frame: 9,
                 shard: 1,
+                by: 4,
             }
             .replay_key(),
             None

@@ -468,6 +468,12 @@ impl MetricsRegistry {
         self.gauges.write().entry(key).or_default().clone()
     }
 
+    /// Sets the gauge series `name{labels}` — for values no bus event
+    /// carries (the service core's `service_workers`, set once at spawn).
+    pub fn set_gauge(&self, name: &'static str, labels: Labels, value: f64) {
+        self.gauge(name, labels).set(value);
+    }
+
     /// The histogram series `name{labels}`, created on first use.
     pub fn histogram(&self, name: &'static str, labels: Labels) -> Histogram {
         let key = Key { name, labels };
@@ -965,11 +971,13 @@ mod tests {
             shard: 1,
             cores: 2,
             queued_ms: 7.5,
+            remaining_ms: 40.0,
         });
         bus.emit(FrameEvent::StreamEvicted {
             stream: 4,
             frame: 6,
             shard: 1,
+            by: 5,
         });
         bus.emit(FrameEvent::ShardRebalanced {
             stream: 4,

@@ -348,6 +348,7 @@ impl Subscriber for TraceSubscriber {
                 shard,
                 cores,
                 queued_ms,
+                remaining_ms,
                 ..
             } => self.spans.instant(
                 "admitted",
@@ -358,6 +359,7 @@ impl Subscriber for TraceSubscriber {
                     ("shard", shard as f64),
                     ("cores", cores as f64),
                     ("queued_ms", queued_ms),
+                    ("remaining_ms", remaining_ms),
                 ],
             ),
             FrameEvent::StreamQueued { depth, .. } => self.spans.instant(
@@ -366,11 +368,11 @@ impl Subscriber for TraceSubscriber {
                 stream,
                 vec![("frame", frame), ("depth", depth as f64)],
             ),
-            FrameEvent::StreamEvicted { shard, .. } => self.spans.instant(
+            FrameEvent::StreamEvicted { shard, by, .. } => self.spans.instant(
                 "evicted",
                 "service",
                 stream,
-                vec![("frame", frame), ("shard", shard as f64)],
+                vec![("frame", frame), ("shard", shard as f64), ("by", by as f64)],
             ),
             FrameEvent::ShardRebalanced {
                 from_shard,
@@ -468,6 +470,33 @@ mod tests {
         assert_eq!(recs[0].dur_us, 2_000);
         assert_eq!(recs[1].phase, SpanPhase::Instant);
         assert_eq!(recs[1].cat, "fault");
+    }
+
+    #[test]
+    fn service_spans_say_why_a_stream_waited() {
+        let spans = SpanCollector::new();
+        let mut bus = EventBus::new();
+        TraceSubscriber::subscribe_to(&mut bus, spans.clone());
+        bus.emit(FrameEvent::StreamAdmitted {
+            stream: 3,
+            frame: 0,
+            shard: 1,
+            cores: 1,
+            queued_ms: 12.5,
+            remaining_ms: 38.0,
+        });
+        bus.emit(FrameEvent::StreamEvicted {
+            stream: 3,
+            frame: 4,
+            shard: 1,
+            by: 7,
+        });
+        let recs = spans.records();
+        assert_eq!((recs[0].name, recs[0].cat), ("admitted", "service"));
+        assert!(recs[0].args.contains(&("queued_ms", 12.5)));
+        assert!(recs[0].args.contains(&("remaining_ms", 38.0)));
+        assert_eq!(recs[1].name, "evicted");
+        assert!(recs[1].args.contains(&("by", 7.0)));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! stream runs: [`predict_demand`] asks the stream's own trained model
 //! for its worst-case-scenario per-task costs and converts them — through
 //! the identical [`choose_policy`] partitioning rule the runtime uses —
-//! into a core demand and predicted frame latency. The admission loop
+//! into a core demand and predicted frame latency. The service core
 //! compares that demand against per-shard capacity headroom instead of
-//! admitting blindly and discovering contention after the fact.
+//! admitting blindly and discovering contention after the fact, and ranks
+//! the streams that wait by the same prediction: frames still owed ×
+//! predicted per-frame cost, least first.
 
 use crate::adaptation::{choose_policy, predicted_latency, CostPrediction};
 use crate::session::StreamSpec;
@@ -164,18 +166,27 @@ pub fn predict_demand(
     }
 }
 
-/// When a running stream is forced to yield its shard reservation.
+/// Whether a resident stream can lose its shard grant to a waiting one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
-    /// Admitted streams run to completion (no preemption).
+    /// A stream keeps its grant from admission until it is done (no
+    /// pre-emption) — also while its input has run dry. A producer that
+    /// blocks on one stream's full queue while feeding several therefore
+    /// needs `max_concurrent` ≥ its fan-out.
     None,
-    /// A stream yields after `frames` executed frames whenever other
-    /// streams are waiting for admission; its engine (model, tracking
-    /// state, recovery bookkeeping) is parked and re-queued, and it
-    /// resumes — possibly on a different shard — exactly where it left
-    /// off.
+    /// Pre-emption is *checked* every `frames` executed frames, not
+    /// exercised: a stepping stream goes on unless a ready stream with
+    /// strictly less predicted remaining work is waiting that could not
+    /// run otherwise, and a grant changes hands only then — or when its
+    /// holder has nothing queued and any ready stream needs it. An
+    /// equal-length batch therefore runs to completion in stream order
+    /// with no eviction at all, while a short stream arriving behind a
+    /// long one overtakes it at the next quantum. An evicted stream's
+    /// engine (model, tracking state, recovery bookkeeping) is parked
+    /// behind a byte-compared model-snapshot round trip, and it resumes —
+    /// possibly on a different shard — exactly where it left off.
     TimeSlice {
-        /// Frames per slice (clamped to ≥ 1).
+        /// Frames between pre-emption checks (clamped to ≥ 1).
         frames: usize,
     },
 }

@@ -130,6 +130,15 @@ impl StreamEngine {
         self.trace.len() + self.dropped_frames
     }
 
+    /// Predicted remaining work, ms — the service core's rank key: the
+    /// frames the sequence still owes times the per-frame cost at the
+    /// stream's [`AdmissionPolicy`] point, which is the last frame's
+    /// planned cost, or `unstarted_ms` before the first frame was planned.
+    pub(crate) fn remaining_ms(&self, unstarted_ms: f64) -> f64 {
+        let owed = self.seq.frames.saturating_sub(self.frames_done());
+        owed as f64 * self.planned_cost_ms.last().copied().unwrap_or(unstarted_ms)
+    }
+
     /// The stream's resource manager (e.g. to attach bus subscribers).
     pub fn manager_mut(&mut self) -> &mut ResourceManager {
         &mut self.manager

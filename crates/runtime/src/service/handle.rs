@@ -3,14 +3,14 @@
 //! [`ServiceHandle`] is what a load generator (or a live detector feed)
 //! holds: it submits frames into per-stream bounded queues, polls
 //! completion notices, scrapes a point-in-time [`MetricsSnapshot`], and
-//! finally joins the service thread for the full [`ServiceReport`].
+//! finally joins the workers for the full [`ServiceReport`].
 
 use platform::bus::StreamId;
 use platform::metrics::{MetricsSnapshot, Observability};
-use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 
-use super::core::{ServiceReport, StreamCompletion};
+use super::core::{ServiceReport, Shared, StreamCompletion};
 use super::queue::{FrameQueue, PushOutcome};
 
 /// Result of a [`ServiceHandle::submit`].
@@ -30,34 +30,39 @@ pub enum SubmitOutcome {
 /// Handle to a running service core (from
 /// [`ServiceCore::spawn`](super::ServiceCore::spawn)).
 ///
-/// Dropping the handle closes every ingress queue and joins the service
-/// thread, so no worker outlives it; call [`finish`](Self::finish)
-/// instead to also receive the report.
+/// Dropping the handle closes every ingress queue and joins the workers,
+/// so none outlives it; call [`finish`](Self::finish) instead to also
+/// receive the report.
 pub struct ServiceHandle {
-    queues: BTreeMap<StreamId, Arc<FrameQueue>>,
+    /// Ingress queues, indexed by stream id.
+    queues: Vec<Arc<FrameQueue>>,
     completions: Mutex<mpsc::Receiver<StreamCompletion>>,
     obs: Option<Observability>,
-    join: Option<std::thread::JoinHandle<ServiceReport>>,
+    /// The scheduler state; `None` once `finish` has taken the report.
+    shared: Option<Arc<Shared>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServiceHandle {
     pub(crate) fn new(
-        queues: BTreeMap<StreamId, Arc<FrameQueue>>,
+        queues: Vec<Arc<FrameQueue>>,
         completions: mpsc::Receiver<StreamCompletion>,
         obs: Option<Observability>,
-        join: std::thread::JoinHandle<ServiceReport>,
+        shared: Arc<Shared>,
+        workers: Vec<JoinHandle<()>>,
     ) -> Self {
         Self {
             queues,
             completions: Mutex::new(completions),
             obs,
-            join: Some(join),
+            shared: Some(shared),
+            workers,
         }
     }
 
     /// The registered stream ids, ascending.
     pub fn streams(&self) -> Vec<StreamId> {
-        self.queues.keys().copied().collect()
+        (0..self.queues.len() as StreamId).collect()
     }
 
     /// Submits one frame to a stream's ingress queue. Under blocking
@@ -68,7 +73,7 @@ impl ServiceHandle {
         index: usize,
         image: imaging::image::ImageU16,
     ) -> SubmitOutcome {
-        let Some(queue) = self.queues.get(&stream) else {
+        let Some(queue) = self.queues.get(stream as usize) else {
             return SubmitOutcome::UnknownStream;
         };
         match queue.push(index, image) {
@@ -80,7 +85,7 @@ impl ServiceHandle {
 
     /// Declares every stream's input finished.
     pub fn close_all(&self) {
-        for q in self.queues.values() {
+        for q in &self.queues {
             q.close();
         }
     }
@@ -98,23 +103,32 @@ impl ServiceHandle {
 
     /// Closes every ingress queue, waits for all streams to complete, and
     /// returns the full report. All service-owned threads (workers, shard
-    /// pools, the admission loop) are joined before this returns.
+    /// pools) are joined before this returns. A worker that panicked — a
+    /// scheduler bug, not a failed stream — is re-raised here.
     pub fn finish(mut self) -> ServiceReport {
         self.close_all();
-        let join = self.join.take().expect("service thread still attached");
-        join.join().expect("service thread never panics")
+        for worker in self.workers.drain(..) {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        let shared = self.shared.take().expect("finish runs once");
+        // queues hold the scheduler weakly and every producer borrows this
+        // handle or was joined by `run_batch`: ours is the last reference
+        let shared = Arc::into_inner(shared).expect("no producer outlives the handle");
+        shared.into_report(self.obs.as_ref())
     }
 
     pub(crate) fn queue(&self, stream: StreamId) -> Option<Arc<FrameQueue>> {
-        self.queues.get(&stream).cloned()
+        self.queues.get(stream as usize).cloned()
     }
 }
 
 impl Drop for ServiceHandle {
     fn drop(&mut self) {
-        if let Some(join) = self.join.take() {
-            self.close_all();
-            let _ = join.join();
+        self.close_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The service tier: sharded pools, prediction-driven admission, bounded
+//! The service tier: sharded pools, prediction-ranked scheduling, bounded
 //! ingress with backpressure.
 //!
 //! The tier is built from composable pieces:
@@ -12,11 +12,12 @@
 //!   [`BackpressurePolicy::Block`] or
 //!   [`BackpressurePolicy::DropOldest`];
 //! * [`admission`] — [`predict_demand`], Triple-C predictions turned
-//!   into admission input (cores + latency per stream), and the
-//!   [`EvictionPolicy`] for time-sliced yielding;
-//! * [`core`] — [`ServiceCore`], the admission loop tying it together,
-//!   emitting `StreamAdmitted` / `StreamQueued` / `StreamEvicted` /
-//!   `ShardRebalanced` bus events;
+//!   into scheduler input (cores + latency per stream), and the
+//!   [`EvictionPolicy`] that says whether a grant can change hands;
+//! * [`core`] — [`ServiceCore`], the scheduler tying it together: a fixed
+//!   worker set serving the ready stream with the least predicted
+//!   remaining work, emitting `StreamAdmitted` / `StreamQueued` /
+//!   `StreamEvicted` / `ShardRebalanced` bus events;
 //! * [`handle`] — [`ServiceHandle`], the ingestion front-end (submit
 //!   frames, poll completions, scrape metrics).
 //!
@@ -28,6 +29,7 @@ pub mod admission;
 pub mod core;
 pub mod engine;
 pub mod handle;
+mod perturb;
 pub mod queue;
 pub mod shard;
 
@@ -40,3 +42,7 @@ pub use shard::{ShardLayout, ShardTopology};
 pub use self::core::{
     ServiceConfig, ServiceCore, ServiceReport, StreamCompletion, StreamServiceStats,
 };
+
+// (last: `tests/api_surface.rs` stops reading a file at its first `cfg(test)`)
+#[cfg(test)]
+mod stress;

@@ -1,16 +1,23 @@
 //! Bounded per-stream ingress queues with backpressure.
 //!
 //! Frame arrival is decoupled from execution: a producer (live detector
-//! feed, load generator) pushes frames into a [`FrameQueue`] while the
-//! admitted stream's worker pops them. The queue is bounded — when it is
+//! feed, load generator) pushes frames into a [`FrameQueue`] while a
+//! consumer takes them out. The queue is bounded — when it is
 //! full the configured [`BackpressurePolicy`] either blocks the producer
 //! (lossless, paces the source) or drops the oldest queued frame
 //! (bounded-latency, favours freshness), mirroring the two classic
 //! ingest disciplines of streaming services.
+//!
+//! A stand-alone queue has one consumer thread blocking in
+//! [`FrameQueue::pop`]. The service core's queues have none: its workers
+//! serve many queues, never block on an empty one (`try_pop`), and sleep
+//! on the scheduler's own condvar, which `push` and `close` ring through
+//! the queue's `Wake` hook.
 
+use super::perturb::{perturb, Site};
 use imaging::image::ImageU16;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, Weak};
 
 /// What happens to a producer pushing into a full queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +58,23 @@ struct Inner {
     stats: QueueStats,
 }
 
+/// A consumer that multiplexes many queues and sleeps elsewhere: told
+/// after every `push` and `close`, outside the queue's lock.
+pub(crate) trait Wake: Send + Sync {
+    /// Work may have become available.
+    fn wake(&self);
+}
+
+/// What a consumer that never blocks finds at the head of a queue.
+pub(crate) enum Head<T> {
+    /// The oldest queued frame.
+    Frame(T),
+    /// Nothing queued, but the producer may still push.
+    Empty,
+    /// Closed and drained: nothing will ever arrive.
+    Finished,
+}
+
 /// A bounded MPSC frame queue (indices paired with pixel data).
 pub struct FrameQueue {
     inner: Mutex<Inner>,
@@ -58,6 +82,8 @@ pub struct FrameQueue {
     policy: BackpressurePolicy,
     not_full: Condvar,
     not_empty: Condvar,
+    /// Weak, because the consumer owns its queues.
+    consumer: Option<Weak<dyn Wake>>,
 }
 
 impl FrameQueue {
@@ -73,6 +99,31 @@ impl FrameQueue {
             policy,
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
+            consumer: None,
+        }
+    }
+
+    /// A queue whose `push` and `close` ring `consumer` instead of waking
+    /// a thread blocked in [`pop`](Self::pop).
+    pub(crate) fn for_consumer(
+        capacity: usize,
+        policy: BackpressurePolicy,
+        consumer: Weak<dyn Wake>,
+    ) -> Self {
+        Self {
+            consumer: Some(consumer),
+            ..Self::new(capacity, policy)
+        }
+    }
+
+    fn wake_consumer(&self) {
+        match &self.consumer {
+            Some(consumer) => {
+                if let Some(consumer) = consumer.upgrade() {
+                    consumer.wake();
+                }
+            }
+            None => self.not_empty.notify_all(),
         }
     }
 
@@ -84,6 +135,7 @@ impl FrameQueue {
     /// Offers a frame. Under [`BackpressurePolicy::Block`] this blocks
     /// while the queue is full; under `DropOldest` it never blocks.
     pub fn push(&self, index: usize, image: ImageU16) -> PushOutcome {
+        perturb(Site::QueuePush);
         let mut g = self.inner.lock().unwrap();
         if g.closed {
             return PushOutcome::Closed;
@@ -111,13 +163,14 @@ impl FrameQueue {
         let depth = g.frames.len();
         g.stats.max_depth = g.stats.max_depth.max(depth);
         drop(g);
-        self.not_empty.notify_one();
+        self.wake_consumer();
         outcome
     }
 
     /// Takes the next frame, blocking while the queue is open but empty.
     /// Returns `None` once the queue is closed and drained.
     pub fn pop(&self) -> Option<(usize, ImageU16)> {
+        perturb(Site::QueuePop);
         let mut g = self.inner.lock().unwrap();
         loop {
             if let Some(f) = g.frames.pop_front() {
@@ -132,14 +185,40 @@ impl FrameQueue {
         }
     }
 
+    /// Takes the next frame if one is queued; never blocks.
+    pub(crate) fn try_pop(&self) -> Head<(usize, ImageU16)> {
+        perturb(Site::QueuePop);
+        let mut g = self.inner.lock().unwrap();
+        match g.frames.pop_front() {
+            Some(f) => {
+                drop(g);
+                self.not_full.notify_one();
+                Head::Frame(f)
+            }
+            None if g.closed => Head::Finished,
+            None => Head::Empty,
+        }
+    }
+
+    /// What [`try_pop`](Self::try_pop) would find, taking nothing.
+    pub(crate) fn head(&self) -> Head<()> {
+        let g = self.inner.lock().unwrap();
+        match (g.frames.is_empty(), g.closed) {
+            (false, _) => Head::Frame(()),
+            (true, true) => Head::Finished,
+            (true, false) => Head::Empty,
+        }
+    }
+
     /// Closes the queue: producers are refused (and unblocked), the
     /// consumer drains what is left and then sees `None`.
     pub fn close(&self) {
+        perturb(Site::QueueClose);
         let mut g = self.inner.lock().unwrap();
         g.closed = true;
         drop(g);
-        self.not_empty.notify_all();
         self.not_full.notify_all();
+        self.wake_consumer();
     }
 
     /// Closed *and* drained: the consumer has nothing left to do.

@@ -8,6 +8,7 @@
 //! sharing a shard share an L2 domain, streams on different shards never
 //! contend for stripe workers.
 
+use super::perturb::{perturb, Site};
 use imaging::parallel::StripePool;
 use platform::arch::ArchModel;
 use std::sync::Arc;
@@ -61,6 +62,15 @@ impl ShardTopology {
     /// group width covers the whole budget degenerates to one shard on
     /// the process-global pool — no extra threads.
     pub fn new(layout: ShardLayout, total_cores: usize) -> Self {
+        Self::for_grants(layout, total_cores, usize::MAX)
+    }
+
+    /// [`new`](Self::new) for streams granted at most `widest_grant` cores
+    /// each. A one-core stream runs every stage inline on the thread that
+    /// steps it and never dispatches a stripe, so when no grant exceeds
+    /// one core the shards keep their capacity accounting but get no pool
+    /// of their own — no threads to spawn and join per service run.
+    pub(crate) fn for_grants(layout: ShardLayout, total_cores: usize, widest_grant: usize) -> Self {
         let total = total_cores.max(1);
         let width = layout.shard_width(total);
         if width >= total {
@@ -79,7 +89,7 @@ impl ShardTopology {
             shards.push(Shard {
                 cores: w,
                 free: w,
-                pool: Some(Arc::new(StripePool::new(w))),
+                pool: (widest_grant > 1).then(|| Arc::new(StripePool::new(w))),
             });
             remaining -= w;
         }
@@ -112,6 +122,7 @@ impl ShardTopology {
 
     /// Reserves `cores` on a shard (placement must have succeeded).
     pub(crate) fn admit(&mut self, shard: usize, cores: usize) {
+        perturb(Site::ShardGrant);
         let s = &mut self.shards[shard];
         debug_assert!(s.free >= cores, "admitting past shard capacity");
         s.free = s.free.saturating_sub(cores);
@@ -119,8 +130,16 @@ impl ShardTopology {
 
     /// Returns `cores` to a shard's headroom.
     pub(crate) fn release(&mut self, shard: usize, cores: usize) {
+        perturb(Site::ShardRelease);
         let s = &mut self.shards[shard];
+        debug_assert!(s.free + cores <= s.cores, "released more than was granted");
         s.free = (s.free + cores).min(s.cores);
+    }
+
+    /// Cores currently granted, per shard.
+    #[cfg(test)]
+    pub(crate) fn reserved(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.cores - s.free).collect()
     }
 
     /// The shard's dedicated pool (`None` = use the process-global pool).
@@ -150,6 +169,16 @@ mod tests {
         assert_eq!(t.shards[2].cores, 2);
         assert_eq!(t.shards.iter().map(|s| s.cores).sum::<usize>(), 8);
         assert!(t.pool(0).is_some());
+    }
+
+    #[test]
+    fn one_core_grants_need_no_shard_pools() {
+        let t = ShardTopology::for_grants(ShardLayout::Grouped { group: 2 }, 8, 1);
+        assert_eq!(t.shard_count(), 4, "capacity accounting is unchanged");
+        assert_eq!(t.place(2), Some(0));
+        assert!((0..4).all(|shard| t.pool(shard).is_none()));
+        let wide = ShardTopology::for_grants(ShardLayout::Grouped { group: 2 }, 8, 2);
+        assert!((0..4).all(|shard| wide.pool(shard).is_some()));
     }
 
     #[test]

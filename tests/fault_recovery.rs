@@ -18,12 +18,13 @@ use triple_c::pipeline::app::AppConfig;
 use triple_c::pipeline::executor::ExecutionPolicy;
 use triple_c::pipeline::runner::run_sequence;
 use triple_c::platform::bus::{FrameEvent, StreamId};
+use triple_c::platform::metrics::Observability;
 use triple_c::runtime::{
     BackpressurePolicy, EvictionPolicy, FaultPlan, FaultPlanConfig, LatencyBudget, ServiceConfig,
-    ServiceCore, SessionReport, ShardLayout, StreamEngine, StreamResult, StreamSpec,
+    ServiceCore, ServiceReport, SessionReport, ShardLayout, StreamEngine, StreamResult, StreamSpec,
 };
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
-use triple_c::xray::{NoiseConfig, SequenceConfig};
+use triple_c::xray::{NoiseConfig, SequenceConfig, SequenceGenerator};
 
 fn seq(seed: u64, frames: usize) -> SequenceConfig {
     SequenceConfig {
@@ -127,6 +128,14 @@ fn assert_recovered_session(report: &SessionReport, seeds: &[u64], frames: usize
         report.failures
     );
     assert_recovered_streams(&report.streams, seeds, frames);
+}
+
+/// [`assert_recovered_streams`] over streams of different lengths.
+fn assert_recovered_each(streams: &[StreamResult], seeds: &[u64], frames: &[usize]) {
+    assert_eq!(streams.len(), seeds.len());
+    for (i, &frames) in frames.iter().enumerate() {
+        assert_recovered_streams(&streams[i..=i], &seeds[i..=i], frames);
+    }
 }
 
 fn assert_recovered_streams(streams: &[StreamResult], seeds: &[u64], frames: usize) {
@@ -257,7 +266,8 @@ fn faulted_four_stream_run_replays_event_for_event() {
 fn evicted_streams_replay_and_snapshot_round_trip() {
     let model = trained_model();
     let seeds = [41u64, 42];
-    let frames = 6;
+    // a long stream, and a shorter one that arrives while it runs
+    let frames = [10usize, 4];
     // determinism-safe: generous fixed budget (no measured-time overrun
     // bookkeeping in the event stream), every seeded fault kind armed
     let plan = FaultPlan::new(
@@ -276,7 +286,8 @@ fn evicted_streams_replay_and_snapshot_round_trip() {
     let specs = |seeds: &[u64]| -> Vec<StreamSpec> {
         seeds
             .iter()
-            .map(|&s| {
+            .zip(frames)
+            .map(|(&s, frames)| {
                 StreamSpec::builder(seq(s, frames), AppConfig::default(), model.clone())
                     .budget(budget)
                     .faults(Arc::new(plan))
@@ -284,8 +295,7 @@ fn evicted_streams_replay_and_snapshot_round_trip() {
             })
             .collect()
     };
-    // one stream runs at a time and yields every 2 frames, so the two
-    // streams strictly alternate: each is evicted and re-admitted twice
+    // one stream holds a grant at a time and looks up every 2 frames
     let cfg = ServiceConfig {
         total_cores: 2,
         layout: ShardLayout::Single,
@@ -293,6 +303,36 @@ fn evicted_streams_replay_and_snapshot_round_trip() {
         backpressure: BackpressurePolicy::Block,
         eviction: EvictionPolicy::TimeSlice { frames: 2 },
         max_concurrent: 1,
+    };
+    // The long stream's first quantum arrives alone and takes the slot;
+    // the short stream's frames arrive behind it. With less predicted work
+    // left the short stream outranks the long one, which is evicted at its
+    // quantum (or at once, if it has run dry by then). When the short
+    // stream has run dry in turn, its queue still open, it hands the slot
+    // back the same way: each stream is evicted and re-admitted.
+    let staged = |specs: Vec<StreamSpec>| -> ServiceReport {
+        let mut inputs = specs.iter().map(|s| {
+            let frames: Vec<_> = SequenceGenerator::new(s.seq.clone()).collect();
+            frames.into_iter()
+        });
+        let (mut long, short) = (inputs.next().unwrap(), inputs.next().unwrap());
+        drop(inputs);
+        let handle = ServiceCore::new(cfg)
+            .with_observability(Observability::new())
+            .spawn(specs);
+        for frame in long.by_ref().take(2) {
+            handle.submit(0, frame.index, frame.image);
+        }
+        while handle.metrics().unwrap().counter_total("streams_admitted") == 0 {
+            std::thread::yield_now();
+        }
+        for frame in short {
+            handle.submit(1, frame.index, frame.image);
+        }
+        for frame in long {
+            handle.submit(0, frame.index, frame.image);
+        }
+        handle.finish()
     };
     let keys = |streams: &[StreamResult]| -> Vec<Vec<String>> {
         streams
@@ -306,10 +346,15 @@ fn evicted_streams_replay_and_snapshot_round_trip() {
             .collect()
     };
 
-    let first = ServiceCore::new(cfg).run_batch(specs(&seeds));
-    let second = ServiceCore::new(cfg).run_batch(specs(&seeds));
+    let first = staged(specs(&seeds));
+    let second = staged(specs(&seeds));
     for report in [&first, &second] {
-        assert_recovered_session(&report.session, &seeds, frames);
+        assert!(
+            report.session.is_clean(),
+            "session had stream failures: {:?}",
+            report.session.failures
+        );
+        assert_recovered_each(&report.session.streams, &seeds, &frames);
         for s in &report.streams {
             assert!(
                 s.evictions > 0,
@@ -344,7 +389,7 @@ fn evicted_streams_replay_and_snapshot_round_trip() {
                 .expect("every armed fault recovers")
         })
         .collect();
-    assert_recovered_streams(&uninterrupted, &seeds, frames);
+    assert_recovered_each(&uninterrupted, &seeds, &frames);
     assert_eq!(
         keys(&uninterrupted),
         k1,

@@ -1,11 +1,11 @@
 //! Nightly soak: the sharded service tier at 8x oversubscription.
 //!
 //! 64 streams are batch-fed through a `ServiceCore` sized for 8 modelled
-//! cores (so at most 8 run concurrently and the admission loop queues the
-//! rest). The run must complete every frame of every stream, leak zero
-//! threads (shard pools, workers, feeders and the admission loop all
-//! joined), and keep the mean per-stream p99 frame latency within 2x of
-//! an 8-stream run through the same service configuration.
+//! cores (so at most 8 hold a grant at once and the rest wait their
+//! turn). The run must complete every frame of every stream, leak zero
+//! threads (shard pools, workers and feeders all joined), and keep the
+//! mean per-stream p99 frame latency within 2x of an 8-stream run through
+//! the same service configuration.
 //!
 //! Run with `cargo test --release -- --ignored` (the nightly CI job).
 
@@ -118,8 +118,8 @@ fn soak_sixty_four_streams_bounded_tail_and_no_thread_leaks() {
     }
 
     // zero thread leaks: the shared pool is untouched and every
-    // service-owned thread (shard pools, workers, feeders, admission
-    // loop) was joined before run_batch returned
+    // service-owned thread (shard pools, workers, feeders) was joined
+    // before run_batch returned
     assert_eq!(
         StripePool::global().live_threads(),
         pool_threads,
