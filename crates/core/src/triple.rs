@@ -71,7 +71,7 @@ pub struct FramePrediction {
 /// let scenarios = vec![0u8; 50];
 /// let model = TripleC::train(&series, &scenarios, TripleCConfig::default());
 /// let ctx = PredictContext::default();
-/// let frame_ms = model.predict_frame_time(Scenario::from_id(0), &ctx);
+/// let frame_ms = model.predict_frame(Scenario::from_id(0), &ctx, 1.0).total_ms;
 /// assert!((frame_ms - 5.5).abs() < 1e-9); // 2.5 + 1.0 + 2.0
 /// let dist = model.predict_task("REG", &ctx).expect("trained task");
 /// assert!(dist.p99_ms >= dist.mean_ms - 1e-9);
@@ -267,18 +267,8 @@ impl TripleC {
         self.try_restore(&snap)
     }
 
-    /// Predicted serial computation time of a whole frame under `scenario`.
-    /// Untrained tasks contribute zero.
-    pub fn predict_frame_time(&self, scenario: Scenario, ctx: &PredictContext) -> f64 {
-        scenario
-            .active_tasks()
-            .iter()
-            .filter_map(|t| self.predict_task(t, ctx))
-            .map(|p| p.mean_ms)
-            .sum()
-    }
-
-    /// Full per-frame resource prediction.
+    /// Full per-frame resource prediction. `total_ms` is the serial
+    /// computation time under `scenario`; untrained tasks contribute zero.
     pub fn predict_frame(
         &self,
         scenario: Scenario,
@@ -392,8 +382,8 @@ mod tests {
     fn frame_time_sums_active_tasks() {
         let t = trained();
         let ctx = PredictContext::default();
-        let worst = t.predict_frame_time(Scenario::worst_case(), &ctx);
-        let best = t.predict_frame_time(Scenario::best_case(), &ctx);
+        let worst = t.predict_frame(Scenario::worst_case(), &ctx, 1.0).total_ms;
+        let best = t.predict_frame(Scenario::best_case(), &ctx, 1.0).total_ms;
         assert!(worst > best + 30.0, "worst {worst} best {best}");
     }
 

@@ -12,7 +12,6 @@
 
 use crate::couples::Couple;
 use crate::image::{ImageF32, Roi};
-use crate::simd::{F32x8, SimdF32};
 
 /// Configuration of guide-wire extraction.
 #[derive(Debug, Clone)]
@@ -228,9 +227,10 @@ pub fn gw_extract_with(
     }
 }
 
-/// Scalar reference for [`gw_extract_with`]: the plain per-cell DP loop the
-/// SIMD row kernel must reproduce exactly (same windowed strict-`>`
-/// argmax with lowest-index tie-break, same evaluation count).
+/// Reference for [`gw_extract_with`]: the one-shot, allocating form with
+/// the DP written out cell by cell, which the pooled row-wise search must
+/// reproduce exactly (same windowed strict-`>` argmax with lowest-index
+/// tie-break, same evaluation count).
 pub fn gw_extract_reference(ridgeness: &ImageF32, couple: &Couple, cfg: &GwConfig) -> GwOutput {
     let (ax, ay) = (couple.a.x, couple.a.y);
     let (bx, by) = (couple.b.x, couple.b.y);
@@ -320,16 +320,10 @@ pub fn gw_extract_reference(ridgeness: &ImageF32, couple: &Couple, cfg: &GwConfi
 
 /// One DP row update: for every lateral cell `j`,
 /// `best[j] = resp[j] + max(prev[j-kink..=j+kink])` with the argmax
-/// index recorded in `back[j]`. Returns the number of window cells
-/// evaluated (the content-dependent load proxy).
-///
-/// Interior columns run SIMD: the windowed argmax is a chain of
-/// strict-`>` selects over shifted loads of `prev`, with lane indices
-/// carried as f32 (exact — corridor widths are far below 2^24). The
-/// scan runs `lo..=hi` exactly like the scalar loop, so the
-/// lowest-index tie-break is preserved.
-#[inline(always)]
-fn dp_row_body<V: SimdF32>(
+/// index recorded in `back[j]` (strict `>`, so the lowest index wins a
+/// tie). Returns the number of window cells evaluated (the
+/// content-dependent load proxy).
+fn dp_row(
     prev: &[f32],
     resp_row: &[f32],
     kink: usize,
@@ -338,102 +332,22 @@ fn dp_row_body<V: SimdF32>(
 ) -> usize {
     let n = prev.len();
     let mut cells = 0usize;
-    let scalar_cell =
-        |j: usize, cells: &mut usize, best_row: &mut [f32], back_row: &mut [usize]| {
-            let lo = j.saturating_sub(kink);
-            let hi = (j + kink).min(n - 1);
-            let mut arg = lo;
-            let mut val = prev[lo];
-            for (k, &v) in prev.iter().enumerate().take(hi + 1).skip(lo + 1) {
-                *cells += 1;
-                if v > val {
-                    val = v;
-                    arg = k;
-                }
-            }
-            *cells += 1;
-            best_row[j] = resp_row[j] + val;
-            back_row[j] = arg;
-        };
-    // Columns whose window clamps against either corridor edge run the
-    // scalar cell; the clamp-free interior runs SIMD.
-    if n <= 2 * kink + V::WIDTH {
-        for j in 0..n {
-            scalar_cell(j, &mut cells, best_row, back_row);
-        }
-        return cells;
-    }
-    for j in 0..kink {
-        scalar_cell(j, &mut cells, best_row, back_row);
-    }
-    let win = 2 * kink + 1;
-    let mut iota = [0.0f32; 16];
-    for (l, v) in iota[..V::WIDTH].iter_mut().enumerate() {
-        *v = l as f32;
-    }
-    let base = V::load(&iota);
-    let mut argbuf = [0.0f32; 16];
-    let mut j = kink;
-    while j + V::WIDTH <= n - kink {
-        // SAFETY: max load index is (j + WIDTH - 1) + kink <= n - 1 by
-        // the loop bound; stores stay within the row likewise.
-        unsafe {
-            let lo = j - kink;
-            let mut val = V::load_at(prev, lo);
-            let mut arg = base + V::splat(lo as f32);
-            for k in 1..win {
-                let v = V::load_at(prev, lo + k);
-                let cand = base + V::splat((lo + k) as f32);
-                arg = V::select_gt(v, val, cand, arg);
-                val = V::select_gt(v, val, v, val);
-            }
-            (V::load_at(resp_row, j) + val).store_at(best_row, j);
-            arg.store(&mut argbuf);
-            for (l, &a) in argbuf[..V::WIDTH].iter().enumerate() {
-                back_row[j + l] = a as usize;
+    for j in 0..n {
+        let lo = j.saturating_sub(kink);
+        let hi = (j + kink).min(n - 1);
+        let mut arg = lo;
+        let mut val = prev[lo];
+        for (k, &v) in prev.iter().enumerate().take(hi + 1).skip(lo + 1) {
+            if v > val {
+                val = v;
+                arg = k;
             }
         }
-        cells += win * V::WIDTH;
-        j += V::WIDTH;
-    }
-    for jj in j..n {
-        scalar_cell(jj, &mut cells, best_row, back_row);
+        cells += hi - lo + 1;
+        best_row[j] = resp_row[j] + val;
+        back_row[j] = arg;
     }
     cells
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dp_row_avx2(
-    prev: &[f32],
-    resp_row: &[f32],
-    kink: usize,
-    best_row: &mut [f32],
-    back_row: &mut [usize],
-) -> usize {
-    dp_row_body::<F32x8>(prev, resp_row, kink, best_row, back_row)
-}
-
-fn dp_row(
-    prev: &[f32],
-    resp_row: &[f32],
-    kink: usize,
-    best_row: &mut [f32],
-    back_row: &mut [usize],
-) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 requirement is checked at runtime above.
-            return unsafe { dp_row_avx2(prev, resp_row, kink, best_row, back_row) };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return dp_row_body::<crate::simd::NeonF32x4>(prev, resp_row, kink, best_row, back_row);
-    }
-    #[cfg(not(target_arch = "aarch64"))]
-    dp_row_body::<F32x8>(prev, resp_row, kink, best_row, back_row)
 }
 
 #[cfg(test)]
@@ -577,9 +491,9 @@ mod tests {
     }
 
     #[test]
-    fn simd_dp_matches_reference() {
-        // wide corridors exercise the SIMD interior; narrow ones stay
-        // fully scalar — both must match the reference bit for bit
+    fn pooled_dp_matches_reference() {
+        // corridor geometry changes between calls on one scratch; every
+        // width and kink must match the reference bit for bit
         let map = Image::from_fn(96, 64, |x, y| {
             let yc = 28.0 + 6.0 * ((x as f64 / 95.0) * 3.1).sin();
             let d = y as f64 - yc;

@@ -108,7 +108,8 @@ impl Kernel1D {
 /// segments, so the interior runs taps-outer over contiguous stride-1 slices
 /// — a vectorizable elementwise FMA instead of a per-pixel horizontal
 /// reduction. The per-pixel accumulation order (`0 + t0*s0 + t1*s1 + ...`)
-/// is unchanged, so results are bit-identical to [`convolve_rows_reference`].
+/// is unchanged, so results are bit-identical to the per-pixel loop the
+/// unit tests keep as `convolve_rows_reference`.
 pub fn convolve_rows(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: &Kernel1D) {
     assert_eq!(src.dims(), dst.dims(), "src/dst dims must match");
     let roi = roi.clamp_to(src.width(), src.height());
@@ -150,40 +151,6 @@ pub fn convolve_rows(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: &Kernel1D)
     }
 }
 
-/// Reference (pre-optimisation) row convolution: per-pixel tap-inner loop
-/// with the boundary test inside the hot loop. Kept as the bit-exactness
-/// oracle for [`convolve_rows`] and as the "before" side of `bench_convolve`.
-#[doc(hidden)]
-#[allow(clippy::needless_range_loop)] // ROI-offset indexing is clearer here
-pub fn convolve_rows_reference(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: &Kernel1D) {
-    assert_eq!(src.dims(), dst.dims(), "src/dst dims must match");
-    let roi = roi.clamp_to(src.width(), src.height());
-    let r = k.radius() as isize;
-    let taps = k.taps();
-    let w = src.width() as isize;
-    for y in roi.y..roi.bottom() {
-        let row = src.row(y);
-        let out = dst.row_mut(y);
-        for x in roi.x..roi.right() {
-            let mut acc = 0.0f32;
-            let xi = x as isize;
-            // fast path: fully interior
-            if xi - r >= 0 && xi + r < w {
-                let base = (xi - r) as usize;
-                for (j, &t) in taps.iter().enumerate() {
-                    acc += t * row[base + j];
-                }
-            } else {
-                for (j, &t) in taps.iter().enumerate() {
-                    let sx = (xi + j as isize - r).clamp(0, w - 1) as usize;
-                    acc += t * row[sx];
-                }
-            }
-            out[x] = acc;
-        }
-    }
-}
-
 /// Convolves the columns of `src` within `roi`, writing into `dst`.
 /// Iterates row-major over the output so memory access stays streaming.
 ///
@@ -191,7 +158,7 @@ pub fn convolve_rows_reference(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: 
 /// once per (y, tap) — a no-op for interior rows — so the inner loop is
 /// always a contiguous stride-1 accumulate over row slices and boundary
 /// rows vectorize identically to interior ones. Per-pixel accumulation
-/// order matches [`convolve_cols_reference`] bit for bit.
+/// order matches the unit tests' `convolve_cols_reference` bit for bit.
 pub fn convolve_cols(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: &Kernel1D) {
     assert_eq!(src.dims(), dst.dims(), "src/dst dims must match");
     let roi = roi.clamp_to(src.width(), src.height());
@@ -215,49 +182,81 @@ pub fn convolve_cols(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: &Kernel1D)
     }
 }
 
-/// Reference (pre-optimisation) column convolution: taps-outer on interior
-/// rows, per-pixel gather on boundary rows. Kept as the bit-exactness
-/// oracle for [`convolve_cols`] and as the "before" side of `bench_convolve`.
-#[doc(hidden)]
-#[allow(clippy::needless_range_loop)] // ROI-offset indexing is clearer here
-pub fn convolve_cols_reference(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: &Kernel1D) {
-    assert_eq!(src.dims(), dst.dims(), "src/dst dims must match");
-    let roi = roi.clamp_to(src.width(), src.height());
-    let r = k.radius() as isize;
-    let taps = k.taps();
-    let h = src.height() as isize;
-    for y in roi.y..roi.bottom() {
-        let yi = y as isize;
-        let interior = yi - r >= 0 && yi + r < h;
-        let out = dst.row_mut(y);
-        if interior {
-            for x in roi.x..roi.right() {
-                out[x] = 0.0;
-            }
-            let base = (yi - r) as usize;
-            for (j, &t) in taps.iter().enumerate() {
-                let srow = src.row(base + j);
-                for x in roi.x..roi.right() {
-                    out[x] += t * srow[x];
-                }
-            }
-        } else {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::image::Image;
+
+    /// Reference (pre-optimisation) row convolution: per-pixel tap-inner loop
+    /// with the boundary test inside the hot loop. Kept as the bit-exactness
+    /// oracle for [`convolve_rows`].
+    #[allow(clippy::needless_range_loop)] // ROI-offset indexing is clearer here
+    fn convolve_rows_reference(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: &Kernel1D) {
+        assert_eq!(src.dims(), dst.dims(), "src/dst dims must match");
+        let roi = roi.clamp_to(src.width(), src.height());
+        let r = k.radius() as isize;
+        let taps = k.taps();
+        let w = src.width() as isize;
+        for y in roi.y..roi.bottom() {
+            let row = src.row(y);
+            let out = dst.row_mut(y);
             for x in roi.x..roi.right() {
                 let mut acc = 0.0f32;
-                for (j, &t) in taps.iter().enumerate() {
-                    let sy = (yi + j as isize - r).clamp(0, h - 1) as usize;
-                    acc += t * src.get(x, sy);
+                let xi = x as isize;
+                // fast path: fully interior
+                if xi - r >= 0 && xi + r < w {
+                    let base = (xi - r) as usize;
+                    for (j, &t) in taps.iter().enumerate() {
+                        acc += t * row[base + j];
+                    }
+                } else {
+                    for (j, &t) in taps.iter().enumerate() {
+                        let sx = (xi + j as isize - r).clamp(0, w - 1) as usize;
+                        acc += t * row[sx];
+                    }
                 }
                 out[x] = acc;
             }
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::image::Image;
+    /// Reference (pre-optimisation) column convolution: taps-outer on interior
+    /// rows, per-pixel gather on boundary rows. Kept as the bit-exactness
+    /// oracle for [`convolve_cols`].
+    #[allow(clippy::needless_range_loop)] // ROI-offset indexing is clearer here
+    fn convolve_cols_reference(src: &ImageF32, dst: &mut ImageF32, roi: Roi, k: &Kernel1D) {
+        assert_eq!(src.dims(), dst.dims(), "src/dst dims must match");
+        let roi = roi.clamp_to(src.width(), src.height());
+        let r = k.radius() as isize;
+        let taps = k.taps();
+        let h = src.height() as isize;
+        for y in roi.y..roi.bottom() {
+            let yi = y as isize;
+            let interior = yi - r >= 0 && yi + r < h;
+            let out = dst.row_mut(y);
+            if interior {
+                for x in roi.x..roi.right() {
+                    out[x] = 0.0;
+                }
+                let base = (yi - r) as usize;
+                for (j, &t) in taps.iter().enumerate() {
+                    let srow = src.row(base + j);
+                    for x in roi.x..roi.right() {
+                        out[x] += t * srow[x];
+                    }
+                }
+            } else {
+                for x in roi.x..roi.right() {
+                    let mut acc = 0.0f32;
+                    for (j, &t) in taps.iter().enumerate() {
+                        let sy = (yi + j as isize - r).clamp(0, h - 1) as usize;
+                        acc += t * src.get(x, sy);
+                    }
+                    out[x] = acc;
+                }
+            }
+        }
+    }
 
     /// Rows over the halo-inflated ROI, then columns, as `hessian` composes
     /// the two passes.

@@ -54,8 +54,6 @@ pub use image::{Image, ImageF32, ImageU16, Pixel, Roi};
 pub use io::write_pgm8;
 pub use markers::{mkx_extract, Marker, MkxBuffers, MkxConfig, MkxOutput};
 pub use registration::{register, RegConfig, RegOutput, RigidTransform};
-pub use ridge::{
-    rdg_banded, rdg_full, rdg_full_reference, rdg_roi, RdgBuffers, RdgConfig, RdgOutput,
-};
+pub use ridge::{rdg_banded, rdg_full, rdg_roi, RdgBuffers, RdgConfig, RdgOutput};
 pub use roi_est::{estimate_roi, RoiEstConfig};
 pub use zoom::{zoom_band_with, ZoomConfig, ZoomFilter};

@@ -150,7 +150,7 @@ fn estimate_transform(current: &Couple, reference: &Couple) -> (RigidTransform, 
 
 /// Mean absolute difference between `a` (warped by `t`) and `b` on a
 /// decimated grid inside `roi`. Cheap motion criterion of the paper.
-pub fn temporal_difference(
+fn temporal_difference(
     a: &ImageU16,
     b: &ImageU16,
     t: &RigidTransform,

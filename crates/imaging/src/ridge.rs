@@ -356,17 +356,11 @@ pub fn rdg_banded(
     rdg_kernel(src, roi, cfg, bufs, bands)
 }
 
-/// Runs full-frame ridge detection with the unfused oracle in stage B (see
-/// [`rdg_roi_reference`]).
-pub fn rdg_full_reference(src: &ImageU16, cfg: &RdgConfig, bufs: &mut RdgBuffers) -> RdgOutput {
-    rdg_roi_reference(src, src.full_roi(), cfg, bufs)
-}
-
 /// [`rdg_roi`] with stage B computed by the original unfused engine: three
 /// `convolve_rows` + three `convolve_cols` passes per scale through
 /// full-frame intermediates, then a separate response/accumulate pass.
 /// Bit-identical to the fused sweep by contract; kept as the oracle tests
-/// and benches diff it against. Always one band, inline.
+/// diff it against. Always one band, inline.
 pub fn rdg_roi_reference(
     src: &ImageU16,
     roi: Roi,

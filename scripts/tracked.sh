@@ -19,6 +19,3 @@ row 'src LOC (`find crates/*/src src -name "*.rs" \| xargs cat \| wc -l`)' \
 row '`unsafe` lines in `crates/imaging/src`' "$(grep -r unsafe crates/imaging/src | wc -l)"
 row '`#[deprecated]` shims' "$(grep -r '#\[deprecated' crates/*/src src | wc -l)"
 row '`pub fn process_frame*`' "$(grep -r 'pub fn process_frame' crates/pipeline/src | wc -l)"
-row '`crates/bench/benches` targets / lines' \
-  "$(find crates/bench/benches -name '*.rs' | wc -l)/$(cat crates/bench/benches/*.rs | wc -l)"
-row '`BENCH_*.json` snapshots' "$(find . -maxdepth 1 -name 'BENCH_*.json' | wc -l)"

@@ -12,7 +12,9 @@
 //!
 //! A second test keeps the surface to what runs: a `pub fn` or `pub const`
 //! that no file but its own mentions has no caller, and fails the suite
-//! until it is deleted or loses `pub`.
+//! until it is deleted or loses `pub`. A third does the same for what sits
+//! beside the sources: bench targets, `BENCH_*.json` snapshots and vendored
+//! crates nothing depends on.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
@@ -239,5 +241,79 @@ fn every_public_fn_and_const_is_mentioned_outside_its_file() {
         "public items no file but their own mentions (delete them, or drop \
          `pub` if their own file still calls them):\n{}",
         orphans.join("\n")
+    );
+}
+
+/// Keys of the `[dependencies]` and `[dev-dependencies]` tables of a
+/// manifest (`rand.workspace = true` and `rand = { … }` both give `rand`).
+fn dependency_names(manifest: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut in_deps = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_deps = matches!(line, "[dependencies]" | "[dev-dependencies]");
+        } else if in_deps {
+            let key = line.split(['.', '=', ' ']).next().unwrap_or_default();
+            if !key.is_empty() && !key.starts_with('#') {
+                names.push(key.to_string());
+            }
+        }
+    }
+    names
+}
+
+/// One measurement system (`BENCHMARK.json`) and no dead weight beside the
+/// sources: no manifest declares a `[[bench]]`, no `BENCH_*.json` sits at
+/// the root, and every crate under `vendored/` is a dependency of a
+/// manifest outside it.
+#[test]
+fn no_bench_targets_snapshots_or_unused_vendored_crates() {
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let entries = |dir: &str| -> Vec<PathBuf> {
+        std::fs::read_dir(repo.join(dir))
+            .map(|es| es.flatten().map(|e| e.path()).collect())
+            .unwrap_or_default()
+    };
+    let read = |dir: &Path| std::fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+    let name_of = |p: &Path| -> String {
+        p.file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default()
+    };
+
+    let mut ours = vec![repo.clone(), repo.join("examples/benchmark")];
+    ours.extend(entries("crates"));
+    let vendored = entries("vendored");
+
+    let with_bench: Vec<&PathBuf> = ours
+        .iter()
+        .chain(&vendored)
+        .filter(|dir| read(dir).lines().any(|l| l.trim() == "[[bench]]"))
+        .collect();
+    assert!(
+        with_bench.is_empty(),
+        "manifests declaring a [[bench]] target (measure with examples/benchmark): {with_bench:?}"
+    );
+
+    let snapshots: Vec<PathBuf> = entries("")
+        .into_iter()
+        .filter(|p| name_of(p).starts_with("BENCH_") && name_of(p).ends_with(".json"))
+        .collect();
+    assert!(
+        snapshots.is_empty(),
+        "snapshots at the root (numbers come from BENCHMARK.json metrics): {snapshots:?}"
+    );
+
+    let used: HashSet<String> = ours
+        .iter()
+        .flat_map(|d| dependency_names(&read(d)))
+        .collect();
+    let unused: Vec<&PathBuf> = vendored
+        .iter()
+        .filter(|dir| !used.contains(&name_of(dir)))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "vendored crates no manifest outside vendored/ depends on: {unused:?}"
     );
 }
