@@ -10,7 +10,7 @@
 
 use crate::image::{ImageF32, ImageU16, Roi};
 use crate::registration::RigidTransform;
-use crate::simd::{F32x4, F32x8, F64x4, SimdF32};
+use crate::simd::{narrow_row, F32x4, F32x8, F64x4, SimdF32};
 
 /// Configuration of the enhancement task.
 #[derive(Debug, Clone)]
@@ -224,8 +224,8 @@ impl EnhState {
     /// Reads the enhanced view of `roi` out of the accumulator into a
     /// caller-owned buffer (which must match the clamped ROI geometry), so
     /// sequence runners reuse one image across frames. Bit-identical to
-    /// [`EnhState::readout_into_reference`] (the SIMD gain/clamp chain
-    /// preserves NaN and `-0.0` exactly like scalar `clamp`).
+    /// [`EnhState::readout_into_reference`]: the gain is one IEEE multiply
+    /// per lane and `simd::narrow_row` narrows exactly like the scalar cast.
     pub fn readout_into(&self, roi: Roi, gain: f32, out: &mut ImageU16) {
         let roi = roi.clamp_to(self.acc.width(), self.acc.height());
         assert_eq!(
@@ -233,9 +233,15 @@ impl EnhState {
             (roi.width, roi.height),
             "readout buffer geometry mismatch"
         );
+        let vg = F32x8::splat(gain);
         for y in 0..roi.height {
             let acc_row = &self.acc.row(roi.y + y)[roi.x..roi.x + roi.width];
-            scale_clamp_row(acc_row, gain, out.row_mut(y));
+            narrow_row(
+                out.row_mut(y),
+                #[inline(always)]
+                |i, _| F32x8::load(&acc_row[i..]) * vg,
+                |j, _| acc_row[j] * gain,
+            );
         }
     }
 
@@ -298,7 +304,7 @@ fn monotone_true_run(n: usize, cond: &dyn Fn(usize) -> bool) -> (usize, usize) {
 
 /// Warp + bilinear sample of one **interior** row segment, four pixels
 /// per step: the f64 coordinate warp runs through [`F64x4`] lanes (with
-/// `floor` + unchecked truncation replacing the saturating `as usize`
+/// `floor` + [`F64x4::whole_to_u32`] replacing the saturating `as usize`
 /// cast, which LLVM cannot vectorize), the four neighbor gathers stay
 /// scalar, and the blend runs through [`F32x4`] lanes. Every lane op is
 /// IEEE-exact with the reference's operand order, and truncation equals
@@ -311,8 +317,7 @@ fn monotone_true_run(n: usize, cond: &dyn Fn(usize) -> bool) -> (usize, usize) {
 /// # Safety
 /// Every index in `base..base + row.len()` must warp into
 /// `[0, w-1] x [0, h-1]` — establishing that interval is the caller's
-/// job (`monotone_true_run`); outside it the unchecked truncations and
-/// gathers are UB.
+/// job (`monotone_true_run`); outside it the unchecked gathers are UB.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn warp_sample_interior_body(
@@ -352,15 +357,16 @@ unsafe fn warp_sample_interior_body(
         let yfv = syv.floor();
         let fx = F32x4((sxv - xfv).narrow());
         let fy = F32x4((syv - yfv).narrow());
-        // SAFETY (trunc + gathers): the caller's interval contract puts
-        // every lane in [0, w-1] x [0, h-1], so the floors are in-range
-        // i32s and all clamped neighbor indices are in bounds.
-        let (x0s, y0s) = (xfv.trunc_unchecked(), yfv.trunc_unchecked());
+        // The caller's interval contract puts every lane in
+        // [0, w-1] x [0, h-1], so the floors are whole numbers in range.
+        let (x0s, y0s) = (xfv.whole_to_u32(), yfv.whole_to_u32());
         let mut v00 = [0.0f32; 4];
         let mut v10 = [0.0f32; 4];
         let mut v01 = [0.0f32; 4];
         let mut v11 = [0.0f32; 4];
         for k in 0..4 {
+            // SAFETY (gathers): the floors are exact in-frame indices, so
+            // all clamped neighbor indices are in bounds.
             let (x0, y0) = (x0s[k] as usize, y0s[k] as usize);
             let x1 = (x0 + 1).min(w - 1);
             let y1 = (y0 + 1).min(h - 1);
@@ -497,67 +503,6 @@ fn ewma_row(acc: &mut [f32], src: &[f32], weight: f32) {
     }
     #[cfg(not(target_arch = "aarch64"))]
     ewma_row_body::<F32x8>(acc, src, weight);
-}
-
-/// Gain + clamp + u16 narrowing of one readout row. The first two
-/// `select_gt` steps reproduce scalar `clamp(0.0, 65535.0)` bit for bit
-/// except for NaN, which they pass through (NaN compares false on both
-/// sides); the third forces NaN lanes to 0.0 — the value the scalar
-/// saturating `as u16` cast maps NaN to anyway. With every lane then
-/// provably in `[0, 65535]`, the narrowing can truncate through
-/// unchecked i32 casts (`vcvttps2dq` + pack) instead of the per-lane
-/// saturating casts LLVM refuses to vectorize.
-#[inline(always)]
-fn scale_clamp_row_body<V: SimdF32>(src: &[f32], gain: f32, out: &mut [u16]) {
-    assert_eq!(src.len(), out.len());
-    let n = src.len();
-    let vg = V::splat(gain);
-    let zero = V::splat(0.0);
-    let hi = V::splat(u16::MAX as f32);
-    let neg = V::splat(-1.0);
-    let mut buf = [0.0f32; 16];
-    let mut i = 0;
-    while i + V::WIDTH <= n {
-        // SAFETY: the loop bound keeps `i + WIDTH` within `src`.
-        let v = unsafe { V::load_at(src, i) } * vg;
-        let lo = V::select_gt(zero, v, zero, v);
-        let clamped = V::select_gt(lo, hi, hi, lo);
-        // In-range lanes are >= 0 > -1; only NaN compares false here.
-        let narrowable = V::select_gt(clamped, neg, clamped, zero);
-        narrowable.store(&mut buf);
-        for (k, &b) in buf[..V::WIDTH].iter().enumerate() {
-            // SAFETY: every lane is in [0, 65535] by the selects above.
-            out[i + k] = unsafe { b.to_int_unchecked::<i32>() } as u16;
-        }
-        i += V::WIDTH;
-    }
-    for j in i..n {
-        out[j] = (src[j] * gain).clamp(0.0, u16::MAX as f32) as u16;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scale_clamp_row_avx2(src: &[f32], gain: f32, out: &mut [u16]) {
-    scale_clamp_row_body::<F32x8>(src, gain, out);
-}
-
-fn scale_clamp_row(src: &[f32], gain: f32, out: &mut [u16]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 requirement is checked at runtime above.
-            unsafe { scale_clamp_row_avx2(src, gain, out) };
-            return;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        scale_clamp_row_body::<crate::simd::NeonF32x4>(src, gain, out);
-        return;
-    }
-    #[cfg(not(target_arch = "aarch64"))]
-    scale_clamp_row_body::<F32x8>(src, gain, out);
 }
 
 /// Bilinear sample of a u16 frame at fractional coordinates with border

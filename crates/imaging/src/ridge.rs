@@ -27,7 +27,7 @@ use crate::hessian::{
 };
 use crate::image::{Image, ImageF32, ImageU16, Roi};
 use crate::parallel::{PoolError, StripeFault, StripePool};
-use crate::simd::{F32x8, SimdF32};
+use crate::simd::{narrow_row, F32x8, SimdF32};
 
 /// Configuration of the ridge-detection task.
 #[derive(Debug, Clone)]
@@ -717,70 +717,31 @@ fn rdg_kernel(
 /// exceeds `threshold` are brightened by `suppression * response` and
 /// clamped; the rest pass through unchanged.
 ///
-/// SIMD form of the scalar `if r > threshold { o = clamp(o + s*r) }`
-/// loop: both branches are computed in f32 and lane-selected on the
-/// same strict-`>` test. u16→f32→u16 round-trips exactly (all u16
-/// values are representable), the select-based clamp reproduces scalar
-/// `clamp(0.0, 65535.0)` bits, so the result is bit-identical.
-#[inline(always)]
-fn brighten_row_body<V: SimdF32>(out: &mut [u16], resp: &[f32], threshold: f32, suppression: f32) {
-    assert_eq!(out.len(), resp.len());
-    let n = out.len();
-    let thr = V::splat(threshold);
-    let sup = V::splat(suppression);
-    let zero = V::splat(0.0);
-    let hi = V::splat(u16::MAX as f32);
-    let mut buf = [0.0f32; 16];
-    let mut i = 0;
-    while i + V::WIDTH <= n {
-        for (b, &o) in buf[..V::WIDTH].iter_mut().zip(&out[i..]) {
-            *b = o as f32;
-        }
-        let of = V::load(&buf);
-        // SAFETY: the loop bound keeps `i + WIDTH` within `resp`.
-        let r = unsafe { V::load_at(resp, i) };
-        let v = of + sup * r;
-        let lo = V::select_gt(zero, v, zero, v);
-        let clamped = V::select_gt(lo, hi, hi, lo);
-        let res = V::select_gt(r, thr, clamped, of);
-        res.store(&mut buf);
-        for (o, &b) in out[i..i + V::WIDTH].iter_mut().zip(&buf[..V::WIDTH]) {
-            *o = b as u16;
-        }
-        i += V::WIDTH;
-    }
-    for j in i..n {
-        let r = resp[j];
-        if r > threshold {
-            // brighten the dark ridge back toward background
-            let v = out[j] as f32 + suppression * r;
-            out[j] = v.clamp(0.0, u16::MAX as f32) as u16;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn brighten_row_avx2(out: &mut [u16], resp: &[f32], threshold: f32, suppression: f32) {
-    brighten_row_body::<F32x8>(out, resp, threshold, suppression);
-}
-
+/// Lane-chunked form of the scalar `if r > threshold { o = clamp(o + s*r) }`
+/// loop: both branches are computed in f32 and lane-selected on the same
+/// strict-`>` test. u16 values round-trip through f32 exactly, so the
+/// unselected lanes narrow back to themselves and [`narrow_row`] reproduces
+/// the scalar clamp and cast bit for bit.
 fn brighten_row(out: &mut [u16], resp: &[f32], threshold: f32, suppression: f32) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 requirement is checked at runtime above.
-            unsafe { brighten_row_avx2(out, resp, threshold, suppression) };
-            return;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        brighten_row_body::<crate::simd::NeonF32x4>(out, resp, threshold, suppression);
-        return;
-    }
-    #[cfg(not(target_arch = "aarch64"))]
-    brighten_row_body::<F32x8>(out, resp, threshold, suppression);
+    assert_eq!(out.len(), resp.len());
+    let thr = F32x8::splat(threshold);
+    let sup = F32x8::splat(suppression);
+    narrow_row(
+        out,
+        #[inline(always)]
+        |i, old| {
+            let r = F32x8::load(&resp[i..]);
+            F32x8::select_gt(r, thr, old + sup * r, old)
+        },
+        // brighten the dark ridge back toward background
+        |j, old| {
+            if resp[j] > threshold {
+                old + suppression * resp[j]
+            } else {
+                old
+            }
+        },
+    );
 }
 
 /// Mean and standard deviation of the response inside `roi`.

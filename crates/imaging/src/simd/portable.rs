@@ -231,21 +231,15 @@ impl F64x4 {
         ]
     }
 
-    /// Per-lane truncation to `i32` without the saturating-cast range
-    /// checks that defeat vectorization (`vcvttpd2dq` on x86).
-    ///
-    /// # Safety
-    /// Every lane must be finite and in `(-1.0, i32::MAX + 1.0)` after
-    /// truncation — out-of-range lanes are immediate UB, exactly like
-    /// `f64::to_int_unchecked`.
+    /// Per-lane conversion of whole numbers in `[0, 2^32)` to `u32`, exact
+    /// there, without the saturating-cast range checks that defeat
+    /// vectorization: `v + 2^52` is exact and holds `v` in the low bits of
+    /// its mantissa (`vaddpd` + a shuffle on x86). Other lanes give an
+    /// unspecified value, never undefined behaviour.
     #[inline(always)]
-    pub unsafe fn trunc_unchecked(self) -> [i32; 4] {
-        [
-            self.0[0].to_int_unchecked(),
-            self.0[1].to_int_unchecked(),
-            self.0[2].to_int_unchecked(),
-            self.0[3].to_int_unchecked(),
-        ]
+    pub fn whole_to_u32(self) -> [u32; 4] {
+        const SHIFT: f64 = (1u64 << 52) as f64;
+        self.0.map(|v| (v + SHIFT).to_bits() as u32)
     }
 }
 

@@ -14,7 +14,7 @@
 //! separable form (enforced by `tests/simd_stage_identity.rs`).
 
 use crate::image::{ImageU16, Roi};
-use crate::simd::{F32x8, SimdF32};
+use crate::simd::{narrow_row, F32x8};
 
 /// Interpolation method of the zoom stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,126 +382,38 @@ pub fn zoom_band_reference(
 }
 
 /// Vertical bilinear combine of one output row:
-/// `out[i] = clamp(r0[i]*(1-wy) + r1[i]*wy)` as u16, SIMD-chunked. The
-/// select-based clamp reproduces scalar `clamp(0.0, 65535.0)` bits.
-#[inline(always)]
-fn vlerp_row_body<V: SimdF32>(r0: &[f32], r1: &[f32], wy: f32, out: &mut [u16]) {
-    let n = out.len();
-    assert!(r0.len() >= n && r1.len() >= n);
-    let vw0 = V::splat(1.0 - wy);
-    let vw1 = V::splat(wy);
-    let zero = V::splat(0.0);
-    let hi = V::splat(u16::MAX as f32);
-    let mut buf = [0.0f32; 16];
-    let mut i = 0;
-    while i + V::WIDTH <= n {
-        // SAFETY: the loop bound keeps `i + WIDTH` within both rows.
-        let v = unsafe { V::load_at(r0, i) * vw0 + V::load_at(r1, i) * vw1 };
-        let lo = V::select_gt(zero, v, zero, v);
-        let clamped = V::select_gt(lo, hi, hi, lo);
-        clamped.store(&mut buf);
-        for (k, &b) in buf[..V::WIDTH].iter().enumerate() {
-            out[i + k] = b as u16;
-        }
-        i += V::WIDTH;
-    }
-    for j in i..n {
-        let v = r0[j] * (1.0 - wy) + r1[j] * wy;
-        out[j] = v.clamp(0.0, u16::MAX as f32) as u16;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vlerp_row_avx2(r0: &[f32], r1: &[f32], wy: f32, out: &mut [u16]) {
-    vlerp_row_body::<F32x8>(r0, r1, wy, out);
-}
-
+/// `out[i] = clamp(r0[i]*(1-wy) + r1[i]*wy)` as u16, a lane chunk at a time
+/// through [`narrow_row`].
 fn vlerp_row(r0: &[f32], r1: &[f32], wy: f32, out: &mut [u16]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 requirement is checked at runtime above.
-            unsafe { vlerp_row_avx2(r0, r1, wy, out) };
-            return;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        vlerp_row_body::<crate::simd::NeonF32x4>(r0, r1, wy, out);
-        return;
-    }
-    #[cfg(not(target_arch = "aarch64"))]
-    vlerp_row_body::<F32x8>(r0, r1, wy, out);
+    let vw0 = F32x8::splat(1.0 - wy);
+    let vw1 = F32x8::splat(wy);
+    narrow_row(
+        out,
+        #[inline(always)]
+        |i, _| F32x8::load(&r0[i..]) * vw0 + F32x8::load(&r1[i..]) * vw1,
+        |j, _| r0[j] * (1.0 - wy) + r1[j] * wy,
+    );
 }
 
 /// Vertical Catmull-Rom combine of one output row over four resolved
 /// rows, normalized by `swy`, clamped and narrowed like [`vlerp_row`].
-#[inline(always)]
-fn vcubic_row_body<V: SimdF32>(rows: [&[f32]; 4], wy: [f32; 4], swy: f32, out: &mut [u16]) {
-    let n = out.len();
-    assert!(rows.iter().all(|r| r.len() >= n));
-    if swy.abs() < WSUM_EPS {
-        out[..n].fill(0);
-        return;
-    }
-    let w = [
-        V::splat(wy[0]),
-        V::splat(wy[1]),
-        V::splat(wy[2]),
-        V::splat(wy[3]),
-    ];
-    let vs = V::splat(swy);
-    let zero = V::splat(0.0);
-    let hi = V::splat(u16::MAX as f32);
-    let mut buf = [0.0f32; 16];
-    let mut i = 0;
-    while i + V::WIDTH <= n {
-        // SAFETY: the loop bound keeps `i + WIDTH` within every row.
-        let acc = unsafe {
-            ((w[0] * V::load_at(rows[0], i) + w[1] * V::load_at(rows[1], i))
-                + w[2] * V::load_at(rows[2], i))
-                + w[3] * V::load_at(rows[3], i)
-        };
-        let v = acc / vs;
-        let lo = V::select_gt(zero, v, zero, v);
-        let clamped = V::select_gt(lo, hi, hi, lo);
-        clamped.store(&mut buf);
-        for (k, &b) in buf[..V::WIDTH].iter().enumerate() {
-            out[i + k] = b as u16;
-        }
-        i += V::WIDTH;
-    }
-    for j in i..n {
-        let acc =
-            ((wy[0] * rows[0][j] + wy[1] * rows[1][j]) + wy[2] * rows[2][j]) + wy[3] * rows[3][j];
-        let v = acc / swy;
-        out[j] = v.clamp(0.0, u16::MAX as f32) as u16;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vcubic_row_avx2(rows: [&[f32]; 4], wy: [f32; 4], swy: f32, out: &mut [u16]) {
-    vcubic_row_body::<F32x8>(rows, wy, swy, out);
-}
-
 fn vcubic_row(rows: [&[f32]; 4], wy: [f32; 4], swy: f32, out: &mut [u16]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 requirement is checked at runtime above.
-            unsafe { vcubic_row_avx2(rows, wy, swy, out) };
-            return;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        vcubic_row_body::<crate::simd::NeonF32x4>(rows, wy, swy, out);
+    if swy.abs() < WSUM_EPS {
+        out.fill(0);
         return;
     }
-    #[cfg(not(target_arch = "aarch64"))]
-    vcubic_row_body::<F32x8>(rows, wy, swy, out);
+    let w = wy.map(F32x8::splat);
+    let vs = F32x8::splat(swy);
+    let tap = |k: usize, i: usize| F32x8::load(&rows[k][i..]);
+    narrow_row(
+        out,
+        #[inline(always)]
+        |i, _| (((w[0] * tap(0, i) + w[1] * tap(1, i)) + w[2] * tap(2, i)) + w[3] * tap(3, i)) / vs,
+        |j, _| {
+            (((wy[0] * rows[0][j] + wy[1] * rows[1][j]) + wy[2] * rows[2][j]) + wy[3] * rows[3][j])
+                / swy
+        },
+    );
 }
 
 #[cfg(test)]

@@ -86,15 +86,18 @@ impl AppConfig {
 /// structures (contrast-filled vessels) survive the averaging; noise does
 /// not.
 ///
-/// Streams the frame once, row by row: integer column sums over a block's
-/// rows, block sums from those, and two rolling rows of block means for
-/// the gradient. Block sums are integers, so the result is bit-equal to
-/// summing each block pixel by pixel in `f64`.
+/// Streams the frame once, row by row, in integers: `u32` column sums over
+/// a block's rows, `u64` block sums from those, and the absolute
+/// differences of two rolling rows of block sums, summed in `u64`. The mean
+/// of the block-mean differences is that sum over `area * count`, one
+/// division of two integers exact in `f64`: the correctly rounded value.
+/// When the block area is a power of two every block mean and every
+/// partial sum of the probe's first form (block means and their
+/// differences summed in `f64`) is exact, so the two are bit-equal.
 pub fn structure_probe(frame: &ImageU16, block: usize) -> f64 {
     assert!(block > 0);
     let (w, h) = frame.dims();
-    let bw = w / block;
-    let bh = h / block;
+    let (bw, bh) = (w / block, h / block);
     if bw < 2 || bh < 2 {
         return 0.0;
     }
@@ -102,11 +105,10 @@ pub fn structure_probe(frame: &ImageU16, block: usize) -> f64 {
         block <= (u32::MAX / u16::MAX as u32) as usize,
         "a column of {block} u16 pixels can overflow its u32 sum"
     );
-    let area = (block * block) as f64;
     let mut cols = vec![0u32; bw * block];
-    let mut above = vec![0.0f64; bw];
-    let mut means = vec![0.0f64; bw];
-    let mut total = 0.0f64;
+    let mut above = vec![0u64; bw];
+    let mut sums = vec![0u64; bw];
+    let mut total = 0u64;
     for by in 0..bh {
         cols.fill(0);
         for y in by * block..(by + 1) * block {
@@ -114,20 +116,25 @@ pub fn structure_probe(frame: &ImageU16, block: usize) -> f64 {
                 *c += p as u32;
             }
         }
-        for (m, c) in means.iter_mut().zip(cols.chunks_exact(block)) {
-            *m = c.iter().map(|&v| v as u64).sum::<u64>() as f64 / area;
+        for (s, c) in sums.iter_mut().zip(cols.chunks_exact(block)) {
+            *s = c.iter().map(|&v| v as u64).sum();
         }
-        // mean absolute gradient of the row of blocks above, whose lower
+        // absolute gradient of the row of blocks above, whose lower
         // neighbours have just become known
         if by > 0 {
-            for x in 0..bw - 1 {
-                let v = above[x];
-                total += (above[x + 1] - v).abs() + (means[x] - v).abs();
-            }
+            total += above
+                .iter()
+                .zip(&above[1..])
+                .zip(&sums)
+                .map(|((&v, &right), &below)| right.abs_diff(v) + below.abs_diff(v))
+                .sum::<u64>();
         }
-        std::mem::swap(&mut above, &mut means);
+        std::mem::swap(&mut above, &mut sums);
     }
-    total / (2 * (bw - 1) * (bh - 1)) as f64
+    // Both operands are below 2^53 for frames under 2^36 pixels.
+    let area = (block * block) as u64;
+    let count = 2 * (bw - 1) as u64 * (bh - 1) as u64;
+    total as f64 / (area * count) as f64
 }
 
 /// Mutable state of the pipeline, carried across frames.
@@ -235,6 +242,56 @@ mod tests {
         total / count as f64
     }
 
+    /// The probe as an exact rational: block sums pixel by pixel in
+    /// `u128`, the sum of their absolute differences over `area * count`,
+    /// rounded once to the nearest `f64`.
+    fn structure_probe_exact(frame: &ImageU16, block: usize) -> f64 {
+        let (bw, bh) = (frame.width() / block, frame.height() / block);
+        if bw < 2 || bh < 2 {
+            return 0.0;
+        }
+        let sum = |bx: usize, by: usize| -> u128 {
+            (0..block * block)
+                .map(|i| frame.get(bx * block + i % block, by * block + i / block) as u128)
+                .sum()
+        };
+        let mut num = 0u128;
+        for by in 0..bh - 1 {
+            for bx in 0..bw - 1 {
+                let v = sum(bx, by);
+                num += sum(bx + 1, by).abs_diff(v) + sum(bx, by + 1).abs_diff(v);
+            }
+        }
+        nearest_f64(num, (block * block * 2 * (bw - 1) * (bh - 1)) as u128)
+    }
+
+    /// `num / den` rounded to the nearest `f64` (ties to even) by long
+    /// division in `u128`; `den` below 2^73.
+    fn nearest_f64(num: u128, den: u128) -> f64 {
+        if num == 0 {
+            return 0.0;
+        }
+        let bits = |v: u128| 128 - v.leading_zeros() as i32;
+        // a quotient of 55 or 56 bits: 53 to keep, one to round on, the
+        // rest sticky
+        let shift = 55 - bits(num) + bits(den);
+        assert!(shift >= 0, "quotient above 2^55");
+        let scaled = num << shift;
+        let (mut q, mut sticky) = (scaled / den, !scaled.is_multiple_of(den));
+        let mut exp = -shift;
+        while q >= 1 << 54 {
+            sticky |= q & 1 == 1;
+            q >>= 1;
+            exp += 1;
+        }
+        let half = q & 1 == 1;
+        q >>= 1;
+        if half && (sticky || q & 1 == 1) {
+            q += 1;
+        }
+        q as f64 * 2f64.powi(exp + 1)
+    }
+
     #[test]
     fn streamed_probe_is_bit_equal_to_the_reference() {
         use rand::{Rng, SeedableRng};
@@ -246,20 +303,79 @@ mod tests {
             (61, 47, 4000),
             (33, 130, 4000),
             (130, 9, u16::MAX),
+            (70, 66, u16::MAX),
         ] {
             let frame = Image::from_fn(w, h, |x, y| {
                 let d = (x as f32 - y as f32).abs() / 2.0;
                 let v = top as f32 * (0.5 - 0.3 * (-d * d / 8.0).exp());
                 v as u16 + rng.gen_range(0..top / 4)
             });
-            for block in [1, 3, 4, 5] {
+            // power-of-two areas: the first form's f64 sums are exact
+            for block in [1, 2, 4, 8] {
                 assert_eq!(
                     structure_probe(&frame, block).to_bits(),
                     structure_probe_reference(&frame, block).to_bits(),
                     "{w}x{h} block {block}"
                 );
             }
+            // any area: the correctly rounded rational
+            for block in [1, 2, 3, 4, 5, 8] {
+                assert_eq!(
+                    structure_probe(&frame, block).to_bits(),
+                    structure_probe_exact(&frame, block).to_bits(),
+                    "{w}x{h} block {block}"
+                );
+            }
         }
+        // full-range noise, where rounding the block means first (or the
+        // sum before dividing by the count) misses in about one case in seven
+        for i in 0..50 {
+            let (w, h) = (20 + i % 7, 17 + i % 5);
+            let frame = Image::from_fn(w, h, |_, _| rng.gen::<u32>() as u16);
+            for block in [3, 5, 6, 7] {
+                assert_eq!(
+                    structure_probe(&frame, block).to_bits(),
+                    structure_probe_exact(&frame, block).to_bits(),
+                    "noise {w}x{h} block {block}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_beyond_u32_sums_stay_exact() {
+        // 257² pixels of 65535 overflow a u32 block sum
+        let frame: ImageU16 = Image::from_fn(3 * 300 + 5, 2 * 300 + 3, |x, y| {
+            if (x / 257 + y / 257) % 2 == 0 {
+                u16::MAX
+            } else {
+                (x * 7 + y) as u16
+            }
+        });
+        for block in [256, 257, 300] {
+            let p = structure_probe(&frame, block);
+            assert_eq!(
+                p.to_bits(),
+                structure_probe_exact(&frame, block).to_bits(),
+                "block {block}"
+            );
+            assert!(p > 10_000.0, "block {block}: {p}");
+        }
+    }
+
+    #[test]
+    fn probe_of_a_rendered_frame_is_pinned() {
+        // one default 1024² frame, and the probe's bits before it was
+        // computed in integers
+        let sequence = xray::SequenceGenerator::new(xray::SequenceConfig {
+            width: 1024,
+            height: 1024,
+            frames: 1,
+            seed: 1,
+            ..Default::default()
+        });
+        let frame = sequence.map(|f| f.image).next().expect("one frame");
+        assert_eq!(structure_probe(&frame, 4).to_bits(), 0x4033_c710_fae4_ceb9);
     }
 
     #[test]
