@@ -274,62 +274,58 @@ pub enum FrameEvent {
         /// Retry attempts it took (0 = absorbed without retrying).
         attempts: u32,
     },
-    /// The service-tier admission controller placed a stream onto a pool
-    /// shard (`runtime::service`): predicted demand fit the shard's
-    /// capacity headroom.
+    /// A stream's first turn in the service tier (`runtime::service`): its
+    /// predicted core demand was granted on a pool shard. Fires once per
+    /// stream; later turns are granted without an event.
     StreamAdmitted {
         /// Admitted stream.
         stream: StreamId,
-        /// Next frame index the stream will execute (0 on first
-        /// admission, the resume point after an eviction).
+        /// Next frame index the stream will execute.
         frame: usize,
-        /// Shard the stream was placed on.
+        /// Shard of the first turn.
         shard: usize,
-        /// Cores granted on that shard.
+        /// Cores granted on that shard, for each turn.
         cores: usize,
-        /// Wall-clock time spent waiting in the admission queue, ms.
+        /// Wall-clock time from registration to the first turn, ms.
         queued_ms: f64,
         /// The rank key the stream was chosen on: its predicted remaining
         /// work, ms (the least among the streams ready at the time).
         remaining_ms: f64,
     },
-    /// A stream could not be admitted (no shard had headroom for its
-    /// predicted demand, or the concurrency cap was reached) and was
-    /// parked in the admission queue.
+    /// A stream still waiting for its first turn when the scheduler gave a
+    /// turn to another stream. Fires once per stream.
     StreamQueued {
         /// Queued stream.
         stream: StreamId,
         /// Next frame index the stream will execute once admitted.
         frame: usize,
-        /// Admission-queue depth at the time of parking (including this
-        /// stream).
+        /// Streams waiting for their first turn at that pick (including
+        /// this one).
         depth: usize,
     },
-    /// A resident stream gave up its shard grant to a waiting stream that
-    /// could not be placed otherwise — one with less predicted remaining
-    /// work, or any ready one when this stream had nothing queued — and
-    /// went back to waiting for admission. Its model state is
-    /// snapshotted; execution resumes exactly at `frame` on re-admission.
+    /// A stepping stream parked at its time-slice quantum for a waiting
+    /// stream with less predicted remaining work, giving its worker and
+    /// its cores up. Execution resumes exactly at `frame` on a later turn.
     StreamEvicted {
-        /// Evicted stream.
+        /// Pre-empted stream.
         stream: StreamId,
-        /// Next frame index the stream will execute on re-admission.
+        /// Next frame index the stream will execute on its next turn.
         frame: usize,
-        /// Shard the stream was evicted from.
+        /// Shard of the turn it gave up.
         shard: usize,
-        /// The stream the grant went to.
+        /// The waiting stream that outranked it.
         by: StreamId,
     },
-    /// A re-admitted stream landed on a different shard than its previous
-    /// placement: a migration across core groups.
+    /// A turn landed on a different shard than the stream's previous turn:
+    /// a migration across core groups.
     ShardRebalanced {
         /// Migrated stream.
         stream: StreamId,
         /// Next frame index the stream will execute on the new shard.
         frame: usize,
-        /// Shard the stream previously ran on.
+        /// Shard of the stream's previous turn.
         from_shard: usize,
-        /// Shard the stream now runs on.
+        /// Shard of this turn.
         to_shard: usize,
     },
     /// A trace-driven workload replay crossed a phase boundary

@@ -14,10 +14,11 @@
 //! * [`service`] — [`StreamEngine`], whose `step_on` is the one managed
 //!   closed loop (plan → execute → absorb → recover), and the sharded,
 //!   prediction-ranked [`ServiceCore`] that schedules engines
-//!   (per-core-group stripe-pool shards, demand-driven placement, a fixed
-//!   worker set serving the stream with the least predicted remaining
-//!   work, eviction/migration, bounded ingress queues with backpressure,
-//!   and the [`ServiceHandle`] ingestion front-end);
+//!   (per-core-group stripe-pool shards, demand-driven placement for one
+//!   turn at a time, a fixed worker set serving the stream with the least
+//!   predicted remaining work, time-slice pre-emption, bounded ingress
+//!   queues with backpressure, and the [`ServiceHandle`] ingestion
+//!   front-end);
 //! * [`selection`] — online champion/challenger model selection: a
 //!   shadow-training challenger scored against the live model per
 //!   scenario, promoted on a sustained accuracy win;

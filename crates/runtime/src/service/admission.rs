@@ -166,25 +166,25 @@ pub fn predict_demand(
     }
 }
 
-/// Whether a resident stream can lose its shard grant to a waiting one.
+/// Whether a stepping stream yields its turn to a shorter waiting one.
+///
+/// Under either policy a shard grant lasts one worker turn: a stream whose
+/// input has run dry parks and gives its cores back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
-    /// A stream keeps its grant from admission until it is done (no
-    /// pre-emption) — also while its input has run dry. A producer that
-    /// blocks on one stream's full queue while feeding several therefore
-    /// needs `max_concurrent` ≥ its fan-out.
+    /// A turn lasts while the stream has frames queued (no pre-emption).
     None,
     /// Pre-emption is *checked* every `frames` executed frames, not
     /// exercised: a stepping stream goes on unless a ready stream with
-    /// strictly less predicted remaining work is waiting that could not
-    /// run otherwise, and a grant changes hands only then — or when its
-    /// holder has nothing queued and any ready stream needs it. An
-    /// equal-length batch therefore runs to completion in stream order
-    /// with no eviction at all, while a short stream arriving behind a
-    /// long one overtakes it at the next quantum. An evicted stream's
-    /// engine (model, tracking state, recovery bookkeeping) is parked
-    /// behind a byte-compared model-snapshot round trip, and it resumes —
-    /// possibly on a different shard — exactly where it left off.
+    /// strictly less predicted remaining work waits that neither a free
+    /// worker nor free cores could serve otherwise. Then it parks,
+    /// counted in `StreamServiceStats::evictions` and announced by a
+    /// `StreamEvicted` event. An equal-length batch therefore runs to
+    /// completion in stream order with no pre-emption at all, while a
+    /// short stream arriving behind a long one overtakes it at the next
+    /// quantum. The parked engine (model, tracking state, recovery
+    /// bookkeeping) resumes, possibly on a different shard, exactly where
+    /// it left off.
     TimeSlice {
         /// Frames between pre-emption checks (clamped to ≥ 1).
         frames: usize,

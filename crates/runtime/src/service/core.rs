@@ -9,12 +9,12 @@
 //! `FrameQueue::push` and `close` ring too. Per stream:
 //!
 //! ```text
-//!              place fits              queue closed and drained
-//!   Pending ───────────────▶ Resident ──────────────────────────▶ Finished
-//!      ▲    (StreamAdmitted)  parked ⇄ stepping ───step failed──▶ Failed
-//!      │                         │
-//!      └──── StreamEvicted ◀─────┘  TimeSlice only: a waiting stream that
-//!                                   outranks it cannot be placed otherwise
+//!            pick: a shard fits              queue closed and drained
+//!   Parked ───────────────────────▶ Stepping ─────────────────────────▶ Finished
+//!     ▲    (first turn: StreamAdmitted)  │  ─────────step failed───────▶ Failed
+//!     │                                  │
+//!     └──── queue empty, or outranked ◀──┘
+//!           (TimeSlice: StreamEvicted)
 //! ```
 //!
 //! A free worker takes the *ready* stream — engine parked, and a frame
@@ -23,27 +23,21 @@
 //! the stream's [`AdmissionPolicy`](super::AdmissionPolicy) point:
 //! [`StreamDemand::predicted_ms`] before its first frame, the last
 //! frame's planned cost after; finishing a frame never raises it), ties
-//! to the lower id. It places the stream on a shard if it holds no grant
-//! (best fit against per-shard free cores; landing on another shard than
-//! last time emits [`FrameEvent::ShardRebalanced`]), steps it outside the
-//! lock while frames are queued, and parks it again. A stream with an
-//! empty open queue holds its grant but never a worker.
+//! to the lower id, and whose cores a shard can grant (best fit against
+//! per-shard free cores; a turn on another shard than the last emits
+//! [`FrameEvent::ShardRebalanced`]). It steps the stream outside the lock
+//! while frames are queued and parks it again, which gives the cores back:
+//! a grant lasts one turn, so a stream whose input has run dry holds
+//! nothing and never keeps another from running.
 //!
 //! Pre-emption exists only under [`EvictionPolicy::TimeSlice`], whose
-//! `frames` is the quantum at which a stepping stream looks up: it goes on
-//! unless a ready stream with strictly less remaining work is waiting and
-//! no worker is free for it (or no grant: then the stepping stream parks
-//! so that it can be evicted). A grant changes hands only in a pick, from
-//! a parked resident to the ready stream the pick could not place: from
-//! one with nothing queued to anyone, from one with more remaining work to
-//! a shorter stream. The evicting worker checkpoints the victim (model
-//! snapshot → restore → snapshot, byte-compared) before it steps. So an
+//! `frames` is the quantum at which a stepping stream looks up: it parks
+//! when a ready stream with strictly less remaining work waits and either
+//! no worker is free for it or no shard can grant its cores. So an
 //! equal-length batch runs to completion in stream order without a single
-//! eviction, and a stream is overtaken only by streams with less predicted
-//! work left — in a closed batch its wait is bounded by the work shorter
-//! than it. Under [`EvictionPolicy::None`] a resident keeps its grant
-//! until it is done: a producer that blocks on one stream's full queue
-//! while feeding several then needs `max_concurrent` ≥ its fan-out.
+//! pre-emption, and a stream is overtaken only by streams with less
+//! predicted work left — in a closed batch its wait is bounded by the work
+//! shorter than it.
 //!
 //! This is the crate's only multi-stream scheduler: every stream it runs
 //! goes through [`StreamEngine::step_on`], so pixels, plans and ledgers do
@@ -78,11 +72,11 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// What a producer hitting a full ingress queue experiences.
     pub backpressure: BackpressurePolicy,
-    /// Whether (and when) resident streams yield to waiting ones.
+    /// Whether a stepping stream yields to a shorter waiting one.
     pub eviction: EvictionPolicy,
-    /// Cap on streams holding a shard grant at once (further streams wait
-    /// for admission), and — capped by the host's parallelism — the number
-    /// of workers that step them.
+    /// The number of workers that step streams, capped by the host's
+    /// parallelism. A shard grant lasts one turn, so this also caps the
+    /// streams holding one at once.
     pub max_concurrent: usize,
 }
 
@@ -112,33 +106,31 @@ pub struct StreamCompletion {
 }
 
 /// Per-stream service-tier statistics (admission latency, placement,
-/// eviction and ingress accounting) alongside the frame-level
+/// pre-emption and ingress accounting) alongside the frame-level
 /// [`StreamResult`]s in the session report.
 #[derive(Debug, Clone)]
 pub struct StreamServiceStats {
     /// The stream.
     pub stream: StreamId,
-    /// Last shard the stream ran on.
+    /// Shard of the stream's last turn.
     pub shard: Option<usize>,
-    /// Cores granted (predicted demand clamped to the widest shard).
+    /// Cores granted per turn (predicted demand clamped to the widest
+    /// shard).
     pub cores: usize,
     /// The demand prediction admission worked from.
     pub demand: StreamDemand,
-    /// Wait from registration to the first shard grant, ms. Streams are
-    /// granted in rank order as workers come free, so in a batch this is
-    /// the work that ran ahead of the stream, not a sign of overload.
+    /// Wait from registration to the first turn, ms. Streams get their
+    /// first turn in rank order as workers come free, so in a batch this
+    /// is the work that ran ahead of the stream, not a sign of overload.
     pub admission_wait_ms: f64,
-    /// Times the stream gave up its grant to a stream that could not be
-    /// placed otherwise (never under [`EvictionPolicy::None`], and never
-    /// in a batch of equally long streams).
+    /// Quantum checks at which the stream parked for a waiting stream with
+    /// less predicted remaining work (never under [`EvictionPolicy::None`],
+    /// and never in a batch of equally long streams).
     pub evictions: usize,
-    /// Re-admissions that landed on a different shard.
+    /// Turns that ran on a different shard than the stream's previous one.
     pub migrations: usize,
     /// Ingress-queue accounting (enqueued / dropped / high-water depth).
     pub queue: QueueStats,
-    /// True when every eviction checkpoint round-tripped the model
-    /// snapshot byte-identically (vacuously true without evictions).
-    pub snapshot_roundtrip_ok: bool,
 }
 
 /// Result of a whole service run.
@@ -161,22 +153,20 @@ pub struct ServiceCore {
 struct Slot {
     queue: Arc<FrameQueue>,
     /// The parked engine (boxed once: it changes hands at every turn);
-    /// `None` while a worker holds it (stepping it, or checkpointing its
-    /// eviction) and once the stream is done.
+    /// `None` while a worker steps it and once the stream is done.
     engine: Option<Box<StreamEngine>>,
     demand: StreamDemand,
     granted: usize,
     /// The rank key ([`Slot::rank_of`]), refreshed whenever the engine is
     /// parked.
     remaining_ms: f64,
-    /// The grant held while Resident.
+    /// The shard granted for the current turn; `None` while parked.
     shard: Option<usize>,
     last_shard: Option<usize>,
-    queued_since: Instant,
+    /// Set at the first turn.
     admission_wait_ms: Option<f64>,
     evictions: usize,
     migrations: usize,
-    snapshot_ok: bool,
     queued_evented: bool,
 }
 
@@ -186,7 +176,7 @@ impl Slot {
     /// re-predicted every frame and the figure admission worked from can
     /// be well below it (it is made blind, before the first frame);
     /// without the clamp a stream would look longer after its first frames
-    /// than an equal one that has not started, and be evicted for it.
+    /// than an equal one that has not started, and be pre-empted for it.
     fn rank_of(&self, engine: &StreamEngine) -> f64 {
         (engine.remaining_ms(self.demand.predicted_ms)).min(self.remaining_ms)
     }
@@ -209,14 +199,6 @@ struct Job {
     pool: Option<Arc<StripePool>>,
     /// This pick's placement events, emitted outside the lock.
     events: Vec<FrameEvent>,
-    /// Residents this pick evicted for the stream, yet to be checkpointed.
-    evicted: Vec<Evicted>,
-}
-
-struct Evicted {
-    id: usize,
-    engine: Box<StreamEngine>,
-    event: FrameEvent,
 }
 
 /// How a worker's turn with a stream ended.
@@ -230,11 +212,8 @@ enum End {
 struct Sched {
     slots: Vec<Slot>,
     topology: ShardTopology,
-    max_resident: usize,
     /// Frames between pre-emption checks (`None`: never pre-empt).
     quantum: Option<usize>,
-    /// Streams holding a grant.
-    resident: usize,
     /// Workers asleep on the condvar.
     idle: usize,
     /// Streams neither finished nor failed.
@@ -244,6 +223,7 @@ struct Sched {
     results: Vec<StreamResult>,
     failures: Vec<StreamFailure>,
     done_tx: mpsc::Sender<StreamCompletion>,
+    /// Registration: admission waits and the wall time count from here.
     t0: Instant,
     /// Spawn to last completion, ms.
     wall_ms: f64,
@@ -360,11 +340,9 @@ impl ServiceCore {
                         granted,
                         shard: None,
                         last_shard: None,
-                        queued_since: Instant::now(),
                         admission_wait_ms: None,
                         evictions: 0,
                         migrations: 0,
-                        snapshot_ok: true,
                         queued_evented: false,
                     }
                 })
@@ -375,12 +353,10 @@ impl ServiceCore {
                     unfinished: slots.len(),
                     slots,
                     topology: ShardTopology::for_grants(cfg.layout, cfg.total_cores, widest_grant),
-                    max_resident: cfg.max_concurrent.max(1),
                     quantum: match cfg.eviction {
                         EvictionPolicy::TimeSlice { frames } => Some(frames.max(1)),
                         EvictionPolicy::None => None,
                     },
-                    resident: 0,
                     idle: 0,
                     aborted: false,
                     results: Vec::new(),
@@ -472,11 +448,7 @@ fn worker(shared: &Shared) {
             queue,
             pool,
             events,
-            evicted,
         } = job;
-        for evicted in evicted {
-            shared.checkpoint(evicted);
-        }
         for event in events {
             engine.emit(event);
         }
@@ -499,7 +471,8 @@ fn worker(shared: &Shared) {
             if quantum.is_some_and(|q| steps.is_multiple_of(q)) {
                 let outranked = shared.lock().outranked(id, &engine);
                 perturb(Site::SchedUnlock);
-                if outranked {
+                if let Some(event) = outranked {
+                    engine.emit(event);
                     break End::Parked(engine);
                 }
             }
@@ -516,7 +489,7 @@ fn worker(shared: &Shared) {
             End::Finished(result) => sched.retire(id, Ok(*result)),
             End::Failed(failure) => sched.retire(id, Err(failure)),
         }
-        // a park or a released grant can make work for sleepers as well
+        // the cores given back can make work for sleepers as well
         if sched.idle > 0 {
             shared.work.notify_all();
         }
@@ -546,29 +519,6 @@ fn step(
 }
 
 impl Shared {
-    /// The eviction checkpoint, on the evicting worker and outside the
-    /// lock: the parked model must survive a serialize → restore round
-    /// trip byte-identically. Then the victim waits for admission again.
-    fn checkpoint(&self, evicted: Evicted) {
-        let Evicted {
-            id,
-            mut engine,
-            event,
-        } = evicted;
-        engine.emit(event);
-        let snapshot = engine.model_snapshot();
-        let restored = engine.restore_model(&snapshot);
-        let intact = restored && engine.model_snapshot() == snapshot;
-        let mut sched = self.lock();
-        sched.slots[id].snapshot_ok &= intact;
-        sched.park(id, engine);
-        if sched.idle > 0 {
-            self.work.notify_all();
-        }
-        drop(sched);
-        perturb(Site::SchedUnlock);
-    }
-
     /// The report, once every worker has been joined.
     pub(crate) fn into_report(self, obs: Option<&Observability>) -> ServiceReport {
         let Sched {
@@ -602,7 +552,6 @@ impl Shared {
                 evictions: slot.evictions,
                 migrations: slot.migrations,
                 queue: slot.queue.stats(),
-                snapshot_roundtrip_ok: slot.snapshot_ok,
             })
             .collect();
         let shards = topology.shard_count();
@@ -625,31 +574,14 @@ impl Shared {
 }
 
 impl Sched {
-    /// The shard a grant of `cores` would go to with `resident` streams
-    /// holding one.
-    fn fits(&self, resident: usize, cores: usize) -> Option<usize> {
-        (resident < self.max_resident)
-            .then(|| self.topology.place(cores))
-            .flatten()
-    }
-
-    /// The shard a grant of `cores` would go to right now.
-    fn placement(&self, cores: usize) -> Option<usize> {
-        self.fits(self.resident, cores)
-    }
-
     /// Chooses the next stream to step: the ready one with the least
-    /// predicted remaining work that holds a grant or can be given one —
-    /// under `TimeSlice`, also at the expense of parked residents (see
-    /// [`make_room`](Self::make_room)). Streams the pick leaves without a
-    /// grant they could not have had announce themselves queued.
+    /// predicted remaining work whose cores a shard can grant for the
+    /// turn. A stream whose input is finished needs no grant.
     fn pick(&mut self) -> Option<Job> {
         #[cfg(test)]
         self.assert_grants_balance();
         // (rank key, stream, input finished) of every ready stream
         let mut ready: Vec<(f64, usize, bool)> = Vec::new();
-        // parked with an empty, open queue
-        let mut starved = vec![false; self.slots.len()];
         for (i, slot) in self.slots.iter().enumerate() {
             if slot.engine.is_none() {
                 continue;
@@ -658,121 +590,25 @@ impl Sched {
                 Head::Frame(()) => ready.push((slot.remaining_ms, i, false)),
                 // finishing is free and needs no grant: first in line
                 Head::Finished => ready.push((0.0, i, true)),
-                Head::Empty => starved[i] = true,
+                Head::Empty => {}
             }
         }
         ready.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        let mut job = None;
-        for (remaining_ms, i, finished) in ready {
-            let cores = self.slots[i].granted;
-            let mut evicted = Vec::new();
-            let placed = if finished || self.slots[i].shard.is_some() {
-                None
-            } else if let Some(shard) = self.placement(cores) {
-                Some(shard)
-            } else if let Some((victims, shard)) = self.make_room(remaining_ms, cores, &starved) {
-                evicted.extend(victims.into_iter().map(|v| self.evict(v, i)));
-                Some(shard)
+        let (i, placed) = ready.into_iter().find_map(|(_, i, finished)| {
+            if finished {
+                Some((i, None))
             } else {
-                continue;
-            };
-            job = Some(self.dispatch(i, placed, evicted));
-            break;
-        }
-        self.announce_queued();
-        job
-    }
-
-    /// Under `TimeSlice`, releases the grants of as few parked residents
-    /// as it takes to place a stream of `remaining_ms` predicted work and
-    /// `cores` demand: a resident with nothing queued yields to anyone, one
-    /// with work queued only to a strictly shorter stream. Starved
-    /// residents go first, then those with the most work left. Returns the
-    /// victims and the shard that now fits, or releases nothing.
-    fn make_room(
-        &mut self,
-        remaining_ms: f64,
-        cores: usize,
-        starved: &[bool],
-    ) -> Option<(Vec<usize>, usize)> {
-        self.quantum?;
-        let mut victims: Vec<usize> = (0..self.slots.len())
-            .filter(|&v| {
-                let slot = &self.slots[v];
-                slot.shard.is_some()
-                    && slot.engine.is_some()
-                    && (starved[v] || slot.remaining_ms > remaining_ms)
-            })
-            .collect();
-        victims.sort_by(|&a, &b| {
-            let (a_ms, b_ms) = (self.slots[a].remaining_ms, self.slots[b].remaining_ms);
-            (starved[b].cmp(&starved[a]))
-                .then(b_ms.total_cmp(&a_ms))
-                .then(b.cmp(&a))
-        });
-        // release in that order until the stream fits ...
-        let enough = (1..=victims.len()).find(|&n| {
-            self.regrant(victims[n - 1], false);
-            self.fits(self.resident - n, cores).is_some()
-        });
-        let Some(enough) = enough else {
-            victims.iter().for_each(|&v| self.regrant(v, true));
-            return None;
-        };
-        victims.truncate(enough);
-        // ... then hand back every grant the fit can do without
-        for k in (0..victims.len()).rev() {
-            self.regrant(victims[k], true);
-            if self
-                .fits(self.resident - (victims.len() - 1), cores)
-                .is_some()
-            {
-                victims.remove(k);
-            } else {
-                self.regrant(victims[k], false);
+                let shard = self.topology.place(self.slots[i].granted)?;
+                Some((i, Some(shard)))
             }
-        }
-        let shard = self.fits(self.resident - victims.len(), cores)?;
-        Some((victims, shard))
+        })?;
+        self.announce_queued(i);
+        Some(self.dispatch(i, placed))
     }
 
-    /// Returns (`back`) or takes away the shard reservation of resident
-    /// `v`, leaving its slot untouched.
-    fn regrant(&mut self, v: usize, back: bool) {
-        let slot = &self.slots[v];
-        let shard = slot.shard.expect("residents hold a grant");
-        if back {
-            self.topology.admit(shard, slot.granted);
-        } else {
-            self.topology.release(shard, slot.granted);
-        }
-    }
-
-    /// Books the eviction of `victim` (its grant is already released) in
-    /// favour of stream `by`; the caller's worker checkpoints the engine.
-    fn evict(&mut self, victim: usize, by: usize) -> Evicted {
-        let slot = &mut self.slots[victim];
-        let engine = slot.engine.take().expect("victims are parked");
-        let shard = slot.shard.take().expect("victims hold a grant");
-        slot.evictions += 1;
-        slot.queued_since = Instant::now();
-        self.resident -= 1;
-        Evicted {
-            id: victim,
-            event: FrameEvent::StreamEvicted {
-                stream: victim as StreamId,
-                frame: engine.frames_done(),
-                shard,
-                by: by as StreamId,
-            },
-            engine,
-        }
-    }
-
-    /// Hands stream `i` to the calling worker, granting it `placed` first
-    /// if the pick placed it.
-    fn dispatch(&mut self, i: usize, placed: Option<usize>, evicted: Vec<Evicted>) -> Job {
+    /// Hands stream `i` to the calling worker, granting it `placed` for
+    /// the turn.
+    fn dispatch(&mut self, i: usize, placed: Option<usize>) -> Job {
         let slot = &mut self.slots[i];
         let engine = slot.engine.take().expect("ready streams are parked");
         let stream = i as StreamId;
@@ -780,10 +616,9 @@ impl Sched {
         let mut events = Vec::new();
         if let Some(shard) = placed {
             self.topology.admit(shard, slot.granted);
-            self.resident += 1;
-            let queued_ms = slot.queued_since.elapsed().as_secs_f64() * 1000.0;
-            slot.admission_wait_ms.get_or_insert(queued_ms);
-            if let Some(from_shard) = slot.last_shard.filter(|&prev| prev != shard) {
+            slot.shard = Some(shard);
+            let previous = slot.last_shard.replace(shard);
+            if let Some(from_shard) = previous.filter(|&prev| prev != shard) {
                 slot.migrations += 1;
                 events.push(FrameEvent::ShardRebalanced {
                     stream,
@@ -792,38 +627,35 @@ impl Sched {
                     to_shard: shard,
                 });
             }
-            events.push(FrameEvent::StreamAdmitted {
-                stream,
-                frame,
-                shard,
-                cores: slot.granted,
-                queued_ms,
-                remaining_ms: slot.remaining_ms,
-            });
-            slot.shard = Some(shard);
-            slot.last_shard = Some(shard);
-            slot.queued_evented = false;
+            if slot.admission_wait_ms.is_none() {
+                let queued_ms = self.t0.elapsed().as_secs_f64() * 1000.0;
+                slot.admission_wait_ms = Some(queued_ms);
+                events.push(FrameEvent::StreamAdmitted {
+                    stream,
+                    frame,
+                    shard,
+                    cores: slot.granted,
+                    queued_ms,
+                    remaining_ms: slot.remaining_ms,
+                });
+            }
         }
         Job {
             id: i,
             engine,
             queue: Arc::clone(&slot.queue),
-            pool: slot.shard.and_then(|shard| self.topology.pool(shard)),
+            pool: placed.and_then(|shard| self.topology.pool(shard)),
             events,
-            evicted,
         }
     }
 
-    /// Parked streams without a grant that could not be given one right
-    /// now (concurrency cap, or no shard with headroom) announce
-    /// themselves, once per wait.
-    fn announce_queued(&mut self) {
+    /// Streams still waiting for their first turn when a pick goes to
+    /// stream `picked` announce themselves, once.
+    fn announce_queued(&mut self, picked: usize) {
         let waiting: Vec<usize> = (0..self.slots.len())
             .filter(|&i| {
                 let slot = &self.slots[i];
-                slot.engine.is_some()
-                    && slot.shard.is_none()
-                    && self.placement(slot.granted).is_none()
+                i != picked && slot.engine.is_some() && slot.admission_wait_ms.is_none()
             })
             .collect();
         for &i in &waiting {
@@ -842,36 +674,42 @@ impl Sched {
         }
     }
 
-    /// The quantum check of the stream a worker is stepping: true when it
-    /// should park. That is when a ready stream with strictly less
-    /// predicted remaining work waits and either no worker is free to take
-    /// it, or it needs a grant it cannot get — parked, this stream is the
-    /// resident the next pick can evict for it.
-    fn outranked(&self, stepping: usize, engine: &StreamEngine) -> bool {
+    /// The quantum check of the stream a worker is stepping: the
+    /// `StreamEvicted` it parks with, booked, or `None` to go on. It parks
+    /// when a ready stream with strictly less predicted remaining work
+    /// waits and either no worker is free to take it or no shard can grant
+    /// its cores while this stream holds its own.
+    fn outranked(&mut self, stepping: usize, engine: &StreamEngine) -> Option<FrameEvent> {
+        let shard = self.slots[stepping].shard?;
         let mine = self.slots[stepping].rank_of(engine);
-        let shortest = (self.slots.iter())
-            .filter(|slot| slot.engine.is_some() && slot.remaining_ms < mine)
-            .filter(|slot| !matches!(slot.queue.head(), Head::Empty))
-            .min_by(|a, b| a.remaining_ms.total_cmp(&b.remaining_ms));
-        shortest.is_some_and(|slot| {
-            self.idle == 0 || (slot.shard.is_none() && self.placement(slot.granted).is_none())
+        let (by, shortest) = (self.slots.iter().enumerate())
+            .filter(|(_, slot)| slot.engine.is_some() && slot.remaining_ms < mine)
+            .filter(|(_, slot)| !matches!(slot.queue.head(), Head::Empty))
+            .min_by(|a, b| a.1.remaining_ms.total_cmp(&b.1.remaining_ms))?;
+        if self.idle > 0 && self.topology.place(shortest.granted).is_some() {
+            return None;
+        }
+        self.slots[stepping].evictions += 1;
+        Some(FrameEvent::StreamEvicted {
+            stream: stepping as StreamId,
+            frame: engine.frames_done(),
+            shard,
+            by: by as StreamId,
         })
     }
 
+    /// Parks stream `id` between turns; its cores go back.
     fn park(&mut self, id: usize, engine: Box<StreamEngine>) {
+        self.release(id);
         let slot = &mut self.slots[id];
         slot.remaining_ms = slot.rank_of(&engine);
         slot.engine = Some(engine);
     }
 
-    /// A stream finished or failed: its grant goes back, its completion
+    /// A stream finished or failed: its cores go back, its completion
     /// notice out.
     fn retire(&mut self, id: usize, outcome: Result<StreamResult, StreamFailure>) {
-        let slot = &mut self.slots[id];
-        if let Some(shard) = slot.shard.take() {
-            self.topology.release(shard, slot.granted);
-            self.resident -= 1;
-        }
+        self.release(id);
         let (frames, failed) = match outcome {
             Ok(result) => {
                 let frames = result.trace.len() + result.dropped_frames;
@@ -896,11 +734,20 @@ impl Sched {
         }
     }
 
+    /// Ends stream `id`'s turn on its shard, if it had one.
+    fn release(&mut self, id: usize) {
+        let slot = &mut self.slots[id];
+        if let Some(shard) = slot.shard.take() {
+            self.topology.release(shard, slot.granted);
+        }
+    }
+
     #[cfg(test)]
     fn assert_grants_balance(&self) {
         let mut held = vec![0; self.topology.shard_count()];
-        for slot in &self.slots {
+        for (i, slot) in self.slots.iter().enumerate() {
             if let Some(shard) = slot.shard {
+                assert!(slot.engine.is_none(), "parked stream {i} holds a grant");
                 held[shard] += slot.granted;
             }
         }
@@ -909,9 +756,6 @@ impl Sched {
             self.topology.reserved(),
             "shard grants out of balance"
         );
-        let resident = self.slots.iter().filter(|s| s.shard.is_some()).count();
-        assert_eq!(resident, self.resident, "resident count out of balance");
-        assert!(resident <= self.max_resident, "concurrency cap exceeded");
     }
 }
 
@@ -957,7 +801,6 @@ mod tests {
         for s in &svc.streams {
             assert!(s.shard.is_some());
             assert!(s.queue.enqueued > 0);
-            assert!(s.snapshot_roundtrip_ok);
         }
     }
 
@@ -1009,54 +852,48 @@ mod tests {
         (order, shared.into_report(None))
     }
 
+    /// The quantum yield, on the calling thread: a long stream one quantum
+    /// in parks for a shorter one that arrived behind it, gives its cores
+    /// back, and the next pick goes to the short stream.
     #[test]
-    fn time_slice_evicts_a_long_stream_for_a_shorter_one() {
-        let obs = Observability::new();
+    fn time_slice_parks_a_long_stream_for_a_shorter_one() {
         let specs = specs_of(&[(204, 16), (205, 4)]);
         let (long, short) = (frames_of(&specs[0]), frames_of(&specs[1]));
-        // queues shorter than the streams: the producer below is still
-        // blocked on the long stream's input when the short one runs dry
-        let handle = ServiceCore::new(one_slot(EvictionPolicy::TimeSlice { frames: 2 }, 2))
-            .with_observability(obs)
-            .spawn(specs);
-        // the long stream's first quantum arrives alone and takes the slot
-        let mut long = long.into_iter();
-        for frame in long.by_ref().take(2) {
-            handle.submit(0, frame.index, frame.image);
-        }
-        while handle.metrics().unwrap().counter_total("streams_admitted") == 0 {
-            std::thread::yield_now();
-        }
-        // the short one arrives behind it and outranks it: whether the long
-        // stream is stepping (evicted at its next quantum) or has run dry
-        // (evicted at once), the slot changes hands — and back, when the
-        // short stream has run dry with its queue still open
-        for frame in short {
-            handle.submit(1, frame.index, frame.image);
-        }
+        let cfg = one_slot(EvictionPolicy::TimeSlice { frames: 2 }, 16);
+        let (shared, queues, _done) = ServiceCore::new(cfg).register(specs);
+        // (pushes ring the scheduler: never under its lock)
         for frame in long {
-            handle.submit(0, frame.index, frame.image);
+            queues[0].push(frame.index, frame.image);
         }
-        let report = handle.finish();
-        assert!(report.session.is_clean(), "{:?}", report.session.failures);
-        assert_eq!(report.session.total_frames, 20);
-        for s in &report.streams {
-            assert!(s.evictions > 0, "stream {} never yielded", s.stream);
-            assert!(
-                s.snapshot_roundtrip_ok,
-                "stream {} lost model state",
-                s.stream
-            );
+        let mut job = shared.lock().pick().expect("the long stream is ready");
+        assert_eq!(job.id, 0);
+        for _ in 0..2 {
+            if let Head::Frame((index, image)) = job.queue.try_pop() {
+                step(0, &mut job.engine, StripePool::global(), index, &image).unwrap();
+            }
         }
-        let lens: Vec<usize> = (report.session.streams.iter())
-            .map(|r| r.trace.len())
-            .collect();
-        assert_eq!(lens, [16, 4]);
-        let snap = report.session.metrics.as_ref().expect("metrics snapshot");
-        assert_eq!(
-            snap.counter("streams_evicted", Labels::stream(0)) as usize,
-            report.streams[0].evictions
+        for frame in short {
+            queues[1].push(frame.index, frame.image);
+        }
+        let mut sched = shared.lock();
+        let event = sched.outranked(0, &job.engine);
+        assert!(
+            matches!(
+                event,
+                Some(FrameEvent::StreamEvicted {
+                    stream: 0,
+                    by: 1,
+                    frame: 2,
+                    ..
+                })
+            ),
+            "{event:?}"
         );
+        assert_eq!(sched.slots[0].evictions, 1);
+        sched.park(0, job.engine);
+        assert_eq!(sched.topology.reserved(), [0]);
+        let next = sched.pick().expect("the short stream is ready");
+        assert_eq!(next.id, 1);
     }
 
     #[test]
@@ -1081,48 +918,48 @@ mod tests {
             let (order, report) = serve_prefilled(one_slot(eviction, 12), specs());
             assert!(report.session.is_clean(), "{:?}", report.session.failures);
             assert_eq!(order, [0, 2, 1], "{eviction:?}");
-            // nobody shorter ever waited behind a resident: no eviction
+            // nobody shorter ever waited behind a stepping stream
             assert!(report.streams.iter().all(|s| s.evictions == 0));
         }
     }
 
     /// One producer feeding two streams round-robin into queues shorter
-    /// than a time slice: it blocks on the second stream's full queue while
-    /// the first has run dry. The dry stream must not keep the only slot
-    /// (before the fixed worker set it kept a thread blocked in `pop`, one
-    /// frame short of its slice, and the tier deadlocked).
+    /// than a time slice: it blocks on one stream's full queue while the
+    /// other has run dry. The dry stream must not keep the only slot under
+    /// either policy (when grants outlived a turn, it kept the slot under
+    /// `EvictionPolicy::None` and the tier deadlocked).
     #[test]
     fn blocking_round_robin_producer_completes_on_one_slot() {
-        let specs = specs_of(&[(230, 8), (231, 8)]);
-        let inputs: Vec<Vec<xray::Frame>> = specs.iter().map(frames_of).collect();
-        let handle =
-            ServiceCore::new(one_slot(EvictionPolicy::TimeSlice { frames: 4 }, 2)).spawn(specs);
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let mut inputs: Vec<_> = inputs.into_iter().map(Vec::into_iter).collect();
-            for _ in 0..8 {
-                for (id, frames) in inputs.iter_mut().enumerate() {
-                    let frame = frames.next().expect("eight frames each");
-                    handle.submit(id as StreamId, frame.index, frame.image);
+        for eviction in [
+            EvictionPolicy::TimeSlice { frames: 4 },
+            EvictionPolicy::None,
+        ] {
+            let specs = specs_of(&[(230, 8), (231, 8)]);
+            let inputs: Vec<Vec<xray::Frame>> = specs.iter().map(frames_of).collect();
+            let handle = ServiceCore::new(one_slot(eviction, 2)).spawn(specs);
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let mut inputs: Vec<_> = inputs.into_iter().map(Vec::into_iter).collect();
+                for _ in 0..8 {
+                    for (id, frames) in inputs.iter_mut().enumerate() {
+                        let frame = frames.next().expect("eight frames each");
+                        handle.submit(id as StreamId, frame.index, frame.image);
+                    }
                 }
-            }
-            let _ = tx.send(handle.finish());
-        });
-        let report = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("the tier deadlocked under a blocking round-robin producer");
-        assert!(report.session.is_clean(), "{:?}", report.session.failures);
-        assert_eq!(report.session.total_frames, 16);
-        assert!(report.streams.iter().all(|s| s.snapshot_roundtrip_ok));
-        assert!(
-            report.streams.iter().map(|s| s.evictions).sum::<usize>() > 0,
-            "a dry resident must have yielded the slot"
-        );
+                let _ = tx.send(handle.finish());
+            });
+            let report = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{eviction:?}: the tier deadlocked"));
+            assert!(report.session.is_clean(), "{:?}", report.session.failures);
+            assert_eq!(report.session.total_frames, 16, "{eviction:?}");
+        }
     }
 
     /// The figure admission works from is made before the first frame and
     /// can be far below what the frames then plan at. A stream must not
-    /// look longer for having started: equal streams would evict each other.
+    /// look longer for having started: equal streams would pre-empt each
+    /// other.
     #[test]
     fn finishing_frames_never_raises_the_rank_key() {
         let specs = specs_of(&[(260, 6)]);
@@ -1146,10 +983,10 @@ mod tests {
     }
 
     /// A stream that wants a whole two-core shard, behind two one-core
-    /// residents that have run dry: one eviction does not make room, two
-    /// do, and both are booked.
+    /// streams that have run dry: parked, they hold no cores, so it is
+    /// placed at once.
     #[test]
-    fn a_wide_stream_evicts_as_many_dry_residents_as_it_needs() {
+    fn parked_streams_hold_no_grant() {
         let model = trained_model();
         let narrow = |seed| StreamSpec::builder(seq(seed, 4), AppConfig::default(), model.clone());
         let specs = vec![
@@ -1172,24 +1009,24 @@ mod tests {
             sched.slots[2].granted, 2,
             "the tight budget wants the shard"
         );
-        // both narrow streams take a core, consume their only frame, park
-        for i in 0..2 {
-            let job = sched.pick().expect("a ready stream and a free core");
-            assert_eq!((job.id, job.evicted.len()), (i, 0));
-            assert!(matches!(job.queue.try_pop(), Head::Frame(_)));
-            sched.park(i, job.engine);
-        }
+        // both narrow streams take a core for a turn, consume their only
+        // frame, park
+        let jobs: Vec<Job> = (0..2)
+            .map(|_| sched.pick().expect("a ready stream and a free core"))
+            .collect();
         assert_eq!(sched.topology.reserved(), [2]);
+        for job in jobs {
+            assert!(matches!(job.queue.try_pop(), Head::Frame(_)));
+            sched.park(job.id, job.engine);
+        }
+        assert_eq!(sched.topology.reserved(), [0]);
         drop(sched);
         queues[2].push(0, inputs[2][0].image.clone());
         let mut sched = shared.lock();
-        let job = sched.pick().expect("the dry residents make room");
+        let job = sched.pick().expect("the wide stream fits at once");
         assert_eq!(job.id, 2);
-        let mut victims: Vec<usize> = job.evicted.iter().map(|e| e.id).collect();
-        victims.sort_unstable();
-        assert_eq!(victims, [0, 1]);
         assert_eq!(sched.topology.reserved(), [2]);
-        assert_eq!(sched.resident, 1);
+        assert!(sched.slots.iter().all(|slot| slot.evictions == 0));
         sched.assert_grants_balance();
     }
 
@@ -1264,13 +1101,14 @@ mod tests {
         let report = core.run_batch(specs);
         assert!(report.session.is_clean());
         let snap = report.session.metrics.as_ref().expect("metrics snapshot");
-        assert!(
-            snap.counter_total("streams_admitted") >= 2,
-            "every stream admits at least once"
+        assert_eq!(
+            snap.counter_total("streams_admitted"),
+            2,
+            "every stream is admitted once, at its first turn"
         );
         assert!(
             snap.counter_total("streams_queued") >= 1,
-            "with max_concurrent=1 someone must queue"
+            "with one worker someone must wait for a first turn"
         );
     }
 }

@@ -5,9 +5,10 @@
 //! bookkeeping, and result accumulators, driven one frame at a time
 //! through [`StreamEngine::step_on`] — the only plan → execute → absorb →
 //! recover body in the crate. Because each step is externally driven, the
-//! engine can be parked between frames: the service core admits, evicts,
-//! and migrates engines across pool shards without losing stream state,
-//! and [`StreamEngine::run`] drives one to completion on the calling
+//! engine can be parked between frames: the service core parks it after
+//! every turn, holding nothing for it, and the next turn resumes it on
+//! whichever pool shard has room, with all stream state in the engine
+//! itself; [`StreamEngine::run`] drives one to completion on the calling
 //! thread with no scheduler involved.
 //!
 //! Pixel outputs depend only on the input sequence and application
@@ -158,21 +159,10 @@ impl StreamEngine {
     }
 
     /// Emits a lifecycle event from the surrounding driver (service-tier
-    /// admission/eviction, QoS interventions) onto the stream's own bus so
+    /// admission/pre-emption, QoS interventions) onto the stream's own bus so
     /// attached observability sees it alongside the frame-level events.
     pub(crate) fn emit(&mut self, event: FrameEvent) {
         self.manager.bus_mut().emit(event);
-    }
-
-    /// Serializes the prediction model (for eviction checkpoints).
-    pub(crate) fn model_snapshot(&self) -> Vec<u8> {
-        self.manager.model().snapshot_bytes()
-    }
-
-    /// Restores the prediction model from a snapshot; `false` when the
-    /// snapshot was rejected (the live model is left untouched).
-    pub(crate) fn restore_model(&mut self, bytes: &[u8]) -> bool {
-        self.manager.model_mut().try_restore_bytes(bytes).is_ok()
     }
 
     /// Runs the stream's own sequence to completion on the calling thread

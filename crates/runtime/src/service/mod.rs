@@ -13,11 +13,12 @@
 //!   [`BackpressurePolicy::DropOldest`];
 //! * [`admission`] — [`predict_demand`], Triple-C predictions turned
 //!   into scheduler input (cores + latency per stream), and the
-//!   [`EvictionPolicy`] that says whether a grant can change hands;
+//!   [`EvictionPolicy`] that says whether a stepping stream yields its
+//!   turn;
 //! * [`core`] — [`ServiceCore`], the scheduler tying it together: a fixed
 //!   worker set serving the ready stream with the least predicted
-//!   remaining work, emitting `StreamAdmitted` / `StreamQueued` /
-//!   `StreamEvicted` / `ShardRebalanced` bus events;
+//!   remaining work, a shard grant per turn, emitting `StreamAdmitted` /
+//!   `StreamQueued` / `StreamEvicted` / `ShardRebalanced` bus events;
 //! * [`handle`] — [`ServiceHandle`], the ingestion front-end (submit
 //!   frames, poll completions, scrape metrics).
 //!

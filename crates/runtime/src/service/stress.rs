@@ -5,16 +5,17 @@
 //! mixed length, with and without a time slice, blocking and drop-oldest
 //! ingress, queue capacity 1–4, 1–4 concurrent streams, one or several
 //! shards, one producer per stream or one for all — and runs it through
-//! `ServiceCore::spawn` with the deadline a lost wake-up would miss.
+//! `ServiceCore::spawn` with the deadline a lost wake-up or a deadlock
+//! would miss. No drawn case is left out: one blocking producer feeding
+//! more streams than there are workers runs without a time slice too.
 //! Whatever the schedule: every frame accepted is executed, every stream
 //! completes exactly once, lossless streams reproduce the bare engine's
-//! displays and scenario trace, eviction checkpoints round-trip, and no
-//! thread outlives `finish`.
+//! displays and scenario trace, nothing is pre-empted without a time
+//! slice, and no thread outlives `finish`.
 //!
 //! It must fail when `FrameQueue::push` stops ringing the scheduler (a
 //! blocked producer then waits on workers nobody wakes) and when a grant
-//! is released twice (`Sched::assert_grants_balance`); both mutations were
-//! tried when this landed.
+//! is released twice or kept while parked (`Sched::assert_grants_balance`).
 
 use super::perturb::arm;
 use super::*;
@@ -124,17 +125,11 @@ impl Case {
             },
             max_concurrent: 1 + draw(seed, 6, 4),
         };
-        // One producer for all streams blocks on one stream's full queue
-        // while the others run dry; without a time slice the dry residents
-        // keep their grants, and that needs `max_concurrent` ≥ the fan-out.
-        let stuck = cfg.backpressure == BackpressurePolicy::Block
-            && cfg.eviction == EvictionPolicy::None
-            && cfg.max_concurrent < streams;
         Self {
             seed,
             streams,
             cfg,
-            one_producer: draw(seed, 7, 2) == 0 && !stuck,
+            one_producer: draw(seed, 7, 2) == 0,
         }
     }
 }
@@ -210,7 +205,6 @@ fn interleaving(pool: &Pool, case: Case) {
             stats.queue.enqueued - stats.queue.dropped,
             "{what}: executed != enqueued - dropped"
         );
-        assert!(stats.snapshot_roundtrip_ok, "{what}: checkpoint diverged");
         assert!(stats.queue.max_depth <= cfg.queue_capacity, "{what}");
         if cfg.backpressure == BackpressurePolicy::Block {
             assert_eq!(stats.queue.dropped, 0, "{what}");

@@ -21,3 +21,9 @@ row '`unsafe` lines in `crates/imaging/src`' \
   "$(grep -rh unsafe crates/imaging/src | grep -vE '^\s*//' | wc -l)"
 row '`#[deprecated]` shims' "$(grep -r '#\[deprecated' crates/*/src src | wc -l)"
 row '`pub fn process_frame*`' "$(grep -r 'pub fn process_frame' crates/pipeline/src | wc -l)"
+# occurrences, not lines, tests included
+panics() {
+  grep -rhoE '\.(unwrap|expect)\(' "crates/$1/src" | wc -l
+}
+row '`.unwrap(` / `.expect(` in runtime / platform / pipeline `src`' \
+  "$(panics runtime) / $(panics platform) / $(panics pipeline)"
