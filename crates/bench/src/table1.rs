@@ -67,7 +67,7 @@ mod tests {
     #[test]
     fn shape_preserved_vs_paper() {
         let (r, _) = run();
-        // same qualitative ordering: RDG is the biggest intermediate
+        // same qualitative ordering: RDG's intermediate is above ENH's
         let ours_rdg = r.ours.iter().find(|m| m.task == "RDG_FULL").unwrap();
         let ours_enh = r.ours.iter().find(|m| m.task == "ENH").unwrap();
         assert!(ours_rdg.intermediate > ours_enh.intermediate);

@@ -133,9 +133,9 @@ pub fn paper_table1() -> Vec<TaskMemory> {
 /// Per-pixel byte costs of this repository's implementation. These mirror
 /// the buffer allocations in `triplec-imaging` exactly:
 ///
-/// * RDG intermediate: `src_f32` (4) + response accumulator (4) +
-///   hysteresis visited mask (4, generation-stamped u32) = 12 B/px. The
-///   fused single-pass Hessian core streams Ixx/Iyy/Ixy through a
+/// * RDG intermediate: `src_f32` (4) + response accumulator (4) = 8 B/px.
+///   The hysteresis trace works on runs of row pixels and keeps no mask.
+///   The fused single-pass Hessian core streams Ixx/Iyy/Ixy through a
 ///   tile-height ring of rows, so the former full-frame Hessian planes and
 ///   convolution scratch (20 B/px in the pre-fusion implementation) are
 ///   replaced by the *width-linear* [`rdg_tile_bytes`] term. Recycled
@@ -146,8 +146,8 @@ pub fn paper_table1() -> Vec<TaskMemory> {
 ///   Striping
 ///   adds nothing frame-sized: all bands of a `k`-stripe call share these
 ///   planes, and each band beyond the first brings its own ring
-///   (`(k - 1) ×` [`rdg_tile_bytes`]) and a flood-fill stack that grows
-///   with the structure it traces.
+///   (`(k - 1) ×` [`rdg_tile_bytes`]) and a run list that grows with the
+///   structure it traces.
 /// * MKX intermediate: `src_f32` (4) + multi-scale blob-response maximum
 ///   (4) + per-pixel winning scale (4) = 12 B/px. MKX runs the same fused
 ///   sweep as RDG with the blob response in place of the ridge one, so its
@@ -162,7 +162,7 @@ pub fn paper_table1() -> Vec<TaskMemory> {
 pub mod per_pixel {
     /// RDG intermediate bytes/pixel (fused engine; see [`super::rdg_tile_bytes`]
     /// for the additional width-linear ring-buffer term).
-    pub const RDG_INTERMEDIATE: usize = 12;
+    pub const RDG_INTERMEDIATE: usize = 8;
     /// RDG output bytes/pixel (filtered + ridgeness).
     pub const RDG_OUTPUT: usize = 6;
     /// MKX intermediate bytes/pixel (fused engine; see

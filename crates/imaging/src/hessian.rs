@@ -154,6 +154,9 @@ impl HessianScratch {
 pub(crate) struct ReferenceScratch {
     pub(crate) hessian: HessianImages,
     pub(crate) conv: HessianScratch,
+    /// The visited mask of the RDG oracle's flood-fill trace, one byte per
+    /// pixel; empty until that oracle traces.
+    pub(crate) visited: Vec<bool>,
 }
 
 impl ReferenceScratch {
@@ -165,6 +168,7 @@ impl ReferenceScratch {
                 ixy: ImageF32::new(width, height),
             },
             conv: HessianScratch::new(width, height),
+            visited: Vec::new(),
         }
     }
 
@@ -173,6 +177,7 @@ impl ReferenceScratch {
             + self.hessian.iyy.byte_size()
             + self.hessian.ixy.byte_size()
             + self.conv.byte_size()
+            + self.visited.len()
     }
 }
 

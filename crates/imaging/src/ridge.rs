@@ -25,9 +25,9 @@ use crate::fused::{fused_ridge_scale, fused_ridge_scale_init, FusedScratch};
 use crate::hessian::{
     accumulate_max_response, hessian_at_scale, ridge_response, KernelCache, ReferenceScratch,
 };
-use crate::image::{Image, ImageF32, ImageU16, Roi};
+use crate::image::{ImageF32, ImageU16, Roi};
 use crate::parallel::{PoolError, StripeFault, StripePool};
-use crate::simd::{narrow_row, F32x8, SimdF32};
+use crate::simd::{narrow_row, F32x8, SimdF32, LANES};
 
 /// Configuration of the ridge-detection task.
 #[derive(Debug, Clone)]
@@ -47,8 +47,8 @@ pub struct RdgConfig {
     /// Threshold on the ridge response, as a fraction of the response
     /// standard deviation, above which a pixel is considered ridge.
     pub threshold_factor: f32,
-    /// Weak (hysteresis) threshold factor: the flood fill seeded by strong
-    /// pixels expands through everything above `mean + weak_factor * std`.
+    /// Weak (hysteresis) threshold factor: an 8-connected region above
+    /// `mean + weak_factor * std` is ridge when it holds a strong pixel.
     pub weak_factor: f32,
     /// Absolute response floor for both thresholds, calibrated above the
     /// quantum-noise response of the detector. Purely relative thresholds
@@ -96,11 +96,35 @@ impl RdgConfig {
 struct BandScratch {
     /// Stage B: the fused sweep's row-filtered tile ring.
     ring: FusedScratch,
-    /// Stage C: flood-fill work stack of the tracing pass.
-    trace_stack: Vec<(usize, usize)>,
+    /// Stage C: the band's run list and linking-window column sums.
+    trace: RunScratch,
     /// Stage C: what the band's trace counted.
     ridge_pixels: usize,
     segments: usize,
+}
+
+/// One maximal run of above-weak pixels in a row: columns `x0..=x1` of row
+/// `y`, frame coordinates. `strong` says whether one of its pixels is above
+/// the strong threshold; after the unions, a root run's flag speaks for its
+/// whole component.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    y: u32,
+    x0: u32,
+    x1: u32,
+    strong: bool,
+}
+
+/// Working memory of [`trace_runs`]. It grows with the structure traced,
+/// never with the frame.
+#[derive(Debug, Default)]
+struct RunScratch {
+    /// The band's runs in row-major order.
+    runs: Vec<Run>,
+    /// Union-find parent of each run; a root is its component's first run.
+    parent: Vec<u32>,
+    /// gx², gy² and gx·gy column sums of one run's linking windows.
+    sums: [Vec<f32>; 3],
 }
 
 /// Where the wall-clock time of one RDG call (or one
@@ -142,11 +166,6 @@ pub struct RdgBuffers {
     /// after a failed sweep and after [`ridge_response_banded`], whose
     /// window is part response, part zeros.
     swept: Option<(Roi, Vec<f32>)>,
-    /// Generation-stamped visited mask of the tracing pass: a pixel counts
-    /// as visited when its stamp equals `visit_gen`, so clearing between
-    /// frames is a counter bump instead of a full rewrite.
-    visited: Image<u32>,
-    visit_gen: u32,
     /// Recycled output images (see [`RdgBuffers::recycle`]); a ridgeness
     /// image comes with the ROI outside which it is known to be zero.
     u16_pool: Vec<ImageU16>,
@@ -168,8 +187,6 @@ impl RdgBuffers {
             reference: None,
             acc: ImageF32::new(width, height),
             swept: None,
-            visited: Image::new(width, height),
-            visit_gen: 0,
             u16_pool: Vec::new(),
             f32_pool: Vec::new(),
             allocations: 0,
@@ -186,7 +203,6 @@ impl RdgBuffers {
             + self.kernels.byte_size()
             + self.reference.as_ref().map_or(0, |r| r.byte_size())
             + self.acc.byte_size()
-            + self.visited.byte_size()
             + self.u16_pool.iter().map(|i| i.byte_size()).sum::<usize>()
             + self
                 .f32_pool
@@ -600,24 +616,18 @@ fn rdg_kernel(
     let (w, h) = src.dims();
     let roi = roi.clamp_to(w, h);
     let scales = cfg.active_scales();
+    let oracle = matches!(bands, Bands::One { oracle: true });
     let (pool, parts) = response_sweep(src, roi, &scales, true, bufs, bands)?;
     bufs.swept = Some((roi, scales));
 
-    // Stage C: hysteresis thresholding — strong seeds expand through the
-    // weak-threshold region (data-dependent cost) — and synthesis of the
-    // ridge-suppressed output. The thresholds come from the whole ROI, so
-    // no band's pixels depend on where the band boundaries fall.
+    // Stage C: hysteresis thresholding — every weak-threshold component
+    // holding a strong pixel is ridge (data-dependent cost) — and synthesis
+    // of the ridge-suppressed output. The thresholds come from the whole
+    // ROI, so no band's pixels depend on where the band boundaries fall.
     let t0 = Instant::now();
     let (mean, std) = response_stats(&bufs.acc, roi);
     let weak_threshold = (mean + cfg.weak_factor * std).max(cfg.response_floor);
     let threshold = (mean + cfg.threshold_factor * std).max(weak_threshold);
-    // Bump the visited generation (clearing the mask only on counter wrap),
-    // so the tracing pass needs no per-frame mask allocation or reset.
-    bufs.visit_gen = bufs.visit_gen.wrapping_add(1);
-    if bufs.visit_gen == 0 {
-        bufs.visited.fill(0);
-        bufs.visit_gen = 1;
-    }
     let mut filtered = bufs.take_filtered(src);
     let mut ridgeness = bufs.take_ridgeness(w, h, roi);
     bufs.times.serial_ms += ms_since(t0);
@@ -626,12 +636,17 @@ fn rdg_kernel(
         let RdgBuffers {
             bands,
             acc,
-            visited,
-            visit_gen,
+            reference,
             times,
             ..
         } = &mut *bufs;
-        let (acc, gen) = (&*acc, *visit_gen);
+        let acc = &*acc;
+        // The oracle traces by flood fill over its own visited mask, the
+        // ROI's full-width rows; it always runs one band.
+        let mut visited = reference.as_deref_mut().filter(|_| oracle).map(|rs| {
+            rs.visited.resize(w * h, false);
+            &mut rs.visited[..roi.height * w]
+        });
         // One band's rows of the two outputs, from the shared response.
         let synthesize = |band: Roi, filtered: &mut [u16], ridgeness: &mut [f32]| {
             for y in band.y..band.bottom() {
@@ -672,27 +687,28 @@ fn rdg_kernel(
         let synthesize = &synthesize;
         let jobs = parts
             .iter()
-            .zip(visited.row_bands(&parts))
             .zip(filtered.row_bands(&parts).zip(ridgeness.row_bands(&parts)))
             .zip(bands.iter_mut().zip(&mut times.band_ms))
-            .map(
-                |(((&band, visited), (filtered, ridgeness)), (scratch, ms))| {
-                    move || {
-                        let t0 = Instant::now();
-                        (scratch.ridge_pixels, scratch.segments) = trace_segments(
-                            acc,
-                            band,
-                            threshold,
-                            weak_threshold,
-                            visited,
-                            gen,
-                            &mut scratch.trace_stack,
-                        );
-                        synthesize(band, filtered, ridgeness);
-                        *ms += ms_since(t0);
-                    }
-                },
-            );
+            .map(|((&band, (filtered, ridgeness)), (scratch, ms))| {
+                let visited = visited.take();
+                move || {
+                    let t0 = Instant::now();
+                    let (pixels, segments, coherence) = match visited {
+                        Some(visited) => {
+                            trace_segments(acc, band, threshold, weak_threshold, visited)
+                        }
+                        None => {
+                            trace_runs(acc, band, threshold, weak_threshold, &mut scratch.trace)
+                        }
+                    };
+                    // the linking scores are a byproduct (kept from being
+                    // optimized away); nothing downstream needs them
+                    std::hint::black_box(coherence);
+                    (scratch.ridge_pixels, scratch.segments) = (pixels, segments);
+                    synthesize(band, filtered, ridgeness);
+                    *ms += ms_since(t0);
+                }
+            });
         run_bands(pool, parts.len(), jobs)
     };
     let traced = &bufs.bands[..parts.len()];
@@ -781,27 +797,35 @@ pub(crate) fn response_stats(acc: &ImageF32, roi: Roi) -> (f32, f32) {
     (mean as f32, var.sqrt() as f32)
 }
 
-/// Local orientation coherence of the ridge response at a traced pixel:
-/// a windowed structure-tensor evaluation followed by a short walk along
-/// the dominant orientation checking ridge continuity — the linking
-/// criterion real ridge detectors apply per candidate pixel. Its
-/// per-pixel cost is what makes the RDG stage-C time grow with the amount
-/// of structure in the frame.
-fn local_coherence(acc: &ImageF32, cx: usize, cy: usize, half_window: isize) -> f32 {
-    let hw = half_window.max(0) as usize;
-    let (w, h) = acc.dims();
-    // A single interior margin covers both the structure-tensor window
-    // (hw + 1 gradient reach) and the continuity walk (≤ 6 px + 1 px of
-    // bilinear support): inside it every sample is in bounds, so both
-    // loops run direct-indexed (the window additionally in SIMD). The
-    // thin border band keeps the clamped scalar walk.
-    let margin = (hw + 1).max(WALK_STEPS + 2);
-    let interior = cx >= margin && cy >= margin && cx + margin < w && cy + margin < h;
-    let (jxx, jyy, jxy) = if interior {
-        structure_tensor_interior(acc, cx, cy, hw)
-    } else {
-        structure_tensor_clamped(acc, cx, cy, half_window)
-    };
+/// Half-width of the linking analysis' structure-tensor window (9 × 9).
+const HALF_WINDOW: usize = 4;
+
+/// Length of the orientation-continuity walk, in pixels.
+const WALK_STEPS: usize = 6;
+
+/// How far from the frame edge a pixel must lie for its linking analysis
+/// to stay in bounds: the window reaches `HALF_WINDOW + 1` pixels (central
+/// differences), the walk `WALK_STEPS` plus its bilinear support.
+const MARGIN: usize = if HALF_WINDOW + 1 > WALK_STEPS + 2 {
+    HALF_WINDOW + 1
+} else {
+    WALK_STEPS + 2
+};
+
+/// Linking score of a traced pixel from its windowed structure tensor
+/// `(jxx, jyy, jxy)`: the orientation coherence plus a short walk along the
+/// dominant orientation checking ridge continuity — the linking criterion
+/// real ridge detectors apply per candidate pixel. Its per-pixel cost is
+/// what makes the RDG stage-C time grow with the amount of structure in
+/// the frame. `interior` pixels (at least [`MARGIN`] from every edge) walk
+/// direct-indexed, the others with clamped samples.
+fn linking_score(
+    acc: &ImageF32,
+    cx: usize,
+    cy: usize,
+    (jxx, jyy, jxy): (f32, f32, f32),
+    interior: bool,
+) -> f32 {
     let tr = jxx + jyy;
     if tr <= 1e-12 {
         return 0.0;
@@ -831,9 +855,6 @@ fn local_coherence(acc: &ImageF32, cx: usize, cy: usize, half_window: isize) -> 
     };
     coherence + 1e-6 * continuity
 }
-
-/// Length of the orientation-continuity walk, in pixels.
-const WALK_STEPS: usize = 6;
 
 /// Continuity walk for interior pixels: the walk cannot leave the image
 /// (margin ≥ steps + bilinear support), so samples are direct-indexed and
@@ -886,101 +907,16 @@ fn continuity_walk_clamped(acc: &ImageF32, cx: usize, cy: usize, sin_t: f32, cos
     continuity
 }
 
-/// Structure tensor of an interior window: every sample is in bounds, so
-/// rows are direct-indexed slices and the per-row gradient products run
-/// in 8-lane SIMD (window width 2·hw+1 ≤ 9 for the default hw = 4; the
-/// first 8 columns go wide, the remainder scalar).
-fn structure_tensor_interior(acc: &ImageF32, cx: usize, cy: usize, hw: usize) -> (f32, f32, f32) {
-    // Recompile the window loop with AVX2 where available so the 8-lane
-    // gradient products run on single 256-bit ops. Codegen only: the
-    // tensor entries come out identical either way.
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 requirement is checked at runtime above.
-            return unsafe { structure_tensor_interior_avx2(acc, cx, cy, hw) };
-        }
-    }
-    structure_tensor_interior_impl(acc, cx, cy, hw)
-}
-
-/// AVX2 clone of [`structure_tensor_interior_impl`] (see dispatch above).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn structure_tensor_interior_avx2(
-    acc: &ImageF32,
-    cx: usize,
-    cy: usize,
-    hw: usize,
-) -> (f32, f32, f32) {
-    structure_tensor_interior_impl(acc, cx, cy, hw)
-}
-
-#[inline(always)]
-fn structure_tensor_interior_impl(
-    acc: &ImageF32,
-    cx: usize,
-    cy: usize,
-    hw: usize,
-) -> (f32, f32, f32) {
-    let w = acc.width();
-    let data = acc.as_slice();
-    let side = 2 * hw + 1;
-    let wide = if side >= F32x8::WIDTH {
-        F32x8::WIDTH
-    } else {
-        0
-    };
-    let zero = F32x8::splat(0.0);
-    let (mut vxx, mut vyy, mut vxy) = (zero, zero, zero);
-    let (mut sxx, mut syy, mut sxy) = (0.0f32, 0.0f32, 0.0f32);
-    for yy in (cy - hw)..=(cy + hw) {
-        let base = yy * w + cx - hw;
-        // mid spans x-hw-1 ..= x+hw+1 (horizontal gradient needs ±1).
-        let mid = &data[base - 1..base + side + 1];
-        let up = &data[base - w..base - w + side];
-        let dn = &data[base + w..base + w + side];
-        if wide != 0 {
-            // SAFETY: side + 1 ≥ 9 ≥ WIDTH + 1, so lanes 0..8 of each
-            // of these loads stay inside the slices taken above.
-            let gx = unsafe { F32x8::load_at(mid, 2) - F32x8::load_at(mid, 0) };
-            let gy = unsafe { F32x8::load_at(dn, 0) - F32x8::load_at(up, 0) };
-            vxx = vxx + gx * gx;
-            vyy = vyy + gy * gy;
-            vxy = vxy + gx * gy;
-        }
-        for i in wide..side {
-            let gx = mid[i + 2] - mid[i];
-            let gy = dn[i] - up[i];
-            sxx += gx * gx;
-            syy += gy * gy;
-            sxy += gx * gy;
-        }
-    }
-    let mut lanes = [0.0f32; 8];
-    vxx.store(&mut lanes);
-    sxx += lanes.iter().sum::<f32>();
-    vyy.store(&mut lanes);
-    syy += lanes.iter().sum::<f32>();
-    vxy.store(&mut lanes);
-    sxy += lanes.iter().sum::<f32>();
-    (sxx, syy, sxy)
-}
-
 /// Structure tensor with replicate-clamped sampling, for windows touching
 /// the image border.
-fn structure_tensor_clamped(
-    acc: &ImageF32,
-    cx: usize,
-    cy: usize,
-    half_window: isize,
-) -> (f32, f32, f32) {
+fn structure_tensor_clamped(acc: &ImageF32, cx: usize, cy: usize) -> (f32, f32, f32) {
+    let hw = HALF_WINDOW as isize;
     let mut jxx = 0.0f32;
     let mut jyy = 0.0f32;
     let mut jxy = 0.0f32;
     let (cxi, cyi) = (cx as isize, cy as isize);
-    for dy in -half_window..=half_window {
-        for dx in -half_window..=half_window {
+    for dy in -hw..=hw {
+        for dx in -hw..=hw {
             let gx =
                 acc.get_clamped(cxi + dx + 1, cyi + dy) - acc.get_clamped(cxi + dx - 1, cyi + dy);
             let gy =
@@ -993,47 +929,286 @@ fn structure_tensor_clamped(
     (jxx, jyy, jxy)
 }
 
-/// Hysteresis tracing of ridge pixels: pixels above the strong threshold
-/// seed a flood fill that expands through everything above the weak
-/// threshold (Canny-style linking), with a per-pixel orientation-coherence
-/// analysis (the linking criterion).
+/// Column sums of the linking windows on row `cy`, for the `n` columns from
+/// `x0`: entry `c` of `sums` is the ordered sum from `+0.0`, top row first,
+/// of gx², gy² and gx·gy (central differences) over rows
+/// `cy ± HALF_WINDOW` at column `x0 + c`. Eight columns per vector, the
+/// tail one at a time; every lane is the tail's scalar chain, so the split
+/// changes no bit. Every column read must lie inside the frame.
+#[inline(always)]
+fn column_sums(acc: &ImageF32, cy: usize, x0: usize, n: usize, sums: &mut [Vec<f32>; 3]) {
+    for s in sums.iter_mut() {
+        s.clear();
+        s.resize(n, 0.0);
+    }
+    let [sxx, syy, sxy] = sums;
+    let rows = cy - HALF_WINDOW..=cy + HALF_WINDOW;
+    let wide = n - n % LANES;
+    let zero = F32x8::splat(0.0);
+    for c in (0..wide).step_by(LANES) {
+        let x = x0 + c;
+        let (mut vxx, mut vyy, mut vxy) = (zero, zero, zero);
+        for y in rows.clone() {
+            let (up, mid, dn) = (acc.row(y - 1), acc.row(y), acc.row(y + 1));
+            let gx = F32x8::load(&mid[x + 1..]) - F32x8::load(&mid[x - 1..]);
+            let gy = F32x8::load(&dn[x..]) - F32x8::load(&up[x..]);
+            vxx = vxx + gx * gx;
+            vyy = vyy + gy * gy;
+            vxy = vxy + gx * gy;
+        }
+        vxx.store(&mut sxx[c..]);
+        vyy.store(&mut syy[c..]);
+        vxy.store(&mut sxy[c..]);
+    }
+    for c in wide..n {
+        let x = x0 + c;
+        for y in rows.clone() {
+            let (up, mid, dn) = (acc.row(y - 1), acc.row(y), acc.row(y + 1));
+            let gx = mid[x + 1] - mid[x - 1];
+            let gy = dn[x] - up[x];
+            sxx[c] += gx * gx;
+            syy[c] += gy * gy;
+            sxy[c] += gx * gy;
+        }
+    }
+}
+
+/// Structure tensor of the window whose leftmost column is entry `j` of
+/// the column sums: its last column plus the sum of the other eight.
+#[inline(always)]
+fn window_tensor(sums: &[Vec<f32>; 3], j: usize) -> (f32, f32, f32) {
+    let side = 2 * HALF_WINDOW;
+    let entry = |s: &[f32]| s[j + side] + s[j..j + side].iter().sum::<f32>();
+    (entry(&sums[0]), entry(&sums[1]), entry(&sums[2]))
+}
+
+/// Hysteresis tracing of ridge pixels, row by row: the runs of pixels above
+/// the weak threshold in each row of `roi` join the runs of the row above
+/// that they touch, 8-connected, by union-find. A component holding a pixel
+/// above the strong threshold is a ridge segment (Canny-style linking), and
+/// each of its pixels gets the linking analysis. Returns the ridge pixels,
+/// the segments and the sum of the linking scores in row-major order.
 ///
 /// This is the content-dependent part of RDG: a frame full of vessels and
 /// wires costs far more than a quiet frame, which is the "structural
 /// fluctuation caused by the dependency of the processing time on the video
 /// content" that the paper's EWMA + Markov decomposition targets.
 ///
-/// The fill never leaves `roi`, and `visited` holds the mask's full-width
-/// rows `roi.y..roi.bottom()` only, so row bands trace side by side; the
-/// coherence analysis reads `acc` beyond the band.
+/// Components never leave `roi`, so row bands trace side by side; the
+/// linking analysis reads `acc` beyond the band. The counts are those of
+/// the flood fill of [`trace_segments`] (components do not depend on visit
+/// order) and so are the scores, bit for bit: a run's interior pixels share
+/// one set of column sums, each summed in the order
+/// [`structure_tensor_interior`] sums it for one pixel.
+fn trace_runs(
+    acc: &ImageF32,
+    roi: Roi,
+    threshold: f32,
+    weak: f32,
+    scratch: &mut RunScratch,
+) -> (usize, usize, f32) {
+    // Recompile the trace with AVX2 where available so the column sums'
+    // vectors run on single 256-bit ops. Codegen only: the results are
+    // identical either way.
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 requirement is checked at runtime above.
+        return unsafe { trace_runs_avx2(acc, roi, threshold, weak, scratch) };
+    }
+    trace_runs_with(acc, roi, threshold, weak, scratch)
+}
+
+/// AVX2 clone of [`trace_runs_with`] (see the dispatch in [`trace_runs`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn trace_runs_avx2(
+    acc: &ImageF32,
+    roi: Roi,
+    threshold: f32,
+    weak: f32,
+    scratch: &mut RunScratch,
+) -> (usize, usize, f32) {
+    trace_runs_with(acc, roi, threshold, weak, scratch)
+}
+
+#[inline(always)]
+fn trace_runs_with(
+    acc: &ImageF32,
+    roi: Roi,
+    threshold: f32,
+    weak: f32,
+    scratch: &mut RunScratch,
+) -> (usize, usize, f32) {
+    let weak = weak.min(threshold);
+    let (w, h) = acc.dims();
+    let RunScratch { runs, parent, sums } = scratch;
+    runs.clear();
+    parent.clear();
+    let mut above = 0..0;
+    for y in roi.y..roi.bottom() {
+        let row = &acc.row(y)[roi.x..roi.right()];
+        let first = runs.len();
+        let mut x = 0;
+        while let Some(x0) = next_above(row, x, weak) {
+            x = x0 + row[x0..].iter().take_while(|&&v| v > weak).count();
+            parent.push(runs.len() as u32);
+            runs.push(Run {
+                y: y as u32,
+                x0: (roi.x + x0) as u32,
+                x1: (roi.x + x - 1) as u32,
+                strong: row[x0..x].iter().any(|&v| v > threshold),
+            });
+        }
+        // Two runs on neighbouring rows touch when their column spans,
+        // widened by one pixel, overlap. Both rows are sorted and a run's
+        // successor starts past its end, so one cursor serves the row.
+        let mut j = above.start;
+        for i in first..runs.len() {
+            let Run { x0, x1, .. } = runs[i];
+            while j < above.end && runs[j].x1 + 1 < x0 {
+                j += 1;
+            }
+            for k in j..above.end {
+                if runs[k].x0 > x1 + 1 {
+                    break;
+                }
+                union(parent, runs, i, k);
+            }
+        }
+        above = first..runs.len();
+    }
+
+    let (mut pixels, mut segments, mut coherence) = (0, 0, 0.0f32);
+    for i in 0..runs.len() {
+        // a root precedes its component's other runs: its flag is final
+        let root = find(parent, i);
+        if !runs[root].strong {
+            continue;
+        }
+        segments += usize::from(root == i);
+        let Run { y, x0, x1, .. } = runs[i];
+        let (y, x0, x1) = (y as usize, x0 as usize, x1 as usize + 1);
+        pixels += x1 - x0;
+        // the run's pixels whose linking analysis stays in bounds share
+        // the column sums of their windows
+        let (lo, hi) = if y >= MARGIN && y + MARGIN < h {
+            (x0.max(MARGIN), x1.min(w.saturating_sub(MARGIN)))
+        } else {
+            (0, 0)
+        };
+        if lo < hi {
+            column_sums(acc, y, lo - HALF_WINDOW, hi - lo + 2 * HALF_WINDOW, sums);
+        }
+        for x in x0..x1 {
+            coherence += if (lo..hi).contains(&x) {
+                linking_score(acc, x, y, window_tensor(sums, x - lo), true)
+            } else {
+                linking_score(acc, x, y, structure_tensor_clamped(acc, x, y), false)
+            };
+        }
+    }
+    (pixels, segments, coherence)
+}
+
+/// Index of the first pixel of `row` from `from` on that is above `weak`.
+/// Most pixels are not, so eight at a time are tested with one vector
+/// compare (the non-short-circuiting `|` is what lets it vectorize).
+#[inline(always)]
+fn next_above(row: &[f32], from: usize, weak: f32) -> Option<usize> {
+    let (chunks, tail) = row[from..].as_chunks::<LANES>();
+    let above = |v: &f32| *v > weak;
+    let any_above = |c: &[f32; LANES]| c.iter().fold(false, |a, v| a | above(v));
+    let hit = match chunks.iter().position(any_above) {
+        Some(c) => c * LANES + chunks[c].iter().position(above)?,
+        None => chunks.len() * LANES + tail.iter().position(above)?,
+    };
+    Some(from + hit)
+}
+
+/// Root of run `i`'s component, halving the path on the way.
+fn find(parent: &mut [u32], mut i: usize) -> usize {
+    while parent[i] as usize != i {
+        parent[i] = parent[parent[i] as usize];
+        i = parent[i] as usize;
+    }
+    i
+}
+
+/// Joins the components of runs `a` and `b` under the earlier root, which
+/// takes over the other root's strong flag.
+fn union(parent: &mut [u32], runs: &mut [Run], a: usize, b: usize) {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    let (root, child) = (ra.min(rb), ra.max(rb));
+    if root != child {
+        parent[child] = root as u32;
+        runs[root].strong |= runs[child].strong;
+    }
+}
+
+/// The linking score of one pixel on its own: the oracle's form of what
+/// [`trace_runs`] computes run by run.
+fn local_coherence(acc: &ImageF32, cx: usize, cy: usize) -> f32 {
+    let (w, h) = acc.dims();
+    let interior = cx >= MARGIN && cy >= MARGIN && cx + MARGIN < w && cy + MARGIN < h;
+    let tensor = if interior {
+        structure_tensor_interior(acc, cx, cy)
+    } else {
+        structure_tensor_clamped(acc, cx, cy)
+    };
+    linking_score(acc, cx, cy, tensor, interior)
+}
+
+/// Structure tensor of an interior window, for one pixel: each column's
+/// ordered sum from `+0.0` over the window rows, top first, then the last
+/// column plus the sum of the others.
+fn structure_tensor_interior(acc: &ImageF32, cx: usize, cy: usize) -> (f32, f32, f32) {
+    let mut cols = [[0.0f32; 3]; 2 * HALF_WINDOW + 1];
+    for (x, col) in (cx - HALF_WINDOW..).zip(&mut cols) {
+        for y in cy - HALF_WINDOW..=cy + HALF_WINDOW {
+            let gx = acc.get(x + 1, y) - acc.get(x - 1, y);
+            let gy = acc.get(x, y + 1) - acc.get(x, y - 1);
+            col[0] += gx * gx;
+            col[1] += gy * gy;
+            col[2] += gx * gy;
+        }
+    }
+    let (last, rest) = cols.split_last().expect("the window has columns");
+    let entry = |k: usize| last[k] + rest.iter().map(|c| c[k]).sum::<f32>();
+    (entry(0), entry(1), entry(2))
+}
+
+/// The oracle of [`trace_runs`], by flood fill: every pixel above the
+/// strong threshold that no fill has reached seeds one through the
+/// 8-connected pixels above the weak threshold; then every filled pixel,
+/// in row-major order, adds its [`local_coherence`]. Same return values.
+///
+/// The fill never leaves `roi`; `visited` holds the mask's full-width rows
+/// `roi.y..roi.bottom()`.
 fn trace_segments(
     acc: &ImageF32,
     roi: Roi,
     threshold: f32,
     weak: f32,
-    visited: &mut [u32],
-    gen: u32,
-    stack: &mut Vec<(usize, usize)>,
-) -> (usize, usize) {
+    visited: &mut [bool],
+) -> (usize, usize, f32) {
     let weak = weak.min(threshold);
     let w = acc.width();
-    debug_assert_eq!(visited.len(), roi.height * w);
+    assert_eq!(visited.len(), roi.height * w);
+    visited.fill(false);
     let at = |x: usize, y: usize| (y - roi.y) * w + x;
     let mut ridge_pixels = 0usize;
     let mut segments = 0usize;
-    stack.clear();
-    let mut coherence = 0.0f32;
+    let mut stack = Vec::new();
     for y in roi.y..roi.bottom() {
         for x in roi.x..roi.right() {
-            if visited[at(x, y)] == gen || acc.get(x, y) <= threshold {
+            if visited[at(x, y)] || acc.get(x, y) <= threshold {
                 continue;
             }
             segments += 1;
             stack.push((x, y));
-            visited[at(x, y)] = gen;
+            visited[at(x, y)] = true;
             while let Some((cx, cy)) = stack.pop() {
                 ridge_pixels += 1;
-                coherence += local_coherence(acc, cx, cy, 4);
                 // 8-connected neighbourhood, clipped to the ROI
                 for dy in -1i64..=1 {
                     for dx in -1i64..=1 {
@@ -1050,8 +1225,8 @@ fn trace_segments(
                             continue;
                         }
                         let (nx, ny) = (nx as usize, ny as usize);
-                        if visited[at(nx, ny)] != gen && acc.get(nx, ny) > weak {
-                            visited[at(nx, ny)] = gen;
+                        if !visited[at(nx, ny)] && acc.get(nx, ny) > weak {
+                            visited[at(nx, ny)] = true;
                             stack.push((nx, ny));
                         }
                     }
@@ -1059,10 +1234,15 @@ fn trace_segments(
             }
         }
     }
-    // the accumulated coherence is a byproduct (kept from being optimized
-    // away); linking decisions themselves are not needed downstream
-    std::hint::black_box(coherence);
-    (ridge_pixels, segments)
+    let mut coherence = 0.0f32;
+    for y in roi.y..roi.bottom() {
+        for x in roi.x..roi.right() {
+            if visited[at(x, y)] {
+                coherence += local_coherence(acc, x, y);
+            }
+        }
+    }
+    (ridge_pixels, segments, coherence)
 }
 
 /// Cheap structure probe driving the "RDG DETECTION" switch of Fig. 2.
@@ -1102,6 +1282,7 @@ pub fn quick_structure_probe(src: &ImageU16, step: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::Image;
 
     /// Synthesizes a frame with a dark diagonal wire and a dark blob pair.
     fn test_frame(w: usize, h: usize) -> ImageU16 {
@@ -1231,19 +1412,12 @@ mod tests {
                 let out = striped(&pool, &src, roi, stripes, &mut bufs);
                 assert_eq!(out.filtered, serial.filtered, "{stripes} stripes");
                 assert_eq!(out.ridgeness, serial.ridgeness, "{stripes} stripes");
-                // an independent trace of each band over the serial response
+                // the oracle's flood fill of each band over the serial response
                 let (mut pixels, mut segments) = (0, 0);
                 for band in roi.stripes(stripes) {
-                    let mut visited = vec![0u32; band.height * 96];
-                    let (p, s) = trace_segments(
-                        &serial.ridgeness,
-                        band,
-                        strong,
-                        weak,
-                        &mut visited,
-                        1,
-                        &mut Vec::new(),
-                    );
+                    let mut visited = vec![false; band.height * 96];
+                    let (p, s, _) =
+                        trace_segments(&serial.ridgeness, band, strong, weak, &mut visited);
                     pixels += p;
                     segments += s;
                 }
@@ -1261,6 +1435,73 @@ mod tests {
                 bufs.recycle(out);
             }
         }
+    }
+
+    #[test]
+    fn run_trace_matches_the_flood_fill_oracle_bit_for_bit() {
+        // Responses drawn from the two thresholds themselves, values a hair
+        // either side of them, zero and a spread above: plateaus exactly at
+        // `weak` and at `strong` decide which comparison the trace makes,
+        // and sparse above-weak pixels give diagonal-only contacts.
+        use rand::{Rng, SeedableRng};
+        let (w, h) = (44, 37);
+        let (weak, strong) = (10.0f32, 20.0f32);
+        let levels = [
+            0.0,
+            weak,
+            weak.next_down(),
+            weak.next_up(),
+            strong,
+            strong.next_down(),
+            strong.next_up(),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(28);
+        let check = |acc: &ImageF32, roi: Roi| {
+            let mut scratch = RunScratch::default();
+            let mut visited = vec![false; roi.height * w];
+            let runs = trace_runs(acc, roi, strong, weak, &mut scratch);
+            let fill = trace_segments(acc, roi, strong, weak, &mut visited);
+            assert_eq!((runs.0, runs.1), (fill.0, fill.1), "{roi}");
+            assert_eq!(runs.2.to_bits(), fill.2.to_bits(), "{roi}");
+            runs.0
+        };
+        let mut traced = 0;
+        for density in [0.15, 0.4, 0.7] {
+            let acc = Image::from_fn(w, h, |_, _| {
+                if rng.gen_bool(density) {
+                    if rng.gen_bool(0.6) {
+                        levels[rng.gen_range(1..levels.len())]
+                    } else {
+                        rng.gen_range(weak..3.0 * strong)
+                    }
+                } else {
+                    levels[rng.gen_range(0..3)]
+                }
+            });
+            // whole frame and ROIs against every border, in 1, 2, 4 and 7
+            // bands: every band reaches into the 8-px clamped margin
+            for roi in [
+                acc.full_roi(),
+                Roi::new(0, 0, 21, 30),
+                Roi::new(5, 3, 39, 34),
+                Roi::new(23, 9, 21, 28),
+            ] {
+                for stripes in [1, 2, 4, 7] {
+                    for band in roi.stripes(stripes) {
+                        traced += check(&acc, band);
+                    }
+                }
+            }
+            // narrow ROIs, 1–20 wide and 1–3 high, from the corner inwards
+            for width in 1..=20 {
+                for height in 1..=3 {
+                    for (x, y) in [(0, 0), (3, 7), (w - width, 12), (11, h - height)] {
+                        traced += check(&acc, Roi::new(x, y, width, height));
+                    }
+                }
+            }
+        }
+        assert!(traced > 10_000, "only {traced} pixels traced");
     }
 
     #[test]

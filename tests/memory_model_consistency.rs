@@ -6,7 +6,7 @@ use triple_c::imaging::enhance::EnhState;
 use triple_c::imaging::image::Image;
 use triple_c::imaging::markers::{mkx_extract, mkx_extract_reference, MkxBuffers, MkxConfig};
 use triple_c::imaging::parallel::{StripeFault, StripePool};
-use triple_c::imaging::ridge::{rdg_banded, rdg_full, RdgBuffers, RdgConfig};
+use triple_c::imaging::ridge::{rdg_banded, rdg_full, rdg_roi_reference, RdgBuffers, RdgConfig};
 use triple_c::imaging::zoom::{zoom_band_with, ZoomConfig, ZoomFilter, ZoomScratch};
 use triple_c::pipeline::app::{AppConfig, AppState};
 use triple_c::pipeline::executor::{process_frame, ExecutionPolicy};
@@ -29,36 +29,51 @@ fn test_frame() -> Image<u16> {
 
 #[test]
 fn rdg_intermediate_formula_matches_fresh_buffers() {
+    // Fresh buffers are the source and accumulator planes and nothing
+    // else: the hysteresis trace keeps no frame-sized mask.
     let bufs = RdgBuffers::new(W, H);
     assert_eq!(
         bufs.byte_size(),
         W * H * per_pixel::RDG_INTERMEDIATE,
         "RDG per-pixel constant drifted from fresh RdgBuffers"
     );
+    assert_eq!(per_pixel::RDG_INTERMEDIATE, 8);
 }
 
 #[test]
 fn rdg_intermediate_formula_matches_warm_fused_buffers() {
     // After one default-config frame (no output recycling, so the pools
     // stay empty) the fused engine's working set must match the model's
-    // full formula: per-pixel planes + tile ring + cached kernel taps.
+    // full formula: per-pixel planes + tile ring + cached kernel taps. The
+    // run list the trace grows is not counted.
     let mut bufs = RdgBuffers::new(W, H);
-    let _out = rdg_full(&test_frame(), &RdgConfig::default(), &mut bufs);
+    let frame = test_frame();
+    let out = rdg_full(&frame, &RdgConfig::default(), &mut bufs);
+    assert!(out.ridge_pixels > 0, "the frame traces nothing");
     let geom = FrameGeometry {
         width: W,
         height: H,
     };
+    let warm = rdg_intermediate_bytes(geom, &RDG_DEFAULT_SCALES);
     assert_eq!(
         bufs.byte_size(),
-        rdg_intermediate_bytes(geom, &RDG_DEFAULT_SCALES),
+        warm,
         "RDG warm-state formula drifted from the fused engine's buffers"
+    );
+    // The oracle's five full-frame planes (20 B/px), its one-byte visited
+    // mask and its own copy of the kernel taps exist only once it has run.
+    let _out = rdg_roi_reference(&frame, frame.full_roi(), &RdgConfig::default(), &mut bufs);
+    assert_eq!(
+        bufs.byte_size(),
+        warm + W * H * 21 + rdg_kernel_bytes(&RDG_DEFAULT_SCALES)
     );
 }
 
 #[test]
 fn rdg_intermediate_formula_matches_warm_two_stripe_buffers() {
     // The second band brings one more tile ring and nothing frame-sized:
-    // both bands work in the one set of per-pixel planes.
+    // both bands work in the one set of per-pixel planes and trace their
+    // own rows into their own run lists.
     let mut bufs = RdgBuffers::new(W, H);
     let frame = test_frame();
     let _out = rdg_banded(
