@@ -28,7 +28,7 @@ pub enum FaultKind {
     WorkerPanic,
     /// A stage's execution time was artificially inflated.
     StageDelay,
-    /// A frame's output was dropped (or delivered past its deadline).
+    /// A frame's output was dropped.
     FrameDrop,
     /// A model snapshot was corrupted before restore.
     SnapshotCorruption,
@@ -341,23 +341,6 @@ pub enum FrameEvent {
         /// Stable phase label (e.g. `"submit"`, `"storm"`, `"drain"`).
         phase: &'static str,
     },
-    /// A shadow-trained challenger model sustained a prediction-accuracy
-    /// win over the serving champion and was promoted in its place
-    /// (`runtime::selection`). Demotion of a bad promotion runs through
-    /// the existing model-quarantine machinery and is visible as the
-    /// fault-family [`FrameEvent::DegradedMode`] event.
-    ChallengerPromoted {
-        /// Stream whose model was swapped.
-        stream: StreamId,
-        /// Frame index at which the promotion took effect.
-        frame: usize,
-        /// Scenario id the sustained win was scored in.
-        scenario: u8,
-        /// Champion's rolling mean absolute frame-time error, ms.
-        champion_err_ms: f64,
-        /// Challenger's rolling mean absolute frame-time error, ms.
-        challenger_err_ms: f64,
-    },
     /// Periodic quantile-calibration scorecard: the observed fraction of
     /// frames whose actual serial time fell at or below the predicted
     /// p50/p95/p99 (a perfectly calibrated predictor scores 0.50 / 0.95 /
@@ -400,7 +383,6 @@ impl FrameEvent {
             | FrameEvent::StreamEvicted { stream, .. }
             | FrameEvent::ShardRebalanced { stream, .. }
             | FrameEvent::TracePhase { stream, .. }
-            | FrameEvent::ChallengerPromoted { stream, .. }
             | FrameEvent::CalibrationReport { stream, .. } => stream,
         }
     }
@@ -425,7 +407,6 @@ impl FrameEvent {
             | FrameEvent::StreamEvicted { frame, .. }
             | FrameEvent::ShardRebalanced { frame, .. }
             | FrameEvent::TracePhase { frame, .. }
-            | FrameEvent::ChallengerPromoted { frame, .. }
             | FrameEvent::CalibrationReport { frame, .. } => frame,
         }
     }
@@ -445,9 +426,8 @@ impl FrameEvent {
     /// replays identically however streams are placed.
     /// [`FrameEvent::TracePhase`] is schedule-derived and deterministic,
     /// but the workload ledger records phases through its own keyspace,
-    /// so replay keys stay exclusively the fault family. The
-    /// model-selection family ([`FrameEvent::ChallengerPromoted`],
-    /// [`FrameEvent::CalibrationReport`]) scores measured frame times and
+    /// so replay keys stay exclusively the fault family.
+    /// [`FrameEvent::CalibrationReport`] scores measured frame times and
     /// is therefore as timing-dependent as the plan events: no key.
     pub fn replay_key(&self) -> Option<String> {
         match *self {
@@ -701,13 +681,6 @@ mod tests {
                 frame: 2,
                 phase: "storm",
             },
-            FrameEvent::ChallengerPromoted {
-                stream: 1,
-                frame: 2,
-                scenario: 5,
-                champion_err_ms: 4.0,
-                challenger_err_ms: 2.5,
-            },
             FrameEvent::CalibrationReport {
                 stream: 1,
                 frame: 2,
@@ -804,18 +777,7 @@ mod tests {
             .replay_key(),
             None
         );
-        // model-selection events score measured frame times: no key
-        assert_eq!(
-            FrameEvent::ChallengerPromoted {
-                stream: 3,
-                frame: 9,
-                scenario: 2,
-                champion_err_ms: 5.0,
-                challenger_err_ms: 3.0,
-            }
-            .replay_key(),
-            None
-        );
+        // calibration reports score measured frame times: no key
         assert_eq!(
             FrameEvent::CalibrationReport {
                 stream: 3,

@@ -684,15 +684,6 @@ impl MetricsSubscriber {
                 )
                 .inc();
             }
-            FrameEvent::ChallengerPromoted {
-                champion_err_ms,
-                challenger_err_ms,
-                ..
-            } => {
-                self.counter("challenger_promotions", per_stream).inc();
-                self.histogram("promotion_err_gain_ms", per_stream)
-                    .record(champion_err_ms - challenger_err_ms);
-            }
             FrameEvent::CalibrationReport {
                 p50_cov,
                 p95_cov,

@@ -392,22 +392,6 @@ impl Subscriber for TraceSubscriber {
                 self.spans
                     .instant(phase, "trace", stream, vec![("frame", frame)])
             }
-            FrameEvent::ChallengerPromoted {
-                scenario,
-                champion_err_ms,
-                challenger_err_ms,
-                ..
-            } => self.spans.instant(
-                "challenger-promoted",
-                "model",
-                stream,
-                vec![
-                    ("frame", frame),
-                    ("scenario", scenario as f64),
-                    ("champion_err_ms", champion_err_ms),
-                    ("challenger_err_ms", challenger_err_ms),
-                ],
-            ),
             FrameEvent::CalibrationReport {
                 frames,
                 p50_cov,

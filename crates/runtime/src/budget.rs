@@ -5,6 +5,10 @@
 //! output latency is set to an initial value (close to average case),
 //! which will be our latency budget during runtime." (Section 6)
 
+/// The average-case factor: the budget starts at this share of the first
+/// frame's serial latency ("close to average case").
+const FIRST_FRAME_FACTOR: f64 = 0.75;
+
 /// The output-latency budget of the managed pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBudget {
@@ -28,9 +32,9 @@ impl LatencyBudget {
     }
 
     /// Initializes the budget close to the average case: the first frame's
-    /// measured latency (serial) scaled by an average-case factor.
-    pub fn from_first_frame(first_frame_ms: f64, factor: f64, headroom: f64) -> Self {
-        Self::new((first_frame_ms * factor).max(1.0), headroom)
+    /// measured latency (serial) scaled by the average-case factor.
+    pub fn from_first_frame(first_frame_ms: f64, headroom: f64) -> Self {
+        Self::new((first_frame_ms * FIRST_FRAME_FACTOR).max(1.0), headroom)
     }
 
     /// The latency the planner aims at (target minus headroom).
@@ -51,8 +55,8 @@ mod tests {
 
     #[test]
     fn first_frame_initialization() {
-        let b = LatencyBudget::from_first_frame(80.0, 0.8, 0.1);
-        assert!((b.target_ms - 64.0).abs() < 1e-12);
+        let b = LatencyBudget::from_first_frame(80.0, 0.1);
+        assert!((b.target_ms - 60.0).abs() < 1e-12);
     }
 
     #[test]

@@ -19,13 +19,10 @@
 //!   predicted remaining work, time-slice pre-emption, bounded ingress
 //!   queues with backpressure, and the [`ServiceHandle`] ingestion
 //!   front-end);
-//! * [`selection`] — online champion/challenger model selection: a
-//!   shadow-training challenger scored against the live model per
-//!   scenario, promoted on a sustained accuracy win;
 //! * [`faults`] — deterministic, seeded fault injection (order
 //!   independent: a seed reproduces a faulted run event-for-event);
 //! * [`recovery`] — graceful-degradation policies (stage retry, stripe
-//!   downshift, model quarantine, frame deadlines);
+//!   downshift, model quarantine, drift quarantine);
 //! * [`workload`] — the trace-driven workload harness: replayable
 //!   scenario storms, mixed-resolution stream fleets, and the diffable
 //!   run ledgers behind the golden-trace regression tests.
@@ -36,7 +33,6 @@ pub mod faults;
 pub mod manager;
 pub mod qos;
 pub mod recovery;
-pub mod selection;
 pub mod service;
 pub mod session;
 pub mod workload;
@@ -47,7 +43,6 @@ pub use faults::{fault_hash, FaultInjector, FaultPlan, FaultPlanConfig};
 pub use manager::{CalibrationSnapshot, ManagerConfig, Plan, ResourceManager};
 pub use qos::{run_with_qos, QosController, QosLevel};
 pub use recovery::{RecoveryAction, RecoveryPolicy, RecoveryState};
-pub use selection::{ModelSelector, Promotion, SelectionConfig};
 pub use service::{
     predict_demand, AdmissionPolicy, BackpressurePolicy, EvictionPolicy, ServiceConfig,
     ServiceCore, ServiceHandle, ServiceReport, ShardLayout, ShardTopology, StreamDemand,

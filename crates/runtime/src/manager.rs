@@ -8,7 +8,6 @@
 
 use crate::adaptation::{choose_policy, CostPrediction};
 use crate::budget::LatencyBudget;
-use crate::selection::{ModelSelector, SelectionConfig};
 use pipeline::executor::{ExecutionPolicy, FrameOutput};
 use platform::bus::{
     EventBus, FrameEvent, RepartitionReason, StreamId, Subscriber, DEFAULT_STREAM,
@@ -28,16 +27,11 @@ pub struct ManagerConfig {
     pub cores: usize,
     /// Budget headroom fraction.
     pub headroom: f64,
-    /// Budget initialization: `first_frame_serial_latency * factor`
-    /// ("close to average case").
-    pub budget_factor: f64,
     /// Planning quantile: 0.5 plans on the expected cost; higher values
     /// plan conservatively on the cost distribution's upper tail,
     /// trading average parallelism for fewer budget overruns ("without
     /// affecting the reliability", Section 6).
     pub planning_quantile: f64,
-    /// Champion/challenger model selection (off by default).
-    pub selection: SelectionConfig,
 }
 
 impl Default for ManagerConfig {
@@ -47,9 +41,7 @@ impl Default for ManagerConfig {
             // quad-core testbed), not a hard-coded constant
             cores: platform::arch::ArchModel::default().cores,
             headroom: 0.15,
-            budget_factor: 0.75,
             planning_quantile: 0.5,
-            selection: SelectionConfig::default(),
         }
     }
 }
@@ -162,7 +154,6 @@ pub struct ResourceManager {
     infeasible_frames: usize,
     prev_rdg_stripes: Option<usize>,
     calibration: CalibrationTracker,
-    selector: Option<ModelSelector>,
 }
 
 impl ResourceManager {
@@ -176,10 +167,6 @@ impl ResourceManager {
     pub fn for_stream(model: TripleC, cfg: ManagerConfig, stream: StreamId) -> Self {
         let mut bus = EventBus::new();
         let pairs = PredictionLog::subscribe_to(&mut bus);
-        let selector = cfg
-            .selection
-            .enabled
-            .then(|| ModelSelector::new(&model, cfg.selection));
         Self {
             model,
             cfg,
@@ -193,7 +180,6 @@ impl ResourceManager {
             infeasible_frames: 0,
             prev_rdg_stripes: None,
             calibration: CalibrationTracker::default(),
-            selector,
         }
     }
 
@@ -347,7 +333,6 @@ impl ResourceManager {
         if self.budget.is_none() {
             self.budget = Some(LatencyBudget::from_first_frame(
                 actual_total,
-                self.cfg.budget_factor,
                 self.cfg.headroom,
             ));
         }
@@ -387,21 +372,6 @@ impl ResourceManager {
         let ctx = PredictContext {
             roi_kpixels: out.roi_kpixels,
         };
-        // champion/challenger scoring must see the pre-observation model
-        // state (both models predict the same frame the same way the
-        // planner would have), so it runs before the champion trains
-        if let Some(mut selector) = self.selector.take() {
-            if let Some(p) = selector.absorb(&mut self.model, out, &ctx) {
-                self.bus.emit(FrameEvent::ChallengerPromoted {
-                    stream: self.stream,
-                    frame: self.frame_index,
-                    scenario: out.scenario.id(),
-                    champion_err_ms: p.champion_err_ms,
-                    challenger_err_ms: p.challenger_err_ms,
-                });
-            }
-            self.selector = Some(selector);
-        }
         let mut observations = 0usize;
         for &(task, ms) in &out.record.task_times {
             if self.model.observe_task(task, ms, &ctx) {
@@ -754,79 +724,5 @@ mod tests {
             );
         }
         assert_eq!(m.calibration().frames, 64);
-    }
-
-    #[test]
-    fn selection_promotes_challenger_under_drift_and_emits_event() {
-        use std::sync::{Arc, Mutex};
-        // RDG cost trained as a dwell-4 square wave (positive lag-1
-        // autocorrelation -> the adaptive EWMA+Markov model); the live
-        // workload keeps the wave shape but shifts the level up 30 ms,
-        // so the frozen champion stays ~30 ms low every frame while the
-        // shadow-training challenger's EWMA re-converges onto the new
-        // level
-        let rdg: Vec<f64> = (0..200)
-            .map(|i| if (i / 4) % 2 == 0 { 30.0 } else { 50.0 })
-            .collect();
-        let series = vec![
-            TaskSeries::new("RDG_FULL", rdg),
-            TaskSeries::new("MKX_EXT", vec![2.5; 200]),
-            TaskSeries::new("CPLS_SEL", vec![1.5; 200]),
-            TaskSeries::new("REG", vec![2.0; 200]),
-            TaskSeries::new("ENH", vec![24.0; 200]),
-            TaskSeries::new("ZOOM", vec![12.5; 200]),
-        ];
-        let champion = TripleC::train(&series, &[5u8; 200], TripleCConfig::default());
-        let cfg = ManagerConfig {
-            selection: SelectionConfig {
-                enabled: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut m = ResourceManager::new(champion, cfg);
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let es = Arc::clone(&events);
-        m.subscribe(Box::new(move |e: &FrameEvent| {
-            if matches!(e, FrameEvent::ChallengerPromoted { .. }) {
-                es.lock().unwrap().push(e.clone());
-            }
-        }));
-        for i in 0..64 {
-            let plan = m.plan(1000.0);
-            let shifted = if (i / 4) % 2 == 0 { 60.0 } else { 80.0 };
-            let times: Vec<(&'static str, f64)> = plan
-                .scenario
-                .active_tasks()
-                .iter()
-                .map(|&t| {
-                    let ms = match t {
-                        "RDG_FULL" => shifted,
-                        "MKX_EXT" => 2.5,
-                        "CPLS_SEL" => 1.5,
-                        "REG" => 2.0,
-                        "ENH" => 24.0,
-                        "ZOOM" => 12.5,
-                        _ => 1.0,
-                    };
-                    (t, ms)
-                })
-                .collect();
-            m.absorb(&fake_output(plan.scenario, times));
-        }
-        let promotions = events.lock().unwrap();
-        assert!(
-            !promotions.is_empty(),
-            "re-structured workload must promote the adaptive challenger"
-        );
-        if let FrameEvent::ChallengerPromoted {
-            champion_err_ms,
-            challenger_err_ms,
-            ..
-        } = &promotions[0]
-        {
-            assert!(challenger_err_ms < champion_err_ms);
-        }
-        assert!(m.selector.as_ref().unwrap().promotions() >= 1);
     }
 }

@@ -3,21 +3,17 @@
 //! Complements the executor-level stage retry (`pipeline::executor::
 //! StageRetry`) with session-level policies:
 //!
-//! * **stripe downshift** — after N consecutive budget overruns the
-//!   stream caps its stripe counts (halving, floored at
-//!   [`RecoveryPolicy::min_stripes`]) and emits
-//!   [`DegradeMode::StripeDownshift`]; after N consecutive clean frames
-//!   the cap lifts again with a `Recovered` event;
+//! * **stripe downshift** — after three (`OVERRUN_DOWNSHIFT`) consecutive
+//!   budget overruns the stream caps its stripe counts (halving, floored
+//!   at `MIN_STRIPES`, one) and emits [`DegradeMode::StripeDownshift`];
+//!   after as many consecutive clean frames the cap lifts again with a
+//!   `Recovered` event. A stream already at one stripe neither downshifts
+//!   nor lifts;
 //! * **model quarantine** — a corrupted model-snapshot checkpoint is
 //!   rejected (restore returns `Err`, never panics), online training is
-//!   suspended for [`RecoveryPolicy::quarantine_frames`] frames
+//!   suspended for two (`QUARANTINE_FRAMES`) frames
 //!   ([`DegradeMode::ModelQuarantine`]), then re-enabled with a
 //!   `Recovered` event (re-train);
-//! * **frame deadline** — a frame whose host wall time exceeds
-//!   [`RecoveryPolicy::frame_deadline_ms`] has its output replaced by the
-//!   stream's last good display ([`DegradeMode::OutputDropped`]). Wall
-//!   time is not reproducible, so this policy defaults to off and is
-//!   excluded from replay-determinism guarantees;
 //! * **prediction-drift quarantine** — when the rolling hit-rate of
 //!   scenario predictions over [`RecoveryPolicy::drift_window`] frames
 //!   falls below [`RecoveryPolicy::drift_threshold`] (scenario storms
@@ -30,21 +26,21 @@
 use pipeline::executor::{ExecutionPolicy, StageRetry};
 use platform::bus::DegradeMode;
 
+/// Consecutive budget overruns that trigger a stripe downshift, and
+/// consecutive clean frames that lift it again.
+const OVERRUN_DOWNSHIFT: u32 = 3;
+
+/// Stripe floor the downshift never goes below.
+const MIN_STRIPES: usize = 1;
+
+/// Frames a quarantined model stays out of online training.
+const QUARANTINE_FRAMES: u32 = 2;
+
 /// Session-level degradation policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Per-stage retry/fallback policy handed to the executor.
     pub retry: StageRetry,
-    /// Consecutive budget overruns that trigger a stripe downshift, and
-    /// consecutive clean frames that lift it again.
-    pub overrun_downshift: u32,
-    /// Stripe floor the downshift never goes below.
-    pub min_stripes: usize,
-    /// Frames online training stays suspended after a corrupted
-    /// snapshot checkpoint.
-    pub quarantine_frames: u32,
-    /// Host wall-clock deadline per frame, ms (None = no deadline).
-    pub frame_deadline_ms: Option<f64>,
     /// Rolling window (frames) over which scenario-prediction hit-rate
     /// is measured for drift detection.
     pub drift_window: usize,
@@ -57,10 +53,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         Self {
             retry: StageRetry::default(),
-            overrun_downshift: 3,
-            min_stripes: 1,
-            quarantine_frames: 2,
-            frame_deadline_ms: None,
             drift_window: 8,
             drift_threshold: None,
         }
@@ -111,31 +103,26 @@ impl RecoveryState {
 
     /// Books one executed frame: `overrun` is whether it exceeded the
     /// latency budget, `planned_stripes` the stripe count it ran with.
-    /// Returns the downshift/lift decision for the session to act on.
-    pub fn note_frame(
-        &mut self,
-        overrun: bool,
-        planned_stripes: usize,
-        policy: &RecoveryPolicy,
-    ) -> RecoveryAction {
+    /// Returns the downshift/lift decision for the session to act on; a
+    /// cap exists only after a `Downshift`, so every `Lift` follows one.
+    pub fn note_frame(&mut self, overrun: bool, planned_stripes: usize) -> RecoveryAction {
         if overrun {
             self.consecutive_overruns += 1;
             self.clean_since_downshift = 0;
-            if self.consecutive_overruns >= policy.overrun_downshift.max(1) {
+            if self.consecutive_overruns >= OVERRUN_DOWNSHIFT {
                 self.consecutive_overruns = 0;
                 let current = self.stripe_cap.unwrap_or(planned_stripes.max(1));
-                let next = (current / 2).max(policy.min_stripes.max(1));
-                if self.stripe_cap != Some(next) && next < current {
+                let next = (current / 2).max(MIN_STRIPES);
+                if next < current {
                     self.stripe_cap = Some(next);
                     return RecoveryAction::Downshift(next);
                 }
-                self.stripe_cap = Some(next);
             }
         } else {
             self.consecutive_overruns = 0;
             if self.stripe_cap.is_some() {
                 self.clean_since_downshift += 1;
-                if self.clean_since_downshift >= policy.overrun_downshift.max(1) {
+                if self.clean_since_downshift >= OVERRUN_DOWNSHIFT {
                     self.stripe_cap = None;
                     self.clean_since_downshift = 0;
                     return RecoveryAction::Lift(DegradeMode::StripeDownshift);
@@ -147,8 +134,8 @@ impl RecoveryState {
 
     /// Enters model quarantine (online training already suspended by the
     /// caller); remembers whether it must be re-enabled on release.
-    pub fn enter_quarantine(&mut self, online_before: bool, policy: &RecoveryPolicy) {
-        self.quarantine_left = policy.quarantine_frames.max(1);
+    pub fn enter_quarantine(&mut self, online_before: bool) {
+        self.quarantine_left = QUARANTINE_FRAMES;
         self.online_before_quarantine = online_before || self.online_before_quarantine;
     }
 
@@ -202,59 +189,59 @@ impl RecoveryState {
 mod tests {
     use super::*;
 
+    /// Books `n` frames of one kind, asserting each returns no action.
+    fn quiet(st: &mut RecoveryState, n: u32, overrun: bool, stripes: usize) {
+        for _ in 0..n {
+            assert_eq!(st.note_frame(overrun, stripes), RecoveryAction::None);
+        }
+    }
+
     #[test]
     fn downshift_after_consecutive_overruns_then_lift() {
-        let policy = RecoveryPolicy {
-            overrun_downshift: 2,
-            ..Default::default()
-        };
         let mut st = RecoveryState::new();
-        assert_eq!(st.note_frame(true, 8, &policy), RecoveryAction::None);
-        assert_eq!(
-            st.note_frame(true, 8, &policy),
-            RecoveryAction::Downshift(4)
-        );
+        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 8);
+        assert_eq!(st.note_frame(true, 8), RecoveryAction::Downshift(4));
         assert_eq!(st.stripe_cap, Some(4));
         // further overruns halve again
-        assert_eq!(st.note_frame(true, 4, &policy), RecoveryAction::None);
+        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 4);
+        assert_eq!(st.note_frame(true, 4), RecoveryAction::Downshift(2));
+        // as many clean frames lift the cap
+        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, false, 2);
         assert_eq!(
-            st.note_frame(true, 4, &policy),
-            RecoveryAction::Downshift(2)
-        );
-        // two clean frames lift the cap
-        assert_eq!(st.note_frame(false, 2, &policy), RecoveryAction::None);
-        assert_eq!(
-            st.note_frame(false, 2, &policy),
+            st.note_frame(false, 2),
             RecoveryAction::Lift(DegradeMode::StripeDownshift)
         );
         assert_eq!(st.stripe_cap, None);
     }
 
     #[test]
-    fn downshift_respects_min_stripes() {
-        let policy = RecoveryPolicy {
-            overrun_downshift: 1,
-            min_stripes: 2,
-            ..Default::default()
-        };
+    fn downshift_floors_at_one_stripe() {
         let mut st = RecoveryState::new();
-        assert_eq!(
-            st.note_frame(true, 4, &policy),
-            RecoveryAction::Downshift(2)
-        );
+        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 4);
+        assert_eq!(st.note_frame(true, 4), RecoveryAction::Downshift(2));
+        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 2);
+        assert_eq!(st.note_frame(true, 2), RecoveryAction::Downshift(1));
         // already at the floor: no further downshift event
-        assert_eq!(st.note_frame(true, 2, &policy), RecoveryAction::None);
-        assert_eq!(st.stripe_cap, Some(2));
+        quiet(&mut st, 2 * OVERRUN_DOWNSHIFT, true, 1);
+        assert_eq!(st.stripe_cap, Some(1));
+    }
+
+    #[test]
+    fn a_stream_at_one_stripe_never_downshifts_or_lifts() {
+        // nothing to halve at one stripe, so no cap is set and the clean
+        // frames after the overruns have nothing to lift
+        let mut st = RecoveryState::new();
+        quiet(&mut st, OVERRUN_DOWNSHIFT, true, 1);
+        quiet(&mut st, 2 * OVERRUN_DOWNSHIFT, false, 1);
+        assert_eq!(st.stripe_cap, None);
     }
 
     #[test]
     fn cap_clamps_policy() {
         let mut st = RecoveryState::new();
-        let policy = RecoveryPolicy {
-            overrun_downshift: 1,
-            ..Default::default()
-        };
-        st.note_frame(true, 8, &policy);
+        for _ in 0..OVERRUN_DOWNSHIFT {
+            st.note_frame(true, 8);
+        }
         let mut exec = ExecutionPolicy {
             rdg_stripes: 8,
             aux_stripes: 6,
@@ -267,14 +254,10 @@ mod tests {
 
     #[test]
     fn interleaved_overruns_do_not_downshift() {
-        let policy = RecoveryPolicy {
-            overrun_downshift: 2,
-            ..Default::default()
-        };
         let mut st = RecoveryState::new();
         for _ in 0..6 {
-            assert_eq!(st.note_frame(true, 8, &policy), RecoveryAction::None);
-            assert_eq!(st.note_frame(false, 8, &policy), RecoveryAction::None);
+            quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 8);
+            quiet(&mut st, 1, false, 8);
         }
         assert_eq!(st.stripe_cap, None);
     }
@@ -319,11 +302,10 @@ mod tests {
         let policy = RecoveryPolicy {
             drift_window: 2,
             drift_threshold: Some(0.9),
-            quarantine_frames: 3,
             ..Default::default()
         };
         let mut st = RecoveryState::new();
-        st.enter_quarantine(true, &policy);
+        st.enter_quarantine(true);
         for _ in 0..6 {
             assert!(!st.note_scenario(0, 5, &policy));
         }
@@ -331,13 +313,9 @@ mod tests {
 
     #[test]
     fn quarantine_counts_down_and_releases_once() {
-        let policy = RecoveryPolicy {
-            quarantine_frames: 2,
-            ..Default::default()
-        };
         let mut st = RecoveryState::new();
         assert!(!st.quarantined());
-        st.enter_quarantine(true, &policy);
+        st.enter_quarantine(true);
         assert!(st.quarantined());
         assert!(!st.tick_quarantine());
         assert!(st.tick_quarantine(), "second tick releases");

@@ -57,7 +57,6 @@ pub struct StreamEngine {
     displays: Vec<Option<ImageU16>>,
     frame_wall_ms: Vec<f64>,
     dropped_frames: usize,
-    last_good_display: Option<ImageU16>,
     collected: Option<Arc<Mutex<Vec<FrameEvent>>>>,
     started: Option<Instant>,
     quarantine_cause: FaultKind,
@@ -108,7 +107,6 @@ impl StreamEngine {
             displays: Vec::with_capacity(frames),
             frame_wall_ms: Vec::with_capacity(frames),
             dropped_frames: 0,
-            last_good_display: None,
             collected,
             started: None,
             quarantine_cause: FaultKind::SnapshotCorruption,
@@ -264,29 +262,12 @@ impl StreamEngine {
             }
         }
 
-        // per-frame deadline: late frames fall back to the last good
-        // output (wall-clock dependent, so off by default)
         let wall_ms = ft0.elapsed().as_secs_f64() * 1000.0;
-        let mut display = out.display;
-        if let (Some(_), Some(deadline)) = (&injector, self.recovery.frame_deadline_ms) {
-            if wall_ms > deadline {
-                self.manager.bus_mut().emit(FrameEvent::DegradedMode {
-                    stream,
-                    frame: index,
-                    mode: DegradeMode::OutputDropped,
-                    cause: FaultKind::Overrun,
-                });
-                display = self.last_good_display.clone();
-            } else if display.is_some() {
-                self.last_good_display = display.clone();
-            }
-        }
-
         self.scenarios.push(out.scenario.id());
         // drift quarantine needs no injector: scenario storms in the input
         // content are enough to trigger it (no-op unless configured)
         self.check_drift(index, plan.scenario.id(), out.scenario.id());
-        self.displays.push(display);
+        self.displays.push(out.display);
         self.trace.push(out.record);
         self.frame_wall_ms.push(wall_ms);
         Ok(())
@@ -300,9 +281,7 @@ impl StreamEngine {
             .budget()
             .is_some_and(|b| latency_ms > b.target_ms);
         let stream = self.id;
-        let action = self
-            .rec
-            .note_frame(overrun, plan.policy.rdg_stripes, &self.recovery);
+        let action = self.rec.note_frame(overrun, plan.policy.rdg_stripes);
         let bus = self.manager.bus_mut();
         match action {
             RecoveryAction::Downshift(cap) => {
@@ -371,7 +350,7 @@ impl StreamEngine {
         if online {
             self.manager.model_mut().set_online_training(false);
         }
-        self.rec.enter_quarantine(online, &self.recovery);
+        self.rec.enter_quarantine(online);
         self.quarantine_cause = FaultKind::SnapshotCorruption;
         self.manager.bus_mut().emit(FrameEvent::DegradedMode {
             stream,
@@ -415,7 +394,7 @@ impl StreamEngine {
         if online {
             self.manager.model_mut().set_online_training(false);
         }
-        self.rec.enter_quarantine(online, &policy);
+        self.rec.enter_quarantine(online);
         self.quarantine_cause = FaultKind::PredictionDrift;
         let start = self
             .scenarios

@@ -51,8 +51,8 @@ pub struct StreamSpec {
     /// fault-family event.
     pub faults: Option<Arc<dyn FaultInjector>>,
     /// Degradation policy. Stage retry (for genuine pool faults) and
-    /// drift quarantine apply to every stream; downshift, corruption
-    /// quarantine and the frame deadline only act when `faults` is set.
+    /// drift quarantine apply to every stream; downshift and corruption
+    /// quarantine only act when `faults` is set.
     pub recovery: RecoveryPolicy,
     /// Which point of the predicted cost distribution admission and
     /// shard placement size this stream's core grant against (default:
@@ -473,10 +473,6 @@ mod tests {
         model.set_online_training(true);
         let spec = StreamSpec::builder(seq(113, 8), AppConfig::default(), model)
             .faults(std::sync::Arc::new(script))
-            .recovery(RecoveryPolicy {
-                quarantine_frames: 2,
-                ..Default::default()
-            })
             .budget(generous_budget())
             .build();
         let report = run(vec![spec]);

@@ -21,6 +21,14 @@ row '`unsafe` lines in `crates/imaging/src`' \
   "$(grep -rh unsafe crates/imaging/src | grep -vE '^\s*//' | wc -l)"
 row '`#[deprecated]` shims' "$(grep -r '#\[deprecated' crates/*/src src | wc -l)"
 row '`pub fn process_frame*`' "$(grep -r 'pub fn process_frame' crates/pipeline/src | wc -l)"
+# independently settable values: the `pub` fields of every braced
+# `pub struct *Config` / `*Policy`
+row '`pub` fields of `pub struct *Config` / `*Policy` in `crates/*/src`' \
+  "$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Policy)[[:space:]]*\{/ { inside = 1; next }
+    inside && /^[[:space:]]*\}/ { inside = 0 }
+    inside && /^[[:space:]]*pub [a-z_0-9]+:/ { n++ }
+    END { print n + 0 }')"
 # occurrences, not lines, tests included
 panics() {
   grep -rhoE '\.(unwrap|expect)\(' "crates/$1/src" | wc -l

@@ -22,7 +22,6 @@ pub use platform::span::SpanCollector;
 pub use runtime::budget::LatencyBudget;
 pub use runtime::manager::{CalibrationSnapshot, ManagerConfig, ResourceManager};
 pub use runtime::recovery::RecoveryPolicy;
-pub use runtime::selection::SelectionConfig;
 pub use runtime::service::{
     AdmissionPolicy, ServiceConfig, ServiceCore, ShardLayout, StreamEngine,
 };

@@ -17,7 +17,7 @@ use triple_c::imaging::parallel::StripePool;
 use triple_c::pipeline::app::AppConfig;
 use triple_c::pipeline::executor::ExecutionPolicy;
 use triple_c::pipeline::runner::run_sequence;
-use triple_c::platform::bus::{FrameEvent, StreamId};
+use triple_c::platform::bus::{DegradeMode, FaultKind, FrameEvent, StreamId};
 use triple_c::platform::metrics::Observability;
 use triple_c::runtime::{
     BackpressurePolicy, EvictionPolicy, FaultPlan, FaultPlanConfig, LatencyBudget, ServiceConfig,
@@ -86,9 +86,33 @@ fn run_faulted(
 }
 
 /// Every `FaultInjected` event has a terminal `Recovered` (same kind) or
-/// `DegradedMode` (caused by that kind) on the same stream and frame.
+/// `DegradedMode` (caused by that kind) on the same stream and frame, and
+/// every overrun `Recovered` lifts a `StripeDownshift` the stream entered
+/// before it.
 fn assert_every_fault_terminated(streams: &[StreamResult]) {
     for s in streams {
+        let mut downshifted = false;
+        for e in &s.fault_events {
+            match e {
+                FrameEvent::DegradedMode {
+                    mode: DegradeMode::StripeDownshift,
+                    ..
+                } => downshifted = true,
+                FrameEvent::Recovered {
+                    stream,
+                    frame,
+                    kind: FaultKind::Overrun,
+                    ..
+                } => {
+                    assert!(
+                        downshifted,
+                        "stream {stream} frame {frame}: overrun recovered without a downshift"
+                    );
+                    downshifted = false;
+                }
+                _ => {}
+            }
+        }
         for e in &s.fault_events {
             if let FrameEvent::FaultInjected {
                 stream,
