@@ -9,8 +9,7 @@ use pipeline::runner::profile_rdg_direct;
 use triplec::accuracy::evaluate;
 use triplec::ewma::Ewma;
 use triplec::markov::MarkovChain;
-use triplec::model::ResourceModel;
-use triplec::predictor::{EwmaMarkovPredictor, PredictContext, Predictor};
+use triplec::predictor::{EwmaMarkovPredictor, PredictContext};
 use triplec::quantize::Quantizer;
 use triplec::stats::mean;
 use xray::long_trace_sequence;
@@ -22,8 +21,8 @@ fn collect_rdg_series(cfg: &ExperimentConfig, frames: usize) -> Vec<f64> {
     profile_rdg_direct(seq, &AppConfig::default())
 }
 
-/// One-step-ahead evaluation of any predictor over a test series.
-fn one_step_accuracy(p: &mut dyn Predictor, warmup: &[f64], test: &[f64]) -> f64 {
+/// One-step-ahead evaluation of a predictor over a test series.
+fn one_step_accuracy(p: &mut EwmaMarkovPredictor, warmup: &[f64], test: &[f64]) -> f64 {
     let ctx = PredictContext::default();
     for &x in warmup {
         p.observe(x, &ctx);
@@ -318,7 +317,7 @@ pub fn online_training(cfg: &ExperimentConfig) -> (Vec<(&'static str, f64)>, Str
 
     let eval = |online: bool| {
         let mut p = EwmaMarkovPredictor::train(train, 0.2, 24, "RDG");
-        p.set_online_training(online);
+        p.set_online(online);
         let ctx = PredictContext::default();
         for &x in &train[train.len().saturating_sub(10)..] {
             p.observe(x, &ctx);

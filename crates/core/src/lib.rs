@@ -17,11 +17,9 @@
 //! * [`linear`] — the linear ROI-growth model of Eq. 3;
 //! * [`stats`] — autocorrelation analysis validating Markov suitability;
 //! * [`predictor`] — the per-task composite predictors of Table 2(b);
-//! * [`model`] — the unified [`ResourceModel`]
-//!   lifecycle (clone / snapshot / restore / online training) the
-//!   multi-stream runtime builds on;
-//! * [`snapshot`] — validated binary (de)serialization of model
-//!   snapshots: corrupt bytes are an `Err`, never a panic;
+//! * [`snapshot`] — the validated byte format of model snapshots
+//!   ([`TripleC::snapshot_bytes`] / [`TripleC::try_restore_bytes`]):
+//!   corrupt bytes are an `Err`, never a panic;
 //! * [`scenario`] — the eight switch scenarios and the scenario-level
 //!   Markov chain ("scenario-based Markov chains");
 //! * [`memory_model`] — the Table 1 memory requirements;
@@ -30,7 +28,9 @@
 //! * [`accuracy`](mod@accuracy) — the 97%/90% accuracy metrics of Section 7;
 //! * [`training`] — model selection and corpus training;
 //! * [`triple`] — the [`TripleC`] facade used by the
-//!   runtime manager.
+//!   runtime manager. It holds one model per trained task, of the class
+//!   model selection picked; a `clone()` is an independent per-stream
+//!   copy.
 
 pub mod accuracy;
 pub mod bandwidth_model;
@@ -39,7 +39,7 @@ pub mod linear;
 pub mod markov;
 pub mod markov_high;
 pub mod memory_model;
-pub mod model;
+mod model;
 pub mod predictor;
 pub mod quantize;
 pub mod scenario;
@@ -54,13 +54,11 @@ pub use linear::LinearModel;
 pub use markov::MarkovChain;
 pub use markov_high::HigherOrderChain;
 pub use memory_model::{implementation_table, paper_table1, FrameGeometry, TaskMemory};
-pub use model::{ModelSnapshot, ResourceModel};
 pub use predictor::{
     ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor, PredictContext, Prediction,
-    Predictor,
 };
 pub use quantize::Quantizer;
 pub use scenario::{Scenario, ScenarioChain, ScenarioScript, ScriptSegment, TASKS};
 pub use snapshot::SnapshotError;
-pub use training::{train_auto, ModelKind, TaskSeries, TrainingConfig};
-pub use triple::{FramePrediction, TripleC, TripleCConfig, TripleCSnapshot};
+pub use training::{ModelKind, TaskSeries, TrainingConfig};
+pub use triple::{FramePrediction, TripleC, TripleCConfig};

@@ -1,21 +1,16 @@
-//! The unified per-task resource-model lifecycle.
+//! One task's model: one of the three predictor classes of Table 2(b).
 //!
-//! [`ResourceModel`] extends the bare prediction interface
-//! ([`Predictor`]) with the state lifecycle a multi-stream runtime
-//! needs: every model instance is **cloneable** (each stream owns an
-//! independent copy), **snapshottable** (prediction state can be captured
-//! and restored bit-exactly, e.g. for speculative planning or stream
-//! migration) and **independently trainable** (online adaptation is a
-//! runtime switch per instance, not a construction-time builder).
-//!
-//! The three predictor classes of Table 2(b) implement it:
-//! [`ConstantPredictor`], [`EwmaMarkovPredictor`] and
-//! [`LinearMarkovPredictor`]; the [`TripleC`](crate::triple::TripleC)
-//! facade composes them and exposes the same lifecycle at whole-model
-//! granularity.
+//! [`select_model`](crate::training::select_model) picks the class per
+//! task from its profiled series, and the set of classes is closed, so a
+//! [`TaskModel`] is an enum over them. The [`TripleC`](crate::triple::TripleC)
+//! facade holds one per trained task; copying the facade clones them, and
+//! its snapshot bytes are each model's class tag plus payload.
 
-use crate::predictor::{ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor, Predictor};
+use crate::predictor::{
+    ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor, PredictContext, Prediction,
+};
 use crate::snapshot::{Reader, SnapshotError, Writer};
+use crate::training::ModelKind;
 
 /// Class tag of a [`ConstantPredictor`] in serialized snapshots.
 const TAG_CONSTANT: u8 = 1;
@@ -24,333 +19,136 @@ const TAG_EWMA_MARKOV: u8 = 2;
 /// Class tag of a [`LinearMarkovPredictor`] in serialized snapshots.
 const TAG_LINEAR_MARKOV: u8 = 3;
 
-/// An opaque capture of one model's mutable prediction state.
-///
-/// Produced by [`ResourceModel::snapshot`] and consumed by
-/// [`ResourceModel::restore`]; restoring a snapshot into a model of a
-/// different class is a programming error and panics.
+/// A trained per-task predictor of one of the Table 2(b) classes.
 #[derive(Debug, Clone)]
-pub enum ModelSnapshot {
-    /// Snapshot of a [`ConstantPredictor`].
+pub(crate) enum TaskModel {
     Constant(ConstantPredictor),
-    /// Snapshot of an [`EwmaMarkovPredictor`].
     EwmaMarkov(EwmaMarkovPredictor),
-    /// Snapshot of a [`LinearMarkovPredictor`].
     LinearMarkov(LinearMarkovPredictor),
 }
 
-impl ModelSnapshot {
-    /// Short class name (for diagnostics).
-    pub fn class(&self) -> &'static str {
+/// Short class name (for [`SnapshotError::ClassMismatch`]).
+fn class_name(kind: ModelKind) -> &'static str {
+    match kind {
+        ModelKind::Constant => "Constant",
+        ModelKind::EwmaMarkov => "EwmaMarkov",
+        ModelKind::LinearMarkov => "LinearMarkov",
+    }
+}
+
+impl TaskModel {
+    /// The model's class.
+    pub(crate) fn kind(&self) -> ModelKind {
         match self {
-            ModelSnapshot::Constant(_) => "Constant",
-            ModelSnapshot::EwmaMarkov(_) => "EwmaMarkov",
-            ModelSnapshot::LinearMarkov(_) => "LinearMarkov",
+            TaskModel::Constant(_) => ModelKind::Constant,
+            TaskModel::EwmaMarkov(_) => ModelKind::EwmaMarkov,
+            TaskModel::LinearMarkov(_) => ModelKind::LinearMarkov,
         }
     }
 
-    /// Class tag + payload, without the stream header (so facade
-    /// snapshots can pack many models under one header).
+    /// Predictive distribution of the task's next execution time.
+    pub(crate) fn predict(&self, ctx: &PredictContext) -> Prediction {
+        match self {
+            TaskModel::Constant(p) => p.predict(ctx),
+            TaskModel::EwmaMarkov(p) => p.predict(ctx),
+            TaskModel::LinearMarkov(p) => p.predict(ctx),
+        }
+    }
+
+    /// Feeds the measured execution time after the task ran.
+    pub(crate) fn observe(&mut self, actual_ms: f64, ctx: &PredictContext) {
+        match self {
+            TaskModel::Constant(p) => p.observe(actual_ms, ctx),
+            TaskModel::EwmaMarkov(p) => p.observe(actual_ms, ctx),
+            TaskModel::LinearMarkov(p) => p.observe(actual_ms, ctx),
+        }
+    }
+
+    /// Model summary string for the Table 2(b) report.
+    pub(crate) fn model_name(&self) -> String {
+        match self {
+            TaskModel::Constant(p) => p.model_name(),
+            TaskModel::EwmaMarkov(p) => p.model_name(),
+            TaskModel::LinearMarkov(p) => p.model_name(),
+        }
+    }
+
+    /// Enables or disables online training ("on-line model training",
+    /// Section 6).
+    pub(crate) fn set_online(&mut self, online: bool) {
+        match self {
+            TaskModel::Constant(p) => p.set_online(online),
+            TaskModel::EwmaMarkov(p) => p.set_online(online),
+            TaskModel::LinearMarkov(p) => p.set_online(online),
+        }
+    }
+
+    /// Whether online training is enabled.
+    pub(crate) fn online(&self) -> bool {
+        match self {
+            TaskModel::Constant(p) => p.online(),
+            TaskModel::EwmaMarkov(p) => p.online(),
+            TaskModel::LinearMarkov(p) => p.online(),
+        }
+    }
+
+    /// Class tag + payload (no stream header: the facade packs many
+    /// models under one).
     pub(crate) fn encode_tagged(&self, w: &mut Writer) {
         match self {
-            ModelSnapshot::Constant(p) => {
+            TaskModel::Constant(p) => {
                 w.u8(TAG_CONSTANT);
                 p.encode(w);
             }
-            ModelSnapshot::EwmaMarkov(p) => {
+            TaskModel::EwmaMarkov(p) => {
                 w.u8(TAG_EWMA_MARKOV);
                 p.encode(w);
             }
-            ModelSnapshot::LinearMarkov(p) => {
+            TaskModel::LinearMarkov(p) => {
                 w.u8(TAG_LINEAR_MARKOV);
                 p.encode(w);
             }
         }
     }
 
-    pub(crate) fn decode_tagged(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        match r.u8()? {
-            TAG_CONSTANT => Ok(ModelSnapshot::Constant(ConstantPredictor::decode(r)?)),
-            TAG_EWMA_MARKOV => Ok(ModelSnapshot::EwmaMarkov(EwmaMarkovPredictor::decode(r)?)),
-            TAG_LINEAR_MARKOV => Ok(ModelSnapshot::LinearMarkov(LinearMarkovPredictor::decode(
-                r,
-            )?)),
-            other => Err(SnapshotError::BadClassTag(other)),
-        }
-    }
-
-    /// Serializes the snapshot to a self-describing byte stream.
-    ///
-    /// The inverse, [`ResourceModel::try_restore_bytes`], validates every
-    /// field and never panics on corrupt input — the contract the runtime's
-    /// model-quarantine recovery relies on.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_header();
-        self.encode_tagged(&mut w);
-        w.finish()
-    }
-
-    /// Decodes a snapshot serialized by [`ModelSnapshot::to_bytes`].
-    /// Truncated, garbled or wrong-format bytes return a
-    /// [`SnapshotError`]; this function never panics.
-    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = Reader::header(bytes)?;
-        let snap = Self::decode_tagged(&mut r)?;
-        r.expect_end()?;
-        Ok(snap)
-    }
-}
-
-/// A predictor with full per-stream state lifecycle.
-pub trait ResourceModel: Predictor {
-    /// Captures the complete mutable prediction state. Predictions after
-    /// [`ResourceModel::restore`] of this snapshot are bit-identical to
-    /// predictions taken right before the snapshot.
-    fn snapshot(&self) -> ModelSnapshot;
-
-    /// Restores a previously captured state. Panics if `snap` was taken
-    /// from a different model class.
-    fn restore(&mut self, snap: &ModelSnapshot);
-
-    /// Enables or disables online training ("on-line model training",
-    /// Section 6): when enabled, observed transitions keep adapting the
-    /// model at runtime. With training off the model is completely
-    /// frozen — observations are ignored end to end — so repeated plans
-    /// from the same state are deterministic.
-    fn set_online_training(&mut self, online: bool);
-
-    /// Whether online training is currently enabled.
-    fn online_training(&self) -> bool;
-
-    /// An independent copy of this model (per-stream instantiation).
-    fn clone_model(&self) -> Box<dyn ResourceModel>;
-
-    /// Fallible [`ResourceModel::restore`]: a snapshot of a different
-    /// class returns [`SnapshotError::ClassMismatch`] instead of
-    /// panicking. The recovery runtime uses this when re-applying a
-    /// possibly-corrupted checkpoint.
-    fn try_restore(&mut self, snap: &ModelSnapshot) -> Result<(), SnapshotError> {
-        let own = self.snapshot();
-        if own.class() != snap.class() {
+    /// Decodes a tagged payload as a new state of this model. A tag of
+    /// another class is [`SnapshotError::ClassMismatch`], and a predictor
+    /// label other than this model's is [`SnapshotError::Corrupt`]: a
+    /// restore never changes a task's class or name.
+    pub(crate) fn decode_tagged(&self, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let kind = match r.u8()? {
+            TAG_CONSTANT => ModelKind::Constant,
+            TAG_EWMA_MARKOV => ModelKind::EwmaMarkov,
+            TAG_LINEAR_MARKOV => ModelKind::LinearMarkov,
+            other => return Err(SnapshotError::BadClassTag(other)),
+        };
+        if kind != self.kind() {
             return Err(SnapshotError::ClassMismatch {
-                snapshot: snap.class(),
-                model: own.class(),
+                snapshot: class_name(kind),
+                model: class_name(self.kind()),
             });
         }
-        self.restore(snap);
-        Ok(())
-    }
-
-    /// Decodes serialized snapshot bytes and restores them. Corrupt bytes
-    /// or a class mismatch return `Err` and leave the model untouched;
-    /// this never panics.
-    fn try_restore_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let snap = ModelSnapshot::from_bytes(bytes)?;
-        self.try_restore(&snap)
-    }
-}
-
-fn wrong_class(model: &str, snap: &ModelSnapshot) -> ! {
-    panic!(
-        "cannot restore a {} snapshot into a {model} model",
-        snap.class()
-    )
-}
-
-impl ResourceModel for ConstantPredictor {
-    fn snapshot(&self) -> ModelSnapshot {
-        ModelSnapshot::Constant(self.clone())
-    }
-
-    fn restore(&mut self, snap: &ModelSnapshot) {
-        match snap {
-            ModelSnapshot::Constant(p) => *self = p.clone(),
-            other => wrong_class("Constant", other),
-        }
-    }
-
-    fn set_online_training(&mut self, online: bool) {
-        self.set_online(online);
-    }
-
-    fn online_training(&self) -> bool {
-        self.online()
-    }
-
-    fn clone_model(&self) -> Box<dyn ResourceModel> {
-        Box::new(self.clone())
-    }
-}
-
-impl ResourceModel for EwmaMarkovPredictor {
-    fn snapshot(&self) -> ModelSnapshot {
-        ModelSnapshot::EwmaMarkov(self.clone())
-    }
-
-    fn restore(&mut self, snap: &ModelSnapshot) {
-        match snap {
-            ModelSnapshot::EwmaMarkov(p) => *self = p.clone(),
-            other => wrong_class("EwmaMarkov", other),
-        }
-    }
-
-    fn set_online_training(&mut self, online: bool) {
-        self.set_online(online);
-    }
-
-    fn online_training(&self) -> bool {
-        self.online()
-    }
-
-    fn clone_model(&self) -> Box<dyn ResourceModel> {
-        Box::new(self.clone())
-    }
-}
-
-impl ResourceModel for LinearMarkovPredictor {
-    fn snapshot(&self) -> ModelSnapshot {
-        ModelSnapshot::LinearMarkov(self.clone())
-    }
-
-    fn restore(&mut self, snap: &ModelSnapshot) {
-        match snap {
-            ModelSnapshot::LinearMarkov(p) => *self = p.clone(),
-            other => wrong_class("LinearMarkov", other),
-        }
-    }
-
-    fn set_online_training(&mut self, online: bool) {
-        self.set_online(online);
-    }
-
-    fn online_training(&self) -> bool {
-        self.online()
-    }
-
-    fn clone_model(&self) -> Box<dyn ResourceModel> {
-        Box::new(self.clone())
+        Ok(match self {
+            TaskModel::Constant(_) => TaskModel::Constant(ConstantPredictor::decode(r)?),
+            TaskModel::EwmaMarkov(p) => {
+                TaskModel::EwmaMarkov(EwmaMarkovPredictor::decode(r, p.label())?)
+            }
+            TaskModel::LinearMarkov(p) => {
+                TaskModel::LinearMarkov(LinearMarkovPredictor::decode(r, p.label())?)
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::PredictContext;
 
     fn ctx() -> PredictContext {
         PredictContext { roi_kpixels: 120.0 }
     }
 
-    #[test]
-    fn constant_round_trip_is_identity() {
-        let mut p = ConstantPredictor::new(2.5);
-        let snap = p.snapshot();
-        let before = p.predict(&ctx());
-        p.observe(100.0, &ctx());
-        p.restore(&snap);
-        assert_eq!(p.predict(&ctx()), before);
-    }
-
-    #[test]
-    fn ewma_markov_round_trip_is_bit_identical() {
-        let series: Vec<f64> = (0..200).map(|i| 40.0 + (i % 7) as f64).collect();
-        let mut p = EwmaMarkovPredictor::train(&series, 0.2, 16, "RDG");
-        p.set_online_training(true);
-        for i in 0..25 {
-            p.observe(38.0 + (i % 5) as f64, &ctx());
-        }
-        let snap = p.snapshot();
-        let before = p.predict(&ctx());
-        let before_q = p.predict(&ctx()).quantile(0.9);
-        // diverge, then restore
-        for _ in 0..50 {
-            p.observe(90.0, &ctx());
-        }
-        assert_ne!(p.predict(&ctx()), before);
-        p.restore(&snap);
-        assert_eq!(p.predict(&ctx()), before);
-        assert_eq!(
-            p.predict(&ctx()).quantile(0.9).to_bits(),
-            before_q.to_bits()
-        );
-    }
-
-    #[test]
-    fn linear_markov_round_trip_is_bit_identical() {
-        let points: Vec<(f64, f64)> = (0..200)
-            .map(|i| {
-                let roi = 50.0 + (i % 40) as f64;
-                (roi, 0.07 * roi + 20.0 + (i % 3) as f64)
-            })
-            .collect();
-        let mut p = LinearMarkovPredictor::train(&points, 8, "RDG_ROI");
-        for i in 0..10 {
-            p.observe(25.0 + i as f64, &ctx());
-        }
-        let snap = p.snapshot();
-        let before = p.predict(&ctx());
-        for _ in 0..30 {
-            p.observe(80.0, &ctx());
-        }
-        p.restore(&snap);
-        assert_eq!(p.predict(&ctx()), before);
-    }
-
-    #[test]
-    fn clone_model_is_independent() {
-        let series: Vec<f64> = (0..100).map(|i| 10.0 + (i % 4) as f64).collect();
-        let mut a = EwmaMarkovPredictor::train(&series, 0.2, 8, "T");
-        a.observe(11.0, &ctx());
-        let mut b = a.clone_model();
-        let before = a.predict(&ctx());
-        for _ in 0..40 {
-            b.observe(99.0, &ctx());
-        }
-        // training the clone must not disturb the original
-        assert_eq!(a.predict(&ctx()), before);
-        assert!(b.predict(&ctx()).mean_ms > a.predict(&ctx()).mean_ms);
-    }
-
-    #[test]
-    fn online_training_is_a_runtime_switch() {
-        let series = vec![10.0, 12.0, 10.0, 12.0, 10.0, 12.0, 10.0, 12.0];
-        let mut p = EwmaMarkovPredictor::train(&series, 0.3, 8, "T");
-        assert!(!p.online_training());
-        p.set_online_training(true);
-        assert!(p.online_training());
-        for _ in 0..100 {
-            p.observe(20.0, &ctx());
-        }
-        let pred = p.predict(&ctx()).mean_ms;
-        assert!((pred - 20.0).abs() < 1.5, "pred {pred}");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot restore")]
-    fn cross_class_restore_rejected() {
-        let snap = ConstantPredictor::new(1.0).snapshot();
-        let series = vec![1.0, 2.0, 3.0, 4.0];
-        let mut p = EwmaMarkovPredictor::train(&series, 0.2, 4, "T");
-        p.restore(&snap);
-    }
-
-    #[test]
-    fn try_restore_rejects_cross_class_without_panicking() {
-        let snap = ConstantPredictor::new(1.0).snapshot();
-        let series = vec![1.0, 2.0, 3.0, 4.0];
-        let mut p = EwmaMarkovPredictor::train(&series, 0.2, 4, "T");
-        let before = p.predict(&ctx());
-        let err = p.try_restore(&snap).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::snapshot::SnapshotError::ClassMismatch { .. }
-        ));
-        // model untouched on error
-        assert_eq!(p.predict(&ctx()), before);
-    }
-
-    #[test]
-    fn byte_round_trip_is_bit_identical_for_all_classes() {
+    fn all_classes(label: &'static str) -> [TaskModel; 3] {
         let series: Vec<f64> = (0..200).map(|i| 40.0 + (i % 7) as f64).collect();
         let points: Vec<(f64, f64)> = (0..200)
             .map(|i| {
@@ -358,50 +156,69 @@ mod tests {
                 (roi, 0.07 * roi + 20.0 + (i % 3) as f64)
             })
             .collect();
-        let mut models: Vec<Box<dyn ResourceModel>> = vec![
-            Box::new(ConstantPredictor::new(2.5)),
-            Box::new(EwmaMarkovPredictor::train(&series, 0.2, 16, "RDG")),
-            Box::new(LinearMarkovPredictor::train(&points, 8, "RDG_ROI")),
-        ];
-        for m in &mut models {
-            m.set_online_training(true);
+        [
+            TaskModel::Constant(ConstantPredictor::new(2.5)),
+            TaskModel::EwmaMarkov(EwmaMarkovPredictor::train(&series, 0.2, 16, label)),
+            TaskModel::LinearMarkov(LinearMarkovPredictor::train(&points, 8, label)),
+        ]
+    }
+
+    fn tagged(m: &TaskModel) -> Vec<u8> {
+        let mut w = Writer::new();
+        m.encode_tagged(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn tagged_round_trip_is_bit_identical_for_every_class() {
+        for mut m in all_classes("RDG") {
+            m.set_online(true);
             for i in 0..15 {
                 m.observe(30.0 + (i % 4) as f64, &ctx());
             }
-            let bytes = m.snapshot().to_bytes();
+            let bytes = tagged(&m);
             let before = m.predict(&ctx());
             for _ in 0..30 {
                 m.observe(90.0, &ctx());
             }
-            m.try_restore_bytes(&bytes).unwrap();
+            let mut r = Reader::new(&bytes);
+            let restored = m.decode_tagged(&mut r).unwrap();
+            r.expect_end().unwrap();
             assert_eq!(
-                m.predict(&ctx()),
-                before,
-                "{} prediction differs after byte round trip",
+                restored.predict(&ctx()).to_bits(),
+                before.to_bits(),
+                "{}",
                 m.model_name()
             );
+            assert!(restored.online());
+            assert_eq!(tagged(&restored), bytes);
         }
     }
 
     #[test]
-    fn corrupt_bytes_error_for_every_class() {
-        let series: Vec<f64> = (0..100).map(|i| 10.0 + (i % 4) as f64).collect();
-        let mut p = EwmaMarkovPredictor::train(&series, 0.2, 8, "T");
-        let bytes = p.snapshot().to_bytes();
-        // every truncation is an error, never a panic
-        for cut in 0..bytes.len() {
-            assert!(
-                ModelSnapshot::from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut} decoded"
-            );
-            assert!(p.try_restore_bytes(&bytes[..cut]).is_err());
+    fn decode_checks_class_label_and_length() {
+        let models = all_classes("RDG");
+        for (i, m) in models.iter().enumerate() {
+            let donor = tagged(&models[(i + 1) % 3]);
+            assert!(matches!(
+                m.decode_tagged(&mut Reader::new(&donor)),
+                Err(SnapshotError::ClassMismatch { .. })
+            ));
+            let bytes = tagged(m);
+            for cut in 0..bytes.len() {
+                assert!(
+                    m.decode_tagged(&mut Reader::new(&bytes[..cut])).is_err(),
+                    "{} decoded a truncation at {cut}",
+                    m.model_name()
+                );
+            }
         }
-        // trailing garbage is an error too
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(matches!(
-            ModelSnapshot::from_bytes(&extended),
-            Err(crate::snapshot::SnapshotError::TrailingBytes(1))
-        ));
+        // the same state trained under another task name is not this model's
+        for (live, other) in all_classes("RDG").iter().zip(all_classes("GW")).skip(1) {
+            assert!(matches!(
+                live.decode_tagged(&mut Reader::new(&tagged(&other))),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
     }
 }

@@ -26,7 +26,7 @@ pub struct PredictContext {
 
 /// A predictive distribution for one upcoming execution.
 ///
-/// Every [`Predictor`] produces one per call: the point estimate plus
+/// Every predictor produces one per call: the point estimate plus
 /// the p50/p95/p99 tail of the predicted computation time. Quantiles are
 /// monotone by construction ([`Prediction::from_quantiles`] clamps), so
 /// schedulers may cost any quantile without re-validating the
@@ -213,23 +213,6 @@ impl ResidualWindow {
     }
 }
 
-/// A per-task computation-time predictor.
-pub trait Predictor: Send {
-    /// Predictive distribution of the next execution time.
-    ///
-    /// The mean is the paper's point estimate (Eq. 1/Eq. 3 plus the
-    /// Markov fluctuation term); the tail quantiles come from the
-    /// chain's [`quantile_next`](crate::markov::MarkovChain::quantile_next)
-    /// and the predictor's error-tracked window of recent residuals, whichever
-    /// is wider. Scheduling against `p99_ms` instead of `mean_ms` trades
-    /// average-case packing density for fewer budget overruns.
-    fn predict(&self, ctx: &PredictContext) -> Prediction;
-    /// Feeds the measured execution time after the task ran.
-    fn observe(&mut self, actual_ms: f64, ctx: &PredictContext);
-    /// Model summary string for the Table 2(b) report.
-    fn model_name(&self) -> String;
-}
-
 /// Constant-time model for tasks with stable cost (MKX, REG, ROI EST, ENH,
 /// ZOOM in Table 2(b)). The constant carries an error-tracked
 /// window of recent residuals so even "stable" tasks report tail quantiles.
@@ -289,10 +272,10 @@ impl ConstantPredictor {
             online: r.bool("constant online flag")?,
         })
     }
-}
 
-impl Predictor for ConstantPredictor {
-    fn predict(&self, _ctx: &PredictContext) -> Prediction {
+    /// Predictive distribution of the next execution time: the constant,
+    /// with tails from the error-tracked residual window.
+    pub fn predict(&self, _ctx: &PredictContext) -> Prediction {
         let m = self.value_ms;
         if self.errors.is_empty() {
             return Prediction::point(m);
@@ -305,11 +288,13 @@ impl Predictor for ConstantPredictor {
         )
     }
 
-    fn observe(&mut self, actual_ms: f64, _ctx: &PredictContext) {
+    /// Feeds the measured execution time after the task ran.
+    pub fn observe(&mut self, actual_ms: f64, _ctx: &PredictContext) {
         self.errors.push(actual_ms - self.value_ms);
     }
 
-    fn model_name(&self) -> String {
+    /// Model summary string for the Table 2(b) report.
+    pub fn model_name(&self) -> String {
         format!("{:.1}", self.value_ms)
     }
 }
@@ -319,7 +304,7 @@ impl Predictor for ConstantPredictor {
 /// short-term fluctuation on top (Section 4).
 ///
 /// ```
-/// use triplec::{EwmaMarkovPredictor, PredictContext, Predictor};
+/// use triplec::{EwmaMarkovPredictor, PredictContext};
 /// let history: Vec<f64> = (0..200).map(|i| 40.0 + (i % 5) as f64).collect();
 /// let mut p = EwmaMarkovPredictor::train(&history, 0.2, 16, "RDG");
 /// let ctx = PredictContext::default();
@@ -404,14 +389,20 @@ impl EwmaMarkovPredictor {
     }
 
     /// Enables or disables online adaptation of the transition matrix
-    /// (the [`crate::model::ResourceModel`] lifecycle switch).
-    pub(crate) fn set_online(&mut self, online: bool) {
+    /// ("on-line model training", Section 6). Off, observations still
+    /// move the EWMA and the residual window but never the chain.
+    pub fn set_online(&mut self, online: bool) {
         self.online = online;
     }
 
     /// Whether online adaptation is enabled.
     pub(crate) fn online(&self) -> bool {
         self.online
+    }
+
+    /// The task name the predictor was trained as.
+    pub(crate) fn label(&self) -> &'static str {
+        self.label
     }
 
     /// The residual Markov chain (for the Table 2(a) report).
@@ -429,8 +420,10 @@ impl EwmaMarkovPredictor {
         self.errors.encode(w);
     }
 
+    /// Decodes a state of the predictor trained as `label`.
     pub(crate) fn decode(
         r: &mut crate::snapshot::Reader<'_>,
+        label: &'static str,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError::Corrupt;
         let ewma = Ewma::decode(r)?;
@@ -444,7 +437,7 @@ impl EwmaMarkovPredictor {
             return Err(Corrupt("last state out of range"));
         }
         let online = r.bool("ewma-markov online flag")?;
-        let label = crate::snapshot::intern_label(r.str("ewma-markov label")?);
+        let label = r.label(label, "ewma-markov label")?;
         let errors = ResidualWindow::decode(r)?;
         Ok(Self {
             ewma,
@@ -456,10 +449,16 @@ impl EwmaMarkovPredictor {
             errors,
         })
     }
-}
 
-impl Predictor for EwmaMarkovPredictor {
-    fn predict(&self, _ctx: &PredictContext) -> Prediction {
+    /// Predictive distribution of the next execution time.
+    ///
+    /// The mean is the paper's point estimate (Eq. 1 plus the Markov
+    /// fluctuation term); the tail quantiles come from the chain's
+    /// [`quantile_next`](crate::markov::MarkovChain::quantile_next) and the
+    /// error-tracked window of recent residuals, whichever is wider.
+    /// Scheduling against `p99_ms` instead of `mean_ms` trades
+    /// average-case packing density for fewer budget overruns.
+    pub fn predict(&self, _ctx: &PredictContext) -> Prediction {
         Prediction::from_quantiles(
             self.mean_estimate(),
             self.quantile_estimate(0.5),
@@ -468,7 +467,8 @@ impl Predictor for EwmaMarkovPredictor {
         )
     }
 
-    fn observe(&mut self, actual_ms: f64, _ctx: &PredictContext) {
+    /// Feeds the measured execution time after the task ran.
+    pub fn observe(&mut self, actual_ms: f64, _ctx: &PredictContext) {
         // only meaningful once the filter is warm: the cold mean is 0
         if self.ewma.value().is_some() {
             self.errors.push(actual_ms - self.mean_estimate());
@@ -483,7 +483,8 @@ impl Predictor for EwmaMarkovPredictor {
         self.ewma.update(actual_ms);
     }
 
-    fn model_name(&self) -> String {
+    /// Model summary string for the Table 2(b) report.
+    pub fn model_name(&self) -> String {
         format!("<Eq. 1> + Markov {}", self.label)
     }
 }
@@ -559,6 +560,11 @@ impl LinearMarkovPredictor {
         self.online
     }
 
+    /// The task name the predictor was trained as.
+    pub(crate) fn label(&self) -> &'static str {
+        self.label
+    }
+
     pub(crate) fn encode(&self, w: &mut crate::snapshot::Writer) {
         self.model.encode(w);
         self.quantizer.encode(w);
@@ -569,8 +575,10 @@ impl LinearMarkovPredictor {
         self.errors.encode(w);
     }
 
+    /// Decodes a state of the predictor trained as `label`.
     pub(crate) fn decode(
         r: &mut crate::snapshot::Reader<'_>,
+        label: &'static str,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError::Corrupt;
         let model = LinearModel::decode(r)?;
@@ -584,7 +592,7 @@ impl LinearMarkovPredictor {
             return Err(Corrupt("last state out of range"));
         }
         let online = r.bool("linear-markov online flag")?;
-        let label = crate::snapshot::intern_label(r.str("linear-markov label")?);
+        let label = r.label(label, "linear-markov label")?;
         let errors = ResidualWindow::decode(r)?;
         Ok(Self {
             model,
@@ -596,10 +604,11 @@ impl LinearMarkovPredictor {
             errors,
         })
     }
-}
 
-impl Predictor for LinearMarkovPredictor {
-    fn predict(&self, ctx: &PredictContext) -> Prediction {
+    /// Predictive distribution of the next execution time at the ROI size
+    /// `ctx.roi_kpixels`: the Eq. 3 line plus the Markov fluctuation term,
+    /// with tails as for [`EwmaMarkovPredictor::predict`].
+    pub fn predict(&self, ctx: &PredictContext) -> Prediction {
         let base = self.model.eval(ctx.roi_kpixels);
         let fluctuation = match self.last_state {
             Some(s) => self
@@ -615,7 +624,8 @@ impl Predictor for LinearMarkovPredictor {
         )
     }
 
-    fn observe(&mut self, actual_ms: f64, ctx: &PredictContext) {
+    /// Feeds the measured execution time after the task ran.
+    pub fn observe(&mut self, actual_ms: f64, ctx: &PredictContext) {
         let residual = actual_ms - self.model.eval(ctx.roi_kpixels);
         let state = self.quantizer.state_of(residual);
         if let (Some(prev), true) = (self.last_state, self.online) {
@@ -625,7 +635,8 @@ impl Predictor for LinearMarkovPredictor {
         self.errors.push(residual);
     }
 
-    fn model_name(&self) -> String {
+    /// Model summary string for the Table 2(b) report.
+    pub fn model_name(&self) -> String {
         format!("<Eq. 3> + Markov {}", self.label)
     }
 }
@@ -633,6 +644,7 @@ impl Predictor for LinearMarkovPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::TaskModel;
     use rand::{Rng, SeedableRng};
 
     fn ctx() -> PredictContext {
@@ -666,10 +678,10 @@ mod tests {
                 (roi, 0.05 * roi + 10.0 + rng.gen_range(-2.0..2.0))
             })
             .collect();
-        let mut models: Vec<Box<dyn Predictor>> = vec![
-            Box::new(ConstantPredictor::train(&series)),
-            Box::new(EwmaMarkovPredictor::train(&series, 0.2, 16, "T")),
-            Box::new(LinearMarkovPredictor::train(&points, 16, "T")),
+        let mut models = [
+            TaskModel::Constant(ConstantPredictor::train(&series)),
+            TaskModel::EwmaMarkov(EwmaMarkovPredictor::train(&series, 0.2, 16, "T")),
+            TaskModel::LinearMarkov(LinearMarkovPredictor::train(&points, 16, "T")),
         ];
         let c = PredictContext { roi_kpixels: 120.0 };
         for m in &mut models {
@@ -831,10 +843,11 @@ mod tests {
 
     #[test]
     fn online_training_updates_chain() {
-        use crate::model::ResourceModel;
         let series = vec![10.0, 12.0, 10.0, 12.0, 10.0, 12.0, 10.0, 12.0];
         let mut p = EwmaMarkovPredictor::train(&series, 0.3, 8, "T");
-        p.set_online_training(true);
+        assert!(!p.online());
+        p.set_online(true);
+        assert!(p.online());
         // feed a long run of constant values: the chain adapts to the new
         // regime and the prediction converges toward it
         for _ in 0..100 {

@@ -1,19 +1,18 @@
 //! Binary serialization of prediction-model snapshots.
 //!
-//! [`ModelSnapshot`](crate::model::ModelSnapshot) and
-//! [`TripleCSnapshot`](crate::triple::TripleCSnapshot) serialize to a
-//! small versioned little-endian byte format so snapshots can cross a
-//! process boundary (checkpointing, stream migration) — and, crucially
-//! for the fault-tolerant runtime, so a **corrupted** snapshot is a
-//! *recoverable* condition: decoding validates every field (magic,
+//! [`TripleC::snapshot_bytes`](crate::triple::TripleC::snapshot_bytes)
+//! writes a small versioned little-endian byte format, and
+//! [`TripleC::try_restore_bytes`](crate::triple::TripleC::try_restore_bytes)
+//! reads it back. A **corrupted** snapshot is a *recoverable* condition for
+//! the fault-tolerant runtime: decoding validates every field (magic,
 //! version, lengths, float finiteness, probability normalization, state
-//! consistency) and returns a [`SnapshotError`] instead of panicking.
-//! Restoring from bytes therefore never brings a model into an invalid
-//! state; the runtime's model-quarantine policy relies on this contract
+//! consistency, and task names, classes and labels against the live
+//! model) and returns a [`SnapshotError`] instead of panicking. Restoring
+//! from bytes therefore never brings a model into an invalid state; the
+//! runtime's model-quarantine policy relies on this contract
 //! (property-tested in `tests/snapshot_corruption.rs`).
 
 use std::fmt;
-use std::sync::Mutex;
 
 /// Leading magic of every serialized snapshot.
 const MAGIC: [u8; 4] = *b"TCSN";
@@ -44,8 +43,8 @@ pub enum SnapshotError {
     /// A field failed validation (non-finite float, unnormalized
     /// probability row, inconsistent state counts, absurd length, ...).
     Corrupt(&'static str),
-    /// The snapshot decodes fine but belongs to a different model class
-    /// than the one it is being restored into.
+    /// A task's class tag differs from the class of the live model it
+    /// is being restored into.
     ClassMismatch {
         /// Class recorded in the snapshot.
         snapshot: &'static str,
@@ -322,28 +321,20 @@ impl<'a> Reader<'a> {
         let bytes = self.bytes(n)?;
         std::str::from_utf8(bytes).map_err(|_| SnapshotError::Corrupt(what))
     }
-}
 
-/// Interns a decoded label into a `&'static str`.
-///
-/// Labels in this codebase are task names from a small fixed vocabulary;
-/// unknown labels (e.g. from tests) are leaked once and cached, so repeated
-/// restores never grow memory beyond the set of distinct labels seen.
-pub(crate) fn intern_label(s: &str) -> &'static str {
-    // the stable task vocabulary first — no allocation, no lock
-    for known in crate::scenario::TASKS {
-        if known == s {
-            return known;
+    /// A label that must read `live`, the live model's own: labels are
+    /// task names fixed at training, and a restore never renames a model.
+    pub(crate) fn label(
+        &mut self,
+        live: &'static str,
+        what: &'static str,
+    ) -> Result<&'static str, SnapshotError> {
+        if self.str(what)? == live {
+            Ok(live)
+        } else {
+            Err(SnapshotError::Corrupt(what))
         }
     }
-    static EXTRA: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut extra = EXTRA.lock().unwrap();
-    if let Some(&hit) = extra.iter().find(|&&e| e == s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    extra.push(leaked);
-    leaked
 }
 
 #[cfg(test)]
@@ -422,15 +413,5 @@ mod tests {
             r.f64_vec("v"),
             Err(SnapshotError::Corrupt("v")) | Err(SnapshotError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn labels_intern_to_stable_statics() {
-        let a = intern_label("RDG_FULL");
-        let b = intern_label(&String::from("RDG_FULL"));
-        assert!(std::ptr::eq(a, b));
-        let c = intern_label("SOME_TEST_LABEL");
-        let d = intern_label(&String::from("SOME_TEST_LABEL"));
-        assert!(std::ptr::eq(c, d));
     }
 }

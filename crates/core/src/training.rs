@@ -5,7 +5,7 @@
 //! pipeline profiles each task's execution times; this module turns those
 //! series into the per-task predictors of Table 2(b).
 
-use crate::model::ResourceModel;
+use crate::model::TaskModel;
 use crate::predictor::{ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor};
 use crate::stats::{autocorrelation, mean, std_dev};
 
@@ -138,15 +138,11 @@ pub fn select_model(series: &TaskSeries, cfg: &TrainingConfig) -> ModelKind {
     ModelKind::EwmaMarkov
 }
 
-/// Trains a predictor of the given kind.
-fn train_kind(
-    series: &TaskSeries,
-    kind: ModelKind,
-    cfg: &TrainingConfig,
-) -> Box<dyn ResourceModel> {
-    match kind {
-        ModelKind::Constant => Box::new(ConstantPredictor::train(&series.samples)),
-        ModelKind::EwmaMarkov => Box::new(EwmaMarkovPredictor::train(
+/// Selects the model class for a task series and trains it.
+pub(crate) fn train_auto(series: &TaskSeries, cfg: &TrainingConfig) -> TaskModel {
+    match select_model(series, cfg) {
+        ModelKind::Constant => TaskModel::Constant(ConstantPredictor::train(&series.samples)),
+        ModelKind::EwmaMarkov => TaskModel::EwmaMarkov(EwmaMarkovPredictor::train(
             &series.samples,
             cfg.alpha,
             cfg.max_states,
@@ -159,22 +155,13 @@ fn train_kind(
                 .zip(&series.samples)
                 .map(|(&r, &t)| (r, t))
                 .collect();
-            Box::new(LinearMarkovPredictor::train(
+            TaskModel::LinearMarkov(LinearMarkovPredictor::train(
                 &points,
                 cfg.max_states,
                 series.task,
             ))
         }
     }
-}
-
-/// Selects and trains in one step.
-pub fn train_auto(
-    series: &TaskSeries,
-    cfg: &TrainingConfig,
-) -> (ModelKind, Box<dyn ResourceModel>) {
-    let kind = select_model(series, cfg);
-    (kind, train_kind(series, kind, cfg))
 }
 
 #[cfg(test)]
@@ -232,8 +219,8 @@ mod tests {
     #[test]
     fn train_auto_produces_working_predictor() {
         let s = TaskSeries::new("ENH", vec![24.0, 24.1, 23.9, 24.0, 24.05]);
-        let (kind, p) = train_auto(&s, &cfg());
-        assert_eq!(kind, ModelKind::Constant);
+        let p = train_auto(&s, &cfg());
+        assert_eq!(p.kind(), ModelKind::Constant);
         let pred = p
             .predict(&crate::predictor::PredictContext::default())
             .mean_ms;

@@ -10,7 +10,7 @@ use crate::bandwidth_model::{
     scenario_inter_task_bandwidth, scenario_intra_task_bandwidth, FRAME_RATE_HZ,
 };
 use crate::memory_model::{implementation_table, FrameGeometry, TaskMemory};
-use crate::model::{ModelSnapshot, ResourceModel};
+use crate::model::TaskModel;
 use crate::predictor::{PredictContext, Prediction};
 use crate::scenario::{Scenario, ScenarioChain};
 use crate::snapshot::{Reader, SnapshotError, Writer};
@@ -76,76 +76,20 @@ pub struct FramePrediction {
 /// let dist = model.predict_task("REG", &ctx).expect("trained task");
 /// assert!(dist.p99_ms >= dist.mean_ms - 1e-9);
 /// ```
+///
+/// A `clone()` is an independent copy: per-stream instances share
+/// nothing, so one stream's online training never disturbs another's
+/// predictions.
+#[derive(Clone)]
 pub struct TripleC {
     cfg: TripleCConfig,
-    predictors: BTreeMap<&'static str, (ModelKind, Box<dyn ResourceModel>)>,
+    predictors: BTreeMap<&'static str, TaskModel>,
     scenario_chain: ScenarioChain,
 }
 
-impl Clone for TripleC {
-    /// An independent copy: per-stream instances share nothing, so one
-    /// stream's online training never disturbs another's predictions.
-    fn clone(&self) -> Self {
-        Self {
-            cfg: self.cfg.clone(),
-            predictors: self
-                .predictors
-                .iter()
-                .map(|(&task, (kind, p))| (task, (*kind, p.clone_model())))
-                .collect(),
-            scenario_chain: self.scenario_chain.clone(),
-        }
-    }
-}
-
-/// Captured mutable state of a whole [`TripleC`] instance: one
-/// [`ModelSnapshot`] per trained task. The scenario chain and
-/// configuration are training-time constants and are not part of the
-/// mutable state.
-#[derive(Debug, Clone)]
-pub struct TripleCSnapshot {
-    models: BTreeMap<&'static str, ModelSnapshot>,
-}
-
-/// Class tag of a serialized [`TripleCSnapshot`] (the facade, as opposed
-/// to single-predictor snapshots).
+/// Class tag of serialized facade bytes (as opposed to the per-task class
+/// tags inside).
 const TAG_FACADE: u8 = 0xF0;
-
-impl TripleCSnapshot {
-    /// Serializes the facade snapshot: one tagged model snapshot per task,
-    /// under a single validated stream header.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_header();
-        w.u8(TAG_FACADE);
-        w.u32(self.models.len() as u32);
-        for (task, snap) in &self.models {
-            w.str(task);
-            snap.encode_tagged(&mut w);
-        }
-        w.finish()
-    }
-
-    /// Decodes bytes produced by [`TripleCSnapshot::to_bytes`]. Truncated
-    /// or garbled input returns a [`SnapshotError`]; this never panics.
-    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = Reader::header(bytes)?;
-        let tag = r.u8()?;
-        if tag != TAG_FACADE {
-            return Err(SnapshotError::BadClassTag(tag));
-        }
-        let count = r.u32()? as usize;
-        let mut models = BTreeMap::new();
-        for _ in 0..count {
-            let task = crate::snapshot::intern_label(r.str("facade task name")?);
-            let snap = ModelSnapshot::decode_tagged(&mut r)?;
-            if models.insert(task, snap).is_some() {
-                return Err(SnapshotError::Corrupt("duplicate task in facade snapshot"));
-            }
-        }
-        r.expect_end()?;
-        Ok(Self { models })
-    }
-}
 
 impl TripleC {
     /// Trains the model from per-task profiled series and the observed
@@ -156,8 +100,7 @@ impl TripleC {
             if s.samples.is_empty() {
                 continue;
             }
-            let (kind, p) = train_auto(s, &cfg.training);
-            predictors.insert(s.task, (kind, p));
+            predictors.insert(s.task, train_auto(s, &cfg.training));
         }
         let scenario_chain = ScenarioChain::estimate(scenario_sequence);
         Self {
@@ -175,7 +118,7 @@ impl TripleC {
     /// Predictive distribution of one task's computation time (`None`
     /// if untrained).
     pub fn predict_task(&self, task: &str, ctx: &PredictContext) -> Option<Prediction> {
-        self.predictors.get(task).map(|(_, p)| p.predict(ctx))
+        self.predictors.get(task).map(|p| p.predict(ctx))
     }
 
     /// Feeds a measured execution time back into the task's predictor.
@@ -188,7 +131,7 @@ impl TripleC {
     /// deterministic across replays.
     pub fn observe_task(&mut self, task: &str, actual_ms: f64, ctx: &PredictContext) -> bool {
         match self.predictors.get_mut(task) {
-            Some((_, p)) if p.online_training() => {
+            Some(p) if p.online() => {
                 p.observe(actual_ms, ctx);
                 true
             }
@@ -200,71 +143,62 @@ impl TripleC {
     /// the former per-predictor `with_online_training` construction-time
     /// plumbing with a runtime switch).
     pub fn set_online_training(&mut self, online: bool) {
-        for (_, p) in self.predictors.values_mut() {
-            p.set_online_training(online);
+        for p in self.predictors.values_mut() {
+            p.set_online(online);
         }
     }
 
     /// Whether any task model currently trains online.
     pub fn online_training(&self) -> bool {
-        self.predictors.values().any(|(_, p)| p.online_training())
+        self.predictors.values().any(TaskModel::online)
     }
 
-    /// Captures the mutable prediction state of every task model.
-    pub fn snapshot(&self) -> TripleCSnapshot {
-        TripleCSnapshot {
-            models: self
-                .predictors
-                .iter()
-                .map(|(&task, (_, p))| (task, p.snapshot()))
-                .collect(),
-        }
-    }
-
-    /// Restores a snapshot taken from this model (or a clone of it):
-    /// predictions after the restore are bit-identical to predictions
-    /// taken right before the snapshot. Tasks absent from the snapshot
-    /// are left untouched.
-    pub fn restore(&mut self, snap: &TripleCSnapshot) {
-        for (task, s) in &snap.models {
-            if let Some((_, p)) = self.predictors.get_mut(task) {
-                p.restore(s);
-            }
-        }
-    }
-
-    /// Fallible [`TripleC::restore`]: every per-task snapshot class is
-    /// checked against the trained predictor *before* anything is applied,
-    /// so on `Err` the model is untouched (no partial restore).
-    pub fn try_restore(&mut self, snap: &TripleCSnapshot) -> Result<(), SnapshotError> {
-        for (task, s) in &snap.models {
-            if let Some((_, p)) = self.predictors.get(task) {
-                let own = p.snapshot();
-                if own.class() != s.class() {
-                    return Err(SnapshotError::ClassMismatch {
-                        snapshot: s.class(),
-                        model: own.class(),
-                    });
-                }
-            }
-        }
-        self.restore(snap);
-        Ok(())
-    }
-
-    /// Serializes the current mutable prediction state
-    /// ([`TripleC::snapshot`] as bytes).
+    /// Serializes the mutable prediction state of every task model: one
+    /// class-tagged payload per task, in name order, under a single
+    /// validated stream header. The scenario chain and configuration are
+    /// training-time constants and are not part of it.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        self.snapshot().to_bytes()
+        let mut w = Writer::with_header();
+        w.u8(TAG_FACADE);
+        w.u32(self.predictors.len() as u32);
+        for (task, model) in &self.predictors {
+            w.str(task);
+            model.encode_tagged(&mut w);
+        }
+        w.finish()
     }
 
-    /// Decodes and restores serialized snapshot bytes. Truncated or
-    /// garbled bytes return `Err` and leave the model untouched; this
-    /// never panics — the contract the runtime's model-quarantine
-    /// recovery path depends on.
+    /// Restores bytes from [`TripleC::snapshot_bytes`] of this model or a
+    /// clone of it: predictions afterwards are bit-identical to those at
+    /// snapshot time. Tasks absent from the bytes are left untouched.
+    ///
+    /// Every entry is checked against the live model before anything is
+    /// assigned: an untrained task name, a predictor label other than the
+    /// live one, or truncated or garbled bytes return
+    /// [`SnapshotError::Corrupt`] or another decode error, and a class other
+    /// than the live one [`SnapshotError::ClassMismatch`]. On `Err` the
+    /// model is untouched. This never panics — the contract the runtime's
+    /// model-quarantine recovery path depends on.
     pub fn try_restore_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let snap = TripleCSnapshot::from_bytes(bytes)?;
-        self.try_restore(&snap)
+        let mut r = Reader::header(bytes)?;
+        let tag = r.u8()?;
+        if tag != TAG_FACADE {
+            return Err(SnapshotError::BadClassTag(tag));
+        }
+        let count = r.u32()?;
+        let mut restored = BTreeMap::new();
+        for _ in 0..count {
+            let name = r.str("facade task name")?;
+            let Some((&task, live)) = self.predictors.get_key_value(name) else {
+                return Err(SnapshotError::Corrupt("untrained task in facade snapshot"));
+            };
+            if restored.insert(task, live.decode_tagged(&mut r)?).is_some() {
+                return Err(SnapshotError::Corrupt("duplicate task in facade snapshot"));
+            }
+        }
+        r.expect_end()?;
+        self.predictors.extend(restored);
+        Ok(())
     }
 
     /// Full per-frame resource prediction. `total_ms` is the serial
@@ -328,7 +262,7 @@ impl TripleC {
     pub fn model_summary(&self) -> Vec<(&'static str, ModelKind, String)> {
         self.predictors
             .iter()
-            .map(|(task, (kind, p))| (*task, *kind, p.model_name()))
+            .map(|(task, p)| (*task, p.kind(), p.model_name()))
             .collect()
     }
 
@@ -469,35 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trip_is_bit_identical() {
-        let mut t = trained();
-        let ctx = PredictContext { roi_kpixels: 800.0 };
-        t.set_online_training(true);
-        for i in 0..20 {
-            t.observe_task("RDG_FULL", 40.0 + (i % 6) as f64, &ctx);
-            t.observe_task("CPLS_SEL", 1.0 + (i % 3) as f64, &ctx);
-        }
-        let snap = t.snapshot();
-        let before: Vec<(&str, Option<Prediction>)> = Scenario::worst_case()
-            .active_tasks()
-            .iter()
-            .map(|&task| (task, t.predict_task(task, &ctx)))
-            .collect();
-        for _ in 0..60 {
-            t.observe_task("RDG_FULL", 95.0, &ctx);
-            t.observe_task("CPLS_SEL", 9.0, &ctx);
-        }
-        t.restore(&snap);
-        for (task, dist) in before {
-            assert_eq!(
-                t.predict_task(task, &ctx),
-                dist,
-                "{task} prediction differs after restore"
-            );
-        }
-    }
-
-    #[test]
     fn online_training_switch_reaches_all_tasks() {
         let mut t = trained();
         assert!(!t.online_training());
@@ -559,12 +464,18 @@ mod tests {
                 "truncation at {cut} restored"
             );
         }
+        let mut extended = bytes.clone();
+        extended.push(0);
+        assert_eq!(
+            t.try_restore_bytes(&extended),
+            Err(SnapshotError::TrailingBytes(1))
+        );
         // single-byte corruption of the payload either fails cleanly or
         // decodes to a *valid* (if different) model — never panics
         for i in 0..bytes.len() {
             let mut garbled = bytes.clone();
             garbled[i] ^= 0xA5;
-            let _ = TripleCSnapshot::from_bytes(&garbled);
+            let _ = t.clone().try_restore_bytes(&garbled);
         }
         assert_eq!(t.predict_task("RDG_FULL", &ctx).unwrap(), before);
     }

@@ -9,8 +9,11 @@
 //! frames, which does not change single-frame latency).
 
 use crate::budget::LatencyBudget;
-use pipeline::executor::ExecutionPolicy;
+use pipeline::executor::{ExecutionPolicy, STRIPABLE_TASKS};
 use platform::schedule::DISPATCH_OVERHEAD_MS;
+use triplec::predictor::{PredictContext, Prediction};
+use triplec::scenario::Scenario;
+use triplec::triple::TripleC;
 
 /// Predicted per-frame cost split used by the planner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,6 +30,39 @@ impl CostPrediction {
     pub fn total(&self) -> f64 {
         self.stripable_ms + self.serial_ms
     }
+}
+
+/// Walks `scenario`'s active tasks once: predicts each trained task at
+/// `ctx`, costs its distribution with `cost` and splits the costs by
+/// [`STRIPABLE_TASKS`]. Also returns the per-task distributions summed
+/// field by field (an upper bound on each frame quantile, exact under
+/// comonotone task costs). Untrained tasks cost nothing.
+pub(crate) fn scenario_cost(
+    model: &TripleC,
+    scenario: Scenario,
+    ctx: &PredictContext,
+    cost: impl Fn(&Prediction) -> f64,
+) -> (CostPrediction, Prediction) {
+    let mut split = CostPrediction {
+        stripable_ms: 0.0,
+        serial_ms: 0.0,
+    };
+    let mut sums = Prediction::default();
+    for task in scenario.active_tasks() {
+        let Some(p) = model.predict_task(task, ctx) else {
+            continue;
+        };
+        sums.mean_ms += p.mean_ms;
+        sums.p50_ms += p.p50_ms;
+        sums.p95_ms += p.p95_ms;
+        sums.p99_ms += p.p99_ms;
+        if STRIPABLE_TASKS.contains(&task) {
+            split.stripable_ms += cost(&p);
+        } else {
+            split.serial_ms += cost(&p);
+        }
+    }
+    (split, sums)
 }
 
 /// Striping efficiency: a stripe of `1/k` of the rows costs slightly more

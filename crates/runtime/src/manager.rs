@@ -6,7 +6,7 @@
 //! and **profiling** (predicted-vs-actual bookkeeping, feeding online
 //! model training and the accuracy reports of Section 7).
 
-use crate::adaptation::{choose_policy, CostPrediction};
+use crate::adaptation::{choose_policy, scenario_cost};
 use crate::budget::LatencyBudget;
 use pipeline::executor::{ExecutionPolicy, FrameOutput};
 use platform::bus::{
@@ -225,30 +225,15 @@ impl ResourceManager {
         let ctx = PredictContext { roi_kpixels };
         // planning costs (optionally a conservative quantile) and the
         // point prediction (recorded for the accuracy bookkeeping)
-        let conservative = (self.cfg.planning_quantile - 0.5).abs() > 1e-9;
-        let mut stripable_ms = 0.0;
-        let mut serial_ms = 0.0;
-        let mut predicted_total_ms = 0.0;
-        let (mut p50_ms, mut p95_ms, mut p99_ms) = (0.0, 0.0, 0.0);
-        for task in scenario.active_tasks() {
-            let Some(p) = self.model.predict_task(task, &ctx) else {
-                continue;
-            };
-            predicted_total_ms += p.mean_ms;
-            p50_ms += p.p50_ms;
-            p95_ms += p.p95_ms;
-            p99_ms += p.p99_ms;
-            let planning = if conservative {
-                p.quantile(self.cfg.planning_quantile)
+        let q = self.cfg.planning_quantile;
+        let conservative = (q - 0.5).abs() > 1e-9;
+        let (cost, sums) = scenario_cost(&self.model, scenario, &ctx, |p| {
+            if conservative {
+                p.quantile(q)
             } else {
                 p.mean_ms
-            };
-            if pipeline::executor::STRIPABLE_TASKS.contains(&task) {
-                stripable_ms += planning;
-            } else {
-                serial_ms += planning;
             }
-        }
+        });
         // the cost of prediction itself (Section 2's "the overhead of the
         // prediction must be small"), so the observability layer can hold
         // the predictors to that claim
@@ -259,39 +244,28 @@ impl ResourceManager {
             cost_us: predict_start.elapsed().as_secs_f64() * 1e6,
         });
 
-        let plan = match self.budget {
-            None => Plan {
-                policy: ExecutionPolicy {
+        let (policy, feasible) = match self.budget {
+            None => (
+                ExecutionPolicy {
                     rdg_stripes: 1,
                     aux_stripes: 1,
                     cores: self.cfg.cores,
                 },
-                scenario,
-                predicted_total_ms,
-                predicted_p50_ms: p50_ms,
-                predicted_p95_ms: p95_ms,
-                predicted_p99_ms: p99_ms,
-                feasible: true,
-            },
-            Some(budget) => {
-                let cost = CostPrediction {
-                    stripable_ms,
-                    serial_ms,
-                };
-                let (policy, feasible) = choose_policy(&cost, &budget, self.cfg.cores);
-                if !feasible {
-                    self.infeasible_frames += 1;
-                }
-                Plan {
-                    policy,
-                    scenario,
-                    predicted_total_ms,
-                    predicted_p50_ms: p50_ms,
-                    predicted_p95_ms: p95_ms,
-                    predicted_p99_ms: p99_ms,
-                    feasible,
-                }
-            }
+                true,
+            ),
+            Some(budget) => choose_policy(&cost, &budget, self.cfg.cores),
+        };
+        if !feasible {
+            self.infeasible_frames += 1;
+        }
+        let plan = Plan {
+            policy,
+            scenario,
+            predicted_total_ms: sums.mean_ms,
+            predicted_p50_ms: sums.p50_ms,
+            predicted_p95_ms: sums.p95_ms,
+            predicted_p99_ms: sums.p99_ms,
+            feasible,
         };
         self.last_plan = Some(plan);
         self.bus.emit(FrameEvent::PlanIssued {

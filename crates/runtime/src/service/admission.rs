@@ -12,9 +12,8 @@
 //! the streams that wait by the same prediction: frames still owed ×
 //! predicted per-frame cost, least first.
 
-use crate::adaptation::{choose_policy, predicted_latency, CostPrediction};
+use crate::adaptation::{choose_policy, predicted_latency, scenario_cost};
 use crate::session::StreamSpec;
-use pipeline::executor::STRIPABLE_TASKS;
 use triplec::predictor::{PredictContext, Prediction};
 use triplec::scenario::Scenario;
 
@@ -126,29 +125,13 @@ pub fn predict_demand(
     let roi_kpixels = (spec.seq.width * spec.seq.height) as f64 / 1000.0;
     let ctx = PredictContext { roi_kpixels };
     let scenario = spec.model.predict_next_scenario(Scenario::worst_case());
-    let mut stripable_ms = 0.0;
-    let mut serial_ms = 0.0;
-    for task in scenario.active_tasks() {
-        let ms = spec
-            .model
-            .predict_task(task, &ctx)
-            .map_or(0.0, |p| policy.cost(&p));
-        if STRIPABLE_TASKS.contains(&task) {
-            stripable_ms += ms;
-        } else {
-            serial_ms += ms;
-        }
-    }
-    let cost = CostPrediction {
-        stripable_ms,
-        serial_ms,
-    };
+    let (cost, _) = scenario_cost(&spec.model, scenario, &ctx, |p| policy.cost(p));
     match spec.budget {
         // no fixed budget: the first frame runs serial to initialize the
         // budget, so the stream enters with minimal demand
         None => StreamDemand {
             cores: 1,
-            predicted_ms: stripable_ms + serial_ms,
+            predicted_ms: cost.total(),
             policy,
         },
         Some(budget) => {

@@ -331,8 +331,8 @@ impl StreamEngine {
             frame: idx,
             kind: FaultKind::SnapshotCorruption,
         });
-        let pristine = self.manager.model().snapshot_bytes();
-        let mut garbled = pristine.clone();
+        let pristine = self.manager.model().clone();
+        let mut garbled = pristine.snapshot_bytes();
         if !garbled.is_empty() {
             let h = fault_hash(seed, stream, idx, 0xC0);
             let at = (h as usize) % garbled.len();
@@ -340,11 +340,8 @@ impl StreamEngine {
         }
         if self.manager.model_mut().try_restore_bytes(&garbled).is_ok() {
             // the garble happened to still decode as a valid snapshot:
-            // roll back to the pristine checkpoint
-            self.manager
-                .model_mut()
-                .try_restore_bytes(&pristine)
-                .expect("pristine snapshot restores");
+            // roll back to the pre-garble model
+            *self.manager.model_mut() = pristine;
         }
         let online = self.manager.model().online_training();
         if online {

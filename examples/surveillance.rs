@@ -14,7 +14,7 @@ use triple_c::imaging::hessian::{blob_response, hessian_at_scale, HessianImages,
 use triple_c::platform::profile::time_ms;
 use triple_c::prelude::*;
 use triple_c::triplec::accuracy::evaluate;
-use triple_c::triplec::predictor::{EwmaMarkovPredictor, Predictor};
+use triple_c::triplec::predictor::EwmaMarkovPredictor;
 use triple_c::xray::canvas::Canvas;
 
 const SIZE: usize = 256;

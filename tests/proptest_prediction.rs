@@ -2,10 +2,9 @@
 
 use proptest::prelude::*;
 use triple_c::triplec::linear::LinearModel;
-use triple_c::triplec::predictor::{
-    ConstantPredictor, EwmaMarkovPredictor, PredictContext, Predictor,
-};
+use triple_c::triplec::predictor::{ConstantPredictor, EwmaMarkovPredictor, PredictContext};
 use triple_c::triplec::training::{select_model, ModelKind, TaskSeries, TrainingConfig};
+use triple_c::triplec::triple::{TripleC, TripleCConfig};
 
 fn ctx() -> PredictContext {
     PredictContext::default()
@@ -81,19 +80,24 @@ proptest! {
     }
 
     /// Model selection is total: any non-empty series yields a model that
-    /// trains without panicking and predicts a finite value.
+    /// trains without panicking, is of the selected class, and predicts a
+    /// finite value.
     #[test]
     fn training_is_total(samples in prop::collection::vec(0.01f64..1e3, 2..100)) {
         let series = TaskSeries::new("X", samples);
-        let cfg = TrainingConfig::default();
-        let kind = select_model(&series, &cfg);
-        let (k2, mut p) = triple_c::triplec::training::train_auto(&series, &cfg);
-        prop_assert_eq!(kind, k2);
-        let v = p.predict(&ctx());
+        let cfg = TripleCConfig::default();
+        let kind = select_model(&series, &cfg.training);
+        let n = series.samples.len();
+        let mut t = TripleC::train(&[series], &vec![0; n], cfg);
+        let summary = t.model_summary();
+        prop_assert_eq!(summary.len(), 1);
+        prop_assert_eq!(summary[0].1, kind);
+        let v = t.predict_task("X", &ctx()).unwrap();
         prop_assert!(v.is_finite() && v.mean_ms >= 0.0);
         prop_assert!(v.p50_ms <= v.p95_ms && v.p95_ms <= v.p99_ms);
-        p.observe(1.0, &ctx());
-        prop_assert!(p.predict(&ctx()).is_finite());
+        t.set_online_training(true);
+        prop_assert!(t.observe_task("X", 1.0, &ctx()));
+        prop_assert!(t.predict_task("X", &ctx()).unwrap().is_finite());
     }
 
     /// A strictly constant series always selects the constant model.

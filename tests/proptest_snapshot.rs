@@ -1,52 +1,76 @@
-//! Property-based tests of the `ResourceModel` snapshot/restore contract:
-//! restoring a snapshot makes subsequent predictions **bit-identical** to
-//! the predictions at snapshot time, for every predictor class and for the
-//! whole `TripleC` facade, regardless of what was observed in between.
+//! Property-based tests of the snapshot/restore contract: restoring
+//! `TripleC::snapshot_bytes` makes subsequent predictions **bit-identical**
+//! to the predictions at snapshot time, for every predictor class and for
+//! the whole facade, regardless of what was observed in between. The byte
+//! format itself is pinned.
 
+mod common;
+
+use common::*;
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use triple_c::triplec::model::ResourceModel;
-use triple_c::triplec::predictor::{
-    ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor, PredictContext,
-};
-use triple_c::triplec::training::TaskSeries;
-use triple_c::triplec::triple::{TripleC, TripleCConfig};
+use triple_c::triplec::training::ModelKind;
+use triple_c::triplec::triple::TripleC;
 
-fn ctx(roi_kpixels: f64) -> PredictContext {
-    PredictContext { roi_kpixels }
-}
-
-/// Snapshots, perturbs with online observations, restores, and checks the
-/// prediction is bit-identical to the snapshot-time prediction.
+/// Checks that `task` trained to `kind`, snapshots, perturbs `task` with
+/// online observations, restores, and checks every task's prediction is
+/// bit-identical to the snapshot-time prediction.
 fn assert_roundtrip(
-    mut model: Box<dyn ResourceModel>,
+    mut t: TripleC,
+    task: &str,
+    kind: ModelKind,
     observe: &[f64],
     roi: f64,
 ) -> Result<(), TestCaseError> {
-    model.set_online_training(true);
-    let snap = model.snapshot();
-    let at_snapshot = model.predict(&ctx(roi));
+    prop_assert_eq!(class_of(&t, task), Some(kind));
+    t.set_online_training(true);
+    let bytes = t.snapshot_bytes();
+    let at_snapshot = prediction_bits(&t, roi);
 
     for &x in observe {
-        model.observe(x, &ctx(roi));
+        prop_assert!(t.observe_task(task, x, &ctx(roi)));
     }
     // a clone taken now must preserve the perturbed state bit-exactly too
-    let perturbed = model.predict(&ctx(roi));
-    let clone = model.clone_model();
-    prop_assert_eq!(perturbed.to_bits(), clone.predict(&ctx(roi)).to_bits());
+    let perturbed = prediction_bits(&t, roi);
+    prop_assert_eq!(&perturbed, &prediction_bits(&t.clone(), roi));
 
-    model.restore(&snap);
-    let restored = model.predict(&ctx(roi));
+    t.try_restore_bytes(&bytes).expect("own snapshot restores");
     prop_assert!(
-        at_snapshot.to_bits() == restored.to_bits(),
-        "restore not bit-identical: {} vs {}",
-        at_snapshot,
-        restored
+        at_snapshot == prediction_bits(&t, roi),
+        "restore of {} not bit-identical",
+        task
     );
     // restoring is repeatable
-    model.restore(&snap);
-    prop_assert_eq!(at_snapshot.to_bits(), model.predict(&ctx(roi)).to_bits());
+    t.try_restore_bytes(&bytes).expect("own snapshot restores");
+    prop_assert_eq!(at_snapshot, prediction_bits(&t, roi));
     Ok(())
+}
+
+/// The byte format, pinned by FNV-1a digests of the three-class model's
+/// snapshot, fresh and after online observations.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let mut t = three_class_model();
+    for (task, kind) in TASKS {
+        assert_eq!(class_of(&t, task), Some(kind), "{task}");
+    }
+    let fresh = t.snapshot_bytes();
+    assert_eq!((fresh.len(), fnv1a(&fresh)), (2481, 0x228a_8d17_919b_97f5));
+    t.set_online_training(true);
+    for i in 0..12 {
+        for (task, _) in TASKS {
+            t.observe_task(
+                task,
+                30.0 + (i % 5) as f64 * 1.5,
+                &ctx(100.0 + 10.0 * i as f64),
+            );
+        }
+    }
+    let observed = t.snapshot_bytes();
+    assert_eq!(
+        (observed.len(), fnv1a(&observed)),
+        (2577, 0x6ae9_34cd_c98e_49f7)
+    );
 }
 
 proptest! {
@@ -55,71 +79,49 @@ proptest! {
         v in 0.1f64..1e3,
         observe in prop::collection::vec(0.0f64..1e3, 1..30),
     ) {
-        assert_roundtrip(Box::new(ConstantPredictor::new(v)), &observe, 100.0)?;
+        let t = three_class_model_with(constant_series("MKX_EXT", v));
+        assert_roundtrip(t, "MKX_EXT", ModelKind::Constant, &observe, 100.0)?;
     }
 
     #[test]
     fn ewma_markov_snapshot_roundtrip(
-        train in prop::collection::vec(1.0f64..100.0, 10..80),
+        jitter in prop::collection::vec(-0.5f64..0.5, 0..60),
         observe in prop::collection::vec(1.0f64..100.0, 1..30),
     ) {
-        let model = EwmaMarkovPredictor::train(&train, 0.2, 16, "T");
-        assert_roundtrip(Box::new(model), &observe, 100.0)?;
+        let t = three_class_model_with(autocorrelated_series("RDG_FULL", &jitter));
+        assert_roundtrip(t, "RDG_FULL", ModelKind::EwmaMarkov, &observe, 100.0)?;
     }
 
     #[test]
     fn linear_markov_snapshot_roundtrip(
-        slope in 0.01f64..1.0,
-        intercept in 0.0f64..50.0,
+        slope in 0.05f64..1.0,
+        intercept in 0.0f64..20.0,
         noise in prop::collection::vec(-0.5f64..0.5, 20..60),
         observe in prop::collection::vec(1.0f64..100.0, 1..30),
         roi in 10.0f64..2000.0,
     ) {
-        let points: Vec<(f64, f64)> = noise
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| {
-                let x = 50.0 + 10.0 * i as f64;
-                (x, slope * x + intercept + e)
-            })
-            .collect();
-        let model = LinearMarkovPredictor::train(&points, 16, "T");
-        assert_roundtrip(Box::new(model), &observe, roi)?;
+        let t = three_class_model_with(roi_line_series("RDG_ROI", slope, intercept, &noise));
+        assert_roundtrip(t, "RDG_ROI", ModelKind::LinearMarkov, &observe, roi)?;
     }
 
     /// The whole facade round-trips: every per-task model restores to a
-    /// bit-identical prediction, and the scenario state returns too.
+    /// bit-identical prediction after all of them were perturbed.
     #[test]
     fn triplec_snapshot_roundtrip(
-        rdg in prop::collection::vec(20.0f64..60.0, 40..80),
         observe in prop::collection::vec(20.0f64..60.0, 1..20),
+        roi in 10.0f64..2000.0,
     ) {
-        let n = rdg.len();
-        let series = vec![
-            TaskSeries::new("RDG_FULL", rdg),
-            TaskSeries::new("MKX_EXT", vec![2.5; n]),
-            TaskSeries::new("CPLS_SEL", vec![1.5; n]),
-            TaskSeries::new("REG", vec![2.0; n]),
-        ];
-        let scenarios = vec![1u8; n];
-        let mut t = TripleC::train(&series, &scenarios, TripleCConfig::default());
+        let mut t = three_class_model();
         t.set_online_training(true);
-
-        let snap = t.snapshot();
-        let tasks = ["RDG_FULL", "MKX_EXT", "CPLS_SEL", "REG"];
-        let at_snapshot: Vec<u64> = tasks
-            .iter()
-            .flat_map(|&task| t.predict_task(task, &ctx(100.0)).unwrap().to_bits())
-            .collect();
-
+        let bytes = t.snapshot_bytes();
+        let at_snapshot = prediction_bits(&t, roi);
         for &x in &observe {
-            t.observe_task("RDG_FULL", x, &ctx(100.0));
+            for (task, _) in TASKS {
+                prop_assert!(t.observe_task(task, x, &ctx(roi)));
+            }
         }
-        t.restore(&snap);
-        let restored: Vec<u64> = tasks
-            .iter()
-            .flat_map(|&task| t.predict_task(task, &ctx(100.0)).unwrap().to_bits())
-            .collect();
-        prop_assert_eq!(at_snapshot, restored);
+        t.try_restore_bytes(&bytes).expect("own snapshot restores");
+        prop_assert_eq!(at_snapshot, prediction_bits(&t, roi));
+        prop_assert_eq!(t.snapshot_bytes(), bytes);
     }
 }

@@ -1,60 +1,42 @@
 //! Snapshot/restore under corruption, mirroring `proptest_snapshot.rs`:
-//! restoring a truncated or garbled `ResourceModel` snapshot must return
-//! `Err` (never panic) for every predictor class and for the whole
-//! `TripleC` facade — and a rejected restore must leave the live model
-//! bit-identically untouched.
+//! restoring truncated, garbled, renamed or cross-class
+//! `TripleC::snapshot_bytes` must return `Err` (never panic) for every
+//! predictor class and for the whole facade — and a rejected restore must
+//! leave the live model bit-identically untouched.
 
+mod common;
+
+use common::*;
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use triple_c::triplec::model::ResourceModel;
-use triple_c::triplec::predictor::{
-    ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor, PredictContext,
-};
-use triple_c::triplec::training::TaskSeries;
-use triple_c::triplec::triple::{TripleC, TripleCConfig};
+use triple_c::triplec::triple::TripleC;
+use triple_c::triplec::SnapshotError;
 
-fn ctx(roi_kpixels: f64) -> PredictContext {
-    PredictContext { roi_kpixels }
+/// The three-class model after some online observations, with its
+/// snapshot bytes.
+fn observed_model() -> (TripleC, Vec<u8>) {
+    let mut t = three_class_model();
+    for (task, kind) in TASKS {
+        assert_eq!(class_of(&t, task), Some(kind), "{task}");
+    }
+    t.set_online_training(true);
+    for i in 0..10 {
+        for (task, _) in TASKS {
+            t.observe_task(task, 25.0 + (i % 4) as f64, &ctx(100.0));
+        }
+    }
+    let bytes = t.snapshot_bytes();
+    (t, bytes)
 }
 
-/// Every predictor class, freshly trained, for class-sweep properties.
-fn all_classes() -> Vec<Box<dyn ResourceModel>> {
-    let train: Vec<f64> = (0..60).map(|i| 30.0 + (i % 7) as f64).collect();
-    let points: Vec<(f64, f64)> = (0..40)
-        .map(|i| (50.0 + 10.0 * i as f64, 4.0 + 0.02 * i as f64))
-        .collect();
-    vec![
-        Box::new(ConstantPredictor::new(12.5)),
-        Box::new(EwmaMarkovPredictor::train(&train, 0.2, 16, "T")),
-        Box::new(LinearMarkovPredictor::train(&points, 16, "T")),
-    ]
-}
-
-/// Corrupting `bytes[at] ^= mask` (or truncating to `at`) must never
-/// panic; on `Err` the model's next prediction is bit-identical to the
-/// pre-restore prediction.
-fn assert_rejects_cleanly(
-    model: &mut dyn ResourceModel,
-    bytes: &[u8],
-    at: usize,
-    mask: u8,
-    truncate: bool,
-) -> Result<(), TestCaseError> {
-    let before = model.predict(&ctx(100.0)).to_bits();
-    let corrupted: Vec<u8> = if truncate {
-        bytes[..at.min(bytes.len())].to_vec()
-    } else if bytes.is_empty() {
-        Vec::new()
-    } else {
-        let mut b = bytes.to_vec();
-        let i = at % b.len();
-        b[i] ^= mask;
-        b
-    };
-    match model.try_restore_bytes(&corrupted) {
+/// Restoring `corrupted` must never panic; on `Err` the model's
+/// predictions are bit-identical to the pre-restore ones.
+fn assert_rejects_cleanly(t: &mut TripleC, corrupted: &[u8]) -> Result<(), TestCaseError> {
+    let before = prediction_bits(t, 100.0);
+    match t.try_restore_bytes(corrupted) {
         Err(_) => {
             prop_assert!(
-                before == model.predict(&ctx(100.0)).to_bits(),
+                before == prediction_bits(t, 100.0),
                 "rejected restore mutated the model"
             );
         }
@@ -62,37 +44,72 @@ fn assert_rejects_cleanly(
             // the mutation happened to decode as a valid snapshot (e.g. a
             // benign payload flip): the restored state must itself
             // round-trip
-            let bytes2 = model.snapshot().to_bytes();
-            prop_assert!(model.try_restore_bytes(&bytes2).is_ok());
+            let bytes2 = t.snapshot_bytes();
+            prop_assert!(t.try_restore_bytes(&bytes2).is_ok());
         }
     }
     Ok(())
 }
 
+/// A task name or predictor label changed to another valid ASCII name
+/// (e.g. `RDG_FULL` → `SDG_FULL`) restores nothing.
+#[test]
+fn renamed_task_or_label_is_rejected() {
+    let (mut t, bytes) = observed_model();
+    let before = prediction_bits(&t, 100.0);
+    let summary = t.model_summary();
+    let mut renames = 0;
+    for (task, _) in TASKS {
+        let hits = bytes.windows(task.len()).enumerate();
+        for (at, _) in hits.filter(|(_, w)| *w == task.as_bytes()) {
+            let mut renamed = bytes.clone();
+            renamed[at] += 1;
+            assert!(
+                matches!(
+                    t.try_restore_bytes(&renamed),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "{task} renamed at byte {at} restored"
+            );
+            assert_eq!(prediction_bits(&t, 100.0), before);
+            assert_eq!(t.model_summary(), summary);
+            renames += 1;
+        }
+    }
+    // each task's name, plus the labels of the two Markov classes
+    assert_eq!(renames, 5);
+}
+
 proptest! {
+    /// A byte of each class's entry garbled.
     #[test]
     fn every_class_rejects_garbled_bytes_without_panicking(
         at in 0usize..4096,
         mask in 1u8..255,
     ) {
-        for mut model in all_classes() {
-            let bytes = model.snapshot().to_bytes();
-            assert_rejects_cleanly(model.as_mut(), &bytes, at, mask, false)?;
+        let (mut t, bytes) = observed_model();
+        for (task, _) in TASKS {
+            let (start, end) = task_segment(&bytes, task);
+            let mut garbled = bytes.clone();
+            garbled[start + at % (end - start)] ^= mask;
+            assert_rejects_cleanly(&mut t, &garbled)?;
         }
     }
 
+    /// The bytes cut inside each class's entry.
     #[test]
     fn every_class_rejects_truncations_without_panicking(at in 0usize..4096) {
-        for mut model in all_classes() {
-            let bytes = model.snapshot().to_bytes();
-            // strict truncation only (the full-length prefix is valid)
-            let cut = at % bytes.len().max(1);
+        let (mut t, bytes) = observed_model();
+        for (task, _) in TASKS {
+            let (start, end) = task_segment(&bytes, task);
+            let cut = start + at % (end - start);
+            let before = prediction_bits(&t, 100.0);
             prop_assert!(
-                model.try_restore_bytes(&bytes[..cut]).is_err(),
-                "truncation to {cut}/{} accepted",
+                t.try_restore_bytes(&bytes[..cut]).is_err(),
+                "{task}: truncation to {cut}/{} accepted",
                 bytes.len()
             );
-            assert_rejects_cleanly(model.as_mut(), &bytes, cut, 0, true)?;
+            prop_assert_eq!(before, prediction_bits(&t, 100.0));
         }
     }
 
@@ -102,21 +119,9 @@ proptest! {
         mask in 1u8..255,
         truncate in any::<bool>(),
     ) {
-        let n = 50;
-        let series = vec![
-            TaskSeries::new("RDG_FULL", (0..n).map(|i| 30.0 + (i % 5) as f64).collect()),
-            TaskSeries::new("MKX_EXT", vec![2.5; n]),
-            TaskSeries::new("CPLS_SEL", vec![1.5; n]),
-            TaskSeries::new("REG", vec![2.0; n]),
-        ];
-        let scenarios = vec![1u8; n];
-        let tasks = ["RDG_FULL", "MKX_EXT", "CPLS_SEL", "REG"];
-        let mut t = TripleC::train(&series, &scenarios, TripleCConfig::default());
+        let mut t = three_class_model();
         let bytes = t.snapshot_bytes();
-        let before: Vec<u64> = tasks
-            .iter()
-            .flat_map(|&task| t.predict_task(task, &ctx(100.0)).unwrap().to_bits())
-            .collect();
+        let before = prediction_bits(&t, 100.0);
 
         let corrupted: Vec<u8> = if truncate {
             bytes[..at % bytes.len()].to_vec()
@@ -129,30 +134,35 @@ proptest! {
         if truncate {
             prop_assert!(t.try_restore_bytes(&corrupted).is_err());
         } else {
-            let _ = t.try_restore_bytes(&corrupted); // must not panic
+            assert_rejects_cleanly(&mut t, &corrupted)?;
         }
         // whatever happened, the facade still predicts finite values and a
         // pristine restore brings back the exact snapshot-time state
-        let after: Vec<u64> = tasks
-            .iter()
-            .flat_map(|&task| t.predict_task(task, &ctx(100.0)).unwrap().to_bits())
-            .collect();
+        let after = prediction_bits(&t, 100.0);
         prop_assert!(after.iter().all(|&b| f64::from_bits(b).is_finite()));
         t.try_restore_bytes(&bytes).expect("pristine bytes restore");
-        let restored: Vec<u64> = tasks
-            .iter()
-            .flat_map(|&task| t.predict_task(task, &ctx(100.0)).unwrap().to_bits())
-            .collect();
-        prop_assert_eq!(&before, &restored);
+        prop_assert_eq!(&before, &prediction_bits(&t, 100.0));
     }
 
+    /// Bytes of a model whose task `which` trained to the next class.
     #[test]
     fn cross_class_restore_is_rejected(which in 0usize..3) {
-        let mut classes = all_classes();
-        let donor = classes[(which + 1) % 3].snapshot().to_bytes();
-        let model = &mut classes[which];
-        let before = model.predict(&ctx(100.0)).to_bits();
-        prop_assert!(model.try_restore_bytes(&donor).is_err());
-        prop_assert_eq!(before, model.predict(&ctx(100.0)).to_bits());
+        let (task, _) = TASKS[which];
+        let other = TASKS[(which + 1) % 3].1;
+        let donor = three_class_model_with(series_of(task, other));
+        prop_assert_eq!(class_of(&donor, task), Some(other));
+        let (mut t, _) = observed_model();
+        let before = prediction_bits(&t, 100.0);
+        prop_assert!(
+            matches!(
+                t.try_restore_bytes(&donor.snapshot_bytes()),
+                Err(SnapshotError::ClassMismatch { .. })
+            ),
+            "{} restored from a {:?} snapshot",
+            task,
+            other
+        );
+        prop_assert_eq!(before, prediction_bits(&t, 100.0));
+        prop_assert_eq!(class_of(&t, task), Some(TASKS[which].1));
     }
 }
