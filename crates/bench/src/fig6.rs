@@ -4,10 +4,10 @@
 
 use crate::config::ExperimentConfig;
 use crate::report::table;
+use crate::schedule::{VirtualJob, VirtualSchedule};
 use imaging::image::Roi;
 use imaging::parallel::{StripeFault, StripePool};
 use imaging::ridge::{rdg_banded, RdgBuffers, RdgConfig};
-use platform::schedule::{VirtualJob, VirtualSchedule};
 use triplec::linear::LinearModel;
 use xray::{SequenceConfig, SequenceGenerator};
 
@@ -51,12 +51,12 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
     let frame = SequenceGenerator::new(seq).next().expect("one frame").image;
     let rdg_cfg = RdgConfig::default();
     let mut bufs = RdgBuffers::new(cfg.size, cfg.size);
-    // Every variant is the pipeline's own RDG call. A one-thread pool runs
-    // the bands one after another, so each band's time is measured
-    // uncontended whatever the host; the effective latency is then the
-    // call's serial sections plus the bands' makespan on the modelled
-    // platform.
-    let pool = StripePool::new(1);
+    // Every variant is the pipeline's own RDG call. A pool without workers
+    // runs the bands one after another on this thread, so each band's time
+    // is measured uncontended whatever the host; the effective latency is
+    // then the call's serial sections plus the bands' makespan on the
+    // modelled platform.
+    let pool = StripePool::new(0);
 
     let stripes = &cfg.fig6_stripes;
     assert!(

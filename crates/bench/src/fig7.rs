@@ -123,11 +123,11 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "Fig. 7 — effective latency over {} frames at {}x{}\n\n",
+        "Fig. 7 — measured frame latency over {} frames at {}x{}\n\n",
         cfg.fig7_frames, cfg.size, cfg.size
     ));
     out.push_str(&strip_chart(
-        "effective latency [ms]",
+        "frame latency [ms]",
         &[
             ("straightforward", &straightforward),
             ("semi-auto parallel", &managed),

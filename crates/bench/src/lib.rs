@@ -33,6 +33,7 @@ pub mod fig7;
 pub mod partitioning;
 pub mod qos_exp;
 pub mod report;
+mod schedule;
 pub mod table1;
 pub mod table2;
 

@@ -12,11 +12,11 @@
 
 use crate::config::ExperimentConfig;
 use crate::report::table;
+use crate::schedule::{pipelined_schedule, stage_makespan, VirtualJob};
 use pipeline::app::AppConfig;
 use pipeline::executor::{ExecutionPolicy, STRIPABLE_TASKS};
 use pipeline::runner::run_sequence;
 use platform::metrics::summary_of;
-use platform::schedule::{pipelined_schedule, stage_makespan, VirtualJob};
 use xray::SequenceConfig;
 
 /// The four pipeline stages of the functional partitioning.

@@ -18,7 +18,7 @@ use xray::{HiddenEpisode, ScenarioConfig, SequenceConfig};
 pub struct QosPoint {
     /// Cores available to the application.
     pub cores: usize,
-    /// Mean effective latency, ms.
+    /// Mean measured frame latency, ms.
     pub mean_latency: f64,
     /// Fraction of frames spent below full quality.
     pub degraded_fraction: f64,

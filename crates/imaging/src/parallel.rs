@@ -16,7 +16,7 @@
 //! hops per stripe.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -59,39 +59,49 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
+/// One submitted job. It is taken exactly once: by the worker it was sent
+/// to, or by the dispatching thread when that worker has not started it.
+type Slot = Arc<Mutex<Option<Task>>>;
+
 struct Item {
-    job: Task,
+    job: Slot,
     done: Sender<bool>,
 }
 
 /// A persistent pool of stripe workers.
 ///
 /// Workers are spawned once (per pool) and live until the pool is dropped;
-/// jobs are round-robined over per-worker channels. [`StripePool::run`]
-/// accepts non-`'static` closures: it blocks until every submitted job has
-/// signalled completion, so borrows held by the jobs cannot outlive the
-/// call (the same guarantee `std::thread::scope` gives, without the
-/// per-call thread spawn/join).
+/// jobs are round-robined over per-worker channels. The dispatching thread
+/// does not idle: it runs, last first, every job whose worker has not
+/// started it yet, so a batch never waits for a worker the host has not
+/// scheduled, and a pool of no workers runs every job on the caller, one
+/// after another. [`StripePool::run`] accepts non-`'static` closures: it
+/// returns only once every job has run, so borrows held by the jobs cannot
+/// outlive the call (the same guarantee `std::thread::scope` gives,
+/// without the per-call thread spawn/join).
 pub struct StripePool {
     workers: Vec<Sender<Item>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    panics: std::sync::Arc<Mutex<Vec<String>>>,
+    panics: Arc<Mutex<Vec<String>>>,
 }
 
 impl StripePool {
-    /// Spawns a pool with `threads` workers (at least one).
+    /// Spawns a pool with `threads` workers.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let panics = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let panics = Arc::new(Mutex::new(Vec::new()));
         let mut workers = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for i in 0..threads {
             let (tx, rx) = unbounded::<Item>();
-            let panics = std::sync::Arc::clone(&panics);
+            let panics = Arc::clone(&panics);
             let handle = std::thread::Builder::new()
                 .name(format!("stripe-worker-{i}"))
                 .spawn(move || {
                     while let Ok(Item { job, done }) = rx.recv() {
+                        // taken by the dispatcher: nobody waits for it here
+                        let Some(job) = job.lock().take() else {
+                            continue;
+                        };
                         let result = catch_unwind(AssertUnwindSafe(job));
                         let panicked = result.is_err();
                         if let Err(payload) = result {
@@ -161,32 +171,46 @@ impl StripePool {
             return Ok(());
         }
         let (done_tx, done_rx) = unbounded::<bool>();
-        let mut submitted = 0usize;
+        let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
         let mut disconnected = false;
         for (i, job) in jobs.into_iter().enumerate() {
-            // SAFETY: the loop below blocks until every *submitted* job has
+            // SAFETY: every job placed in a slot is taken exactly once, by
+            // a worker or by the loop below, and this call returns only
+            // after both: the loop below runs every job left in a slot, and
+            // the one after it blocks until every job a worker took has
             // signalled completion (the done sender is dropped only after
-            // the job ran or was dropped unexecuted by a dying worker), so
-            // all 'scope borrows captured by a job strictly outlive its
-            // execution. Jobs that fail to submit are dropped unexecuted
-            // right here, releasing their borrows immediately.
+            // the job ran). So all 'scope borrows captured by a job strictly
+            // outlive its execution. A job whose send fails is dropped
+            // unexecuted right here, releasing its borrows immediately.
             let job: Task =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(job) };
-            if self.workers[i % self.workers.len()]
-                .send(Item {
-                    job,
+            let slot: Slot = Arc::new(Mutex::new(Some(job)));
+            if !self.workers.is_empty() {
+                let item = Item {
+                    job: Arc::clone(&slot),
                     done: done_tx.clone(),
-                })
-                .is_err()
-            {
-                disconnected = true;
-                break;
+                };
+                if self.workers[i % self.workers.len()].send(item).is_err() {
+                    disconnected = true;
+                    break;
+                }
             }
-            submitted += 1;
+            slots.push(slot);
         }
         drop(done_tx);
         let mut panicked = false;
-        for _ in 0..submitted {
+        let mut on_workers = slots.len();
+        for slot in slots.iter().rev() {
+            let Some(job) = slot.lock().take() else {
+                continue;
+            };
+            on_workers -= 1;
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+                self.panics.lock().push(panic_message(payload.as_ref()));
+                panicked = true;
+            }
+        }
+        for _ in 0..on_workers {
             match done_rx.recv() {
                 Ok(flag) => panicked |= flag,
                 // A worker died without running the job (only possible if
@@ -366,6 +390,20 @@ mod tests {
             assert!(pool.try_run(jobs).is_err());
             assert_eq!(pool.live_threads(), 3, "round {round} leaked a thread");
         }
+    }
+
+    #[test]
+    fn pool_without_workers_runs_every_job_on_the_caller() {
+        let pool = StripePool::new(0);
+        assert_eq!(pool.threads(), 0);
+        let caller = std::thread::current().id();
+        let mut ran_on = [None; 3];
+        let jobs: Vec<Job<'_>> = ran_on
+            .iter_mut()
+            .map(|slot| Box::new(move || *slot = Some(std::thread::current().id())) as Job<'_>)
+            .collect();
+        pool.run(jobs);
+        assert_eq!(ran_on, [Some(caller); 3]);
     }
 
     #[test]

@@ -237,7 +237,7 @@ impl RdgBuffers {
     }
 
     /// Where the time of the most recent successful call went. Feeds the
-    /// executor's task times and virtual schedule.
+    /// executor's task times and stage events.
     pub fn times(&self) -> &RdgTimes {
         &self.times
     }
@@ -1726,12 +1726,12 @@ mod tests {
 
     #[test]
     fn the_breakdown_accounts_for_the_wall_time_of_a_striped_call() {
-        // On a one-thread pool the bands run one after another, so a call's
-        // wall time is its serial sections plus all its bands plus whatever
-        // the breakdown fails to name. Host noise can only widen that last
-        // share, so the best of a few calls bounds it.
+        // On a pool without workers the bands run one after another, so a
+        // call's wall time is its serial sections plus all its bands plus
+        // whatever the breakdown fails to name. Host noise can only widen
+        // that last share, so the best of a few calls bounds it.
         let src = busy_frame(256, 256);
-        let pool = StripePool::new(1);
+        let pool = StripePool::new(0);
         let mut bufs = RdgBuffers::new(256, 256);
         let mut best = 0.0f64;
         for _ in 0..9 {

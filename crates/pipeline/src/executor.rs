@@ -2,10 +2,9 @@
 //!
 //! Each frame walks the Fig. 2 graph: the three data-dependent switches
 //! select the active task group, every task's computation time is
-//! measured, and the frame's *effective latency* is computed by virtual
-//! scheduling onto the modelled multiprocessor (a striped RDG overlaps its
-//! stripes on distinct cores; the remaining tasks are sequentially
-//! dependent within a frame).
+//! measured, and the frame's latency is the wall time from entry to the
+//! finished output. A striped RDG or GW EXT sweep runs its bands on the
+//! worker pool; every other task runs on the calling thread.
 
 use crate::app::{structure_probe, AppConfig, AppState};
 use imaging::couples::cpls_select;
@@ -20,20 +19,17 @@ use imaging::roi_est::estimate_roi;
 use imaging::zoom::zoom_band_with;
 use platform::bus::{DegradeMode, EventBus, FaultKind, FrameEvent, StreamId};
 use platform::profile::time_ms;
-use platform::schedule::{VirtualJob, VirtualSchedule};
 use platform::trace::FrameRecord;
+use std::time::Instant;
 use triplec::scenario::Scenario;
 
-/// How the frame's tasks are partitioned onto the platform this frame.
+/// How the frame's tasks are partitioned onto the worker pool this frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionPolicy {
     /// Stripe count of the RDG task (1 = serial).
     pub rdg_stripes: usize,
-    /// Stripe count of the other data-partitionable streaming tasks
-    /// (GW EXT's response sweep, ENH, ZOOM).
+    /// Stripe count of GW EXT's response sweep.
     pub aux_stripes: usize,
-    /// Number of modelled cores available.
-    pub cores: usize,
 }
 
 impl Default for ExecutionPolicy {
@@ -41,26 +37,23 @@ impl Default for ExecutionPolicy {
         Self {
             rdg_stripes: 1,
             aux_stripes: 1,
-            // the modelled platform's core count, not a hard-coded 8
-            cores: platform::arch::ArchModel::default().cores,
         }
     }
 }
 
-/// Tasks that are data-partitioned (striped) on the platform; the
+/// Tasks that are data-partitioned (striped) onto the worker pool; the
 /// remaining tasks are feature-level (CPLS SEL, REG, ROI EST) and stay
 /// serial within a frame. So does MKX EXT, though its response sweep is
 /// band-safe (the fused sweep RDG stripes): its peak, threshold scan and
 /// pruning are global, and it is heavy only on first frames, which the
 /// manager does not stripe yet — it stays one job until it does.
 ///
-/// RDG's bands and GW EXT's run on the worker pool. GW EXT's entry covers
-/// the response sweep over its corridor's box (the scales RDG's
-/// accumulator lacks there, or all of them); its path search is serial.
-/// ENH's and ZOOM's bands run one after another on the calling thread and
-/// are parallel on the virtual schedule only: 0.2 + 0.5 ms at ROI size, not
-/// worth a dispatch.
-pub const STRIPABLE_TASKS: [&str; 5] = ["RDG_FULL", "RDG_ROI", "GW_EXT", "ENH", "ZOOM"];
+/// GW EXT's entry covers the response sweep over its corridor's box (the
+/// scales RDG's accumulator lacks there, or all of them); its path search
+/// is serial. ENH and ZOOM run as one call each on the calling thread:
+/// together about 0.2 ms on a tracked 1024² frame, about one pool round
+/// trip, so dispatching their bands would not pay.
+pub const STRIPABLE_TASKS: [&str; 3] = ["RDG_FULL", "RDG_ROI", "GW_EXT"];
 
 /// Faults to inject into one frame's execution (all disabled by default).
 ///
@@ -155,8 +148,8 @@ fn fault_kind_of(err: &PoolError) -> FaultKind {
     }
 }
 
-/// Publishes a fault-family event when an observer bus is attached.
-fn emit_fault(
+/// Publishes an event when an observer bus is attached.
+fn emit(
     observer: &mut Option<(StreamId, &mut EventBus)>,
     make: impl FnOnce(StreamId) -> FrameEvent,
 ) {
@@ -167,7 +160,7 @@ fn emit_fault(
 
 /// Result of processing one frame.
 pub struct FrameOutput {
-    /// Trace record: task times (serial work), scenario, effective latency.
+    /// Trace record: task times (serial work), scenario, measured latency.
     pub record: FrameRecord,
     /// The scenario the frame executed.
     pub scenario: Scenario,
@@ -291,45 +284,30 @@ pub fn process_frame_recovering_on(
     )
 }
 
-/// Puts one partitionable stage on the virtual schedule: one job per
-/// stripe, job `i` on core `i`. Only a stage of more than one job is a
-/// parallel stage and reported to the observer; a lone job is the serial
-/// task it always was.
-fn run_stage(
-    schedule: &mut VirtualSchedule,
-    job_ms: impl IntoIterator<Item = f64>,
-    task: &'static str,
-    observer: &mut Option<(StreamId, &mut EventBus)>,
-    frame_index: usize,
-) -> f64 {
-    let jobs: Vec<VirtualJob> = job_ms
-        .into_iter()
-        .enumerate()
-        .map(|(core, duration_ms)| VirtualJob { core, duration_ms })
-        .collect();
-    match observer {
-        Some((stream, bus)) if jobs.len() > 1 => {
-            schedule.stage_observed(&jobs, task, *stream, frame_index, bus);
-        }
-        _ => {
-            schedule.stage(&jobs);
-        }
-    }
-    jobs.iter().map(|j| j.duration_ms).sum()
-}
-
-/// Schedules one RDG call from its own breakdown — the serial sections on
-/// core 0, then the bands side by side — and returns all of its work, ms.
-fn run_rdg_stage(
-    schedule: &mut VirtualSchedule,
+/// Books one banded call (an RDG detection pass or GW EXT's sweep) and
+/// returns all of its work, ms: the serial sections plus every band. A
+/// call of more than one band is a parallel stage and is reported to the
+/// observer with `wall_ms`, the dispatch's measured wall time; a one-band
+/// call is the serial task it always was.
+fn banded_stage(
     times: &RdgTimes,
+    wall_ms: f64,
     task: &'static str,
     observer: &mut Option<(StreamId, &mut EventBus)>,
     frame_index: usize,
 ) -> f64 {
-    schedule.serial(0, times.serial_ms);
-    let bands = times.band_ms.iter().copied();
-    times.serial_ms + run_stage(schedule, bands, task, observer, frame_index)
+    let band_ms: f64 = times.band_ms.iter().sum();
+    if times.band_ms.len() > 1 {
+        emit(observer, |stream| FrameEvent::StageExecuted {
+            stream,
+            frame: frame_index,
+            task,
+            jobs: times.band_ms.len(),
+            serial_ms: band_ms,
+            makespan_ms: wall_ms,
+        });
+    }
+    times.serial_ms + band_ms
 }
 
 /// Runs one banded dispatch under the frame's retry policy. `attempt`
@@ -362,7 +340,7 @@ fn dispatch_recovering<T>(
                 if attempts < retry.max_retries {
                     attempts += 1;
                     failed = Some(kind);
-                    emit_fault(observer, |stream| FrameEvent::RetryAttempted {
+                    emit(observer, |stream| FrameEvent::RetryAttempted {
                         stream,
                         frame: frame_index,
                         kind,
@@ -373,7 +351,7 @@ fn dispatch_recovering<T>(
                         owed.push(kind);
                     }
                     for cause in owed.drain(..) {
-                        emit_fault(observer, |stream| FrameEvent::DegradedMode {
+                        emit(observer, |stream| FrameEvent::DegradedMode {
                             stream,
                             frame: frame_index,
                             mode: DegradeMode::SerialFallback,
@@ -397,7 +375,7 @@ fn dispatch_recovering<T>(
             owed.push(last_kind);
         }
         for kind in owed.drain(..) {
-            emit_fault(observer, |stream| FrameEvent::Recovered {
+            emit(observer, |stream| FrameEvent::Recovered {
                 stream,
                 frame: frame_index,
                 kind,
@@ -422,9 +400,9 @@ fn process_frame_inner(
     recovery: Option<(&FrameFaults, &StageRetry)>,
     mut gw_fault: StripeFault,
 ) -> Result<FrameOutput, FrameError> {
+    let started = Instant::now();
     let (w, h) = frame.dims();
     let mut task_times: Vec<(&'static str, f64)> = Vec::with_capacity(9);
-    let mut schedule = VirtualSchedule::new(policy.cores.max(1));
 
     // --- fault arming ------------------------------------------------
     // Every armed fault kind is announced up front and owed a terminal
@@ -446,14 +424,14 @@ fn process_frame_inner(
         pending_pool_kinds.push(FaultKind::WorkerPanic);
     }
     for &kind in &pending_pool_kinds {
-        emit_fault(observer, |stream| FrameEvent::FaultInjected {
+        emit(observer, |stream| FrameEvent::FaultInjected {
             stream,
             frame: frame_index,
             kind,
         });
     }
     if faults.stage_delay_ms > 0.0 {
-        emit_fault(observer, |stream| FrameEvent::FaultInjected {
+        emit(observer, |stream| FrameEvent::FaultInjected {
             stream,
             frame: frame_index,
             kind: FaultKind::StageDelay,
@@ -498,6 +476,7 @@ fn process_frame_inner(
         let task: &'static str = if roi_estimated { "RDG_ROI" } else { "RDG_FULL" };
         let mut panic_jobs = faults.rdg_panic_jobs;
         let mut channel_left = faults.rdg_channel_errors;
+        let dispatched = Instant::now();
         let out = dispatch_recovering(
             task,
             frame_index,
@@ -522,8 +501,9 @@ fn process_frame_inner(
                 rdg_banded(pool, frame, work_roi, &rdg_cfg, stripes, fault, bufs)
             },
         )?;
+        let wall_ms = dispatched.elapsed().as_secs_f64() * 1e3;
         let times = state.rdg_bufs.times();
-        let ms = run_rdg_stage(&mut schedule, times, task, observer, frame_index);
+        let ms = banded_stage(times, wall_ms, task, observer, frame_index);
         task_times.push((task, ms));
         Some(out)
     } else {
@@ -534,13 +514,11 @@ fn process_frame_inner(
     let mkx_input = rdg_out.as_ref().map(|o| &o.filtered).unwrap_or(frame);
     let (mkx, ms) = time_ms(|| mkx_extract(mkx_input, work_roi, &cfg.mkx, &mut state.mkx_bufs));
     task_times.push(("MKX_EXT", ms));
-    schedule.serial(0, ms);
 
     // --- CPLS SEL ----------------------------------------------------------
     let prev = state.prev_couple;
     let (cpls, ms) = time_ms(|| cpls_select(&mkx.candidates, prev.as_ref(), &cfg.cpls));
     task_times.push(("CPLS_SEL", ms));
-    schedule.serial(0, ms);
     let couple = cpls.couple;
 
     // --- REG ---------------------------------------------------------------
@@ -556,7 +534,6 @@ fn process_frame_inner(
             },
         );
     task_times.push(("REG", ms));
-    schedule.serial(0, ms);
     match reg_result {
         Some(r) => {
             reg_successful = r.success;
@@ -595,7 +572,6 @@ fn process_frame_inner(
         if roi_estimated {
             let (roi, ms) = time_ms(|| estimate_roi(c, state.recent_motion, w, h, &cfg.roi_est));
             task_times.push(("ROI_EST", ms));
-            schedule.serial(0, ms);
 
             // guide-wire verification: "the guide wire can be detected by
             // a ridge filter in guide-wire extraction" (Section 3). GW
@@ -606,6 +582,7 @@ fn process_frame_inner(
             // DP path search follows.
             let window = corridor_box(c, &cfg.gw, w, h);
             let same_frame = rdg_out.is_some();
+            let dispatched = Instant::now();
             dispatch_recovering(
                 "GW_EXT",
                 frame_index,
@@ -621,11 +598,11 @@ fn process_frame_inner(
                     )
                 },
             )?;
+            let wall_ms = dispatched.elapsed().as_secs_f64() * 1e3;
             let times = state.rdg_bufs.times();
-            let ridge_ms = run_rdg_stage(&mut schedule, times, "GW_EXT", observer, frame_index);
+            let ridge_ms = banded_stage(times, wall_ms, "GW_EXT", observer, frame_index);
             let response = state.rdg_bufs.response();
             let (gw, ms) = time_ms(|| gw_extract_with(response, c, &cfg.gw, &mut state.gw_scratch));
-            schedule.serial(0, ms);
             task_times.push(("GW_EXT", ridge_ms + ms));
 
             if gw.wire_found {
@@ -644,61 +621,47 @@ fn process_frame_inner(
             .or(state.current_roi)
             .unwrap_or_else(|| frame.full_roi())
             .clamp_to(w, h);
-        let stripes = policy.aux_stripes.max(1);
 
-        // ENH: the accumulation is data-partitionable over disjoint rows;
-        // the readout is a cheap serial pass.
+        // ENH: accumulate the registered frame over the ROI, then read it
+        // out into the pooled view buffer, re-created only when the ROI
+        // geometry changes, so steady-state tracking frames allocate
+        // nothing here
         let weight = state.enh_state.next_weight(&cfg.enh);
-        let stripe_ms = enh_roi.stripes(stripes).into_iter().map(|stripe| {
-            time_ms(|| {
-                state
-                    .enh_state
-                    .accumulate(frame, &transform, stripe, weight)
-            })
-            .1
+        let (_, acc_ms) = time_ms(|| {
+            state
+                .enh_state
+                .accumulate(frame, &transform, enh_roi, weight)
         });
-        let mut enh_serial_ms = run_stage(&mut schedule, stripe_ms, "ENH", observer, frame_index);
         state.enh_state.commit();
-        // pooled readout buffer: re-created only when the ROI geometry
-        // changes, so steady-state tracking frames allocate nothing here
         let mut enhanced = match state.enh_view.take() {
             Some(img) if img.dims() == (enh_roi.width, enh_roi.height) => img,
             _ => ImageU16::new(enh_roi.width, enh_roi.height),
         };
-        let (_, ms) = time_ms(|| {
+        let (_, read_ms) = time_ms(|| {
             state
                 .enh_state
                 .readout_into(enh_roi, cfg.enh.gain, &mut enhanced)
         });
-        enh_serial_ms += ms;
-        schedule.serial(0, ms);
-        task_times.push(("ENH", enh_serial_ms));
+        task_times.push(("ENH", acc_ms + read_ms));
 
-        // ZOOM: output row bands are independent. The pooled scratch keeps
+        // ZOOM: one call over every output row. The pooled scratch keeps
         // the per-column tap plans and the source-row cache warm across
-        // bands and frames (the virtual schedule still models the bands as
-        // parallel jobs; they execute serially here, so sharing is safe).
-        // The output image itself is handed to the caller via `display`, so
-        // it is the one per-frame allocation that cannot be pooled.
+        // frames. The output image itself is handed to the caller via
+        // `display`, so it is the one per-frame allocation that cannot be
+        // pooled.
         let mut out_img = ImageU16::new(cfg.zoom.out_width, cfg.zoom.out_height);
-        let src_roi = enhanced.full_roi();
-        let bands = Roi::full(cfg.zoom.out_width, cfg.zoom.out_height).stripes(stripes);
-        let band_ms = bands.into_iter().map(|band| {
-            time_ms(|| {
-                zoom_band_with(
-                    &enhanced,
-                    src_roi,
-                    &cfg.zoom,
-                    &mut out_img,
-                    band.y,
-                    band.bottom(),
-                    &mut state.zoom_scratch,
-                )
-            })
-            .1
+        let (_, ms) = time_ms(|| {
+            zoom_band_with(
+                &enhanced,
+                enhanced.full_roi(),
+                &cfg.zoom,
+                &mut out_img,
+                0,
+                cfg.zoom.out_height,
+                &mut state.zoom_scratch,
+            )
         });
-        let zoom_serial_ms = run_stage(&mut schedule, band_ms, "ZOOM", observer, frame_index);
-        task_times.push(("ZOOM", zoom_serial_ms));
+        task_times.push(("ZOOM", ms));
         state.enh_view = Some(enhanced);
         display = Some(out_img);
     }
@@ -714,8 +677,7 @@ fn process_frame_inner(
             ))
         });
         task_times.push(("FAULT_DELAY", ms));
-        schedule.serial(0, ms);
-        emit_fault(observer, |stream| FrameEvent::Recovered {
+        emit(observer, |stream| FrameEvent::Recovered {
             stream,
             frame: frame_index,
             kind: FaultKind::StageDelay,
@@ -728,7 +690,7 @@ fn process_frame_inner(
     // absorbed: a zero-attempt `Recovered` keeps the fault/terminal
     // pairing 1:1 in replay logs.
     for kind in pending_pool_kinds.drain(..) {
-        emit_fault(observer, |stream| FrameEvent::Recovered {
+        emit(observer, |stream| FrameEvent::Recovered {
             stream,
             frame: frame_index,
             kind,
@@ -752,13 +714,12 @@ fn process_frame_inner(
         roi_estimated,
         reg_successful,
     };
-    let latency_ms = schedule.now();
     Ok(FrameOutput {
         record: FrameRecord {
             frame: frame_index,
             scenario: scenario.id(),
             task_times,
-            latency_ms,
+            latency_ms: started.elapsed().as_secs_f64() * 1e3,
         },
         scenario,
         roi: state.current_roi,
@@ -903,45 +864,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn striped_rdg_lowers_effective_latency() {
-        let serial = run(
-            8,
-            47,
-            ExecutionPolicy {
-                rdg_stripes: 1,
-                aux_stripes: 1,
-                cores: 8,
-            },
-        );
-        let striped = run(
-            8,
-            47,
-            ExecutionPolicy {
-                rdg_stripes: 4,
-                aux_stripes: 4,
-                cores: 8,
-            },
-        );
-        // compare frames where full-frame RDG ran in both runs
-        let mut pairs = 0;
-        let mut faster = 0;
-        for (a, b) in serial.iter().zip(&striped) {
-            if a.record.task_time("RDG_FULL").is_some() && b.record.task_time("RDG_FULL").is_some()
-            {
-                pairs += 1;
-                if b.record.latency_ms < a.record.latency_ms {
-                    faster += 1;
-                }
-            }
-        }
-        assert!(pairs > 0, "no comparable frames");
-        assert!(
-            faster * 3 >= pairs * 2,
-            "striping faster in only {faster}/{pairs} frames"
-        );
-    }
-
     use std::sync::{Arc, Mutex};
 
     fn capture_bus() -> (EventBus, Arc<Mutex<Vec<FrameEvent>>>) {
@@ -958,7 +880,6 @@ mod tests {
         ExecutionPolicy {
             rdg_stripes: 4,
             aux_stripes: 2,
-            cores: 8,
         }
     }
 
@@ -1043,7 +964,6 @@ mod tests {
             let policy = ExecutionPolicy {
                 rdg_stripes,
                 aux_stripes: 1,
-                cores: 8,
             };
             let (bare, bare_events) = run_observed(8, 52, policy, None);
             let unarmed = Some((FrameFaults::default(), StageRetry::default()));
@@ -1065,7 +985,6 @@ mod tests {
         let policy = ExecutionPolicy {
             rdg_stripes: 4,
             aux_stripes: 1,
-            cores: 8,
         };
         let mut state = AppState::new(160, 160);
         let (mut bus, log) = capture_bus();
@@ -1243,7 +1162,6 @@ mod tests {
         let policy = ExecutionPolicy {
             rdg_stripes: 1,
             aux_stripes: 2,
-            cores: 8,
         };
         let (nominal, error, events) = run_gw_faulted(policy, None, StripeFault::default());
         assert!(error.is_none() && events.iter().all(|e| e.replay_key().is_none()));
@@ -1358,22 +1276,16 @@ mod tests {
     }
 
     #[test]
-    fn latency_at_most_sum_of_task_times_plus_overhead() {
-        for o in run(
-            6,
-            48,
-            ExecutionPolicy {
-                rdg_stripes: 2,
-                aux_stripes: 2,
-                cores: 8,
-            },
-        ) {
-            let serial_sum = o.record.total_task_time();
+    fn latency_covers_every_task_time_at_one_stripe() {
+        // every timed section nests inside the frame's wall time, and at
+        // one stripe none of them overlaps another
+        for o in run(6, 48, ExecutionPolicy::default()) {
+            let task_sum = o.record.total_task_time();
             assert!(
-                o.record.latency_ms <= serial_sum + 1.0,
-                "latency {} exceeds serial sum {}",
+                o.record.latency_ms >= task_sum,
+                "latency {} below the task-time sum {}",
                 o.record.latency_ms,
-                serial_sum
+                task_sum
             );
         }
     }

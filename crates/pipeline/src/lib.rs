@@ -5,8 +5,8 @@
 //! static task/switch graph, [`app`] holds configuration and cross-frame
 //! state (and the fine-scale hysteresis both the executor and the direct
 //! RDG profiler apply), [`executor`] walks the graph per frame (measuring
-//! every task and virtual-scheduling partitioned stages onto the modelled
-//! platform), [`runner`] profiles whole sequences/corpora into training
+//! every task and the frame's wall time, and running striped stages on
+//! the worker pool), [`runner`] profiles whole sequences/corpora into training
 //! series, and [`latency`] implements the output delay line and the jitter
 //! metrics on top of `platform::metrics::summary_of`.
 

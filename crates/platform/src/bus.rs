@@ -3,7 +3,7 @@
 //! Every layer of the prediction→execution→management stack emits
 //! structured events onto an [`EventBus`]: the resource manager announces
 //! plans and budget violations, the pipeline executor announces executed
-//! frames, and the virtual scheduler announces partitioned stages.
+//! frames and the striped stages they ran.
 //! Subscribers observe the full event stream; the accuracy bookkeeping of
 //! Section 7 is itself just a subscriber (it replaced the manager's
 //! former internal `(predicted, actual)` vector).
@@ -164,8 +164,8 @@ pub enum FrameEvent {
         /// Why the partitioning changed.
         reason: RepartitionReason,
     },
-    /// A data-parallel stage ran on the virtual platform
-    /// (`platform::schedule`).
+    /// A data-parallel stage of more than one band ran on the worker pool
+    /// (`pipeline::executor`).
     StageExecuted {
         /// Emitting stream.
         stream: StreamId,
@@ -175,9 +175,9 @@ pub enum FrameEvent {
         task: &'static str,
         /// Number of parallel jobs in the stage.
         jobs: usize,
-        /// Sum of the per-job times (the serial cost), ms.
+        /// Sum of the per-band times (the serial cost), ms.
         serial_ms: f64,
-        /// Stage makespan on the modelled cores, ms.
+        /// Measured wall time of the stage's dispatch, ms.
         makespan_ms: f64,
     },
     /// A frame finished executing (`pipeline::executor` via the managed
@@ -194,16 +194,16 @@ pub enum FrameEvent {
         predicted_total_ms: f64,
         /// Measured serial computation time, ms.
         actual_total_ms: f64,
-        /// Effective (parallel) frame latency, ms.
+        /// Measured frame latency (wall time), ms.
         latency_ms: f64,
     },
-    /// A frame's effective latency exceeded the stream's budget.
+    /// A frame's measured latency exceeded the stream's budget.
     BudgetOverrun {
         /// Emitting stream.
         stream: StreamId,
         /// Frame index within the stream.
         frame: usize,
-        /// Measured effective latency, ms.
+        /// Measured frame latency, ms.
         latency_ms: f64,
         /// The budget target it violated, ms.
         budget_ms: f64,

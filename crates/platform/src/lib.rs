@@ -23,7 +23,6 @@ pub mod cache;
 pub mod mapping;
 pub mod metrics;
 pub mod profile;
-pub mod schedule;
 pub mod spacetime;
 pub mod span;
 pub mod trace;
@@ -41,10 +40,6 @@ pub use metrics::{
     Observability,
 };
 pub use profile::time_ms;
-pub use schedule::{
-    pipelined_schedule, stage_makespan, PipelinedResult, VirtualJob, VirtualSchedule,
-    DISPATCH_OVERHEAD_MS,
-};
 pub use spacetime::{
     predict_traffic, simulate_traffic, BufferSpec, PassSpec, TaskAccessModel, TaskTraffic,
 };

@@ -1,7 +1,7 @@
 //! Per-frame execution traces.
 //!
 //! The experiments record one [`FrameRecord`] per processed frame — task
-//! times, scenario, effective latency — and derive the summary statistics
+//! times, scenario, measured latency — and derive the summary statistics
 //! reported in the paper (latency band, jitter, worst-vs-average gap).
 
 /// Execution record of one frame.
@@ -13,7 +13,8 @@ pub struct FrameRecord {
     pub scenario: u8,
     /// Per-task execution times, `(task, ms)`.
     pub task_times: Vec<(&'static str, f64)>,
-    /// Effective output latency of the frame, ms.
+    /// Wall time of the frame, from entry to the built output, ms. Every
+    /// task time nests inside it.
     pub latency_ms: f64,
 }
 

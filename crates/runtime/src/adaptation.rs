@@ -10,7 +10,6 @@
 
 use crate::budget::LatencyBudget;
 use pipeline::executor::{ExecutionPolicy, STRIPABLE_TASKS};
-use platform::schedule::DISPATCH_OVERHEAD_MS;
 use triplec::predictor::{PredictContext, Prediction};
 use triplec::scenario::Scenario;
 use triplec::triple::TripleC;
@@ -19,7 +18,7 @@ use triplec::triple::TripleC;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostPrediction {
     /// Predicted computation time of the data-partitionable tasks
-    /// (RDG, GW EXT's response sweep, ENH, ZOOM), ms.
+    /// (RDG, GW EXT's response sweep), ms.
     pub stripable_ms: f64,
     /// Predicted time of the remaining (serial, feature-level) tasks, ms.
     pub serial_ms: f64,
@@ -69,7 +68,13 @@ pub(crate) fn scenario_cost(
 /// than `1/k` of the full-frame time because of the convolution halo.
 const STRIPE_EFFICIENCY: f64 = 0.9;
 
-/// Predicted effective latency when the stripable tasks run with
+/// Per-job dispatch/synchronization overhead, ms: a small fixed charge
+/// for the fork/join cost of a partitioned stage. Hand-set, like the
+/// striping efficiency, so that planned stripe counts do not depend on
+/// the host.
+pub const DISPATCH_OVERHEAD_MS: f64 = 0.05;
+
+/// Predicted frame latency when the stripable tasks run with
 /// `stripes` stripes.
 pub fn predicted_latency(cost: &CostPrediction, stripes: usize) -> f64 {
     let stripes = stripes.max(1);
@@ -98,7 +103,6 @@ pub fn choose_policy(
                 ExecutionPolicy {
                     rdg_stripes: stripes,
                     aux_stripes: stripes,
-                    cores,
                 },
                 true,
             );
@@ -109,7 +113,6 @@ pub fn choose_policy(
         ExecutionPolicy {
             rdg_stripes: cores,
             aux_stripes: cores,
-            cores,
         },
         false,
     )

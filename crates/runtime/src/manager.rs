@@ -20,10 +20,15 @@ use triplec::triple::TripleC;
 /// Frames between [`FrameEvent::CalibrationReport`] emissions.
 const CALIBRATION_REPORT_INTERVAL: u32 = 32;
 
+/// The host's core count (one when it cannot be read).
+pub(crate) fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Manager configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ManagerConfig {
-    /// Modelled core count.
+    /// Cores a frame may stripe over; defaults to the host's.
     pub cores: usize,
     /// Budget headroom fraction.
     pub headroom: f64,
@@ -37,9 +42,7 @@ pub struct ManagerConfig {
 impl Default for ManagerConfig {
     fn default() -> Self {
         Self {
-            // the modelled platform's core count (the paper's dual
-            // quad-core testbed), not a hard-coded constant
-            cores: platform::arch::ArchModel::default().cores,
+            cores: host_cores(),
             headroom: 0.15,
             planning_quantile: 0.5,
         }
@@ -245,14 +248,7 @@ impl ResourceManager {
         });
 
         let (policy, feasible) = match self.budget {
-            None => (
-                ExecutionPolicy {
-                    rdg_stripes: 1,
-                    aux_stripes: 1,
-                    cores: self.cfg.cores,
-                },
-                true,
-            ),
+            None => (ExecutionPolicy::default(), true),
             Some(budget) => choose_policy(&cost, &budget, self.cfg.cores),
         };
         if !feasible {
@@ -305,8 +301,9 @@ impl ResourceManager {
     pub fn absorb(&mut self, out: &FrameOutput) {
         let actual_total = out.record.total_task_time();
         if self.budget.is_none() {
+            // seeded from the clock the budget is judged against
             self.budget = Some(LatencyBudget::from_first_frame(
-                actual_total,
+                out.record.latency_ms,
                 self.cfg.headroom,
             ));
         }
@@ -450,8 +447,26 @@ mod tests {
     }
 
     #[test]
-    fn manager_stripes_when_budget_tight() {
+    fn budget_is_seeded_from_measured_latency_not_task_sum() {
         let mut m = ResourceManager::new(model(), ManagerConfig::default());
+        m.plan(1000.0);
+        let mut out = fake_output(
+            Scenario::from_id(5),
+            vec![("RDG_FULL", 40.0), ("MKX_EXT", 2.5), ("REG", 2.0)],
+        );
+        // the frame's wall time exceeds its task sum (44.5 ms)
+        out.record.latency_ms = 100.0;
+        m.absorb(&out);
+        assert_eq!(m.budget().map(|b| b.target_ms), Some(75.0));
+    }
+
+    #[test]
+    fn manager_stripes_when_budget_tight() {
+        let cfg = ManagerConfig {
+            cores: 8,
+            ..Default::default()
+        };
+        let mut m = ResourceManager::new(model(), cfg);
         m.set_budget(LatencyBudget::new(60.0, 0.15));
         let plan = m.plan(1000.0);
         // predicted: RDG 40 + serial 42.5 = 82.5 > 51 target -> striping

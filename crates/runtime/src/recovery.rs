@@ -245,7 +245,6 @@ mod tests {
         let mut exec = ExecutionPolicy {
             rdg_stripes: 8,
             aux_stripes: 6,
-            cores: 8,
         };
         st.apply_cap(&mut exec);
         assert_eq!(exec.rdg_stripes, 4);

@@ -43,12 +43,12 @@
 //! goes through [`StreamEngine::step_on`], so pixels, plans and ledgers do
 //! not depend on the order it chose.
 
+use crate::manager::host_cores;
 use crate::session::{
     panic_payload_message, SessionReport, StreamFailure, StreamResult, StreamSpec,
 };
 use imaging::image::ImageU16;
 use imaging::parallel::StripePool;
-use platform::arch::ArchModel;
 use platform::bus::{FrameEvent, StreamId};
 use platform::metrics::{Labels, Observability};
 use std::sync::{mpsc, Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, Weak};
@@ -64,7 +64,7 @@ use super::shard::{ShardLayout, ShardTopology};
 /// Service-core configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// The shared modelled-core budget shards are carved from.
+    /// The core budget shards are carved from; defaults to the host's.
     pub total_cores: usize,
     /// How the budget is partitioned into pool shards.
     pub layout: ShardLayout,
@@ -82,7 +82,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let cores = ArchModel::default().cores;
+        let cores = host_cores();
         Self {
             total_cores: cores,
             layout: ShardLayout::PerCoreGroup,
@@ -290,8 +290,7 @@ impl ServiceCore {
     /// report. These workers are the only threads the core ever starts.
     pub fn spawn(&self, specs: Vec<StreamSpec>) -> ServiceHandle {
         let (shared, queues, completions) = self.register(specs);
-        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = self.cfg.max_concurrent.clamp(1, parallelism);
+        let workers = self.cfg.max_concurrent.clamp(1, host_cores());
         if let Some(obs) = &self.obs {
             obs.metrics()
                 .set_gauge("service_workers", Labels::none(), workers as f64);
@@ -786,6 +785,7 @@ mod tests {
             })
             .collect();
         let svc = ServiceCore::new(ServiceConfig {
+            total_cores: 8,
             layout: ShardLayout::Grouped { group: 2 },
             ..Default::default()
         })
@@ -804,7 +804,7 @@ mod tests {
         }
     }
 
-    /// One modelled slot, a two-frame quantum, queues that hold a whole
+    /// One slot, a two-frame quantum, queues that hold a whole
     /// stream.
     fn one_slot(eviction: EvictionPolicy, queue_capacity: usize) -> ServiceConfig {
         ServiceConfig {

@@ -149,7 +149,7 @@ impl StreamEngine {
         &mut self.app
     }
 
-    /// Effective latency of frame `index` if it was the last one
+    /// Measured latency of frame `index` if it was the last one
     /// executed (`None` when the step dropped it at the input).
     pub(crate) fn latency_of(&self, index: usize) -> Option<f64> {
         let last = self.trace.records().last()?;

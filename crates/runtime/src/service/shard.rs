@@ -1,7 +1,7 @@
 //! Pool sharding: partitioning the core budget into placement domains.
 //!
 //! Instead of every stream contending on the one process-global
-//! [`StripePool`], the service core partitions the modelled core budget
+//! [`StripePool`], the service core partitions the core budget
 //! into *shards* — one dedicated stripe pool per core group — and places
 //! each admitted stream onto a single shard. The default grouping follows
 //! the platform's cache hierarchy ([`ArchModel::cores_per_l2`]): streams
@@ -13,7 +13,7 @@ use imaging::parallel::StripePool;
 use platform::arch::ArchModel;
 use std::sync::Arc;
 
-/// How the modelled core budget is partitioned into shards.
+/// How the core budget is partitioned into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardLayout {
     /// One shard spanning the whole budget, backed by the process-global

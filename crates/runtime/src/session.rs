@@ -9,7 +9,7 @@
 //! [`StreamEngine`](crate::service::StreamEngine) turns it into a
 //! [`StreamResult`] frame by frame, and the
 //! [`ServiceCore`](crate::service::ServiceCore) schedules many of them
-//! against a shared modelled-core budget, collecting a [`SessionReport`].
+//! against a shared core budget, collecting a [`SessionReport`].
 //!
 //! Stream outputs are bit-identical however the stream was scheduled:
 //! pixel results depend only on the input sequence and the application
@@ -164,9 +164,9 @@ pub(crate) fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> Str
 pub struct StreamResult {
     /// Stream id.
     pub stream: StreamId,
-    /// Modelled cores the stream ran with.
+    /// Cores the stream could stripe over.
     pub cores: usize,
-    /// Per-frame execution records (virtual-scheduled latency).
+    /// Per-frame execution records (measured latency).
     pub trace: TraceLog,
     /// Predicted serial computation time per frame, ms (the planning
     /// mean the manager budgeted against).

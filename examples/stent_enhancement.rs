@@ -22,7 +22,6 @@ fn main() -> Result<()> {
     let policy = ExecutionPolicy {
         rdg_stripes: 2,
         aux_stripes: 2,
-        cores: 8,
     };
     let mut state = AppState::new(SIZE, SIZE);
 

@@ -35,3 +35,7 @@ panics() {
 }
 row '`.unwrap(` / `.expect(` in runtime / platform / pipeline `src`' \
   "$(panics runtime) / $(panics platform) / $(panics pipeline)"
+# the planner's hand-set cost-model constants (`const NAME: f64`), which a
+# measured model is to replace
+row 'hand-set `const … : f64` in `crates/runtime/src/adaptation.rs`' \
+  "$(grep -cE '^\s*(pub )?const [A-Z0-9_]+: f64' crates/runtime/src/adaptation.rs)"

@@ -4,18 +4,34 @@
 use triple_c::pipeline::app::{AppConfig, AppState};
 use triple_c::pipeline::executor::{process_frame, ExecutionPolicy};
 use triple_c::pipeline::runner::run_sequence;
-use triple_c::platform::metrics::summary_of;
+use triple_c::platform::metrics::{percentile, summary_of};
 use triple_c::runtime::manager::ManagerConfig;
-use triple_c::runtime::{StreamEngine, StreamResult, StreamSpec};
+use triple_c::runtime::{LatencyBudget, StreamEngine, StreamResult, StreamSpec};
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
 use triple_c::xray::{NoiseConfig, SequenceConfig, SequenceGenerator};
 
+use std::sync::{Mutex, MutexGuard};
+
 const SIZE: usize = 128;
 
+/// Every test here holds the host while it runs. Two of them judge frame
+/// latency on the wall clock, and a managed engine stripes over all of the
+/// host's cores; a sibling test on one of those cores would be timed into
+/// its frames.
+static HOST: Mutex<()> = Mutex::new(());
+
+fn hold_host() -> MutexGuard<'static, ()> {
+    HOST.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn sequence(seed: u64, frames: usize) -> SequenceConfig {
+    sized_sequence(SIZE, seed, frames)
+}
+
+fn sized_sequence(size: usize, seed: u64, frames: usize) -> SequenceConfig {
     SequenceConfig {
-        width: SIZE,
-        height: SIZE,
+        width: size,
+        height: size,
         frames,
         seed,
         noise: NoiseConfig {
@@ -34,10 +50,25 @@ fn run_managed(seq: SequenceConfig, app: &AppConfig, model: TripleC) -> StreamRe
         .expect("no injector, no unrecoverable frame")
 }
 
+/// A model trained on a serial profile of `seq`.
+fn trained_on(seq: SequenceConfig, app: &AppConfig) -> TripleC {
+    let geometry = triple_c::triplec::FrameGeometry {
+        width: seq.width,
+        height: seq.height,
+    };
+    let profile = run_sequence(seq, app, &ExecutionPolicy::default());
+    let cfg = TripleCConfig {
+        geometry,
+        ..Default::default()
+    };
+    TripleC::train(&profile.task_series(), &profile.scenarios, cfg)
+}
+
 /// The pipeline's selected marker couple must coincide with the rendered
 /// ground-truth markers (the whole point of the analysis chain).
 #[test]
 fn detected_markers_match_ground_truth() {
+    let _host = hold_host();
     let app = AppConfig::default();
     let policy = ExecutionPolicy::default();
     let mut state = AppState::new(SIZE, SIZE);
@@ -72,16 +103,9 @@ fn detected_markers_match_ground_truth() {
 /// 97% out-of-sample figure).
 #[test]
 fn trained_model_predicts_its_own_distribution() {
+    let _host = hold_host();
     let app = AppConfig::default();
-    let profile = run_sequence(sequence(72, 20), &app, &ExecutionPolicy::default());
-    let cfg = TripleCConfig {
-        geometry: triple_c::triplec::FrameGeometry {
-            width: SIZE,
-            height: SIZE,
-        },
-        ..Default::default()
-    };
-    let model = TripleC::train(&profile.task_series(), &profile.scenarios, cfg);
+    let model = trained_on(sequence(72, 20), &app);
 
     let report = run_managed(sequence(72, 20), &app, model).accuracy;
     assert!(report.count >= 19);
@@ -96,19 +120,12 @@ fn trained_model_predicts_its_own_distribution() {
 /// serial run's (the Fig. 7 direction).
 #[test]
 fn managed_band_not_wider_than_serial() {
+    let _host = hold_host();
     let app = AppConfig::default();
     let serial = run_sequence(sequence(73, 16), &app, &ExecutionPolicy::default());
     let s = summary_of(&serial.trace.latencies());
 
-    let profile = run_sequence(sequence(74, 16), &app, &ExecutionPolicy::default());
-    let cfg = TripleCConfig {
-        geometry: triple_c::triplec::FrameGeometry {
-            width: SIZE,
-            height: SIZE,
-        },
-        ..Default::default()
-    };
-    let model = TripleC::train(&profile.task_series(), &profile.scenarios, cfg);
+    let model = trained_on(sequence(74, 16), &app);
     let managed = run_managed(sequence(73, 16), &app, model);
     let m = summary_of(&managed.trace.latencies());
 
@@ -124,6 +141,7 @@ fn managed_band_not_wider_than_serial() {
 /// sets of the triplec scenario table across a dynamic run.
 #[test]
 fn recorded_scenarios_consistent_with_state_table() {
+    let _host = hold_host();
     let app = AppConfig::default();
     let profile = run_sequence(sequence(75, 14), &app, &ExecutionPolicy::default());
     for rec in profile.trace.records() {
@@ -143,8 +161,56 @@ fn recorded_scenarios_consistent_with_state_table() {
 /// and task sets (times differ, switching must not).
 #[test]
 fn scenario_switching_is_deterministic() {
+    let _host = hold_host();
     let app = AppConfig::default();
     let a = run_sequence(sequence(76, 12), &app, &ExecutionPolicy::default());
     let b = run_sequence(sequence(76, 12), &app, &ExecutionPolicy::default());
     assert_eq!(a.scenarios, b.scenarios);
+}
+
+/// A frame's latency is the wall time the frame took: the executor's
+/// `latency_ms` nests inside the engine's per-frame wall time, and the
+/// gap (plan and absorb) stays small. A tight budget makes the manager
+/// stripe, and never over more cores than the host has.
+#[test]
+fn frame_latency_is_the_engine_wall_clock() {
+    let _host = hold_host();
+    let app = AppConfig::default();
+    let model = trained_on(sized_sequence(512, 998, 12), &app);
+    let spec = StreamSpec::builder(sized_sequence(512, 999, 20), app, model)
+        .budget(LatencyBudget::new(1.2, 0.1))
+        .build();
+    let result = StreamEngine::new(0, spec, ManagerConfig::default().cores)
+        .run()
+        .expect("no injector, no unrecoverable frame");
+
+    let records = result.trace.records();
+    assert_eq!(records.len(), result.frame_wall_ms.len());
+    let mut gaps = Vec::with_capacity(records.len());
+    for (rec, &wall_ms) in records.iter().zip(&result.frame_wall_ms) {
+        assert!(
+            rec.latency_ms <= wall_ms,
+            "frame {}: latency {:.3} ms above its wall time {wall_ms:.3} ms",
+            rec.frame,
+            rec.latency_ms
+        );
+        gaps.push(wall_ms - rec.latency_ms);
+    }
+    let median_gap = percentile(&gaps, 0.5);
+    assert!(
+        median_gap < 0.1,
+        "median plan + absorb gap {median_gap:.3} ms"
+    );
+
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(
+        result.stripes.iter().all(|&k| k <= host),
+        "stripes {:?} on {host} cores",
+        result.stripes
+    );
+    assert!(
+        host == 1 || result.stripes.iter().any(|&k| k > 1),
+        "the tight budget never striped: {:?}",
+        result.stripes
+    );
 }

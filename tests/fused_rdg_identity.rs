@@ -522,7 +522,6 @@ fn process_frame_outputs_match_the_two_pass_digests() {
     let striped = ExecutionPolicy {
         rdg_stripes: 2,
         aux_stripes: 2,
-        ..serial
     };
     let coarse_rdg = AppConfig {
         fine_probe_factor: 100.0,
