@@ -11,13 +11,14 @@ use std::collections::BTreeMap;
 use triplec::accuracy::{evaluate, AccuracyReport};
 use triplec::predictor::PredictContext;
 use triplec::triple::{TripleC, TripleCConfig};
+use triplec::Task;
 use xray::{test_corpus, SequenceGenerator};
 
 /// Structured accuracy result.
 #[derive(Debug, Clone)]
 pub struct AccuracyResult {
     /// Per-task accuracy reports.
-    pub per_task: Vec<(&'static str, AccuracyReport)>,
+    pub per_task: Vec<(Task, AccuracyReport)>,
     /// Frame-total accuracy report.
     pub frame_level: AccuracyReport,
 }
@@ -39,7 +40,7 @@ pub fn run(cfg: &ExperimentConfig) -> (AccuracyResult, String) {
     // evaluation: run the pipeline over the test corpus; before each task
     // executes, ask the model; after, feed the measurement back (the
     // runtime usage pattern of Section 6)
-    let mut task_pairs: BTreeMap<&'static str, Vec<(f64, f64)>> = BTreeMap::new();
+    let mut task_pairs: BTreeMap<Task, Vec<(f64, f64)>> = BTreeMap::new();
     let mut frame_pairs: Vec<(f64, f64)> = Vec::new();
 
     let mut corpus = test_corpus(cfg.size, cfg.size);
@@ -78,7 +79,7 @@ pub fn run(cfg: &ExperimentConfig) -> (AccuracyResult, String) {
         }
     }
 
-    let per_task: Vec<(&'static str, AccuracyReport)> = task_pairs
+    let per_task: Vec<(Task, AccuracyReport)> = task_pairs
         .iter()
         .map(|(&t, pairs)| (t, evaluate(pairs)))
         .collect();

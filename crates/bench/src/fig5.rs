@@ -12,6 +12,7 @@ use triplec::bandwidth_model::{
     enh_access_model, intra_task_traffic, rdg_access_model, zoom_access_model, FRAME_RATE_HZ,
 };
 use triplec::memory_model::FrameGeometry;
+use triplec::Task;
 
 /// Structured result of the Fig. 5 analysis.
 #[derive(Debug, Clone)]
@@ -68,14 +69,14 @@ pub fn run() -> (Fig5Result, String) {
 
     // the other overflow tasks of Section 5
     let mut rows = Vec::new();
-    for (name, model) in [
-        ("ENH", enh_access_model(geom, 0.25)),
-        ("ZOOM", zoom_access_model(geom, 0.25, geom.pixels() / 4)),
+    for (task, model) in [
+        (Task::Enh, enh_access_model(geom, 0.25)),
+        (Task::Zoom, zoom_access_model(geom, 0.25, geom.pixels() / 4)),
     ] {
         let p = intra_task_traffic(&model, arch.l2.capacity);
         let s = simulate_traffic(&model, arch.l2);
         rows.push(vec![
-            name.to_string(),
+            task.to_string(),
             mbs(p.total_bytes() as f64),
             mbs(s.total_bytes() as f64),
             format!(

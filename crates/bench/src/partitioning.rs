@@ -14,17 +14,18 @@ use crate::config::ExperimentConfig;
 use crate::report::table;
 use crate::schedule::{pipelined_schedule, stage_makespan, VirtualJob};
 use pipeline::app::AppConfig;
-use pipeline::executor::{ExecutionPolicy, STRIPABLE_TASKS};
+use pipeline::executor::{stripable, ExecutionPolicy};
 use pipeline::runner::run_sequence;
 use platform::metrics::summary_of;
+use triplec::Task;
 use xray::SequenceConfig;
 
 /// The four pipeline stages of the functional partitioning.
-const STAGES: [&[&str]; 4] = [
-    &["RDG_FULL", "RDG_ROI"],
-    &["MKX_EXT", "CPLS_SEL", "REG"],
-    &["ROI_EST", "GW_EXT"],
-    &["ENH", "ZOOM"],
+const STAGES: [&[Task]; 4] = [
+    &[Task::RdgFull, Task::RdgRoi],
+    &[Task::MkxExt, Task::CplsSel, Task::Reg],
+    &[Task::RoiEst, Task::GwExt],
+    &[Task::Enh, Task::Zoom],
 ];
 
 /// Structured result.
@@ -56,7 +57,7 @@ pub fn run(cfg: &ExperimentConfig) -> (PartitioningResult, String) {
         .map(|r| {
             STAGES
                 .iter()
-                .map(|stage| stage.iter().filter_map(|t| r.task_time(t)).sum::<f64>())
+                .map(|stage| stage.iter().filter_map(|&t| r.task_time(t)).sum::<f64>())
                 .collect()
         })
         .collect();
@@ -73,22 +74,22 @@ pub fn run(cfg: &ExperimentConfig) -> (PartitioningResult, String) {
         .records()
         .iter()
         .map(|r| {
-            let stripable: f64 = r
+            let parallel: f64 = r
                 .task_times
                 .iter()
-                .filter(|(t, _)| STRIPABLE_TASKS.contains(t))
+                .filter(|&&(t, _)| stripable(t))
                 .map(|&(_, ms)| ms)
                 .sum();
             let serial: f64 = r
                 .task_times
                 .iter()
-                .filter(|(t, _)| !STRIPABLE_TASKS.contains(t))
+                .filter(|&&(t, _)| !stripable(t))
                 .map(|&(_, ms)| ms)
                 .sum();
             let jobs: Vec<VirtualJob> = (0..4)
                 .map(|c| VirtualJob {
                     core: c,
-                    duration_ms: stripable / (4.0 * 0.9),
+                    duration_ms: parallel / (4.0 * 0.9),
                 })
                 .collect();
             stage_makespan(8, &jobs) + serial

@@ -10,6 +10,7 @@ use triplec::markov::MarkovChain;
 use triplec::quantize::Quantizer;
 use triplec::training::ModelKind;
 use triplec::triple::{TripleC, TripleCConfig};
+use triplec::Task;
 use xray::training_corpus;
 
 /// Structured Table 2 result.
@@ -19,7 +20,7 @@ pub struct Table2Result {
     /// The display quantizer.
     pub rdg_quantizer: Quantizer,
     /// `(task, model kind, model string)` rows of Table 2(b).
-    pub summary: Vec<(&'static str, ModelKind, String)>,
+    pub summary: Vec<(Task, ModelKind, String)>,
     /// Frames profiled.
     pub frames: usize,
 }
@@ -51,7 +52,7 @@ pub fn profile_training_corpus(cfg: &ExperimentConfig, app: &AppConfig) -> Profi
                 .map(move |t| (t, px))
         })
         .collect();
-    run.samples.insert("RDG_FULL", direct);
+    run.samples.insert(Task::RdgFull, direct);
     run
 }
 
@@ -63,8 +64,8 @@ pub fn run(cfg: &ExperimentConfig) -> (Table2Result, String) {
 
     // (a): the paper shows a 10-state matrix over the RDG task's
     // computation-time states (equal-mass intervals)
-    let mut rdg_series = profile.series_of("RDG_FULL");
-    rdg_series.extend(profile.series_of("RDG_ROI"));
+    let mut rdg_series = profile.series_of(Task::RdgFull);
+    rdg_series.extend(profile.series_of(Task::RdgRoi));
     assert!(!rdg_series.is_empty(), "corpus produced no RDG samples");
     let rdg_quantizer = Quantizer::train(&rdg_series, 10);
     let seq: Vec<usize> = rdg_series
@@ -106,7 +107,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Table2Result, String) {
     let rows: Vec<Vec<String>> = summary
         .iter()
         .map(|(task, kind, name)| {
-            let series = profile.series_of(task);
+            let series = profile.series_of(*task);
             let m = triplec::stats::mean(&series);
             let cv = if m > 0.0 {
                 triplec::stats::std_dev(&series) / m
@@ -199,7 +200,7 @@ mod tests {
         assert!(!r.summary.is_empty());
         // MKX/REG-class tasks must not come out as LinearMarkov
         for (task, kind, _) in &r.summary {
-            if *task == "REG" || *task == "ROI_EST" {
+            if matches!(task, Task::Reg | Task::RoiEst) {
                 assert_ne!(*kind, ModelKind::LinearMarkov, "{task}");
             }
         }

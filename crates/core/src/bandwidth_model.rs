@@ -13,6 +13,7 @@ use crate::memory_model::{per_pixel, FrameGeometry};
 use crate::scenario::Scenario;
 use platform::bandwidth::Edge;
 use platform::spacetime::{predict_traffic, BufferSpec, PassSpec, TaskAccessModel, TaskTraffic};
+use platform::task::Task;
 
 /// The application frame rate (30 Hz in the paper).
 pub const FRAME_RATE_HZ: f64 = 30.0;
@@ -32,23 +33,23 @@ pub fn scenario_edges(scenario: Scenario, geom: FrameGeometry, roi_fraction: f64
         if scenario.roi_estimated {
             edges.push(Edge {
                 from: "INPUT",
-                to: "RDG_ROI",
+                to: Task::RdgRoi.name(),
                 bytes_per_frame: frame,
             });
             edges.push(Edge {
-                from: "RDG_ROI",
-                to: "MKX_EXT",
+                from: Task::RdgRoi.name(),
+                to: Task::MkxExt.name(),
                 bytes_per_frame: rdg_out_roi,
             });
         } else {
             edges.push(Edge {
                 from: "INPUT",
-                to: "RDG_FULL",
+                to: Task::RdgFull.name(),
                 bytes_per_frame: frame,
             });
             edges.push(Edge {
-                from: "RDG_FULL",
-                to: "MKX_EXT",
+                from: Task::RdgFull.name(),
+                to: Task::MkxExt.name(),
                 bytes_per_frame: rdg_out,
             });
         }
@@ -61,7 +62,7 @@ pub fn scenario_edges(scenario: Scenario, geom: FrameGeometry, roi_fraction: f64
         };
         edges.push(Edge {
             from: "INPUT",
-            to: "MKX_EXT",
+            to: Task::MkxExt.name(),
             bytes_per_frame: bytes,
         });
     }
@@ -69,33 +70,33 @@ pub fn scenario_edges(scenario: Scenario, geom: FrameGeometry, roi_fraction: f64
     // operate on a subset or feature data are negligible", Section 5.1) —
     // modelled as a small fixed record stream.
     edges.push(Edge {
-        from: "MKX_EXT",
-        to: "CPLS_SEL",
+        from: Task::MkxExt.name(),
+        to: Task::CplsSel.name(),
         bytes_per_frame: 4096,
     });
     edges.push(Edge {
-        from: "CPLS_SEL",
-        to: "REG",
+        from: Task::CplsSel.name(),
+        to: Task::Reg.name(),
         bytes_per_frame: 512,
     });
     // registration needs the current and reference frames (temporal diff)
     edges.push(Edge {
         from: "INPUT",
-        to: "REG",
+        to: Task::Reg.name(),
         bytes_per_frame: frame,
     });
     if scenario.roi_estimated {
         edges.push(Edge {
-            from: "REG",
-            to: "ROI_EST",
+            from: Task::Reg.name(),
+            to: Task::RoiEst.name(),
             bytes_per_frame: 512,
         });
         // The edge of Fig. 2 taken literally: guide-wire extraction reads
         // the ridge map RDG made — its f32 response accumulator, not a copy
         // — and only inside the bounding box of its search corridor.
         edges.push(Edge {
-            from: "ROI_EST",
-            to: "GW_EXT",
+            from: Task::RoiEst.name(),
+            to: Task::GwExt.name(),
             bytes_per_frame: gw_corridor_box_pixels(px as f64 * roi_fraction) * 4,
         });
     }
@@ -103,17 +104,17 @@ pub fn scenario_edges(scenario: Scenario, geom: FrameGeometry, roi_fraction: f64
         // enhancement integrates the registered ROI of the input frame
         edges.push(Edge {
             from: "INPUT",
-            to: "ENH",
+            to: Task::Enh.name(),
             bytes_per_frame: roi_frame,
         });
         edges.push(Edge {
-            from: "ENH",
-            to: "ZOOM",
+            from: Task::Enh.name(),
+            to: Task::Zoom.name(),
             bytes_per_frame: roi_frame,
         });
         // zoomed output to display (half-frame display buffer)
         edges.push(Edge {
-            from: "ZOOM",
+            from: Task::Zoom.name(),
             to: "OUTPUT",
             bytes_per_frame: frame / 2,
         });
@@ -353,7 +354,7 @@ mod tests {
         let gw_bytes = |fraction| {
             scenario_edges(Scenario::best_case(), GEOM, fraction)
                 .iter()
-                .find(|e| e.to == "GW_EXT")
+                .find(|e| e.to == Task::GwExt.name())
                 .expect("a tracked scenario feeds GW EXT")
                 .bytes_per_frame
         };
@@ -372,7 +373,7 @@ mod tests {
         let edges = scenario_edges(Scenario::worst_case(), GEOM, 1.0);
         let input = edges
             .iter()
-            .find(|e| e.from == "INPUT" && e.to == "RDG_FULL")
+            .find(|e| e.from == "INPUT" && e.to == Task::RdgFull.name())
             .unwrap();
         let mbs = input.bandwidth(FRAME_RATE_HZ) / 1e6;
         assert!((mbs - 62.9).abs() < 1.0, "input edge {mbs} MB/s");

@@ -20,8 +20,9 @@
 //! * [`snapshot`] — the validated byte format of model snapshots
 //!   ([`TripleC::snapshot_bytes`] / [`TripleC::try_restore_bytes`]):
 //!   corrupt bytes are an `Err`, never a panic;
-//! * [`scenario`] — the eight switch scenarios and the scenario-level
-//!   Markov chain ("scenario-based Markov chains");
+//! * [`scenario`] — the eight switch scenarios, the [`TaskSet`] each one
+//!   runs, and the scenario-level Markov chain ("scenario-based Markov
+//!   chains"); a task is a [`Task`], re-exported from `triplec-platform`;
 //! * [`memory_model`] — the Table 1 memory requirements;
 //! * [`bandwidth_model`] — inter-task (Fig. 2) and intra-task (Fig. 5)
 //!   bandwidth prediction on top of `triplec-platform`'s space-time model;
@@ -54,11 +55,12 @@ pub use linear::LinearModel;
 pub use markov::MarkovChain;
 pub use markov_high::HigherOrderChain;
 pub use memory_model::{implementation_table, paper_table1, FrameGeometry, TaskMemory};
+pub use platform::task::{Task, TaskSet};
 pub use predictor::{
     ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor, PredictContext, Prediction,
 };
 pub use quantize::Quantizer;
-pub use scenario::{Scenario, ScenarioChain, ScenarioScript, ScriptSegment, TASKS};
+pub use scenario::{Scenario, ScenarioChain, ScenarioScript, ScriptSegment};
 pub use snapshot::SnapshotError;
 pub use training::{ModelKind, TaskSeries, TrainingConfig};
 pub use triple::{FramePrediction, TripleC, TripleCConfig};

@@ -11,20 +11,16 @@
 //! temporal registration succeed, enabling enhancement and zoom).
 
 use crate::markov::MarkovChain;
-
-/// The names of the application tasks (Fig. 2).
-pub const TASKS: [&str; 9] = [
-    "RDG_FULL", "RDG_ROI", "MKX_EXT", "CPLS_SEL", "REG", "ROI_EST", "GW_EXT", "ENH", "ZOOM",
-];
+use platform::task::{Task, TaskSet};
 
 /// One switch combination.
 ///
 /// ```
-/// use triplec::Scenario;
-/// let worst = Scenario::worst_case();
-/// assert!(worst.runs("RDG_FULL") && worst.runs("ENH"));
-/// let best = Scenario::best_case();
-/// assert!(!best.runs("ENH"));
+/// use triplec::{Scenario, Task};
+/// let worst = Scenario::worst_case().active_tasks();
+/// assert!(worst.contains(Task::RdgFull) && worst.contains(Task::Enh));
+/// let best = Scenario::best_case().active_tasks();
+/// assert!(!best.contains(Task::Enh));
 /// assert_eq!(Scenario::all().len(), 8); // the paper's eight scenarios
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,32 +85,28 @@ impl Scenario {
     /// * ROI estimation and guide-wire extraction run once a couple is
     ///   being tracked (`roi_estimated`);
     /// * enhancement and zoom run only on successful registration.
-    pub fn active_tasks(&self) -> Vec<&'static str> {
-        let mut tasks = Vec::with_capacity(9);
+    ///
+    /// The set iterates in Fig. 2 order.
+    pub fn active_tasks(&self) -> TaskSet {
+        let mut tasks: TaskSet = [Task::MkxExt, Task::CplsSel, Task::Reg]
+            .into_iter()
+            .collect();
         if self.rdg_active {
-            tasks.push(if self.roi_estimated {
-                "RDG_ROI"
+            tasks.insert(if self.roi_estimated {
+                Task::RdgRoi
             } else {
-                "RDG_FULL"
+                Task::RdgFull
             });
         }
-        tasks.push("MKX_EXT");
-        tasks.push("CPLS_SEL");
-        tasks.push("REG");
         if self.roi_estimated {
-            tasks.push("ROI_EST");
-            tasks.push("GW_EXT");
+            tasks.insert(Task::RoiEst);
+            tasks.insert(Task::GwExt);
         }
         if self.reg_successful {
-            tasks.push("ENH");
-            tasks.push("ZOOM");
+            tasks.insert(Task::Enh);
+            tasks.insert(Task::Zoom);
         }
         tasks
-    }
-
-    /// Whether `task` runs under this scenario.
-    pub fn runs(&self, task: &str) -> bool {
-        self.active_tasks().contains(&task)
     }
 }
 
@@ -255,57 +247,29 @@ mod tests {
         assert_eq!(ids.len(), 8);
     }
 
+    /// The state table, each row in Fig. 2 order: the order in which a
+    /// plan sums its per-task predictions, and so the order the golden
+    /// ledgers' `predicted_ms` depend on.
     #[test]
-    fn worst_case_runs_heavy_tasks() {
-        let s = Scenario::worst_case();
-        assert!(s.runs("RDG_FULL"));
-        assert!(!s.runs("RDG_ROI"));
-        assert!(s.runs("ENH"));
-        assert!(s.runs("ZOOM"));
-    }
-
-    #[test]
-    fn best_case_skips_heavy_tasks() {
-        let s = Scenario::best_case();
-        assert!(!s.runs("RDG_FULL"));
-        assert!(!s.runs("RDG_ROI"));
-        assert!(!s.runs("ENH"));
-        assert!(!s.runs("ZOOM"));
-        assert!(s.runs("MKX_EXT"));
-    }
-
-    #[test]
-    fn core_tasks_always_run() {
-        for s in Scenario::all() {
-            assert!(s.runs("MKX_EXT"), "{:?}", s);
-            assert!(s.runs("CPLS_SEL"), "{:?}", s);
-            assert!(s.runs("REG"), "{:?}", s);
+    fn active_tasks_follow_the_state_table_in_fig2_order() {
+        use Task::*;
+        let table: [&[Task]; 8] = [
+            &[MkxExt, CplsSel, Reg],
+            &[RdgFull, MkxExt, CplsSel, Reg],
+            &[MkxExt, CplsSel, Reg, RoiEst, GwExt],
+            &[RdgRoi, MkxExt, CplsSel, Reg, RoiEst, GwExt],
+            &[MkxExt, CplsSel, Reg, Enh, Zoom],
+            &[RdgFull, MkxExt, CplsSel, Reg, Enh, Zoom],
+            &[MkxExt, CplsSel, Reg, RoiEst, GwExt, Enh, Zoom],
+            &[RdgRoi, MkxExt, CplsSel, Reg, RoiEst, GwExt, Enh, Zoom],
+        ];
+        for (s, want) in Scenario::all().into_iter().zip(table) {
+            let got: Vec<Task> = s.active_tasks().into_iter().collect();
+            assert_eq!(got, want, "scenario {}", s.id());
         }
-    }
-
-    #[test]
-    fn rdg_granularity_follows_roi_switch() {
-        let full = Scenario {
-            rdg_active: true,
-            roi_estimated: false,
-            reg_successful: false,
-        };
-        let roi = Scenario {
-            rdg_active: true,
-            roi_estimated: true,
-            reg_successful: false,
-        };
-        assert!(full.runs("RDG_FULL") && !full.runs("RDG_ROI"));
-        assert!(roi.runs("RDG_ROI") && !roi.runs("RDG_FULL"));
-    }
-
-    #[test]
-    fn active_tasks_are_valid_names() {
-        for s in Scenario::all() {
-            for t in s.active_tasks() {
-                assert!(TASKS.contains(&t), "unknown task {t}");
-            }
-        }
+        // the worst case runs full-frame RDG, ENH and ZOOM; the best none
+        assert_eq!(Scenario::worst_case().id(), 5);
+        assert_eq!(Scenario::best_case().id(), 2);
     }
 
     #[test]

@@ -8,12 +8,13 @@
 use crate::model::TaskModel;
 use crate::predictor::{ConstantPredictor, EwmaMarkovPredictor, LinearMarkovPredictor};
 use crate::stats::{autocorrelation, mean, std_dev};
+use platform::task::Task;
 
 /// A profiled computation-time series of one task.
 #[derive(Debug, Clone)]
 pub struct TaskSeries {
-    /// Task name (Fig. 2 naming).
-    pub task: &'static str,
+    /// The task the series was profiled from.
+    pub task: Task,
     /// Execution times in frame order, ms.
     pub samples: Vec<f64>,
     /// Parallel ROI-size covariates, kilopixels (empty when the task has no
@@ -23,7 +24,7 @@ pub struct TaskSeries {
 
 impl TaskSeries {
     /// Creates a series without covariates.
-    pub fn new(task: &'static str, samples: Vec<f64>) -> Self {
+    pub fn new(task: Task, samples: Vec<f64>) -> Self {
         Self {
             task,
             samples,
@@ -32,7 +33,7 @@ impl TaskSeries {
     }
 
     /// Creates a series with ROI covariates (must be the same length).
-    pub fn with_roi(task: &'static str, samples: Vec<f64>, roi_kpixels: Vec<f64>) -> Self {
+    pub fn with_roi(task: Task, samples: Vec<f64>, roi_kpixels: Vec<f64>) -> Self {
         assert_eq!(
             samples.len(),
             roi_kpixels.len(),
@@ -146,7 +147,7 @@ pub(crate) fn train_auto(series: &TaskSeries, cfg: &TrainingConfig) -> TaskModel
             &series.samples,
             cfg.alpha,
             cfg.max_states,
-            series.task,
+            series.task.name(),
         )),
         ModelKind::LinearMarkov => {
             let points: Vec<(f64, f64)> = series
@@ -158,7 +159,7 @@ pub(crate) fn train_auto(series: &TaskSeries, cfg: &TrainingConfig) -> TaskModel
             TaskModel::LinearMarkov(LinearMarkovPredictor::train(
                 &points,
                 cfg.max_states,
-                series.task,
+                series.task.name(),
             ))
         }
     }
@@ -175,7 +176,7 @@ mod tests {
 
     #[test]
     fn flat_series_selects_constant() {
-        let s = TaskSeries::new("MKX_EXT", vec![2.5, 2.52, 2.48, 2.51, 2.49, 2.5]);
+        let s = TaskSeries::new(Task::MkxExt, vec![2.5, 2.52, 2.48, 2.51, 2.49, 2.5]);
         assert_eq!(select_model(&s, &cfg()), ModelKind::Constant);
     }
 
@@ -187,7 +188,7 @@ mod tests {
             .iter()
             .map(|&r| 0.07 * r + 20.0 + rng.gen_range(-1.0..1.0))
             .collect();
-        let s = TaskSeries::with_roi("RDG_ROI", times, rois);
+        let s = TaskSeries::with_roi(Task::RdgRoi, times, rois);
         assert_eq!(select_model(&s, &cfg()), ModelKind::LinearMarkov);
     }
 
@@ -201,7 +202,7 @@ mod tests {
                 10.0 + 4.0 * ar
             })
             .collect();
-        let s = TaskSeries::new("CPLS_SEL", times);
+        let s = TaskSeries::new(Task::CplsSel, times);
         assert_eq!(select_model(&s, &cfg()), ModelKind::EwmaMarkov);
     }
 
@@ -218,7 +219,7 @@ mod tests {
 
     #[test]
     fn train_auto_produces_working_predictor() {
-        let s = TaskSeries::new("ENH", vec![24.0, 24.1, 23.9, 24.0, 24.05]);
+        let s = TaskSeries::new(Task::Enh, vec![24.0, 24.1, 23.9, 24.0, 24.05]);
         let p = train_auto(&s, &cfg());
         assert_eq!(p.kind(), ModelKind::Constant);
         let pred = p
@@ -230,6 +231,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_covariates_rejected() {
-        let _ = TaskSeries::with_roi("X", vec![1.0, 2.0], vec![1.0]);
+        let _ = TaskSeries::with_roi(Task::RdgRoi, vec![1.0, 2.0], vec![1.0]);
     }
 }

@@ -15,7 +15,7 @@ use crate::predictor::{PredictContext, Prediction};
 use crate::scenario::{Scenario, ScenarioChain};
 use crate::snapshot::{Reader, SnapshotError, Writer};
 use crate::training::{train_auto, ModelKind, TaskSeries, TrainingConfig};
-use std::collections::BTreeMap;
+use platform::task::Task;
 
 /// Configuration of a Triple-C instance.
 #[derive(Debug, Clone)]
@@ -50,7 +50,7 @@ pub struct FramePrediction {
     /// Scenario the prediction applies to.
     pub scenario: Scenario,
     /// Predicted per-task computation times, ms.
-    pub task_times: Vec<(&'static str, f64)>,
+    pub task_times: Vec<(Task, f64)>,
     /// Predicted total (serial) computation time, ms.
     pub total_ms: f64,
     /// Predicted inter-task bandwidth, bytes/s.
@@ -62,18 +62,18 @@ pub struct FramePrediction {
 /// The trained Triple-C prediction model.
 ///
 /// ```
-/// use triplec::{PredictContext, Scenario, TaskSeries, TripleC, TripleCConfig};
+/// use triplec::{PredictContext, Scenario, Task, TaskSeries, TripleC, TripleCConfig};
 /// let series = vec![
-///     TaskSeries::new("MKX_EXT", vec![2.5; 50]),
-///     TaskSeries::new("CPLS_SEL", vec![1.0; 50]),
-///     TaskSeries::new("REG", vec![2.0; 50]),
+///     TaskSeries::new(Task::MkxExt, vec![2.5; 50]),
+///     TaskSeries::new(Task::CplsSel, vec![1.0; 50]),
+///     TaskSeries::new(Task::Reg, vec![2.0; 50]),
 /// ];
 /// let scenarios = vec![0u8; 50];
 /// let model = TripleC::train(&series, &scenarios, TripleCConfig::default());
 /// let ctx = PredictContext::default();
 /// let frame_ms = model.predict_frame(Scenario::from_id(0), &ctx, 1.0).total_ms;
 /// assert!((frame_ms - 5.5).abs() < 1e-9); // 2.5 + 1.0 + 2.0
-/// let dist = model.predict_task("REG", &ctx).expect("trained task");
+/// let dist = model.predict_task(Task::Reg, &ctx).expect("trained task");
 /// assert!(dist.p99_ms >= dist.mean_ms - 1e-9);
 /// ```
 ///
@@ -83,7 +83,9 @@ pub struct FramePrediction {
 #[derive(Clone)]
 pub struct TripleC {
     cfg: TripleCConfig,
-    predictors: BTreeMap<&'static str, TaskModel>,
+    /// The model of each trained task, indexed by [`Task`] declaration
+    /// order.
+    predictors: [Option<TaskModel>; 9],
     scenario_chain: ScenarioChain,
 }
 
@@ -95,12 +97,12 @@ impl TripleC {
     /// Trains the model from per-task profiled series and the observed
     /// scenario sequence.
     pub fn train(task_series: &[TaskSeries], scenario_sequence: &[u8], cfg: TripleCConfig) -> Self {
-        let mut predictors = BTreeMap::new();
+        let mut predictors: [Option<TaskModel>; 9] = Default::default();
         for s in task_series {
             if s.samples.is_empty() {
                 continue;
             }
-            predictors.insert(s.task, train_auto(s, &cfg.training));
+            predictors[s.task as usize] = Some(train_auto(s, &cfg.training));
         }
         let scenario_chain = ScenarioChain::estimate(scenario_sequence);
         Self {
@@ -115,10 +117,17 @@ impl TripleC {
         &self.cfg
     }
 
+    /// The trained tasks with their models, in Fig. 2 order.
+    fn trained(&self) -> impl Iterator<Item = (Task, &TaskModel)> + '_ {
+        let models = Task::ALL.into_iter().zip(&self.predictors);
+        models.filter_map(|(task, model)| Some((task, model.as_ref()?)))
+    }
+
     /// Predictive distribution of one task's computation time (`None`
     /// if untrained).
-    pub fn predict_task(&self, task: &str, ctx: &PredictContext) -> Option<Prediction> {
-        self.predictors.get(task).map(|p| p.predict(ctx))
+    pub fn predict_task(&self, task: Task, ctx: &PredictContext) -> Option<Prediction> {
+        let model = self.predictors[task as usize].as_ref();
+        model.map(|p| p.predict(ctx))
     }
 
     /// Feeds a measured execution time back into the task's predictor.
@@ -129,8 +138,8 @@ impl TripleC {
     /// stays bit-identical no matter what it is shown, which keeps
     /// quantile-based plans — and the ledgers derived from them —
     /// deterministic across replays.
-    pub fn observe_task(&mut self, task: &str, actual_ms: f64, ctx: &PredictContext) -> bool {
-        match self.predictors.get_mut(task) {
+    pub fn observe_task(&mut self, task: Task, actual_ms: f64, ctx: &PredictContext) -> bool {
+        match &mut self.predictors[task as usize] {
             Some(p) if p.online() => {
                 p.observe(actual_ms, ctx);
                 true
@@ -143,14 +152,14 @@ impl TripleC {
     /// the former per-predictor `with_online_training` construction-time
     /// plumbing with a runtime switch).
     pub fn set_online_training(&mut self, online: bool) {
-        for p in self.predictors.values_mut() {
+        for p in self.predictors.iter_mut().flatten() {
             p.set_online(online);
         }
     }
 
     /// Whether any task model currently trains online.
     pub fn online_training(&self) -> bool {
-        self.predictors.values().any(TaskModel::online)
+        self.predictors.iter().flatten().any(TaskModel::online)
     }
 
     /// Serializes the mutable prediction state of every task model: one
@@ -158,11 +167,13 @@ impl TripleC {
     /// validated stream header. The scenario chain and configuration are
     /// training-time constants and are not part of it.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let mut trained: Vec<(Task, &TaskModel)> = self.trained().collect();
+        trained.sort_unstable_by_key(|(task, _)| task.name());
         let mut w = Writer::with_header();
         w.u8(TAG_FACADE);
-        w.u32(self.predictors.len() as u32);
-        for (task, model) in &self.predictors {
-            w.str(task);
+        w.u32(trained.len() as u32);
+        for (task, model) in trained {
+            w.str(task.name());
             model.encode_tagged(&mut w);
         }
         w.finish()
@@ -186,18 +197,25 @@ impl TripleC {
             return Err(SnapshotError::BadClassTag(tag));
         }
         let count = r.u32()?;
-        let mut restored = BTreeMap::new();
+        let mut restored: [Option<TaskModel>; 9] = Default::default();
         for _ in 0..count {
+            // the one place a task name is parsed
             let name = r.str("facade task name")?;
-            let Some((&task, live)) = self.predictors.get_key_value(name) else {
+            let trained = Task::from_name(name).map(|t| (t, &self.predictors[t as usize]));
+            let Some((task, Some(live))) = trained else {
                 return Err(SnapshotError::Corrupt("untrained task in facade snapshot"));
             };
-            if restored.insert(task, live.decode_tagged(&mut r)?).is_some() {
+            let model = live.decode_tagged(&mut r)?;
+            if restored[task as usize].replace(model).is_some() {
                 return Err(SnapshotError::Corrupt("duplicate task in facade snapshot"));
             }
         }
         r.expect_end()?;
-        self.predictors.extend(restored);
+        for (live, new) in self.predictors.iter_mut().zip(restored) {
+            if new.is_some() {
+                *live = new;
+            }
+        }
         Ok(())
     }
 
@@ -209,10 +227,10 @@ impl TripleC {
         ctx: &PredictContext,
         roi_fraction: f64,
     ) -> FramePrediction {
-        let task_times: Vec<(&'static str, f64)> = scenario
+        let task_times: Vec<(Task, f64)> = scenario
             .active_tasks()
-            .iter()
-            .map(|&t| (t, self.predict_task(t, ctx).map_or(0.0, |p| p.mean_ms)))
+            .into_iter()
+            .map(|t| (t, self.predict_task(t, ctx).map_or(0.0, |p| p.mean_ms)))
             .collect();
         let total_ms = task_times.iter().map(|(_, t)| t).sum();
         FramePrediction {
@@ -258,11 +276,10 @@ impl TripleC {
         implementation_table(self.cfg.geometry, self.cfg.zoom_out)
     }
 
-    /// Model summary per task (Table 2(b)).
-    pub fn model_summary(&self) -> Vec<(&'static str, ModelKind, String)> {
-        self.predictors
-            .iter()
-            .map(|(task, p)| (*task, p.kind(), p.model_name()))
+    /// Model summary per trained task, in Fig. 2 order (Table 2(b)).
+    pub fn model_summary(&self) -> Vec<(Task, ModelKind, String)> {
+        self.trained()
+            .map(|(task, p)| (task, p.kind(), p.model_name()))
             .collect()
     }
 
@@ -287,17 +304,20 @@ mod tests {
             })
             .collect();
         let series = vec![
-            TaskSeries::new("RDG_FULL", rdg),
-            TaskSeries::new("MKX_EXT", vec![2.5; 600]),
+            TaskSeries::new(Task::RdgFull, rdg),
+            TaskSeries::new(Task::MkxExt, vec![2.5; 600]),
             TaskSeries::new(
-                "CPLS_SEL",
+                Task::CplsSel,
                 (0..600).map(|i| 1.0 + 0.5 * ((i % 7) as f64)).collect(),
             ),
-            TaskSeries::new("REG", vec![2.0; 600]),
-            TaskSeries::new("ROI_EST", vec![1.0; 600]),
-            TaskSeries::new("GW_EXT", (0..600).map(|i| 3.0 + ((i % 5) as f64)).collect()),
-            TaskSeries::new("ENH", vec![24.0; 600]),
-            TaskSeries::new("ZOOM", vec![12.5; 600]),
+            TaskSeries::new(Task::Reg, vec![2.0; 600]),
+            TaskSeries::new(Task::RoiEst, vec![1.0; 600]),
+            TaskSeries::new(
+                Task::GwExt,
+                (0..600).map(|i| 3.0 + ((i % 5) as f64)).collect(),
+            ),
+            TaskSeries::new(Task::Enh, vec![24.0; 600]),
+            TaskSeries::new(Task::Zoom, vec![12.5; 600]),
         ];
         let scenarios: Vec<u8> = (0..600).map(|i| if i % 50 < 40 { 7 } else { 5 }).collect();
         TripleC::train(&series, &scenarios, TripleCConfig::default())
@@ -307,9 +327,9 @@ mod tests {
     fn constant_tasks_predict_their_constant() {
         let t = trained();
         let ctx = PredictContext::default();
-        assert!((t.predict_task("MKX_EXT", &ctx).unwrap().mean_ms - 2.5).abs() < 1e-9);
-        assert!((t.predict_task("ENH", &ctx).unwrap().mean_ms - 24.0).abs() < 1e-9);
-        assert!(t.predict_task("NOPE", &ctx).is_none());
+        assert!((t.predict_task(Task::MkxExt, &ctx).unwrap().mean_ms - 2.5).abs() < 1e-9);
+        assert!((t.predict_task(Task::Enh, &ctx).unwrap().mean_ms - 24.0).abs() < 1e-9);
+        assert!(t.predict_task(Task::RdgRoi, &ctx).is_none());
     }
 
     #[test]
@@ -360,9 +380,9 @@ mod tests {
         t.set_online_training(true);
         let ctx = PredictContext::default();
         for _ in 0..50 {
-            t.observe_task("RDG_FULL", 60.0, &ctx);
+            t.observe_task(Task::RdgFull, 60.0, &ctx);
         }
-        let p = t.predict_task("RDG_FULL", &ctx).unwrap().mean_ms;
+        let p = t.predict_task(Task::RdgFull, &ctx).unwrap().mean_ms;
         assert!((p - 60.0).abs() < 6.0, "prediction {p} did not track 60 ms");
     }
 
@@ -371,9 +391,12 @@ mod tests {
         let t = trained();
         let summary = t.model_summary();
         assert_eq!(summary.len(), 8);
-        let mkx = summary.iter().find(|(t, _, _)| *t == "MKX_EXT").unwrap();
+        let mkx = summary.iter().find(|(t, _, _)| *t == Task::MkxExt).unwrap();
         assert_eq!(mkx.1, ModelKind::Constant);
-        let rdg = summary.iter().find(|(t, _, _)| *t == "RDG_FULL").unwrap();
+        let rdg = summary
+            .iter()
+            .find(|(t, _, _)| *t == Task::RdgFull)
+            .unwrap();
         assert_eq!(rdg.1, ModelKind::EwmaMarkov);
     }
 
@@ -389,17 +412,17 @@ mod tests {
         a.set_online_training(true);
         let ctx = PredictContext::default();
         let mut b = a.clone();
-        a.observe_task("RDG_FULL", 50.0, &ctx);
-        let before = a.predict_task("RDG_FULL", &ctx).unwrap();
+        a.observe_task(Task::RdgFull, 50.0, &ctx);
+        let before = a.predict_task(Task::RdgFull, &ctx).unwrap();
         for _ in 0..50 {
-            b.observe_task("RDG_FULL", 90.0, &ctx);
+            b.observe_task(Task::RdgFull, 90.0, &ctx);
         }
         assert_eq!(
-            a.predict_task("RDG_FULL", &ctx).unwrap(),
+            a.predict_task(Task::RdgFull, &ctx).unwrap(),
             before,
             "training the clone disturbed the original"
         );
-        assert!(b.predict_task("RDG_FULL", &ctx).unwrap().mean_ms > before.mean_ms);
+        assert!(b.predict_task(Task::RdgFull, &ctx).unwrap().mean_ms > before.mean_ms);
     }
 
     #[test]
@@ -417,10 +440,10 @@ mod tests {
         let mut t = trained();
         let ctx = PredictContext::default();
         // a frozen model ignores observations (determinism guarantee)
-        assert!(!t.observe_task("RDG_FULL", 40.0, &ctx));
+        assert!(!t.observe_task(Task::RdgFull, 40.0, &ctx));
         t.set_online_training(true);
-        assert!(t.observe_task("RDG_FULL", 40.0, &ctx));
-        assert!(!t.observe_task("NOPE", 40.0, &ctx));
+        assert!(t.observe_task(Task::RdgFull, 40.0, &ctx));
+        assert!(!t.observe_task(Task::RdgRoi, 40.0, &ctx));
     }
 
     #[test]
@@ -429,18 +452,18 @@ mod tests {
         let ctx = PredictContext { roi_kpixels: 800.0 };
         t.set_online_training(true);
         for i in 0..20 {
-            t.observe_task("RDG_FULL", 40.0 + (i % 6) as f64, &ctx);
-            t.observe_task("CPLS_SEL", 1.0 + (i % 3) as f64, &ctx);
+            t.observe_task(Task::RdgFull, 40.0 + (i % 6) as f64, &ctx);
+            t.observe_task(Task::CplsSel, 1.0 + (i % 3) as f64, &ctx);
         }
         let bytes = t.snapshot_bytes();
-        let before: Vec<(&str, Option<Prediction>)> = Scenario::worst_case()
+        let before: Vec<(Task, Option<Prediction>)> = Scenario::worst_case()
             .active_tasks()
-            .iter()
-            .map(|&task| (task, t.predict_task(task, &ctx)))
+            .into_iter()
+            .map(|task| (task, t.predict_task(task, &ctx)))
             .collect();
         for _ in 0..60 {
-            t.observe_task("RDG_FULL", 95.0, &ctx);
-            t.observe_task("CPLS_SEL", 9.0, &ctx);
+            t.observe_task(Task::RdgFull, 95.0, &ctx);
+            t.observe_task(Task::CplsSel, 9.0, &ctx);
         }
         t.try_restore_bytes(&bytes).unwrap();
         for (task, dist) in before {
@@ -457,7 +480,7 @@ mod tests {
         let mut t = trained();
         let ctx = PredictContext::default();
         let bytes = t.snapshot_bytes();
-        let before = t.predict_task("RDG_FULL", &ctx).unwrap();
+        let before = t.predict_task(Task::RdgFull, &ctx).unwrap();
         for cut in 0..bytes.len() {
             assert!(
                 t.try_restore_bytes(&bytes[..cut]).is_err(),
@@ -477,6 +500,6 @@ mod tests {
             garbled[i] ^= 0xA5;
             let _ = t.clone().try_restore_bytes(&garbled);
         }
-        assert_eq!(t.predict_task("RDG_FULL", &ctx).unwrap(), before);
+        assert_eq!(t.predict_task(Task::RdgFull, &ctx).unwrap(), before);
     }
 }

@@ -19,6 +19,7 @@ use imaging::roi_est::estimate_roi;
 use imaging::zoom::zoom_band_with;
 use platform::bus::{DegradeMode, EventBus, FaultKind, FrameEvent, StreamId};
 use platform::profile::time_ms;
+use platform::task::Task;
 use platform::trace::FrameRecord;
 use std::time::Instant;
 use triplec::scenario::Scenario;
@@ -41,7 +42,7 @@ impl Default for ExecutionPolicy {
     }
 }
 
-/// Tasks that are data-partitioned (striped) onto the worker pool; the
+/// Whether `task` is data-partitioned (striped) onto the worker pool; the
 /// remaining tasks are feature-level (CPLS SEL, REG, ROI EST) and stay
 /// serial within a frame. So does MKX EXT, though its response sweep is
 /// band-safe (the fused sweep RDG stripes): its peak, threshold scan and
@@ -53,7 +54,12 @@ impl Default for ExecutionPolicy {
 /// is serial. ENH and ZOOM run as one call each on the calling thread:
 /// together about 0.2 ms on a tracked 1024² frame, about one pool round
 /// trip, so dispatching their bands would not pay.
-pub const STRIPABLE_TASKS: [&str; 3] = ["RDG_FULL", "RDG_ROI", "GW_EXT"];
+pub fn stripable(task: Task) -> bool {
+    match task {
+        Task::RdgFull | Task::RdgRoi | Task::GwExt => true,
+        Task::MkxExt | Task::CplsSel | Task::Reg | Task::RoiEst | Task::Enh | Task::Zoom => false,
+    }
+}
 
 /// Faults to inject into one frame's execution (all disabled by default).
 ///
@@ -68,9 +74,10 @@ pub struct FrameFaults {
     /// Fail this many leading RDG dispatch attempts with a transient
     /// pool-channel error (consumed before any panic injection fires).
     pub rdg_channel_errors: u32,
-    /// Inflate the frame by sleeping this many milliseconds, recorded as
-    /// a `FAULT_DELAY` pseudo-task so latency budgets and overrun
-    /// policies observe it.
+    /// Inflate the frame by sleeping this many milliseconds at the end of
+    /// the graph: the frame's wall-time latency grows, so latency budgets
+    /// and overrun policies observe it, and no task time does, so the
+    /// model does not train on it.
     pub stage_delay_ms: f64,
 }
 
@@ -119,8 +126,8 @@ const NO_RETRY: StageRetry = StageRetry {
 pub struct FrameError {
     /// Frame index that failed.
     pub frame: usize,
-    /// Task name of the stage that failed.
-    pub stage: &'static str,
+    /// The task of the stage that failed.
+    pub stage: Task,
     /// The final dispatch error.
     pub error: PoolError,
 }
@@ -292,7 +299,7 @@ pub fn process_frame_recovering_on(
 fn banded_stage(
     times: &RdgTimes,
     wall_ms: f64,
-    task: &'static str,
+    task: Task,
     observer: &mut Option<(StreamId, &mut EventBus)>,
     frame_index: usize,
 ) -> f64 {
@@ -321,7 +328,7 @@ fn banded_stage(
 /// terminal event: `Recovered` when a retry delivered, `DegradedMode` on the
 /// fallback. A failure nothing was armed for gets its own terminal event.
 fn dispatch_recovering<T>(
-    task: &'static str,
+    task: Task,
     frame_index: usize,
     mut stripes: usize,
     retry: &StageRetry,
@@ -402,7 +409,7 @@ fn process_frame_inner(
 ) -> Result<FrameOutput, FrameError> {
     let started = Instant::now();
     let (w, h) = frame.dims();
-    let mut task_times: Vec<(&'static str, f64)> = Vec::with_capacity(9);
+    let mut task_times: Vec<(Task, f64)> = Vec::with_capacity(9);
 
     // --- fault arming ------------------------------------------------
     // Every armed fault kind is announced up front and owed a terminal
@@ -473,7 +480,11 @@ fn process_frame_inner(
     // early attempts (channel errors first, then the panic batch) and the
     // dispatch recovers by the frame's retry policy.
     let rdg_out: Option<RdgOutput> = if rdg_active {
-        let task: &'static str = if roi_estimated { "RDG_ROI" } else { "RDG_FULL" };
+        let task = if roi_estimated {
+            Task::RdgRoi
+        } else {
+            Task::RdgFull
+        };
         let mut panic_jobs = faults.rdg_panic_jobs;
         let mut channel_left = faults.rdg_channel_errors;
         let dispatched = Instant::now();
@@ -513,12 +524,12 @@ fn process_frame_inner(
     // --- MKX EXT ---------------------------------------------------------
     let mkx_input = rdg_out.as_ref().map(|o| &o.filtered).unwrap_or(frame);
     let (mkx, ms) = time_ms(|| mkx_extract(mkx_input, work_roi, &cfg.mkx, &mut state.mkx_bufs));
-    task_times.push(("MKX_EXT", ms));
+    task_times.push((Task::MkxExt, ms));
 
     // --- CPLS SEL ----------------------------------------------------------
     let prev = state.prev_couple;
     let (cpls, ms) = time_ms(|| cpls_select(&mkx.candidates, prev.as_ref(), &cfg.cpls));
-    task_times.push(("CPLS_SEL", ms));
+    task_times.push((Task::CplsSel, ms));
     let couple = cpls.couple;
 
     // --- REG ---------------------------------------------------------------
@@ -533,7 +544,7 @@ fn process_frame_inner(
                 _ => None,
             },
         );
-    task_times.push(("REG", ms));
+    task_times.push((Task::Reg, ms));
     match reg_result {
         Some(r) => {
             reg_successful = r.success;
@@ -571,7 +582,7 @@ fn process_frame_inner(
     if let Some(c) = &couple {
         if roi_estimated {
             let (roi, ms) = time_ms(|| estimate_roi(c, state.recent_motion, w, h, &cfg.roi_est));
-            task_times.push(("ROI_EST", ms));
+            task_times.push((Task::RoiEst, ms));
 
             // guide-wire verification: "the guide wire can be detected by
             // a ridge filter in guide-wire extraction" (Section 3). GW
@@ -584,7 +595,7 @@ fn process_frame_inner(
             let same_frame = rdg_out.is_some();
             let dispatched = Instant::now();
             dispatch_recovering(
-                "GW_EXT",
+                Task::GwExt,
                 frame_index,
                 policy.aux_stripes.max(1),
                 retry,
@@ -600,10 +611,10 @@ fn process_frame_inner(
             )?;
             let wall_ms = dispatched.elapsed().as_secs_f64() * 1e3;
             let times = state.rdg_bufs.times();
-            let ridge_ms = banded_stage(times, wall_ms, "GW_EXT", observer, frame_index);
+            let ridge_ms = banded_stage(times, wall_ms, Task::GwExt, observer, frame_index);
             let response = state.rdg_bufs.response();
             let (gw, ms) = time_ms(|| gw_extract_with(response, c, &cfg.gw, &mut state.gw_scratch));
-            task_times.push(("GW_EXT", ridge_ms + ms));
+            task_times.push((Task::GwExt, ridge_ms + ms));
 
             if gw.wire_found {
                 next_roi = Some(roi);
@@ -642,7 +653,7 @@ fn process_frame_inner(
                 .enh_state
                 .readout_into(enh_roi, cfg.enh.gain, &mut enhanced)
         });
-        task_times.push(("ENH", acc_ms + read_ms));
+        task_times.push((Task::Enh, acc_ms + read_ms));
 
         // ZOOM: one call over every output row. The pooled scratch keeps
         // the per-column tap plans and the source-row cache warm across
@@ -661,22 +672,19 @@ fn process_frame_inner(
                 &mut state.zoom_scratch,
             )
         });
-        task_times.push(("ZOOM", ms));
+        task_times.push((Task::Zoom, ms));
         state.enh_view = Some(enhanced);
         display = Some(out_img);
     }
 
     // --- injected stage delay ---------------------------------------------
-    // Applied as a serial pseudo-task at the end of the graph: pixel
-    // outputs are untouched, but the frame's measured latency inflates so
-    // budget overrun and downshift policies react to it.
+    // Slept at the end of the graph, outside every task: pixel outputs
+    // and task times are untouched, but the frame's wall-time latency
+    // inflates so budget overrun and downshift policies react to it.
     if faults.stage_delay_ms > 0.0 {
-        let (_, ms) = time_ms(|| {
-            std::thread::sleep(std::time::Duration::from_secs_f64(
-                faults.stage_delay_ms / 1000.0,
-            ))
-        });
-        task_times.push(("FAULT_DELAY", ms));
+        std::thread::sleep(std::time::Duration::from_secs_f64(
+            faults.stage_delay_ms / 1000.0,
+        ));
         emit(observer, |stream| FrameEvent::Recovered {
             stream,
             frame: frame_index,
@@ -783,9 +791,9 @@ mod tests {
     fn every_frame_records_core_tasks() {
         let outs = run(6, 44, ExecutionPolicy::default());
         for o in &outs {
-            assert!(o.record.task_time("MKX_EXT").is_some());
-            assert!(o.record.task_time("CPLS_SEL").is_some());
-            assert!(o.record.task_time("REG").is_some());
+            assert!(o.record.task_time(Task::MkxExt).is_some());
+            assert!(o.record.task_time(Task::CplsSel).is_some());
+            assert!(o.record.task_time(Task::Reg).is_some());
             assert!(o.record.latency_ms > 0.0);
         }
     }
@@ -796,13 +804,13 @@ mod tests {
         for o in &outs {
             let s = o.scenario;
             assert_eq!(
-                o.record.task_time("ENH").is_some(),
+                o.record.task_time(Task::Enh).is_some(),
                 s.reg_successful,
                 "frame {}",
                 o.record.frame
             );
-            let ran_rdg =
-                o.record.task_time("RDG_FULL").is_some() || o.record.task_time("RDG_ROI").is_some();
+            let ran_rdg = o.record.task_time(Task::RdgFull).is_some()
+                || o.record.task_time(Task::RdgRoi).is_some();
             assert_eq!(ran_rdg, s.rdg_active, "frame {}", o.record.frame);
         }
     }
@@ -824,9 +832,13 @@ mod tests {
             let want = if i % 2 == 0 { 0 } else { 7 };
             assert_eq!(o.scenario.id(), want, "frame {i}");
             // the forced switches actually gate the heavy branches
-            assert_eq!(o.record.task_time("ENH").is_some(), want == 7, "frame {i}");
-            let ran_rdg =
-                o.record.task_time("RDG_FULL").is_some() || o.record.task_time("RDG_ROI").is_some();
+            assert_eq!(
+                o.record.task_time(Task::Enh).is_some(),
+                want == 7,
+                "frame {i}"
+            );
+            let ran_rdg = o.record.task_time(Task::RdgFull).is_some()
+                || o.record.task_time(Task::RdgRoi).is_some();
             assert_eq!(ran_rdg, want == 7, "frame {i}");
         }
         // past the script: the switches are content-derived again
@@ -851,11 +863,11 @@ mod tests {
         let outs = run(14, 46, ExecutionPolicy::default());
         let full: Vec<f64> = outs
             .iter()
-            .filter_map(|o| o.record.task_time("RDG_FULL"))
+            .filter_map(|o| o.record.task_time(Task::RdgFull))
             .collect();
         let roi: Vec<f64> = outs
             .iter()
-            .filter_map(|o| o.record.task_time("RDG_ROI"))
+            .filter_map(|o| o.record.task_time(Task::RdgRoi))
             .collect();
         if !full.is_empty() && !roi.is_empty() {
             let mf = full.iter().sum::<f64>() / full.len() as f64;
@@ -945,7 +957,7 @@ mod tests {
     }
 
     /// `(frame, task, jobs)` of every `StageExecuted`, in emission order.
-    fn stage_sequence(events: &[FrameEvent]) -> Vec<(usize, &'static str, usize)> {
+    fn stage_sequence(events: &[FrameEvent]) -> Vec<(usize, Task, usize)> {
         events
             .iter()
             .filter_map(|e| match *e {
@@ -994,7 +1006,7 @@ mod tests {
             let out = process_frame_observed_on(
                 pool, f.index, &f.image, &mut state, &cfg, &policy, 7, &mut bus,
             );
-            let Some(task_ms) = out.record.task_time("RDG_FULL") else {
+            let Some(task_ms) = out.record.task_time(Task::RdgFull) else {
                 continue;
             };
             // a full-frame RDG frame runs no GW pass, so the buffers still
@@ -1009,7 +1021,7 @@ mod tests {
             let stage_ms = log.lock().unwrap().iter().find_map(|e| match *e {
                 FrameEvent::StageExecuted {
                     frame,
-                    task: "RDG_FULL",
+                    task: Task::RdgFull,
                     serial_ms,
                     ..
                 } if frame == f.index => Some(serial_ms),
@@ -1107,7 +1119,11 @@ mod tests {
             ) {
                 Ok(_) => {}
                 Err(e) => {
-                    assert!(e.stage.starts_with("RDG"), "unexpected stage {}", e.stage);
+                    assert!(
+                        matches!(e.stage, Task::RdgFull | Task::RdgRoi),
+                        "unexpected stage {}",
+                        e.stage
+                    );
                     assert!(e.to_string().contains("failed after retries"));
                     failures += 1;
                 }
@@ -1177,7 +1193,7 @@ mod tests {
         assert_bit_identical(&nominal, &faulted);
         let swept: Vec<usize> = stage_sequence(&events)
             .into_iter()
-            .filter(|&(_, task, jobs)| task == "GW_EXT" && jobs == 2)
+            .filter(|&(_, task, jobs)| task == Task::GwExt && jobs == 2)
             .map(|(frame, ..)| frame)
             .collect();
         assert!(swept.len() >= 4, "GW EXT swept two bands on {swept:?} only");
@@ -1227,7 +1243,7 @@ mod tests {
         // no recovery context: the frame fails, the thread does not
         let (outs, error, _) = run_gw_faulted(policy, None, band_panic);
         let error = error.expect("a band panic without a retry policy fails the frame");
-        assert_eq!(error.stage, "GW_EXT");
+        assert_eq!(error.stage, Task::GwExt);
         assert_eq!(error.frame, swept[0]);
         assert_eq!(outs.len(), swept[0]);
         assert!(matches!(error.error, PoolError::JobPanicked(_)));
@@ -1241,10 +1257,8 @@ mod tests {
         };
         let (outs, events) = run_recovering(3, 54, faults);
         for o in &outs {
-            let delay = o
-                .record
-                .task_time("FAULT_DELAY")
-                .expect("delay not recorded");
+            // the delay is in the frame's wall time and in no task's
+            let delay = o.record.latency_ms - o.record.total_task_time();
             assert!(delay >= 4.0, "delay only {delay} ms");
         }
         let recovered = events

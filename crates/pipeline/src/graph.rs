@@ -1,19 +1,22 @@
 //! The static flow graph of Fig. 2.
 //!
 //! An explicit description of the motion-compensated feature-enhancement
-//! graph: task nodes, switch nodes and data edges. The executor
-//! ([`crate::executor`]) interprets this structure; the bandwidth
-//! experiments print its edges with their MByte/s annotations.
+//! graph: task nodes, switch nodes and data edges. Nothing runs it: it is
+//! the reference the scenario state table
+//! ([`Scenario::active_tasks`]) and the bandwidth model's edges are
+//! checked against (this module's tests and
+//! `tests/bandwidth_consistency.rs`).
 
 use triplec::scenario::Scenario;
+use triplec::Task;
 
 /// A node of the flow graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Node {
     /// The camera input stream.
     Input,
-    /// A processing task (Fig. 2 naming).
-    Task(&'static str),
+    /// A processing task.
+    Task(Task),
     /// A data-dependent switch.
     Switch(SwitchKind),
     /// The display output.
@@ -46,7 +49,7 @@ pub struct GraphEdge {
 
 /// The full Fig. 2 graph.
 pub fn flow_graph() -> Vec<GraphEdge> {
-    use Node::*;
+    use Node::{Input, Output, Switch};
     use SwitchKind::*;
     vec![
         GraphEdge {
@@ -56,56 +59,56 @@ pub fn flow_graph() -> Vec<GraphEdge> {
         },
         GraphEdge {
             from: Switch(RdgDetection),
-            to: Task("RDG_FULL"),
+            to: Node::Task(Task::RdgFull),
             conditions: vec![(RdgDetection, true), (RoiEstimated, false)],
         },
         GraphEdge {
             from: Switch(RdgDetection),
-            to: Task("RDG_ROI"),
+            to: Node::Task(Task::RdgRoi),
             conditions: vec![(RdgDetection, true), (RoiEstimated, true)],
         },
         GraphEdge {
             from: Switch(RdgDetection),
-            to: Task("MKX_EXT"),
+            to: Node::Task(Task::MkxExt),
             conditions: vec![(RdgDetection, false)],
         },
         GraphEdge {
-            from: Task("RDG_FULL"),
-            to: Task("MKX_EXT"),
+            from: Node::Task(Task::RdgFull),
+            to: Node::Task(Task::MkxExt),
             conditions: vec![(RdgDetection, true), (RoiEstimated, false)],
         },
         GraphEdge {
-            from: Task("RDG_ROI"),
-            to: Task("MKX_EXT"),
+            from: Node::Task(Task::RdgRoi),
+            to: Node::Task(Task::MkxExt),
             conditions: vec![(RdgDetection, true), (RoiEstimated, true)],
         },
         GraphEdge {
-            from: Task("MKX_EXT"),
-            to: Task("CPLS_SEL"),
+            from: Node::Task(Task::MkxExt),
+            to: Node::Task(Task::CplsSel),
             conditions: vec![],
         },
         GraphEdge {
-            from: Task("CPLS_SEL"),
-            to: Task("REG"),
+            from: Node::Task(Task::CplsSel),
+            to: Node::Task(Task::Reg),
             conditions: vec![],
         },
         GraphEdge {
-            from: Task("REG"),
+            from: Node::Task(Task::Reg),
             to: Switch(RoiEstimated),
             conditions: vec![],
         },
         GraphEdge {
             from: Switch(RoiEstimated),
-            to: Task("ROI_EST"),
+            to: Node::Task(Task::RoiEst),
             conditions: vec![(RoiEstimated, true)],
         },
         GraphEdge {
-            from: Task("ROI_EST"),
-            to: Task("GW_EXT"),
+            from: Node::Task(Task::RoiEst),
+            to: Node::Task(Task::GwExt),
             conditions: vec![(RoiEstimated, true)],
         },
         GraphEdge {
-            from: Task("GW_EXT"),
+            from: Node::Task(Task::GwExt),
             to: Switch(RegSuccessful),
             conditions: vec![(RoiEstimated, true)],
         },
@@ -116,16 +119,16 @@ pub fn flow_graph() -> Vec<GraphEdge> {
         },
         GraphEdge {
             from: Switch(RegSuccessful),
-            to: Task("ENH"),
+            to: Node::Task(Task::Enh),
             conditions: vec![(RegSuccessful, true)],
         },
         GraphEdge {
-            from: Task("ENH"),
-            to: Task("ZOOM"),
+            from: Node::Task(Task::Enh),
+            to: Node::Task(Task::Zoom),
             conditions: vec![(RegSuccessful, true)],
         },
         GraphEdge {
-            from: Task("ZOOM"),
+            from: Node::Task(Task::Zoom),
             to: Output,
             conditions: vec![(RegSuccessful, true)],
         },
@@ -149,9 +152,10 @@ pub fn edge_live(edge: &GraphEdge, scenario: Scenario) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triplec::TaskSet;
 
-    /// The task nodes reachable (live) under a scenario, in graph order.
-    fn live_tasks(scenario: Scenario) -> Vec<&'static str> {
+    /// The task nodes reachable (live) under a scenario.
+    fn live_tasks(scenario: Scenario) -> TaskSet {
         flow_graph()
             .iter()
             .filter(|e| edge_live(e, scenario))
@@ -159,18 +163,13 @@ mod tests {
                 Node::Task(t) => Some(t),
                 _ => None,
             })
-            .fold(Vec::new(), |mut acc, t| {
-                if !acc.contains(&t) {
-                    acc.push(t);
-                }
-                acc
-            })
+            .collect()
     }
 
     #[test]
     fn graph_has_all_nine_tasks() {
         let edges = flow_graph();
-        for t in triplec::TASKS {
+        for t in Task::ALL {
             let present = edges
                 .iter()
                 .any(|e| e.to == Node::Task(t) || e.from == Node::Task(t));
@@ -183,11 +182,7 @@ mod tests {
         // the explicit graph and the scenario state table in triplec must
         // agree for every one of the eight scenarios
         for s in Scenario::all() {
-            let mut from_graph = live_tasks(s);
-            let mut from_table = s.active_tasks();
-            from_graph.sort_unstable();
-            from_table.sort_unstable();
-            assert_eq!(from_graph, from_table, "scenario {:?}", s);
+            assert_eq!(live_tasks(s), s.active_tasks(), "scenario {:?}", s);
         }
     }
 
@@ -215,8 +210,8 @@ mod tests {
     fn rdg_variants_mutually_exclusive() {
         for s in Scenario::all() {
             let tasks = live_tasks(s);
-            let full = tasks.contains(&"RDG_FULL");
-            let roi = tasks.contains(&"RDG_ROI");
+            let full = tasks.contains(Task::RdgFull);
+            let roi = tasks.contains(Task::RdgRoi);
             assert!(!(full && roi), "both RDG variants live in {:?}", s);
         }
     }

@@ -8,6 +8,7 @@
 
 use crate::app::{AppConfig, AppState};
 use crate::executor::{process_frame, ExecutionPolicy, FrameOutput};
+use platform::task::Task;
 use platform::trace::TraceLog;
 use std::collections::BTreeMap;
 use triplec::training::TaskSeries;
@@ -19,7 +20,7 @@ pub struct ProfileRun {
     /// Per-frame execution records.
     pub trace: TraceLog,
     /// Per-task `(time_ms, roi_kpixels)` samples in frame order.
-    pub samples: BTreeMap<&'static str, Vec<(f64, f64)>>,
+    pub samples: BTreeMap<Task, Vec<(f64, f64)>>,
     /// Scenario id per frame.
     pub scenarios: Vec<u8>,
 }
@@ -49,21 +50,19 @@ impl ProfileRun {
         self.samples
             .iter()
             .map(|(&task, samples)| {
-                let times: Vec<f64> = samples.iter().map(|&(t, _)| t).collect();
-                if task == "RDG_ROI" || task == "RDG_FULL" {
-                    let rois: Vec<f64> = samples.iter().map(|&(_, r)| r).collect();
-                    TaskSeries::with_roi(task, times, rois)
-                } else {
-                    TaskSeries::new(task, times)
+                let (times, rois) = samples.iter().copied().unzip();
+                match task {
+                    Task::RdgFull | Task::RdgRoi => TaskSeries::with_roi(task, times, rois),
+                    _ => TaskSeries::new(task, times),
                 }
             })
             .collect()
     }
 
     /// The time series of one task.
-    pub fn series_of(&self, task: &str) -> Vec<f64> {
+    pub fn series_of(&self, task: Task) -> Vec<f64> {
         self.samples
-            .get(task)
+            .get(&task)
             .map(|s| s.iter().map(|&(t, _)| t).collect())
             .unwrap_or_default()
     }
@@ -161,9 +160,8 @@ mod tests {
             &AppConfig::default(),
             &ExecutionPolicy::default(),
         );
-        assert_eq!(run.series_of("MKX_EXT").len(), 8);
-        assert_eq!(run.series_of("CPLS_SEL").len(), 8);
-        assert!(run.series_of("NOPE").is_empty());
+        assert_eq!(run.series_of(Task::MkxExt).len(), 8);
+        assert_eq!(run.series_of(Task::CplsSel).len(), 8);
     }
 
     #[test]
@@ -175,7 +173,7 @@ mod tests {
         );
         let series = run.task_series();
         for s in &series {
-            if s.task.starts_with("RDG") {
+            if matches!(s.task, Task::RdgFull | Task::RdgRoi) {
                 assert_eq!(s.roi_kpixels.len(), s.samples.len(), "{}", s.task);
             }
         }
@@ -187,6 +185,6 @@ mod tests {
         let run = run_corpus(corpus, &AppConfig::default(), &ExecutionPolicy::default());
         assert_eq!(run.trace.len(), 10);
         assert_eq!(run.scenarios.len(), 10);
-        assert_eq!(run.series_of("MKX_EXT").len(), 10);
+        assert_eq!(run.series_of(Task::MkxExt).len(), 10);
     }
 }

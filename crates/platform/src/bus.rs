@@ -12,6 +12,8 @@
 //! so the bus can live at the bottom of the dependency graph and every
 //! layer above can emit onto it.
 
+use crate::task::Task;
+
 /// Identifier of one imaging stream within a session.
 pub type StreamId = u32;
 
@@ -171,8 +173,8 @@ pub enum FrameEvent {
         stream: StreamId,
         /// Frame index within the stream.
         frame: usize,
-        /// Task name of the stage (per-stage metric/span label).
-        task: &'static str,
+        /// The stage's task (its name is the per-stage metric/span label).
+        task: Task,
         /// Number of parallel jobs in the stage.
         jobs: usize,
         /// Sum of the per-band times (the serial cost), ms.
@@ -599,7 +601,7 @@ mod tests {
             FrameEvent::StageExecuted {
                 stream: 1,
                 frame: 2,
-                task: "RDG_FULL",
+                task: Task::RdgFull,
                 jobs: 4,
                 serial_ms: 40.0,
                 makespan_ms: 11.0,

@@ -14,7 +14,8 @@
 //! off the event bus via built-in subscribers and export plain-text
 //! snapshots and Chrome `trace_event` timelines; [`metrics`] also holds
 //! the one series summary ([`summary_of`]) and percentile the experiments
-//! report latencies with.
+//! report latencies with. [`task`] names the nine tasks of Fig. 2 as a
+//! type, so the records and events above carry a [`Task`], not a string.
 
 pub mod arch;
 pub mod bandwidth;
@@ -25,6 +26,7 @@ pub mod metrics;
 pub mod profile;
 pub mod spacetime;
 pub mod span;
+pub mod task;
 pub mod trace;
 
 pub use arch::{ArchModel, CacheGeometry, GB, KB, MB};
@@ -44,4 +46,5 @@ pub use spacetime::{
     predict_traffic, simulate_traffic, BufferSpec, PassSpec, TaskAccessModel, TaskTraffic,
 };
 pub use span::{SpanCollector, TraceSubscriber};
+pub use task::{Task, TaskSet};
 pub use trace::{FrameRecord, TraceLog};

@@ -601,7 +601,7 @@ impl MetricsSubscriber {
             FrameEvent::StageExecuted {
                 task, makespan_ms, ..
             } => {
-                let labels = Labels::stage(event.stream(), task);
+                let labels = Labels::stage(event.stream(), task.name());
                 self.counter("stages_executed", labels).inc();
                 self.histogram("stage_makespan_ms", labels)
                     .record(makespan_ms);
@@ -776,6 +776,7 @@ impl std::fmt::Debug for Observability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::Task;
 
     fn max_ms(h: &Histogram) -> f64 {
         h.0.snapshot("h", Labels::none()).max_ms
@@ -992,7 +993,7 @@ mod tests {
     fn snapshot_renders_text() {
         let reg = MetricsRegistry::new();
         reg.counter("frames_executed", Labels::stream(0)).add(7);
-        reg.histogram("frame_latency_ms", Labels::stage(0, "RDG_FULL"))
+        reg.histogram("frame_latency_ms", Labels::stage(0, Task::RdgFull.name()))
             .record(3.5);
         let snap = reg.snapshot();
         let text = snap.to_string();

@@ -270,7 +270,7 @@ impl Subscriber for TraceSubscriber {
                 makespan_ms,
                 ..
             } => self.spans.complete_ending_now(
-                task,
+                task.name(),
                 "stage",
                 stream,
                 (makespan_ms.max(0.0) * 1000.0).round() as u64,
@@ -418,6 +418,7 @@ impl Subscriber for TraceSubscriber {
 mod tests {
     use super::*;
     use crate::bus::FaultKind;
+    use crate::task::Task;
 
     #[test]
     fn complete_ending_now_backdates_start() {
@@ -437,7 +438,7 @@ mod tests {
         bus.emit(FrameEvent::StageExecuted {
             stream: 1,
             frame: 0,
-            task: "RDG_FULL",
+            task: Task::RdgFull,
             jobs: 4,
             serial_ms: 7.5,
             makespan_ms: 2.0,
@@ -486,7 +487,7 @@ mod tests {
     #[test]
     fn chrome_trace_json_has_metadata_and_phases() {
         let spans = SpanCollector::new();
-        spans.complete_ending_now("RDG_FULL", "stage", 0, 500, vec![("frame", 1.0)]);
+        spans.complete_ending_now(Task::RdgFull.name(), "stage", 0, 500, vec![("frame", 1.0)]);
         spans.instant("stripe-panic", "retry", 2, vec![("attempt", 1.0)]);
         let json = spans.chrome_trace_json();
         assert!(json.starts_with("{\"traceEvents\": ["), "{json}");

@@ -4,6 +4,8 @@
 //! times, scenario, measured latency — and derive the summary statistics
 //! reported in the paper (latency band, jitter, worst-vs-average gap).
 
+use crate::task::Task;
+
 /// Execution record of one frame.
 #[derive(Debug, Clone)]
 pub struct FrameRecord {
@@ -12,7 +14,7 @@ pub struct FrameRecord {
     /// Scenario identifier (which switch combination ran), `0..8`.
     pub scenario: u8,
     /// Per-task execution times, `(task, ms)`.
-    pub task_times: Vec<(&'static str, f64)>,
+    pub task_times: Vec<(Task, f64)>,
     /// Wall time of the frame, from entry to the built output, ms. Every
     /// task time nests inside it.
     pub latency_ms: f64,
@@ -25,10 +27,10 @@ impl FrameRecord {
     }
 
     /// Time of one task if it ran this frame.
-    pub fn task_time(&self, task: &str) -> Option<f64> {
+    pub fn task_time(&self, task: Task) -> Option<f64> {
         self.task_times
             .iter()
-            .find(|(n, _)| *n == task)
+            .find(|&&(t, _)| t == task)
             .map(|&(_, t)| t)
     }
 }
@@ -75,14 +77,6 @@ impl TraceLog {
         self.records.iter().map(|r| r.latency_ms).collect()
     }
 
-    /// Per-task time series (frames where the task did not run are skipped).
-    pub fn task_series(&self, task: &str) -> Vec<f64> {
-        self.records
-            .iter()
-            .filter_map(|r| r.task_time(task))
-            .collect()
-    }
-
     /// Scenario occupancy: how many frames ran each scenario id.
     pub fn scenario_histogram(&self) -> [usize; 8] {
         let mut h = [0usize; 8];
@@ -101,7 +95,10 @@ mod tests {
         FrameRecord {
             frame,
             scenario,
-            task_times: vec![("RDG", latency * 0.6), ("MKX", latency * 0.4)],
+            task_times: vec![
+                (Task::RdgFull, latency * 0.6),
+                (Task::MkxExt, latency * 0.4),
+            ],
             latency_ms: latency,
         }
     }
@@ -110,8 +107,8 @@ mod tests {
     fn record_totals_and_lookup() {
         let r = rec(0, 1, 10.0);
         assert!((r.total_task_time() - 10.0).abs() < 1e-12);
-        assert!((r.task_time("RDG").unwrap() - 6.0).abs() < 1e-12);
-        assert!(r.task_time("ZOOM").is_none());
+        assert!((r.task_time(Task::RdgFull).unwrap() - 6.0).abs() < 1e-12);
+        assert!(r.task_time(Task::Zoom).is_none());
     }
 
     #[test]
@@ -126,21 +123,5 @@ mod tests {
         assert_eq!(hist[1], 3);
         assert_eq!(hist[2], 3);
         assert_eq!(hist[3..].iter().sum::<usize>(), 0);
-    }
-
-    #[test]
-    fn task_series_skips_missing() {
-        let mut log = TraceLog::new();
-        log.push(rec(0, 0, 10.0));
-        log.push(FrameRecord {
-            frame: 1,
-            scenario: 0,
-            task_times: vec![],
-            latency_ms: 5.0,
-        });
-        log.push(rec(2, 0, 20.0));
-        let series = log.task_series("RDG");
-        assert_eq!(series.len(), 2);
-        assert!((series[1] - 12.0).abs() < 1e-12);
     }
 }

@@ -9,7 +9,7 @@
 //! frames, which does not change single-frame latency).
 
 use crate::budget::LatencyBudget;
-use pipeline::executor::{ExecutionPolicy, STRIPABLE_TASKS};
+use pipeline::executor::{stripable, ExecutionPolicy};
 use triplec::predictor::{PredictContext, Prediction};
 use triplec::scenario::Scenario;
 use triplec::triple::TripleC;
@@ -33,7 +33,7 @@ impl CostPrediction {
 
 /// Walks `scenario`'s active tasks once: predicts each trained task at
 /// `ctx`, costs its distribution with `cost` and splits the costs by
-/// [`STRIPABLE_TASKS`]. Also returns the per-task distributions summed
+/// [`stripable`]. Also returns the per-task distributions summed
 /// field by field (an upper bound on each frame quantile, exact under
 /// comonotone task costs). Untrained tasks cost nothing.
 pub(crate) fn scenario_cost(
@@ -55,7 +55,7 @@ pub(crate) fn scenario_cost(
         sums.p50_ms += p.p50_ms;
         sums.p95_ms += p.p95_ms;
         sums.p99_ms += p.p99_ms;
-        if STRIPABLE_TASKS.contains(&task) {
+        if stripable(task) {
             split.stripable_ms += cost(&p);
         } else {
             split.serial_ms += cost(&p);

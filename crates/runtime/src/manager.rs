@@ -389,21 +389,22 @@ mod tests {
     use platform::trace::FrameRecord;
     use triplec::training::TaskSeries;
     use triplec::triple::TripleCConfig;
+    use triplec::Task;
 
     fn model() -> TripleC {
         let series = vec![
-            TaskSeries::new("RDG_FULL", vec![40.0; 100]),
-            TaskSeries::new("MKX_EXT", vec![2.5; 100]),
-            TaskSeries::new("CPLS_SEL", vec![1.5; 100]),
-            TaskSeries::new("REG", vec![2.0; 100]),
-            TaskSeries::new("ENH", vec![24.0; 100]),
-            TaskSeries::new("ZOOM", vec![12.5; 100]),
+            TaskSeries::new(Task::RdgFull, vec![40.0; 100]),
+            TaskSeries::new(Task::MkxExt, vec![2.5; 100]),
+            TaskSeries::new(Task::CplsSel, vec![1.5; 100]),
+            TaskSeries::new(Task::Reg, vec![2.0; 100]),
+            TaskSeries::new(Task::Enh, vec![24.0; 100]),
+            TaskSeries::new(Task::Zoom, vec![12.5; 100]),
         ];
         let scenarios = vec![5u8; 100]; // RDG on, ROI off, REG on
         TripleC::train(&series, &scenarios, TripleCConfig::default())
     }
 
-    fn fake_output(scenario: Scenario, task_times: Vec<(&'static str, f64)>) -> FrameOutput {
+    fn fake_output(scenario: Scenario, task_times: Vec<(Task, f64)>) -> FrameOutput {
         let latency = task_times.iter().map(|&(_, t)| t).sum();
         FrameOutput {
             record: FrameRecord {
@@ -429,12 +430,12 @@ mod tests {
         m.absorb(&fake_output(
             Scenario::from_id(5),
             vec![
-                ("RDG_FULL", 40.0),
-                ("MKX_EXT", 2.5),
-                ("CPLS_SEL", 1.5),
-                ("REG", 2.0),
-                ("ENH", 24.0),
-                ("ZOOM", 12.5),
+                (Task::RdgFull, 40.0),
+                (Task::MkxExt, 2.5),
+                (Task::CplsSel, 1.5),
+                (Task::Reg, 2.0),
+                (Task::Enh, 24.0),
+                (Task::Zoom, 12.5),
             ],
         ));
         let b = m.budget().expect("budget initialized");
@@ -452,7 +453,7 @@ mod tests {
         m.plan(1000.0);
         let mut out = fake_output(
             Scenario::from_id(5),
-            vec![("RDG_FULL", 40.0), ("MKX_EXT", 2.5), ("REG", 2.0)],
+            vec![(Task::RdgFull, 40.0), (Task::MkxExt, 2.5), (Task::Reg, 2.0)],
         );
         // the frame's wall time exceeds its task sum (44.5 ms)
         out.record.latency_ms = 100.0;
@@ -483,11 +484,11 @@ mod tests {
         for _ in 0..5 {
             let plan = m.plan(1000.0);
             // actual == predicted -> perfect accuracy
-            let times: Vec<(&'static str, f64)> = plan
+            let times: Vec<(Task, f64)> = plan
                 .scenario
                 .active_tasks()
-                .iter()
-                .map(|&t| {
+                .into_iter()
+                .map(|t| {
                     (
                         t,
                         m.model()
@@ -536,10 +537,10 @@ mod tests {
             rng_vals.push(35.0 + ((i * 7) % 13) as f64);
         }
         let series = vec![
-            TaskSeries::new("RDG_FULL", rng_vals),
-            TaskSeries::new("MKX_EXT", vec![2.5; 200]),
-            TaskSeries::new("CPLS_SEL", vec![1.5; 200]),
-            TaskSeries::new("REG", vec![2.0; 200]),
+            TaskSeries::new(Task::RdgFull, rng_vals),
+            TaskSeries::new(Task::MkxExt, vec![2.5; 200]),
+            TaskSeries::new(Task::CplsSel, vec![1.5; 200]),
+            TaskSeries::new(Task::Reg, vec![2.0; 200]),
         ];
         let scenarios = vec![1u8; 200];
         let mk = |q: f64| {
@@ -590,7 +591,7 @@ mod tests {
         for i in 0..4 {
             let plan = m.plan(1000.0);
             let noisy = plan.predicted_total_ms * (1.0 + 0.05 * i as f64);
-            m.absorb(&fake_output(plan.scenario, vec![("RDG_FULL", noisy)]));
+            m.absorb(&fake_output(plan.scenario, vec![(Task::RdgFull, noisy)]));
         }
         // the independently-subscribed pairs reproduce the manager's
         // AccuracyReport exactly (bit-identical fields)
@@ -630,7 +631,10 @@ mod tests {
         }));
         let _ = m.plan(1000.0);
         // latency 40 ms against a 10 ms budget: overrun
-        m.absorb(&fake_output(Scenario::from_id(5), vec![("RDG_FULL", 40.0)]));
+        m.absorb(&fake_output(
+            Scenario::from_id(5),
+            vec![(Task::RdgFull, 40.0)],
+        ));
         let ev = events.lock().unwrap();
         assert!(
             ev.iter().any(|e| matches!(
@@ -696,7 +700,7 @@ mod tests {
             // p95/p99, and under p50 when the distribution is degenerate
             m.absorb(&fake_output(
                 plan.scenario,
-                vec![("RDG_FULL", plan.predicted_total_ms)],
+                vec![(Task::RdgFull, plan.predicted_total_ms)],
             ));
         }
         let reports = reports.lock().unwrap();

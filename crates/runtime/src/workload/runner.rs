@@ -42,7 +42,7 @@ use std::time::Instant;
 use triplec::scenario::ScenarioScript;
 use triplec::training::TaskSeries;
 use triplec::triple::{TripleC, TripleCConfig};
-use triplec::{FrameGeometry, TASKS};
+use triplec::{FrameGeometry, Task};
 use xray::{ScenarioConfig, SequenceConfig, SequenceGenerator};
 
 /// Replays traces through the service tier.
@@ -290,7 +290,7 @@ fn scenario_script_for(s: &StreamTrace) -> Option<ScenarioScript> {
 /// keeps the models frozen (online off), so the distribution — like the
 /// mean before it — never moves during replay.
 fn synthetic_model(s: &StreamTrace) -> TripleC {
-    // per-megapixel base costs, ms (ordered as TASKS) — sized so the
+    // per-megapixel base costs, ms (ordered as `Task::ALL`) — sized so the
     // full-service scenario at 96² predicts ~50 ms: tight trace budgets
     // genuinely engage striping and the over/tight/ok latency classes
     const BASE_MS_PER_MPIX: [f64; 9] = [
@@ -300,10 +300,10 @@ fn synthetic_model(s: &StreamTrace) -> TripleC {
     const WAVE: [f64; 8] = [-1.0, -0.5, 0.0, 0.5, 1.0, 0.5, 0.0, -0.5];
     const WAVE_AMP: f64 = 0.2;
     let mpix = (s.width * s.height) as f64 / 1.0e6;
-    let series: Vec<TaskSeries> = TASKS
-        .iter()
+    let series: Vec<TaskSeries> = Task::ALL
+        .into_iter()
         .zip(BASE_MS_PER_MPIX)
-        .map(|(&task, base)| {
+        .map(|(task, base)| {
             let values: Vec<f64> = (0..64)
                 .map(|i| base * mpix * (1.0 + WAVE_AMP * WAVE[i % WAVE.len()]))
                 .collect();

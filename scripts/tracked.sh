@@ -39,3 +39,8 @@ row '`.unwrap(` / `.expect(` in runtime / platform / pipeline `src`' \
 # measured model is to replace
 row 'hand-set `const … : f64` in `crates/runtime/src/adaptation.rs`' \
   "$(grep -cE '^\s*(pub )?const [A-Z0-9_]+: f64' crates/runtime/src/adaptation.rs)"
+# occurrences of a task's name as a string literal: a task is a `Task`, and
+# its name is a format at the boundaries (snapshot bytes, Table 1 rows,
+# asserted output)
+row 'task-name string literals in `crates/*/src` and `src`' \
+  "$(grep -rhoE '"(RDG_FULL|RDG_ROI|MKX_EXT|CPLS_SEL|REG|ROI_EST|GW_EXT|ENH|ZOOM)"' crates/*/src src | wc -l)"

@@ -5,6 +5,7 @@ use triple_c::pipeline::graph::{edge_live, flow_graph, Node};
 use triple_c::triplec::bandwidth_model::{scenario_edges, scenario_inter_task_bandwidth};
 use triple_c::triplec::memory_model::FrameGeometry;
 use triple_c::triplec::scenario::Scenario;
+use triple_c::triplec::Task;
 
 const GEOM: FrameGeometry = FrameGeometry {
     width: 512,
@@ -22,8 +23,10 @@ fn bandwidth_edges_reference_live_tasks_only() {
                 if endpoint == "INPUT" || endpoint == "OUTPUT" {
                     continue;
                 }
+                let task = Task::from_name(endpoint)
+                    .unwrap_or_else(|| panic!("edge endpoint {endpoint} names no task"));
                 assert!(
-                    active.contains(&endpoint),
+                    active.contains(task),
                     "scenario {:?}: edge {}->{} references inactive task {endpoint}",
                     s,
                     e.from,
@@ -41,7 +44,7 @@ fn every_active_task_receives_data() {
     for s in Scenario::all() {
         let edges = scenario_edges(s, GEOM, 0.2);
         for task in s.active_tasks() {
-            let receives = edges.iter().any(|e| e.to == task);
+            let receives = edges.iter().any(|e| e.to == task.name());
             assert!(receives, "scenario {:?}: task {task} receives no edge", s);
         }
     }
@@ -84,7 +87,7 @@ fn graph_edges_and_bandwidth_edges_agree() {
             .iter()
             .filter(|e| edge_live(e, s))
             .filter_map(|e| match (e.from, e.to) {
-                (Node::Task(a), Node::Task(b)) => Some((a, b)),
+                (Node::Task(a), Node::Task(b)) => Some((a.name(), b.name())),
                 _ => None,
             })
             .collect();

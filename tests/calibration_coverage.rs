@@ -29,9 +29,8 @@ use rand::{Rng, SeedableRng};
 use runtime::manager::{ManagerConfig, ResourceManager};
 use runtime::workload::Trace;
 use triple_c::prelude::*;
-use triple_c::triplec::scenario::TASKS;
 use triple_c::triplec::training::TaskSeries;
-use triple_c::triplec::FrameGeometry;
+use triple_c::triplec::{FrameGeometry, Task};
 
 /// Samples the model trains on.
 const TRAIN_FRAMES: usize = 64;
@@ -74,7 +73,7 @@ fn calibrate(trace: &Trace, stream: usize) -> (CalibrationSnapshot, Observabilit
 
     // the full observed process: per-task series over train + test
     let total = TRAIN_FRAMES + TEST_FRAMES;
-    let series: Vec<Vec<f64>> = (0..TASKS.len())
+    let series: Vec<Vec<f64>> = (0..Task::ALL.len())
         .map(|t| {
             (0..total)
                 .map(|i| task_ms(t, i, mpix, rng.gen_range(-NOISE_AMP..NOISE_AMP)))
@@ -84,10 +83,10 @@ fn calibrate(trace: &Trace, stream: usize) -> (CalibrationSnapshot, Observabilit
 
     // train on the prefix; the scenario chain sees only full service,
     // so plans and executions agree on the active task set
-    let train_series: Vec<TaskSeries> = TASKS
-        .iter()
+    let train_series: Vec<TaskSeries> = Task::ALL
+        .into_iter()
         .zip(&series)
-        .map(|(&task, values)| TaskSeries::new(task, values[..TRAIN_FRAMES].to_vec()))
+        .map(|(task, values)| TaskSeries::new(task, values[..TRAIN_FRAMES].to_vec()))
         .collect();
     let scenarios = vec![7u8; TRAIN_FRAMES];
     let cfg = TripleCConfig {
@@ -110,13 +109,10 @@ fn calibrate(trace: &Trace, stream: usize) -> (CalibrationSnapshot, Observabilit
     #[allow(clippy::needless_range_loop)] // `i` indexes the inner per-task series, not `series`
     for i in TRAIN_FRAMES..total {
         let _ = manager.plan(roi_kpixels);
-        let task_times: Vec<(&'static str, f64)> = scenario
+        let task_times: Vec<(Task, f64)> = scenario
             .active_tasks()
-            .iter()
-            .map(|&task| {
-                let t = TASKS.iter().position(|&n| n == task).unwrap();
-                (task, series[t][i])
-            })
+            .into_iter()
+            .map(|task| (task, series[task as usize][i]))
             .collect();
         let latency_ms = task_times.iter().map(|&(_, ms)| ms).sum();
         let out = pipeline::executor::FrameOutput {

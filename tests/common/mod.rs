@@ -7,15 +7,16 @@
 use triple_c::triplec::predictor::PredictContext;
 use triple_c::triplec::training::{ModelKind, TaskSeries};
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
+use triple_c::triplec::Task;
 
 /// Frames per training series.
 const FRAMES: usize = 60;
 
 /// The three tasks in snapshot (name) order, with the class each trains to.
-pub const TASKS: [(&str, ModelKind); 3] = [
-    ("MKX_EXT", ModelKind::Constant),
-    ("RDG_FULL", ModelKind::EwmaMarkov),
-    ("RDG_ROI", ModelKind::LinearMarkov),
+pub const TASKS: [(Task, ModelKind); 3] = [
+    (Task::MkxExt, ModelKind::Constant),
+    (Task::RdgFull, ModelKind::EwmaMarkov),
+    (Task::RdgRoi, ModelKind::LinearMarkov),
 ];
 
 pub fn ctx(roi_kpixels: f64) -> PredictContext {
@@ -23,13 +24,13 @@ pub fn ctx(roi_kpixels: f64) -> PredictContext {
 }
 
 /// A flat series at `value_ms`.
-pub fn constant_series(task: &'static str, value_ms: f64) -> TaskSeries {
+pub fn constant_series(task: Task, value_ms: f64) -> TaskSeries {
     TaskSeries::new(task, vec![value_ms; FRAMES])
 }
 
 /// An oscillation with lag-1 autocorrelation ≈ 0.8, plus `jitter[i]` ms
 /// on the first frames (|jitter| ≤ 0.5 keeps it autocorrelated).
-pub fn autocorrelated_series(task: &'static str, jitter: &[f64]) -> TaskSeries {
+pub fn autocorrelated_series(task: Task, jitter: &[f64]) -> TaskSeries {
     let samples = (0..FRAMES)
         .map(|i| 40.0 + 8.0 * (0.6 * i as f64).sin() + jitter.get(i).copied().unwrap_or(0.0))
         .collect();
@@ -38,12 +39,7 @@ pub fn autocorrelated_series(task: &'static str, jitter: &[f64]) -> TaskSeries {
 
 /// `slope · roi + intercept` over ROIs of 50–640 kpx, plus `noise[i]` ms
 /// on the first frames and a fixed ±0.3 ms wobble on the rest.
-pub fn roi_line_series(
-    task: &'static str,
-    slope: f64,
-    intercept: f64,
-    noise: &[f64],
-) -> TaskSeries {
+pub fn roi_line_series(task: Task, slope: f64, intercept: f64, noise: &[f64]) -> TaskSeries {
     let rois: Vec<f64> = (0..FRAMES).map(|i| 50.0 + 10.0 * i as f64).collect();
     let samples = rois
         .iter()
@@ -60,7 +56,7 @@ pub fn roi_line_series(
 }
 
 /// `task`'s series with the default parameters of class `kind`.
-pub fn series_of(task: &'static str, kind: ModelKind) -> TaskSeries {
+pub fn series_of(task: Task, kind: ModelKind) -> TaskSeries {
     match kind {
         ModelKind::Constant => constant_series(task, 2.5),
         ModelKind::EwmaMarkov => autocorrelated_series(task, &[]),
@@ -89,10 +85,10 @@ pub fn three_class_model_with(replacement: TaskSeries) -> TripleC {
 }
 
 /// The class training selected for `task`.
-pub fn class_of(t: &TripleC, task: &str) -> Option<ModelKind> {
+pub fn class_of(t: &TripleC, task: Task) -> Option<ModelKind> {
     t.model_summary()
         .into_iter()
-        .find(|(name, _, _)| *name == task)
+        .find(|&(t, _, _)| t == task)
         .map(|(_, kind, _)| kind)
 }
 
@@ -100,7 +96,7 @@ pub fn class_of(t: &TripleC, task: &str) -> Option<ModelKind> {
 pub fn prediction_bits(t: &TripleC, roi_kpixels: f64) -> Vec<u64> {
     t.model_summary()
         .iter()
-        .flat_map(|(task, _, _)| t.predict_task(task, &ctx(roi_kpixels)).unwrap().to_bits())
+        .flat_map(|&(task, _, _)| t.predict_task(task, &ctx(roi_kpixels)).unwrap().to_bits())
         .collect()
 }
 
@@ -108,7 +104,7 @@ pub fn prediction_bits(t: &TripleC, roi_kpixels: f64) -> Vec<u64> {
 /// payload) in `TripleC::snapshot_bytes` of a model trained on
 /// [`TASKS`]: entries are in name order, each led by its name's `u32`
 /// length.
-pub fn task_segment(bytes: &[u8], task: &str) -> (usize, usize) {
+pub fn task_segment(bytes: &[u8], task: Task) -> (usize, usize) {
     let name_at = |name: &str| {
         bytes
             .windows(name.len())
@@ -116,10 +112,10 @@ pub fn task_segment(bytes: &[u8], task: &str) -> (usize, usize) {
             .expect("task name in snapshot bytes")
     };
     let i = TASKS.iter().position(|&(t, _)| t == task).unwrap();
-    let start = name_at(task) - 4;
+    let start = name_at(task.name()) - 4;
     let end = TASKS
         .get(i + 1)
-        .map_or(bytes.len(), |&(next, _)| name_at(next) - 4);
+        .map_or(bytes.len(), |&(next, _)| name_at(next.name()) - 4);
     (start, end)
 }
 

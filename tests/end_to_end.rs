@@ -146,9 +146,9 @@ fn recorded_scenarios_consistent_with_state_table() {
     let profile = run_sequence(sequence(75, 14), &app, &ExecutionPolicy::default());
     for rec in profile.trace.records() {
         let scenario = triple_c::triplec::scenario::Scenario::from_id(rec.scenario);
-        for (task, _) in &rec.task_times {
+        for &(task, _) in &rec.task_times {
             assert!(
-                scenario.runs(task),
+                scenario.active_tasks().contains(task),
                 "frame {}: task {task} ran outside scenario {:?}",
                 rec.frame,
                 scenario

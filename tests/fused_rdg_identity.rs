@@ -30,6 +30,7 @@ use triple_c::imaging::roi_est::{estimate_roi, RoiEstConfig};
 use triple_c::pipeline::app::{AppConfig, AppState};
 use triple_c::pipeline::executor::{process_frame, ExecutionPolicy};
 use triple_c::triplec::scenario::ScenarioScript;
+use triple_c::triplec::Task;
 use triple_c::xray::{NoiseConfig, SequenceConfig, SequenceGenerator};
 
 /// Deterministic pseudo-random frame: ridges, blobs and noise from a
@@ -485,7 +486,7 @@ fn frame_output_digest(cfg: &AppConfig, policy: &ExecutionPolicy) -> (String, us
     for f in sequence {
         let out = process_frame(f.index, &f.image, &mut state, cfg, policy);
         trace.push((b'0' + out.scenario.id()) as char);
-        gw_frames += usize::from(out.record.task_time("GW_EXT").is_some());
+        gw_frames += usize::from(out.record.task_time(Task::GwExt).is_some());
         let roi = out
             .roi
             .map_or([usize::MAX; 4], |r| [r.x, r.y, r.width, r.height]);

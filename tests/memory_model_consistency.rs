@@ -15,6 +15,7 @@ use triple_c::triplec::memory_model::{
     rdg_intermediate_bytes, rdg_kernel_bytes, rdg_resident_bytes, rdg_tile_bytes,
     zoom_scratch_bytes, FrameGeometry, RDG_DEFAULT_SCALES,
 };
+use triple_c::triplec::Task;
 use triple_c::xray::{NoiseConfig, SequenceConfig, SequenceGenerator};
 
 const W: usize = 128;
@@ -130,7 +131,9 @@ fn rdg_resident_formula_matches_a_tracking_engine() {
             &cfg,
             &ExecutionPolicy::default(),
         );
-        if out.record.task_time("RDG_ROI").is_some() && out.record.task_time("GW_EXT").is_some() {
+        if out.record.task_time(Task::RdgRoi).is_some()
+            && out.record.task_time(Task::GwExt).is_some()
+        {
             tracked += 1;
             assert_eq!(
                 state.rdg_bufs.byte_size(),

@@ -175,7 +175,7 @@ proptest! {
         let s = Scenario::from_id(id);
         prop_assert_eq!(s.id(), id);
         for t in s.active_tasks() {
-            prop_assert!(triple_c::triplec::TASKS.contains(&t));
+            prop_assert_eq!(triple_c::triplec::Task::from_name(t.name()), Some(t));
         }
     }
 

@@ -5,6 +5,7 @@ use triple_c::triplec::linear::LinearModel;
 use triple_c::triplec::predictor::{ConstantPredictor, EwmaMarkovPredictor, PredictContext};
 use triple_c::triplec::training::{select_model, ModelKind, TaskSeries, TrainingConfig};
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
+use triple_c::triplec::Task;
 
 fn ctx() -> PredictContext {
     PredictContext::default()
@@ -84,7 +85,7 @@ proptest! {
     /// finite value.
     #[test]
     fn training_is_total(samples in prop::collection::vec(0.01f64..1e3, 2..100)) {
-        let series = TaskSeries::new("X", samples);
+        let series = TaskSeries::new(Task::Reg, samples);
         let cfg = TripleCConfig::default();
         let kind = select_model(&series, &cfg.training);
         let n = series.samples.len();
@@ -92,18 +93,18 @@ proptest! {
         let summary = t.model_summary();
         prop_assert_eq!(summary.len(), 1);
         prop_assert_eq!(summary[0].1, kind);
-        let v = t.predict_task("X", &ctx()).unwrap();
+        let v = t.predict_task(Task::Reg, &ctx()).unwrap();
         prop_assert!(v.is_finite() && v.mean_ms >= 0.0);
         prop_assert!(v.p50_ms <= v.p95_ms && v.p95_ms <= v.p99_ms);
         t.set_online_training(true);
-        prop_assert!(t.observe_task("X", 1.0, &ctx()));
-        prop_assert!(t.predict_task("X", &ctx()).unwrap().is_finite());
+        prop_assert!(t.observe_task(Task::Reg, 1.0, &ctx()));
+        prop_assert!(t.predict_task(Task::Reg, &ctx()).unwrap().is_finite());
     }
 
     /// A strictly constant series always selects the constant model.
     #[test]
     fn constant_series_selects_constant(v in 0.1f64..1e3, n in 5usize..100) {
-        let series = TaskSeries::new("X", vec![v; n]);
+        let series = TaskSeries::new(Task::Reg, vec![v; n]);
         prop_assert_eq!(select_model(&series, &TrainingConfig::default()), ModelKind::Constant);
     }
 }

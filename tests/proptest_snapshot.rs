@@ -11,13 +11,14 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use triple_c::triplec::training::ModelKind;
 use triple_c::triplec::triple::TripleC;
+use triple_c::triplec::Task;
 
 /// Checks that `task` trained to `kind`, snapshots, perturbs `task` with
 /// online observations, restores, and checks every task's prediction is
 /// bit-identical to the snapshot-time prediction.
 fn assert_roundtrip(
     mut t: TripleC,
-    task: &str,
+    task: Task,
     kind: ModelKind,
     observe: &[f64],
     roi: f64,
@@ -79,8 +80,8 @@ proptest! {
         v in 0.1f64..1e3,
         observe in prop::collection::vec(0.0f64..1e3, 1..30),
     ) {
-        let t = three_class_model_with(constant_series("MKX_EXT", v));
-        assert_roundtrip(t, "MKX_EXT", ModelKind::Constant, &observe, 100.0)?;
+        let t = three_class_model_with(constant_series(Task::MkxExt, v));
+        assert_roundtrip(t, Task::MkxExt, ModelKind::Constant, &observe, 100.0)?;
     }
 
     #[test]
@@ -88,8 +89,8 @@ proptest! {
         jitter in prop::collection::vec(-0.5f64..0.5, 0..60),
         observe in prop::collection::vec(1.0f64..100.0, 1..30),
     ) {
-        let t = three_class_model_with(autocorrelated_series("RDG_FULL", &jitter));
-        assert_roundtrip(t, "RDG_FULL", ModelKind::EwmaMarkov, &observe, 100.0)?;
+        let t = three_class_model_with(autocorrelated_series(Task::RdgFull, &jitter));
+        assert_roundtrip(t, Task::RdgFull, ModelKind::EwmaMarkov, &observe, 100.0)?;
     }
 
     #[test]
@@ -100,8 +101,8 @@ proptest! {
         observe in prop::collection::vec(1.0f64..100.0, 1..30),
         roi in 10.0f64..2000.0,
     ) {
-        let t = three_class_model_with(roi_line_series("RDG_ROI", slope, intercept, &noise));
-        assert_roundtrip(t, "RDG_ROI", ModelKind::LinearMarkov, &observe, roi)?;
+        let t = three_class_model_with(roi_line_series(Task::RdgRoi, slope, intercept, &noise));
+        assert_roundtrip(t, Task::RdgRoi, ModelKind::LinearMarkov, &observe, roi)?;
     }
 
     /// The whole facade round-trips: every per-task model restores to a

@@ -10,7 +10,7 @@ use common::*;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use triple_c::triplec::triple::TripleC;
-use triple_c::triplec::SnapshotError;
+use triple_c::triplec::{SnapshotError, Task};
 
 /// The three-class model after some online observations, with its
 /// snapshot bytes.
@@ -52,32 +52,43 @@ fn assert_rejects_cleanly(t: &mut TripleC, corrupted: &[u8]) -> Result<(), TestC
 }
 
 /// A task name or predictor label changed to another valid ASCII name
-/// (e.g. `RDG_FULL` → `SDG_FULL`) restores nothing.
+/// (e.g. `RDG_FULL` → `SDG_FULL`, or `MKX_EXT` → `MKX_FULL`, a Table 1 row
+/// that is no task) restores nothing.
 #[test]
 fn renamed_task_or_label_is_rejected() {
     let (mut t, bytes) = observed_model();
     let before = prediction_bits(&t, 100.0);
     let summary = t.model_summary();
-    let mut renames = 0;
+    let mut renames = Vec::new();
     for (task, _) in TASKS {
-        let hits = bytes.windows(task.len()).enumerate();
-        for (at, _) in hits.filter(|(_, w)| *w == task.as_bytes()) {
+        let name = task.name().as_bytes();
+        let hits = bytes.windows(name.len()).enumerate();
+        for (at, _) in hits.filter(|(_, w)| *w == name) {
             let mut renamed = bytes.clone();
             renamed[at] += 1;
-            assert!(
-                matches!(
-                    t.try_restore_bytes(&renamed),
-                    Err(SnapshotError::Corrupt(_))
-                ),
-                "{task} renamed at byte {at} restored"
-            );
-            assert_eq!(prediction_bits(&t, 100.0), before);
-            assert_eq!(t.model_summary(), summary);
-            renames += 1;
+            renames.push((format!("{task} renamed at byte {at}"), renamed));
         }
     }
     // each task's name, plus the labels of the two Markov classes
-    assert_eq!(renames, 5);
+    assert_eq!(renames.len(), 5);
+    // MKX_EXT's entry, length prefix and all, under a longer name
+    let (start, _) = task_segment(&bytes, Task::MkxExt);
+    let mut renamed = bytes[..start].to_vec();
+    renamed.extend_from_slice(&8u32.to_le_bytes());
+    renamed.extend_from_slice(b"MKX_FULL");
+    renamed.extend_from_slice(&bytes[start + 4 + Task::MkxExt.name().len()..]);
+    renames.push(("MKX_EXT renamed MKX_FULL".to_string(), renamed));
+    for (what, renamed) in renames {
+        assert!(
+            matches!(
+                t.try_restore_bytes(&renamed),
+                Err(SnapshotError::Corrupt(_))
+            ),
+            "{what} restored"
+        );
+        assert_eq!(prediction_bits(&t, 100.0), before);
+        assert_eq!(t.model_summary(), summary);
+    }
 }
 
 proptest! {
