@@ -102,8 +102,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
     // The paper's semi-automatic numbers describe the *output* latency:
     // the delay line at the end of the pipeline holds early frames to the
     // budget, so only overruns show as jitter. Frame 0 initializes the
-    // budget (it runs serial by construction) and is excluded from the
-    // summaries.
+    // budget (no budget holds it) and is excluded from the summaries.
     let budget = managed_run
         .budget
         .expect("budget initialized after the run");

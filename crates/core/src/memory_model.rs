@@ -228,10 +228,12 @@ pub fn rdg_resident_bytes(geom: FrameGeometry, scales: &[f32]) -> usize {
     rdg_intermediate_bytes(geom, scales) + geom.pixels() * per_pixel::RDG_OUTPUT
 }
 
-/// Exact warm intermediate working set of MKX at `geom` running `scales`:
-/// the per-pixel planes plus one tile ring ([`rdg_tile_bytes`] — MKX is one
-/// band) and the cached kernel taps. Pinned against the implementation's
-/// actual `MkxBuffers::byte_size()` by an integration test.
+/// Exact warm intermediate working set of serial (one-band) MKX at `geom`
+/// running `scales`: the per-pixel planes plus one tile ring
+/// ([`rdg_tile_bytes`]) and the cached kernel taps; a `k`-stripe blob
+/// sweep adds `(k - 1) ×` [`rdg_tile_bytes`], one ring per band, as RDG's
+/// does. Both pinned against the implementation's actual
+/// `MkxBuffers::byte_size()` by an integration test.
 pub fn mkx_intermediate_bytes(geom: FrameGeometry, scales: &[f32]) -> usize {
     geom.pixels() * per_pixel::MKX_INTERMEDIATE
         + rdg_tile_bytes(geom.width, scales)

@@ -253,6 +253,25 @@ impl TripleC {
         self.scenario_chain.predict_next(current)
     }
 
+    /// Most likely scenario of a stream's first frame, as a successor of
+    /// `current`. A fresh stream holds no ROI and no reference frame, so
+    /// ROI ESTIMATED and REG SUCCESSFUL are off and only switch 1 (RDG
+    /// DETECTION, the content) is left to the chain. A tie goes to RDG on,
+    /// the costlier frame.
+    pub fn predict_first_scenario(&self, current: Scenario) -> Scenario {
+        let fresh = |rdg_active| Scenario {
+            rdg_active,
+            roi_estimated: false,
+            reg_successful: false,
+        };
+        let (off, on) = (fresh(false), fresh(true));
+        if self.scenario_chain.prob(current, off) > self.scenario_chain.prob(current, on) {
+            off
+        } else {
+            on
+        }
+    }
+
     /// Re-estimates the scenario chain from a recently observed
     /// scenario-id sequence.
     ///
@@ -353,6 +372,19 @@ mod tests {
         assert!(t.retrain_scenario_chain(&[0, 7, 0, 7, 0, 7, 0, 7]));
         assert_eq!(t.predict_next_scenario(Scenario::from_id(7)).id(), 0);
         assert_eq!(t.predict_next_scenario(Scenario::from_id(0)).id(), 7);
+    }
+
+    #[test]
+    fn first_scenario_leaves_only_switch_one_to_the_chain() {
+        let mut t = trained();
+        assert!(t.retrain_scenario_chain(&[7, 0, 7, 0, 7, 1]));
+        assert_eq!(t.predict_first_scenario(Scenario::from_id(7)).id(), 0);
+        // 7 -> 5 is the likeliest step, but a fresh stream cannot reach 5
+        assert!(t.retrain_scenario_chain(&[7, 1, 7, 1, 7, 0, 7, 5, 7, 5, 7, 5]));
+        assert_eq!(t.predict_next_scenario(Scenario::from_id(7)).id(), 5);
+        assert_eq!(t.predict_first_scenario(Scenario::from_id(7)).id(), 1);
+        // neither fresh scenario ever followed 5: RDG on
+        assert_eq!(t.predict_first_scenario(Scenario::from_id(5)).id(), 1);
     }
 
     #[test]

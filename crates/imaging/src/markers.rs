@@ -6,9 +6,20 @@
 //! frame when the RDG switch is off — the two cases have different input
 //! buffer requirements (Table 1).
 
+//!
+//! The blob response is the fused Hessian sweep RDG runs, and it is
+//! band-safe in the same way: [`mkx_banded`] runs it as one job per row
+//! band of the ROI. The peak, the maxima scan and the pruning read the
+//! whole ROI and stay on the calling thread.
+
+use std::time::Instant;
+
 use crate::fused::{fused_scale, BlobMax, FusedScratch};
 use crate::hessian::{blob_response, hessian_at_scale, KernelCache, ReferenceScratch};
 use crate::image::{ImageF32, ImageU16, Roi};
+use crate::parallel::{
+    ms_since, run_bands, BandTimes, Bands, Layout, PoolError, StripeFault, StripePool,
+};
 use crate::simd::{F32x8, LANES};
 
 /// A candidate balloon marker.
@@ -59,7 +70,7 @@ impl Default for MkxConfig {
 
 /// Reusable working memory of the MKX task: three frame-sized planes (the
 /// "intermediate" storage of Table 1) plus the fused sweep's width-linear
-/// ring and the cached kernel taps.
+/// rings, one per row band, and the cached kernel taps.
 #[derive(Debug)]
 pub struct MkxBuffers {
     /// The input frame converted to f32.
@@ -68,13 +79,16 @@ pub struct MkxBuffers {
     acc: ImageF32,
     /// Per-pixel winning scale of that maximum.
     scale: ImageF32,
-    /// The fused sweep's row-filtered tile ring.
-    ring: FusedScratch,
-    /// Per-sigma `(G, G', G'')` cache.
+    /// The fused sweep's row-filtered tile rings, one per band, grown to
+    /// the largest stripe count seen.
+    rings: Vec<FusedScratch>,
+    /// Per-sigma `(G, G', G'')` cache shared by all bands.
     kernels: KernelCache,
     /// Full-frame intermediates of the oracle, `None` until
     /// [`mkx_extract_reference`] runs.
     reference: Option<Box<ReferenceScratch>>,
+    /// Breakdown of the most recent call.
+    times: BandTimes,
 }
 
 impl MkxBuffers {
@@ -84,9 +98,10 @@ impl MkxBuffers {
             src_f32: ImageF32::new(width, height),
             acc: ImageF32::new(width, height),
             scale: ImageF32::new(width, height),
-            ring: FusedScratch::new(),
+            rings: Vec::new(),
             kernels: KernelCache::new(),
             reference: None,
+            times: BandTimes::default(),
         }
     }
 
@@ -96,9 +111,15 @@ impl MkxBuffers {
         self.src_f32.byte_size()
             + self.acc.byte_size()
             + self.scale.byte_size()
-            + self.ring.byte_size()
+            + self.rings.iter().map(|r| r.byte_size()).sum::<usize>()
             + self.kernels.byte_size()
             + self.reference.as_ref().map_or(0, |r| r.byte_size())
+    }
+
+    /// Where the time of the most recent successful call went: the blob
+    /// sweep in `band_ms`, everything else in `serial_ms`.
+    pub fn times(&self) -> &BandTimes {
+        &self.times
     }
 }
 
@@ -117,8 +138,37 @@ pub struct MkxOutput {
 /// its local maxima above a threshold relative to the ROI's peak, pruned
 /// strongest first. A maximum needs its whole 3×3 neighbourhood inside the
 /// ROI, so the result depends on nothing an earlier call left in `bufs`.
+/// One band, on the calling thread: [`mkx_banded`] at one stripe.
 pub fn mkx_extract(src: &ImageU16, roi: Roi, cfg: &MkxConfig, bufs: &mut MkxBuffers) -> MkxOutput {
-    mkx_kernel(src, roi, cfg, bufs, false)
+    mkx_kernel(src, roi, cfg, bufs, Bands::One { oracle: false })
+        .expect("a lone inline band has no dispatch to fail")
+}
+
+/// [`mkx_extract`] with the blob sweep split into `stripes` row bands of
+/// `roi`, each with its own ring. More than one band makes the sweep one
+/// `pool` job per band; one band runs inline. The candidates and
+/// `raw_maxima` are bit-identical to [`mkx_extract`] for every stripe
+/// count, and per-band times land in [`MkxBuffers::times`].
+///
+/// `fault` injects deterministic failures into the banded dispatch
+/// (testing only), as for [`crate::ridge::rdg_banded`]: the call returns
+/// the [`PoolError`], and a clean retry is bit-identical to an unfaulted
+/// call. A call with a single band dispatches nothing and cannot fail.
+pub fn mkx_banded(
+    pool: &StripePool,
+    src: &ImageU16,
+    roi: Roi,
+    cfg: &MkxConfig,
+    stripes: usize,
+    fault: StripeFault,
+    bufs: &mut MkxBuffers,
+) -> Result<MkxOutput, PoolError> {
+    let bands = Bands::Striped {
+        pool,
+        stripes,
+        fault,
+    };
+    mkx_kernel(src, roi, cfg, bufs, bands)
 }
 
 /// [`mkx_extract`] with the response computed by the original unfused
@@ -132,17 +182,18 @@ pub fn mkx_extract_reference(
     cfg: &MkxConfig,
     bufs: &mut MkxBuffers,
 ) -> MkxOutput {
-    mkx_kernel(src, roi, cfg, bufs, true)
+    mkx_kernel(src, roi, cfg, bufs, Bands::One { oracle: true })
+        .expect("a lone inline band has no dispatch to fail")
 }
 
-/// The MKX kernel: both public entry points above are this function.
+/// The MKX kernel: every public entry point above is this function.
 fn mkx_kernel(
     src: &ImageU16,
     roi: Roi,
     cfg: &MkxConfig,
     bufs: &mut MkxBuffers,
-    oracle: bool,
-) -> MkxOutput {
+    bands: Bands<'_>,
+) -> Result<MkxOutput, PoolError> {
     assert_eq!(
         src.dims(),
         bufs.src_f32.dims(),
@@ -151,21 +202,31 @@ fn mkx_kernel(
     assert!(!cfg.scales.is_empty(), "at least one scale required");
     let (w, h) = src.dims();
     let roi = roi.clamp_to(w, h);
-    if roi.is_empty() {
-        return MkxOutput {
-            candidates: Vec::new(),
-            raw_maxima: 0,
-        };
-    }
     let MkxBuffers {
         src_f32,
         acc,
         scale,
-        ring,
+        rings,
         kernels,
         reference,
+        times,
     } = bufs;
+    times.serial_ms = 0.0;
+    times.band_ms.clear();
+    if roi.is_empty() {
+        return Ok(MkxOutput {
+            candidates: Vec::new(),
+            raw_maxima: 0,
+        });
+    }
+    let Layout {
+        pool,
+        parts,
+        fault,
+        oracle,
+    } = bands.layout(roi)?;
 
+    let t0 = Instant::now();
     let halo = cfg
         .scales
         .iter()
@@ -206,27 +267,49 @@ fn mkx_kernel(
                 }
             }
         }
+        times.serial_ms = ms_since(t0);
     } else {
         // The first scale overwrites both planes (bit-identical to the
         // oracle's fills + merge, without the fill passes); the remaining
-        // scales fold in on a strict `r > acc`.
-        let rows = roi.y * w..roi.bottom() * w;
-        let acc = &mut acc.as_mut_slice()[rows.clone()];
-        let scale = &mut scale.as_mut_slice()[rows];
-        for (k, &sigma) in cfg.scales.iter().enumerate() {
-            let (g, d1, d2) = kernels.get(sigma);
-            let out = BlobMax {
-                acc: &mut *acc,
-                scale: &mut *scale,
-                sigma,
-            };
-            if k == 0 {
-                fused_scale::<_, true>(src_f32, out, ring, g, d1, d2, roi);
-            } else {
-                fused_scale::<_, false>(src_f32, out, ring, g, d1, d2, roi);
-            }
+        // scales fold in on a strict `r > acc`. Each band sweeps its rows
+        // of the shared planes with its own ring.
+        if rings.len() < parts.len() {
+            rings.resize_with(parts.len(), FusedScratch::new);
         }
+        times.band_ms.resize(parts.len(), 0.0);
+        let kernels = kernels.get_all(&cfg.scales);
+        let (kernels, src_f32) = (&kernels, &*src_f32);
+        let jobs = parts
+            .iter()
+            .zip(acc.row_bands(&parts).zip(scale.row_bands(&parts)))
+            .zip(rings.iter_mut().zip(&mut times.band_ms))
+            .enumerate()
+            .map(|(i, ((&band, (acc, scale)), (ring, ms)))| {
+                move || {
+                    if i < fault.panic_jobs {
+                        // injected fault: dies at job start, before any write
+                        panic!("injected stripe-worker fault (job {i})");
+                    }
+                    let t0 = Instant::now();
+                    for (k, (&sigma, &(g, d1, d2))) in cfg.scales.iter().zip(kernels).enumerate() {
+                        let out = BlobMax {
+                            acc: &mut *acc,
+                            scale: &mut *scale,
+                            sigma,
+                        };
+                        if k == 0 {
+                            fused_scale::<_, true>(src_f32, out, ring, g, d1, d2, band);
+                        } else {
+                            fused_scale::<_, false>(src_f32, out, ring, g, d1, d2, band);
+                        }
+                    }
+                    *ms = ms_since(t0);
+                }
+            });
+        times.serial_ms = ms_since(t0);
+        run_bands(pool, parts.len(), jobs)?;
     }
+    let t0 = Instant::now();
 
     // local maxima above a relative threshold
     let peak = peak_response(acc, roi);
@@ -275,10 +358,11 @@ fn mkx_kernel(
         }
     }
 
-    MkxOutput {
+    times.serial_ms += ms_since(t0);
+    Ok(MkxOutput {
         candidates,
         raw_maxima,
-    }
+    })
 }
 
 /// Largest response inside `roi`, at least `0.0`. Eight running maxima, one

@@ -2,11 +2,13 @@
 //!
 //! The RDG tasks have a streaming nature and can be data-partitioned
 //! (Section 6): the ROI is split into horizontal row bands and
-//! [`crate::ridge::rdg_banded`] runs one job per band on this pool, as does
+//! [`crate::ridge::rdg_banded`] runs one job per band on this pool, as do
 //! the response sweep GW EXT needs
-//! ([`crate::ridge::ridge_response_banded`]). Feature-level tasks (CPLS
-//! SEL, GW EXT's path search) are partitioned functionally instead,
-//! because they operate on extracted features rather than image data.
+//! ([`crate::ridge::ridge_response_banded`]) and MKX EXT's blob sweep
+//! ([`crate::markers::mkx_banded`]). Feature-level tasks (CPLS SEL, GW
+//! EXT's path search, MKX EXT's maxima scan) are partitioned functionally
+//! instead, because they operate on extracted features rather than image
+//! data.
 //!
 //! Earlier revisions spawned fresh `std::thread::scope` workers for every
 //! stripe of every frame; at 30 Hz that is hundreds of thread spawns per
@@ -17,6 +19,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -163,7 +166,7 @@ impl StripePool {
     /// batch has drained, so the caller — not the pool — decides whether
     /// the failure unwinds. The recovery runtime's retry/fallback
     /// policies are built on this.
-    pub fn try_run<'scope>(
+    pub(crate) fn try_run<'scope>(
         &self,
         jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>,
     ) -> Result<(), PoolError> {
@@ -242,8 +245,106 @@ impl Drop for StripePool {
     }
 }
 
-/// Deterministic faults to inject into one [`rdg_banded`] call (testing
-/// only; the nominal path passes the default, which injects nothing).
+/// Runs one stage's band jobs: a lone band inline on the calling thread
+/// (no pool hop, no boxing, no `catch_unwind`), several on the pool.
+pub(crate) fn run_bands<'s, J: FnOnce() + Send + 's>(
+    pool: Option<&StripePool>,
+    bands: usize,
+    jobs: impl Iterator<Item = J>,
+) -> Result<(), PoolError> {
+    if bands <= 1 {
+        jobs.for_each(|job| job());
+        return Ok(());
+    }
+    pool.expect("only a one-band call runs without a pool")
+        .try_run(
+            jobs.map(|job| Box::new(job) as Box<dyn FnOnce() + Send + 's>)
+                .collect(),
+        )
+}
+
+/// How one kernel call lays out and runs its bands.
+pub(crate) enum Bands<'a> {
+    /// One band, inline; `oracle` swaps the fused sweep for the unfused
+    /// engine.
+    One { oracle: bool },
+    /// `stripes` bands; more than one are dispatched to `pool`.
+    Striped {
+        pool: &'a StripePool,
+        stripes: usize,
+        fault: StripeFault,
+    },
+}
+
+/// A kernel call's bands over its region, as [`Bands::layout`] resolves
+/// them.
+pub(crate) struct Layout<'a> {
+    /// `None` for one inline band.
+    pub(crate) pool: Option<&'a StripePool>,
+    /// The region's row bands, top to bottom; no empty band.
+    pub(crate) parts: Vec<Roi>,
+    /// What to inject into the bands' dispatch.
+    pub(crate) fault: StripeFault,
+    /// Whether the unfused oracle runs (always one band).
+    pub(crate) oracle: bool,
+}
+
+impl<'a> Bands<'a> {
+    /// Splits `region` into row bands. A fault needs a dispatch to fail,
+    /// and a lone band has none, so one band drops it; an armed channel
+    /// error fails the call here, before it has written anything.
+    pub(crate) fn layout(self, region: Roi) -> Result<Layout<'a>, PoolError> {
+        let (pool, stripes, fault, oracle) = match self {
+            Bands::One { oracle } => (None, 1, StripeFault::default(), oracle),
+            Bands::Striped {
+                pool,
+                stripes,
+                fault,
+            } => (Some(pool), stripes, fault, false),
+        };
+        let parts = region.stripes(stripes);
+        let fault = if parts.len() > 1 {
+            fault
+        } else {
+            StripeFault::default()
+        };
+        if fault.channel_error {
+            return Err(PoolError::Disconnected);
+        }
+        Ok(Layout {
+            pool,
+            parts,
+            fault,
+            oracle,
+        })
+    }
+}
+
+/// Milliseconds since `t0`.
+pub(crate) fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// Where the wall-clock time of one banded call (an RDG call, a
+/// [`crate::ridge::ridge_response_banded`] sweep, an MKX call) went.
+/// `serial_ms` plus every entry of `band_ms` is the call's whole work; on a
+/// platform that runs the bands side by side its latency is `serial_ms`
+/// plus the longest band.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BandTimes {
+    /// Milliseconds on the calling thread outside the band jobs (for RDG:
+    /// stage A, the global response statistics and the output-image
+    /// set-up; for MKX: stage A, the peak, the maxima scan and the
+    /// pruning).
+    pub serial_ms: f64,
+    /// Milliseconds each band spent in its jobs, in band order (top to
+    /// bottom). Empty when a sweep had nothing to fold.
+    pub band_ms: Vec<f64>,
+}
+
+/// Deterministic faults to inject into one banded call ([`rdg_banded`],
+/// [`crate::markers::mkx_banded`]; testing only: the nominal path passes
+/// the default, which injects nothing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StripeFault {
     /// Panic this many band jobs at job start. The panic fires in the

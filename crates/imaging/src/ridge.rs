@@ -26,7 +26,9 @@ use crate::hessian::{
     accumulate_max_response, hessian_at_scale, ridge_response, KernelCache, ReferenceScratch,
 };
 use crate::image::{ImageF32, ImageU16, Roi};
-use crate::parallel::{PoolError, StripeFault, StripePool};
+use crate::parallel::{
+    ms_since, run_bands, BandTimes, Bands, Layout, PoolError, StripeFault, StripePool,
+};
 use crate::simd::{narrow_row, F32x8, SimdF32, LANES};
 
 /// Configuration of the ridge-detection task.
@@ -127,24 +129,6 @@ struct RunScratch {
     sums: [Vec<f32>; 3],
 }
 
-/// Where the wall-clock time of one RDG call (or one
-/// [`ridge_response_banded`] sweep) went. `serial_ms` plus every entry of
-/// `band_ms` is the call's whole work; on a platform that runs the bands
-/// side by side its latency is `serial_ms` plus the longest band.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RdgTimes {
-    /// Milliseconds on the calling thread outside the band jobs: stage A,
-    /// the global response statistics and the output-image set-up.
-    pub serial_ms: f64,
-    /// Milliseconds each band spent in its stage-B and stage-C jobs, in
-    /// band order (top to bottom). Empty when a sweep had nothing to fold.
-    pub band_ms: Vec<f64>,
-}
-
-fn ms_since(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
 /// Reusable working memory of the RDG task. These buffers are the
 /// "intermediate" storage of Table 1 and the A/B/C buffers of Fig. 5; one
 /// set serves every stripe count.
@@ -174,7 +158,7 @@ pub struct RdgBuffers {
     /// the pool is warm (asserted by tests).
     allocations: usize,
     /// Breakdown of the most recent call.
-    times: RdgTimes,
+    times: BandTimes,
 }
 
 impl RdgBuffers {
@@ -190,7 +174,7 @@ impl RdgBuffers {
             u16_pool: Vec::new(),
             f32_pool: Vec::new(),
             allocations: 0,
-            times: RdgTimes::default(),
+            times: BandTimes::default(),
         }
     }
 
@@ -238,7 +222,7 @@ impl RdgBuffers {
 
     /// Where the time of the most recent successful call went. Feeds the
     /// executor's task times and stage events.
-    pub fn times(&self) -> &RdgTimes {
+    pub fn times(&self) -> &BandTimes {
         &self.times
     }
 
@@ -439,36 +423,6 @@ pub fn ridge_response_banded(
     Ok(())
 }
 
-/// How one kernel call lays out and runs its bands.
-enum Bands<'a> {
-    /// One band, inline; `oracle` swaps stage B for the unfused engine.
-    One { oracle: bool },
-    /// `stripes` bands; more than one are dispatched to `pool`.
-    Striped {
-        pool: &'a StripePool,
-        stripes: usize,
-        fault: StripeFault,
-    },
-}
-
-/// Runs one stage's band jobs: a lone band inline on the calling thread
-/// (no pool hop, no boxing, no `catch_unwind`), several on the pool.
-fn run_bands<'s, J: FnOnce() + Send + 's>(
-    pool: Option<&StripePool>,
-    bands: usize,
-    jobs: impl Iterator<Item = J>,
-) -> Result<(), PoolError> {
-    if bands <= 1 {
-        jobs.for_each(|job| job());
-        return Ok(());
-    }
-    pool.expect("only a one-band call runs without a pool")
-        .try_run(
-            jobs.map(|job| Box::new(job) as Box<dyn FnOnce() + Send + 's>)
-                .collect(),
-        )
-}
-
 /// Stages A and B, the part of the kernel that makes the response: folds
 /// `scales` over `region` (already clamped to the frame) into `bufs.acc`,
 /// one job per row band. With `init` the first scale overwrites the
@@ -489,30 +443,19 @@ fn response_sweep<'a>(
     );
     assert!(!(init && scales.is_empty()), "at least one scale required");
     let (w, h) = src.dims();
-    let (pool, stripes, fault, oracle) = match bands {
-        Bands::One { oracle } => (None, 1, StripeFault::default(), oracle),
-        Bands::Striped {
-            pool,
-            stripes,
-            fault,
-        } => (Some(pool), stripes, fault, false),
-    };
     bufs.swept = None;
     bufs.times.serial_ms = 0.0;
     bufs.times.band_ms.clear();
     if scales.is_empty() {
-        return Ok((pool, Vec::new()));
+        // only a fold-in sweep has no scale to sweep, and no stage C follows
+        return Ok((None, Vec::new()));
     }
-    let parts = region.stripes(stripes);
-    // A fault needs a dispatch to fail, and a lone band has none.
-    let fault = if parts.len() > 1 {
-        fault
-    } else {
-        StripeFault::default()
-    };
-    if fault.channel_error {
-        return Err(PoolError::Disconnected);
-    }
+    let Layout {
+        pool,
+        parts,
+        fault,
+        oracle,
+    } = bands.layout(region)?;
     if bufs.bands.len() < parts.len() {
         bufs.bands.resize_with(parts.len(), BandScratch::default);
     }

@@ -3,18 +3,19 @@
 //! Each frame walks the Fig. 2 graph: the three data-dependent switches
 //! select the active task group, every task's computation time is
 //! measured, and the frame's latency is the wall time from entry to the
-//! finished output. A striped RDG or GW EXT sweep runs its bands on the
-//! worker pool; every other task runs on the calling thread.
+//! finished output. A striped RDG call, MKX EXT blob sweep or GW EXT sweep
+//! runs its bands on the worker pool; every other task runs on the calling
+//! thread.
 
 use crate::app::{structure_probe, AppConfig, AppState};
 use imaging::couples::cpls_select;
 
 use imaging::guidewire::{corridor_box, gw_extract_with};
 use imaging::image::{ImageU16, Roi};
-use imaging::markers::mkx_extract;
-use imaging::parallel::{PoolError, StripeFault, StripePool};
+use imaging::markers::mkx_banded;
+use imaging::parallel::{BandTimes, PoolError, StripeFault, StripePool};
 use imaging::registration::register;
-use imaging::ridge::{rdg_banded, ridge_response_banded, RdgOutput, RdgTimes};
+use imaging::ridge::{rdg_banded, ridge_response_banded, RdgOutput};
 use imaging::roi_est::estimate_roi;
 use imaging::zoom::zoom_band_with;
 use platform::bus::{DegradeMode, EventBus, FaultKind, FrameEvent, StreamId};
@@ -27,7 +28,8 @@ use triplec::scenario::Scenario;
 /// How the frame's tasks are partitioned onto the worker pool this frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionPolicy {
-    /// Stripe count of the RDG task (1 = serial).
+    /// Stripe count of the RDG task and of MKX EXT's blob sweep (1 =
+    /// serial).
     pub rdg_stripes: usize,
     /// Stripe count of GW EXT's response sweep.
     pub aux_stripes: usize,
@@ -44,20 +46,20 @@ impl Default for ExecutionPolicy {
 
 /// Whether `task` is data-partitioned (striped) onto the worker pool; the
 /// remaining tasks are feature-level (CPLS SEL, REG, ROI EST) and stay
-/// serial within a frame. So does MKX EXT, though its response sweep is
-/// band-safe (the fused sweep RDG stripes): its peak, threshold scan and
-/// pruning are global, and it is heavy only on first frames, which the
-/// manager does not stripe yet — it stays one job until it does.
+/// serial within a frame.
 ///
-/// GW EXT's entry covers the response sweep over its corridor's box (the
-/// scales RDG's accumulator lacks there, or all of them); its path search
-/// is serial. ENH and ZOOM run as one call each on the calling thread:
-/// together about 0.2 ms on a tracked 1024² frame, about one pool round
-/// trip, so dispatching their bands would not pay.
+/// MKX EXT's entry covers its blob sweep, the fused sweep RDG stripes; its
+/// peak, maxima scan and pruning read the whole ROI and run after the
+/// bands on the calling thread. GW EXT's entry covers the response sweep
+/// over its corridor's box (the scales RDG's accumulator lacks there, or
+/// all of them); its path search is serial. ENH and ZOOM run as one call
+/// each on the calling thread: together about 0.2 ms on a tracked 1024²
+/// frame, about one pool round trip, so dispatching their bands would not
+/// pay.
 pub fn stripable(task: Task) -> bool {
     match task {
-        Task::RdgFull | Task::RdgRoi | Task::GwExt => true,
-        Task::MkxExt | Task::CplsSel | Task::Reg | Task::RoiEst | Task::Enh | Task::Zoom => false,
+        Task::RdgFull | Task::RdgRoi | Task::MkxExt | Task::GwExt => true,
+        Task::CplsSel | Task::Reg | Task::RoiEst | Task::Enh | Task::Zoom => false,
     }
 }
 
@@ -216,7 +218,7 @@ pub fn process_frame_on(
         policy,
         &mut None,
         None,
-        StripeFault::default(),
+        None,
     )
     .expect("infallible without fault recovery")
 }
@@ -245,7 +247,7 @@ pub fn process_frame_observed_on(
         policy,
         &mut Some((stream, bus)),
         None,
-        StripeFault::default(),
+        None,
     )
     .expect("infallible without fault recovery")
 }
@@ -287,17 +289,17 @@ pub fn process_frame_recovering_on(
         policy,
         &mut Some((stream, bus)),
         Some((&faults, retry)),
-        StripeFault::default(),
+        None,
     )
 }
 
-/// Books one banded call (an RDG detection pass or GW EXT's sweep) and
-/// returns all of its work, ms: the serial sections plus every band. A
-/// call of more than one band is a parallel stage and is reported to the
-/// observer with `wall_ms`, the dispatch's measured wall time; a one-band
-/// call is the serial task it always was.
+/// Books one banded call (an RDG detection pass, MKX EXT's blob sweep or
+/// GW EXT's sweep) and returns all of its work, ms: the serial sections
+/// plus every band. A call of more than one band is a parallel stage and
+/// is reported to the observer with `wall_ms`, the dispatch's measured
+/// wall time; a one-band call is the serial task it always was.
 fn banded_stage(
-    times: &RdgTimes,
+    times: &BandTimes,
     wall_ms: f64,
     task: Task,
     observer: &mut Option<(StreamId, &mut EventBus)>,
@@ -393,8 +395,16 @@ fn dispatch_recovering<T>(
     Ok(out)
 }
 
-/// `gw_fault` is injected into GW EXT's first sweep dispatch (testing
-/// only, like every [`StripeFault`]).
+/// The fault `band_fault` holds for `task`'s dispatch, disarming it: the
+/// first attempt gets it, a retry runs clean.
+fn take_fault(band_fault: &mut Option<(Task, StripeFault)>, task: Task) -> StripeFault {
+    band_fault
+        .take_if(|(t, _)| *t == task)
+        .map_or_else(StripeFault::default, |(_, fault)| fault)
+}
+
+/// `band_fault` is injected into the first dispatch of its task's sweep,
+/// MKX EXT's or GW EXT's (testing only, like every [`StripeFault`]).
 #[allow(clippy::too_many_arguments)]
 fn process_frame_inner(
     pool: &StripePool,
@@ -405,7 +415,7 @@ fn process_frame_inner(
     policy: &ExecutionPolicy,
     observer: &mut Option<(StreamId, &mut EventBus)>,
     recovery: Option<(&FrameFaults, &StageRetry)>,
-    mut gw_fault: StripeFault,
+    mut band_fault: Option<(Task, StripeFault)>,
 ) -> Result<FrameOutput, FrameError> {
     let started = Instant::now();
     let (w, h) = frame.dims();
@@ -522,8 +532,26 @@ fn process_frame_inner(
     };
 
     // --- MKX EXT ---------------------------------------------------------
+    // The blob sweep runs as RDG's `rdg_stripes` row bands; the maxima scan
+    // and the pruning follow on this thread.
     let mkx_input = rdg_out.as_ref().map(|o| &o.filtered).unwrap_or(frame);
-    let (mkx, ms) = time_ms(|| mkx_extract(mkx_input, work_roi, &cfg.mkx, &mut state.mkx_bufs));
+    let dispatched = Instant::now();
+    let mkx = dispatch_recovering(
+        Task::MkxExt,
+        frame_index,
+        policy.rdg_stripes.max(1),
+        retry,
+        &mut Vec::new(),
+        observer,
+        |stripes| {
+            let fault = take_fault(&mut band_fault, Task::MkxExt);
+            let bufs = &mut state.mkx_bufs;
+            mkx_banded(pool, mkx_input, work_roi, &cfg.mkx, stripes, fault, bufs)
+        },
+    )?;
+    let wall_ms = dispatched.elapsed().as_secs_f64() * 1e3;
+    let times = state.mkx_bufs.times();
+    let ms = banded_stage(times, wall_ms, Task::MkxExt, observer, frame_index);
     task_times.push((Task::MkxExt, ms));
 
     // --- CPLS SEL ----------------------------------------------------------
@@ -602,7 +630,7 @@ fn process_frame_inner(
                 &mut Vec::new(),
                 observer,
                 |stripes| {
-                    let fault = std::mem::take(&mut gw_fault);
+                    let fault = take_fault(&mut band_fault, Task::GwExt);
                     let bufs = &mut state.rdg_bufs;
                     ridge_response_banded(
                         pool, frame, window, roi, &cfg.rdg, same_frame, stripes, fault, bufs,
@@ -1132,14 +1160,15 @@ mod tests {
         assert!(failures > 0, "no frame ever failed");
     }
 
-    /// Runs a clean sequence with `gw_fault` armed on every frame's GW EXT
-    /// sweep, under `recovery` (`None`: no recovery context). Stops at the
-    /// first frame that fails. The fine scales stay off in RDG, so that GW
-    /// EXT has a scale left to sweep on every tracked frame.
-    fn run_gw_faulted(
+    /// Runs a clean sequence with `band_fault` armed on every frame's
+    /// dispatch of its task, under `recovery` (`None`: no recovery
+    /// context). Stops at the first frame that fails. The fine scales stay
+    /// off in RDG, so that GW EXT has a scale left to sweep on every
+    /// tracked frame.
+    fn run_band_faulted(
         policy: ExecutionPolicy,
         recovery: Option<StageRetry>,
-        gw_fault: StripeFault,
+        band_fault: Option<(Task, StripeFault)>,
     ) -> (Vec<FrameOutput>, Option<FrameError>, Vec<FrameEvent>) {
         let cfg = AppConfig {
             fine_probe_factor: 100.0,
@@ -1160,7 +1189,7 @@ mod tests {
                 &policy,
                 &mut Some((7, &mut bus)),
                 recovery.as_ref().map(|retry| (&faults, retry)),
-                gw_fault,
+                band_fault,
             ) {
                 Ok(out) => outs.push(out),
                 Err(e) => {
@@ -1173,30 +1202,33 @@ mod tests {
         (outs, error, events)
     }
 
-    #[test]
-    fn gw_sweep_band_panic_goes_through_the_retry_policy() {
-        let policy = ExecutionPolicy {
-            rdg_stripes: 1,
-            aux_stripes: 2,
-        };
-        let (nominal, error, events) = run_gw_faulted(policy, None, StripeFault::default());
+    /// A panic in the first of `task`'s two bands, on every frame, under
+    /// each retry policy: a retry delivers the nominal pixels, exhausted
+    /// retries fall back to one band with the same pixels, and without a
+    /// recovery context the frame fails and the thread does not. Returns
+    /// the frames whose `task` ran in two bands.
+    fn check_band_panic_recovery(task: Task, policy: ExecutionPolicy) -> Vec<usize> {
+        let (nominal, error, events) = run_band_faulted(policy, None, None);
         assert!(error.is_none() && events.iter().all(|e| e.replay_key().is_none()));
-        let band_panic = StripeFault {
-            panic_jobs: 1,
-            channel_error: false,
-        };
+        let band_panic = Some((
+            task,
+            StripeFault {
+                panic_jobs: 1,
+                channel_error: false,
+            },
+        ));
 
         // default policy: one retry per frame delivers the nominal frame
         let (faulted, error, events) =
-            run_gw_faulted(policy, Some(StageRetry::default()), band_panic);
+            run_band_faulted(policy, Some(StageRetry::default()), band_panic);
         assert!(error.is_none(), "{error:?}");
         assert_bit_identical(&nominal, &faulted);
         let swept: Vec<usize> = stage_sequence(&events)
             .into_iter()
-            .filter(|&(_, task, jobs)| task == Task::GwExt && jobs == 2)
+            .filter(|&(_, t, jobs)| t == task && jobs == 2)
             .map(|(frame, ..)| frame)
             .collect();
-        assert!(swept.len() >= 4, "GW EXT swept two bands on {swept:?} only");
+        assert!(!swept.is_empty(), "{task} never ran in two bands");
         let fault_family: Vec<&FrameEvent> =
             events.iter().filter(|e| e.replay_key().is_some()).collect();
         assert_eq!(fault_family.len(), 2 * swept.len(), "{fault_family:?}");
@@ -1218,7 +1250,7 @@ mod tests {
             max_retries: 0,
             serial_fallback: true,
         };
-        let (degraded, error, events) = run_gw_faulted(policy, Some(no_retries), band_panic);
+        let (degraded, error, events) = run_band_faulted(policy, Some(no_retries), band_panic);
         assert!(error.is_none(), "{error:?}");
         assert_bit_identical(&nominal, &degraded);
         let fallbacks = events
@@ -1241,12 +1273,34 @@ mod tests {
         );
 
         // no recovery context: the frame fails, the thread does not
-        let (outs, error, _) = run_gw_faulted(policy, None, band_panic);
+        let (outs, error, _) = run_band_faulted(policy, None, band_panic);
         let error = error.expect("a band panic without a retry policy fails the frame");
-        assert_eq!(error.stage, Task::GwExt);
+        assert_eq!(error.stage, task);
         assert_eq!(error.frame, swept[0]);
         assert_eq!(outs.len(), swept[0]);
         assert!(matches!(error.error, PoolError::JobPanicked(_)));
+        swept
+    }
+
+    #[test]
+    fn gw_sweep_band_panic_goes_through_the_retry_policy() {
+        let policy = ExecutionPolicy {
+            rdg_stripes: 1,
+            aux_stripes: 2,
+        };
+        let swept = check_band_panic_recovery(Task::GwExt, policy);
+        assert!(swept.len() >= 4, "GW EXT swept two bands on {swept:?} only");
+    }
+
+    #[test]
+    fn mkx_sweep_band_panic_goes_through_the_retry_policy() {
+        let policy = ExecutionPolicy {
+            rdg_stripes: 2,
+            aux_stripes: 1,
+        };
+        // every frame runs MKX EXT, full frame or ROI, in two bands
+        let swept = check_band_panic_recovery(Task::MkxExt, policy);
+        assert_eq!(swept, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -44,7 +44,8 @@ impl ProfileRun {
     }
 
     /// Converts the collected samples into training series. Tasks whose
-    /// cost is granularity-dependent (the RDG variants) carry the ROI
+    /// cost is granularity-dependent (the RDG variants, and MKX EXT, which
+    /// sweeps the full frame until a ROI is tracked) carry the ROI
     /// covariate.
     pub fn task_series(&self) -> Vec<TaskSeries> {
         self.samples
@@ -52,7 +53,9 @@ impl ProfileRun {
             .map(|(&task, samples)| {
                 let (times, rois) = samples.iter().copied().unzip();
                 match task {
-                    Task::RdgFull | Task::RdgRoi => TaskSeries::with_roi(task, times, rois),
+                    Task::RdgFull | Task::RdgRoi | Task::MkxExt => {
+                        TaskSeries::with_roi(task, times, rois)
+                    }
                     _ => TaskSeries::new(task, times),
                 }
             })
@@ -173,7 +176,7 @@ mod tests {
         );
         let series = run.task_series();
         for s in &series {
-            if matches!(s.task, Task::RdgFull | Task::RdgRoi) {
+            if matches!(s.task, Task::RdgFull | Task::RdgRoi | Task::MkxExt) {
                 assert_eq!(s.roi_kpixels.len(), s.samples.len(), "{}", s.task);
             }
         }

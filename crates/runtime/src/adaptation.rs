@@ -118,9 +118,53 @@ pub fn choose_policy(
     )
 }
 
+/// Picks the stripe count in `1..=cores` with the least predicted latency,
+/// ties going to fewer: the rule for a frame with no budget to hold yet.
+pub(crate) fn fastest_policy(cost: &CostPrediction, cores: usize) -> ExecutionPolicy {
+    let mut best = 1;
+    for stripes in 2..=cores {
+        if predicted_latency(cost, stripes) < predicted_latency(cost, best) {
+            best = stripes;
+        }
+    }
+    ExecutionPolicy {
+        rdg_stripes: best,
+        aux_stripes: best,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fastest_policy_takes_the_least_predicted_latency() {
+        let heavy = CostPrediction {
+            stripable_ms: 30.0,
+            serial_ms: 2.0,
+        };
+        assert_eq!(fastest_policy(&heavy, 1).rdg_stripes, 1);
+        for cores in 2..=8 {
+            let p = fastest_policy(&heavy, cores);
+            assert_eq!((p.rdg_stripes, p.aux_stripes), (cores, cores));
+        }
+        // nothing to stripe: every extra stripe only adds dispatch
+        let serial = CostPrediction {
+            stripable_ms: 0.0,
+            serial_ms: 2.0,
+        };
+        assert_eq!(fastest_policy(&serial, 8).rdg_stripes, 1);
+        // a tie goes to fewer stripes: 2 and 3 predict the same latency
+        // when the third stripe saves exactly one more dispatch charge
+        let ms = DISPATCH_OVERHEAD_MS * 6.0 * STRIPE_EFFICIENCY;
+        let tie = CostPrediction {
+            stripable_ms: ms,
+            serial_ms: 0.0,
+        };
+        let (l2, l3) = (predicted_latency(&tie, 2), predicted_latency(&tie, 3));
+        assert!((l2 - l3).abs() < 1e-12, "{l2} vs {l3}");
+        assert_eq!(fastest_policy(&tie, 3).rdg_stripes, 2);
+    }
 
     #[test]
     fn cheap_frame_stays_serial() {

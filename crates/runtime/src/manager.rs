@@ -6,7 +6,7 @@
 //! and **profiling** (predicted-vs-actual bookkeeping, feeding online
 //! model training and the accuracy reports of Section 7).
 
-use crate::adaptation::{choose_policy, scenario_cost};
+use crate::adaptation::{choose_policy, fastest_policy, scenario_cost};
 use crate::budget::LatencyBudget;
 use pipeline::executor::{ExecutionPolicy, FrameOutput};
 use platform::bus::{
@@ -221,10 +221,19 @@ impl ResourceManager {
     /// then chooses the minimal partitioning that holds the budget.
     ///
     /// `roi_kpixels` is the ROI the frame will process (known from the
-    /// tracking state). Before initialization the frame runs serial.
+    /// tracking state). Before the manager has absorbed a frame, the stream
+    /// holds no ROI and no reference frame, so the predicted scenario is
+    /// the chain's likeliest one with both off
+    /// ([`TripleC::predict_first_scenario`]). Until the first frame has
+    /// set a budget, the frame takes the stripe count with the least
+    /// predicted latency.
     pub fn plan(&mut self, roi_kpixels: f64) -> Plan {
         let predict_start = std::time::Instant::now();
-        let scenario = self.model.predict_next_scenario(self.last_scenario);
+        let scenario = if self.frame_index == 0 {
+            self.model.predict_first_scenario(self.last_scenario)
+        } else {
+            self.model.predict_next_scenario(self.last_scenario)
+        };
         let ctx = PredictContext { roi_kpixels };
         // planning costs (optionally a conservative quantile) and the
         // point prediction (recorded for the accuracy bookkeeping)
@@ -248,7 +257,7 @@ impl ResourceManager {
         });
 
         let (policy, feasible) = match self.budget {
-            None => (ExecutionPolicy::default(), true),
+            None => (fastest_policy(&cost, self.cfg.cores), true),
             Some(budget) => choose_policy(&cost, &budget, self.cfg.cores),
         };
         if !feasible {
@@ -386,6 +395,7 @@ impl ResourceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptation::{predicted_latency, CostPrediction};
     use platform::trace::FrameRecord;
     use triplec::training::TaskSeries;
     use triplec::triple::TripleCConfig;
@@ -422,10 +432,26 @@ mod tests {
     }
 
     #[test]
-    fn first_frame_runs_serial_then_budget_set() {
-        let mut m = ResourceManager::new(model(), ManagerConfig::default());
+    fn first_plan_is_a_fresh_stream_at_its_fastest_then_budget_set() {
+        let cfg = ManagerConfig {
+            cores: 4,
+            ..Default::default()
+        };
+        let mut m = ResourceManager::new(model(), cfg);
         let plan = m.plan(1000.0);
-        assert_eq!(plan.policy.rdg_stripes, 1);
+        // no ROI and no reference frame yet: only switch 1 is predicted,
+        // though the chain only ever saw scenario 5 (REG on)
+        assert!(!plan.scenario.roi_estimated && !plan.scenario.reg_successful);
+        assert!(plan.scenario.rdg_active);
+        // stripable RDG 40 + MKX 2.5 ms: every added stripe predicts less
+        let cost = CostPrediction {
+            stripable_ms: 42.5,
+            serial_ms: 3.5,
+        };
+        assert!((1..4).all(|k| predicted_latency(&cost, k + 1) < predicted_latency(&cost, k)));
+        assert_eq!((plan.policy.rdg_stripes, plan.policy.aux_stripes), (4, 4));
+        assert!(plan.feasible);
+        assert!((plan.predicted_total_ms - 46.0).abs() < 1e-9);
         assert!(m.budget().is_none());
         m.absorb(&fake_output(
             Scenario::from_id(5),
@@ -469,8 +495,15 @@ mod tests {
         };
         let mut m = ResourceManager::new(model(), cfg);
         m.set_budget(LatencyBudget::new(60.0, 0.15));
+        // past the fresh first frame, the chain predicts scenario 5
+        m.plan(1000.0);
+        m.absorb(&fake_output(
+            Scenario::from_id(5),
+            vec![(Task::RdgFull, 40.0)],
+        ));
         let plan = m.plan(1000.0);
-        // predicted: RDG 40 + serial 42.5 = 82.5 > 51 target -> striping
+        assert_eq!(plan.scenario.id(), 5);
+        // predicted: RDG 40 + MKX 2.5 + serial 40 = 82.5 > 51 target -> striping
         assert!(
             plan.policy.rdg_stripes >= 2,
             "stripes {}",
@@ -659,9 +692,13 @@ mod tests {
     #[test]
     fn scenario_prediction_follows_chain() {
         let mut m = ResourceManager::new(model(), ManagerConfig::default());
-        let plan = m.plan(1000.0);
+        assert_eq!(m.plan(1000.0).scenario.id(), 1, "a fresh stream");
+        m.absorb(&fake_output(
+            Scenario::from_id(5),
+            vec![(Task::RdgFull, 40.0)],
+        ));
         // the training sequence is all scenario 5
-        assert_eq!(plan.scenario.id(), 5);
+        assert_eq!(m.plan(1000.0).scenario.id(), 5);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The paper's predictions drive the per-frame repartitioning loop; the
 //! service tier reuses the same model queries one level up, *before* a
 //! stream runs: [`predict_demand`] asks the stream's own trained model
-//! for its worst-case-scenario per-task costs and converts them — through
+//! for its first frame's per-task costs and converts them — through
 //! the identical [`choose_policy`] partitioning rule the runtime uses —
 //! into a core demand and predicted frame latency. The service core
 //! compares that demand against per-shard capacity headroom instead of
@@ -95,8 +95,8 @@ impl AdmissionPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamDemand {
     /// Cores the stream wants (the stripe width [`choose_policy`] picks
-    /// for its predicted worst-case frame under its budget; 1 when the
-    /// stream has no fixed budget and initializes serially).
+    /// for its predicted first frame under its budget; 1 when the stream
+    /// has no fixed budget to size a grant against).
     pub cores: usize,
     /// Predicted per-frame latency at that width, ms (at the policy's
     /// scheduling cost).
@@ -107,8 +107,10 @@ pub struct StreamDemand {
 
 /// Predicts a stream's demand from its spec, before it has run a frame.
 ///
-/// Uses the worst-case scenario (all tasks active — the same conservative
-/// anchor `ResourceManager` plans its first frame from) over the full
+/// Prices the scenario `ResourceManager` plans an unstarted stream's
+/// first frame with — the chain's likeliest successor of the worst case
+/// with no ROI and no reference frame
+/// ([`triplec::triple::TripleC::predict_first_scenario`]) — over the full
 /// frame as ROI, collapses each task's predicted cost distribution to the
 /// [`AdmissionPolicy`]'s scheduling point, splits the costs into
 /// stripable and serial parts, and applies the runtime's own partitioning
@@ -124,11 +126,12 @@ pub fn predict_demand(
     let max_cores = max_cores.max(1);
     let roi_kpixels = (spec.seq.width * spec.seq.height) as f64 / 1000.0;
     let ctx = PredictContext { roi_kpixels };
-    let scenario = spec.model.predict_next_scenario(Scenario::worst_case());
+    let scenario = spec.model.predict_first_scenario(Scenario::worst_case());
     let (cost, _) = scenario_cost(&spec.model, scenario, &ctx, |p| policy.cost(p));
     match spec.budget {
-        // no fixed budget: the first frame runs serial to initialize the
-        // budget, so the stream enters with minimal demand
+        // no fixed budget: nothing sizes a grant before the first frame
+        // sets one, so the stream enters with minimal demand (its first
+        // frame stripes over whatever cores the grant holds)
         None => StreamDemand {
             cores: 1,
             predicted_ms: cost.total(),

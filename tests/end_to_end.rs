@@ -137,6 +137,42 @@ fn managed_band_not_wider_than_serial() {
     );
 }
 
+/// An unbudgeted stream's first frame is a full frame, and the planner
+/// runs it at the stripe count it predicts fastest: on a host with two or
+/// more cores that is more than one. Striping moves no pixel.
+#[test]
+fn unbudgeted_first_frame_stripes_and_keeps_its_pixels() {
+    let _host = hold_host();
+    let cores = ManagerConfig::default().cores;
+    if cores < 2 {
+        eprintln!("one core: nothing to stripe over");
+        return;
+    }
+    let app = AppConfig::default();
+    let seq = sized_sequence(512, 75, 4);
+    let model = trained_on(seq.clone(), &app);
+    let run = |cores: usize| {
+        let spec = StreamSpec::builder(seq.clone(), app.clone(), model.clone()).build();
+        StreamEngine::new(0, spec, cores)
+            .run()
+            .expect("no injector, no unrecoverable frame")
+    };
+    let wide = run(cores);
+    let one = run(1);
+    assert!(
+        wide.stripes[0] > 1,
+        "frame 0 ran at {} stripes",
+        wide.stripes[0]
+    );
+    assert!(wide.budget.is_some() && one.stripes.iter().all(|&s| s == 1));
+    assert_eq!(wide.scenarios, one.scenarios);
+    assert_eq!(wide.displays, one.displays);
+    assert!(
+        wide.displays.iter().any(Option::is_some),
+        "nothing displayed"
+    );
+}
+
 /// Scenario ids recorded by the pipeline must be consistent with the task
 /// sets of the triplec scenario table across a dynamic run.
 #[test]

@@ -20,7 +20,7 @@ use triple_c::imaging::couples::Couple;
 use triple_c::imaging::guidewire::{corridor_box, gw_extract_with, GwConfig, GwScratch};
 use triple_c::imaging::image::{Image, ImageU16, Roi};
 use triple_c::imaging::markers::{
-    mkx_extract, mkx_extract_reference, Marker, MkxBuffers, MkxConfig,
+    mkx_banded, mkx_extract, mkx_extract_reference, Marker, MkxBuffers, MkxConfig, MkxOutput,
 };
 use triple_c::imaging::parallel::{StripeFault, StripePool};
 use triple_c::imaging::ridge::{
@@ -218,16 +218,19 @@ proptest! {
 
     /// Fused marker extraction returns the oracle's candidates bit for bit:
     /// arbitrary content, geometry and ROIs (frame-escaping, degenerate and
-    /// one-row ones included), one to three scales in either order, over
-    /// two rounds on buffers that a call on a different ROI used first —
-    /// what that call left in the planes must not show.
+    /// ones of fewer rows than bands included), one to three scales in
+    /// either order, over two rounds on buffers that a call on a different
+    /// ROI used first — what that call left in the planes must not show.
+    /// `mkx_banded` returns the same candidates and maxima at one to four
+    /// stripes, one set of buffers serving every stripe count, each call
+    /// after one on the other frame and ROI.
     #[test]
     fn fused_mkx_matches_reference(
         width in 16usize..96,
         height in 16usize..96,
         seed in 0u64..u64::MAX,
         rois in prop::collection::vec((0usize..64, 0usize..64, 1usize..112, 1usize..112), 3..4),
-        one_row in any::<bool>(),
+        short_rows in 0usize..4,
         n_scales in 1usize..4,
         coarse_first in any::<bool>(),
     ) {
@@ -241,36 +244,52 @@ proptest! {
             .into_iter()
             .map(|(x, y, width, height)| Roi { x, y, width, height })
             .collect();
-        if one_row {
-            rois[2].height = 1;
+        if short_rows > 0 {
+            rois[2].height = short_rows;
         }
+        let pool = StripePool::new(2);
         let mut fused_bufs = MkxBuffers::new(width, height);
         let mut oracle_bufs = MkxBuffers::new(width, height);
-        mkx_extract(&frame(width, height, !seed), rois[0], &cfg, &mut fused_bufs);
+        let mut banded_bufs = MkxBuffers::new(width, height);
+        let other = frame(width, height, !seed);
+        mkx_extract(&other, rois[0], &cfg, &mut fused_bufs);
         for (round, &roi) in rois[1..].iter().enumerate() {
             let src = frame(width, height, seed.wrapping_add(round as u64));
-            let fused = mkx_extract(&src, roi, &cfg, &mut fused_bufs);
             let oracle = mkx_extract_reference(&src, roi, &cfg, &mut oracle_bufs);
-            prop_assert!(
-                fused.raw_maxima == oracle.raw_maxima
-                    && fused.candidates.len() == oracle.candidates.len(),
-                "round {round}: fused {} maxima, {} candidates; oracle {}, {}",
-                fused.raw_maxima,
-                fused.candidates.len(),
-                oracle.raw_maxima,
-                oracle.candidates.len()
-            );
-            for (f, o) in fused.candidates.iter().zip(&oracle.candidates) {
-                prop_assert!(
-                    f.x.to_bits() == o.x.to_bits()
-                        && f.y.to_bits() == o.y.to_bits()
-                        && f.strength.to_bits() == o.strength.to_bits()
-                        && f.scale.to_bits() == o.scale.to_bits(),
-                    "round {round}: fused {f:?}, oracle {o:?}"
-                );
+            let fused = mkx_extract(&src, roi, &cfg, &mut fused_bufs);
+            same_markers(&fused, &oracle, &format!("round {round}, fused"))?;
+            for stripes in 1..=4 {
+                mkx_extract(&other, rois[0], &cfg, &mut banded_bufs);
+                let banded = mkx_banded(
+                    &pool, &src, roi, &cfg, stripes, StripeFault::default(), &mut banded_bufs,
+                )
+                .expect("an unfaulted band job panicked");
+                same_markers(&banded, &oracle, &format!("round {round}, {stripes} stripes"))?;
             }
         }
     }
+}
+
+/// `got` holds `want`'s raw-maxima count and its candidates, bit for bit.
+fn same_markers(got: &MkxOutput, want: &MkxOutput, what: &str) -> Result<(), TestCaseError> {
+    prop_assert!(
+        got.raw_maxima == want.raw_maxima && got.candidates.len() == want.candidates.len(),
+        "{what}: {} maxima, {} candidates; oracle {}, {}",
+        got.raw_maxima,
+        got.candidates.len(),
+        want.raw_maxima,
+        want.candidates.len()
+    );
+    for (g, w) in got.candidates.iter().zip(&want.candidates) {
+        prop_assert!(
+            g.x.to_bits() == w.x.to_bits()
+                && g.y.to_bits() == w.y.to_bits()
+                && g.strength.to_bits() == w.strength.to_bits()
+                && g.scale.to_bits() == w.scale.to_bits(),
+            "{what}: {g:?}, oracle {w:?}"
+        );
+    }
+    Ok(())
 }
 
 /// One placement of GW EXT on a frame: where the markers are, what ROI

@@ -4,7 +4,9 @@
 
 use triple_c::imaging::enhance::EnhState;
 use triple_c::imaging::image::Image;
-use triple_c::imaging::markers::{mkx_extract, mkx_extract_reference, MkxBuffers, MkxConfig};
+use triple_c::imaging::markers::{
+    mkx_banded, mkx_extract, mkx_extract_reference, MkxBuffers, MkxConfig,
+};
 use triple_c::imaging::parallel::{StripeFault, StripePool};
 use triple_c::imaging::ridge::{rdg_banded, rdg_full, rdg_roi_reference, RdgBuffers, RdgConfig};
 use triple_c::imaging::zoom::{zoom_band_with, ZoomConfig, ZoomFilter, ZoomScratch};
@@ -200,6 +202,38 @@ fn mkx_intermediate_formula_tracks_buffers() {
         bufs.byte_size(),
         warm + W * H * 20 + rdg_kernel_bytes(&cfg.scales)
     );
+}
+
+#[test]
+fn mkx_intermediate_formula_matches_warm_banded_buffers() {
+    // Every band of the blob sweep brings its own tile ring and nothing
+    // frame-sized: the bands work in the one set of per-pixel planes. The
+    // rings grow to the widest call and stay.
+    let (frame, cfg) = (test_frame(), MkxConfig::default());
+    let geom = FrameGeometry {
+        width: W,
+        height: H,
+    };
+    let pool = StripePool::new(2);
+    let mut bufs = MkxBuffers::new(W, H);
+    for (stripes, rings) in [(3, 3), (2, 3), (4, 4)] {
+        mkx_banded(
+            &pool,
+            &frame,
+            frame.full_roi(),
+            &cfg,
+            stripes,
+            StripeFault::default(),
+            &mut bufs,
+        )
+        .expect("an unfaulted band job panicked");
+        assert_eq!(
+            bufs.byte_size(),
+            mkx_intermediate_bytes(geom, &cfg.scales)
+                + (rings - 1) * rdg_tile_bytes(W, &cfg.scales),
+            "after a {stripes}-stripe call each of {rings} bands must cost one tile ring"
+        );
+    }
 }
 
 #[test]
