@@ -41,6 +41,9 @@ pub struct EnhState {
     /// as a contiguous SIMD stream over `acc`.
     row: Vec<f32>,
     frames_integrated: usize,
+    /// Bounding box of the regions accumulated since the last reset; the
+    /// accumulator is zero outside it.
+    written: Roi,
 }
 
 impl EnhState {
@@ -50,6 +53,7 @@ impl EnhState {
             acc: ImageF32::new(width, height),
             row: vec![0.0; width],
             frames_integrated: 0,
+            written: Roi::new(0, 0, 0, 0),
         }
     }
 
@@ -59,9 +63,14 @@ impl EnhState {
     }
 
     /// Resets the integrator (e.g. after a registration loss) in place,
-    /// without reallocating the accumulator.
+    /// without reallocating the accumulator. Only what was accumulated
+    /// since the last reset is cleared, so pages no region touched stay
+    /// untouched.
     pub fn reset(&mut self) {
-        self.acc.fill(0.0);
+        let w = std::mem::replace(&mut self.written, Roi::new(0, 0, 0, 0));
+        for y in w.y..w.bottom() {
+            self.acc.row_mut(y)[w.x..w.right()].fill(0.0);
+        }
         self.frames_integrated = 0;
     }
 
@@ -109,6 +118,7 @@ impl EnhState {
         if region.width == 0 || region.height == 0 {
             return;
         }
+        self.written = self.written.union(&region);
         let (w, h) = frame.dims();
         let (wm1, hm1) = ((w - 1) as f64, (h - 1) as f64);
         let (s, c) = transform.theta.sin_cos();
@@ -204,6 +214,7 @@ impl EnhState {
             "state geometry must match the frame"
         );
         let region = region.clamp_to(frame.width(), frame.height());
+        self.written = self.written.union(&region);
         for y in region.y..region.bottom() {
             for x in region.x..region.right() {
                 // registered sample: where does output pixel (x, y) come
@@ -631,6 +642,18 @@ mod tests {
             &mut state,
         );
         assert_eq!(out.get(8, 8), 100);
+    }
+
+    #[test]
+    fn reset_clears_every_region_accumulated() {
+        let frame = ImageU16::filled(16, 16, 4000);
+        let mut state = EnhState::new(16, 16);
+        let id = RigidTransform::identity();
+        state.accumulate(&frame, &id, Roi::new(1, 2, 5, 3), 1.0);
+        state.accumulate_reference(&frame, &id, Roi::new(9, 10, 6, 4), 1.0);
+        state.commit();
+        state.reset();
+        assert!((0..16).all(|y| state.acc.row(y).iter().all(|&v| v == 0.0)));
     }
 
     #[test]

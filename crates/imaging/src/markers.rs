@@ -116,6 +116,17 @@ impl MkxBuffers {
             + self.reference.as_ref().map_or(0, |r| r.byte_size())
     }
 
+    /// Readies the set for a new stream of the same geometry: keeps the
+    /// three frame-sized planes and drops the band rings, the kernel cache,
+    /// the oracle's intermediates and the times, so its
+    /// [`MkxBuffers::byte_size`] after any call is a new set's.
+    pub fn reclaim(&mut self) {
+        self.rings = Vec::new();
+        self.kernels = KernelCache::new();
+        self.reference = None;
+        self.times = BandTimes::default();
+    }
+
     /// Where the time of the most recent successful call went: the blob
     /// sweep in `band_ms`, everything else in `serial_ms`.
     pub fn times(&self) -> &BandTimes {

@@ -214,6 +214,24 @@ impl RdgBuffers {
         }
     }
 
+    /// Readies the set for a new stream of the same geometry: keeps the
+    /// two frame-sized planes and at most one parked output pair, and
+    /// drops the band scratch, the kernel cache, the oracle's
+    /// intermediates, the record of what the accumulator holds, the times
+    /// and the allocation count. From then on every call returns what it
+    /// returns on a new set, and after the first call that makes an output
+    /// [`RdgBuffers::byte_size`] reads the same too.
+    pub fn reclaim(&mut self) {
+        self.bands = Vec::new();
+        self.kernels = KernelCache::new();
+        self.reference = None;
+        self.swept = None;
+        self.u16_pool.truncate(1);
+        self.f32_pool.truncate(1);
+        self.allocations = 0;
+        self.times = BandTimes::default();
+    }
+
     /// Number of output-image allocations performed so far; a warmed-up
     /// buffer set stops allocating (asserted by tests).
     pub fn allocations(&self) -> usize {

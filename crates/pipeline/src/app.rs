@@ -9,6 +9,7 @@ use imaging::registration::RegConfig;
 use imaging::ridge::{RdgBuffers, RdgConfig};
 use imaging::roi_est::RoiEstConfig;
 use imaging::zoom::{ZoomConfig, ZoomScratch};
+use std::sync::{Mutex, PoisonError};
 use triplec::scenario::ScenarioScript;
 
 /// Configuration of all pipeline tasks plus the switch thresholds.
@@ -137,6 +138,61 @@ pub fn structure_probe(frame: &ImageU16, block: usize) -> f64 {
     total as f64 / (area * count) as f64
 }
 
+/// Frame geometry, `(width, height)`.
+type Geometry = (usize, usize);
+
+/// The frame-sized buffers of an [`AppState`]: what a finished stream
+/// leaves for the next stream of its geometry.
+struct WarmSet {
+    rdg_bufs: RdgBuffers,
+    mkx_bufs: MkxBuffers,
+    enh_state: EnhState,
+    gw_scratch: GwScratch,
+    enh_view: Option<ImageU16>,
+    zoom_scratch: ZoomScratch,
+}
+
+impl WarmSet {
+    fn new(width: usize, height: usize) -> Self {
+        Self {
+            rdg_bufs: RdgBuffers::new(width, height),
+            mkx_bufs: MkxBuffers::new(width, height),
+            enh_state: EnhState::new(width, height),
+            gw_scratch: GwScratch::new(),
+            enh_view: None,
+            zoom_scratch: ZoomScratch::new(),
+        }
+    }
+}
+
+/// Where a dropped [`AppState`] leaves its buffers: one set and its
+/// geometry. A poisoned lock is used as it is: each critical section is a
+/// single `Option` take or replace.
+type WarmSlot = Mutex<Option<(Geometry, WarmSet)>>;
+
+/// The slot every [`AppState::new`] draws from. It holds the set of the
+/// state dropped last, whatever its geometry, so a stream that follows one
+/// of its geometry starts warm and the process keeps at most one set.
+static WARM: WarmSlot = Mutex::new(None);
+
+/// Takes the set in `slot` if it has `geometry`.
+fn draw(slot: &WarmSlot, geometry: Geometry) -> Option<WarmSet> {
+    let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if held.as_ref()?.0 != geometry {
+        return None;
+    }
+    held.take().map(|(_, set)| set)
+}
+
+/// Leaves `set` in `slot`; the set it replaces is freed after the lock is
+/// released.
+fn park(slot: &WarmSlot, geometry: Geometry, set: WarmSet) {
+    let _replaced = slot
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .replace((geometry, set));
+}
+
 /// Mutable state of the pipeline, carried across frames.
 pub struct AppState {
     /// RDG working buffers (frame-sized, reused): one set for the
@@ -169,18 +225,37 @@ pub struct AppState {
     /// Whether RDG's fine refinement scales are currently active (the
     /// coarse-to-fine switch, with hysteresis against probe noise).
     pub fine_active: bool,
+    /// The slot the buffers return to on drop, and their geometry; `None`
+    /// for a state built past the slot.
+    home: Option<(&'static WarmSlot, Geometry)>,
 }
 
 impl AppState {
-    /// Creates pipeline state for `width x height` frames.
+    /// Creates pipeline state for `width x height` frames. The buffers are
+    /// those of the state dropped last in the process when it had this
+    /// geometry, readied on return ([`RdgBuffers::reclaim`],
+    /// [`MkxBuffers::reclaim`], [`EnhState::reset`]), or new ones. The two
+    /// give the same pixels; a drawn set's pages are already touched, so a
+    /// new stream's first frame does not fault them in or clear them. The
+    /// tracking fields start empty either way.
     pub fn new(width: usize, height: usize) -> Self {
+        Self::drawn_from(Some(&WARM), width, height)
+    }
+
+    /// [`AppState::new`] on `slot`, or on new buffers that are freed on
+    /// drop when `slot` is `None`.
+    fn drawn_from(slot: Option<&'static WarmSlot>, width: usize, height: usize) -> Self {
+        let geometry = (width, height);
+        let set = slot
+            .and_then(|s| draw(s, geometry))
+            .unwrap_or_else(|| WarmSet::new(width, height));
         Self {
-            rdg_bufs: RdgBuffers::new(width, height),
-            mkx_bufs: MkxBuffers::new(width, height),
-            enh_state: EnhState::new(width, height),
-            gw_scratch: GwScratch::new(),
-            enh_view: None,
-            zoom_scratch: ZoomScratch::new(),
+            rdg_bufs: set.rdg_bufs,
+            mkx_bufs: set.mkx_bufs,
+            enh_state: set.enh_state,
+            gw_scratch: set.gw_scratch,
+            enh_view: set.enh_view,
+            zoom_scratch: set.zoom_scratch,
             reference_frame: None,
             reference_couple: None,
             prev_couple: None,
@@ -188,6 +263,7 @@ impl AppState {
             recent_motion: 0.0,
             reg_failures: 0,
             fine_active: false,
+            home: slot.map(|s| (s, geometry)),
         }
     }
 
@@ -198,6 +274,30 @@ impl AppState {
         self.current_roi = None;
         self.reg_failures = 0;
         self.enh_state.reset();
+    }
+}
+
+impl Drop for AppState {
+    /// Readies the buffers for the next stream and leaves them in the slot
+    /// they were drawn from, so a draw costs a new stream nothing but the
+    /// lock. A state dropped while its thread unwinds may hold a
+    /// half-updated cache, so its buffers are freed instead.
+    fn drop(&mut self) {
+        let Some((slot, geometry)) = self.home.filter(|_| !std::thread::panicking()) else {
+            return;
+        };
+        let mut set = WarmSet {
+            rdg_bufs: std::mem::replace(&mut self.rdg_bufs, RdgBuffers::new(0, 0)),
+            mkx_bufs: std::mem::replace(&mut self.mkx_bufs, MkxBuffers::new(0, 0)),
+            enh_state: std::mem::replace(&mut self.enh_state, EnhState::new(0, 0)),
+            gw_scratch: std::mem::take(&mut self.gw_scratch),
+            enh_view: self.enh_view.take(),
+            zoom_scratch: std::mem::take(&mut self.zoom_scratch),
+        };
+        set.rdg_bufs.reclaim();
+        set.mkx_bufs.reclaim();
+        set.enh_state.reset();
+        park(slot, geometry, set);
     }
 }
 
@@ -425,6 +525,154 @@ mod tests {
         assert!(s.reference_couple.is_none());
         assert_eq!(s.reg_failures, 0);
         assert_eq!(s.enh_state.frames_integrated(), 0);
+    }
+
+    /// A slot of the tests' own, so no other test draws from it.
+    fn own_slot() -> &'static WarmSlot {
+        Box::leak(Box::new(Mutex::new(None)))
+    }
+
+    #[test]
+    fn slot_keeps_the_last_set_and_serves_only_its_geometry() {
+        let slot = own_slot();
+        drop(AppState::drawn_from(Some(slot), 16, 16));
+        // a state of another geometry leaves the 16² set in the slot ...
+        let other = AppState::drawn_from(Some(slot), 8, 8);
+        let held = |s: &WarmSlot| {
+            let set = s.lock().unwrap_or_else(PoisonError::into_inner);
+            set.as_ref().map(|(g, _)| *g)
+        };
+        assert_eq!(held(slot), Some((16, 16)));
+        // ... and its drop replaces it
+        drop(other);
+        assert_eq!(held(slot), Some((8, 8)));
+        assert!(draw(slot, (16, 16)).is_none());
+        assert!(draw(slot, (8, 16)).is_none());
+        assert!(draw(slot, (8, 8)).is_some());
+        assert!(draw(slot, (8, 8)).is_none(), "a set was drawn twice");
+    }
+
+    #[test]
+    fn poisoned_slot_still_serves() {
+        let slot = own_slot();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = slot.lock();
+                panic!("poisoning the slot");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(slot.is_poisoned());
+        // a draw from the empty slot allocates; the drop returns the set
+        let state = AppState::drawn_from(Some(slot), 16, 16);
+        assert_eq!(state.mkx_bufs.byte_size(), 3 * 16 * 16 * 4);
+        drop(state);
+        assert!(draw(slot, (16, 16)).is_some(), "the set was not returned");
+    }
+
+    /// A drawn set gives what a new one gives. Clip A dirties every buffer
+    /// (four stripes, fine scales, an integrating ENH, and a last frame
+    /// that leaves RDG's accumulator for a fold-in), a 128² state is made
+    /// while the set waits in the slot, then clip B runs on the drawn set
+    /// and on one built past the slot.
+    #[test]
+    fn drawn_state_matches_a_new_one() -> Result<(), imaging::parallel::PoolError> {
+        use crate::executor::{process_frame_on, ExecutionPolicy};
+        use imaging::parallel::{StripeFault, StripePool};
+        use imaging::ridge::ridge_response_banded;
+        use triplec::scenario::ScenarioScript;
+        use xray::{NoiseConfig, SequenceConfig, SequenceGenerator};
+
+        let clip = |seed| {
+            SequenceGenerator::new(SequenceConfig {
+                width: 160,
+                height: 160,
+                frames: 10,
+                seed,
+                noise: NoiseConfig {
+                    quantum_scale: 0.3,
+                    electronic_std: 2.0,
+                },
+                ..Default::default()
+            })
+        };
+        let cfg = AppConfig {
+            fine_probe_factor: 0.0,
+            ..Default::default()
+        };
+        let stripes = |n| ExecutionPolicy {
+            rdg_stripes: n,
+            aux_stripes: n,
+        };
+        let workers = StripePool::new(0);
+        let slot = own_slot();
+
+        let mut a = AppState::drawn_from(Some(slot), 160, 160);
+        let frames: Vec<_> = clip(71).collect();
+        let (tracked, last) = frames.split_at(frames.len() - 1);
+        for f in tracked {
+            process_frame_on(&workers, f.index, &f.image, &mut a, &cfg, &stripes(4));
+        }
+        // RDG over the tracked ROI and no GW EXT after it
+        let roi = a.current_roi.expect("clip A tracks");
+        let rdg_only = AppConfig {
+            scenario_script: Some(ScenarioScript::hold(1, 100)),
+            ..cfg.clone()
+        };
+        let f = &last[0];
+        process_frame_on(&workers, f.index, &f.image, &mut a, &rdg_only, &stripes(4));
+        assert!(a.enh_state.frames_integrated() > 0);
+        drop(a);
+        let other = AppState::drawn_from(Some(slot), 128, 128);
+
+        let mut drawn = AppState::drawn_from(Some(slot), 160, 160);
+        drop(other);
+        let mut fresh = AppState::drawn_from(None, 160, 160);
+        assert!(
+            drawn.rdg_bufs.byte_size() > fresh.rdg_bufs.byte_size(),
+            "vacuous: clip A's set was not drawn"
+        );
+        let frames: Vec<_> = clip(72).collect();
+        // neither set has a last call for GW EXT to fold into
+        for state in [&mut drawn, &mut fresh] {
+            let bufs = &mut state.rdg_bufs;
+            ridge_response_banded(
+                &workers,
+                &frames[0].image,
+                roi,
+                roi,
+                &cfg.rdg,
+                true,
+                1,
+                StripeFault::default(),
+                bufs,
+            )?;
+        }
+        // the response is defined inside the window
+        let window = |s: &AppState| {
+            let acc = s.rdg_bufs.response();
+            (roi.y..roi.bottom())
+                .flat_map(|y| acc.row(y)[roi.x..roi.right()].to_vec())
+                .collect::<Vec<f32>>()
+        };
+        assert!(
+            window(&drawn) == window(&fresh),
+            "the drawn set folded into the last stream's response"
+        );
+
+        let mut displays = 0;
+        for f in &frames {
+            let d = process_frame_on(&workers, f.index, &f.image, &mut drawn, &cfg, &stripes(2));
+            let n = process_frame_on(&workers, f.index, &f.image, &mut fresh, &cfg, &stripes(2));
+            assert_eq!(d.scenario, n.scenario, "frame {}", f.index);
+            assert!(d.display == n.display, "display of frame {}", f.index);
+            assert_eq!(d.roi, n.roi, "frame {}", f.index);
+            let bytes = |s: &AppState| (s.rdg_bufs.byte_size(), s.mkx_bufs.byte_size());
+            assert_eq!(bytes(&drawn), bytes(&fresh), "frame {}", f.index);
+            displays += usize::from(d.display.is_some());
+        }
+        assert!(displays >= 3, "only {displays} displays to compare");
+        Ok(())
     }
 
     #[test]

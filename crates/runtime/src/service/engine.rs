@@ -26,7 +26,7 @@ use pipeline::executor::{process_frame_recovering_on, FrameFaults};
 use platform::bus::{DegradeMode, FaultKind, FrameEvent, RepartitionReason, StreamId};
 use platform::metrics::Observability;
 use platform::trace::TraceLog;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 use xray::{SequenceConfig, SequenceGenerator};
 
@@ -81,7 +81,9 @@ impl StreamEngine {
             let sink = Arc::clone(&collected);
             manager.subscribe(Box::new(move |e: &FrameEvent| {
                 if e.replay_key().is_some() {
-                    sink.lock().unwrap().push(e.clone());
+                    sink.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(e.clone());
                 }
             }));
             collected
@@ -443,7 +445,7 @@ impl StreamEngine {
             dropped_frames: self.dropped_frames,
             fault_events: self
                 .collected
-                .map(|c| c.lock().unwrap().clone())
+                .map(|c| c.lock().unwrap_or_else(PoisonError::into_inner).clone())
                 .unwrap_or_default(),
         }
     }
@@ -454,7 +456,7 @@ mod tests {
     use super::*;
     use crate::budget::LatencyBudget;
     use crate::faults::{FaultPlan, FaultPlanConfig};
-    use crate::test_support::{seq, trained_model};
+    use crate::test_support::{poison, seq, trained_model};
 
     /// The injector-only sections of `step_on` must be inert when the
     /// injector arms nothing: a zero-rate plan is indistinguishable from
@@ -484,5 +486,48 @@ mod tests {
         assert_eq!(hooked.dropped_frames, 0);
         assert!(hooked.fault_events.is_empty(), "{:?}", hooked.fault_events);
         assert_eq!(bare.budget, hooked.budget);
+    }
+
+    /// An engine whose injector drops frames, and its fault-event log.
+    fn dropping_engine() -> (StreamEngine, Arc<Mutex<Vec<FrameEvent>>>) {
+        let plan = FaultPlan::new(
+            9,
+            FaultPlanConfig {
+                drop_rate: 0.5,
+                ..FaultPlanConfig::default()
+            },
+        );
+        let spec = StreamSpec::builder(seq(120, 8), AppConfig::default(), trained_model())
+            .faults(Arc::new(plan))
+            .build();
+        let engine = StreamEngine::new(0, spec, 1);
+        let log = engine.collected.clone().unwrap_or_default();
+        (engine, log)
+    }
+
+    /// The fault-event subscriber keeps recording into a log another
+    /// holder poisoned, and `finish` reads it.
+    #[test]
+    fn fault_events_record_into_a_poisoned_log() -> Result<(), StreamFailure> {
+        let (engine, log) = dropping_engine();
+        poison(&log);
+        let result = engine.run()?;
+        assert!(result.dropped_frames > 0);
+        assert!(!result.fault_events.is_empty());
+        Ok(())
+    }
+
+    /// `finish` reads a log poisoned after the last frame.
+    #[test]
+    fn finish_reads_a_poisoned_log() -> Result<(), StreamFailure> {
+        let (mut engine, log) = dropping_engine();
+        for frame in SequenceGenerator::new(engine.seq.clone()) {
+            engine.step_on(StripePool::global(), frame.index, &frame.image)?;
+        }
+        poison(&log);
+        let clean = dropping_engine().0.run()?;
+        assert!(!clean.fault_events.is_empty());
+        assert_eq!(engine.finish().fault_events, clean.fault_events);
+        Ok(())
     }
 }

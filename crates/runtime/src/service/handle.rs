@@ -7,7 +7,7 @@
 
 use platform::bus::StreamId;
 use platform::metrics::{MetricsSnapshot, Observability};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use super::core::{ServiceReport, Shared, StreamCompletion};
@@ -92,7 +92,11 @@ impl ServiceHandle {
 
     /// Non-blocking poll for the next stream-completion notice.
     pub fn try_poll(&self) -> Option<StreamCompletion> {
-        self.completions.lock().unwrap().try_recv().ok()
+        let completions = self
+            .completions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        completions.try_recv().ok()
     }
 
     /// Point-in-time metrics scrape (None without attached
@@ -130,5 +134,37 @@ impl Drop for ServiceHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::service::{ServiceConfig, ServiceCore};
+    use crate::session::StreamSpec;
+    use crate::test_support::{poison, seq, trained_model};
+    use pipeline::app::AppConfig;
+    use std::time::{Duration, Instant};
+
+    /// `try_poll` serves completions from a lock a panicking holder
+    /// poisoned.
+    #[test]
+    fn try_poll_reads_a_poisoned_lock() {
+        let spec = StreamSpec::builder(seq(120, 3), AppConfig::default(), trained_model()).build();
+        let handle = ServiceCore::new(ServiceConfig::default()).spawn(vec![spec]);
+        poison(&handle.completions);
+        for frame in xray::SequenceGenerator::new(seq(120, 3)) {
+            handle.submit(0, frame.index, frame.image);
+        }
+        handle.close_all();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let done = loop {
+            if let Some(done) = handle.try_poll() {
+                break done;
+            }
+            assert!(Instant::now() < deadline, "no completion notice");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!((done.stream, done.frames), (0, 3));
+        assert_eq!(handle.finish().session.total_frames, 3);
     }
 }

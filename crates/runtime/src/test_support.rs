@@ -38,3 +38,15 @@ pub(crate) fn trained_model() -> TripleC {
     };
     TripleC::train(&profile.task_series(), &profile.scenarios, cfg)
 }
+
+/// Poisons `lock` from a thread that panics while holding it.
+pub(crate) fn poison<T: Send>(lock: &std::sync::Mutex<T>) {
+    std::thread::scope(|s| {
+        let holder = s.spawn(|| {
+            let _held = lock.lock();
+            panic!("poisoning a lock");
+        });
+        assert!(holder.join().is_err());
+    });
+    assert!(lock.is_poisoned());
+}

@@ -15,7 +15,10 @@
 # the change's median is worse than the parent's by more than the metric's
 # bound in BENCHMARK.json. A claimed gain additionally needs nine pairs in
 # ten won and a gap between the medians wider than the parent's own quartiles
-# are apart: read that off the table.
+# are apart: the `gap` and `iqr` columns give both distances in the metric's
+# unit (`gap` positive when the change is better), and `claim` reads `met`
+# when all of that holds over ten pairs or more (`n<10` with fewer). The
+# claim column never changes the exit code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,12 +85,16 @@ for n in range(1, int(pairs) + 1):
             print(f"{name}: " + "  ".join(f"{k} {m['value']:.4g}" for k, m in result["metrics"].items()), flush=True)
 
 
+def quartiles(v):
+    return statistics.quantiles(v, n=4)[::2] if len(v) > 1 else (v[0], v[0])
+
+
 def cell(v):
-    q1, q3 = statistics.quantiles(v, n=4)[::2] if len(v) > 1 else (v[0], v[0])
+    q1, q3 = quartiles(v)
     return f"{statistics.median(v):.4f} [{q1:.4f}, {q3:.4f}]"
 
 
-print(f"\n{'workload':<18} {'metric':<17} {'parent med [q1, q3]':>32} {'change med [q1, q3]':>32} {'worse by':>8} {'bound':>6} {'won':>6}")
+print(f"\n{'workload':<18} {'metric':<17} {'parent med [q1, q3]':>32} {'change med [q1, q3]':>32} {'worse by':>8} {'bound':>6} {'won':>6} {'gap':>9} {'iqr':>9} {'claim':>5}")
 worse = 0
 for w in workloads:
     for m in spec["end_to_end"]:
@@ -106,7 +113,16 @@ for w in workloads:
         if by > m["bound"]:
             flag, worse = "  <-- worse beyond bound", worse + 1
         score = f"{won}/{len(both) - ties}"
-        print(f"{w:<18} {m['name']:<17} {cell(a):>32} {cell(b):>32} {by:>+8.1%} {m['bound']:>6.0%} {score:>6}{flag}")
+        # the claim rule: at least ten pairs, nine in ten of them won (a tie
+        # is no win) and a gap between the medians wider than the parent's
+        # quartiles; fewer pairs read `n<10`
+        gap = (ma - mb) if lower else (mb - ma)
+        q1, q3 = quartiles(a)
+        if len(both) < 10:
+            met = "n<10"
+        else:
+            met = "met" if 10 * won >= 9 * len(both) and gap > q3 - q1 else "-"
+        print(f"{w:<18} {m['name']:<17} {cell(a):>32} {cell(b):>32} {by:>+8.1%} {m['bound']:>6.0%} {score:>6} {gap:>+9.4g} {q3 - q1:>9.4g} {met:>5}{flag}")
 if failed:
     print(f"\n{len(failed)} run(s) reported failures: {', '.join(failed)}")
 sys.exit(1 if failed or worse else 0)

@@ -44,3 +44,7 @@ row 'hand-set `const … : f64` in `crates/runtime/src/adaptation.rs`' \
 # asserted output)
 row 'task-name string literals in `crates/*/src` and `src`' \
   "$(grep -rhoE '"(RDG_FULL|RDG_ROI|MKX_EXT|CPLS_SEL|REG|ROI_EST|GW_EXT|ENH|ZOOM)"' crates/*/src src | wc -l)"
+# process-global mutable state: `static` cells behind a lock or a lazy
+# initialiser
+row 'global `static … Mutex` / `OnceLock` / `LazyLock` in `crates/*/src`' \
+  "$(grep -rhE '^\s*(pub(\([a-z]+\))? )?static [A-Z0-9_]+:.*\b(Mutex|OnceLock|LazyLock)\b' crates/*/src | wc -l)"
