@@ -165,14 +165,7 @@ impl ResidualWindow {
 
     /// Nearest-rank `q`-quantile of the held residuals; `0.0` when empty.
     fn quantile(&self, q: f64) -> f64 {
-        if self.buf.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.buf.clone();
-        sorted.sort_by(f64::total_cmp);
-        let rank =
-            ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        platform::metrics::percentile(&self.buf, q)
     }
 
     fn encode(&self, w: &mut crate::snapshot::Writer) {

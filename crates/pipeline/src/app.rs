@@ -600,10 +600,7 @@ mod tests {
             fine_probe_factor: 0.0,
             ..Default::default()
         };
-        let stripes = |n| ExecutionPolicy {
-            rdg_stripes: n,
-            aux_stripes: n,
-        };
+        let stripes = |n| ExecutionPolicy { stripes: n };
         let workers = StripePool::new(0);
         let slot = own_slot();
 

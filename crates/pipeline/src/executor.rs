@@ -28,19 +28,14 @@ use triplec::scenario::Scenario;
 /// How the frame's tasks are partitioned onto the worker pool this frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionPolicy {
-    /// Stripe count of the RDG task and of MKX EXT's blob sweep (1 =
-    /// serial).
-    pub rdg_stripes: usize,
-    /// Stripe count of GW EXT's response sweep.
-    pub aux_stripes: usize,
+    /// Row-band count of the striped sweeps: RDG, MKX EXT's blob sweep
+    /// and GW EXT's response sweep (1 = serial).
+    pub stripes: usize,
 }
 
 impl Default for ExecutionPolicy {
     fn default() -> Self {
-        Self {
-            rdg_stripes: 1,
-            aux_stripes: 1,
-        }
+        Self { stripes: 1 }
     }
 }
 
@@ -77,9 +72,9 @@ pub struct FrameFaults {
     /// pool-channel error (consumed before any panic injection fires).
     pub rdg_channel_errors: u32,
     /// Inflate the frame by sleeping this many milliseconds at the end of
-    /// the graph: the frame's wall-time latency grows, so latency budgets
-    /// and overrun policies observe it, and no task time does, so the
-    /// model does not train on it.
+    /// the graph: the frame's wall-time latency grows, so the latency
+    /// budget observes it, and no task time does, so the model does not
+    /// train on it.
     pub stage_delay_ms: f64,
 }
 
@@ -485,7 +480,7 @@ fn process_frame_inner(
     let roi_kpixels = work_roi.area() as f64 / 1000.0;
 
     // --- RDG ------------------------------------------------------------
-    // Dispatched to the persistent worker pool as `rdg_stripes` row bands
+    // Dispatched to the persistent worker pool as `stripes` row bands
     // (one band runs inline on this thread). Armed pool faults fire on the
     // early attempts (channel errors first, then the panic batch) and the
     // dispatch recovers by the frame's retry policy.
@@ -501,7 +496,7 @@ fn process_frame_inner(
         let out = dispatch_recovering(
             task,
             frame_index,
-            policy.rdg_stripes.max(1),
+            policy.stripes.max(1),
             retry,
             &mut pending_pool_kinds,
             observer,
@@ -532,14 +527,14 @@ fn process_frame_inner(
     };
 
     // --- MKX EXT ---------------------------------------------------------
-    // The blob sweep runs as RDG's `rdg_stripes` row bands; the maxima scan
+    // The blob sweep runs in as many row bands as RDG; the maxima scan
     // and the pruning follow on this thread.
     let mkx_input = rdg_out.as_ref().map(|o| &o.filtered).unwrap_or(frame);
     let dispatched = Instant::now();
     let mkx = dispatch_recovering(
         Task::MkxExt,
         frame_index,
-        policy.rdg_stripes.max(1),
+        policy.stripes.max(1),
         retry,
         &mut Vec::new(),
         observer,
@@ -625,7 +620,7 @@ fn process_frame_inner(
             dispatch_recovering(
                 Task::GwExt,
                 frame_index,
-                policy.aux_stripes.max(1),
+                policy.stripes.max(1),
                 retry,
                 &mut Vec::new(),
                 observer,
@@ -708,7 +703,7 @@ fn process_frame_inner(
     // --- injected stage delay ---------------------------------------------
     // Slept at the end of the graph, outside every task: pixel outputs
     // and task times are untouched, but the frame's wall-time latency
-    // inflates so budget overrun and downshift policies react to it.
+    // inflates, and the manager books a budget overrun against it.
     if faults.stage_delay_ms > 0.0 {
         std::thread::sleep(std::time::Duration::from_secs_f64(
             faults.stage_delay_ms / 1000.0,
@@ -917,10 +912,7 @@ mod tests {
     }
 
     fn striped_policy() -> ExecutionPolicy {
-        ExecutionPolicy {
-            rdg_stripes: 4,
-            aux_stripes: 2,
-        }
+        ExecutionPolicy { stripes: 4 }
     }
 
     /// Runs a clean sequence under `policy` with a capture bus attached,
@@ -1000,11 +992,8 @@ mod tests {
     #[test]
     fn striped_dispatch_without_recovery_context_matches_serial_and_unarmed() {
         let serial = run(8, 52, ExecutionPolicy::default());
-        for rdg_stripes in [2, 4] {
-            let policy = ExecutionPolicy {
-                rdg_stripes,
-                aux_stripes: 1,
-            };
+        for stripes in [2, 4] {
+            let policy = ExecutionPolicy { stripes };
             let (bare, bare_events) = run_observed(8, 52, policy, None);
             let unarmed = Some((FrameFaults::default(), StageRetry::default()));
             let (unarmed, unarmed_events) = run_observed(8, 52, policy, unarmed);
@@ -1012,8 +1001,8 @@ mod tests {
             assert_bit_identical(&bare, &unarmed);
             let stages = stage_sequence(&bare_events);
             assert!(
-                stages.iter().any(|&(_, _, jobs)| jobs == rdg_stripes),
-                "no {rdg_stripes}-stripe RDG stage ever dispatched"
+                stages.iter().any(|&(_, _, jobs)| jobs == stripes),
+                "no {stripes}-stripe RDG stage ever dispatched"
             );
             assert_eq!(stages, stage_sequence(&unarmed_events));
         }
@@ -1022,10 +1011,7 @@ mod tests {
     #[test]
     fn striped_rdg_task_time_is_the_whole_call_not_the_bands_alone() {
         let cfg = AppConfig::default();
-        let policy = ExecutionPolicy {
-            rdg_stripes: 4,
-            aux_stripes: 1,
-        };
+        let policy = ExecutionPolicy { stripes: 4 };
         let mut state = AppState::new(160, 160);
         let (mut bus, log) = capture_bus();
         let pool = StripePool::global();
@@ -1205,9 +1191,11 @@ mod tests {
     /// A panic in the first of `task`'s two bands, on every frame, under
     /// each retry policy: a retry delivers the nominal pixels, exhausted
     /// retries fall back to one band with the same pixels, and without a
-    /// recovery context the frame fails and the thread does not. Returns
+    /// recovery context the frame fails and the thread does not. Every
+    /// striped task runs in two bands; only `task`'s are faulted. Returns
     /// the frames whose `task` ran in two bands.
-    fn check_band_panic_recovery(task: Task, policy: ExecutionPolicy) -> Vec<usize> {
+    fn check_band_panic_recovery(task: Task) -> Vec<usize> {
+        let policy = ExecutionPolicy { stripes: 2 };
         let (nominal, error, events) = run_band_faulted(policy, None, None);
         assert!(error.is_none() && events.iter().all(|e| e.replay_key().is_none()));
         let band_panic = Some((
@@ -1284,22 +1272,14 @@ mod tests {
 
     #[test]
     fn gw_sweep_band_panic_goes_through_the_retry_policy() {
-        let policy = ExecutionPolicy {
-            rdg_stripes: 1,
-            aux_stripes: 2,
-        };
-        let swept = check_band_panic_recovery(Task::GwExt, policy);
+        let swept = check_band_panic_recovery(Task::GwExt);
         assert!(swept.len() >= 4, "GW EXT swept two bands on {swept:?} only");
     }
 
     #[test]
     fn mkx_sweep_band_panic_goes_through_the_retry_policy() {
-        let policy = ExecutionPolicy {
-            rdg_stripes: 2,
-            aux_stripes: 1,
-        };
         // every frame runs MKX EXT, full frame or ROI, in two bands
-        let swept = check_band_panic_recovery(Task::MkxExt, policy);
+        let swept = check_band_panic_recovery(Task::MkxExt);
         assert_eq!(swept, (0..10).collect::<Vec<_>>());
     }
 

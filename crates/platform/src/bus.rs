@@ -22,8 +22,8 @@ pub type StreamId = u32;
 pub const DEFAULT_STREAM: StreamId = 0;
 
 /// Classes of faults the deterministic fault-injection layer can arm
-/// (`runtime::faults`), plus [`FaultKind::Overrun`] for genuine,
-/// non-injected causes that trigger the same recovery machinery.
+/// (`runtime::faults`), plus [`FaultKind::PredictionDrift`], the one
+/// genuine, non-injected cause that triggers the same recovery machinery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// A stripe-pool worker job panicked.
@@ -36,9 +36,6 @@ pub enum FaultKind {
     SnapshotCorruption,
     /// A transient stripe-pool channel error.
     ChannelError,
-    /// Not injected: repeated real budget overruns (the stripe-downshift
-    /// trigger).
-    Overrun,
     /// Not injected: scenario-prediction accuracy collapsed against the
     /// observed scenario stream (the model-quarantine/re-train trigger
     /// under scenario storms).
@@ -54,7 +51,6 @@ impl FaultKind {
             FaultKind::FrameDrop => "frame-drop",
             FaultKind::SnapshotCorruption => "snapshot-corruption",
             FaultKind::ChannelError => "channel-error",
-            FaultKind::Overrun => "overrun",
             FaultKind::PredictionDrift => "prediction-drift",
         }
     }
@@ -68,8 +64,6 @@ pub enum DegradeMode {
     /// The frame's display output was suppressed (internal state still
     /// advanced, so subsequent frames are unaffected).
     OutputDropped,
-    /// The stripe count was capped below the planner's choice.
-    StripeDownshift,
     /// The prediction model was quarantined (restored to last good
     /// state, online re-training enabled).
     ModelQuarantine,
@@ -81,25 +75,19 @@ impl DegradeMode {
         match self {
             DegradeMode::SerialFallback => "serial-fallback",
             DegradeMode::OutputDropped => "output-dropped",
-            DegradeMode::StripeDownshift => "stripe-downshift",
             DegradeMode::ModelQuarantine => "model-quarantine",
         }
     }
 }
 
-/// Why the resource manager (or a recovery policy) changed the
-/// partitioning between consecutive frames.
+/// Why the resource manager changed the partitioning between consecutive
+/// frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RepartitionReason {
     /// The predicted cost rose against the budget: more stripes.
     BudgetPressure,
     /// The predicted cost relaxed against the budget: fewer stripes.
     BudgetRelief,
-    /// A recovery policy capped the stripe count below the planner's
-    /// choice (repeated budget overruns).
-    Downshift,
-    /// A recovery cap lifted and the planner's choice applies again.
-    Lift,
 }
 
 impl RepartitionReason {
@@ -108,8 +96,6 @@ impl RepartitionReason {
         match self {
             RepartitionReason::BudgetPressure => "budget-pressure",
             RepartitionReason::BudgetRelief => "budget-relief",
-            RepartitionReason::Downshift => "downshift",
-            RepartitionReason::Lift => "lift",
         }
     }
 }
@@ -128,10 +114,8 @@ pub enum FrameEvent {
         scenario: u8,
         /// Predicted serial computation time, ms.
         predicted_total_ms: f64,
-        /// Chosen RDG stripe count.
-        rdg_stripes: usize,
-        /// Chosen auxiliary-task stripe count.
-        aux_stripes: usize,
+        /// Chosen stripe count (RDG, MKX EXT's and GW EXT's sweeps).
+        stripes: usize,
         /// Whether the latency budget was achievable.
         feasible: bool,
     },
@@ -151,18 +135,16 @@ pub enum FrameEvent {
     },
     /// The chosen partitioning changed between consecutive frames: a
     /// runtime repartition fired (`runtime::manager` on budget pressure
-    /// or relief, `runtime::session` on recovery downshift/lift).
+    /// or relief).
     RepartitionDecided {
         /// Emitting stream.
         stream: StreamId,
         /// Frame index within the stream.
         frame: usize,
-        /// RDG stripe count before the repartition.
-        from_rdg_stripes: usize,
-        /// RDG stripe count after the repartition.
-        to_rdg_stripes: usize,
-        /// Auxiliary-task stripe count after the repartition.
-        aux_stripes: usize,
+        /// Stripe count before the repartition.
+        from_stripes: usize,
+        /// Stripe count after the repartition.
+        to_stripes: usize,
         /// Why the partitioning changed.
         reason: RepartitionReason,
     },
@@ -538,8 +520,7 @@ mod tests {
             frame,
             scenario: 5,
             predicted_total_ms: 40.0,
-            rdg_stripes: 2,
-            aux_stripes: 1,
+            stripes: 2,
             feasible: true,
         }
     }
@@ -593,9 +574,8 @@ mod tests {
             FrameEvent::RepartitionDecided {
                 stream: 1,
                 frame: 2,
-                from_rdg_stripes: 1,
-                to_rdg_stripes: 4,
-                aux_stripes: 2,
+                from_stripes: 1,
+                to_stripes: 4,
                 reason: RepartitionReason::BudgetPressure,
             },
             FrameEvent::StageExecuted {

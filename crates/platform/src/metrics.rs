@@ -92,13 +92,14 @@ fn nearest_rank(p: f64, count: u64) -> u64 {
 /// Exact (sorts a copy of the data) — the small-series complement of
 /// [`Histogram`], which answers the same question from
 /// fixed buckets without retaining samples. Used for per-stream p99s in
-/// session reports and benchmark tables.
+/// session reports and benchmark tables, and for the predictors' residual
+/// quantiles. Sorted by [`f64::total_cmp`].
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
     let rank = nearest_rank(p, sorted.len() as u64) as usize;
     sorted[rank - 1]
 }
@@ -576,7 +577,7 @@ impl MetricsSubscriber {
         match *event {
             FrameEvent::PlanIssued {
                 predicted_total_ms,
-                rdg_stripes,
+                stripes,
                 feasible,
                 ..
             } => {
@@ -586,8 +587,7 @@ impl MetricsSubscriber {
                 }
                 self.histogram("predicted_total_ms", per_stream)
                     .record(predicted_total_ms);
-                self.gauge("rdg_stripes", per_stream)
-                    .set(rdg_stripes as f64);
+                self.gauge("stripes", per_stream).set(stripes as f64);
             }
             FrameEvent::PredictionIssued { cost_us, .. } => {
                 self.counter("predictions_issued", per_stream).inc();

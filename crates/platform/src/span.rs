@@ -220,8 +220,7 @@ impl Subscriber for TraceSubscriber {
             FrameEvent::PlanIssued {
                 scenario,
                 predicted_total_ms,
-                rdg_stripes,
-                aux_stripes,
+                stripes,
                 feasible,
                 ..
             } => self.spans.instant(
@@ -232,8 +231,7 @@ impl Subscriber for TraceSubscriber {
                     ("frame", frame),
                     ("scenario", scenario as f64),
                     ("predicted_total_ms", predicted_total_ms),
-                    ("rdg_stripes", rdg_stripes as f64),
-                    ("aux_stripes", aux_stripes as f64),
+                    ("stripes", stripes as f64),
                     ("feasible", if feasible { 1.0 } else { 0.0 }),
                 ],
             ),
@@ -247,9 +245,8 @@ impl Subscriber for TraceSubscriber {
                 vec![("frame", frame), ("scenario", scenario as f64)],
             ),
             FrameEvent::RepartitionDecided {
-                from_rdg_stripes,
-                to_rdg_stripes,
-                aux_stripes,
+                from_stripes,
+                to_stripes,
                 reason,
                 ..
             } => self.spans.instant(
@@ -258,9 +255,8 @@ impl Subscriber for TraceSubscriber {
                 stream,
                 vec![
                     ("frame", frame),
-                    ("from_rdg_stripes", from_rdg_stripes as f64),
-                    ("to_rdg_stripes", to_rdg_stripes as f64),
-                    ("aux_stripes", aux_stripes as f64),
+                    ("from_stripes", from_stripes as f64),
+                    ("to_stripes", to_stripes as f64),
                 ],
             ),
             FrameEvent::StageExecuted {

@@ -99,23 +99,11 @@ pub fn choose_policy(
     let target = budget.planning_target();
     for stripes in 1..=cores {
         if predicted_latency(cost, stripes) <= target {
-            return (
-                ExecutionPolicy {
-                    rdg_stripes: stripes,
-                    aux_stripes: stripes,
-                },
-                true,
-            );
+            return (ExecutionPolicy { stripes }, true);
         }
     }
     // infeasible: run maximally parallel anyway
-    (
-        ExecutionPolicy {
-            rdg_stripes: cores,
-            aux_stripes: cores,
-        },
-        false,
-    )
+    (ExecutionPolicy { stripes: cores }, false)
 }
 
 /// Picks the stripe count in `1..=cores` with the least predicted latency,
@@ -127,10 +115,7 @@ pub(crate) fn fastest_policy(cost: &CostPrediction, cores: usize) -> ExecutionPo
             best = stripes;
         }
     }
-    ExecutionPolicy {
-        rdg_stripes: best,
-        aux_stripes: best,
-    }
+    ExecutionPolicy { stripes: best }
 }
 
 #[cfg(test)]
@@ -143,17 +128,16 @@ mod tests {
             stripable_ms: 30.0,
             serial_ms: 2.0,
         };
-        assert_eq!(fastest_policy(&heavy, 1).rdg_stripes, 1);
+        assert_eq!(fastest_policy(&heavy, 1).stripes, 1);
         for cores in 2..=8 {
-            let p = fastest_policy(&heavy, cores);
-            assert_eq!((p.rdg_stripes, p.aux_stripes), (cores, cores));
+            assert_eq!(fastest_policy(&heavy, cores).stripes, cores);
         }
         // nothing to stripe: every extra stripe only adds dispatch
         let serial = CostPrediction {
             stripable_ms: 0.0,
             serial_ms: 2.0,
         };
-        assert_eq!(fastest_policy(&serial, 8).rdg_stripes, 1);
+        assert_eq!(fastest_policy(&serial, 8).stripes, 1);
         // a tie goes to fewer stripes: 2 and 3 predict the same latency
         // when the third stripe saves exactly one more dispatch charge
         let ms = DISPATCH_OVERHEAD_MS * 6.0 * STRIPE_EFFICIENCY;
@@ -163,7 +147,7 @@ mod tests {
         };
         let (l2, l3) = (predicted_latency(&tie, 2), predicted_latency(&tie, 3));
         assert!((l2 - l3).abs() < 1e-12, "{l2} vs {l3}");
-        assert_eq!(fastest_policy(&tie, 3).rdg_stripes, 2);
+        assert_eq!(fastest_policy(&tie, 3).stripes, 2);
     }
 
     #[test]
@@ -175,7 +159,7 @@ mod tests {
         let budget = LatencyBudget::new(40.0, 0.1);
         let (p, ok) = choose_policy(&cost, &budget, 8);
         assert!(ok);
-        assert_eq!(p.rdg_stripes, 1);
+        assert_eq!(p.stripes, 1);
     }
 
     #[test]
@@ -187,9 +171,9 @@ mod tests {
         let budget = LatencyBudget::new(45.0, 0.1);
         let (p, ok) = choose_policy(&cost, &budget, 8);
         assert!(ok);
-        assert!(p.rdg_stripes >= 2, "stripes {}", p.rdg_stripes);
+        assert!(p.stripes >= 2, "stripes {}", p.stripes);
         // the chosen policy indeed meets the target
-        assert!(predicted_latency(&cost, p.rdg_stripes) <= budget.planning_target());
+        assert!(predicted_latency(&cost, p.stripes) <= budget.planning_target());
     }
 
     #[test]
@@ -202,8 +186,8 @@ mod tests {
         let (p, ok) = choose_policy(&cost, &budget, 8);
         assert!(ok);
         // stripes-1 must NOT meet the target (minimality)
-        if p.rdg_stripes > 1 {
-            assert!(predicted_latency(&cost, p.rdg_stripes - 1) > budget.planning_target());
+        if p.stripes > 1 {
+            assert!(predicted_latency(&cost, p.stripes - 1) > budget.planning_target());
         }
     }
 
@@ -216,7 +200,7 @@ mod tests {
         let budget = LatencyBudget::new(50.0, 0.1);
         let (p, ok) = choose_policy(&cost, &budget, 4);
         assert!(!ok);
-        assert_eq!(p.rdg_stripes, 4);
+        assert_eq!(p.stripes, 4);
     }
 
     #[test]

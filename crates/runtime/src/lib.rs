@@ -21,8 +21,8 @@
 //!   front-end);
 //! * [`faults`] — deterministic, seeded fault injection (order
 //!   independent: a seed reproduces a faulted run event-for-event);
-//! * [`recovery`] — graceful-degradation policies (stage retry, stripe
-//!   downshift, model quarantine, drift quarantine);
+//! * [`recovery`] — graceful-degradation policies (model quarantine,
+//!   drift quarantine) beside the executor's stage retry;
 //! * [`workload`] — the trace-driven workload harness: replayable
 //!   scenario storms, mixed-resolution stream fleets, and the diffable
 //!   run ledgers behind the golden-trace regression tests.
@@ -42,7 +42,7 @@ pub use budget::LatencyBudget;
 pub use faults::{fault_hash, FaultInjector, FaultPlan, FaultPlanConfig};
 pub use manager::{CalibrationSnapshot, ManagerConfig, Plan, ResourceManager};
 pub use qos::{run_with_qos, QosController, QosLevel};
-pub use recovery::{RecoveryAction, RecoveryPolicy, RecoveryState};
+pub use recovery::RecoveryPolicy;
 pub use service::{
     predict_demand, AdmissionPolicy, BackpressurePolicy, EvictionPolicy, ServiceConfig,
     ServiceCore, ServiceHandle, ServiceReport, ShardLayout, ShardTopology, StreamDemand,

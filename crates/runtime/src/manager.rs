@@ -155,7 +155,7 @@ pub struct ResourceManager {
     stream: StreamId,
     frame_index: usize,
     infeasible_frames: usize,
-    prev_rdg_stripes: Option<usize>,
+    prev_stripes: Option<usize>,
     calibration: CalibrationTracker,
 }
 
@@ -181,7 +181,7 @@ impl ResourceManager {
             stream,
             frame_index: 0,
             infeasible_frames: 0,
-            prev_rdg_stripes: None,
+            prev_stripes: None,
             calibration: CalibrationTracker::default(),
         }
     }
@@ -278,21 +278,19 @@ impl ResourceManager {
             frame: self.frame_index,
             scenario: plan.scenario.id(),
             predicted_total_ms: plan.predicted_total_ms,
-            rdg_stripes: plan.policy.rdg_stripes,
-            aux_stripes: plan.policy.aux_stripes,
+            stripes: plan.policy.stripes,
             feasible: plan.feasible,
         });
         // a change against the previous frame's choice is a runtime
         // repartition (the Section 6 adaptation actually firing)
-        if let Some(prev) = self.prev_rdg_stripes {
-            if prev != plan.policy.rdg_stripes {
+        if let Some(prev) = self.prev_stripes {
+            if prev != plan.policy.stripes {
                 self.bus.emit(FrameEvent::RepartitionDecided {
                     stream: self.stream,
                     frame: self.frame_index,
-                    from_rdg_stripes: prev,
-                    to_rdg_stripes: plan.policy.rdg_stripes,
-                    aux_stripes: plan.policy.aux_stripes,
-                    reason: if plan.policy.rdg_stripes > prev {
+                    from_stripes: prev,
+                    to_stripes: plan.policy.stripes,
+                    reason: if plan.policy.stripes > prev {
                         RepartitionReason::BudgetPressure
                     } else {
                         RepartitionReason::BudgetRelief
@@ -300,7 +298,7 @@ impl ResourceManager {
                 });
             }
         }
-        self.prev_rdg_stripes = Some(plan.policy.rdg_stripes);
+        self.prev_stripes = Some(plan.policy.stripes);
         plan
     }
 
@@ -449,7 +447,7 @@ mod tests {
             serial_ms: 3.5,
         };
         assert!((1..4).all(|k| predicted_latency(&cost, k + 1) < predicted_latency(&cost, k)));
-        assert_eq!((plan.policy.rdg_stripes, plan.policy.aux_stripes), (4, 4));
+        assert_eq!(plan.policy.stripes, 4);
         assert!(plan.feasible);
         assert!((plan.predicted_total_ms - 46.0).abs() < 1e-9);
         assert!(m.budget().is_none());
@@ -504,11 +502,7 @@ mod tests {
         let plan = m.plan(1000.0);
         assert_eq!(plan.scenario.id(), 5);
         // predicted: RDG 40 + MKX 2.5 + serial 40 = 82.5 > 51 target -> striping
-        assert!(
-            plan.policy.rdg_stripes >= 2,
-            "stripes {}",
-            plan.policy.rdg_stripes
-        );
+        assert!(plan.policy.stripes >= 2, "stripes {}", plan.policy.stripes);
     }
 
     #[test]
@@ -559,7 +553,7 @@ mod tests {
         let plan = m.plan(1000.0);
         assert!(!plan.feasible);
         assert_eq!(m.infeasible_frames(), 1);
-        assert_eq!(plan.policy.rdg_stripes, 2, "maxed out");
+        assert_eq!(plan.policy.stripes, 2, "maxed out");
     }
 
     #[test]
@@ -592,10 +586,10 @@ mod tests {
         let mean_plan = mk(0.5);
         let cons_plan = mk(0.9);
         assert!(
-            cons_plan.policy.rdg_stripes >= mean_plan.policy.rdg_stripes,
+            cons_plan.policy.stripes >= mean_plan.policy.stripes,
             "conservative {} < mean {}",
-            cons_plan.policy.rdg_stripes,
-            mean_plan.policy.rdg_stripes
+            cons_plan.policy.stripes,
+            mean_plan.policy.stripes
         );
         // the recorded point prediction must be identical either way
         assert!((cons_plan.predicted_total_ms - mean_plan.predicted_total_ms).abs() < 1e-9);

@@ -1,37 +1,24 @@
 //! Graceful-degradation policies for faulted streams.
 //!
 //! Complements the executor-level stage retry (`pipeline::executor::
-//! StageRetry`) with session-level policies:
+//! StageRetry`) with two session-level policies. Neither touches the
+//! plan: a frame always runs at the stripe count its plan chose.
 //!
-//! * **stripe downshift** — after three (`OVERRUN_DOWNSHIFT`) consecutive
-//!   budget overruns the stream caps its stripe counts (halving, floored
-//!   at `MIN_STRIPES`, one) and emits [`DegradeMode::StripeDownshift`];
-//!   after as many consecutive clean frames the cap lifts again with a
-//!   `Recovered` event. A stream already at one stripe neither downshifts
-//!   nor lifts;
 //! * **model quarantine** — a corrupted model-snapshot checkpoint is
 //!   rejected (restore returns `Err`, never panics), online training is
 //!   suspended for two (`QUARANTINE_FRAMES`) frames
-//!   ([`DegradeMode::ModelQuarantine`]), then re-enabled with a
-//!   `Recovered` event (re-train);
+//!   (`DegradeMode::ModelQuarantine`), then re-enabled with a `Recovered`
+//!   event (re-train);
 //! * **prediction-drift quarantine** — when the rolling hit-rate of
 //!   scenario predictions over [`RecoveryPolicy::drift_window`] frames
 //!   falls below [`RecoveryPolicy::drift_threshold`] (scenario storms
 //!   thrash transitions the training chain has never seen), the model is
-//!   quarantined ([`DegradeMode::ModelQuarantine`] with cause
+//!   quarantined (`DegradeMode::ModelQuarantine` with cause
 //!   `PredictionDrift`), its scenario chain is re-estimated from the
 //!   recent actual-scenario window, and a `Recovered` event fires when
 //!   the quarantine lifts. Off by default (`drift_threshold: None`).
 
-use pipeline::executor::{ExecutionPolicy, StageRetry};
-use platform::bus::DegradeMode;
-
-/// Consecutive budget overruns that trigger a stripe downshift, and
-/// consecutive clean frames that lift it again.
-const OVERRUN_DOWNSHIFT: u32 = 3;
-
-/// Stripe floor the downshift never goes below.
-const MIN_STRIPES: usize = 1;
+use pipeline::executor::StageRetry;
 
 /// Frames a quarantined model stays out of online training.
 const QUARANTINE_FRAMES: u32 = 2;
@@ -59,82 +46,19 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// What the per-frame bookkeeping decided (so the session can emit the
-/// matching bus events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// Nothing changed.
-    None,
-    /// The stripe cap tightened to the contained value.
-    Downshift(usize),
-    /// A previously applied degradation lifted.
-    Lift(DegradeMode),
-}
-
-/// Mutable per-stream recovery state.
+/// Mutable per-stream recovery state: the quarantine countdown and the
+/// drift window.
 #[derive(Debug, Clone, Default)]
-pub struct RecoveryState {
-    consecutive_overruns: u32,
-    clean_since_downshift: u32,
-    stripe_cap: Option<usize>,
+pub(crate) struct RecoveryState {
     quarantine_left: u32,
     online_before_quarantine: bool,
     drift_hits: std::collections::VecDeque<bool>,
 }
 
 impl RecoveryState {
-    /// Fresh state: no cap, no quarantine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the model is currently quarantined.
-    pub fn quarantined(&self) -> bool {
-        self.quarantine_left > 0
-    }
-
-    /// Clamps a planned policy to the current stripe cap.
-    pub fn apply_cap(&self, policy: &mut ExecutionPolicy) {
-        if let Some(cap) = self.stripe_cap {
-            policy.rdg_stripes = policy.rdg_stripes.min(cap).max(1);
-            policy.aux_stripes = policy.aux_stripes.min(cap).max(1);
-        }
-    }
-
-    /// Books one executed frame: `overrun` is whether it exceeded the
-    /// latency budget, `planned_stripes` the stripe count it ran with.
-    /// Returns the downshift/lift decision for the session to act on; a
-    /// cap exists only after a `Downshift`, so every `Lift` follows one.
-    pub fn note_frame(&mut self, overrun: bool, planned_stripes: usize) -> RecoveryAction {
-        if overrun {
-            self.consecutive_overruns += 1;
-            self.clean_since_downshift = 0;
-            if self.consecutive_overruns >= OVERRUN_DOWNSHIFT {
-                self.consecutive_overruns = 0;
-                let current = self.stripe_cap.unwrap_or(planned_stripes.max(1));
-                let next = (current / 2).max(MIN_STRIPES);
-                if next < current {
-                    self.stripe_cap = Some(next);
-                    return RecoveryAction::Downshift(next);
-                }
-            }
-        } else {
-            self.consecutive_overruns = 0;
-            if self.stripe_cap.is_some() {
-                self.clean_since_downshift += 1;
-                if self.clean_since_downshift >= OVERRUN_DOWNSHIFT {
-                    self.stripe_cap = None;
-                    self.clean_since_downshift = 0;
-                    return RecoveryAction::Lift(DegradeMode::StripeDownshift);
-                }
-            }
-        }
-        RecoveryAction::None
-    }
-
     /// Enters model quarantine (online training already suspended by the
     /// caller); remembers whether it must be re-enabled on release.
-    pub fn enter_quarantine(&mut self, online_before: bool) {
+    pub(crate) fn enter_quarantine(&mut self, online_before: bool) {
         self.quarantine_left = QUARANTINE_FRAMES;
         self.online_before_quarantine = online_before || self.online_before_quarantine;
     }
@@ -142,7 +66,7 @@ impl RecoveryState {
     /// Counts one frame spent in quarantine; returns `true` exactly when
     /// the quarantine lifts (the caller re-enables online training if
     /// [`Self::resume_online`] says so).
-    pub fn tick_quarantine(&mut self) -> bool {
+    pub(crate) fn tick_quarantine(&mut self) -> bool {
         if self.quarantine_left == 0 {
             return false;
         }
@@ -151,7 +75,7 @@ impl RecoveryState {
     }
 
     /// Whether online training was active before quarantine began.
-    pub fn resume_online(&self) -> bool {
+    pub(crate) fn resume_online(&self) -> bool {
         self.online_before_quarantine
     }
 
@@ -163,7 +87,12 @@ impl RecoveryState {
     /// quarantined — the signal for the caller to quarantine and
     /// re-estimate the scenario chain. The window resets on trigger so
     /// one storm produces one quarantine, not one per frame.
-    pub fn note_scenario(&mut self, predicted: u8, actual: u8, policy: &RecoveryPolicy) -> bool {
+    pub(crate) fn note_scenario(
+        &mut self,
+        predicted: u8,
+        actual: u8,
+        policy: &RecoveryPolicy,
+    ) -> bool {
         let Some(threshold) = policy.drift_threshold else {
             return false;
         };
@@ -189,78 +118,6 @@ impl RecoveryState {
 mod tests {
     use super::*;
 
-    /// Books `n` frames of one kind, asserting each returns no action.
-    fn quiet(st: &mut RecoveryState, n: u32, overrun: bool, stripes: usize) {
-        for _ in 0..n {
-            assert_eq!(st.note_frame(overrun, stripes), RecoveryAction::None);
-        }
-    }
-
-    #[test]
-    fn downshift_after_consecutive_overruns_then_lift() {
-        let mut st = RecoveryState::new();
-        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 8);
-        assert_eq!(st.note_frame(true, 8), RecoveryAction::Downshift(4));
-        assert_eq!(st.stripe_cap, Some(4));
-        // further overruns halve again
-        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 4);
-        assert_eq!(st.note_frame(true, 4), RecoveryAction::Downshift(2));
-        // as many clean frames lift the cap
-        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, false, 2);
-        assert_eq!(
-            st.note_frame(false, 2),
-            RecoveryAction::Lift(DegradeMode::StripeDownshift)
-        );
-        assert_eq!(st.stripe_cap, None);
-    }
-
-    #[test]
-    fn downshift_floors_at_one_stripe() {
-        let mut st = RecoveryState::new();
-        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 4);
-        assert_eq!(st.note_frame(true, 4), RecoveryAction::Downshift(2));
-        quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 2);
-        assert_eq!(st.note_frame(true, 2), RecoveryAction::Downshift(1));
-        // already at the floor: no further downshift event
-        quiet(&mut st, 2 * OVERRUN_DOWNSHIFT, true, 1);
-        assert_eq!(st.stripe_cap, Some(1));
-    }
-
-    #[test]
-    fn a_stream_at_one_stripe_never_downshifts_or_lifts() {
-        // nothing to halve at one stripe, so no cap is set and the clean
-        // frames after the overruns have nothing to lift
-        let mut st = RecoveryState::new();
-        quiet(&mut st, OVERRUN_DOWNSHIFT, true, 1);
-        quiet(&mut st, 2 * OVERRUN_DOWNSHIFT, false, 1);
-        assert_eq!(st.stripe_cap, None);
-    }
-
-    #[test]
-    fn cap_clamps_policy() {
-        let mut st = RecoveryState::new();
-        for _ in 0..OVERRUN_DOWNSHIFT {
-            st.note_frame(true, 8);
-        }
-        let mut exec = ExecutionPolicy {
-            rdg_stripes: 8,
-            aux_stripes: 6,
-        };
-        st.apply_cap(&mut exec);
-        assert_eq!(exec.rdg_stripes, 4);
-        assert_eq!(exec.aux_stripes, 4);
-    }
-
-    #[test]
-    fn interleaved_overruns_do_not_downshift() {
-        let mut st = RecoveryState::new();
-        for _ in 0..6 {
-            quiet(&mut st, OVERRUN_DOWNSHIFT - 1, true, 8);
-            quiet(&mut st, 1, false, 8);
-        }
-        assert_eq!(st.stripe_cap, None);
-    }
-
     #[test]
     fn drift_detection_fires_once_per_storm() {
         let policy = RecoveryPolicy {
@@ -268,7 +125,7 @@ mod tests {
             drift_threshold: Some(0.5),
             ..Default::default()
         };
-        let mut st = RecoveryState::new();
+        let mut st = RecoveryState::default();
         // all hits: no trigger
         for _ in 0..6 {
             assert!(!st.note_scenario(7, 7, &policy));
@@ -289,7 +146,7 @@ mod tests {
     #[test]
     fn drift_detection_off_by_default() {
         let policy = RecoveryPolicy::default();
-        let mut st = RecoveryState::new();
+        let mut st = RecoveryState::default();
         for _ in 0..32 {
             assert!(!st.note_scenario(1, 2, &policy));
         }
@@ -303,7 +160,7 @@ mod tests {
             drift_threshold: Some(0.9),
             ..Default::default()
         };
-        let mut st = RecoveryState::new();
+        let mut st = RecoveryState::default();
         st.enter_quarantine(true);
         for _ in 0..6 {
             assert!(!st.note_scenario(0, 5, &policy));
@@ -312,13 +169,13 @@ mod tests {
 
     #[test]
     fn quarantine_counts_down_and_releases_once() {
-        let mut st = RecoveryState::new();
-        assert!(!st.quarantined());
+        let mut st = RecoveryState::default();
+        assert_eq!(st.quarantine_left, 0);
         st.enter_quarantine(true);
-        assert!(st.quarantined());
+        assert!(st.quarantine_left > 0);
         assert!(!st.tick_quarantine());
         assert!(st.tick_quarantine(), "second tick releases");
-        assert!(!st.quarantined());
+        assert_eq!(st.quarantine_left, 0);
         assert!(st.resume_online());
         assert!(!st.tick_quarantine(), "no double release");
     }

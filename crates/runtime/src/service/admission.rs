@@ -138,11 +138,7 @@ pub fn predict_demand(
             policy,
         },
         Some(budget) => {
-            let (partitioning, _feasible) = choose_policy(&cost, &budget, max_cores);
-            let cores = partitioning
-                .rdg_stripes
-                .max(partitioning.aux_stripes)
-                .max(1);
+            let cores = choose_policy(&cost, &budget, max_cores).0.stripes;
             StreamDemand {
                 cores,
                 predicted_ms: predicted_latency(&cost, cores),

@@ -15,15 +15,15 @@
 //! configuration, never on where or when the engine was scheduled.
 
 use crate::faults::{fault_hash, FaultInjector};
-use crate::manager::{ManagerConfig, Plan, ResourceManager};
-use crate::recovery::{RecoveryAction, RecoveryPolicy, RecoveryState};
+use crate::manager::{ManagerConfig, ResourceManager};
+use crate::recovery::{RecoveryPolicy, RecoveryState};
 use crate::service::admission::AdmissionPolicy;
 use crate::session::{StreamFailure, StreamResult, StreamSpec};
 use imaging::image::ImageU16;
 use imaging::parallel::StripePool;
 use pipeline::app::{AppConfig, AppState};
 use pipeline::executor::{process_frame_recovering_on, FrameFaults};
-use platform::bus::{DegradeMode, FaultKind, FrameEvent, RepartitionReason, StreamId};
+use platform::bus::{DegradeMode, FaultKind, FrameEvent, StreamId};
 use platform::metrics::Observability;
 use platform::trace::TraceLog;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -99,7 +99,7 @@ impl StreamEngine {
             injector: spec.faults,
             recovery: spec.recovery,
             state,
-            rec: RecoveryState::new(),
+            rec: RecoveryState::default(),
             trace: TraceLog::new(),
             predictions: Vec::with_capacity(frames),
             planned_cost_ms: Vec::with_capacity(frames),
@@ -177,9 +177,9 @@ impl StreamEngine {
 
     /// Advances the stream by one frame — the one plan → execute → absorb
     /// → recover body every driver goes through — running data-parallel
-    /// stages on the given pool shard. The fault-injection sections only
-    /// run for a stream built with an injector: without one the stream
-    /// never downshifts, drops no frame and emits no fault-family event.
+    /// stages on the given pool shard at the stripe count its plan chose.
+    /// The fault-injection sections only run for a stream built with an
+    /// injector, and none of them changes the plan.
     /// Unrecoverable frame failures (only possible with fault injection
     /// and `serial_fallback` disabled) surface as a [`StreamFailure`]
     /// error instead of unwinding.
@@ -221,14 +221,11 @@ impl StreamEngine {
             .current_roi
             .map(|r| r.area() as f64 / 1000.0)
             .unwrap_or_else(|| (image.width() * image.height()) as f64 / 1000.0);
-        let mut plan = self.manager.plan(roi_kpixels);
-        let planned_rdg = plan.policy.rdg_stripes;
-        // a cap only ever exists after an injector-driven downshift
-        self.rec.apply_cap(&mut plan.policy);
+        let plan = self.manager.plan(roi_kpixels);
         self.predictions.push(plan.predicted_total_ms);
         self.planned_cost_ms
             .push(self.admission.cost(&plan.prediction()));
-        self.stripes.push(plan.policy.rdg_stripes);
+        self.stripes.push(plan.policy.stripes);
 
         let faults = injector
             .as_ref()
@@ -252,9 +249,6 @@ impl StreamEngine {
         })?;
         self.manager.absorb(&out);
 
-        if injector.is_some() {
-            self.note_overrun(index, &plan, planned_rdg, out.record.latency_ms);
-        }
         // model quarantine bookkeeping: release first, then check for a
         // new corruption checkpoint on this frame
         self.release_quarantine(index);
@@ -273,53 +267,6 @@ impl StreamEngine {
         self.trace.push(out.record);
         self.frame_wall_ms.push(wall_ms);
         Ok(())
-    }
-
-    /// Stripe downshift on repeated budget overruns, and the lift once
-    /// the stream ran clean again.
-    fn note_overrun(&mut self, idx: usize, plan: &Plan, planned_rdg: usize, latency_ms: f64) {
-        let overrun = self
-            .manager
-            .budget()
-            .is_some_and(|b| latency_ms > b.target_ms);
-        let stream = self.id;
-        let action = self.rec.note_frame(overrun, plan.policy.rdg_stripes);
-        let bus = self.manager.bus_mut();
-        match action {
-            RecoveryAction::Downshift(cap) => {
-                bus.emit(FrameEvent::DegradedMode {
-                    stream,
-                    frame: idx,
-                    mode: DegradeMode::StripeDownshift,
-                    cause: FaultKind::Overrun,
-                });
-                bus.emit(FrameEvent::RepartitionDecided {
-                    stream,
-                    frame: idx,
-                    from_rdg_stripes: plan.policy.rdg_stripes,
-                    to_rdg_stripes: cap,
-                    aux_stripes: plan.policy.aux_stripes.min(cap),
-                    reason: RepartitionReason::Downshift,
-                });
-            }
-            RecoveryAction::Lift(_) => {
-                bus.emit(FrameEvent::Recovered {
-                    stream,
-                    frame: idx,
-                    kind: FaultKind::Overrun,
-                    attempts: 0,
-                });
-                bus.emit(FrameEvent::RepartitionDecided {
-                    stream,
-                    frame: idx,
-                    from_rdg_stripes: plan.policy.rdg_stripes,
-                    to_rdg_stripes: planned_rdg,
-                    aux_stripes: plan.policy.aux_stripes,
-                    reason: RepartitionReason::Lift,
-                });
-            }
-            RecoveryAction::None => {}
-        }
     }
 
     /// An injected snapshot corruption: checkpoint, deterministically
@@ -460,32 +407,35 @@ mod tests {
 
     /// The injector-only sections of `step_on` must be inert when the
     /// injector arms nothing: a zero-rate plan is indistinguishable from
-    /// no injector on every deterministic output plane.
+    /// no injector on every deterministic output plane, the plan included,
+    /// under a generous budget and under one no stripe count can meet.
     #[test]
     fn zero_rate_injector_matches_no_injector() {
         let model = trained_model();
-        let spec = || {
-            StreamSpec::builder(seq(120, 10), AppConfig::default(), model.clone())
-                .budget(LatencyBudget::new(10_000.0, 0.1))
-        };
-        let bare = StreamEngine::new(0, spec().build(), 4).run().unwrap();
-        let plan = FaultPlan::new(5, FaultPlanConfig::default());
-        let hooked = StreamEngine::new(0, spec().faults(Arc::new(plan)).build(), 4)
-            .run()
-            .unwrap();
+        for target_ms in [10_000.0, 0.001] {
+            let spec = || {
+                StreamSpec::builder(seq(120, 10), AppConfig::default(), model.clone())
+                    .budget(LatencyBudget::new(target_ms, 0.1))
+            };
+            let bare = StreamEngine::new(0, spec().build(), 4).run().unwrap();
+            let plan = FaultPlan::new(5, FaultPlanConfig::default());
+            let hooked = StreamEngine::new(0, spec().faults(Arc::new(plan)).build(), 4)
+                .run()
+                .unwrap();
 
-        assert_eq!(bare.trace.len(), 10);
-        assert!(
-            bare.displays.iter().any(|d| d.is_some()),
-            "comparison is vacuous: no display was ever produced"
-        );
-        assert_eq!(bare.scenarios, hooked.scenarios);
-        assert_eq!(bare.stripes, hooked.stripes);
-        assert_eq!(bare.planned_cost_ms, hooked.planned_cost_ms);
-        assert_eq!(bare.displays, hooked.displays);
-        assert_eq!(hooked.dropped_frames, 0);
-        assert!(hooked.fault_events.is_empty(), "{:?}", hooked.fault_events);
-        assert_eq!(bare.budget, hooked.budget);
+            assert_eq!(bare.trace.len(), 10);
+            assert!(
+                bare.displays.iter().any(|d| d.is_some()),
+                "comparison is vacuous: no display was ever produced"
+            );
+            assert_eq!(bare.scenarios, hooked.scenarios);
+            assert_eq!(bare.stripes, hooked.stripes, "budget {target_ms} ms");
+            assert_eq!(bare.planned_cost_ms, hooked.planned_cost_ms);
+            assert_eq!(bare.displays, hooked.displays);
+            assert_eq!(hooked.dropped_frames, 0);
+            assert!(hooked.fault_events.is_empty(), "{:?}", hooked.fault_events);
+            assert_eq!(bare.budget, hooked.budget);
+        }
     }
 
     /// An engine whose injector drops frames, and its fault-event log.

@@ -17,7 +17,7 @@
 use super::perturb::{perturb, Site};
 use imaging::image::ImageU16;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, Weak};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, Weak};
 
 /// What happens to a producer pushing into a full queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,6 +116,13 @@ impl FrameQueue {
         }
     }
 
+    /// The queue's state, also after a holder panicked: every update
+    /// under the lock leaves `Inner` consistent, so a poisoned guard is
+    /// as good as a clean one.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn wake_consumer(&self) {
         match &self.consumer {
             Some(consumer) => {
@@ -136,7 +143,7 @@ impl FrameQueue {
     /// while the queue is full; under `DropOldest` it never blocks.
     pub fn push(&self, index: usize, image: ImageU16) -> PushOutcome {
         perturb(Site::QueuePush);
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         if g.closed {
             return PushOutcome::Closed;
         }
@@ -145,7 +152,10 @@ impl FrameQueue {
             match self.policy {
                 BackpressurePolicy::Block => {
                     while g.frames.len() >= self.capacity && !g.closed {
-                        g = self.not_full.wait(g).unwrap();
+                        g = self
+                            .not_full
+                            .wait(g)
+                            .unwrap_or_else(PoisonError::into_inner);
                     }
                     if g.closed {
                         return PushOutcome::Closed;
@@ -171,7 +181,7 @@ impl FrameQueue {
     /// Returns `None` once the queue is closed and drained.
     pub fn pop(&self) -> Option<(usize, ImageU16)> {
         perturb(Site::QueuePop);
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         loop {
             if let Some(f) = g.frames.pop_front() {
                 drop(g);
@@ -181,14 +191,17 @@ impl FrameQueue {
             if g.closed {
                 return None;
             }
-            g = self.not_empty.wait(g).unwrap();
+            g = self
+                .not_empty
+                .wait(g)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Takes the next frame if one is queued; never blocks.
     pub(crate) fn try_pop(&self) -> Head<(usize, ImageU16)> {
         perturb(Site::QueuePop);
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         match g.frames.pop_front() {
             Some(f) => {
                 drop(g);
@@ -202,7 +215,7 @@ impl FrameQueue {
 
     /// What [`try_pop`](Self::try_pop) would find, taking nothing.
     pub(crate) fn head(&self) -> Head<()> {
-        let g = self.inner.lock().unwrap();
+        let g = self.lock();
         match (g.frames.is_empty(), g.closed) {
             (false, _) => Head::Frame(()),
             (true, true) => Head::Finished,
@@ -214,7 +227,7 @@ impl FrameQueue {
     /// consumer drains what is left and then sees `None`.
     pub fn close(&self) {
         perturb(Site::QueueClose);
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         g.closed = true;
         drop(g);
         self.not_full.notify_all();
@@ -223,13 +236,13 @@ impl FrameQueue {
 
     /// Closed *and* drained: the consumer has nothing left to do.
     pub fn is_finished(&self) -> bool {
-        let g = self.inner.lock().unwrap();
+        let g = self.lock();
         g.closed && g.frames.is_empty()
     }
 
     /// Current ingress statistics.
     pub fn stats(&self) -> QueueStats {
-        self.inner.lock().unwrap().stats
+        self.lock().stats
     }
 }
 
@@ -240,7 +253,7 @@ mod tests {
 
     /// Frames currently queued.
     fn depth(q: &FrameQueue) -> usize {
-        q.inner.lock().unwrap().frames.len()
+        q.lock().frames.len()
     }
 
     fn img(tag: u16) -> ImageU16 {
@@ -310,5 +323,22 @@ mod tests {
         assert_eq!(b, PushOutcome::Closed);
         assert_eq!(q.pop().unwrap().0, 1);
         assert_eq!(q.pop(), None);
+    }
+
+    /// A panicking holder poisons the mutex; pushes, pops (a blocked
+    /// producer's wait included) and close go on without a panic.
+    #[test]
+    fn a_poisoned_queue_keeps_serving() {
+        let q = Arc::new(FrameQueue::new(1, BackpressurePolicy::Block));
+        crate::test_support::poison(&q.inner);
+        assert_eq!(q.push(0, img(0)), PushOutcome::Enqueued);
+        let q2 = Arc::clone(&q);
+        let producer = std::thread::spawn(move || q2.push(1, img(1)));
+        assert_eq!(q.pop().map(|f| f.0), Some(0));
+        assert_eq!(producer.join().ok(), Some(PushOutcome::Enqueued));
+        q.close();
+        assert_eq!(q.pop().map(|f| f.0), Some(1));
+        assert!(q.is_finished());
+        assert_eq!(q.stats().enqueued, 2);
     }
 }

@@ -47,12 +47,11 @@ pub struct StreamSpec {
     /// frame, the paper's default).
     pub budget: Option<LatencyBudget>,
     /// Fault-injection hook. `None` (the default) arms nothing: the
-    /// stream never drops a frame, never downshifts and emits no
-    /// fault-family event.
+    /// stream never drops a frame and records no fault-family event.
     pub faults: Option<Arc<dyn FaultInjector>>,
     /// Degradation policy. Stage retry (for genuine pool faults) and
-    /// drift quarantine apply to every stream; downshift and corruption
-    /// quarantine only act when `faults` is set.
+    /// drift quarantine apply to every stream; corruption quarantine only
+    /// acts when `faults` is set.
     pub recovery: RecoveryPolicy,
     /// Which point of the predicted cost distribution admission and
     /// shard placement size this stream's core grant against (default:

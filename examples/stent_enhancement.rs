@@ -19,10 +19,7 @@ fn main() -> Result<()> {
     };
 
     let app = AppConfig::default();
-    let policy = ExecutionPolicy {
-        rdg_stripes: 2,
-        aux_stripes: 2,
-    };
+    let policy = ExecutionPolicy { stripes: 2 };
     let mut state = AppState::new(SIZE, SIZE);
 
     let out_dir = std::env::temp_dir().join("triple_c_stent");

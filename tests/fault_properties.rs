@@ -213,14 +213,16 @@ proptest! {
         check_plan_preserves_outputs(fault_seed, stream_seed, cfg)?;
     }
 
-    /// Replaying a seed reproduces the faulted run event-for-event. Uses a
-    /// fixed generous budget: overrun bookkeeping depends on measured
-    /// times, which are excluded from the replay guarantee.
+    /// Replaying a seed reproduces the faulted run event-for-event, under
+    /// an impossible, a tight and a generous budget: the impossible one
+    /// stripes every frame over all cores, so pool faults meet real
+    /// striped dispatches and retries.
     #[test]
     fn any_plan_replays_event_for_event(
         fault_seed in 0u64..u64::MAX / 2,
         stream_seed in 0u64..1000,
         rate in 0.05f64..0.6,
+        budget_pick in 0usize..3,
     ) {
         let cfg = FaultPlanConfig {
             panic_rate: rate,
@@ -230,7 +232,7 @@ proptest! {
             drop_rate: rate * 0.5,
             corrupt_rate: rate * 0.5,
         };
-        let budget = LatencyBudget::new(10_000.0, 0.1);
+        let budget = LatencyBudget::new([0.001, 5.0, 10_000.0][budget_pick], 0.1);
         let run = || {
             let report = run_one(spec_with(
                 stream_seed,

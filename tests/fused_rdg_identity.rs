@@ -539,10 +539,7 @@ fn frame_output_digest(cfg: &AppConfig, policy: &ExecutionPolicy) -> (String, us
 #[test]
 fn process_frame_outputs_match_the_two_pass_digests() {
     let serial = ExecutionPolicy::default();
-    let striped = ExecutionPolicy {
-        rdg_stripes: 2,
-        aux_stripes: 2,
-    };
+    let striped = ExecutionPolicy { stripes: 2 };
     let coarse_rdg = AppConfig {
         fine_probe_factor: 100.0,
         ..AppConfig::default()
