@@ -1,35 +1,44 @@
-//! QoS control under platform pressure (Section 1's "QoS control with
-//! shared resources"): the same dynamic sequence is run with progressively
-//! fewer available cores (other functions occupying the platform). With
-//! enough cores the manager holds the budget by repartitioning alone; when
-//! even maximal striping cannot, the QoS controller trades algorithmic
-//! quality (fine RDG scales, zoom resolution) for latency.
+//! QoS control under a shrinking latency budget (Section 1's "QoS control
+//! with shared resources"): the same dynamic sequence runs on the host's
+//! cores under budgets set to shares of a full-quality run's mean
+//! latency. Under a generous budget the manager holds it by
+//! repartitioning alone; when even maximal striping cannot, the stream's
+//! QoS control trades algorithmic quality (fine RDG scales, zoom
+//! resolution) for latency.
 
 use crate::config::ExperimentConfig;
 use crate::fig7::train_model;
 use crate::report::table;
 use pipeline::app::AppConfig;
-use runtime::qos::{run_with_qos, QosController, QosLevel};
-use runtime::{StreamEngine, StreamSpec};
+use runtime::manager::ManagerConfig;
+use runtime::{LatencyBudget, StreamEngine, StreamSpec};
+use triplec::stats::mean;
 use xray::{HiddenEpisode, ScenarioConfig, SequenceConfig};
 
-/// One pressure point.
+/// Budget targets as shares of the full-quality mean latency, loosest
+/// first; the last is 2.5× below it, so no partitioning can hold it.
+const SHARES: [f64; 4] = [2.0, 1.0, 0.8, 0.4];
+
+/// One budget point.
 #[derive(Debug, Clone)]
 pub struct QosPoint {
-    /// Cores available to the application.
-    pub cores: usize,
+    /// Budget target as a share of the full-quality mean latency.
+    pub share: f64,
+    /// Budget target, ms.
+    pub budget_ms: f64,
+    /// Fraction of frames that ran below full quality.
+    pub degraded_fraction: f64,
     /// Mean measured frame latency, ms.
     pub mean_latency: f64,
-    /// Fraction of frames spent below full quality.
-    pub degraded_fraction: f64,
+    /// Frames whose latency exceeded the budget target.
+    pub overruns: usize,
     /// Frames whose plan was infeasible even fully parallel.
     pub infeasible: usize,
 }
 
-/// Runs the QoS pressure sweep.
+/// Runs the QoS budget sweep.
 pub fn run(cfg: &ExperimentConfig) -> (Vec<QosPoint>, String) {
     let app = AppConfig::default();
-    let model_template = || train_model(cfg, &app);
     let frames = cfg.fig7_frames.min(100);
     let seq = SequenceConfig {
         width: cfg.size,
@@ -45,65 +54,70 @@ pub fn run(cfg: &ExperimentConfig) -> (Vec<QosPoint>, String) {
         },
         ..Default::default()
     };
+    let manager = ManagerConfig::default();
+    let model = train_model(cfg, &app);
+    let spec = || StreamSpec::builder(seq.clone(), app.clone(), model.clone());
+    let run = |spec: StreamSpec| {
+        StreamEngine::new(0, spec, manager.cores)
+            .run()
+            .expect("no injector, no unrecoverable frame")
+    };
 
-    // a fixed, tight budget shared by all pressure points: what the
-    // 8-core platform can comfortably sustain
-    let mut results = Vec::new();
-    let mut reference_budget = None;
-    for &cores in &[8usize, 4, 2, 1] {
-        let mut spec = StreamSpec::builder(seq.clone(), app.clone(), model_template());
-        if let Some(b) = reference_budget {
-            spec = spec.budget(b);
-        }
-        let mut controller = QosController::new(3, 10);
-        let (run, levels) =
-            run_with_qos(StreamEngine::new(0, spec.build(), cores), &mut controller)
-                .expect("no injector, no unrecoverable frame");
-        if reference_budget.is_none() {
-            reference_budget = run.budget;
-        }
-        let lat = run.trace.latencies();
-        let mean = lat.iter().sum::<f64>() / lat.len() as f64;
-        let degraded =
-            levels.iter().filter(|&&l| l != QosLevel::Full).count() as f64 / levels.len() as f64;
-        results.push(QosPoint {
-            cores,
-            mean_latency: mean,
-            degraded_fraction: degraded,
-            infeasible: run.infeasible_frames,
-        });
-    }
+    // the reference: full quality, budget initialized from the first frame
+    let full_mean = mean(&run(spec().build()).trace.latencies());
+    let results: Vec<QosPoint> = SHARES
+        .iter()
+        .map(|&share| {
+            let budget_ms = share * full_mean;
+            let budget = LatencyBudget::new(budget_ms, manager.headroom);
+            let r = run(spec().budget(budget).qos().build());
+            let lat = r.trace.latencies();
+            QosPoint {
+                share,
+                budget_ms,
+                degraded_fraction: r.degraded_frames as f64 / lat.len() as f64,
+                mean_latency: mean(&lat),
+                overruns: lat.iter().filter(|&&l| l > budget_ms).count(),
+                infeasible: r.infeasible_frames,
+            }
+        })
+        .collect();
 
     let mut out = String::new();
     out.push_str(&format!(
-        "QoS control under shrinking core budgets ({} frames at {}x{})\n\n",
-        frames, cfg.size, cfg.size
+        "QoS control under shrinking latency budgets ({} frames at {}x{}, {} cores;\n\
+         full-quality mean latency {:.2} ms)\n\n",
+        frames, cfg.size, cfg.size, manager.cores, full_mean
     ));
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|p| {
             vec![
-                format!("{}", p.cores),
-                format!("{:.1}", p.mean_latency),
+                format!("{:.1}x", p.share),
+                format!("{:.2}", p.budget_ms),
                 format!("{:.0}%", p.degraded_fraction * 100.0),
+                format!("{:.2}", p.mean_latency),
+                format!("{}", p.overruns),
                 format!("{}", p.infeasible),
             ]
         })
         .collect();
     out.push_str(&table(
         &[
-            "cores",
+            "budget / mean",
+            "budget ms",
+            "frames run below full quality",
             "mean latency ms",
-            "frames below full quality",
+            "overruns",
             "infeasible plans",
         ],
         &rows,
     ));
     out.push_str(
-        "\nwith ample cores the budget holds by repartitioning alone; under\n\
-         pressure the controller trades fine RDG scales / zoom resolution for\n\
-         latency instead of dropping analysis tasks (Section 3: tasks \"cannot\n\
-         be easily switched off\").\n",
+        "\nunder a generous budget it holds by repartitioning alone; when no\n\
+         partitioning can, the controller trades fine RDG scales / zoom\n\
+         resolution for latency instead of dropping analysis tasks (Section 3:\n\
+         tasks \"cannot be easily switched off\").\n",
     );
     (results, out)
 }
@@ -113,16 +127,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pressure_sweep_produces_all_points() {
+    fn budget_sweep_degrades_at_the_tightest_point() {
         let cfg = ExperimentConfig {
             size: 128,
             fig7_frames: 24,
             ..Default::default()
         };
         let (r, text) = run(&cfg);
-        assert_eq!(r.len(), 4);
-        assert!(text.contains("cores"));
-        // fewer cores can only raise (or keep) infeasibility
-        assert!(r[3].infeasible >= r[0].infeasible, "{:?}", r);
+        assert_eq!(r.len(), SHARES.len());
+        assert!(text.contains("budget / mean"));
+        let tightest = r.last().unwrap();
+        assert!(tightest.share <= 0.5, "{r:?}");
+        assert!(tightest.degraded_fraction > 0.0, "{r:?}");
     }
 }

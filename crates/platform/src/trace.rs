@@ -77,6 +77,11 @@ impl TraceLog {
         self.records.iter().map(|r| r.latency_ms).collect()
     }
 
+    /// Executed scenario id per frame.
+    pub fn scenarios(&self) -> Vec<u8> {
+        self.records.iter().map(|r| r.scenario).collect()
+    }
+
     /// Scenario occupancy: how many frames ran each scenario id.
     pub fn scenario_histogram(&self) -> [usize; 8] {
         let mut h = [0usize; 8];

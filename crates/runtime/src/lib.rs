@@ -8,11 +8,12 @@
 //! * [`budget`] — latency budgets (initialized close to average case);
 //! * [`adaptation`] — the repartitioning policy (stripe-count selection);
 //! * [`manager`] — the initialization / adaptation / profiling loop;
-//! * [`qos`] — quality degradation when the budget is infeasible;
 //! * [`session`] — what goes into and comes out of a stream
 //!   ([`StreamSpec`], [`StreamResult`], [`SessionReport`]);
 //! * [`service`] — [`StreamEngine`], whose `step_on` is the one managed
-//!   closed loop (plan → execute → absorb → recover), and the sharded,
+//!   closed loop (plan → execute → absorb → recover, then, for a stream
+//!   built with [`StreamSpecBuilder::qos`], the quality level the next
+//!   frame runs at when no partitioning holds the budget), and the sharded,
 //!   prediction-ranked [`ServiceCore`] that schedules engines
 //!   (per-core-group stripe-pool shards, demand-driven placement for one
 //!   turn at a time, a fixed worker set serving the stream with the least
@@ -31,7 +32,7 @@ pub mod adaptation;
 pub mod budget;
 pub mod faults;
 pub mod manager;
-pub mod qos;
+mod qos;
 pub mod recovery;
 pub mod service;
 pub mod session;
@@ -41,7 +42,6 @@ pub use adaptation::{choose_policy, predicted_latency, CostPrediction};
 pub use budget::LatencyBudget;
 pub use faults::{fault_hash, FaultInjector, FaultPlan, FaultPlanConfig};
 pub use manager::{CalibrationSnapshot, ManagerConfig, Plan, ResourceManager};
-pub use qos::{run_with_qos, QosController, QosLevel};
 pub use recovery::RecoveryPolicy;
 pub use service::{
     predict_demand, AdmissionPolicy, BackpressurePolicy, EvictionPolicy, ServiceConfig,

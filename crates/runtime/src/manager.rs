@@ -186,18 +186,13 @@ impl ResourceManager {
         }
     }
 
-    /// The stream id this manager emits events under.
-    pub fn stream(&self) -> StreamId {
-        self.stream
-    }
-
     /// Attaches a subscriber to the manager's event bus.
     pub fn subscribe(&mut self, sub: Box<dyn Subscriber>) {
         self.bus.subscribe(sub);
     }
 
-    /// Mutable access to the event bus (for emitting events from
-    /// surrounding control loops, e.g. QoS interventions).
+    /// Mutable access to the event bus (the engine's fault, recovery and
+    /// QoS events; observability attaches to it).
     pub fn bus_mut(&mut self) -> &mut EventBus {
         &mut self.bus
     }

@@ -512,7 +512,7 @@ fn step(
                 "stream thread panicked: {}",
                 panic_payload_message(payload.as_ref())
             ),
-            frames_completed: 0,
+            frames_completed: engine.frames_done(),
         })
     })
 }
@@ -795,7 +795,12 @@ mod tests {
         assert_eq!(svc.session.streams.len(), 3);
         for (a, b) in reference.iter().zip(&svc.session.streams) {
             assert_eq!(a.stream, b.stream);
-            assert_eq!(a.scenarios, b.scenarios, "stream {}", a.stream);
+            assert_eq!(
+                a.trace.scenarios(),
+                b.trace.scenarios(),
+                "stream {}",
+                a.stream
+            );
             assert_eq!(a.displays, b.displays, "pixel outputs diverged");
         }
         for s in &svc.streams {

@@ -214,7 +214,11 @@ fn interleaving(pool: &Pool, case: Case) {
         }
         if stats.queue.dropped == 0 {
             let bare = &pool.reference[i];
-            assert_eq!(result.scenarios, bare.scenarios, "{what}: scenario trace");
+            assert_eq!(
+                result.trace.scenarios(),
+                bare.trace.scenarios(),
+                "{what}: scenario trace"
+            );
             assert!(result.displays == bare.displays, "{what}: displays");
         }
     }

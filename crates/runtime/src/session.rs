@@ -57,6 +57,9 @@ pub struct StreamSpec {
     /// shard placement size this stream's core grant against (default:
     /// p99 — tail-driven admission).
     pub admission: AdmissionPolicy,
+    /// Quality-of-service control (off by default: every frame runs at
+    /// full quality); see [`StreamSpecBuilder::qos`].
+    pub qos: bool,
 }
 
 impl StreamSpec {
@@ -74,6 +77,7 @@ impl StreamSpec {
                 faults: None,
                 recovery: RecoveryPolicy::default(),
                 admission: AdmissionPolicy::default(),
+                qos: false,
             },
         }
     }
@@ -115,6 +119,15 @@ impl StreamSpecBuilder {
     /// distribution the scheduler sizes the stream's grant against).
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.spec.admission = policy;
+        self
+    }
+
+    /// Turns on quality-of-service control: when no partitioning holds
+    /// the budget, the stream trades algorithmic quality (fine RDG
+    /// scales, then zoom resolution) for latency, and sustained frames
+    /// well inside the budget restore it.
+    pub fn qos(mut self) -> Self {
+        self.spec.qos = true;
         self
     }
 
@@ -178,8 +191,6 @@ pub struct StreamResult {
     pub admission: AdmissionPolicy,
     /// RDG stripe count chosen per frame.
     pub stripes: Vec<usize>,
-    /// Executed scenario id per frame.
-    pub scenarios: Vec<u8>,
     /// Output image per frame (None when registration had not succeeded).
     pub displays: Vec<Option<ImageU16>>,
     /// Host wall-clock time per frame, ms.
@@ -193,6 +204,9 @@ pub struct StreamResult {
     pub calibration: CalibrationSnapshot,
     /// Frames whose budget was infeasible even fully parallel.
     pub infeasible_frames: usize,
+    /// Frames that ran below full quality (always 0 without
+    /// [`StreamSpecBuilder::qos`]).
+    pub degraded_frames: usize,
     /// The latency budget in force when the stream finished (fixed by the
     /// spec or initialized from the first frame; `None` when no frame
     /// executed).
@@ -364,7 +378,7 @@ mod tests {
 
         let a = &clean;
         let b = &faulted.streams[0];
-        assert_eq!(a.scenarios, b.scenarios);
+        assert_eq!(a.trace.scenarios(), b.trace.scenarios());
         assert_eq!(
             a.displays, b.displays,
             "pixel outputs diverged under faults"
@@ -552,8 +566,29 @@ mod tests {
             "{}",
             report.failures[0].message
         );
+        // frames 0 and 1 executed before the injector panicked on frame 2
+        assert_eq!(report.failures[0].frames_completed, 2);
         assert_eq!(report.streams.len(), 1);
         assert_eq!(report.streams[0].trace.len(), 5);
+    }
+
+    /// QoS runs inside the engine's own step, so a scheduled stream
+    /// degrades exactly as a bare engine does.
+    #[test]
+    fn service_tier_runs_qos_like_a_bare_engine() {
+        let spec = || {
+            StreamSpec::builder(seq(106, 10), AppConfig::default(), trained_model())
+                .budget(LatencyBudget::new(0.001, 0.1))
+                .qos()
+                .build()
+        };
+        let bare = StreamEngine::new(0, spec(), 2).run().unwrap();
+        let report = run(vec![spec()]);
+        assert!(report.is_clean(), "failures: {:?}", report.failures);
+        let served = &report.streams[0];
+        assert_eq!(bare.degraded_frames, 7);
+        assert_eq!(served.degraded_frames, bare.degraded_frames);
+        assert_eq!(served.displays, bare.displays);
     }
 
     #[test]

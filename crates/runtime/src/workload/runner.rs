@@ -362,7 +362,7 @@ fn assemble_ledger(
                     arrival_ms: arrival.at_ms,
                     submit: *submit,
                     outcome: FrameOutcome::Executed,
-                    scenario: Some(r.scenarios[k]),
+                    scenario: Some(r.trace.records()[k].scenario),
                     predicted_ms: Some(round3(r.predictions[k])),
                     stripes: Some(r.stripes[k]),
                     class: latency_class(planned, budget_ms),

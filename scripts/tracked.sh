@@ -29,6 +29,14 @@ row '`pub` fields of `pub struct *Config` / `*Policy` in `crates/*/src`' \
     inside && /^[[:space:]]*\}/ { inside = 0 }
     inside && /^[[:space:]]*pub [a-z_0-9]+:/ { n++ }
     END { print n + 0 }')"
+# stream drivers: `.step_on(` calls in the runtime's non-test code, each
+# file read up to its first `#[cfg(test)]` (as `tests/api_surface.rs` does)
+row '`.step_on(` call sites in `crates/runtime/src` (stream drivers)' \
+  "$(find crates/runtime/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live { n += gsub(/\.step_on\(/, "&") }
+    END { print n + 0 }')"
 # occurrences, not lines, tests included
 panics() {
   grep -rhoE '\.(unwrap|expect)\(' "crates/$1/src" | wc -l

@@ -165,7 +165,7 @@ fn unbudgeted_first_frame_stripes_and_keeps_its_pixels() {
         wide.stripes[0]
     );
     assert!(wide.budget.is_some() && one.stripes.iter().all(|&s| s == 1));
-    assert_eq!(wide.scenarios, one.scenarios);
+    assert_eq!(wide.trace.scenarios(), one.trace.scenarios());
     assert_eq!(wide.displays, one.displays);
     assert!(
         wide.displays.iter().any(Option::is_some),

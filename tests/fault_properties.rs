@@ -174,7 +174,7 @@ fn check_plan_preserves_outputs(
     let frames_f: Vec<usize> = f.trace.records().iter().map(|rec| rec.frame).collect();
     let frames_r: Vec<usize> = r.trace.records().iter().map(|rec| rec.frame).collect();
     prop_assert_eq!(&frames_f, &frames_r);
-    prop_assert_eq!(&f.scenarios, &r.scenarios);
+    prop_assert_eq!(f.trace.scenarios(), r.trace.scenarios());
     prop_assert_eq!(f.displays.len(), r.displays.len());
     for (i, (df, dr)) in f.displays.iter().zip(&r.displays).enumerate() {
         prop_assert!(

@@ -378,7 +378,8 @@ fn parked_streams_replay_like_bare_engines() {
         assert_eq!(us.stream, ss.stream);
         assert_eq!(us.cores, ss.cores);
         assert_eq!(
-            us.scenarios, ss.scenarios,
+            us.trace.scenarios(),
+            ss.trace.scenarios(),
             "stream {}: scenario trace diverged between the service and a bare engine",
             us.stream
         );

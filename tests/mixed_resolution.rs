@@ -68,7 +68,8 @@ fn assert_service_identical_to_serial(trace: Trace) {
     for (a, b) in serial.iter().zip(&service.streams) {
         assert_eq!(a.stream, b.stream);
         assert_eq!(
-            a.scenarios, b.scenarios,
+            a.trace.scenarios(),
+            b.trace.scenarios(),
             "stream {}: scenario paths diverged",
             a.stream
         );

@@ -80,7 +80,8 @@ fn assert_streams_bit_identical(serial: &[StreamResult], concurrent: &[StreamRes
     for (a, b) in serial.iter().zip(concurrent) {
         assert_eq!(a.stream, b.stream);
         assert_eq!(
-            a.scenarios, b.scenarios,
+            a.trace.scenarios(),
+            b.trace.scenarios(),
             "stream {}: scenario paths diverged",
             a.stream
         );
