@@ -30,7 +30,6 @@ pub fn run(cfg: &ExperimentConfig) -> (AccuracyResult, String) {
     let profile = profile_training_corpus(cfg, &app);
     let tc_cfg = TripleCConfig {
         geometry: cfg.geometry(),
-        ..Default::default()
     };
     let mut model = TripleC::train(&profile.task_series(), &profile.scenarios, tc_cfg);
     // Section 6 usage: the deployed model keeps adapting to the stream

@@ -72,7 +72,6 @@ pub fn train_model(cfg: &ExperimentConfig, app: &AppConfig) -> TripleC {
     let profile = run_corpus(corpus, app, &ExecutionPolicy::default());
     let tc_cfg = TripleCConfig {
         geometry: cfg.geometry(),
-        ..Default::default()
     };
     let mut model = TripleC::train(&profile.task_series(), &profile.scenarios, tc_cfg);
     // Section 6 deployment mode: managed runs keep training the model on

@@ -1,7 +1,9 @@
 //! Table 1 — memory requirements for each task of Fig. 2 (KB).
 
 use crate::report::{kb, table};
-use triplec::memory_model::{implementation_table, paper_table1, FrameGeometry, TaskMemory};
+use triplec::memory_model::{
+    implementation_table, paper_table1, FrameGeometry, TaskMemory, ZOOM_OUT,
+};
 
 /// Structured result: both tables.
 #[derive(Debug, Clone)]
@@ -30,7 +32,7 @@ fn rows(t: &[TaskMemory]) -> Vec<Vec<String>> {
 
 /// Runs the Table 1 derivation at the paper geometry.
 pub fn run() -> (Table1Result, String) {
-    let ours = implementation_table(FrameGeometry::PAPER, 512);
+    let ours = implementation_table(FrameGeometry::PAPER, ZOOM_OUT);
     let paper = paper_table1();
     let mut out = String::new();
     out.push_str("Table 1 — per-task memory requirements (KB) at 1024x1024, 2 B/px\n\n");

@@ -77,7 +77,6 @@ pub fn run(cfg: &ExperimentConfig) -> (Table2Result, String) {
     // (b): trained model summary
     let tc_cfg = TripleCConfig {
         geometry: cfg.geometry(),
-        ..Default::default()
     };
     let model = TripleC::train(&profile.task_series(), &profile.scenarios, tc_cfg);
     let summary = model.model_summary();

@@ -5,13 +5,6 @@
 //! computation time, and 90% for cache-memory and communication-bandwidth
 //! usage (Section 7). Accuracy of one prediction is `1 - |pred - actual| /
 //! actual` (clamped at zero).
-//!
-//! [`PredictionLog`] collects the `(predicted, actual)` pairs from the
-//! frame-event bus: accuracy reporting is just another bus subscriber,
-//! not manager-internal bookkeeping.
-
-use platform::bus::{FrameEvent, Subscriber};
-use std::sync::{Arc, Mutex};
 
 /// Accuracy of a single prediction in `[0, 1]`.
 pub fn accuracy(predicted: f64, actual: f64) -> f64 {
@@ -85,82 +78,9 @@ pub fn evaluate(pairs: &[(f64, f64)]) -> AccuracyReport {
     }
 }
 
-/// A bus subscriber that logs `(predicted, actual)` serial frame times
-/// from [`FrameEvent::FrameExecuted`] events.
-///
-/// Subscribe the log to a bus and keep a [`PredictionLogHandle`] to read
-/// an [`AccuracyReport`] over the pairs at any time:
-///
-/// ```
-/// use platform::bus::{EventBus, FrameEvent};
-/// use triplec::accuracy::PredictionLog;
-///
-/// let mut bus = EventBus::new();
-/// let handle = PredictionLog::subscribe_to(&mut bus);
-/// bus.emit(FrameEvent::FrameExecuted {
-///     stream: 0, frame: 0, scenario: 5,
-///     predicted_total_ms: 40.0, actual_total_ms: 41.0, latency_ms: 12.0,
-/// });
-/// assert_eq!(handle.report().count, 1);
-/// assert!(handle.report().mean_accuracy > 0.97);
-/// ```
-pub struct PredictionLog {
-    pairs: Arc<Mutex<Vec<(f64, f64)>>>,
-}
-
-impl PredictionLog {
-    /// Creates a log and its reader handle.
-    fn new() -> (Self, PredictionLogHandle) {
-        let pairs = Arc::new(Mutex::new(Vec::new()));
-        (
-            Self {
-                pairs: Arc::clone(&pairs),
-            },
-            PredictionLogHandle { pairs },
-        )
-    }
-
-    /// Creates a log, subscribes it to `bus`, returns the reader handle.
-    pub fn subscribe_to(bus: &mut platform::bus::EventBus) -> PredictionLogHandle {
-        let (log, handle) = Self::new();
-        bus.subscribe(Box::new(log));
-        handle
-    }
-}
-
-impl Subscriber for PredictionLog {
-    fn on_event(&mut self, event: &FrameEvent) {
-        if let FrameEvent::FrameExecuted {
-            predicted_total_ms,
-            actual_total_ms,
-            ..
-        } = *event
-        {
-            self.pairs
-                .lock()
-                .unwrap()
-                .push((predicted_total_ms, actual_total_ms));
-        }
-    }
-}
-
-/// Reader side of a [`PredictionLog`].
-#[derive(Clone)]
-pub struct PredictionLogHandle {
-    pairs: Arc<Mutex<Vec<(f64, f64)>>>,
-}
-
-impl PredictionLogHandle {
-    /// Accuracy report over the logged pairs (the Section 7 metric).
-    pub fn report(&self) -> AccuracyReport {
-        evaluate(&self.pairs.lock().unwrap())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platform::bus::EventBus;
 
     #[test]
     fn perfect_prediction_is_one() {
@@ -213,37 +133,5 @@ mod tests {
         let r = evaluate(&pairs);
         assert!(r.max_error.is_finite());
         assert_eq!(r.count, 2);
-    }
-
-    fn executed(frame: usize, predicted: f64, actual: f64) -> FrameEvent {
-        FrameEvent::FrameExecuted {
-            stream: 0,
-            frame,
-            scenario: 5,
-            predicted_total_ms: predicted,
-            actual_total_ms: actual,
-            latency_ms: actual,
-        }
-    }
-
-    #[test]
-    fn prediction_log_collects_frame_executed_pairs() {
-        let mut bus = EventBus::new();
-        let handle = PredictionLog::subscribe_to(&mut bus);
-        assert_eq!(handle.report().count, 0);
-        bus.emit(executed(0, 10.0, 10.0));
-        bus.emit(executed(1, 11.0, 10.0));
-        // non-FrameExecuted events are ignored
-        bus.emit(FrameEvent::QosIntervention {
-            stream: 0,
-            frame: 1,
-            level: 1,
-        });
-        bus.emit(executed(2, 13.0, 10.0));
-        bus.emit(executed(3, 10.0, 10.0));
-        // identical numbers to evaluating the raw pairs directly
-        let direct = evaluate(&[(10.0, 10.0), (11.0, 10.0), (13.0, 10.0), (10.0, 10.0)]);
-        assert_eq!(handle.report(), direct);
-        assert!((direct.mean_accuracy - 0.9).abs() < 1e-12);
     }
 }

@@ -49,7 +49,7 @@ pub mod stats;
 pub mod training;
 pub mod triple;
 
-pub use accuracy::{accuracy, evaluate, AccuracyReport, PredictionLog, PredictionLogHandle};
+pub use accuracy::{accuracy, evaluate, AccuracyReport};
 pub use ewma::{decompose, Ewma};
 pub use linear::LinearModel;
 pub use markov::MarkovChain;
@@ -62,5 +62,5 @@ pub use predictor::{
 pub use quantize::Quantizer;
 pub use scenario::{Scenario, ScenarioChain, ScenarioScript, ScriptSegment};
 pub use snapshot::SnapshotError;
-pub use training::{ModelKind, TaskSeries, TrainingConfig};
+pub use training::{ModelKind, TaskSeries};
 pub use triple::{FramePrediction, TripleC, TripleCConfig};

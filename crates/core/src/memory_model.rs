@@ -156,8 +156,8 @@ pub fn paper_table1() -> Vec<TaskMemory> {
 /// * RDG output: filtered u16 (2) + ridgeness f32 (4) = 6 B/px.
 /// * ENH intermediate: the f32 temporal accumulator = 4 B/px, plus the
 ///   width-linear SIMD staging row ([`enh_intermediate_bytes`] adds it).
-/// * ZOOM intermediate: width-linear only — the per-output-column tap
-///   plan plus the pooled horizontally-resolved row cache
+/// * ZOOM intermediate: width-linear only — the per-output-column
+///   bilinear tap plan plus the two pooled horizontally-resolved rows
 ///   ([`zoom_scratch_bytes`]).
 pub mod per_pixel {
     /// RDG intermediate bytes/pixel (fused engine; see [`super::rdg_tile_bytes`]
@@ -173,7 +173,9 @@ pub mod per_pixel {
 }
 
 /// The RDG scale set active under `RdgConfig::default()` (coarse scales
-/// 1.5 and 2.5 plus the fine scale 4.0, which is enabled by default).
+/// 1.5 and 2.5 plus the fine scale 4.0, which is enabled by default);
+/// `tests/memory_model_consistency.rs` pins it to
+/// `RdgConfig::default().active_scales()`.
 pub const RDG_DEFAULT_SCALES: [f32; 3] = [1.5, 2.5, 4.0];
 
 /// The MKX scale set of `MkxConfig::default()`; the table's MKX rows are
@@ -254,25 +256,20 @@ pub fn enh_intermediate_bytes(geom: FrameGeometry) -> usize {
 }
 
 /// Per-output-column plan-entry bytes of the separable zoom: two u32
-/// source indices + two f32 weights (bilinear).
-const ZOOM_BIL_PLAN_BYTES: usize = 16;
-/// Per-output-column plan-entry bytes of the separable zoom: four u32
-/// source indices + four f32 weights + the f32 weight sum (bicubic).
-const ZOOM_CUB_PLAN_BYTES: usize = 36;
+/// source indices + two f32 weights.
+const ZOOM_PLAN_BYTES: usize = 16;
 
-/// Exact warm scratch of the separable ZOOM at `out_width`: the
-/// per-column tap plan plus `n_taps` pooled horizontally-resolved f32
-/// rows (2 taps bilinear, 4 bicubic). Width-linear — the former 2D
-/// per-pixel form had no scratch but recomputed every horizontal tap
-/// `n_taps` times. Pinned against `ZoomScratch::byte_size()` by an
-/// integration test.
-pub fn zoom_scratch_bytes(out_width: usize, bicubic: bool) -> usize {
-    let f32s = std::mem::size_of::<f32>();
-    if bicubic {
-        out_width * ZOOM_CUB_PLAN_BYTES + 4 * out_width * f32s
-    } else {
-        out_width * ZOOM_BIL_PLAN_BYTES + 2 * out_width * f32s
-    }
+/// ZOOM output edge length, pixels: the display size `ZoomConfig::default()`
+/// renders (pinned by `tests/memory_model_consistency.rs`).
+pub const ZOOM_OUT: usize = 512;
+
+/// Exact warm scratch of the separable bilinear ZOOM at `out_width`: the
+/// per-column tap plan plus two pooled horizontally-resolved f32 rows.
+/// Width-linear — the former 2D per-pixel form had no scratch but
+/// recomputed every horizontal tap twice. Pinned against
+/// `ZoomScratch::byte_size()` by an integration test.
+pub fn zoom_scratch_bytes(out_width: usize) -> usize {
+    out_width * ZOOM_PLAN_BYTES + 2 * out_width * std::mem::size_of::<f32>()
 }
 
 /// The table derived from this repository's implementation at `geom`.
@@ -341,8 +338,7 @@ pub fn implementation_table(geom: FrameGeometry, zoom_out: usize) -> Vec<TaskMem
             task: "ZOOM",
             rdg_selected: None,
             input: frame / 2,
-            // bilinear is the pipeline default filter
-            intermediate: zoom_scratch_bytes(zoom_out, false),
+            intermediate: zoom_scratch_bytes(zoom_out),
             output: zoom_out * zoom_out * 2,
         },
     ]
@@ -460,7 +456,7 @@ mod tests {
         // the switch dependence the paper highlights: "if the RDG task is
         // switched off, the succeeding MKX function has a much smaller
         // input buffer requirement"
-        let t = implementation_table(FrameGeometry::PAPER, 512);
+        let t = implementation_table(FrameGeometry::PAPER, ZOOM_OUT);
         let without = lookup(&t, "MKX_FULL", false).unwrap();
         let with = lookup(&t, "MKX_FULL", true).unwrap();
         assert!(with.input > without.input);
@@ -468,7 +464,7 @@ mod tests {
 
     #[test]
     fn rdg_intermediate_overflows_paper_l2() {
-        let t = implementation_table(FrameGeometry::PAPER, 512);
+        let t = implementation_table(FrameGeometry::PAPER, ZOOM_OUT);
         let rdg = lookup(&t, "RDG_FULL", true).unwrap();
         // 4 MB L2 of the paper's platform
         assert!(rdg.overflows(4 * KB * KB));

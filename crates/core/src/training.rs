@@ -58,40 +58,6 @@ pub enum ModelKind {
     LinearMarkov,
 }
 
-/// Training hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrainingConfig {
-    /// EWMA smoothing factor (Eq. 1). The paper gives no value; 0.2 is the
-    /// calibrated default (see the alpha ablation experiment).
-    pub alpha: f64,
-    /// Cap on the paper's `2M` state-count heuristic.
-    pub max_states: usize,
-    /// Coefficient-of-variation threshold below which a task is modelled
-    /// as constant.
-    pub constant_cv_threshold: f64,
-    /// Minimum |correlation| between ROI size and time to pick the linear
-    /// model.
-    pub roi_correlation_threshold: f64,
-    /// Minimum lag-1 autocorrelation required for the Markov models: a
-    /// series that fluctuates but carries no temporal structure (pure
-    /// measurement noise) is unpredictable, and its mean is the optimal
-    /// constant predictor. This is the paper's autocorrelation analysis
-    /// applied as a model-selection gate.
-    pub acf_lag1_threshold: f64,
-}
-
-impl Default for TrainingConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.2,
-            max_states: 24,
-            constant_cv_threshold: 0.08,
-            roi_correlation_threshold: 0.6,
-            acf_lag1_threshold: 0.25,
-        }
-    }
-}
-
 /// Pearson correlation between two equal-length series.
 fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
@@ -115,17 +81,30 @@ fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
     }
 }
 
+/// Coefficient-of-variation threshold below which a task is modelled as
+/// constant.
+const CONSTANT_CV_THRESHOLD: f64 = 0.08;
+/// Minimum |correlation| between ROI size and time to pick the linear
+/// model.
+const ROI_CORRELATION_THRESHOLD: f64 = 0.6;
+/// Minimum lag-1 autocorrelation required for the Markov models: a series
+/// that fluctuates but carries no temporal structure (pure measurement
+/// noise) is unpredictable, and its mean is the optimal constant
+/// predictor. This is the paper's autocorrelation analysis applied as a
+/// model-selection gate.
+const ACF_LAG1_THRESHOLD: f64 = 0.25;
+
 /// Selects the model class for a task series (the analysis of Section 4:
 /// coefficient of variation, ROI correlation, ACF decay).
-pub fn select_model(series: &TaskSeries, cfg: &TrainingConfig) -> ModelKind {
+pub fn select_model(series: &TaskSeries) -> ModelKind {
     let m = mean(&series.samples);
     let s = std_dev(&series.samples);
-    if m <= 1e-12 || s / m < cfg.constant_cv_threshold {
+    if m <= 1e-12 || s / m < CONSTANT_CV_THRESHOLD {
         return ModelKind::Constant;
     }
     if series.roi_kpixels.len() == series.samples.len()
         && !series.roi_kpixels.is_empty()
-        && correlation(&series.roi_kpixels, &series.samples).abs() > cfg.roi_correlation_threshold
+        && correlation(&series.roi_kpixels, &series.samples).abs() > ROI_CORRELATION_THRESHOLD
     {
         return ModelKind::LinearMarkov;
     }
@@ -133,20 +112,26 @@ pub fn select_model(series: &TaskSeries, cfg: &TrainingConfig) -> ModelKind {
     // carries temporal structure; uncorrelated measurement noise is best
     // predicted by its mean.
     let acf = autocorrelation(&series.samples, 1);
-    if acf.get(1).copied().unwrap_or(0.0) < cfg.acf_lag1_threshold {
+    if acf.get(1).copied().unwrap_or(0.0) < ACF_LAG1_THRESHOLD {
         return ModelKind::Constant;
     }
     ModelKind::EwmaMarkov
 }
 
+/// EWMA smoothing factor (Eq. 1). The paper gives no value; 0.2 is the
+/// calibrated default (see the alpha ablation experiment).
+const ALPHA: f64 = 0.2;
+/// Cap on the paper's `2M` state-count heuristic.
+const MAX_STATES: usize = 24;
+
 /// Selects the model class for a task series and trains it.
-pub(crate) fn train_auto(series: &TaskSeries, cfg: &TrainingConfig) -> TaskModel {
-    match select_model(series, cfg) {
+pub(crate) fn train_auto(series: &TaskSeries) -> TaskModel {
+    match select_model(series) {
         ModelKind::Constant => TaskModel::Constant(ConstantPredictor::train(&series.samples)),
         ModelKind::EwmaMarkov => TaskModel::EwmaMarkov(EwmaMarkovPredictor::train(
             &series.samples,
-            cfg.alpha,
-            cfg.max_states,
+            ALPHA,
+            MAX_STATES,
             series.task.name(),
         )),
         ModelKind::LinearMarkov => {
@@ -158,7 +143,7 @@ pub(crate) fn train_auto(series: &TaskSeries, cfg: &TrainingConfig) -> TaskModel
                 .collect();
             TaskModel::LinearMarkov(LinearMarkovPredictor::train(
                 &points,
-                cfg.max_states,
+                MAX_STATES,
                 series.task.name(),
             ))
         }
@@ -170,14 +155,10 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
-    fn cfg() -> TrainingConfig {
-        TrainingConfig::default()
-    }
-
     #[test]
     fn flat_series_selects_constant() {
         let s = TaskSeries::new(Task::MkxExt, vec![2.5, 2.52, 2.48, 2.51, 2.49, 2.5]);
-        assert_eq!(select_model(&s, &cfg()), ModelKind::Constant);
+        assert_eq!(select_model(&s), ModelKind::Constant);
     }
 
     #[test]
@@ -189,7 +170,7 @@ mod tests {
             .map(|&r| 0.07 * r + 20.0 + rng.gen_range(-1.0..1.0))
             .collect();
         let s = TaskSeries::with_roi(Task::RdgRoi, times, rois);
-        assert_eq!(select_model(&s, &cfg()), ModelKind::LinearMarkov);
+        assert_eq!(select_model(&s), ModelKind::LinearMarkov);
     }
 
     #[test]
@@ -203,7 +184,7 @@ mod tests {
             })
             .collect();
         let s = TaskSeries::new(Task::CplsSel, times);
-        assert_eq!(select_model(&s, &cfg()), ModelKind::EwmaMarkov);
+        assert_eq!(select_model(&s), ModelKind::EwmaMarkov);
     }
 
     #[test]
@@ -220,7 +201,7 @@ mod tests {
     #[test]
     fn train_auto_produces_working_predictor() {
         let s = TaskSeries::new(Task::Enh, vec![24.0, 24.1, 23.9, 24.0, 24.05]);
-        let p = train_auto(&s, &cfg());
+        let p = train_auto(&s);
         assert_eq!(p.kind(), ModelKind::Constant);
         let pred = p
             .predict(&crate::predictor::PredictContext::default())

@@ -9,12 +9,15 @@
 use crate::bandwidth_model::{
     scenario_inter_task_bandwidth, scenario_intra_task_bandwidth, FRAME_RATE_HZ,
 };
-use crate::memory_model::{implementation_table, FrameGeometry, TaskMemory};
+use crate::memory_model::{
+    implementation_table, FrameGeometry, TaskMemory, RDG_DEFAULT_SCALES, ZOOM_OUT,
+};
 use crate::model::TaskModel;
 use crate::predictor::{PredictContext, Prediction};
 use crate::scenario::{Scenario, ScenarioChain};
 use crate::snapshot::{Reader, SnapshotError, Writer};
-use crate::training::{train_auto, ModelKind, TaskSeries, TrainingConfig};
+use crate::training::{train_auto, ModelKind, TaskSeries};
+use platform::arch::ArchModel;
 use platform::task::Task;
 
 /// Configuration of a Triple-C instance.
@@ -22,24 +25,12 @@ use platform::task::Task;
 pub struct TripleCConfig {
     /// Frame geometry.
     pub geometry: FrameGeometry,
-    /// L2 capacity of the target platform, bytes.
-    pub l2_capacity: usize,
-    /// Number of RDG scales (pass count of the access model).
-    pub rdg_scales: usize,
-    /// Training hyperparameters.
-    pub training: TrainingConfig,
-    /// ZOOM output edge length, pixels.
-    pub zoom_out: usize,
 }
 
 impl Default for TripleCConfig {
     fn default() -> Self {
         Self {
             geometry: FrameGeometry::PAPER,
-            l2_capacity: 4 * 1024 * 1024,
-            rdg_scales: 3,
-            training: TrainingConfig::default(),
-            zoom_out: 512,
         }
     }
 }
@@ -102,7 +93,7 @@ impl TripleC {
             if s.samples.is_empty() {
                 continue;
             }
-            predictors[s.task as usize] = Some(train_auto(s, &cfg.training));
+            predictors[s.task as usize] = Some(train_auto(s));
         }
         let scenario_chain = ScenarioChain::estimate(scenario_sequence);
         Self {
@@ -242,8 +233,8 @@ impl TripleC {
                 scenario,
                 self.cfg.geometry,
                 roi_fraction,
-                self.cfg.l2_capacity,
-                self.cfg.rdg_scales,
+                ArchModel::default().l2.capacity,
+                RDG_DEFAULT_SCALES.len(),
             ),
         }
     }
@@ -292,7 +283,7 @@ impl TripleC {
 
     /// The memory requirement table of this implementation (Table 1).
     pub fn memory_table(&self) -> Vec<TaskMemory> {
-        implementation_table(self.cfg.geometry, self.cfg.zoom_out)
+        implementation_table(self.cfg.geometry, ZOOM_OUT)
     }
 
     /// Model summary per trained task, in Fig. 2 order (Table 2(b)).

@@ -36,8 +36,6 @@ pub struct CplsConfig {
     pub expected_distance: f64,
     /// Acceptable deviation from the expected distance, pixels.
     pub distance_tolerance: f64,
-    /// Weight of the distance error in the score.
-    pub w_distance: f64,
     /// Weight of the (inverted, normalized) strength term in the score.
     pub w_strength: f64,
     /// Weight of the temporal-consistency term (movement of the couple
@@ -53,7 +51,6 @@ impl Default for CplsConfig {
         Self {
             expected_distance: 24.0,
             distance_tolerance: 8.0,
-            w_distance: 1.0,
             w_strength: 0.5,
             w_temporal: 0.8,
             max_motion: 12.0,
@@ -69,6 +66,9 @@ pub struct CplsOutput {
     /// Number of candidate pairs that were scored (content-dependent load).
     pub pairs_scored: usize,
 }
+
+/// Weight of the distance error in the score.
+const W_DISTANCE: f64 = 1.0;
 
 /// Selects the best marker couple from `candidates`.
 ///
@@ -99,7 +99,7 @@ pub fn cpls_select(
             }
             pairs_scored += 1;
             let strength = (a.strength as f64 + b.strength as f64) / (2.0 * max_strength);
-            let mut score = cfg.w_distance * (dist_err / cfg.distance_tolerance)
+            let mut score = W_DISTANCE * (dist_err / cfg.distance_tolerance)
                 + cfg.w_strength * (1.0 - strength);
             if let Some(prev) = previous {
                 let (px, py) = prev.center();

@@ -19,10 +19,6 @@ pub struct GwConfig {
     /// Half-width of the search corridor perpendicular to the marker axis,
     /// in samples.
     pub corridor_half_width: usize,
-    /// Lateral sample spacing, pixels.
-    pub lateral_step: f64,
-    /// Longitudinal sample spacing along the axis, pixels.
-    pub along_step: f64,
     /// Maximum lateral offset change between consecutive samples (the
     /// smoothness constraint), in lateral samples.
     pub max_kink: usize,
@@ -35,8 +31,6 @@ impl Default for GwConfig {
     fn default() -> Self {
         Self {
             corridor_half_width: 8,
-            lateral_step: 1.0,
-            along_step: 1.0,
             max_kink: 1,
             min_mean_rel: 0.2,
         }
@@ -102,6 +96,11 @@ fn sample_bilinear(map: &ImageF32, x: f64, y: f64) -> f32 {
     v00 * (1.0 - fx) * (1.0 - fy) + v10 * fx * (1.0 - fy) + v01 * (1.0 - fx) * fy + v11 * fx * fy
 }
 
+/// Lateral sample spacing, pixels.
+const LATERAL_STEP: f64 = 1.0;
+/// Longitudinal sample spacing along the axis, pixels.
+const ALONG_STEP: f64 = 1.0;
+
 /// Bounding box of the pixels [`gw_extract_with`] can read from a
 /// `width x height` ridge map for `couple`: the markers' bounding box grown
 /// by the corridor's half-width, one more column and row for the far tap of
@@ -112,7 +111,7 @@ pub fn corridor_box(couple: &Couple, cfg: &GwConfig, width: usize, height: usize
     }
     // The slack absorbs the rounding of `a + u·t·len ± n·off`; it costs a
     // column only when a sample lands within it of a pixel boundary.
-    let reach = cfg.corridor_half_width as f64 * cfg.lateral_step.abs() + 1e-6;
+    let reach = cfg.corridor_half_width as f64 * LATERAL_STEP + 1e-6;
     let span = |a: f64, b: f64, n: usize| {
         let top = (n - 1) as f64;
         let first = (a.min(b) - reach).clamp(0.0, top).floor() as usize;
@@ -149,7 +148,7 @@ pub fn gw_extract_with(
     let uy = (by - ay) / len;
     let (nx, ny) = (-uy, ux);
 
-    let n_along = ((len / cfg.along_step).ceil() as usize).max(2);
+    let n_along = ((len / ALONG_STEP).ceil() as usize).max(2);
     let n_lat = 2 * cfg.corridor_half_width + 1;
 
     // sample corridor responses (every cell is overwritten before being
@@ -174,7 +173,7 @@ pub fn gw_extract_with(
         let px = ax + ux * t * len;
         let py = ay + uy * t * len;
         for j in 0..n_lat {
-            let off = (j as f64 - cfg.corridor_half_width as f64) * cfg.lateral_step;
+            let off = (j as f64 - cfg.corridor_half_width as f64) * LATERAL_STEP;
             let v = sample_bilinear(ridgeness, px + nx * off, py + ny * off);
             resp[i * n_lat + j] = v;
             peak = peak.max(v);
@@ -210,7 +209,7 @@ pub fn gw_extract_with(
     let mut sum = 0.0f32;
     for (i, &jj) in offsets.iter().enumerate() {
         let t = i as f64 / (n_along - 1) as f64;
-        let off = (jj as f64 - center as f64) * cfg.lateral_step;
+        let off = (jj as f64 - center as f64) * LATERAL_STEP;
         let px = ax + ux * t * len + nx * off;
         let py = ay + uy * t * len + ny * off;
         path.push((px, py));
@@ -247,7 +246,7 @@ pub fn gw_extract_reference(ridgeness: &ImageF32, couple: &Couple, cfg: &GwConfi
     let uy = (by - ay) / len;
     let (nx, ny) = (-uy, ux);
 
-    let n_along = ((len / cfg.along_step).ceil() as usize).max(2);
+    let n_along = ((len / ALONG_STEP).ceil() as usize).max(2);
     let n_lat = 2 * cfg.corridor_half_width + 1;
 
     let mut resp = vec![0.0f32; n_along * n_lat];
@@ -259,7 +258,7 @@ pub fn gw_extract_reference(ridgeness: &ImageF32, couple: &Couple, cfg: &GwConfi
         let px = ax + ux * t * len;
         let py = ay + uy * t * len;
         for j in 0..n_lat {
-            let off = (j as f64 - cfg.corridor_half_width as f64) * cfg.lateral_step;
+            let off = (j as f64 - cfg.corridor_half_width as f64) * LATERAL_STEP;
             let v = sample_bilinear(ridgeness, px + nx * off, py + ny * off);
             resp[i * n_lat + j] = v;
             peak = peak.max(v);
@@ -301,7 +300,7 @@ pub fn gw_extract_reference(ridgeness: &ImageF32, couple: &Couple, cfg: &GwConfi
     let mut sum = 0.0f32;
     for (i, &jj) in offsets.iter().enumerate() {
         let t = i as f64 / (n_along - 1) as f64;
-        let off = (jj as f64 - center as f64) * cfg.lateral_step;
+        let off = (jj as f64 - center as f64) * LATERAL_STEP;
         let px = ax + ux * t * len + nx * off;
         let py = ay + uy * t * len + ny * off;
         path.push((px, py));

@@ -56,4 +56,4 @@ pub use markers::{mkx_extract, Marker, MkxBuffers, MkxConfig, MkxOutput};
 pub use registration::{register, RegConfig, RegOutput, RigidTransform};
 pub use ridge::{rdg_banded, rdg_full, rdg_roi, RdgBuffers, RdgConfig, RdgOutput};
 pub use roi_est::{estimate_roi, RoiEstConfig};
-pub use zoom::{zoom_band_with, ZoomConfig, ZoomFilter};
+pub use zoom::{zoom_band_with, ZoomConfig};

@@ -49,8 +49,6 @@ impl Marker {
 pub struct MkxConfig {
     /// Blob scales matching the expected marker radius.
     pub scales: Vec<f32>,
-    /// Response threshold as a fraction of the maximum response.
-    pub threshold_rel: f32,
     /// Minimum separation between reported candidates, pixels.
     pub min_separation: f64,
     /// Maximum number of candidates reported (strongest first).
@@ -61,7 +59,6 @@ impl Default for MkxConfig {
     fn default() -> Self {
         Self {
             scales: vec![1.5, 2.5],
-            threshold_rel: 0.25,
             min_separation: 6.0,
             max_candidates: 32,
         }
@@ -197,6 +194,9 @@ pub fn mkx_extract_reference(
         .expect("a lone inline band has no dispatch to fail")
 }
 
+/// Response threshold as a fraction of the maximum response.
+const THRESHOLD_REL: f32 = 0.25;
+
 /// The MKX kernel: every public entry point above is this function.
 fn mkx_kernel(
     src: &ImageU16,
@@ -326,7 +326,7 @@ fn mkx_kernel(
     let peak = peak_response(acc, roi);
     // Absolute floor guards against numerical residue on flat frames, where
     // every pixel would otherwise tie as a "local maximum".
-    let threshold = (cfg.threshold_rel * peak).max(1e-3);
+    let threshold = (THRESHOLD_REL * peak).max(1e-3);
     let mut raw: Vec<Marker> = Vec::new();
     if peak > 1e-3 {
         // One pixel in from the ROI's edges: the 3×3 test and the sub-pixel

@@ -66,23 +66,17 @@ pub struct RegConfig {
     /// Maximum plausible marker motion between frames, pixels; larger
     /// estimated motions mark the registration as failed (mis-tracking).
     pub max_motion: f64,
-    /// Maximum residual marker mismatch after alignment, pixels.
-    pub max_residual: f64,
     /// Maximum mean absolute temporal difference (after registration, on a
     /// decimated grid) accepted as "same anatomy"; larger values indicate a
     /// scene change (contrast bolus, panning) and fail the registration.
     pub max_temporal_diff: f64,
-    /// Decimation step of the temporal-difference probe.
-    pub probe_step: usize,
 }
 
 impl Default for RegConfig {
     fn default() -> Self {
         Self {
             max_motion: 40.0,
-            max_residual: 6.0,
             max_temporal_diff: 220.0,
-            probe_step: 8,
         }
     }
 }
@@ -148,16 +142,12 @@ fn estimate_transform(current: &Couple, reference: &Couple) -> (RigidTransform, 
     (t, residual)
 }
 
+/// Decimation step of the temporal-difference probe.
+const PROBE_STEP: usize = 8;
+
 /// Mean absolute difference between `a` (warped by `t`) and `b` on a
 /// decimated grid inside `roi`. Cheap motion criterion of the paper.
-fn temporal_difference(
-    a: &ImageU16,
-    b: &ImageU16,
-    t: &RigidTransform,
-    roi: Roi,
-    step: usize,
-) -> f64 {
-    assert!(step > 0);
+fn temporal_difference(a: &ImageU16, b: &ImageU16, t: &RigidTransform, roi: Roi) -> f64 {
     let roi = roi.clamp_to(a.width().min(b.width()), a.height().min(b.height()));
     let mut total = 0.0f64;
     let mut count = 0usize;
@@ -178,9 +168,9 @@ fn temporal_difference(
             let v = a.get_clamped(sx.round() as isize, sy.round() as isize) as f64;
             total += (v - b.get(x, y) as f64).abs();
             count += 1;
-            x += step;
+            x += PROBE_STEP;
         }
-        y += step;
+        y += PROBE_STEP;
     }
     if count == 0 {
         0.0
@@ -188,6 +178,9 @@ fn temporal_difference(
         total / count as f64
     }
 }
+
+/// Maximum residual marker mismatch after alignment, pixels.
+const MAX_RESIDUAL: f64 = 6.0;
 
 /// Full registration: transform estimation + validity gates.
 pub fn register(
@@ -199,14 +192,8 @@ pub fn register(
     cfg: &RegConfig,
 ) -> RegOutput {
     let (transform, residual) = estimate_transform(current, reference);
-    let temporal_diff = temporal_difference(
-        current_frame,
-        reference_frame,
-        &transform,
-        roi,
-        cfg.probe_step,
-    );
-    let success = residual <= cfg.max_residual
+    let temporal_diff = temporal_difference(current_frame, reference_frame, &transform, roi);
+    let success = residual <= MAX_RESIDUAL
         && transform.translation_magnitude() <= cfg.max_motion
         && temporal_diff <= cfg.max_temporal_diff;
     RegOutput {

@@ -31,49 +31,29 @@ use crate::parallel::{
 };
 use crate::simd::{narrow_row, F32x8, SimdF32, LANES};
 
+/// Base Gaussian scales (sigma, pixels) of the multi-scale filter, always
+/// processed.
+const COARSE_SCALES: [f32; 2] = [1.5, 2.5];
+
 /// Configuration of the ridge-detection task.
 #[derive(Debug, Clone)]
 pub struct RdgConfig {
-    /// Base Gaussian scales (sigma, pixels) of the multi-scale filter,
-    /// always processed.
-    pub scales: Vec<f32>,
-    /// Fine refinement scales, processed only when `fine_enabled` — the
-    /// coarse-to-fine adaptation that makes RDG cost content-dependent
-    /// ("depending on the image content ... the analysis algorithm may
-    /// switch", Section 1).
+    /// Fine refinement scales, processed after the base scales (1.5 and
+    /// 2.5) only when `fine_enabled` — the coarse-to-fine adaptation that
+    /// makes RDG cost content-dependent ("depending on the image content
+    /// ... the analysis algorithm may switch", Section 1).
     pub fine_scales: Vec<f32>,
     /// Whether the fine scales run this frame. The pipeline derives this
     /// per frame from the structure probe; standalone callers keep the
     /// default (enabled), which processes the full scale set.
     pub fine_enabled: bool,
-    /// Threshold on the ridge response, as a fraction of the response
-    /// standard deviation, above which a pixel is considered ridge.
-    pub threshold_factor: f32,
-    /// Weak (hysteresis) threshold factor: an 8-connected region above
-    /// `mean + weak_factor * std` is ridge when it holds a strong pixel.
-    pub weak_factor: f32,
-    /// Absolute response floor for both thresholds, calibrated above the
-    /// quantum-noise response of the detector. Purely relative thresholds
-    /// would adapt away the contrast dependence (and flood noise regions
-    /// on quiet frames); the floor keeps the traced work proportional to
-    /// the amount of real structure.
-    pub response_floor: f32,
-    /// Strength of ridge suppression in the filtered output: suppressed
-    /// intensity = original + `suppression` * ridgeness (brightening dark
-    /// ridges back to background level).
-    pub suppression: f32,
 }
 
 impl Default for RdgConfig {
     fn default() -> Self {
         Self {
-            scales: vec![1.5, 2.5],
             fine_scales: vec![4.0],
             fine_enabled: true,
-            threshold_factor: 2.0,
-            weak_factor: 0.25,
-            response_floor: 32.0,
-            suppression: 1.0,
         }
     }
 }
@@ -81,14 +61,36 @@ impl Default for RdgConfig {
 impl RdgConfig {
     /// The scales one call folds, in sweep order: the base scales, then
     /// the fine ones when `fine_enabled`.
-    fn active_scales(&self) -> Vec<f32> {
+    pub fn active_scales(&self) -> Vec<f32> {
         let fine: &[f32] = if self.fine_enabled {
             &self.fine_scales
         } else {
             &[]
         };
-        self.scales.iter().chain(fine).copied().collect()
+        COARSE_SCALES.iter().chain(fine).copied().collect()
     }
+}
+
+/// Threshold on the ridge response, as a fraction of the response standard
+/// deviation, above which a pixel is considered ridge.
+const THRESHOLD_FACTOR: f32 = 2.0;
+
+/// Weak (hysteresis) threshold factor: an 8-connected region above
+/// `mean + WEAK_FACTOR * std` is ridge when it holds a strong pixel.
+const WEAK_FACTOR: f32 = 0.25;
+
+/// Absolute response floor for both thresholds, calibrated above the
+/// quantum-noise response of the detector. Purely relative thresholds
+/// would adapt away the contrast dependence (and flood noise regions on
+/// quiet frames); the floor keeps the traced work proportional to the
+/// amount of real structure.
+const RESPONSE_FLOOR: f32 = 32.0;
+
+/// The ROI's strong and weak hysteresis thresholds from its response
+/// statistics: `(strong, weak)`.
+fn thresholds(mean: f32, std: f32) -> (f32, f32) {
+    let weak = (mean + WEAK_FACTOR * std).max(RESPONSE_FLOOR);
+    ((mean + THRESHOLD_FACTOR * std).max(weak), weak)
 }
 
 /// What one row band's jobs write besides their rows of the shared images.
@@ -587,8 +589,7 @@ fn rdg_kernel(
     // ROI, so no band's pixels depend on where the band boundaries fall.
     let t0 = Instant::now();
     let (mean, std) = response_stats(&bufs.acc, roi);
-    let weak_threshold = (mean + cfg.weak_factor * std).max(cfg.response_floor);
-    let threshold = (mean + cfg.threshold_factor * std).max(weak_threshold);
+    let (threshold, weak_threshold) = thresholds(mean, std);
     let mut filtered = bufs.take_filtered(src);
     let mut ridgeness = bufs.take_ridgeness(w, h, roi);
     bufs.times.serial_ms += ms_since(t0);
@@ -641,7 +642,7 @@ fn rdg_kernel(
                 }
                 if row_max > threshold {
                     let out_row = &mut filtered[o + band.x..o + band.right()];
-                    brighten_row(out_row, acc_row, threshold, cfg.suppression);
+                    brighten_row(out_row, acc_row, threshold);
                 }
             }
         };
@@ -690,8 +691,13 @@ fn rdg_kernel(
     }
 }
 
+/// Strength of ridge suppression in the filtered output: suppressed
+/// intensity = original + `SUPPRESSION` * ridgeness (brightening dark
+/// ridges back to background level).
+const SUPPRESSION: f32 = 1.0;
+
 /// Ridge-suppression synthesis of one output row: pixels whose response
-/// exceeds `threshold` are brightened by `suppression * response` and
+/// exceeds `threshold` are brightened by `SUPPRESSION * response` and
 /// clamped; the rest pass through unchanged.
 ///
 /// Lane-chunked form of the scalar `if r > threshold { o = clamp(o + s*r) }`
@@ -699,10 +705,10 @@ fn rdg_kernel(
 /// strict-`>` test. u16 values round-trip through f32 exactly, so the
 /// unselected lanes narrow back to themselves and [`narrow_row`] reproduces
 /// the scalar clamp and cast bit for bit.
-fn brighten_row(out: &mut [u16], resp: &[f32], threshold: f32, suppression: f32) {
+fn brighten_row(out: &mut [u16], resp: &[f32], threshold: f32) {
     assert_eq!(out.len(), resp.len());
     let thr = F32x8::splat(threshold);
-    let sup = F32x8::splat(suppression);
+    let sup = F32x8::splat(SUPPRESSION);
     narrow_row(
         out,
         #[inline(always)]
@@ -713,7 +719,7 @@ fn brighten_row(out: &mut [u16], resp: &[f32], threshold: f32, suppression: f32)
         // brighten the dark ridge back toward background
         |j, old| {
             if resp[j] > threshold {
-                old + suppression * resp[j]
+                old + SUPPRESSION * resp[j]
             } else {
                 old
             }
@@ -1367,8 +1373,7 @@ mod tests {
             assert!(serial.ridge_pixels > 0 && serial.segments > 0);
             // the thresholds every band has to use: those of the whole ROI
             let (mean, std) = response_stats(&serial.ridgeness, roi);
-            let weak = (mean + cfg.weak_factor * std).max(cfg.response_floor);
-            let strong = (mean + cfg.threshold_factor * std).max(weak);
+            let (strong, weak) = thresholds(mean, std);
             for stripes in [1usize, 2, 4, 7] {
                 let out = striped(&pool, &src, roi, stripes, &mut bufs);
                 assert_eq!(out.filtered, serial.filtered, "{stripes} stripes");

@@ -9,15 +9,16 @@
 use crate::couples::Couple;
 use crate::image::Roi;
 
+/// Margin around the marker couple as a multiple of the couple length.
+const MARGIN_FACTOR: f64 = 1.0;
+/// Additional absolute margin, pixels.
+const MARGIN_PIXELS: f64 = 16.0;
+/// Extra margin per pixel of recent motion (motion-adaptive growth).
+const MOTION_FACTOR: f64 = 2.0;
+
 /// Configuration of ROI estimation.
 #[derive(Debug, Clone)]
 pub struct RoiEstConfig {
-    /// Margin around the marker couple as a multiple of the couple length.
-    pub margin_factor: f64,
-    /// Additional absolute margin, pixels.
-    pub margin_pixels: f64,
-    /// Extra margin per pixel of recent motion (motion-adaptive growth).
-    pub motion_factor: f64,
     /// Minimum ROI edge length, pixels.
     pub min_size: usize,
     /// Maximum ROI edge length, pixels (caps degenerate detections).
@@ -27,9 +28,6 @@ pub struct RoiEstConfig {
 impl Default for RoiEstConfig {
     fn default() -> Self {
         Self {
-            margin_factor: 1.0,
-            margin_pixels: 16.0,
-            motion_factor: 2.0,
             min_size: 48,
             max_size: 640,
         }
@@ -49,11 +47,10 @@ pub fn estimate_roi(
 ) -> Roi {
     let (cx, cy) = couple.center();
     let len = couple.length();
-    let half = (len * (0.5 + cfg.margin_factor)
-        + cfg.margin_pixels
-        + cfg.motion_factor * recent_motion.max(0.0))
-    .max(cfg.min_size as f64 / 2.0)
-    .min(cfg.max_size as f64 / 2.0);
+    let half =
+        (len * (0.5 + MARGIN_FACTOR) + MARGIN_PIXELS + MOTION_FACTOR * recent_motion.max(0.0))
+            .max(cfg.min_size as f64 / 2.0)
+            .min(cfg.max_size as f64 / 2.0);
 
     let x0 = (cx - half).floor().max(0.0) as usize;
     let y0 = (cy - half).floor().max(0.0) as usize;
@@ -134,7 +131,6 @@ mod tests {
         let cfg = RoiEstConfig {
             min_size: 100,
             max_size: 120,
-            ..Default::default()
         };
         let tiny = estimate_roi(&couple(256.0, 256.0, 258.0, 256.0), 0.0, 512, 512, &cfg);
         assert!(tiny.width >= 100, "width {}", tiny.width);

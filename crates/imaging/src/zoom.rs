@@ -1,10 +1,10 @@
 //! ZOOM — region-of-interest magnification for display.
 //!
 //! The output of the application is presented by zooming in on the ROI
-//! containing the stent (Section 3). Bilinear and bicubic interpolation
-//! are provided; the task operates on a whole output image granularity, so
-//! its memory requirement exceeds the L2 capacity at full display size
-//! (the intra-task bandwidth analysis of Section 5 includes ZOOM).
+//! containing the stent (Section 3) with bilinear interpolation; the task
+//! operates on a whole output image granularity, so its memory requirement
+//! exceeds the L2 capacity at full display size (the intra-task bandwidth
+//! analysis of Section 5 includes ZOOM).
 //!
 //! The interpolation is **separable**: per-column tap indices/weights are
 //! planned once per geometry, each needed *source* row is resolved
@@ -16,15 +16,6 @@
 use crate::image::{ImageU16, Roi};
 use crate::simd::{narrow_row, F32x8};
 
-/// Interpolation method of the zoom stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZoomFilter {
-    /// 2x2 bilinear interpolation.
-    Bilinear,
-    /// 4x4 Catmull-Rom bicubic interpolation.
-    Bicubic,
-}
-
 /// Configuration of the zoom task.
 #[derive(Debug, Clone)]
 pub struct ZoomConfig {
@@ -32,8 +23,6 @@ pub struct ZoomConfig {
     pub out_width: usize,
     /// Output height, pixels.
     pub out_height: usize,
-    /// Interpolation filter.
-    pub filter: ZoomFilter,
 }
 
 impl Default for ZoomConfig {
@@ -41,28 +30,9 @@ impl Default for ZoomConfig {
         Self {
             out_width: 512,
             out_height: 512,
-            filter: ZoomFilter::Bilinear,
         }
     }
 }
-
-/// Catmull-Rom cubic weight.
-#[inline]
-fn cubic_weight(t: f32) -> f32 {
-    let a = -0.5f32;
-    let t = t.abs();
-    if t <= 1.0 {
-        (a + 2.0) * t * t * t - (a + 3.0) * t * t + 1.0
-    } else if t < 2.0 {
-        a * t * t * t - 5.0 * a * t * t + 8.0 * a * t - 4.0 * a
-    } else {
-        0.0
-    }
-}
-
-/// Guard below which a tap-weight sum counts as degenerate (matches the
-/// reference's normalization guard).
-const WSUM_EPS: f32 = 1e-9;
 
 /// Per-column bilinear plan: two clamped source columns and their
 /// weights.
@@ -74,35 +44,25 @@ struct ColBil {
     w1: f32,
 }
 
-/// Per-column bicubic plan: four clamped source columns, their
-/// Catmull-Rom weights, and the weight sum used for normalization.
-#[derive(Debug, Clone, Copy, Default)]
-struct ColCub {
-    idx: [u32; 4],
-    w: [f32; 4],
-    swx: f32,
-}
-
 /// Pooled scratch of the separable zoom: per-column tap plans (cached
 /// across frames while the geometry is stable) and the horizontal row
 /// buffers the vertical SIMD combine reads from.
 #[derive(Debug, Clone, Default)]
 pub struct ZoomScratch {
-    plan_bil: Vec<ColBil>,
-    plan_cub: Vec<ColCub>,
-    /// `n_taps x out_width` horizontally-resolved source rows.
+    plan: Vec<ColBil>,
+    /// `2 x out_width` horizontally-resolved source rows.
     rows: Vec<f32>,
     /// Source row held by each slot of `rows` (`-1` = empty). Only valid
     /// within one [`zoom_band_with`] call — source content changes
     /// between frames.
-    row_src: [isize; 4],
-    /// Geometry key the plans were computed for.
+    row_src: [isize; 2],
+    /// Geometry key the plan was computed for.
     plan_key: Option<PlanKey>,
 }
 
 /// Zoom-plan cache key:
-/// `(roi.x, roi.y, roi.width, roi.height, out_w, src_w, src_h, filter)`.
-type PlanKey = (usize, usize, usize, usize, usize, usize, usize, ZoomFilter);
+/// `(roi.x, roi.y, roi.width, roi.height, out_w, src_w, src_h)`.
+type PlanKey = (usize, usize, usize, usize, usize, usize, usize);
 
 impl ZoomScratch {
     /// Creates an empty scratch; buffers grow on first use.
@@ -110,14 +70,13 @@ impl ZoomScratch {
         Self::default()
     }
 
-    /// Current scratch footprint in bytes (plans + row pool).
+    /// Current scratch footprint in bytes (plan + row pool).
     pub fn byte_size(&self) -> usize {
-        self.plan_bil.capacity() * std::mem::size_of::<ColBil>()
-            + self.plan_cub.capacity() * std::mem::size_of::<ColCub>()
+        self.plan.capacity() * std::mem::size_of::<ColBil>()
             + self.rows.capacity() * std::mem::size_of::<f32>()
     }
 
-    fn ensure_plans(&mut self, src: &ImageU16, roi: Roi, cfg: &ZoomConfig) {
+    fn ensure_plan(&mut self, src: &ImageU16, roi: Roi, cfg: &ZoomConfig) {
         let key = (
             roi.x,
             roi.y,
@@ -126,88 +85,44 @@ impl ZoomScratch {
             cfg.out_width,
             src.width(),
             src.height(),
-            cfg.filter,
         );
-        let taps = match cfg.filter {
-            ZoomFilter::Bilinear => 2,
-            ZoomFilter::Bicubic => 4,
-        };
-        self.rows.resize(taps * cfg.out_width, 0.0);
-        self.row_src = [-1; 4];
+        self.rows.resize(2 * cfg.out_width, 0.0);
+        self.row_src = [-1; 2];
         if self.plan_key == Some(key) {
             return;
         }
         let sx = roi.width as f64 / cfg.out_width as f64;
         let w = src.width();
         let wm1 = (w - 1) as f64;
-        match cfg.filter {
-            ZoomFilter::Bilinear => {
-                self.plan_bil.clear();
-                self.plan_bil.reserve(cfg.out_width);
-                for ox in 0..cfg.out_width {
-                    let fx = roi.x as f64 + (ox as f64 + 0.5) * sx - 0.5;
-                    let xf = fx.clamp(0.0, wm1);
-                    let xi0 = xf.floor() as usize;
-                    let xi1 = (xi0 + 1).min(w - 1);
-                    let wx = (xf - xi0 as f64) as f32;
-                    self.plan_bil.push(ColBil {
-                        i0: xi0 as u32,
-                        i1: xi1 as u32,
-                        w0: 1.0 - wx,
-                        w1: wx,
-                    });
-                }
-            }
-            ZoomFilter::Bicubic => {
-                self.plan_cub.clear();
-                self.plan_cub.reserve(cfg.out_width);
-                for ox in 0..cfg.out_width {
-                    let fx = roi.x as f64 + (ox as f64 + 0.5) * sx - 0.5;
-                    let xb = fx.floor() as isize;
-                    let gx = (fx - xb as f64) as f32;
-                    let mut plan = ColCub::default();
-                    for (k, j) in (-1isize..=2).enumerate() {
-                        plan.w[k] = cubic_weight(j as f32 - gx);
-                        plan.swx += plan.w[k];
-                        plan.idx[k] = (xb + j).clamp(0, w as isize - 1) as u32;
-                    }
-                    self.plan_cub.push(plan);
-                }
-            }
+        self.plan.clear();
+        self.plan.reserve(cfg.out_width);
+        for ox in 0..cfg.out_width {
+            let fx = roi.x as f64 + (ox as f64 + 0.5) * sx - 0.5;
+            let xf = fx.clamp(0.0, wm1);
+            let xi0 = xf.floor() as usize;
+            let xi1 = (xi0 + 1).min(w - 1);
+            let wx = (xf - xi0 as f64) as f32;
+            self.plan.push(ColBil {
+                i0: xi0 as u32,
+                i1: xi1 as u32,
+                w0: 1.0 - wx,
+                w1: wx,
+            });
         }
         self.plan_key = Some(key);
     }
 
     /// Returns the horizontally-resolved f32 row for source row `sy`,
     /// filling its pool slot if a different row currently occupies it.
-    /// Consecutive source rows map to distinct slots (`sy % taps`), so
+    /// Consecutive source rows map to distinct slots (`sy % 2`), so
     /// upscaled output rows reuse the overlap instead of recomputing it.
-    fn resolve_row(&mut self, src: &ImageU16, sy: usize, taps: usize, out_w: usize) -> &[f32] {
-        let slot = sy % taps;
+    fn resolve_row(&mut self, src: &ImageU16, sy: usize, out_w: usize) -> &[f32] {
+        let slot = sy % 2;
         let range = slot * out_w..(slot + 1) * out_w;
         if self.row_src[slot] != sy as isize {
             let srow = src.row(sy);
-            let dst = &mut self.rows[range.clone()];
-            match self.plan_key.map(|k| k.7) {
-                Some(ZoomFilter::Bilinear) => {
-                    for (d, p) in dst.iter_mut().zip(&self.plan_bil) {
-                        *d = srow[p.i0 as usize] as f32 * p.w0 + srow[p.i1 as usize] as f32 * p.w1;
-                    }
-                }
-                Some(ZoomFilter::Bicubic) => {
-                    for (d, p) in dst.iter_mut().zip(&self.plan_cub) {
-                        let acc = ((p.w[0] * srow[p.idx[0] as usize] as f32
-                            + p.w[1] * srow[p.idx[1] as usize] as f32)
-                            + p.w[2] * srow[p.idx[2] as usize] as f32)
-                            + p.w[3] * srow[p.idx[3] as usize] as f32;
-                        *d = if p.swx.abs() < WSUM_EPS {
-                            0.0
-                        } else {
-                            acc / p.swx
-                        };
-                    }
-                }
-                None => unreachable!("plans computed before row resolution"),
+            for (d, p) in self.rows[range.clone()].iter_mut().zip(&self.plan) {
+                *d = srow[p.i0 as usize] as f32 * p.w0 + srow[p.i1 as usize] as f32 * p.w1;
             }
             self.row_src[slot] = sy as isize;
         }
@@ -238,52 +153,24 @@ pub fn zoom_band_with(
     if roi.is_empty() || cfg.out_width == 0 || cfg.out_height == 0 {
         return;
     }
-    scratch.ensure_plans(src, roi, cfg);
+    scratch.ensure_plan(src, roi, cfg);
     let sy = roi.height as f64 / cfg.out_height as f64;
     let h = src.height();
     let hm1 = (h - 1) as f64;
     for oy in y0..y1.min(cfg.out_height) {
         // center-aligned sampling
         let fy = roi.y as f64 + (oy as f64 + 0.5) * sy - 0.5;
-        match cfg.filter {
-            ZoomFilter::Bilinear => {
-                let yf = fy.clamp(0.0, hm1);
-                let yi0 = yf.floor() as usize;
-                let yi1 = (yi0 + 1).min(h - 1);
-                let wy = (yf - yi0 as f64) as f32;
-                scratch.resolve_row(src, yi0, 2, cfg.out_width);
-                scratch.resolve_row(src, yi1, 2, cfg.out_width);
-                let ow = cfg.out_width;
-                let rows = &scratch.rows;
-                let r0 = &rows[(yi0 % 2) * ow..(yi0 % 2) * ow + ow];
-                let r1 = &rows[(yi1 % 2) * ow..(yi1 % 2) * ow + ow];
-                vlerp_row(r0, r1, wy, out.row_mut(oy));
-            }
-            ZoomFilter::Bicubic => {
-                let yb = fy.floor() as isize;
-                let gy = (fy - yb as f64) as f32;
-                let mut wys = [0.0f32; 4];
-                let mut yis = [0usize; 4];
-                let mut swy = 0.0f32;
-                for (k, j) in (-1isize..=2).enumerate() {
-                    wys[k] = cubic_weight(j as f32 - gy);
-                    swy += wys[k];
-                    yis[k] = (yb + j).clamp(0, h as isize - 1) as usize;
-                }
-                for &row in &yis {
-                    scratch.resolve_row(src, row, 4, cfg.out_width);
-                }
-                let ow = cfg.out_width;
-                let rows = &scratch.rows;
-                let taps = [
-                    &rows[(yis[0] % 4) * ow..(yis[0] % 4 + 1) * ow],
-                    &rows[(yis[1] % 4) * ow..(yis[1] % 4 + 1) * ow],
-                    &rows[(yis[2] % 4) * ow..(yis[2] % 4 + 1) * ow],
-                    &rows[(yis[3] % 4) * ow..(yis[3] % 4 + 1) * ow],
-                ];
-                vcubic_row(taps, wys, swy, out.row_mut(oy));
-            }
-        }
+        let yf = fy.clamp(0.0, hm1);
+        let yi0 = yf.floor() as usize;
+        let yi1 = (yi0 + 1).min(h - 1);
+        let wy = (yf - yi0 as f64) as f32;
+        scratch.resolve_row(src, yi0, cfg.out_width);
+        scratch.resolve_row(src, yi1, cfg.out_width);
+        let ow = cfg.out_width;
+        let rows = &scratch.rows;
+        let r0 = &rows[(yi0 % 2) * ow..(yi0 % 2) * ow + ow];
+        let r1 = &rows[(yi1 % 2) * ow..(yi1 % 2) * ow + ow];
+        vlerp_row(r0, r1, wy, out.row_mut(oy));
     }
 }
 
@@ -314,69 +201,20 @@ pub fn zoom_band_reference(
     for oy in y0..y1.min(cfg.out_height) {
         // center-aligned sampling
         let fy = roi.y as f64 + (oy as f64 + 0.5) * sy - 0.5;
-        match cfg.filter {
-            ZoomFilter::Bilinear => {
-                let yf = fy.clamp(0.0, hm1);
-                let yi0 = yf.floor() as usize;
-                let yi1 = (yi0 + 1).min(h - 1);
-                let wy = (yf - yi0 as f64) as f32;
-                for ox in 0..cfg.out_width {
-                    let fx = roi.x as f64 + (ox as f64 + 0.5) * sx - 0.5;
-                    let xf = fx.clamp(0.0, wm1);
-                    let xi0 = xf.floor() as usize;
-                    let xi1 = (xi0 + 1).min(w - 1);
-                    let wx = (xf - xi0 as f64) as f32;
-                    let h0 = src.get(xi0, yi0) as f32 * (1.0 - wx) + src.get(xi1, yi0) as f32 * wx;
-                    let h1 = src.get(xi0, yi1) as f32 * (1.0 - wx) + src.get(xi1, yi1) as f32 * wx;
-                    let v = h0 * (1.0 - wy) + h1 * wy;
-                    out.set(ox, oy, v.clamp(0.0, u16::MAX as f32) as u16);
-                }
-            }
-            ZoomFilter::Bicubic => {
-                let yb = fy.floor() as isize;
-                let gy = (fy - yb as f64) as f32;
-                let mut wys = [0.0f32; 4];
-                let mut yis = [0usize; 4];
-                let mut swy = 0.0f32;
-                for (k, j) in (-1isize..=2).enumerate() {
-                    wys[k] = cubic_weight(j as f32 - gy);
-                    swy += wys[k];
-                    yis[k] = (yb + j).clamp(0, h as isize - 1) as usize;
-                }
-                for ox in 0..cfg.out_width {
-                    let fx = roi.x as f64 + (ox as f64 + 0.5) * sx - 0.5;
-                    let xb = fx.floor() as isize;
-                    let gx = (fx - xb as f64) as f32;
-                    let mut wxs = [0.0f32; 4];
-                    let mut xis = [0usize; 4];
-                    let mut swx = 0.0f32;
-                    for (k, j) in (-1isize..=2).enumerate() {
-                        wxs[k] = cubic_weight(j as f32 - gx);
-                        swx += wxs[k];
-                        xis[k] = (xb + j).clamp(0, w as isize - 1) as usize;
-                    }
-                    let hsample = |row: usize| -> f32 {
-                        let acc = ((wxs[0] * src.get(xis[0], row) as f32
-                            + wxs[1] * src.get(xis[1], row) as f32)
-                            + wxs[2] * src.get(xis[2], row) as f32)
-                            + wxs[3] * src.get(xis[3], row) as f32;
-                        if swx.abs() < WSUM_EPS {
-                            0.0
-                        } else {
-                            acc / swx
-                        }
-                    };
-                    let (h0, h1, h2, h3) = (
-                        hsample(yis[0]),
-                        hsample(yis[1]),
-                        hsample(yis[2]),
-                        hsample(yis[3]),
-                    );
-                    let acc = ((wys[0] * h0 + wys[1] * h1) + wys[2] * h2) + wys[3] * h3;
-                    let v = if swy.abs() < WSUM_EPS { 0.0 } else { acc / swy };
-                    out.set(ox, oy, v.clamp(0.0, u16::MAX as f32) as u16);
-                }
-            }
+        let yf = fy.clamp(0.0, hm1);
+        let yi0 = yf.floor() as usize;
+        let yi1 = (yi0 + 1).min(h - 1);
+        let wy = (yf - yi0 as f64) as f32;
+        for ox in 0..cfg.out_width {
+            let fx = roi.x as f64 + (ox as f64 + 0.5) * sx - 0.5;
+            let xf = fx.clamp(0.0, wm1);
+            let xi0 = xf.floor() as usize;
+            let xi1 = (xi0 + 1).min(w - 1);
+            let wx = (xf - xi0 as f64) as f32;
+            let h0 = src.get(xi0, yi0) as f32 * (1.0 - wx) + src.get(xi1, yi0) as f32 * wx;
+            let h1 = src.get(xi0, yi1) as f32 * (1.0 - wx) + src.get(xi1, yi1) as f32 * wx;
+            let v = h0 * (1.0 - wy) + h1 * wy;
+            out.set(ox, oy, v.clamp(0.0, u16::MAX as f32) as u16);
         }
     }
 }
@@ -392,27 +230,6 @@ fn vlerp_row(r0: &[f32], r1: &[f32], wy: f32, out: &mut [u16]) {
         #[inline(always)]
         |i, _| F32x8::load(&r0[i..]) * vw0 + F32x8::load(&r1[i..]) * vw1,
         |j, _| r0[j] * (1.0 - wy) + r1[j] * wy,
-    );
-}
-
-/// Vertical Catmull-Rom combine of one output row over four resolved
-/// rows, normalized by `swy`, clamped and narrowed like [`vlerp_row`].
-fn vcubic_row(rows: [&[f32]; 4], wy: [f32; 4], swy: f32, out: &mut [u16]) {
-    if swy.abs() < WSUM_EPS {
-        out.fill(0);
-        return;
-    }
-    let w = wy.map(F32x8::splat);
-    let vs = F32x8::splat(swy);
-    let tap = |k: usize, i: usize| F32x8::load(&rows[k][i..]);
-    narrow_row(
-        out,
-        #[inline(always)]
-        |i, _| (((w[0] * tap(0, i) + w[1] * tap(1, i)) + w[2] * tap(2, i)) + w[3] * tap(3, i)) / vs,
-        |j, _| {
-            (((wy[0] * rows[0][j] + wy[1] * rows[1][j]) + wy[2] * rows[2][j]) + wy[3] * rows[3][j])
-                / swy
-        },
     );
 }
 
@@ -436,7 +253,6 @@ mod tests {
         let cfg = ZoomConfig {
             out_width: 16,
             out_height: 16,
-            filter: ZoomFilter::Bilinear,
         };
         let out = zoom(&src, src.full_roi(), &cfg);
         for y in 0..16 {
@@ -449,22 +265,15 @@ mod tests {
     #[test]
     fn constant_region_stays_constant() {
         let src = ImageU16::filled(32, 32, 1234);
-        for filter in [ZoomFilter::Bilinear, ZoomFilter::Bicubic] {
-            let cfg = ZoomConfig {
-                out_width: 64,
-                out_height: 64,
-                filter,
-            };
-            let out = zoom(&src, Roi::new(4, 4, 16, 16), &cfg);
-            for y in 0..64 {
-                for x in 0..64 {
-                    let v = out.get(x, y);
-                    assert!(
-                        (v as i32 - 1234).abs() <= 1,
-                        "({x},{y}) = {v} with {:?}",
-                        filter
-                    );
-                }
+        let cfg = ZoomConfig {
+            out_width: 64,
+            out_height: 64,
+        };
+        let out = zoom(&src, Roi::new(4, 4, 16, 16), &cfg);
+        for y in 0..64 {
+            for x in 0..64 {
+                let v = out.get(x, y);
+                assert!((v as i32 - 1234).abs() <= 1, "({x},{y}) = {v}");
             }
         }
     }
@@ -475,7 +284,6 @@ mod tests {
         let cfg = ZoomConfig {
             out_width: 64,
             out_height: 64,
-            filter: ZoomFilter::Bilinear,
         };
         let out = zoom(&src, src.full_roi(), &cfg);
         for y in 0..64 {
@@ -489,43 +297,14 @@ mod tests {
     }
 
     #[test]
-    fn bicubic_sharper_than_bilinear_on_edge() {
-        // a step edge: bicubic overshoots slightly (ringing), so its output
-        // range must be at least as wide as bilinear's
-        let src = Image::from_fn(16, 16, |x, _| if x < 8 { 100u16 } else { 2000 });
-        let mk = |filter| {
-            let cfg = ZoomConfig {
-                out_width: 64,
-                out_height: 16,
-                filter,
-            };
-            zoom(&src, src.full_roi(), &cfg)
-        };
-        let (lin_lo, lin_hi) = mk(ZoomFilter::Bilinear).min_max();
-        let (cub_lo, cub_hi) = mk(ZoomFilter::Bicubic).min_max();
-        assert!(cub_hi >= lin_hi);
-        assert!(cub_lo <= lin_lo);
-    }
-
-    #[test]
     fn empty_roi_yields_black() {
         let src = ImageU16::filled(8, 8, 500);
         let cfg = ZoomConfig {
             out_width: 4,
             out_height: 4,
-            filter: ZoomFilter::Bilinear,
         };
         let out = zoom(&src, Roi::new(0, 0, 0, 0), &cfg);
         assert_eq!(out.min_max(), (0, 0));
-    }
-
-    #[test]
-    fn cubic_weights_partition_unity_near_center() {
-        // sum of the 4 taps at any phase is ~1 for Catmull-Rom
-        for phase in [0.0f32, 0.25, 0.5, 0.75] {
-            let s: f32 = (-1..=2).map(|i| cubic_weight(i as f32 - phase)).sum();
-            assert!((s - 1.0).abs() < 1e-5, "phase {phase}: {s}");
-        }
     }
 
     #[test]
@@ -534,27 +313,24 @@ mod tests {
         // lanes, the row-cache ring, and border-clamped taps
         let src = Image::from_fn(37, 23, |x, y| ((x * 541 + y * 733) % 4096) as u16);
         let mut scratch = ZoomScratch::new();
-        for filter in [ZoomFilter::Bilinear, ZoomFilter::Bicubic] {
-            for (ow, oh) in [(61, 47), (17, 11), (37, 23)] {
-                let cfg = ZoomConfig {
-                    out_width: ow,
-                    out_height: oh,
-                    filter,
-                };
-                let roi = Roi::new(2, 1, 33, 21);
-                let mut fast = ImageU16::new(ow, oh);
-                let mut reference = ImageU16::new(ow, oh);
-                // bands exercise scratch reuse mid-image
-                zoom_band_with(&src, roi, &cfg, &mut fast, 0, oh / 2, &mut scratch);
-                zoom_band_with(&src, roi, &cfg, &mut fast, oh / 2, oh, &mut scratch);
-                zoom_band_reference(&src, roi, &cfg, &mut reference, 0, oh);
-                for y in 0..oh {
-                    assert_eq!(
-                        fast.row(y),
-                        reference.row(y),
-                        "row {y} differs for {filter:?} {ow}x{oh}"
-                    );
-                }
+        for (ow, oh) in [(61, 47), (17, 11), (37, 23)] {
+            let cfg = ZoomConfig {
+                out_width: ow,
+                out_height: oh,
+            };
+            let roi = Roi::new(2, 1, 33, 21);
+            let mut fast = ImageU16::new(ow, oh);
+            let mut reference = ImageU16::new(ow, oh);
+            // bands exercise scratch reuse mid-image
+            zoom_band_with(&src, roi, &cfg, &mut fast, 0, oh / 2, &mut scratch);
+            zoom_band_with(&src, roi, &cfg, &mut fast, oh / 2, oh, &mut scratch);
+            zoom_band_reference(&src, roi, &cfg, &mut reference, 0, oh);
+            for y in 0..oh {
+                assert_eq!(
+                    fast.row(y),
+                    reference.row(y),
+                    "row {y} differs for {ow}x{oh}"
+                );
             }
         }
     }

@@ -12,7 +12,7 @@ use pipeline::executor::{ExecutionPolicy, FrameOutput};
 use platform::bus::{
     EventBus, FrameEvent, RepartitionReason, StreamId, Subscriber, DEFAULT_STREAM,
 };
-use triplec::accuracy::{AccuracyReport, PredictionLog, PredictionLogHandle};
+use triplec::accuracy::{evaluate, AccuracyReport};
 use triplec::predictor::{PredictContext, Prediction};
 use triplec::scenario::Scenario;
 use triplec::triple::TripleC;
@@ -141,9 +141,9 @@ impl CalibrationTracker {
 /// Publishes its lifecycle onto a typed [`EventBus`]: a
 /// [`FrameEvent::PlanIssued`] per plan, and [`FrameEvent::FrameExecuted`] /
 /// [`FrameEvent::BudgetOverrun`] / [`FrameEvent::ModelRetrained`] per
-/// absorbed frame. The Section 7 accuracy bookkeeping is a
-/// [`PredictionLog`] subscriber on that bus; further subscribers attach
-/// via [`ResourceManager::subscribe`].
+/// absorbed frame; subscribers attach via [`ResourceManager::subscribe`].
+/// The Section 7 accuracy bookkeeping keeps the `(predicted, actual)` pair
+/// of each `FrameExecuted` it emits.
 pub struct ResourceManager {
     model: TripleC,
     cfg: ManagerConfig,
@@ -151,7 +151,8 @@ pub struct ResourceManager {
     last_scenario: Scenario,
     last_plan: Option<Plan>,
     bus: EventBus,
-    pairs: PredictionLogHandle,
+    /// `(predicted_total_ms, actual_total_ms)` of every executed frame.
+    pairs: Vec<(f64, f64)>,
     stream: StreamId,
     frame_index: usize,
     infeasible_frames: usize,
@@ -168,16 +169,14 @@ impl ResourceManager {
     /// Creates a manager emitting events under the given stream id (one
     /// manager per stream in a multi-stream session).
     pub fn for_stream(model: TripleC, cfg: ManagerConfig, stream: StreamId) -> Self {
-        let mut bus = EventBus::new();
-        let pairs = PredictionLog::subscribe_to(&mut bus);
         Self {
             model,
             cfg,
             budget: None,
             last_scenario: Scenario::worst_case(),
             last_plan: None,
-            bus,
-            pairs,
+            bus: EventBus::new(),
+            pairs: Vec::new(),
             stream,
             frame_index: 0,
             infeasible_frames: 0,
@@ -310,6 +309,7 @@ impl ResourceManager {
             ));
         }
         if let Some(plan) = self.last_plan.take() {
+            self.pairs.push((plan.predicted_total_ms, actual_total));
             self.bus.emit(FrameEvent::FrameExecuted {
                 stream: self.stream,
                 frame: self.frame_index,
@@ -362,10 +362,9 @@ impl ResourceManager {
         self.frame_index += 1;
     }
 
-    /// Frame-level prediction accuracy so far (Section 7 metric), read
-    /// from the bus-attached [`PredictionLog`].
+    /// Frame-level prediction accuracy so far (Section 7 metric).
     pub fn accuracy(&self) -> AccuracyReport {
-        self.pairs.report()
+        evaluate(&self.pairs)
     }
 
     /// Read access to the model.

@@ -34,7 +34,6 @@ pub(crate) fn trained_model() -> TripleC {
             width: 128,
             height: 128,
         },
-        ..Default::default()
     };
     TripleC::train(&profile.task_series(), &profile.scenarios, cfg)
 }

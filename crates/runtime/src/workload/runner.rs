@@ -320,7 +320,6 @@ fn synthetic_model(s: &StreamTrace) -> TripleC {
             width: s.width,
             height: s.height,
         },
-        ..Default::default()
     };
     let mut model = TripleC::train(&series, &scenarios, cfg);
     model.set_online_training(false);

@@ -16,18 +16,6 @@ pub struct DeviceConfig {
     pub center: (f64, f64),
     /// Device axis orientation, radians.
     pub angle: f64,
-    /// Marker contrast depth.
-    pub marker_depth: f32,
-    /// Marker radius (Gaussian sigma), pixels.
-    pub marker_sigma: f32,
-    /// Guide-wire contrast depth.
-    pub wire_depth: f32,
-    /// Guide-wire width (sigma), pixels.
-    pub wire_sigma: f32,
-    /// Wire sag amplitude perpendicular to the axis, pixels.
-    pub wire_sag: f64,
-    /// Stent strut contrast depth (faint before enhancement).
-    pub stent_depth: f32,
     /// Whether the stent is deployed (drawn).
     pub stent_deployed: bool,
 }
@@ -38,12 +26,6 @@ impl Default for DeviceConfig {
             marker_distance: 24.0,
             center: (0.0, 0.0),
             angle: 0.3,
-            marker_depth: 1100.0,
-            marker_sigma: 2.2,
-            wire_depth: 260.0,
-            wire_sigma: 1.1,
-            wire_sag: 2.0,
-            stent_depth: 60.0,
             stent_deployed: true,
         }
     }
@@ -65,6 +47,19 @@ fn marker_positions(
         apply_motion(motion, b.0, b.1, frame_center.0, frame_center.1),
     )
 }
+
+/// Marker contrast depth.
+const MARKER_DEPTH: f32 = 1100.0;
+/// Marker radius (Gaussian sigma), pixels.
+const MARKER_SIGMA: f32 = 2.2;
+/// Guide-wire contrast depth.
+const WIRE_DEPTH: f32 = 260.0;
+/// Guide-wire width (sigma), pixels.
+const WIRE_SIGMA: f32 = 1.1;
+/// Wire sag amplitude perpendicular to the axis, pixels.
+const WIRE_SAG: f64 = 2.0;
+/// Stent strut contrast depth (faint before enhancement).
+const STENT_DEPTH: f32 = 60.0;
 
 /// Renders the device into the canvas under the given motion state.
 ///
@@ -91,10 +86,10 @@ pub fn render_device(
     for i in 0..n_pts {
         let t = i as f64 / (n_pts - 1) as f64;
         let along = -ext + t * (len + 2.0 * ext);
-        let sag = cfg.wire_sag * (std::f64::consts::PI * (along / (len + 2.0 * ext) + 0.5)).sin();
+        let sag = WIRE_SAG * (std::f64::consts::PI * (along / (len + 2.0 * ext) + 0.5)).sin();
         wire.push((ma.0 + ux * along + nx * sag, ma.1 + uy * along + ny * sag));
     }
-    canvas.draw_polyline(&wire, cfg.wire_depth, cfg.wire_sigma);
+    canvas.draw_polyline(&wire, WIRE_DEPTH, WIRE_SIGMA);
 
     // Stent: a diamond mesh of faint struts between the markers.
     if cfg.stent_deployed {
@@ -111,7 +106,7 @@ pub fn render_device(
                 p0.1 + ny * radius,
                 p1.0 - nx * radius,
                 p1.1 - ny * radius,
-                cfg.stent_depth,
+                STENT_DEPTH,
                 0.8,
             );
             canvas.draw_line(
@@ -119,15 +114,15 @@ pub fn render_device(
                 p0.1 - ny * radius,
                 p1.0 + nx * radius,
                 p1.1 + ny * radius,
-                cfg.stent_depth,
+                STENT_DEPTH,
                 0.8,
             );
         }
     }
 
     // Markers last so they dominate locally.
-    canvas.stamp_absorber(ma.0, ma.1, cfg.marker_depth, cfg.marker_sigma);
-    canvas.stamp_absorber(mb.0, mb.1, cfg.marker_depth, cfg.marker_sigma);
+    canvas.stamp_absorber(ma.0, ma.1, MARKER_DEPTH, MARKER_SIGMA);
+    canvas.stamp_absorber(mb.0, mb.1, MARKER_DEPTH, MARKER_SIGMA);
 
     (ma, mb)
 }

@@ -11,33 +11,13 @@ use rand::Rng;
 /// Parameters of the composite motion model.
 #[derive(Debug, Clone)]
 pub struct MotionConfig {
-    /// Frame rate, Hz (the paper's application runs at 30 Hz).
-    pub frame_rate: f64,
-    /// Cardiac frequency, Hz (~1.2 Hz = 72 bpm).
-    pub cardiac_hz: f64,
-    /// Cardiac displacement amplitude, pixels.
-    pub cardiac_amp: f64,
-    /// Respiratory frequency, Hz (~0.25 Hz = 15/min).
-    pub respiratory_hz: f64,
-    /// Respiratory displacement amplitude, pixels.
-    pub respiratory_amp: f64,
     /// Standard deviation of frame-to-frame jitter, pixels.
     pub jitter_std: f64,
-    /// Amplitude of cardiac rotation, radians.
-    pub rotation_amp: f64,
 }
 
 impl Default for MotionConfig {
     fn default() -> Self {
-        Self {
-            frame_rate: 30.0,
-            cardiac_hz: 1.2,
-            cardiac_amp: 6.0,
-            respiratory_hz: 0.25,
-            respiratory_amp: 10.0,
-            jitter_std: 0.4,
-            rotation_amp: 0.03,
-        }
+        Self { jitter_std: 0.4 }
     }
 }
 
@@ -62,20 +42,33 @@ impl MotionState {
     }
 }
 
+/// Frame rate, Hz (the paper's application runs at 30 Hz).
+const FRAME_RATE: f64 = 30.0;
+/// Cardiac frequency, Hz (~1.2 Hz = 72 bpm).
+const CARDIAC_HZ: f64 = 1.2;
+/// Cardiac displacement amplitude, pixels.
+const CARDIAC_AMP: f64 = 6.0;
+/// Respiratory frequency, Hz (~0.25 Hz = 15/min).
+const RESPIRATORY_HZ: f64 = 0.25;
+/// Respiratory displacement amplitude, pixels.
+const RESPIRATORY_AMP: f64 = 10.0;
+/// Amplitude of cardiac rotation, radians.
+const ROTATION_AMP: f64 = 0.03;
+
 /// Evaluates the motion model at frame index `frame`, drawing jitter from
 /// `rng` (callers seed it deterministically per frame).
 pub fn motion_at(cfg: &MotionConfig, frame: usize, rng: &mut impl Rng) -> MotionState {
-    let t = frame as f64 / cfg.frame_rate;
-    let cardiac = (2.0 * std::f64::consts::PI * cfg.cardiac_hz * t).sin();
+    let t = frame as f64 / FRAME_RATE;
+    let cardiac = (2.0 * std::f64::consts::PI * CARDIAC_HZ * t).sin();
     // second harmonic gives the sharp systolic kick of real cardiac motion
-    let cardiac2 = (4.0 * std::f64::consts::PI * cfg.cardiac_hz * t + 0.8).sin();
-    let resp = (2.0 * std::f64::consts::PI * cfg.respiratory_hz * t).sin();
+    let cardiac2 = (4.0 * std::f64::consts::PI * CARDIAC_HZ * t + 0.8).sin();
+    let resp = (2.0 * std::f64::consts::PI * RESPIRATORY_HZ * t).sin();
     let jx: f64 = rng.gen_range(-1.0..1.0) * cfg.jitter_std;
     let jy: f64 = rng.gen_range(-1.0..1.0) * cfg.jitter_std;
     MotionState {
-        dx: cfg.cardiac_amp * (0.7 * cardiac + 0.3 * cardiac2) + jx,
-        dy: cfg.respiratory_amp * resp + 0.4 * cfg.cardiac_amp * cardiac + jy,
-        rot: cfg.rotation_amp * cardiac,
+        dx: CARDIAC_AMP * (0.7 * cardiac + 0.3 * cardiac2) + jx,
+        dy: RESPIRATORY_AMP * resp + 0.4 * CARDIAC_AMP * cardiac + jy,
+        rot: ROTATION_AMP * cardiac,
     }
 }
 
@@ -98,18 +91,15 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         for f in 0..300 {
             let m = motion_at(&cfg, f, &mut rng);
-            let bound = cfg.cardiac_amp + cfg.respiratory_amp + 3.0 * cfg.jitter_std + 1.0;
+            let bound = CARDIAC_AMP + RESPIRATORY_AMP + 3.0 * cfg.jitter_std + 1.0;
             assert!(m.dx.hypot(m.dy) < 2.0 * bound, "frame {f}: {:?}", m);
-            assert!(m.rot.abs() <= cfg.rotation_amp + 1e-9);
+            assert!(m.rot.abs() <= ROTATION_AMP + 1e-9);
         }
     }
 
     #[test]
     fn motion_is_periodic_without_jitter() {
-        let cfg = MotionConfig {
-            jitter_std: 0.0,
-            ..Default::default()
-        };
+        let cfg = MotionConfig { jitter_std: 0.0 };
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         // cardiac 1.2 Hz at 30 fps: period 25 frames; respiratory 0.25 Hz:
         // period 120 frames; common period 600 frames

@@ -25,10 +25,6 @@ pub struct PhantomConfig {
     pub branches: usize,
     /// Probability that a branch spawns a secondary branch at each step.
     pub fork_prob: f64,
-    /// Random-walk step length, pixels.
-    pub step: f64,
-    /// Maximum direction change per step, radians.
-    pub wiggle: f64,
     /// Primary branch width (sigma), pixels.
     pub sigma: f32,
     /// Nominal branch contrast depth.
@@ -40,13 +36,16 @@ impl Default for PhantomConfig {
         Self {
             branches: 3,
             fork_prob: 0.02,
-            step: 4.0,
-            wiggle: 0.25,
             sigma: 2.2,
             depth: 500.0,
         }
     }
 }
+
+/// Random-walk step length, pixels.
+const STEP: f64 = 4.0;
+/// Maximum direction change per step, radians.
+const WIGGLE: f64 = 0.25;
 
 /// Generates the vessel tree for a `width x height` scene.
 pub fn generate_tree(
@@ -67,11 +66,11 @@ pub fn generate_tree(
             _ => (w, rng.gen_range(0.0..h), rng.gen_range(1.9..4.3)),
         };
         let mut path = vec![(x, y)];
-        let max_steps = ((w + h) / cfg.step) as usize;
+        let max_steps = ((w + h) / STEP) as usize;
         for _ in 0..max_steps {
-            dir += rng.gen_range(-cfg.wiggle..cfg.wiggle);
-            x += cfg.step * dir.cos();
-            y += cfg.step * dir.sin();
+            dir += rng.gen_range(-WIGGLE..WIGGLE);
+            x += STEP * dir.cos();
+            y += STEP * dir.sin();
             path.push((x, y));
             if x < -20.0 || y < -20.0 || x > w + 20.0 || y > h + 20.0 {
                 break;
@@ -83,9 +82,9 @@ pub fn generate_tree(
                 let mut bdir = dir + rng.gen_range(-1.0..1.0f64).signum() * rng.gen_range(0.5..1.1);
                 let mut bpath = vec![(bx, by)];
                 for _ in 0..max_steps / 2 {
-                    bdir += rng.gen_range(-cfg.wiggle..cfg.wiggle);
-                    bx += cfg.step * bdir.cos();
-                    by += cfg.step * bdir.sin();
+                    bdir += rng.gen_range(-WIGGLE..WIGGLE);
+                    bx += STEP * bdir.cos();
+                    by += STEP * bdir.sin();
                     bpath.push((bx, by));
                     if bx < -20.0 || by < -20.0 || bx > w + 20.0 || by > h + 20.0 {
                         break;

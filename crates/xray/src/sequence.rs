@@ -24,14 +24,10 @@ pub struct SequenceConfig {
     pub frames: usize,
     /// Master seed; every frame derives its own deterministic sub-seed.
     pub seed: u64,
-    /// Detector background level (counts).
-    pub background: f32,
     /// Vessel-tree parameters.
     pub phantom: PhantomConfig,
     /// Device geometry. A zero `center` is replaced by the frame center.
     pub device: DeviceConfig,
-    /// Motion model.
-    pub motion: MotionConfig,
     /// Noise model.
     pub noise: NoiseConfig,
     /// Content script.
@@ -45,10 +41,8 @@ impl Default for SequenceConfig {
             height: 256,
             frames: 52,
             seed: 1,
-            background: 2200.0,
             phantom: PhantomConfig::default(),
             device: DeviceConfig::default(),
-            motion: MotionConfig::default(),
             noise: NoiseConfig::default(),
             scenario: ScenarioConfig::default(),
         }
@@ -78,6 +72,9 @@ pub struct Frame {
     /// Ground truth for verification and accuracy experiments.
     pub truth: GroundTruth,
 }
+
+/// Detector background level (counts).
+const BACKGROUND: f32 = 2200.0;
 
 /// Streaming frame generator (implements [`Iterator`]).
 pub struct SequenceGenerator {
@@ -117,10 +114,10 @@ impl SequenceGenerator {
     /// Renders frame `index` given a content state (exposed for tests).
     fn render(&self, index: usize, content: &ContentState, rng: &mut impl Rng) -> Frame {
         let cfg = &self.cfg;
-        let mut motion = motion_at(&cfg.motion, index, rng);
+        let mut motion = motion_at(&MotionConfig::default(), index, rng);
         motion.dx += content.pan_dx;
 
-        let mut canvas = Canvas::new(cfg.width, cfg.height, cfg.background);
+        let mut canvas = Canvas::new(cfg.width, cfg.height, BACKGROUND);
         canvas.add_shading(120.0, 250.0);
 
         // vessels, scaled by the frame's contrast factor

@@ -15,7 +15,7 @@ use triple_c::prelude::*;
 use triple_c::triplec::bandwidth_model::{
     intra_task_traffic, rdg_access_model, scenario_edges, FRAME_RATE_HZ,
 };
-use triple_c::triplec::memory_model::{implementation_table, FrameGeometry};
+use triple_c::triplec::memory_model::{implementation_table, FrameGeometry, ZOOM_OUT};
 
 fn main() -> Result<()> {
     let arch = ArchModel::default();
@@ -35,7 +35,7 @@ fn main() -> Result<()> {
 
     // --- Table 1: which tasks overflow the L2? -------------------------
     println!("task memory requirements at 1024x1024 (Table 1):");
-    for m in implementation_table(geom, 512) {
+    for m in implementation_table(geom, ZOOM_OUT) {
         println!(
             "  {:<10} in {:>6} KB  inter {:>6} KB  out {:>6} KB   {}",
             m.task,

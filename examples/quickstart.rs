@@ -41,7 +41,6 @@ fn main() {
             width: SIZE,
             height: SIZE,
         },
-        ..Default::default()
     };
     let model = TripleC::train(&profile.task_series(), &profile.scenarios, cfg);
     println!("\ntrained models (Table 2(b) style):");

@@ -45,7 +45,6 @@ fn main() {
             width: SIZE,
             height: SIZE,
         },
-        ..Default::default()
     };
     let mut model = TripleC::train(&profile.task_series(), &profile.scenarios, cfg);
     // Section 6 deployment mode: the model keeps adapting to the live

@@ -14,7 +14,8 @@
 //! that no file but its own mentions has no caller, and fails the suite
 //! until it is deleted or loses `pub`. A third does the same for what sits
 //! beside the sources: bench targets, `BENCH_*.json` snapshots and vendored
-//! crates nothing depends on.
+//! crates nothing depends on. A fourth bounds the settable values: the
+//! `pub` fields of the `*Config` / `*Policy` structs.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
@@ -52,15 +53,20 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// A file's text before its first `#[cfg(test)]` attribute (test modules
+/// sit at the bottom of each file in this workspace).
+fn non_test_text(path: &Path) -> String {
+    let mut text = std::fs::read_to_string(path).unwrap_or_default();
+    if let Some(i) = text.find("#[cfg(test)]") {
+        text.truncate(i);
+    }
+    text
+}
+
 /// Extracts the normalized `pub` item lines of one file, ignoring
-/// everything at and after its first `#[cfg(test)]` attribute (test
-/// modules sit at the bottom of each file in this workspace).
+/// everything at and after its first `#[cfg(test)]` attribute.
 fn pub_items(path: &Path, repo: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(path).unwrap_or_default();
-    let body = match text.find("#[cfg(test)]") {
-        Some(i) => &text[..i],
-        None => &text[..],
-    };
+    let body = non_test_text(path);
     let rel = path
         .strip_prefix(repo)
         .unwrap_or(path)
@@ -315,5 +321,66 @@ fn no_bench_targets_snapshots_or_unused_vendored_crates() {
     assert!(
         unused.is_empty(),
         "vendored crates no manifest outside vendored/ depends on: {unused:?}"
+    );
+}
+
+/// The `pub` fields of `*Config` / `*Policy` structs that the crates' code
+/// (`crates/*/src`, each file up to its first `#[cfg(test)]`) may hold,
+/// counted as `scripts/tracked.sh` counts them.
+const MAX_CONFIG_FIELDS: usize = 87;
+
+/// The `pub` fields of the braced `pub struct *Config` / `*Policy`
+/// declarations in `text`.
+fn config_fields(text: &str) -> usize {
+    let snake = |w: &str| {
+        !w.is_empty()
+            && w.bytes()
+                .all(|c| matches!(c, b'a'..=b'z' | b'0'..=b'9' | b'_'))
+    };
+    let (mut inside, mut fields) = (false, 0);
+    for line in text.lines().map(str::trim_start) {
+        if let Some(rest) = line.strip_prefix("pub struct ") {
+            let name = rest
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or_default();
+            if (name.ends_with("Config") || name.ends_with("Policy"))
+                && rest[name.len()..].trim_start().starts_with('{')
+            {
+                inside = true;
+                continue;
+            }
+        }
+        if inside && line.starts_with('}') {
+            inside = false;
+        } else if inside {
+            let field = line.strip_prefix("pub ").and_then(|r| r.split_once(':'));
+            fields += usize::from(field.is_some_and(|(name, _)| snake(name)));
+        }
+    }
+    fields
+}
+
+/// Knob ratchet: a value is a `Config` / `Policy` field only when two
+/// callers set it to different values; a value with one setting is a
+/// `const` beside the code that reads it. A new field raises
+/// [`MAX_CONFIG_FIELDS`] in the same diff.
+#[test]
+fn config_and_policy_fields_stay_within_their_bound() {
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for root in source_roots(&repo) {
+        if root.starts_with(repo.join("crates")) {
+            rust_files(&root, &mut files);
+        }
+    }
+    let fields: usize = files.iter().map(|f| config_fields(&non_test_text(f))).sum();
+    assert!(
+        fields <= MAX_CONFIG_FIELDS,
+        "{fields} `pub` fields of `*Config` / `*Policy` structs, above the bound of \
+         {MAX_CONFIG_FIELDS}. A value is a config field only when two callers set it to \
+         different values; with one value in use make it a private `const` beside the \
+         code that reads it. A field that has two such callers raises \
+         MAX_CONFIG_FIELDS in the same change."
     );
 }

@@ -94,7 +94,6 @@ fn calibrate(trace: &Trace, stream: usize) -> (CalibrationSnapshot, Observabilit
             width: s.width,
             height: s.height,
         },
-        ..Default::default()
     };
     let mut model = TripleC::train(&train_series, &scenarios, cfg);
     // deployment mode (Section 6): the model keeps adapting online

@@ -57,10 +57,7 @@ fn trained_on(seq: SequenceConfig, app: &AppConfig) -> TripleC {
         height: seq.height,
     };
     let profile = run_sequence(seq, app, &ExecutionPolicy::default());
-    let cfg = TripleCConfig {
-        geometry,
-        ..Default::default()
-    };
+    let cfg = TripleCConfig { geometry };
     TripleC::train(&profile.task_series(), &profile.scenarios, cfg)
 }
 

@@ -65,7 +65,6 @@ fn model() -> TripleC {
                 width: 96,
                 height: 96,
             },
-            ..Default::default()
         };
         Mutex::new(TripleC::train(
             &profile.task_series(),

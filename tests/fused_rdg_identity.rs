@@ -448,7 +448,6 @@ proptest! {
         let roi_cfg = RoiEstConfig {
             min_size: 16,
             max_size: [24, 40, 640][cap],
-            ..RoiEstConfig::default()
         };
         let roi = estimate_roi(&couple, 0.0, width, height, &roi_cfg);
         let (tracking, rx, ry, rw, rh) = work;

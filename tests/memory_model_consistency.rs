@@ -9,15 +9,17 @@ use triple_c::imaging::markers::{
 };
 use triple_c::imaging::parallel::{StripeFault, StripePool};
 use triple_c::imaging::ridge::{rdg_banded, rdg_full, rdg_roi_reference, RdgBuffers, RdgConfig};
-use triple_c::imaging::zoom::{zoom_band_with, ZoomConfig, ZoomFilter, ZoomScratch};
+use triple_c::imaging::zoom::{zoom_band_with, ZoomConfig, ZoomScratch};
 use triple_c::pipeline::app::{AppConfig, AppState};
 use triple_c::pipeline::executor::{process_frame, ExecutionPolicy};
+use triple_c::platform::arch::ArchModel;
+use triple_c::triplec::bandwidth_model::scenario_intra_task_bandwidth;
 use triple_c::triplec::memory_model::{
     enh_intermediate_bytes, implementation_table, lookup, mkx_intermediate_bytes, per_pixel,
     rdg_intermediate_bytes, rdg_kernel_bytes, rdg_resident_bytes, rdg_tile_bytes,
     zoom_scratch_bytes, FrameGeometry, RDG_DEFAULT_SCALES,
 };
-use triple_c::triplec::Task;
+use triple_c::triplec::{PredictContext, Scenario, Task, TaskSeries, TripleC, TripleCConfig};
 use triple_c::xray::{NoiseConfig, SequenceConfig, SequenceGenerator};
 
 const W: usize = 128;
@@ -254,29 +256,26 @@ fn enh_intermediate_formula_matches_state() {
 #[test]
 fn zoom_scratch_formula_matches_warm_scratch() {
     let src = test_frame();
-    for (filter, bicubic) in [(ZoomFilter::Bilinear, false), (ZoomFilter::Bicubic, true)] {
-        let cfg = ZoomConfig {
-            out_width: 64,
-            out_height: 48,
-            filter,
-        };
-        let mut out = Image::<u16>::new(cfg.out_width, cfg.out_height);
-        let mut scratch = ZoomScratch::new();
-        zoom_band_with(
-            &src,
-            src.full_roi(),
-            &cfg,
-            &mut out,
-            0,
-            cfg.out_height,
-            &mut scratch,
-        );
-        assert_eq!(
-            scratch.byte_size(),
-            zoom_scratch_bytes(cfg.out_width, bicubic),
-            "ZOOM scratch formula drifted ({filter:?})"
-        );
-    }
+    let cfg = ZoomConfig {
+        out_width: 64,
+        out_height: 48,
+    };
+    let mut out = Image::<u16>::new(cfg.out_width, cfg.out_height);
+    let mut scratch = ZoomScratch::new();
+    zoom_band_with(
+        &src,
+        src.full_roi(),
+        &cfg,
+        &mut out,
+        0,
+        cfg.out_height,
+        &mut scratch,
+    );
+    assert_eq!(
+        scratch.byte_size(),
+        zoom_scratch_bytes(cfg.out_width),
+        "ZOOM scratch formula drifted"
+    );
 }
 
 #[test]
@@ -295,5 +294,46 @@ fn table_rows_use_the_pinned_formulas() {
     let enh = lookup(&table, "ENH", true).unwrap();
     assert_eq!(enh.intermediate, EnhState::new(W, H).byte_size());
     let zoom = lookup(&table, "ZOOM", true).unwrap();
-    assert_eq!(zoom.intermediate, zoom_scratch_bytes(64, false));
+    assert_eq!(zoom.intermediate, zoom_scratch_bytes(64));
+}
+
+#[test]
+fn core_copies_match_the_values_their_owners_use() {
+    // Core cannot depend on the imaging crate, so it holds copies of the
+    // ZOOM display size and the RDG scale set; each must equal its owner's.
+    let geom = FrameGeometry {
+        width: W,
+        height: H,
+    };
+    let series = [TaskSeries::new(Task::Reg, vec![2.0; 20])];
+    let model = TripleC::train(&series, &[0; 20], TripleCConfig { geometry: geom });
+    // The ZOOM row is what `ZoomConfig::default()` writes and warms.
+    let cfg = ZoomConfig::default();
+    let src = test_frame();
+    let mut out = Image::<u16>::new(cfg.out_width, cfg.out_height);
+    let mut scratch = ZoomScratch::new();
+    zoom_band_with(
+        &src,
+        src.full_roi(),
+        &cfg,
+        &mut out,
+        0,
+        cfg.out_height,
+        &mut scratch,
+    );
+    let table = model.memory_table();
+    let zoom = lookup(&table, "ZOOM", true).unwrap();
+    assert_eq!(zoom.output, cfg.out_width * cfg.out_height * 2);
+    assert_eq!(zoom.intermediate, scratch.byte_size());
+    // RDG's pass count in the bandwidth model is the length of the scale
+    // set `RdgConfig::default()` sweeps, on the platform model's L2.
+    let scales = RdgConfig::default().active_scales();
+    assert_eq!(scales, RDG_DEFAULT_SCALES);
+    let scenario = Scenario::worst_case();
+    let predicted = model.predict_frame(scenario, &PredictContext::default(), 0.5);
+    let l2 = ArchModel::default().l2.capacity;
+    assert_eq!(
+        predicted.intra_task_bw,
+        scenario_intra_task_bandwidth(scenario, geom, 0.5, l2, scales.len())
+    );
 }

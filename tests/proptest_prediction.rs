@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use triple_c::triplec::linear::LinearModel;
 use triple_c::triplec::predictor::{ConstantPredictor, EwmaMarkovPredictor, PredictContext};
-use triple_c::triplec::training::{select_model, ModelKind, TaskSeries, TrainingConfig};
+use triple_c::triplec::training::{select_model, ModelKind, TaskSeries};
 use triple_c::triplec::triple::{TripleC, TripleCConfig};
 use triple_c::triplec::Task;
 
@@ -86,10 +86,9 @@ proptest! {
     #[test]
     fn training_is_total(samples in prop::collection::vec(0.01f64..1e3, 2..100)) {
         let series = TaskSeries::new(Task::Reg, samples);
-        let cfg = TripleCConfig::default();
-        let kind = select_model(&series, &cfg.training);
+        let kind = select_model(&series);
         let n = series.samples.len();
-        let mut t = TripleC::train(&[series], &vec![0; n], cfg);
+        let mut t = TripleC::train(&[series], &vec![0; n], TripleCConfig::default());
         let summary = t.model_summary();
         prop_assert_eq!(summary.len(), 1);
         prop_assert_eq!(summary[0].1, kind);
@@ -105,6 +104,6 @@ proptest! {
     #[test]
     fn constant_series_selects_constant(v in 0.1f64..1e3, n in 5usize..100) {
         let series = TaskSeries::new(Task::Reg, vec![v; n]);
-        prop_assert_eq!(select_model(&series, &TrainingConfig::default()), ModelKind::Constant);
+        prop_assert_eq!(select_model(&series), ModelKind::Constant);
     }
 }
