@@ -72,7 +72,7 @@ impl MarkovChain {
     }
 
     /// A full row of the transition matrix.
-    pub fn row(&self, i: usize) -> &[f64] {
+    fn row(&self, i: usize) -> &[f64] {
         &self.p[i * self.states..(i + 1) * self.states]
     }
 

@@ -217,12 +217,6 @@ impl ScenarioChain {
         self.chain.prob(from.id() as usize, to.id() as usize)
     }
 
-    /// Expected value of `f(next_scenario)` (e.g. predicted frame cost).
-    pub fn expected_next(&self, current: Scenario, f: impl Fn(Scenario) -> f64) -> f64 {
-        self.chain
-            .expected_next(current.id() as usize, |j| f(Scenario::from_id(j as u8)))
-    }
-
     /// The underlying 8x8 chain.
     pub fn chain(&self) -> &MarkovChain {
         &self.chain
@@ -280,16 +274,6 @@ mod tests {
         assert_eq!(sc.predict_next(Scenario::from_id(0)).id(), 7);
         assert_eq!(sc.predict_next(Scenario::from_id(7)).id(), 0);
         assert!((sc.prob(Scenario::from_id(0), Scenario::from_id(7)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scenario_chain_expected_cost() {
-        let seq = vec![0u8, 1, 0, 1, 0, 1];
-        let sc = ScenarioChain::estimate(&seq);
-        // cost: scenario 0 -> 10, scenario 1 -> 30; from 0 always go to 1
-        let cost = |s: Scenario| if s.id() == 1 { 30.0 } else { 10.0 };
-        let e = sc.expected_next(Scenario::from_id(0), cost);
-        assert!((e - 30.0).abs() < 1e-12);
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl TripleC {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &TripleCConfig {
-        &self.cfg
-    }
-
     /// The trained tasks with their models, in Fig. 2 order.
     fn trained(&self) -> impl Iterator<Item = (Task, &TaskModel)> + '_ {
         let models = Task::ALL.into_iter().zip(&self.predictors);

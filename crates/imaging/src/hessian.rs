@@ -140,7 +140,7 @@ impl HessianScratch {
     }
 
     /// Total scratch bytes (for memory accounting).
-    pub fn byte_size(&self) -> usize {
+    fn byte_size(&self) -> usize {
         self.a.byte_size() + self.b.byte_size() + self.kernels.byte_size()
     }
 }

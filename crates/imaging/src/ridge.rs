@@ -234,12 +234,6 @@ impl RdgBuffers {
         self.times = BandTimes::default();
     }
 
-    /// Number of output-image allocations performed so far; a warmed-up
-    /// buffer set stops allocating (asserted by tests).
-    pub fn allocations(&self) -> usize {
-        self.allocations
-    }
-
     /// Where the time of the most recent successful call went. Feeds the
     /// executor's task times and stage events.
     pub fn times(&self) -> &BandTimes {
@@ -1496,14 +1490,10 @@ mod tests {
         bufs.recycle(out);
 
         // a failed attempt takes no output image out of the warm pool
-        let warm = bufs.allocations();
+        let warm = bufs.allocations;
         assert!(rdg_banded(&pool, &src, roi, &cfg, 4, panic_jobs(2), &mut bufs).is_err());
         let out = striped(&pool, &src, roi, 4, &mut bufs);
-        assert_eq!(
-            bufs.allocations(),
-            warm,
-            "failed attempt cost an allocation"
-        );
+        assert_eq!(bufs.allocations, warm, "failed attempt cost an allocation");
         assert_eq!(out.filtered, reference.filtered);
     }
 
@@ -1567,10 +1557,9 @@ mod tests {
             assert_eq!(out.ridgeness, first.ridgeness, "frame {frame}");
             bufs.recycle(out);
             match warm_allocs {
-                None => warm_allocs = Some(bufs.allocations()),
+                None => warm_allocs = Some(bufs.allocations),
                 Some(warm) => assert_eq!(
-                    bufs.allocations(),
-                    warm,
+                    bufs.allocations, warm,
                     "steady-state frame {frame} must not allocate"
                 ),
             }
@@ -1587,7 +1576,7 @@ mod tests {
         let mut bufs = RdgBuffers::new(96, 96);
         let out = striped(&pool, &src, src.full_roi(), 4, &mut bufs);
         bufs.recycle(out);
-        let (allocations, bytes) = (bufs.allocations(), bufs.byte_size());
+        let (allocations, bytes) = (bufs.allocations, bufs.byte_size());
         let rois = [
             Roi::new(8, 8, 60, 70),
             Roi::new(20, 0, 76, 33),
@@ -1598,7 +1587,7 @@ mod tests {
             for stripes in [2usize, 4] {
                 let out = striped(&pool, &src, roi, stripes, &mut bufs);
                 bufs.recycle(out);
-                assert_eq!(bufs.allocations(), allocations, "frame {frame}");
+                assert_eq!(bufs.allocations, allocations, "frame {frame}");
                 assert_eq!(bufs.byte_size(), bytes, "frame {frame}");
             }
         }
@@ -1631,7 +1620,7 @@ mod tests {
             assert_eq!(out.filtered, fresh.filtered, "{roi}");
             bufs.recycle(out);
         }
-        assert_eq!(bufs.allocations(), 2);
+        assert_eq!(bufs.allocations, 2);
     }
 
     #[test]
@@ -1727,7 +1716,7 @@ mod tests {
         let mut bufs = RdgBuffers::new(64, 64);
         let first = rdg_full(&src, &cfg, &mut bufs);
         bufs.recycle(first);
-        let warm = bufs.allocations();
+        let warm = bufs.allocations;
         assert_eq!(
             warm, 2,
             "first frame allocates exactly filtered + ridgeness"
@@ -1737,8 +1726,7 @@ mod tests {
             bufs.recycle(out);
         }
         assert_eq!(
-            bufs.allocations(),
-            warm,
+            bufs.allocations, warm,
             "steady-state frames must not allocate"
         );
     }

@@ -66,11 +66,6 @@ impl CacheSim {
         }
     }
 
-    /// Cache geometry.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> CacheStats {
         self.stats

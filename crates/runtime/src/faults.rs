@@ -9,10 +9,9 @@
 //! the same faults for the same coordinates. Replaying a seed therefore
 //! reproduces a faulted session event-for-event.
 //!
-//! Sessions consume plans through the [`FaultInjector`] trait object hook
-//! on [`StreamSpec`](crate::session::StreamSpec); when the hook is absent
-//! the session runs the unhooked hot path, so the harness is zero-cost
-//! when disabled.
+//! A stream takes its plan as a value on
+//! [`StreamSpec`](crate::session::StreamSpec); without one the engine
+//! skips its fault sections, so the harness is zero-cost when disabled.
 
 use pipeline::executor::FrameFaults;
 use platform::bus::StreamId;
@@ -96,37 +95,10 @@ impl FaultPlan {
     pub fn config(&self) -> &FaultPlanConfig {
         &self.cfg
     }
-}
 
-/// Hook consumed by stream sessions: decides, per `(stream, frame)`, what
-/// faults to arm. Implementations must be pure functions of their inputs
-/// (no interior mutability affecting results) so that concurrent streams
-/// and replays observe identical schedules.
-pub trait FaultInjector: Send + Sync {
     /// Executor-level faults for this frame (pool panics, channel errors,
     /// stage-time inflation).
-    fn frame_faults(&self, stream: StreamId, frame: usize) -> FrameFaults;
-
-    /// Whether the frame is dropped at the session input.
-    fn drops_frame(&self, _stream: StreamId, _frame: usize) -> bool {
-        false
-    }
-
-    /// Whether the frame's model-snapshot checkpoint is corrupted.
-    fn corrupts_snapshot(&self, _stream: StreamId, _frame: usize) -> bool {
-        false
-    }
-
-    /// Seed for deriving deterministic corruption payloads (which byte of
-    /// a snapshot to garble). Defaults to a fixed constant so stateless
-    /// injectors stay reproducible.
-    fn seed(&self) -> u64 {
-        0
-    }
-}
-
-impl FaultInjector for FaultPlan {
-    fn frame_faults(&self, stream: StreamId, frame: usize) -> FrameFaults {
+    pub(crate) fn frame_faults(&self, stream: StreamId, frame: usize) -> FrameFaults {
         let mut f = FrameFaults::default();
         if self.cfg.panic_rate > 0.0
             && draw(self.seed, stream, frame, SALT_PANIC) < self.cfg.panic_rate
@@ -147,17 +119,15 @@ impl FaultInjector for FaultPlan {
         f
     }
 
-    fn drops_frame(&self, stream: StreamId, frame: usize) -> bool {
+    /// Whether the frame is dropped at the session input.
+    pub(crate) fn drops_frame(&self, stream: StreamId, frame: usize) -> bool {
         self.cfg.drop_rate > 0.0 && draw(self.seed, stream, frame, SALT_DROP) < self.cfg.drop_rate
     }
 
-    fn corrupts_snapshot(&self, stream: StreamId, frame: usize) -> bool {
+    /// Whether the frame's model-snapshot checkpoint is corrupted.
+    pub(crate) fn corrupts_snapshot(&self, stream: StreamId, frame: usize) -> bool {
         self.cfg.corrupt_rate > 0.0
             && draw(self.seed, stream, frame, SALT_CORRUPT) < self.cfg.corrupt_rate
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
     }
 }
 

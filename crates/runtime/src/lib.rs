@@ -40,7 +40,7 @@ pub mod workload;
 
 pub use adaptation::{choose_policy, predicted_latency, CostPrediction};
 pub use budget::LatencyBudget;
-pub use faults::{fault_hash, FaultInjector, FaultPlan, FaultPlanConfig};
+pub use faults::{fault_hash, FaultPlan, FaultPlanConfig};
 pub use manager::{CalibrationSnapshot, ManagerConfig, Plan, ResourceManager};
 pub use recovery::RecoveryPolicy;
 pub use service::{

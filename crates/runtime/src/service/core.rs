@@ -1116,4 +1116,26 @@ mod tests {
             "with one worker someone must wait for a first turn"
         );
     }
+
+    /// A panic mid-stream fails the stream with the frames it had
+    /// finished, not with none.
+    #[test]
+    fn a_panic_in_step_reports_the_frames_already_completed() {
+        let spec = specs_of(&[(205, 3)]).pop().unwrap();
+        let frames = frames_of(&spec);
+        let mut engine = StreamEngine::new(0, spec, 1);
+        let pool = StripePool::new(0);
+        for frame in &frames[..2] {
+            step(0, &mut engine, &pool, frame.index, &frame.image).expect("nominal frame");
+        }
+        // an image smaller than the stream's trips a stage's size assertion
+        let wrong = ImageU16::new(64, 64);
+        let failure = step(0, &mut engine, &pool, 2, &wrong).unwrap_err();
+        assert!(
+            failure.message.contains("stream thread panicked"),
+            "{}",
+            failure.message
+        );
+        assert_eq!(failure.frames_completed, 2);
+    }
 }

@@ -16,7 +16,7 @@
 //! configuration, never on where or when the engine was scheduled.
 
 use crate::budget::LatencyBudget;
-use crate::faults::{fault_hash, FaultInjector};
+use crate::faults::{fault_hash, FaultPlan};
 use crate::manager::{ManagerConfig, ResourceManager};
 use crate::qos::QosController;
 use crate::recovery::{RecoveryPolicy, RecoveryState};
@@ -47,7 +47,7 @@ pub struct StreamEngine {
     app: AppConfig,
     manager: ResourceManager,
     cores: usize,
-    injector: Option<Arc<dyn FaultInjector>>,
+    faults: Option<FaultPlan>,
     recovery: RecoveryPolicy,
     state: AppState,
     rec: RecoveryState,
@@ -104,7 +104,7 @@ impl StreamEngine {
             app: spec.app,
             manager,
             cores,
-            injector: spec.faults,
+            faults: spec.faults,
             recovery: spec.recovery,
             state,
             rec: RecoveryState::default(),
@@ -165,7 +165,7 @@ impl StreamEngine {
     /// stages on the given pool shard at the stripe count its plan chose.
     /// A stream built with QoS control then sets the quality level the
     /// next frame runs at. The fault-injection sections only run for a
-    /// stream built with an injector, and none of them changes the plan.
+    /// stream built with a fault plan, and none of them changes the plan.
     /// Unrecoverable frame failures (only possible with fault injection
     /// and `serial_fallback` disabled) surface as a [`StreamFailure`]
     /// error instead of unwinding.
@@ -178,12 +178,8 @@ impl StreamEngine {
         if self.started.is_none() {
             self.started = Some(Instant::now());
         }
-        let injector = self.injector.clone();
         let stream = self.id;
-        if injector
-            .as_ref()
-            .is_some_and(|i| i.drops_frame(stream, index))
-        {
+        if self.faults.is_some_and(|p| p.drops_frame(stream, index)) {
             let bus = self.manager.bus_mut();
             bus.emit(FrameEvent::FaultInjected {
                 stream,
@@ -213,9 +209,9 @@ impl StreamEngine {
             .push(self.admission.cost(&plan.prediction()));
         self.stripes.push(plan.policy.stripes);
 
-        let faults = injector
-            .as_ref()
-            .map_or_else(FrameFaults::default, |i| i.frame_faults(stream, index));
+        let faults = self
+            .faults
+            .map_or_else(FrameFaults::default, |p| p.frame_faults(stream, index));
         let out = process_frame_recovering_on(
             pool,
             index,
@@ -242,17 +238,15 @@ impl StreamEngine {
         // model quarantine bookkeeping: release first, then check for a
         // new corruption checkpoint on this frame
         self.release_quarantine(index);
-        if let Some(injector) = &injector {
-            if injector.corrupts_snapshot(stream, index) {
-                self.corrupt_snapshot_checkpoint(index, injector.seed());
-            }
+        if let Some(plan) = self.faults.filter(|p| p.corrupts_snapshot(stream, index)) {
+            self.corrupt_snapshot_checkpoint(index, plan.seed());
         }
 
         let wall_ms = ft0.elapsed().as_secs_f64() * 1000.0;
         self.displays.push(out.display);
         self.trace.push(out.record);
         self.frame_wall_ms.push(wall_ms);
-        // drift quarantine needs no injector: scenario storms in the input
+        // drift quarantine needs no fault plan: scenario storms in the input
         // content are enough to trigger it (no-op unless configured)
         self.check_drift(index, plan.scenario.id(), out.scenario.id());
         self.control_quality(index, plan.feasible, latency_ms, planned_budget);
@@ -414,12 +408,12 @@ mod tests {
     use crate::faults::{FaultPlan, FaultPlanConfig};
     use crate::test_support::{poison, seq, trained_model};
 
-    /// The injector-only sections of `step_on` must be inert when the
-    /// injector arms nothing: a zero-rate plan is indistinguishable from
-    /// no injector on every deterministic output plane, the plan included,
+    /// The fault sections of `step_on` must be inert when the plan arms
+    /// nothing: a zero-rate plan is indistinguishable from no plan on
+    /// every deterministic output plane, the frame plan included,
     /// under a generous budget and under one no stripe count can meet.
     #[test]
-    fn zero_rate_injector_matches_no_injector() {
+    fn zero_rate_plan_matches_no_plan() {
         let model = trained_model();
         for target_ms in [10_000.0, 0.001] {
             let spec = || {
@@ -428,7 +422,7 @@ mod tests {
             };
             let bare = StreamEngine::new(0, spec().build(), 4).run().unwrap();
             let plan = FaultPlan::new(5, FaultPlanConfig::default());
-            let hooked = StreamEngine::new(0, spec().faults(Arc::new(plan)).build(), 4)
+            let hooked = StreamEngine::new(0, spec().faults(plan).build(), 4)
                 .run()
                 .unwrap();
 
@@ -447,7 +441,7 @@ mod tests {
         }
     }
 
-    /// An engine whose injector drops frames, and its fault-event log.
+    /// An engine whose fault plan drops frames, and its fault-event log.
     fn dropping_engine() -> (StreamEngine, Arc<Mutex<Vec<FrameEvent>>>) {
         let plan = FaultPlan::new(
             9,
@@ -457,7 +451,7 @@ mod tests {
             },
         );
         let spec = StreamSpec::builder(seq(120, 8), AppConfig::default(), trained_model())
-            .faults(Arc::new(plan))
+            .faults(plan)
             .build();
         let engine = StreamEngine::new(0, spec, 1);
         let log = engine.collected.clone().unwrap_or_default();

@@ -17,7 +17,7 @@
 //! (the property the striping tests establish per task).
 
 use crate::budget::LatencyBudget;
-use crate::faults::FaultInjector;
+use crate::faults::FaultPlan;
 use crate::manager::{CalibrationSnapshot, ManagerConfig};
 use crate::recovery::RecoveryPolicy;
 use crate::service::admission::AdmissionPolicy;
@@ -26,7 +26,6 @@ use pipeline::app::AppConfig;
 use platform::bus::{FrameEvent, StreamId};
 use platform::metrics::MetricsSnapshot;
 use platform::trace::TraceLog;
-use std::sync::Arc;
 use triplec::accuracy::AccuracyReport;
 use triplec::triple::TripleC;
 use xray::SequenceConfig;
@@ -46,9 +45,9 @@ pub struct StreamSpec {
     /// Fixed per-stream latency budget (None = initialize from the first
     /// frame, the paper's default).
     pub budget: Option<LatencyBudget>,
-    /// Fault-injection hook. `None` (the default) arms nothing: the
+    /// Fault-injection plan. `None` (the default) arms nothing: the
     /// stream never drops a frame and records no fault-family event.
-    pub faults: Option<Arc<dyn FaultInjector>>,
+    pub faults: Option<FaultPlan>,
     /// Degradation policy. Stage retry (for genuine pool faults) and
     /// drift quarantine apply to every stream; corruption quarantine only
     /// acts when `faults` is set.
@@ -103,9 +102,9 @@ impl StreamSpecBuilder {
         self
     }
 
-    /// Arms deterministic fault injection with the given hook.
-    pub fn faults(mut self, injector: Arc<dyn FaultInjector>) -> Self {
-        self.spec.faults = Some(injector);
+    /// Arms deterministic fault injection with the given plan.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.spec.faults = Some(plan);
         self
     }
 
@@ -297,52 +296,20 @@ mod tests {
         assert_eq!(report.total_frames, 9);
     }
 
-    use crate::faults::{FaultPlan, FaultPlanConfig};
-    use pipeline::executor::{FrameFaults, StageRetry};
+    use crate::faults::FaultPlanConfig;
+    use pipeline::executor::StageRetry;
 
-    /// Deterministic per-frame scripting for targeted fault tests.
-    struct ScriptedFaults {
-        panics: Vec<usize>,
-        drops: Vec<usize>,
-        corrupts: Vec<usize>,
-    }
-
-    impl ScriptedFaults {
-        fn none() -> Self {
-            Self {
-                panics: vec![],
-                drops: vec![],
-                corrupts: vec![],
-            }
-        }
-    }
-
-    impl crate::faults::FaultInjector for ScriptedFaults {
-        fn frame_faults(&self, _stream: StreamId, frame: usize) -> FrameFaults {
-            FrameFaults {
-                rdg_panic_jobs: usize::from(self.panics.contains(&frame)),
-                ..Default::default()
-            }
-        }
-        fn drops_frame(&self, _stream: StreamId, frame: usize) -> bool {
-            self.drops.contains(&frame)
-        }
-        fn corrupts_snapshot(&self, _stream: StreamId, frame: usize) -> bool {
-            self.corrupts.contains(&frame)
-        }
-    }
-
-    /// An injector that panics on the session thread, to exercise the
-    /// scheduler's join-catch path.
-    struct PanickingInjector;
-
-    impl crate::faults::FaultInjector for PanickingInjector {
-        fn frame_faults(&self, _stream: StreamId, frame: usize) -> FrameFaults {
-            if frame >= 2 {
-                panic!("scripted injector panic");
-            }
-            FrameFaults::default()
-        }
+    /// A plan of one fault kind, with the frames of stream 0 it hits
+    /// among the first `frames` (its precondition in the tests below).
+    fn plan_hitting(
+        seed: u64,
+        cfg: FaultPlanConfig,
+        frames: usize,
+        hits: impl Fn(&FaultPlan, usize) -> bool,
+    ) -> (FaultPlan, Vec<usize>) {
+        let plan = FaultPlan::new(seed, cfg);
+        let hit = (0..frames).filter(|&f| hits(&plan, f)).collect();
+        (plan, hit)
     }
 
     fn generous_budget() -> LatencyBudget {
@@ -370,7 +337,7 @@ mod tests {
         // actually reach the stripe dispatch (pixel outputs stay
         // bit-identical to the serial nominal run regardless)
         let spec = StreamSpec::builder(seq(110, 8), AppConfig::default(), trained_model())
-            .faults(std::sync::Arc::new(plan))
+            .faults(plan)
             .budget(LatencyBudget::new(5.0, 0.1))
             .build();
         let faulted = run(vec![spec]);
@@ -413,7 +380,7 @@ mod tests {
                 },
             );
             let spec = StreamSpec::builder(seq(111, 10), AppConfig::default(), trained_model())
-                .faults(std::sync::Arc::new(plan))
+                .faults(plan)
                 .budget(generous_budget())
                 .build();
             let report = run(vec![spec]);
@@ -432,12 +399,14 @@ mod tests {
 
     #[test]
     fn dropped_frames_are_skipped_counted_and_evented() {
-        let script = ScriptedFaults {
-            drops: vec![1, 3],
-            ..ScriptedFaults::none()
+        let drops = FaultPlanConfig {
+            drop_rate: 0.3,
+            ..Default::default()
         };
+        let (plan, dropped) = plan_hitting(24, drops, 6, |p, f| p.drops_frame(0, f));
+        assert_eq!(dropped, [1, 3]);
         let spec = StreamSpec::builder(seq(112, 6), AppConfig::default(), trained_model())
-            .faults(std::sync::Arc::new(script))
+            .faults(plan)
             .budget(generous_budget())
             .build();
         let report = run(vec![spec]);
@@ -478,14 +447,16 @@ mod tests {
 
     #[test]
     fn corrupted_snapshot_quarantines_then_retrains() {
-        let script = ScriptedFaults {
-            corrupts: vec![2],
-            ..ScriptedFaults::none()
+        let corrupts = FaultPlanConfig {
+            corrupt_rate: 0.2,
+            ..Default::default()
         };
+        let (plan, corrupted) = plan_hitting(1, corrupts, 8, |p, f| p.corrupts_snapshot(0, f));
+        assert_eq!(corrupted, [2]);
         let mut model = trained_model();
         model.set_online_training(true);
         let spec = StreamSpec::builder(seq(113, 8), AppConfig::default(), model)
-            .faults(std::sync::Arc::new(script))
+            .faults(plan)
             .budget(generous_budget())
             .build();
         let report = run(vec![spec]);
@@ -514,22 +485,20 @@ mod tests {
         let pool = imaging::parallel::StripePool::global();
         let threads_before = pool.live_threads();
 
-        // stream 0: unrecoverable (channel fault storm outlasting the
-        // retries, no serial fallback); stream 1: healthy
-        struct ChannelStorm;
-        impl crate::faults::FaultInjector for ChannelStorm {
-            fn frame_faults(&self, _stream: StreamId, _frame: usize) -> FrameFaults {
-                FrameFaults {
-                    rdg_channel_errors: 5,
-                    ..Default::default()
-                }
-            }
-        }
+        // stream 0: unrecoverable (a channel fault on every frame, no
+        // retry, no serial fallback); stream 1: healthy
+        let storm = FaultPlan::new(
+            3,
+            FaultPlanConfig {
+                channel_rate: 1.0,
+                ..Default::default()
+            },
+        );
         let doomed = StreamSpec::builder(seq(114, 6), AppConfig::default(), trained_model())
-            .faults(std::sync::Arc::new(ChannelStorm))
+            .faults(storm)
             .recovery(RecoveryPolicy {
                 retry: StageRetry {
-                    max_retries: 1,
+                    max_retries: 0,
                     serial_fallback: false,
                 },
                 ..Default::default()
@@ -551,23 +520,24 @@ mod tests {
 
     #[test]
     fn panicking_stream_thread_is_caught_at_join() {
-        let doomed = StreamSpec::builder(seq(116, 6), AppConfig::default(), trained_model())
-            .faults(std::sync::Arc::new(PanickingInjector))
-            .build();
+        // a zero probe block trips `structure_probe`'s assertion on the
+        // stream's first frame
+        let app = AppConfig {
+            probe_block: 0,
+            ..AppConfig::default()
+        };
+        let doomed = StreamSpec::builder(seq(116, 6), app, trained_model()).build();
         let healthy =
             StreamSpec::builder(seq(117, 5), AppConfig::default(), trained_model()).build();
         let report = run(vec![doomed, healthy]);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].stream, 0);
         assert!(
-            report.failures[0]
-                .message
-                .contains("scripted injector panic"),
+            report.failures[0].message.contains("block > 0"),
             "{}",
             report.failures[0].message
         );
-        // frames 0 and 1 executed before the injector panicked on frame 2
-        assert_eq!(report.failures[0].frames_completed, 2);
+        assert_eq!(report.failures[0].frames_completed, 0);
         assert_eq!(report.streams.len(), 1);
         assert_eq!(report.streams[0].trace.len(), 5);
     }

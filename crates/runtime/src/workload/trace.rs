@@ -4,7 +4,7 @@
 //! A trace declares one or more streams, each with a frame-arrival
 //! schedule (fixed cadence, bursty, or Poisson), a resolution, a content
 //! profile (stent / surveillance / zoom-only), an optional scripted
-//! scenario storm, and an optional seeded fault-plan overlay. The format
+//! scenario storm, and an optional seeded [`FaultPlan`]. The format
 //! is line oriented:
 //!
 //! ```text
@@ -25,6 +25,7 @@
 //! Every malformed, truncated, or version-skewed input is rejected with
 //! a typed [`TraceError`] — parsing never panics.
 
+use crate::faults::{FaultPlan, FaultPlanConfig};
 use platform::bus::StreamId;
 use rand::{Rng, SeedableRng};
 use triplec::scenario::ScriptSegment;
@@ -35,12 +36,12 @@ pub const TRACE_VERSION: u32 = 1;
 /// Header magic of a trace file.
 const TRACE_MAGIC: &str = "triplec-trace";
 
-/// Typed parse/validation error for traces and ledgers. Carries the
-/// 1-based line number where applicable.
+/// Typed parse/validation error for traces. Carries the 1-based line
+/// number where applicable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
     /// The input is empty or its first line is not a `triplec-trace`
-    /// (or `triplec-ledger`) header.
+    /// header.
     MissingHeader,
     /// The header names a version this build does not read.
     UnsupportedVersion {
@@ -216,39 +217,6 @@ impl ArrivalModel {
     }
 }
 
-/// A seeded fault-plan overlay on one stream (all rates in `[0, 1]`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultOverlay {
-    /// Seed of the deterministic fault plan.
-    pub seed: u64,
-    /// Worker-panic rate per striped dispatch.
-    pub panic_rate: f64,
-    /// Channel-error rate per striped dispatch.
-    pub channel_rate: f64,
-    /// Stage-delay rate per frame.
-    pub delay_rate: f64,
-    /// Injected delay, ms.
-    pub delay_ms: f64,
-    /// Frame-drop rate.
-    pub drop_rate: f64,
-    /// Snapshot-corruption rate.
-    pub corrupt_rate: f64,
-}
-
-impl Default for FaultOverlay {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            panic_rate: 0.0,
-            channel_rate: 0.0,
-            delay_rate: 0.0,
-            delay_ms: 0.0,
-            drop_rate: 0.0,
-            corrupt_rate: 0.0,
-        }
-    }
-}
-
 /// One stream's declaration within a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamTrace {
@@ -271,8 +239,8 @@ pub struct StreamTrace {
     pub arrival: ArrivalModel,
     /// Scripted scenario storm (empty = content-derived switches).
     pub script: Vec<ScriptSegment>,
-    /// Seeded fault overlay (None = clean run).
-    pub faults: Option<FaultOverlay>,
+    /// Seeded fault plan (None = clean run).
+    pub faults: Option<FaultPlan>,
 }
 
 /// A parsed workload trace.
@@ -372,13 +340,14 @@ impl Trace {
                     s.id, seg.scenario, seg.frames
                 );
             }
-            if let Some(f) = &s.faults {
+            if let Some(plan) = &s.faults {
+                let f = plan.config();
                 let _ = writeln!(
                     out,
                     "faults {} seed={} panic_rate={} channel_rate={} delay_rate={} \
                      delay_ms={} drop_rate={} corrupt_rate={}",
                     s.id,
-                    f.seed,
+                    plan.seed(),
                     f.panic_rate,
                     f.channel_rate,
                     f.delay_rate,
@@ -559,8 +528,8 @@ impl Trace {
                 "faults" => {
                     let idx = stream_index(&streams, id, line)?;
                     let fields = Fields::new(&kv, line)?;
-                    let f = FaultOverlay {
-                        seed: fields.get_u64("seed", line)?,
+                    let seed = fields.get_u64("seed", line)?;
+                    let f = FaultPlanConfig {
                         panic_rate: fields.get_f64_or("panic_rate", 0.0, line)?,
                         channel_rate: fields.get_f64_or("channel_rate", 0.0, line)?,
                         delay_rate: fields.get_f64_or("delay_rate", 0.0, line)?,
@@ -588,7 +557,7 @@ impl Trace {
                             message: "delay_ms must be non-negative".into(),
                         });
                     }
-                    streams[idx].faults = Some(f);
+                    streams[idx].faults = Some(FaultPlan::new(seed, f));
                 }
                 other => {
                     return Err(TraceError::Syntax {
@@ -617,8 +586,8 @@ fn ignorable(line: &str) -> bool {
     t.is_empty() || t.starts_with('#')
 }
 
-/// Parses a `"<magic> v<N>"` header shared by traces and ledgers.
-pub(crate) fn parse_header(header: &str, magic: &str) -> Result<u32, TraceError> {
+/// Parses a `"<magic> v<N>"` header.
+fn parse_header(header: &str, magic: &str) -> Result<u32, TraceError> {
     let mut toks = header.split_whitespace();
     if toks.next() != Some(magic) {
         return Err(TraceError::MissingHeader);
@@ -761,7 +730,7 @@ mod tests {
         assert_eq!(t.streams.len(), 2);
         assert_eq!(t.streams[0].script.len(), 4); // thrash expanded
         assert_eq!(t.streams[1].budget_ms, 80.0); // default
-        assert_eq!(t.streams[1].faults.as_ref().unwrap().drop_rate, 0.25);
+        assert_eq!(t.streams[1].faults.unwrap().config().drop_rate, 0.25);
         let t2 = Trace::parse(&t.to_text()).unwrap();
         assert_eq!(t, t2);
     }

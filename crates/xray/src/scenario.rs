@@ -99,11 +99,6 @@ impl ScenarioProcess {
         }
     }
 
-    /// The script driving this process.
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.cfg
-    }
-
     /// Advances to frame `frame` and returns its content state. Must be
     /// called with consecutive frame indices (the AR state is sequential).
     pub fn step(&mut self, frame: usize, rng: &mut impl Rng) -> ContentState {

@@ -101,11 +101,6 @@ impl SequenceGenerator {
         }
     }
 
-    /// The effective configuration (with the resolved device center).
-    pub fn config(&self) -> &SequenceConfig {
-        &self.cfg
-    }
-
     /// The static vessel tree of this sequence.
     pub fn vessels(&self) -> &[Vessel] {
         &self.vessels
@@ -261,7 +256,7 @@ mod tests {
     #[test]
     fn device_center_resolves_to_frame_center() {
         let gen = SequenceGenerator::new(small_cfg(4));
-        assert_eq!(gen.config().device.center, (64.0, 64.0));
+        assert_eq!(gen.cfg.device.center, (64.0, 64.0));
     }
 
     #[test]

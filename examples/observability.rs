@@ -62,7 +62,7 @@ fn main() -> Result<()> {
             let b = StreamSpec::builder(seq(500 + i, 12), AppConfig::default(), model.clone())
                 .budget(LatencyBudget::new(5.0, 0.1));
             if i % 2 == 0 {
-                b.faults(std::sync::Arc::new(plan)).build()
+                b.faults(plan).build()
             } else {
                 b.build()
             }

@@ -180,16 +180,16 @@ fn defined_name(line: &str) -> Option<(&str, &str, bool)> {
     Some((file, name, matches!(kind, "fn" | "const" | "unsafe")))
 }
 
-/// Identifiers a source file mentions. In `lib.rs`, `mod.rs` and
+/// A source file's text as uses go. In `lib.rs`, `mod.rs` and
 /// `prelude.rs` re-export statements (`pub use …;`) are left out: naming an
 /// item to re-export it is not a use of it.
-fn mentions(path: &Path) -> HashSet<String> {
+fn used_text(path: &Path) -> String {
     let text = std::fs::read_to_string(path).unwrap_or_default();
     let reexports = matches!(
         path.file_name().and_then(|n| n.to_str()),
         Some("lib.rs" | "mod.rs" | "prelude.rs")
     );
-    let mut words = HashSet::new();
+    let mut kept = String::new();
     let mut in_reexport = false;
     for line in text.lines() {
         in_reexport |= reexports && line.trim_start().starts_with("pub use ");
@@ -197,13 +197,67 @@ fn mentions(path: &Path) -> HashSet<String> {
             in_reexport = !line.contains(';');
             continue;
         }
-        words.extend(
-            line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .filter(|w| !w.is_empty())
-                .map(str::to_string),
-        );
+        kept.push_str(line);
+        kept.push('\n');
     }
-    words
+    kept
+}
+
+/// Identifiers a text mentions.
+fn mentions(text: &str) -> HashSet<&str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// Whether `text` calls `name` as a method (`.name(`) or names it by path
+/// (`::name`, followed neither by more of an identifier nor by a further
+/// path segment: `crate::config::X` names a module).
+fn calls(text: &str, name: &str) -> bool {
+    let path = format!("::{name}");
+    text.contains(&format!(".{name}("))
+        || text.match_indices(&path).any(|(at, _)| {
+            let rest = &text[at + path.len()..];
+            !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_')
+                && (!rest.starts_with("::") || rest.starts_with("::<"))
+        })
+}
+
+/// The types whose `impl` blocks in `text` define `pub fn name` or
+/// `pub const name`; `None` for a definition outside any `impl`.
+fn owners(text: &str, name: &str) -> Vec<Option<String>> {
+    let mut owner = None;
+    let mut found = Vec::new();
+    for line in text.lines() {
+        if let Some(header) = line.strip_prefix("impl") {
+            // `impl<T: X> Trait for Type<T> {`: the type after any `for`
+            let header = header.split('{').next().unwrap_or("");
+            let ty = header.rsplit(" for ").next().unwrap_or("").trim_start();
+            let ty = if ty.starts_with('<') {
+                ty.split_once("> ").map_or("", |(_, t)| t)
+            } else {
+                ty
+            };
+            owner = ty
+                .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+                .next()
+                .and_then(|path| path.rsplit("::").next())
+                .map(str::to_string);
+        } else if line == "}" {
+            owner = None;
+        } else if line.contains("pub ")
+            && [
+                format!("fn {name}("),
+                format!("fn {name}<"),
+                format!("const {name}:"),
+            ]
+            .iter()
+            .any(|d| line.contains(d.as_str()))
+        {
+            found.push(owner.clone());
+        }
+    }
+    found
 }
 
 #[test]
@@ -219,29 +273,71 @@ fn every_public_fn_and_const_is_mentioned_outside_its_file() {
     for dir in ["crates", "src", "tests", "examples"] {
         rust_files(&repo.join(dir), &mut files);
     }
-    let mentioned: Vec<(String, HashSet<String>)> = files
+    let texts: Vec<(String, String)> = files
         .iter()
         .map(|f| {
             let rel = f.strip_prefix(&repo).unwrap_or(f).display().to_string();
-            (rel, mentions(f))
+            (rel, used_text(f))
         })
+        .collect();
+    let mentioned: Vec<(&str, HashSet<&str>)> = texts
+        .iter()
+        .map(|(rel, text)| (rel.as_str(), mentions(text)))
         .collect();
 
-    // a name defined on several surface lines cannot be attributed to one
-    // of them textually; those are left to review
-    let orphans: Vec<String> = definitions
-        .iter()
-        .filter_map(|(name, defs)| match defs[..] {
-            [(file, true)] => Some((name, file)),
-            _ => None,
-        })
-        .filter(|(name, file)| {
-            !mentioned
+    // A name defined once must be mentioned in another file. A name defined
+    // on several surface lines cannot be attributed to one of them by a
+    // mention: each definition must be called (`.name(` or `::name`) in
+    // another file that names the type whose `impl` holds it, or names none
+    // of the other definitions' types; a definition outside any `impl`, in
+    // a file that defines none of them.
+    let mut orphans = Vec::new();
+    for (name, defs) in &definitions {
+        if let [(file, callable)] = defs[..] {
+            let used = mentioned
                 .iter()
-                .any(|(other, words)| other != file && words.contains(**name))
-        })
-        .map(|(name, file)| format!("  {file}: {name}"))
-        .collect();
+                .any(|(other, words)| *other != file && words.contains(*name));
+            if callable && !used {
+                orphans.push(format!("  {file}: {name}"));
+            }
+            continue;
+        }
+        // one file may define the name for several types
+        let mut files: Vec<&str> = defs
+            .iter()
+            .filter(|(_, callable)| *callable)
+            .map(|&(file, _)| file)
+            .collect();
+        files.dedup();
+        let owned: Vec<(&str, Option<String>)> = files
+            .into_iter()
+            .flat_map(|file| {
+                let text = texts.iter().find(|(rel, _)| rel == file).map(|(_, t)| t);
+                let owners = text.map_or(Vec::new(), |t| owners(t, name));
+                owners.into_iter().map(move |owner| (file, owner))
+            })
+            .collect();
+        for (file, owner) in &owned {
+            let used = texts
+                .iter()
+                .zip(&mentioned)
+                .filter(|((other, text), _)| other != file && calls(text, name))
+                .any(|((other, _), (_, words))| match owner {
+                    Some(ty) => {
+                        words.contains(ty.as_str())
+                            || !owned.iter().any(|(_, o)| {
+                                o.as_ref()
+                                    .is_some_and(|o| o != ty && words.contains(o.as_str()))
+                            })
+                    }
+                    None => defs.iter().all(|(f, _)| f != other),
+                });
+            if !used {
+                let ty = owner.as_deref().map_or(String::new(), |t| format!("{t}::"));
+                orphans.push(format!("  {file}: {ty}{name}"));
+            }
+        }
+    }
     assert!(
         orphans.is_empty(),
         "public items no file but their own mentions (delete them, or drop \

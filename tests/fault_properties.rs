@@ -17,7 +17,7 @@
 //! unit tests at the bottom (the vendored offline proptest does not
 //! replay regression files).
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
 use triple_c::pipeline::app::AppConfig;
@@ -89,7 +89,7 @@ fn run_one(spec: StreamSpec) -> SessionReport {
 fn spec_with(stream_seed: u64, budget: LatencyBudget, plan: Option<FaultPlan>) -> StreamSpec {
     let b = StreamSpec::builder(seq(stream_seed), AppConfig::default(), model()).budget(budget);
     match plan {
-        Some(p) => b.faults(Arc::new(p)).build(),
+        Some(p) => b.faults(p).build(),
         None => b.build(),
     }
 }

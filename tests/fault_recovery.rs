@@ -10,8 +10,6 @@
 //! The `#[ignore]`d soak variant scales the same assertions up; run it
 //! with `cargo test --release --test fault_recovery -- --ignored`.
 
-use std::sync::Arc;
-
 use triple_c::imaging::parallel::StripePool;
 use triple_c::pipeline::app::AppConfig;
 use triple_c::pipeline::executor::ExecutionPolicy;
@@ -66,7 +64,7 @@ fn run_faulted(
         .map(|&s| {
             StreamSpec::builder(seq(s, frames), AppConfig::default(), model.clone())
                 .budget(budget)
-                .faults(Arc::new(plan))
+                .faults(plan)
                 .build()
         })
         .collect();
@@ -283,7 +281,7 @@ fn parked_streams_replay_like_bare_engines() {
             .map(|(&s, frames)| {
                 StreamSpec::builder(seq(s, frames), AppConfig::default(), model.clone())
                     .budget(budget)
-                    .faults(Arc::new(plan))
+                    .faults(plan)
                     .build()
             })
             .collect()

@@ -8,8 +8,6 @@
 //! Chrome-trace export contains complete spans for every executed stage
 //! plus the per-stream thread metadata Perfetto uses for track names.
 
-use std::sync::Arc;
-
 use triple_c::prelude::*;
 use triple_c::runtime::faults::{FaultPlan, FaultPlanConfig};
 use triple_c::xray::NoiseConfig;
@@ -61,7 +59,7 @@ fn faulted_report() -> (SessionReport, Observability) {
             let b = StreamSpec::builder(seq(300 + i, 10), AppConfig::default(), model.clone())
                 .budget(LatencyBudget::new(1.0, 0.1));
             if i < 2 {
-                b.faults(Arc::new(plan)).build()
+                b.faults(plan).build()
             } else {
                 b.build()
             }

@@ -115,7 +115,7 @@ fn rapid_switch_storm_quarantines_retrains_and_recovers() {
 fn storm_replay_is_ledger_identical() {
     let (a, _) = run_storm();
     let (b, _) = run_storm();
-    let diff = a.diff(&b);
+    let diff = a.diff(&b.to_text());
     assert!(diff.is_empty(), "storm replay diverged: {diff:?}");
     assert!(
         a.faults.iter().any(|k| k.contains("prediction-drift")),

@@ -12,13 +12,14 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use runtime::workload::trace::{ArrivalModel, FaultOverlay, StreamTrace, Trace, TraceError};
-use runtime::workload::{RunLedger, StreamProfile};
+use runtime::faults::{FaultPlan, FaultPlanConfig};
+use runtime::workload::trace::{ArrivalModel, StreamTrace, Trace, TraceError};
+use runtime::workload::StreamProfile;
 use triplec::ScriptSegment;
 
 /// Expands a seed into a random valid trace: 1-3 streams over all three
 /// profiles, all three arrival models, optional scenario scripts and
-/// fault overlays, arbitrary (finite, in-range) float parameters.
+/// fault plans, arbitrary (finite, in-range) float parameters.
 fn arbitrary_trace(seed: u64, n_streams: usize) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let streams = (0..n_streams)
@@ -49,15 +50,17 @@ fn arbitrary_trace(seed: u64, n_streams: usize) -> Trace {
                 })
                 .collect();
             let faults = if rng.gen_bool(0.5) {
-                Some(FaultOverlay {
-                    seed: rng.gen(),
-                    panic_rate: rng.gen_range(0.0..1.0),
-                    channel_rate: rng.gen_range(0.0..1.0),
-                    delay_rate: rng.gen_range(0.0..1.0),
-                    delay_ms: rng.gen_range(0.0..50.0),
-                    drop_rate: rng.gen_range(0.0..1.0),
-                    corrupt_rate: rng.gen_range(0.0..1.0),
-                })
+                Some(FaultPlan::new(
+                    rng.gen(),
+                    FaultPlanConfig {
+                        panic_rate: rng.gen_range(0.0..1.0),
+                        channel_rate: rng.gen_range(0.0..1.0),
+                        delay_rate: rng.gen_range(0.0..1.0),
+                        delay_ms: rng.gen_range(0.0..50.0),
+                        drop_rate: rng.gen_range(0.0..1.0),
+                        corrupt_rate: rng.gen_range(0.0..1.0),
+                    },
+                ))
             } else {
                 None
             };
@@ -156,12 +159,11 @@ proptest! {
     }
 
     /// Parsing arbitrary input never panics — it returns `Ok` or a
-    /// typed error. (Covers the trace parser and the ledger parser.)
+    /// typed error.
     #[test]
     fn parser_never_panics(seed in 0u64..u64::MAX, lines in 0usize..30) {
         let garbage = arbitrary_garbage(seed, lines);
         let _ = Trace::parse(&garbage);
-        let _ = RunLedger::parse(&garbage);
     }
 
     /// ...including inputs that start with a valid header and degrade
@@ -170,7 +172,6 @@ proptest! {
     fn parser_never_panics_after_header(seed in 0u64..u64::MAX, lines in 0usize..30) {
         let garbage = arbitrary_garbage(seed, lines);
         let _ = Trace::parse(&format!("triplec-trace v1\n{garbage}"));
-        let _ = RunLedger::parse(&format!("triplec-ledger v1\n{garbage}"));
     }
 
     /// Truncating a valid trace anywhere still yields `Ok` or a typed
