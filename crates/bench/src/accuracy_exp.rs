@@ -16,16 +16,16 @@ use xray::{test_corpus, SequenceGenerator};
 
 /// Structured accuracy result.
 #[derive(Debug, Clone)]
-pub struct AccuracyResult {
+pub(crate) struct AccuracyResult {
     /// Per-task accuracy reports.
-    pub per_task: Vec<(Task, AccuracyReport)>,
+    pub(crate) per_task: Vec<(Task, AccuracyReport)>,
     /// Frame-total accuracy report.
-    pub frame_level: AccuracyReport,
+    pub(crate) frame_level: AccuracyReport,
 }
 
 /// Trains on the (scaled) training corpus and evaluates one-step-ahead
 /// prediction on the held-out test corpus.
-pub fn run(cfg: &ExperimentConfig) -> (AccuracyResult, String) {
+pub(crate) fn run(cfg: &ExperimentConfig) -> (AccuracyResult, String) {
     let app = AppConfig::default();
     let profile = profile_training_corpus(cfg, &app);
     let tc_cfg = TripleCConfig {
@@ -78,26 +78,29 @@ pub fn run(cfg: &ExperimentConfig) -> (AccuracyResult, String) {
         }
     }
 
-    let per_task: Vec<(Task, AccuracyReport)> = task_pairs
-        .iter()
-        .map(|(&t, pairs)| (t, evaluate(pairs)))
-        .collect();
-    let frame_level = evaluate(&frame_pairs);
+    let r = AccuracyResult {
+        per_task: task_pairs
+            .iter()
+            .map(|(&t, pairs)| (t, evaluate(pairs)))
+            .collect(),
+        frame_level: evaluate(&frame_pairs),
+    };
 
     let mut out = String::new();
     out.push_str(&format!(
         "Prediction accuracy on held-out sequences ({} frames evaluated)\n\n",
-        frame_level.count
+        r.frame_level.count
     ));
-    let rows: Vec<Vec<String>> = per_task
+    let rows: Vec<Vec<String>> = r
+        .per_task
         .iter()
-        .map(|(t, r)| {
+        .map(|(t, a)| {
             vec![
                 t.to_string(),
-                format!("{}", r.count),
-                format!("{:.1}%", r.mean_accuracy * 100.0),
-                format!("{:.0}%", r.max_error * 100.0),
-                format!("{:.1}%", r.excursions_over_20pct * 100.0),
+                format!("{}", a.count),
+                format!("{:.1}%", a.mean_accuracy * 100.0),
+                format!("{:.0}%", a.max_error * 100.0),
+                format!("{:.1}%", a.excursions_over_20pct * 100.0),
             ]
         })
         .collect();
@@ -113,19 +116,13 @@ pub fn run(cfg: &ExperimentConfig) -> (AccuracyResult, String) {
     ));
     out.push_str(&format!(
         "\nframe-level: mean accuracy {:.1}%, max error {:.0}%, {:.1}% of frames over 20% error\n",
-        frame_level.mean_accuracy * 100.0,
-        frame_level.max_error * 100.0,
-        frame_level.excursions_over_20pct * 100.0
+        r.frame_level.mean_accuracy * 100.0,
+        r.frame_level.max_error * 100.0,
+        r.frame_level.excursions_over_20pct * 100.0
     ));
     out.push_str("paper: 97% average accuracy, sporadic excursions up to 20-30%\n");
 
-    (
-        AccuracyResult {
-            per_task,
-            frame_level,
-        },
-        out,
-    )
+    (r, out)
 }
 
 #[cfg(test)]

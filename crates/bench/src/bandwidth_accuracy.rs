@@ -17,15 +17,15 @@ use triplec::memory_model::FrameGeometry;
 
 /// Structured result.
 #[derive(Debug, Clone)]
-pub struct BandwidthAccuracyResult {
+pub(crate) struct BandwidthAccuracyResult {
     /// `(case label, predicted bytes, simulated bytes)` rows.
-    pub cases: Vec<(String, u64, u64)>,
+    pub(crate) cases: Vec<(String, u64, u64)>,
     /// Aggregate accuracy report (predicted vs. simulated).
-    pub report: AccuracyReport,
+    pub(crate) report: AccuracyReport,
 }
 
 /// Runs the model-vs-simulation comparison grid.
-pub fn run() -> (BandwidthAccuracyResult, String) {
+pub(crate) fn run() -> (BandwidthAccuracyResult, String) {
     let mut cases: Vec<(String, u64, u64)> = Vec::new();
     let l2_sizes = [2 * MB, 4 * MB, 8 * MB];
     let geoms = [
@@ -80,11 +80,15 @@ pub fn run() -> (BandwidthAccuracyResult, String) {
         .iter()
         .map(|&(_, p, s)| (p as f64, s as f64))
         .collect();
-    let report = evaluate(&pairs);
+    let r = BandwidthAccuracyResult {
+        report: evaluate(&pairs),
+        cases,
+    };
 
     let mut out = String::new();
     out.push_str("Cache/bandwidth model vs. trace-driven simulation\n\n");
-    let rows: Vec<Vec<String>> = cases
+    let rows: Vec<Vec<String>> = r
+        .cases
         .iter()
         .map(|(label, p, s)| {
             vec![
@@ -98,11 +102,11 @@ pub fn run() -> (BandwidthAccuracyResult, String) {
     out.push_str(&table(&["case", "pred MB", "sim MB", "accuracy"], &rows));
     out.push_str(&format!(
         "\nmean accuracy over {} cases: {:.1}% (paper reports ~90%)\n",
-        report.count,
-        report.mean_accuracy * 100.0
+        r.report.count,
+        r.report.mean_accuracy * 100.0
     ));
 
-    (BandwidthAccuracyResult { cases, report }, out)
+    (r, out)
 }
 
 #[cfg(test)]

@@ -7,20 +7,24 @@
 //! 1024x1024 / 4 MB-L2 parameters — they cost nothing to evaluate.
 
 use crate::fig6::MAX_STRIPE_VARIANTS;
+use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Configuration shared by the measured experiments.
 #[derive(Debug, Clone)]
-pub struct ExperimentConfig {
+pub(crate) struct ExperimentConfig {
     /// Rendered frame edge length (frames are square).
-    pub size: usize,
+    pub(crate) size: usize,
     /// Frame count of the long Fig. 3 trace.
-    pub fig3_frames: usize,
+    pub(crate) fig3_frames: usize,
     /// Frame count of the Fig. 7 dynamic run.
-    pub fig7_frames: usize,
+    pub(crate) fig7_frames: usize,
     /// Scale factor on corpus sizes (1.0 = the paper's 37 x ~52 frames).
-    pub corpus_scale: f64,
+    pub(crate) corpus_scale: f64,
     /// Stripe counts examined in Fig. 6.
-    pub fig6_stripes: Vec<usize>,
+    pub(crate) fig6_stripes: Vec<usize>,
+    /// Directory the figures' series are written to as CSV (`--csv`).
+    pub(crate) csv: Option<PathBuf>,
 }
 
 impl Default for ExperimentConfig {
@@ -31,6 +35,7 @@ impl Default for ExperimentConfig {
             fig7_frames: 200,
             corpus_scale: 1.0,
             fig6_stripes: vec![1, 2],
+            csv: None,
         }
     }
 }
@@ -40,53 +45,60 @@ impl Default for ExperimentConfig {
 /// line through.
 const MIN_SIZE: usize = 17;
 
+/// `value` parsed as `flag`'s type, or an error naming both.
+fn parse<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} cannot parse `{value}`"))
+}
+
 impl ExperimentConfig {
     /// Parses `--size N`, `--frames N`, `--corpus-scale X`, `--stripes a,b`
-    /// style flags from an argument list (unknown flags are ignored so the
-    /// caller can route subcommands first). A value an experiment cannot
-    /// run with is an error naming the flag, not a panic further down.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
+    /// and `--csv DIR` from an argument list (unknown flags are ignored so the
+    /// caller can route subcommands first). A known flag without a value, a
+    /// value that does not parse, or one an experiment cannot run with is an
+    /// error naming the flag, not a default or a panic further down.
+    pub(crate) fn from_args(args: &[String]) -> Result<Self, String> {
         let mut cfg = Self::default();
-        let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            let mut grab = |target: &mut usize| {
-                if let Some(v) = it.peek().and_then(|s| s.parse::<usize>().ok()) {
-                    *target = v;
-                    it.next();
-                }
-            };
-            match a.as_str() {
-                "--size" => grab(&mut cfg.size),
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let flag = flag.as_str();
+            if !matches!(
+                flag,
+                "--size" | "--frames" | "--corpus-scale" | "--stripes" | "--csv"
+            ) {
+                continue;
+            }
+            let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            match flag {
+                "--size" => cfg.size = parse(flag, value)?,
                 "--frames" => {
-                    let mut v = cfg.fig3_frames;
-                    grab(&mut v);
-                    cfg.fig3_frames = v;
-                    cfg.fig7_frames = v.min(cfg.fig7_frames.max(v.min(200)));
-                    cfg.fig7_frames = v;
+                    cfg.fig3_frames = parse(flag, value)?;
+                    cfg.fig7_frames = cfg.fig3_frames;
                 }
-                "--corpus-scale" => {
-                    if let Some(v) = it.peek().and_then(|s| s.parse::<f64>().ok()) {
-                        cfg.corpus_scale = v;
-                        it.next();
-                    }
-                }
+                "--corpus-scale" => cfg.corpus_scale = parse(flag, value)?,
                 "--stripes" => {
-                    if let Some(v) = it.peek() {
-                        let parsed: Vec<usize> =
-                            v.split(',').filter_map(|s| s.parse().ok()).collect();
-                        if !parsed.is_empty() {
-                            cfg.fig6_stripes = parsed;
-                            it.next();
-                        }
-                    }
+                    cfg.fig6_stripes = value
+                        .split(',')
+                        .map(|s| parse(flag, s))
+                        .collect::<Result<_, _>>()?;
                 }
-                _ => {}
+                _ => cfg.csv = Some(PathBuf::from(value)),
             }
         }
         if cfg.size < MIN_SIZE {
             return Err(format!(
                 "--size must be at least {MIN_SIZE} (got {})",
                 cfg.size
+            ));
+        }
+        if cfg.fig3_frames == 0 {
+            return Err("--frames must be at least 1".into());
+        }
+        if !(cfg.corpus_scale.is_finite() && cfg.corpus_scale > 0.0) {
+            return Err(format!(
+                "--corpus-scale must be a positive number (got {})",
+                cfg.corpus_scale
             ));
         }
         let stripes = &cfg.fig6_stripes;
@@ -106,7 +118,7 @@ impl ExperimentConfig {
     }
 
     /// The triplec geometry for model configuration at the experiment size.
-    pub fn geometry(&self) -> triplec::FrameGeometry {
+    pub(crate) fn geometry(&self) -> triplec::FrameGeometry {
         triplec::FrameGeometry {
             width: self.size,
             height: self.size,
@@ -201,5 +213,44 @@ mod tests {
             parse(&["--stripes", "2,1"]).unwrap().fig6_stripes,
             vec![2, 1]
         );
+    }
+
+    #[test]
+    fn parses_the_csv_directory() {
+        let c = parse(&["fig7", "--csv", "/tmp/x"]).unwrap();
+        assert_eq!(c.csv, Some(PathBuf::from("/tmp/x")));
+        assert_eq!(parse(&["fig7"]).unwrap().csv, None);
+    }
+
+    #[test]
+    fn rejects_a_known_flag_without_a_value() {
+        for flag in ["--size", "--frames", "--corpus-scale", "--stripes", "--csv"] {
+            let err = parse(&["fig3", flag]).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
+    }
+
+    #[test]
+    fn rejects_a_value_that_does_not_parse() {
+        for (flag, value) in [
+            ("--size", "abc"),
+            ("--frames", "-3"),
+            ("--corpus-scale", "half"),
+            ("--stripes", "1,x,4"),
+            ("--stripes", "1,,2"),
+        ] {
+            let err = parse(&["fig6", flag, value]).unwrap_err();
+            assert!(err.starts_with(flag), "{flag} {value}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_values_an_experiment_cannot_run_with() {
+        let err = parse(&["--frames", "0"]).unwrap_err();
+        assert!(err.contains("--frames"), "{err}");
+        for scale in ["0", "-0.5", "NaN", "inf"] {
+            let err = parse(&["--corpus-scale", scale]).unwrap_err();
+            assert!(err.contains("--corpus-scale"), "{scale}: {err}");
+        }
     }
 }

@@ -16,19 +16,19 @@ use xray::{NoiseConfig, SequenceConfig, SequenceGenerator};
 
 /// One noise point.
 #[derive(Debug, Clone, Copy)]
-pub struct DetectionPoint {
+pub(crate) struct DetectionPoint {
     /// Quantum-noise scale of the generator.
-    pub noise_scale: f32,
+    pub(crate) noise_scale: f32,
     /// Fraction of frames where both true markers were matched (< 3 px).
-    pub recall: f64,
+    pub(crate) recall: f64,
     /// Fraction of selected couples whose both endpoints are true markers.
-    pub precision: f64,
+    pub(crate) precision: f64,
     /// Mean localization error of matched markers, pixels.
-    pub mean_error_px: f64,
+    pub(crate) mean_error_px: f64,
 }
 
 /// Runs the detection-quality sweep.
-pub fn run(cfg: &ExperimentConfig) -> (Vec<DetectionPoint>, String) {
+pub(crate) fn run(cfg: &ExperimentConfig) -> (Vec<DetectionPoint>, String) {
     let frames = 24usize;
     let mut results = Vec::new();
     for &noise_scale in &[0.3f32, 0.8, 1.2, 2.0, 3.0] {

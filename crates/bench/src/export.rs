@@ -8,13 +8,13 @@ use std::path::{Path, PathBuf};
 
 /// A CSV writer rooted at an output directory.
 #[derive(Debug, Clone)]
-pub struct CsvExporter {
+pub(crate) struct CsvExporter {
     dir: PathBuf,
 }
 
 impl CsvExporter {
     /// Creates the exporter (and the directory).
-    pub fn new(dir: &Path) -> io::Result<Self> {
+    pub(crate) fn new(dir: &Path) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         Ok(Self {
             dir: dir.to_path_buf(),
@@ -23,7 +23,11 @@ impl CsvExporter {
 
     /// Writes named columns of equal length as `<name>.csv`. Shorter
     /// columns are padded with empty cells.
-    pub fn write_columns(&self, name: &str, columns: &[(&str, &[f64])]) -> io::Result<PathBuf> {
+    pub(crate) fn write_columns(
+        &self,
+        name: &str,
+        columns: &[(&str, &[f64])],
+    ) -> io::Result<PathBuf> {
         let path = self.dir.join(format!("{name}.csv"));
         let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
         let header: Vec<&str> = columns.iter().map(|(h, _)| *h).collect();
@@ -39,17 +43,6 @@ impl CsvExporter {
         f.flush()?;
         Ok(path)
     }
-}
-
-/// Parses `--csv <dir>` from the argument list.
-pub fn csv_dir_from_args(args: &[String]) -> Option<PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--csv" {
-            return it.next().map(PathBuf::from);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -73,15 +66,5 @@ mod tests {
         assert_eq!(lines[0], "a,b");
         assert_eq!(lines[1], "1,10");
         assert_eq!(lines[3], "3,");
-    }
-
-    #[test]
-    fn csv_flag_parsed() {
-        let args: Vec<String> = ["fig7", "--csv", "/tmp/x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(csv_dir_from_args(&args), Some(PathBuf::from("/tmp/x")));
-        assert_eq!(csv_dir_from_args(&["fig7".to_string()]), None);
     }
 }

@@ -8,17 +8,17 @@ use triplec::scenario::Scenario;
 
 /// Structured result: per-scenario total inter-task bandwidth, bytes/s.
 #[derive(Debug, Clone)]
-pub struct Fig2Result {
-    /// `(scenario id, total bandwidth bytes/s)` for all eight scenarios.
-    pub per_scenario: Vec<(u8, f64)>,
+pub(crate) struct Fig2Result {
+    /// `(scenario, total bandwidth bytes/s)` for all eight scenarios.
+    pub(crate) per_scenario: [(Scenario, f64); 8],
     /// Bandwidth of the worst-case scenario.
-    pub worst_case: f64,
+    pub(crate) worst_case: f64,
     /// Bandwidth of the best-case scenario.
-    pub best_case: f64,
+    pub(crate) best_case: f64,
 }
 
 /// Runs the Fig. 2 analysis at the paper geometry.
-pub fn run(roi_fraction: f64) -> (Fig2Result, String) {
+pub(crate) fn run(roi_fraction: f64) -> (Fig2Result, String) {
     let geom = FrameGeometry::PAPER;
     let mut out = String::new();
     out.push_str("Fig. 2 — inter-task bandwidth annotations (MB/s, 1024x1024 @ 30 Hz)\n\n");
@@ -39,34 +39,35 @@ pub fn run(roi_fraction: f64) -> (Fig2Result, String) {
     out.push_str(&table(&["from", "to", "MB/s"], &rows));
     out.push('\n');
 
-    let mut per_scenario = Vec::with_capacity(8);
-    let mut rows = Vec::with_capacity(8);
-    for s in Scenario::all() {
-        let bw = scenario_inter_task_bandwidth(s, geom, roi_fraction);
-        per_scenario.push((s.id(), bw));
-        rows.push(vec![
-            format!("{}", s.id()),
-            format!("{}", s.rdg_active as u8),
-            format!("{}", s.roi_estimated as u8),
-            format!("{}", s.reg_successful as u8),
-            mbs(bw),
-        ]);
-    }
-    out.push_str("All eight scenarios (the three switch statements of Section 5):\n");
-    out.push_str(&table(&["id", "RDG", "ROI", "REG", "total MB/s"], &rows));
-
-    let result = Fig2Result {
-        per_scenario,
+    let r = Fig2Result {
+        per_scenario: Scenario::all()
+            .map(|s| (s, scenario_inter_task_bandwidth(s, geom, roi_fraction))),
         worst_case: scenario_inter_task_bandwidth(worst, geom, roi_fraction),
         best_case: scenario_inter_task_bandwidth(Scenario::best_case(), geom, roi_fraction),
     };
+    let rows: Vec<Vec<String>> = r
+        .per_scenario
+        .iter()
+        .map(|(s, bw)| {
+            vec![
+                format!("{}", s.id()),
+                format!("{}", s.rdg_active as u8),
+                format!("{}", s.roi_estimated as u8),
+                format!("{}", s.reg_successful as u8),
+                mbs(*bw),
+            ]
+        })
+        .collect();
+    out.push_str("All eight scenarios (the three switch statements of Section 5):\n");
+    out.push_str(&table(&["id", "RDG", "ROI", "REG", "total MB/s"], &rows));
+
     out.push_str(&format!(
         "\nworst-case {} MB/s vs best-case {} MB/s ({}x)\n",
-        mbs(result.worst_case),
-        mbs(result.best_case),
-        (result.worst_case / result.best_case.max(1.0)).round()
+        mbs(r.worst_case),
+        mbs(r.best_case),
+        (r.worst_case / r.best_case.max(1.0)).round()
     ));
-    (result, out)
+    (r, out)
 }
 
 #[cfg(test)]

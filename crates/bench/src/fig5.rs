@@ -16,19 +16,15 @@ use triplec::Task;
 
 /// Structured result of the Fig. 5 analysis.
 #[derive(Debug, Clone)]
-pub struct Fig5Result {
+pub(crate) struct Fig5Result {
     /// Predicted RDG FULL swap traffic, bytes/frame.
-    pub rdg_predicted: u64,
-    /// Simulated RDG FULL swap traffic, bytes/frame.
-    pub rdg_simulated: u64,
+    pub(crate) rdg_predicted: u64,
     /// Model-vs-simulation accuracy for RDG.
-    pub rdg_accuracy: f64,
-    /// Predicted intra-task bandwidth of RDG at 30 Hz, bytes/s.
-    pub rdg_bandwidth: f64,
+    pub(crate) rdg_accuracy: f64,
 }
 
 /// Runs the Fig. 5 analysis.
-pub fn run() -> (Fig5Result, String) {
+pub(crate) fn run() -> (Fig5Result, String) {
     let arch = ArchModel::default();
     let geom = FrameGeometry::PAPER;
     let mut out = String::new();
@@ -54,17 +50,18 @@ pub fn run() -> (Fig5Result, String) {
         &rows,
     ));
 
-    let rdg_predicted = predicted.total_bytes();
-    let rdg_simulated = simulated.total_bytes();
-    let rdg_accuracy = triplec::accuracy(rdg_predicted as f64, rdg_simulated as f64);
-    let rdg_bandwidth = predicted.bandwidth(FRAME_RATE_HZ);
+    let (rdg_predicted, rdg_simulated) = (predicted.total_bytes(), simulated.total_bytes());
+    let r = Fig5Result {
+        rdg_predicted,
+        rdg_accuracy: triplec::accuracy(rdg_predicted as f64, rdg_simulated as f64),
+    };
     out.push_str(&format!(
         "\nRDG FULL swap traffic: predicted {} MB/frame, simulated {} MB/frame \
          (model accuracy {:.1}%)\nRDG FULL intra-task bandwidth at 30 Hz: {} MB/s\n",
-        mbs(rdg_predicted as f64),
+        mbs(r.rdg_predicted as f64),
         mbs(rdg_simulated as f64),
-        rdg_accuracy * 100.0,
-        mbs(rdg_bandwidth),
+        r.rdg_accuracy * 100.0,
+        mbs(predicted.bandwidth(FRAME_RATE_HZ)),
     ));
 
     // the other overflow tasks of Section 5
@@ -98,15 +95,7 @@ pub fn run() -> (Fig5Result, String) {
         &rows,
     ));
 
-    (
-        Fig5Result {
-            rdg_predicted,
-            rdg_simulated,
-            rdg_accuracy,
-            rdg_bandwidth,
-        },
-        out,
-    )
+    (r, out)
 }
 
 #[cfg(test)]

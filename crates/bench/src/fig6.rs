@@ -16,30 +16,30 @@ pub(crate) const MAX_STRIPE_VARIANTS: usize = 8;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct SweepPoint {
+pub(crate) struct SweepPoint {
     /// ROI size, kilopixels.
-    pub roi_kpixels: f64,
+    pub(crate) roi_kpixels: f64,
     /// Effective latency per stripe count, ms (same order as the config's
     /// stripe list).
-    pub latency_ms: [f64; MAX_STRIPE_VARIANTS],
+    pub(crate) latency_ms: [f64; MAX_STRIPE_VARIANTS],
     /// Number of valid entries in `latency_ms`.
-    pub variants: usize,
+    pub(crate) variants: usize,
 }
 
 /// Structured Fig. 6 result.
 #[derive(Debug, Clone)]
-pub struct Fig6Result {
-    pub points: Vec<SweepPoint>,
+pub(crate) struct Fig6Result {
+    pub(crate) points: Vec<SweepPoint>,
     /// Linear fit of the serial latency vs. ROI kilopixels.
-    pub serial_fit: LinearModel,
+    pub(crate) serial_fit: LinearModel,
     /// R^2 of the serial fit.
-    pub r_squared: f64,
+    pub(crate) r_squared: f64,
     /// Mean speedup of the 2-stripe variant over serial (if measured).
-    pub two_stripe_speedup: f64,
+    pub(crate) two_stripe_speedup: f64,
 }
 
 /// Runs the ROI sweep on a representative frame of the synthetic sequence.
-pub fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
+pub(crate) fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
     // render one busy frame to process at many ROI sizes
     let seq = SequenceConfig {
         width: cfg.size,
@@ -112,7 +112,6 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
     }
 
     let serial_fit = LinearModel::fit(&serial_points);
-    let r_squared = serial_fit.r_squared(&serial_points);
     let two_idx = stripes.iter().position(|&k| k == 2);
     let two_stripe_speedup = match two_idx {
         Some(idx) => {
@@ -132,6 +131,12 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
         }
         None => 0.0,
     };
+    let r = Fig6Result {
+        r_squared: r_squared(&serial_fit, &serial_points),
+        serial_fit,
+        points,
+        two_stripe_speedup,
+    };
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -142,7 +147,8 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
         .chain(stripes.iter().map(|k| format!("{k}-stripe ms")))
         .collect();
     let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let rows: Vec<Vec<String>> = points
+    let rows: Vec<Vec<String>> = r
+        .points
         .iter()
         .map(|p| {
             std::iter::once(format!("{:.1}", p.roi_kpixels))
@@ -153,25 +159,33 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig6Result, String) {
     out.push_str(&table(&header_refs, &rows));
     out.push_str(&format!(
         "\nserial linear fit: y = {:.4} x + {:.2}  (R^2 = {:.3})\n",
-        serial_fit.slope, serial_fit.intercept, r_squared
+        r.serial_fit.slope, r.serial_fit.intercept, r.r_squared
     ));
     out.push_str("paper's Eq. 3 on its platform: y = 0.067 x + 20.6 (x in kpx)\n");
-    if two_stripe_speedup > 0.0 {
+    if r.two_stripe_speedup > 0.0 {
         out.push_str(&format!(
             "mean 2-stripe speedup over serial: {:.2}x (ideal 2.0, paper's Fig. 6 shows ~1.8-2x)\n",
-            two_stripe_speedup
+            r.two_stripe_speedup
         ));
     }
 
-    (
-        Fig6Result {
-            points,
-            serial_fit,
-            r_squared,
-            two_stripe_speedup,
-        },
-        out,
-    )
+    (r, out)
+}
+
+/// Coefficient of determination (R^2) of `fit` on `points`.
+fn r_squared(fit: &LinearModel, points: &[(f64, f64)]) -> f64 {
+    let my = points.iter().map(|p| p.1).sum::<f64>() / points.len() as f64;
+    let ss_tot: f64 = points.iter().map(|p| (p.1 - my) * (p.1 - my)).sum();
+    let ss_res: f64 = fit.residuals(points).iter().map(|e| e * e).sum();
+    if ss_tot <= 1e-30 {
+        if ss_res <= 1e-30 {
+            1.0
+        } else {
+            0.0
+        }
+    } else {
+        1.0 - ss_res / ss_tot
+    }
 }
 
 #[cfg(test)]
@@ -213,5 +227,12 @@ mod tests {
         // host timings, so judge the median of five.
         let speedups = crate::five_sorted(|| run(&tiny()).0.two_stripe_speedup);
         assert!(speedups[2] > 1.2, "speedups {speedups:?}");
+    }
+
+    #[test]
+    fn r_squared_of_constant_data() {
+        let pts = [(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)];
+        let m = LinearModel::fit(&pts);
+        assert!((r_squared(&m, &pts) - 1.0).abs() < 1e-9);
     }
 }

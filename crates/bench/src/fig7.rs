@@ -15,21 +15,17 @@ use xray::{HiddenEpisode, ScenarioConfig, SequenceConfig};
 
 /// Structured Fig. 7 result.
 #[derive(Debug, Clone)]
-pub struct Fig7Result {
+pub(crate) struct Fig7Result {
     /// Per-frame latency of the straightforward (serial) mapping, ms.
-    pub straightforward: Vec<f64>,
+    pub(crate) straightforward: Vec<f64>,
     /// Per-frame latency of the managed (semi-auto parallel) run, ms.
-    pub managed: Vec<f64>,
+    pub(crate) managed: Vec<f64>,
     /// Per-frame model prediction of the serial computation time, ms.
-    pub predicted: Vec<f64>,
-    /// `(max-mean)/mean` of the straightforward run (paper: ~85%).
-    pub straightforward_worst_vs_avg: f64,
+    pub(crate) predicted: Vec<f64>,
     /// `(max-mean)/mean` of the managed run (paper: ~20%).
-    pub managed_worst_vs_avg: f64,
-    /// Jitter (std) reduction managed vs. straightforward (paper: ~70%).
-    pub jitter_reduction: f64,
+    pub(crate) managed_worst_vs_avg: f64,
     /// Frame-level prediction accuracy of the managed run.
-    pub prediction_accuracy: f64,
+    pub(crate) prediction_accuracy: f64,
 }
 
 /// The dynamic test sequence: bolus and panning episodes force scenario
@@ -65,7 +61,7 @@ fn dynamic_sequence(size: usize, frames: usize, seed: u64) -> SequenceConfig {
 }
 
 /// Trains a model on a few sequences of the same content family.
-pub fn train_model(cfg: &ExperimentConfig, app: &AppConfig) -> TripleC {
+pub(crate) fn train_model(cfg: &ExperimentConfig, app: &AppConfig) -> TripleC {
     let corpus: Vec<SequenceConfig> = (0..4)
         .map(|i| dynamic_sequence(cfg.size, 52, 9000 + i))
         .collect();
@@ -82,7 +78,7 @@ pub fn train_model(cfg: &ExperimentConfig, app: &AppConfig) -> TripleC {
 }
 
 /// Runs the Fig. 7 experiment.
-pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
+pub(crate) fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
     let app = AppConfig::default();
     let test_seq = dynamic_sequence(cfg.size, cfg.fig7_frames, 555);
 
@@ -118,6 +114,13 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
     let m_jit = jitter(&managed_output);
     let reduction = jitter_reduction(&s_jit, &m_jit);
     let accuracy = managed_run.accuracy;
+    let r = Fig7Result {
+        straightforward,
+        managed,
+        predicted,
+        managed_worst_vs_avg: m_sum.worst_vs_avg,
+        prediction_accuracy: accuracy.mean_accuracy,
+    };
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -127,9 +130,9 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
     out.push_str(&strip_chart(
         "frame latency [ms]",
         &[
-            ("straightforward", &straightforward),
-            ("semi-auto parallel", &managed),
-            ("prediction", &predicted),
+            ("straightforward", &r.straightforward),
+            ("semi-auto parallel", &r.managed),
+            ("prediction", &r.predicted),
         ],
         16,
         72,
@@ -141,7 +144,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
         s_sum.max,
         s_sum.worst_vs_avg * 100.0
     ));
-    let raw_sum = platform::metrics::summary_of(&managed[1..]);
+    let raw_sum = platform::metrics::summary_of(&r.managed[1..]);
     out.push_str(&format!(
         "semi-auto (compute): mean {:.1} ms, band [{:.1}, {:.1}]\n",
         raw_sum.mean, raw_sum.min, raw_sum.max
@@ -152,7 +155,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
         m_sum.mean,
         m_sum.min,
         m_sum.max,
-        m_sum.worst_vs_avg * 100.0
+        r.managed_worst_vs_avg * 100.0
     ));
     out.push_str(&format!(
         "jitter (std): {:.2} -> {:.2} ms  (reduction {:.0}%; paper reports ~70%)\n",
@@ -163,10 +166,11 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
     out.push_str("paper reports worst-vs-avg: 85% straightforward vs 20% semi-automatic\n");
     out.push_str(&format!(
         "frame-level prediction accuracy: {:.1}% (max error {:.0}%; paper: 97% avg, 20-30% excursions)\n",
-        accuracy.mean_accuracy * 100.0,
+        r.prediction_accuracy * 100.0,
         accuracy.max_error * 100.0
     ));
-    let overruns = managed
+    let overruns = r
+        .managed
         .iter()
         .skip(1)
         .filter(|&&c| delay.overruns(c))
@@ -174,7 +178,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
     out.push_str(&format!(
         "budget overruns: {} of {} frames\n",
         overruns,
-        managed.len() - 1
+        r.managed.len() - 1
     ));
 
     // The paper's strawman (Section 6): a worst-case resource reservation
@@ -191,18 +195,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Fig7Result, String) {
         budget.target_ms
     ));
 
-    (
-        Fig7Result {
-            straightforward,
-            managed,
-            predicted,
-            straightforward_worst_vs_avg: s_sum.worst_vs_avg,
-            managed_worst_vs_avg: m_sum.worst_vs_avg,
-            jitter_reduction: reduction,
-            prediction_accuracy: accuracy.mean_accuracy,
-        },
-        out,
-    )
+    (r, out)
 }
 
 #[cfg(test)]
@@ -251,7 +244,7 @@ mod tests {
             let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             hi - lo
         };
-        // worst_vs_avg fields are computed from the delay-lined output;
+        // managed_worst_vs_avg is computed from the delay-lined output;
         // reconstruct it via the summary invariants instead of re-running
         let raw = &r.managed[1..];
         assert!(r.managed_worst_vs_avg.is_finite());

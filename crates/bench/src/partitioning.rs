@@ -30,15 +30,15 @@ const STAGES: [&[Task]; 4] = [
 
 /// Structured result.
 #[derive(Debug, Clone)]
-pub struct PartitioningResult {
+pub(crate) struct PartitioningResult {
     /// Mean per-frame latency, ms: serial / data-parallel / functional.
-    pub mean_latency: [f64; 3],
+    pub(crate) mean_latency: [f64; 3],
     /// Achievable throughput, frames/s: serial / data-parallel / functional.
-    pub throughput: [f64; 3],
+    pub(crate) throughput: [f64; 3],
 }
 
 /// Runs the partitioning comparison.
-pub fn run(cfg: &ExperimentConfig) -> (PartitioningResult, String) {
+pub(crate) fn run(cfg: &ExperimentConfig) -> (PartitioningResult, String) {
     let app = AppConfig::default();
     let seq = SequenceConfig {
         width: cfg.size,
@@ -108,6 +108,11 @@ pub fn run(cfg: &ExperimentConfig) -> (PartitioningResult, String) {
     let paced = pipelined_schedule(&frames, &[0, 1, 2, 3], 8, 1000.0 / 30.0);
     let func_mean = summary_of(&paced.latencies).mean;
 
+    let r = PartitioningResult {
+        mean_latency: [serial_mean, data_mean, func_mean],
+        throughput: [serial_fps, data_fps, func_fps],
+    };
+
     let mut out = String::new();
     out.push_str(&format!(
         "Partitioning comparison over {} frames at {}x{} (4 cores each)\n\n",
@@ -115,23 +120,15 @@ pub fn run(cfg: &ExperimentConfig) -> (PartitioningResult, String) {
         cfg.size,
         cfg.size
     ));
-    let rows = vec![
-        vec![
-            "serial".into(),
-            format!("{serial_mean:.2}"),
-            format!("{serial_fps:.1}"),
-        ],
-        vec![
-            "data-parallel (4-stripe)".into(),
-            format!("{data_mean:.2}"),
-            format!("{data_fps:.1}"),
-        ],
-        vec![
-            "function-parallel (4-stage pipe)".into(),
-            format!("{func_mean:.2}"),
-            format!("{func_fps:.1}"),
-        ],
-    ];
+    let rows: Vec<Vec<String>> = [
+        "serial",
+        "data-parallel (4-stripe)",
+        "function-parallel (4-stage pipe)",
+    ]
+    .iter()
+    .zip(r.mean_latency.iter().zip(&r.throughput))
+    .map(|(name, (ms, fps))| vec![name.to_string(), format!("{ms:.2}"), format!("{fps:.1}")])
+    .collect();
     out.push_str(&table(
         &["partitioning", "mean latency ms", "throughput fps"],
         &rows,
@@ -142,14 +139,7 @@ pub fn run(cfg: &ExperimentConfig) -> (PartitioningResult, String) {
          latency — which is why the paper stripes RDG for its latency-critical\n\
          eye-hand-coordination requirement.\n",
     );
-
-    (
-        PartitioningResult {
-            mean_latency: [serial_mean, data_mean, func_mean],
-            throughput: [serial_fps, data_fps, func_fps],
-        },
-        out,
-    )
+    (r, out)
 }
 
 #[cfg(test)]

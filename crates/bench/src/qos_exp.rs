@@ -21,23 +21,23 @@ const SHARES: [f64; 4] = [2.0, 1.0, 0.8, 0.4];
 
 /// One budget point.
 #[derive(Debug, Clone)]
-pub struct QosPoint {
+pub(crate) struct QosPoint {
     /// Budget target as a share of the full-quality mean latency.
-    pub share: f64,
+    pub(crate) share: f64,
     /// Budget target, ms.
-    pub budget_ms: f64,
+    pub(crate) budget_ms: f64,
     /// Fraction of frames that ran below full quality.
-    pub degraded_fraction: f64,
+    pub(crate) degraded_fraction: f64,
     /// Mean measured frame latency, ms.
-    pub mean_latency: f64,
+    pub(crate) mean_latency: f64,
     /// Frames whose latency exceeded the budget target.
-    pub overruns: usize,
+    pub(crate) overruns: usize,
     /// Frames whose plan was infeasible even fully parallel.
-    pub infeasible: usize,
+    pub(crate) infeasible: usize,
 }
 
 /// Runs the QoS budget sweep.
-pub fn run(cfg: &ExperimentConfig) -> (Vec<QosPoint>, String) {
+pub(crate) fn run(cfg: &ExperimentConfig) -> (Vec<QosPoint>, String) {
     let app = AppConfig::default();
     let frames = cfg.fig7_frames.min(100);
     let seq = SequenceConfig {

@@ -1,7 +1,7 @@
 //! Plain-text table and series rendering for the experiment reports.
 
 /// Renders a table with a header row and aligned columns.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -35,7 +35,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Renders a numeric series as a coarse ASCII strip chart (one row per
 /// sample bucket), used for the Fig. 3 / Fig. 7 trace visualizations.
-pub fn strip_chart(
+pub(crate) fn strip_chart(
     title: &str,
     series: &[(&str, &[f64])],
     height: usize,
@@ -95,7 +95,7 @@ pub fn strip_chart(
 }
 
 /// Formats bytes as KB with thousands separators (Table 1 style).
-pub fn kb(bytes: usize) -> String {
+pub(crate) fn kb(bytes: usize) -> String {
     let kb = bytes / 1024;
     let s = kb.to_string();
     let mut with_sep = String::new();
@@ -109,7 +109,7 @@ pub fn kb(bytes: usize) -> String {
 }
 
 /// Formats a bandwidth in MB/s.
-pub fn mbs(bytes_per_sec: f64) -> String {
+pub(crate) fn mbs(bytes_per_sec: f64) -> String {
     format!("{:.1}", bytes_per_sec / 1e6)
 }
 

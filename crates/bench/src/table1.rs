@@ -7,9 +7,9 @@ use triplec::memory_model::{
 
 /// Structured result: both tables.
 #[derive(Debug, Clone)]
-pub struct Table1Result {
-    pub ours: Vec<TaskMemory>,
-    pub paper: Vec<TaskMemory>,
+pub(crate) struct Table1Result {
+    pub(crate) ours: Vec<TaskMemory>,
+    pub(crate) paper: Vec<TaskMemory>,
 }
 
 fn rows(t: &[TaskMemory]) -> Vec<Vec<String>> {
@@ -31,26 +31,28 @@ fn rows(t: &[TaskMemory]) -> Vec<Vec<String>> {
 }
 
 /// Runs the Table 1 derivation at the paper geometry.
-pub fn run() -> (Table1Result, String) {
-    let ours = implementation_table(FrameGeometry::PAPER, ZOOM_OUT);
-    let paper = paper_table1();
+pub(crate) fn run() -> (Table1Result, String) {
+    let r = Table1Result {
+        ours: implementation_table(FrameGeometry::PAPER, ZOOM_OUT),
+        paper: paper_table1(),
+    };
     let mut out = String::new();
     out.push_str("Table 1 — per-task memory requirements (KB) at 1024x1024, 2 B/px\n\n");
     out.push_str("This implementation (f32 intermediates, hence larger than the paper's):\n");
     out.push_str(&table(
         &["Task", "RDG sel", "Input", "Intermediate", "Output"],
-        &rows(&ours),
+        &rows(&r.ours),
     ));
     out.push_str("\nPaper's published Table 1 (reference implementation):\n");
     out.push_str(&table(
         &["Task", "RDG sel", "Input", "Intermediate", "Output"],
-        &rows(&paper),
+        &rows(&r.paper),
     ));
     out.push_str(
         "\nShape checks: MKX input grows when RDG is selected; RDG/ENH intermediates\n\
          exceed the 4 MB L2 (driving the Fig. 5 swap traffic) in both tables.\n",
     );
-    (Table1Result { ours, paper }, out)
+    (r, out)
 }
 
 #[cfg(test)]

@@ -3,26 +3,24 @@
 
 use crate::config::ExperimentConfig;
 use crate::report::table;
-use pipeline::app::AppConfig;
+use imaging::ridge::{rdg_full, RdgBuffers};
+use pipeline::app::{structure_probe, AppConfig};
 use pipeline::executor::ExecutionPolicy;
 use pipeline::runner::{run_corpus, ProfileRun};
+use platform::profile::time_ms;
 use triplec::markov::MarkovChain;
 use triplec::quantize::Quantizer;
 use triplec::training::ModelKind;
 use triplec::triple::{TripleC, TripleCConfig};
 use triplec::Task;
-use xray::training_corpus;
+use xray::{training_corpus, SequenceConfig, SequenceGenerator};
 
 /// Structured Table 2 result.
-pub struct Table2Result {
+pub(crate) struct Table2Result {
     /// The display-quantized (10-state, like the paper) RDG chain.
-    pub rdg_chain: MarkovChain,
-    /// The display quantizer.
-    pub rdg_quantizer: Quantizer,
+    pub(crate) rdg_chain: MarkovChain,
     /// `(task, model kind, model string)` rows of Table 2(b).
-    pub summary: Vec<(Task, ModelKind, String)>,
-    /// Frames profiled.
-    pub frames: usize,
+    pub(crate) summary: Vec<(Task, ModelKind, String)>,
 }
 
 /// Profiles the training corpus (scaled by `corpus_scale`).
@@ -32,7 +30,7 @@ pub struct Table2Result {
 /// *directly* on every corpus frame — offline task profiling, which is
 /// how the paper's 1,921-frame Table 2(a) matrix and Fig. 3 trace are
 /// built.
-pub fn profile_training_corpus(cfg: &ExperimentConfig, app: &AppConfig) -> ProfileRun {
+pub(crate) fn profile_training_corpus(cfg: &ExperimentConfig, app: &AppConfig) -> ProfileRun {
     let mut corpus = training_corpus(cfg.size, cfg.size);
     if cfg.corpus_scale < 1.0 {
         let keep = ((corpus.len() as f64 * cfg.corpus_scale).ceil() as usize).max(2);
@@ -47,20 +45,38 @@ pub fn profile_training_corpus(cfg: &ExperimentConfig, app: &AppConfig) -> Profi
         .into_iter()
         .flat_map(|c| {
             let px = (c.width * c.height) as f64 / 1000.0;
-            pipeline::runner::profile_rdg_direct(c, app)
-                .into_iter()
-                .map(move |t| (t, px))
+            profile_rdg_direct(c, app).into_iter().map(move |t| (t, px))
         })
         .collect();
     run.samples.insert(Task::RdgFull, direct);
     run
 }
 
+/// Profiles the RDG FULL task directly on every frame of a sequence
+/// (offline task profiling, as used to build the paper's Table 2(a)
+/// transition matrix and the Fig. 3 trace): the content-adaptive
+/// fine-scale switch is the executor's own
+/// ([`AppConfig::fine_scales_active`]), but the task runs regardless of
+/// the flow-graph switches.
+pub(crate) fn profile_rdg_direct(cfg: SequenceConfig, app: &AppConfig) -> Vec<f64> {
+    let mut bufs = RdgBuffers::new(cfg.width, cfg.height);
+    // the fine scales start off, as in a fresh `AppState`
+    let mut rdg_cfg = app.rdg.clone();
+    rdg_cfg.fine_enabled = false;
+    let mut series = Vec::with_capacity(cfg.frames);
+    for frame in SequenceGenerator::new(cfg) {
+        let probe = structure_probe(&frame.image, app.probe_block);
+        rdg_cfg.fine_enabled = app.fine_scales_active(probe, rdg_cfg.fine_enabled);
+        let (_, ms) = time_ms(|| rdg_full(&frame.image, &rdg_cfg, &mut bufs));
+        series.push(ms);
+    }
+    series
+}
+
 /// Runs the Table 2 experiment.
-pub fn run(cfg: &ExperimentConfig) -> (Table2Result, String) {
+pub(crate) fn run(cfg: &ExperimentConfig) -> (Table2Result, String) {
     let app = AppConfig::default();
     let profile = profile_training_corpus(cfg, &app);
-    let frames = profile.scenarios.len();
 
     // (a): the paper shows a 10-state matrix over the RDG task's
     // computation-time states (equal-mass intervals)
@@ -72,23 +88,28 @@ pub fn run(cfg: &ExperimentConfig) -> (Table2Result, String) {
         .iter()
         .map(|&v| rdg_quantizer.state_of(v))
         .collect();
-    let rdg_chain = MarkovChain::estimate(&seq, rdg_quantizer.states());
-
     // (b): trained model summary
     let tc_cfg = TripleCConfig {
         geometry: cfg.geometry(),
     };
     let model = TripleC::train(&profile.task_series(), &profile.scenarios, tc_cfg);
-    let summary = model.model_summary();
+    let r = Table2Result {
+        rdg_chain: MarkovChain::estimate(&seq, rdg_quantizer.states()),
+        summary: model.model_summary(),
+    };
 
     let mut out = String::new();
     out.push_str(&format!(
         "Table 2 — trained on {} frames ({} sequences scale {:.2}) at {}x{}\n\n",
-        frames, 37, cfg.corpus_scale, cfg.size, cfg.size
+        profile.scenarios.len(),
+        37,
+        cfg.corpus_scale,
+        cfg.size,
+        cfg.size
     ));
 
     out.push_str("(a) RDG Markov transition matrix (equal-mass states, paper shows 10x10):\n");
-    let n = rdg_chain.states();
+    let n = r.rdg_chain.states();
     let headers: Vec<String> = std::iter::once("".to_string())
         .chain((0..n).map(|j| format!("s{j}")))
         .collect();
@@ -96,14 +117,15 @@ pub fn run(cfg: &ExperimentConfig) -> (Table2Result, String) {
     let rows: Vec<Vec<String>> = (0..n)
         .map(|i| {
             std::iter::once(format!("s{i}"))
-                .chain((0..n).map(|j| format!("{:.2}", rdg_chain.prob(i, j))))
+                .chain((0..n).map(|j| format!("{:.2}", r.rdg_chain.prob(i, j))))
                 .collect()
         })
         .collect();
     out.push_str(&table(&header_refs, &rows));
 
     out.push_str("\n(b) model summary (paper's Table 2(b) for comparison):\n");
-    let rows: Vec<Vec<String>> = summary
+    let rows: Vec<Vec<String>> = r
+        .summary
         .iter()
         .map(|(task, kind, name)| {
             let series = profile.series_of(*task);
@@ -143,15 +165,7 @@ pub fn run(cfg: &ExperimentConfig) -> (Table2Result, String) {
          MKX 2.5, REG 2, ROI EST 1, ENH 24, ZOOM 12.5 (constants in ms on its platform)\n",
     );
 
-    (
-        Table2Result {
-            rdg_chain,
-            rdg_quantizer,
-            summary,
-            frames,
-        },
-        out,
-    )
+    (r, out)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! * [`markov`] — transition-matrix estimation (Eq. 2), prediction,
 //!   sampling and stationary analysis;
 //! * [`linear`] — the linear ROI-growth model of Eq. 3;
-//! * [`stats`] — autocorrelation analysis validating Markov suitability;
+//! * [`stats`] — mean, deviation and autocorrelation of a series;
 //! * [`predictor`] — the per-task composite predictors of Table 2(b);
 //! * [`snapshot`] — the validated byte format of model snapshots
 //!   ([`TripleC::snapshot_bytes`] / [`TripleC::try_restore_bytes`]):
@@ -38,7 +38,6 @@ pub mod bandwidth_model;
 pub mod ewma;
 pub mod linear;
 pub mod markov;
-pub mod markov_high;
 pub mod memory_model;
 mod model;
 pub mod predictor;
@@ -53,7 +52,6 @@ pub use accuracy::{accuracy, evaluate, AccuracyReport};
 pub use ewma::{decompose, Ewma};
 pub use linear::LinearModel;
 pub use markov::MarkovChain;
-pub use markov_high::HigherOrderChain;
 pub use memory_model::{implementation_table, paper_table1, FrameGeometry, TaskMemory};
 pub use platform::task::{Task, TaskSet};
 pub use predictor::{

@@ -103,50 +103,6 @@ impl Quantizer {
         Self { bounds, reps }
     }
 
-    /// Builds a *uniform-width* quantizer over the sample range (the naive
-    /// alternative to the paper's adaptive equal-mass intervals; kept for
-    /// the quantization ablation experiment).
-    pub fn train_uniform(samples: &[f64], states: usize) -> Self {
-        assert!(states > 0, "at least one state required");
-        assert!(!samples.is_empty(), "cannot train on an empty sample set");
-        let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if hi - lo <= 1e-12 {
-            return Self {
-                bounds: vec![f64::INFINITY],
-                reps: vec![lo],
-            };
-        }
-        let width = (hi - lo) / states as f64;
-        let mut bounds: Vec<f64> = (1..states).map(|i| lo + width * i as f64).collect();
-        bounds.push(f64::INFINITY);
-        let n = bounds.len();
-        let mut sums = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
-        let tmp = Self {
-            bounds: bounds.clone(),
-            reps: vec![0.0; n],
-        };
-        for &s in samples {
-            let st = tmp.state_of(s);
-            sums[st] += s;
-            counts[st] += 1;
-        }
-        let reps = (0..n)
-            .map(|i| {
-                if counts[i] > 0 {
-                    sums[i] / counts[i] as f64
-                } else {
-                    // empty bin: interval midpoint
-                    let hi_b = if bounds[i].is_finite() { bounds[i] } else { hi };
-                    let lo_b = if i == 0 { lo } else { bounds[i - 1] };
-                    (lo_b + hi_b) * 0.5
-                }
-            })
-            .collect();
-        Self { bounds, reps }
-    }
-
     /// Number of states.
     pub fn states(&self) -> usize {
         self.bounds.len()

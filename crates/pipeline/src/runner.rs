@@ -71,30 +71,6 @@ impl ProfileRun {
     }
 }
 
-/// Profiles the RDG FULL task directly on every frame of a sequence
-/// (offline task profiling, as used to build the paper's Table 2(a)
-/// transition matrix and the Fig. 3 trace): the content-adaptive
-/// fine-scale switch is the executor's own
-/// ([`AppConfig::fine_scales_active`]), but the task runs regardless of
-/// the flow-graph switches.
-pub fn profile_rdg_direct(cfg: SequenceConfig, app: &AppConfig) -> Vec<f64> {
-    use imaging::ridge::{rdg_full, RdgBuffers};
-    use platform::profile::time_ms;
-
-    let mut bufs = RdgBuffers::new(cfg.width, cfg.height);
-    // the fine scales start off, as in a fresh `AppState`
-    let mut rdg_cfg = app.rdg.clone();
-    rdg_cfg.fine_enabled = false;
-    let mut series = Vec::with_capacity(cfg.frames);
-    for frame in SequenceGenerator::new(cfg) {
-        let probe = crate::app::structure_probe(&frame.image, app.probe_block);
-        rdg_cfg.fine_enabled = app.fine_scales_active(probe, rdg_cfg.fine_enabled);
-        let (_, ms) = time_ms(|| rdg_full(&frame.image, &rdg_cfg, &mut bufs));
-        series.push(ms);
-    }
-    series
-}
-
 /// Runs one sequence through the pipeline with a fixed policy.
 pub fn run_sequence(cfg: SequenceConfig, app: &AppConfig, policy: &ExecutionPolicy) -> ProfileRun {
     let mut run = ProfileRun::new();

@@ -23,22 +23,23 @@ row '`#[deprecated]` shims' "$(grep -r '#\[deprecated' crates/*/src src | wc -l)
 row '`pub fn process_frame*`' "$(grep -r 'pub fn process_frame' crates/pipeline/src | wc -l)"
 # independently settable values: the `pub` fields of every braced
 # `pub struct *Config` / `*Policy`, each file read up to its first
-# `#[cfg(test)]` (`tests/api_surface.rs` holds the count to a bound)
+# column-0 `#[cfg(test)]` (`tests/api_surface.rs` holds the count to a bound)
 row '`pub` fields of `pub struct *Config` / `*Policy` in `crates/*/src`' \
   "$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { live = 1; inside = 0 }
-    /#\[cfg\(test\)\]/ { live = 0 }
+    /^#\[cfg\(test\)\]/ { live = 0 }
     !live { next }
     /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Policy)[[:space:]]*\{/ { inside = 1; next }
     inside && /^[[:space:]]*\}/ { inside = 0 }
     inside && /^[[:space:]]*pub [a-z_0-9]+:/ { n++ }
     END { print n + 0 }')"
 # stream drivers: `.step_on(` calls in the runtime's non-test code, each
-# file read up to its first `#[cfg(test)]` (as `tests/api_surface.rs` does)
+# file read up to its first column-0 `#[cfg(test)]` (as `tests/api_surface.rs`
+# does)
 row '`.step_on(` call sites in `crates/runtime/src` (stream drivers)' \
   "$(find crates/runtime/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { live = 1 }
-    /#\[cfg\(test\)\]/ { live = 0 }
+    /^#\[cfg\(test\)\]/ { live = 0 }
     live { n += gsub(/\.step_on\(/, "&") }
     END { print n + 0 }')"
 # occurrences, not lines, tests included

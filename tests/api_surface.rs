@@ -53,18 +53,23 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// A file's text before its first `#[cfg(test)]` attribute (test modules
-/// sit at the bottom of each file in this workspace).
+/// A file's text before its first `#[cfg(test)]` attribute at column 0 (the
+/// test module, which sits at the bottom of each file in this workspace).
+/// An indented `#[cfg(test)]` marks one item inside a block and cuts
+/// nothing: what follows it is still scanned.
 fn non_test_text(path: &Path) -> String {
     let mut text = std::fs::read_to_string(path).unwrap_or_default();
-    if let Some(i) = text.find("#[cfg(test)]") {
-        text.truncate(i);
-    }
+    let end: usize = text
+        .split_inclusive('\n')
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+        .map(str::len)
+        .sum();
+    text.truncate(end);
     text
 }
 
 /// Extracts the normalized `pub` item lines of one file, ignoring
-/// everything at and after its first `#[cfg(test)]` attribute.
+/// everything at and after its first column-0 `#[cfg(test)]` attribute.
 fn pub_items(path: &Path, repo: &Path) -> Vec<String> {
     let body = non_test_text(path);
     let rel = path
@@ -421,9 +426,9 @@ fn no_bench_targets_snapshots_or_unused_vendored_crates() {
 }
 
 /// The `pub` fields of `*Config` / `*Policy` structs that the crates' code
-/// (`crates/*/src`, each file up to its first `#[cfg(test)]`) may hold,
-/// counted as `scripts/tracked.sh` counts them.
-const MAX_CONFIG_FIELDS: usize = 87;
+/// (`crates/*/src`, each file up to its first column-0 `#[cfg(test)]`) may
+/// hold, counted as `scripts/tracked.sh` counts them.
+const MAX_CONFIG_FIELDS: usize = 82;
 
 /// The `pub` fields of the braced `pub struct *Config` / `*Policy`
 /// declarations in `text`.
