@@ -12,15 +12,15 @@ use imaging::couples::cpls_select;
 
 use imaging::guidewire::{corridor_box, gw_extract_with};
 use imaging::image::{ImageU16, Roi};
-use imaging::markers::mkx_banded;
+use imaging::markers::{mkx_banded, MkxBuffers};
 use imaging::parallel::{BandTimes, PoolError, StripeFault, StripePool};
 use imaging::registration::register;
-use imaging::ridge::{rdg_banded, ridge_response_banded, RdgOutput};
+use imaging::ridge::{rdg_banded, ridge_response_banded, RdgBuffers, RdgOutput};
 use imaging::roi_est::estimate_roi;
 use imaging::zoom::zoom_band_with;
 use platform::bus::{DegradeMode, EventBus, FaultKind, FrameEvent, StreamId};
 use platform::profile::time_ms;
-use platform::task::Task;
+use platform::task::{Task, TaskSet};
 use platform::trace::FrameRecord;
 use std::time::Instant;
 use triplec::scenario::Scenario;
@@ -105,13 +105,9 @@ impl Default for StageRetry {
     }
 }
 
-/// What a frame without a recovery context runs with: nothing armed, no
-/// retry, no serial fallback.
-const UNARMED: FrameFaults = FrameFaults {
-    rdg_panic_jobs: 0,
-    rdg_channel_errors: 0,
-    stage_delay_ms: 0.0,
-};
+/// What a frame without a recovery context runs with: no retry and no
+/// serial fallback, so a genuine pool error comes back as `Err` and
+/// surfaces through the infallible wrappers' `expect`.
 const NO_RETRY: StageRetry = StageRetry {
     max_retries: 0,
     serial_fallback: false,
@@ -152,13 +148,236 @@ fn fault_kind_of(err: &PoolError) -> FaultKind {
     }
 }
 
-/// Publishes an event when an observer bus is attached.
-fn emit(
-    observer: &mut Option<(StreamId, &mut EventBus)>,
-    make: impl FnOnce(StreamId) -> FrameEvent,
-) {
-    if let Some((stream, bus)) = observer {
-        bus.emit(make(*stream));
+/// What one frame runs with besides its input, state, configuration and
+/// plan: the pool its striped stages dispatch onto, the bus its events go
+/// to, the faults armed for it and the retry policy its banded dispatches
+/// recover by. One is built per frame and consumed by
+/// [`process_frame_with`].
+pub struct FrameCtx<'a> {
+    pool: &'a StripePool,
+    observer: Option<(StreamId, &'a mut EventBus)>,
+    faults: FrameFaults,
+    retry: StageRetry,
+    /// The tasks whose dispatch the stripe faults fire in, and those no
+    /// dispatch attempt has taken yet.
+    fault_tasks: TaskSet,
+    channel_errors: u32,
+    panic_jobs: usize,
+    /// Announced pool kinds still owed a terminal event.
+    owed: Vec<FaultKind>,
+    /// The frame and its stripe count, set by [`FrameCtx::begin`].
+    frame: usize,
+    stripes: usize,
+}
+
+impl<'a> FrameCtx<'a> {
+    /// A frame on `pool` that reports to `observer`'s bus as its stream,
+    /// with `faults` armed and its banded dispatches recovering by `retry`.
+    pub fn new(
+        pool: &'a StripePool,
+        observer: Option<(StreamId, &'a mut EventBus)>,
+        faults: FrameFaults,
+        retry: StageRetry,
+    ) -> Self {
+        Self {
+            pool,
+            observer,
+            faults,
+            retry,
+            fault_tasks: [Task::RdgFull, Task::RdgRoi].into_iter().collect(),
+            channel_errors: faults.rdg_channel_errors,
+            panic_jobs: faults.rdg_panic_jobs,
+            owed: Vec::new(),
+            frame: 0,
+            stripes: 1,
+        }
+    }
+
+    /// Arms a `(task, fault)` on the first dispatch of `task`'s sweep in
+    /// place of the faults' own on RDG's, unannounced and owed nothing.
+    #[cfg(test)]
+    fn band_faulted(mut self, band_fault: Option<(Task, StripeFault)>) -> Self {
+        if let Some((task, fault)) = band_fault {
+            self.fault_tasks = std::iter::once(task).collect();
+            self.channel_errors = fault.channel_error.into();
+            self.panic_jobs = fault.panic_jobs;
+        }
+        self
+    }
+
+    /// Publishes the event `make` builds, when an observer bus is attached.
+    fn emit(&mut self, make: impl FnOnce(StreamId, usize) -> FrameEvent) {
+        if let Some((stream, bus)) = &mut self.observer {
+            bus.emit(make(*stream, self.frame));
+        }
+    }
+
+    /// Starts frame `frame` at the plan's stripe count. Every armed fault
+    /// kind is announced up front and owed a terminal `Recovered` or
+    /// `DegradedMode` event (or an `Err` return) by the end of the frame,
+    /// so replay logs pair injections and outcomes 1:1. The pool kinds
+    /// wait for the dispatch their faults are armed on, RDG's, to settle
+    /// them.
+    fn begin(&mut self, frame: usize, policy: &ExecutionPolicy) {
+        self.frame = frame;
+        self.stripes = policy.stripes.max(1);
+        let armed = [
+            (self.faults.rdg_channel_errors > 0, FaultKind::ChannelError),
+            (self.faults.rdg_panic_jobs > 0, FaultKind::WorkerPanic),
+            (self.faults.stage_delay_ms > 0.0, FaultKind::StageDelay),
+        ];
+        for (_, kind) in armed.into_iter().filter(|&(on, _)| on) {
+            self.emit(|stream, frame| FrameEvent::FaultInjected {
+                stream,
+                frame,
+                kind,
+            });
+            if kind != FaultKind::StageDelay {
+                self.owed.push(kind);
+            }
+        }
+    }
+
+    /// The stripe fault for the next dispatch attempt of `task`: the armed
+    /// channel errors one attempt each, then the panic batch once, and
+    /// nothing for a task no fault is armed on.
+    fn stripe_fault(&mut self, task: Task) -> StripeFault {
+        if !self.fault_tasks.contains(task) {
+            return StripeFault::default();
+        }
+        if self.channel_errors > 0 {
+            self.channel_errors -= 1;
+            return StripeFault {
+                panic_jobs: 0,
+                channel_error: true,
+            };
+        }
+        StripeFault {
+            panic_jobs: std::mem::take(&mut self.panic_jobs),
+            channel_error: false,
+        }
+    }
+
+    /// Emits the terminal event `make` builds for each kind a failed
+    /// dispatch of `task` settles: the owed kinds when `task` is the one
+    /// their faults are armed on and some are left, else the kind `failed`
+    /// of its own failure.
+    fn settle(
+        &mut self,
+        task: Task,
+        failed: FaultKind,
+        make: impl Fn(StreamId, usize, FaultKind) -> FrameEvent,
+    ) {
+        let owed = if self.fault_tasks.contains(task) {
+            std::mem::take(&mut self.owed)
+        } else {
+            Vec::new()
+        };
+        let own = owed.is_empty().then_some(failed);
+        for kind in own.into_iter().chain(owed) {
+            self.emit(|stream, frame| make(stream, frame, kind));
+        }
+    }
+
+    /// Runs one banded call over `bufs` (an RDG detection pass, MKX EXT's
+    /// blob sweep or GW EXT's sweep) and returns its output with all of its
+    /// work, ms: the serial sections plus every band, as `times` reads them.
+    /// A failed `attempt` is retried clean up to `max_retries` times, then
+    /// falls back to one band (no dispatch left to fail, the same pixels) or
+    /// fails the frame; the terminal event is `Recovered` when a retry
+    /// delivered and `DegradedMode` on the fallback. A call of more than one
+    /// band is reported as a parallel stage with the dispatch's wall time.
+    fn banded<B, T>(
+        &mut self,
+        task: Task,
+        bufs: &mut B,
+        times: fn(&B) -> &BandTimes,
+        mut attempt: impl FnMut(usize, StripeFault, &mut B) -> Result<T, PoolError>,
+    ) -> Result<(T, f64), FrameError> {
+        let dispatched = Instant::now();
+        let mut stripes = self.stripes;
+        let mut attempts = 0u32;
+        // kind of the last failed attempt while its terminal event is owed
+        let mut failed: Option<FaultKind> = None;
+        let out = loop {
+            let fault = self.stripe_fault(task);
+            let err = match attempt(stripes, fault, bufs) {
+                Ok(out) => break out,
+                Err(err) => err,
+            };
+            let kind = fault_kind_of(&err);
+            if attempts < self.retry.max_retries {
+                attempts += 1;
+                failed = Some(kind);
+                self.emit(|stream, frame| FrameEvent::RetryAttempted {
+                    stream,
+                    frame,
+                    kind,
+                    attempt: attempts,
+                });
+            } else if self.retry.serial_fallback {
+                self.settle(task, kind, |stream, frame, cause| {
+                    FrameEvent::DegradedMode {
+                        stream,
+                        frame,
+                        mode: DegradeMode::SerialFallback,
+                        cause,
+                    }
+                });
+                failed = None;
+                stripes = 1;
+            } else {
+                return Err(FrameError {
+                    frame: self.frame,
+                    stage: task,
+                    error: err,
+                });
+            }
+        };
+        if let Some(last) = failed {
+            self.settle(task, last, |stream, frame, kind| FrameEvent::Recovered {
+                stream,
+                frame,
+                kind,
+                attempts,
+            });
+        }
+        let wall_ms = dispatched.elapsed().as_secs_f64() * 1e3;
+        let times = times(bufs);
+        let band_ms: f64 = times.band_ms.iter().sum();
+        if times.band_ms.len() > 1 {
+            let jobs = times.band_ms.len();
+            self.emit(|stream, frame| FrameEvent::StageExecuted {
+                stream,
+                frame,
+                task,
+                jobs,
+                serial_ms: band_ms,
+                makespan_ms: wall_ms,
+            });
+        }
+        Ok((out, times.serial_ms + band_ms))
+    }
+
+    /// Ends the frame. An armed stage delay is slept here, outside every
+    /// task: pixel outputs and task times are untouched, but the frame's
+    /// wall-time latency inflates, and the manager books a budget overrun
+    /// against it. Pool kinds no dispatch settled are then absorbed: a
+    /// zero-attempt `Recovered` keeps the fault/terminal pairing 1:1.
+    fn end(mut self) {
+        let delay_ms = self.faults.stage_delay_ms;
+        if delay_ms > 0.0 {
+            std::thread::sleep(std::time::Duration::from_secs_f64(delay_ms / 1000.0));
+        }
+        let delayed = (delay_ms > 0.0).then_some(FaultKind::StageDelay);
+        for kind in delayed.into_iter().chain(std::mem::take(&mut self.owed)) {
+            self.emit(|stream, frame| FrameEvent::Recovered {
+                stream,
+                frame,
+                kind,
+                attempts: 0,
+            });
+        }
     }
 }
 
@@ -204,18 +423,9 @@ pub fn process_frame_on(
     cfg: &AppConfig,
     policy: &ExecutionPolicy,
 ) -> FrameOutput {
-    process_frame_inner(
-        pool,
-        frame_index,
-        frame,
-        state,
-        cfg,
-        policy,
-        &mut None,
-        None,
-        None,
-    )
-    .expect("infallible without fault recovery")
+    let ctx = FrameCtx::new(pool, None, FrameFaults::default(), NO_RETRY);
+    process_frame_with(ctx, frame_index, frame, state, cfg, policy)
+        .expect("infallible without fault recovery")
 }
 
 /// Like [`process_frame_on`], additionally emitting a
@@ -233,222 +443,38 @@ pub fn process_frame_observed_on(
     stream: StreamId,
     bus: &mut EventBus,
 ) -> FrameOutput {
-    process_frame_inner(
-        pool,
-        frame_index,
-        frame,
-        state,
-        cfg,
-        policy,
-        &mut Some((stream, bus)),
-        None,
-        None,
-    )
-    .expect("infallible without fault recovery")
+    let ctx = FrameCtx::new(pool, Some((stream, bus)), FrameFaults::default(), NO_RETRY);
+    process_frame_with(ctx, frame_index, frame, state, cfg, policy)
+        .expect("infallible without fault recovery")
 }
 
-/// Like [`process_frame_observed_on`], with deterministic fault
-/// injection and graceful degradation.
+/// Processes one frame in `ctx`: on its pool, reporting to its bus, with
+/// its faults injected and its retry policy's graceful degradation.
 ///
-/// Every fault kind armed in `faults` is announced with a
+/// Every fault kind armed in the ctx is announced with a
 /// [`FrameEvent::FaultInjected`] and is guaranteed a terminal event by
 /// the time this returns: a [`FrameEvent::Recovered`] when a clean retry
 /// (or absorption) delivered the nominal result, or a
 /// [`FrameEvent::DegradedMode`] when the stage fell back to its serial
 /// path. Failed dispatch attempts emit [`FrameEvent::RetryAttempted`].
-/// `Err` is only possible when `retry.serial_fallback` is disabled.
+/// `Err` is only possible when the retry policy has no serial fallback.
 ///
 /// Pixel outputs are bit-identical to [`process_frame`] for every frame
 /// this returns `Ok` for: injected stripe faults fire before any band is
 /// written, so retries and the serial fallback see pristine state.
-/// Recovery semantics do not depend on which pool executes the stripes.
-#[allow(clippy::too_many_arguments)]
-pub fn process_frame_recovering_on(
-    pool: &StripePool,
+pub fn process_frame_with(
+    mut ctx: FrameCtx,
     frame_index: usize,
     frame: &ImageU16,
     state: &mut AppState,
     cfg: &AppConfig,
     policy: &ExecutionPolicy,
-    stream: StreamId,
-    bus: &mut EventBus,
-    faults: FrameFaults,
-    retry: &StageRetry,
-) -> Result<FrameOutput, FrameError> {
-    process_frame_inner(
-        pool,
-        frame_index,
-        frame,
-        state,
-        cfg,
-        policy,
-        &mut Some((stream, bus)),
-        Some((&faults, retry)),
-        None,
-    )
-}
-
-/// Books one banded call (an RDG detection pass, MKX EXT's blob sweep or
-/// GW EXT's sweep) and returns all of its work, ms: the serial sections
-/// plus every band. A call of more than one band is a parallel stage and
-/// is reported to the observer with `wall_ms`, the dispatch's measured
-/// wall time; a one-band call is the serial task it always was.
-fn banded_stage(
-    times: &BandTimes,
-    wall_ms: f64,
-    task: Task,
-    observer: &mut Option<(StreamId, &mut EventBus)>,
-    frame_index: usize,
-) -> f64 {
-    let band_ms: f64 = times.band_ms.iter().sum();
-    if times.band_ms.len() > 1 {
-        emit(observer, |stream| FrameEvent::StageExecuted {
-            stream,
-            frame: frame_index,
-            task,
-            jobs: times.band_ms.len(),
-            serial_ms: band_ms,
-            makespan_ms: wall_ms,
-        });
-    }
-    times.serial_ms + band_ms
-}
-
-/// Runs one banded dispatch under the frame's retry policy. `attempt`
-/// dispatches at the stripe count it is given; each failure is retried
-/// with a clean dispatch up to `retry.max_retries` times, and exhaustion
-/// falls back to one band, which has no dispatch left to fail and the same
-/// pixels, or fails the frame when the policy has no fallback.
-///
-/// `owed` holds the armed fault kinds that wait for this dispatch to
-/// consume them. Once an attempt has failed they are drained with the
-/// terminal event: `Recovered` when a retry delivered, `DegradedMode` on the
-/// fallback. A failure nothing was armed for gets its own terminal event.
-fn dispatch_recovering<T>(
-    task: Task,
-    frame_index: usize,
-    mut stripes: usize,
-    retry: &StageRetry,
-    owed: &mut Vec<FaultKind>,
-    observer: &mut Option<(StreamId, &mut EventBus)>,
-    mut attempt: impl FnMut(usize) -> Result<T, PoolError>,
-) -> Result<T, FrameError> {
-    let mut attempts = 0u32;
-    // kind of the last failed attempt while its terminal event is owed
-    let mut failed: Option<FaultKind> = None;
-    let out = loop {
-        match attempt(stripes) {
-            Ok(out) => break out,
-            Err(err) => {
-                let kind = fault_kind_of(&err);
-                if attempts < retry.max_retries {
-                    attempts += 1;
-                    failed = Some(kind);
-                    emit(observer, |stream| FrameEvent::RetryAttempted {
-                        stream,
-                        frame: frame_index,
-                        kind,
-                        attempt: attempts,
-                    });
-                } else if retry.serial_fallback {
-                    if owed.is_empty() {
-                        owed.push(kind);
-                    }
-                    for cause in owed.drain(..) {
-                        emit(observer, |stream| FrameEvent::DegradedMode {
-                            stream,
-                            frame: frame_index,
-                            mode: DegradeMode::SerialFallback,
-                            cause,
-                        });
-                    }
-                    failed = None;
-                    stripes = 1;
-                } else {
-                    return Err(FrameError {
-                        frame: frame_index,
-                        stage: task,
-                        error: err,
-                    });
-                }
-            }
-        }
-    };
-    if let Some(last_kind) = failed {
-        if owed.is_empty() {
-            owed.push(last_kind);
-        }
-        for kind in owed.drain(..) {
-            emit(observer, |stream| FrameEvent::Recovered {
-                stream,
-                frame: frame_index,
-                kind,
-                attempts,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// The fault `band_fault` holds for `task`'s dispatch, disarming it: the
-/// first attempt gets it, a retry runs clean.
-fn take_fault(band_fault: &mut Option<(Task, StripeFault)>, task: Task) -> StripeFault {
-    band_fault
-        .take_if(|(t, _)| *t == task)
-        .map_or_else(StripeFault::default, |(_, fault)| fault)
-}
-
-/// `band_fault` is injected into the first dispatch of its task's sweep,
-/// MKX EXT's or GW EXT's (testing only, like every [`StripeFault`]).
-#[allow(clippy::too_many_arguments)]
-fn process_frame_inner(
-    pool: &StripePool,
-    frame_index: usize,
-    frame: &ImageU16,
-    state: &mut AppState,
-    cfg: &AppConfig,
-    policy: &ExecutionPolicy,
-    observer: &mut Option<(StreamId, &mut EventBus)>,
-    recovery: Option<(&FrameFaults, &StageRetry)>,
-    mut band_fault: Option<(Task, StripeFault)>,
 ) -> Result<FrameOutput, FrameError> {
     let started = Instant::now();
     let (w, h) = frame.dims();
     let mut task_times: Vec<(Task, f64)> = Vec::with_capacity(9);
-
-    // --- fault arming ------------------------------------------------
-    // Every armed fault kind is announced up front and owed a terminal
-    // `Recovered`/`DegradedMode` event (or an `Err` return) by the end
-    // of the frame, so replay logs pair injections and outcomes 1:1.
-    // Pool-targeting kinds wait here until the striped RDG dispatch
-    // consumes them; a frame with no such dispatch absorbs them with a
-    // zero-attempt `Recovered` in the bookkeeping section.
-    //
-    // Without a recovery context the frame runs unarmed with zero retries
-    // and no serial fallback, so a genuine pool error comes back as `Err`
-    // and surfaces through the infallible wrappers' `expect`.
-    let (faults, retry) = recovery.unwrap_or((&UNARMED, &NO_RETRY));
-    let mut pending_pool_kinds: Vec<FaultKind> = Vec::new();
-    if faults.rdg_channel_errors > 0 {
-        pending_pool_kinds.push(FaultKind::ChannelError);
-    }
-    if faults.rdg_panic_jobs > 0 {
-        pending_pool_kinds.push(FaultKind::WorkerPanic);
-    }
-    for &kind in &pending_pool_kinds {
-        emit(observer, |stream| FrameEvent::FaultInjected {
-            stream,
-            frame: frame_index,
-            kind,
-        });
-    }
-    if faults.stage_delay_ms > 0.0 {
-        emit(observer, |stream| FrameEvent::FaultInjected {
-            stream,
-            frame: frame_index,
-            kind: FaultKind::StageDelay,
-        });
-    }
+    ctx.begin(frame_index, policy);
+    let pool = ctx.pool;
 
     // Scripted scenario storms force the three switches for frames a
     // script covers (work ROIs, registration state and couple tracking
@@ -481,45 +507,22 @@ fn process_frame_inner(
 
     // --- RDG ------------------------------------------------------------
     // Dispatched to the persistent worker pool as `stripes` row bands
-    // (one band runs inline on this thread). Armed pool faults fire on the
-    // early attempts (channel errors first, then the panic batch) and the
-    // dispatch recovers by the frame's retry policy.
+    // (one band runs inline on this thread); the frame's armed pool faults
+    // fire in this dispatch.
     let rdg_out: Option<RdgOutput> = if rdg_active {
         let task = if roi_estimated {
             Task::RdgRoi
         } else {
             Task::RdgFull
         };
-        let mut panic_jobs = faults.rdg_panic_jobs;
-        let mut channel_left = faults.rdg_channel_errors;
-        let dispatched = Instant::now();
-        let out = dispatch_recovering(
+        let (out, ms) = ctx.banded(
             task,
-            frame_index,
-            policy.stripes.max(1),
-            retry,
-            &mut pending_pool_kinds,
-            observer,
-            |stripes| {
-                let fault = if channel_left > 0 {
-                    channel_left -= 1;
-                    StripeFault {
-                        panic_jobs: 0,
-                        channel_error: true,
-                    }
-                } else {
-                    StripeFault {
-                        panic_jobs: std::mem::take(&mut panic_jobs),
-                        channel_error: false,
-                    }
-                };
-                let bufs = &mut state.rdg_bufs;
+            &mut state.rdg_bufs,
+            RdgBuffers::times,
+            |stripes, fault, bufs| {
                 rdg_banded(pool, frame, work_roi, &rdg_cfg, stripes, fault, bufs)
             },
         )?;
-        let wall_ms = dispatched.elapsed().as_secs_f64() * 1e3;
-        let times = state.rdg_bufs.times();
-        let ms = banded_stage(times, wall_ms, task, observer, frame_index);
         task_times.push((task, ms));
         Some(out)
     } else {
@@ -530,23 +533,14 @@ fn process_frame_inner(
     // The blob sweep runs in as many row bands as RDG; the maxima scan
     // and the pruning follow on this thread.
     let mkx_input = rdg_out.as_ref().map(|o| &o.filtered).unwrap_or(frame);
-    let dispatched = Instant::now();
-    let mkx = dispatch_recovering(
+    let (mkx, ms) = ctx.banded(
         Task::MkxExt,
-        frame_index,
-        policy.stripes.max(1),
-        retry,
-        &mut Vec::new(),
-        observer,
-        |stripes| {
-            let fault = take_fault(&mut band_fault, Task::MkxExt);
-            let bufs = &mut state.mkx_bufs;
+        &mut state.mkx_bufs,
+        MkxBuffers::times,
+        |stripes, fault, bufs| {
             mkx_banded(pool, mkx_input, work_roi, &cfg.mkx, stripes, fault, bufs)
         },
     )?;
-    let wall_ms = dispatched.elapsed().as_secs_f64() * 1e3;
-    let times = state.mkx_bufs.times();
-    let ms = banded_stage(times, wall_ms, Task::MkxExt, observer, frame_index);
     task_times.push((Task::MkxExt, ms));
 
     // --- CPLS SEL ----------------------------------------------------------
@@ -616,25 +610,16 @@ fn process_frame_inner(
             // DP path search follows.
             let window = corridor_box(c, &cfg.gw, w, h);
             let same_frame = rdg_out.is_some();
-            let dispatched = Instant::now();
-            dispatch_recovering(
+            let ((), ridge_ms) = ctx.banded(
                 Task::GwExt,
-                frame_index,
-                policy.stripes.max(1),
-                retry,
-                &mut Vec::new(),
-                observer,
-                |stripes| {
-                    let fault = take_fault(&mut band_fault, Task::GwExt);
-                    let bufs = &mut state.rdg_bufs;
+                &mut state.rdg_bufs,
+                RdgBuffers::times,
+                |stripes, fault, bufs| {
                     ridge_response_banded(
                         pool, frame, window, roi, &cfg.rdg, same_frame, stripes, fault, bufs,
                     )
                 },
             )?;
-            let wall_ms = dispatched.elapsed().as_secs_f64() * 1e3;
-            let times = state.rdg_bufs.times();
-            let ridge_ms = banded_stage(times, wall_ms, Task::GwExt, observer, frame_index);
             let response = state.rdg_bufs.response();
             let (gw, ms) = time_ms(|| gw_extract_with(response, c, &cfg.gw, &mut state.gw_scratch));
             task_times.push((Task::GwExt, ridge_ms + ms));
@@ -700,34 +685,8 @@ fn process_frame_inner(
         display = Some(out_img);
     }
 
-    // --- injected stage delay ---------------------------------------------
-    // Slept at the end of the graph, outside every task: pixel outputs
-    // and task times are untouched, but the frame's wall-time latency
-    // inflates, and the manager books a budget overrun against it.
-    if faults.stage_delay_ms > 0.0 {
-        std::thread::sleep(std::time::Duration::from_secs_f64(
-            faults.stage_delay_ms / 1000.0,
-        ));
-        emit(observer, |stream| FrameEvent::Recovered {
-            stream,
-            frame: frame_index,
-            kind: FaultKind::StageDelay,
-            attempts: 0,
-        });
-    }
-
     // --- bookkeeping -----------------------------------------------------
-    // Armed pool faults that found no striped dispatch this frame are
-    // absorbed: a zero-attempt `Recovered` keeps the fault/terminal
-    // pairing 1:1 in replay logs.
-    for kind in pending_pool_kinds.drain(..) {
-        emit(observer, |stream| FrameEvent::Recovered {
-            stream,
-            frame: frame_index,
-            kind,
-            attempts: 0,
-        });
-    }
+    ctx.end();
     // Return the RDG output images to the buffer pool, so the next frame's
     // detection pass runs allocation free.
     if let Some(out) = rdg_out {
@@ -933,10 +892,11 @@ mod tests {
                 None => process_frame_observed_on(
                     pool, f.index, &f.image, &mut state, &cfg, &policy, 7, &mut bus,
                 ),
-                Some((faults, retry)) => process_frame_recovering_on(
-                    pool, f.index, &f.image, &mut state, &cfg, &policy, 7, &mut bus, faults, &retry,
-                )
-                .expect("frame failed despite serial fallback"),
+                Some((faults, retry)) => {
+                    let ctx = FrameCtx::new(pool, Some((7, &mut bus)), faults, retry);
+                    process_frame_with(ctx, f.index, &f.image, &mut state, &cfg, &policy)
+                        .expect("frame failed despite serial fallback")
+                }
             })
             .collect();
         let events = log.lock().unwrap().clone();
@@ -1119,18 +1079,8 @@ mod tests {
         };
         let mut failures = 0;
         for f in clean_sequence(8, 53) {
-            match process_frame_recovering_on(
-                StripePool::global(),
-                f.index,
-                &f.image,
-                &mut state,
-                &cfg,
-                &striped_policy(),
-                7,
-                &mut bus,
-                faults,
-                &retry,
-            ) {
+            let ctx = FrameCtx::new(StripePool::global(), Some((7, &mut bus)), faults, retry);
+            match process_frame_with(ctx, f.index, &f.image, &mut state, &cfg, &striped_policy()) {
                 Ok(_) => {}
                 Err(e) => {
                     assert!(
@@ -1162,21 +1112,13 @@ mod tests {
         };
         let mut state = AppState::new(160, 160);
         let (mut bus, log) = capture_bus();
-        let faults = FrameFaults::default();
+        let (faults, retry) = (FrameFaults::default(), recovery.unwrap_or(NO_RETRY));
         let mut outs = Vec::new();
         let mut error = None;
         for f in clean_sequence(10, 52) {
-            match process_frame_inner(
-                StripePool::global(),
-                f.index,
-                &f.image,
-                &mut state,
-                &cfg,
-                &policy,
-                &mut Some((7, &mut bus)),
-                recovery.as_ref().map(|retry| (&faults, retry)),
-                band_fault,
-            ) {
+            let ctx = FrameCtx::new(StripePool::global(), Some((7, &mut bus)), faults, retry);
+            let ctx = ctx.band_faulted(band_fault);
+            match process_frame_with(ctx, f.index, &f.image, &mut state, &cfg, &policy) {
                 Ok(out) => outs.push(out),
                 Err(e) => {
                     error = Some(e);
@@ -1281,6 +1223,71 @@ mod tests {
         // every frame runs MKX EXT, full frame or ROI, in two bands
         let swept = check_band_panic_recovery(Task::MkxExt);
         assert_eq!(swept, (0..10).collect::<Vec<_>>());
+    }
+
+    /// The replay keys of three frames at four stripes under a script that
+    /// forces scenario `id`, each frame with one channel error, one
+    /// panicking job and `delay_ms` of stage delay armed, recovering by
+    /// `retry`.
+    fn fault_keys(id: u8, delay_ms: f64, retry: StageRetry) -> Vec<String> {
+        use triplec::scenario::ScenarioScript;
+        let cfg = AppConfig {
+            scenario_script: Some(ScenarioScript::thrash(&[id], 1, 3)),
+            ..Default::default()
+        };
+        let faults = FrameFaults {
+            rdg_panic_jobs: 1,
+            rdg_channel_errors: 1,
+            stage_delay_ms: delay_ms,
+        };
+        let mut state = AppState::new(160, 160);
+        let (mut bus, log) = capture_bus();
+        for f in clean_sequence(3, 52) {
+            let ctx = FrameCtx::new(StripePool::global(), Some((7, &mut bus)), faults, retry);
+            process_frame_with(ctx, f.index, &f.image, &mut state, &cfg, &striped_policy())
+                .expect("frame failed despite serial fallback");
+        }
+        let events = log.lock().unwrap();
+        events.iter().filter_map(FrameEvent::replay_key).collect()
+    }
+
+    /// The space-separated `keys` under `s7/f{frame}/`, for frames 0–2.
+    fn each_frame(keys: &str) -> Vec<String> {
+        let keys = keys.split(' ');
+        (0..3)
+            .flat_map(|f| keys.clone().map(move |k| format!("s7/f{f}/{k}")))
+            .collect()
+    }
+
+    /// RDG switched off: no dispatch settles the pool kinds, so the end of
+    /// the frame absorbs them, after the stage delay's own terminal event.
+    #[test]
+    fn unconsumed_pool_faults_are_absorbed_after_the_stage_delay() {
+        let want = "inject/channel-error inject/worker-panic inject/stage-delay \
+            recovered/stage-delay#0 recovered/channel-error#0 recovered/worker-panic#0";
+        assert_eq!(fault_keys(0, 0.1, StageRetry::default()), each_frame(want));
+    }
+
+    /// RDG's dispatch owes both kinds: the channel error fails the first
+    /// attempt, the panic the second, and the third delivers.
+    #[test]
+    fn pool_faults_retry_in_turn_and_recover_on_rdg_dispatch() {
+        let want = "inject/channel-error inject/worker-panic retry/channel-error#1 \
+            retry/worker-panic#2 recovered/channel-error#2 recovered/worker-panic#2";
+        assert_eq!(fault_keys(1, 0.0, StageRetry::default()), each_frame(want));
+    }
+
+    /// No retries: the first failure falls RDG back to one band, and the
+    /// fallback settles both kinds.
+    #[test]
+    fn pool_faults_without_retries_fall_back_on_rdg_dispatch() {
+        let retry = StageRetry {
+            max_retries: 0,
+            serial_fallback: true,
+        };
+        let want = "inject/channel-error inject/worker-panic \
+            degraded/serial-fallback<-channel-error degraded/serial-fallback<-worker-panic";
+        assert_eq!(fault_keys(1, 0.0, retry), each_frame(want));
     }
 
     #[test]

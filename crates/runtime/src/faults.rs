@@ -27,16 +27,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One deterministic draw for `(seed, stream, frame, salt)` in `[0, 1)`.
-#[inline]
-fn draw(seed: u64, stream: StreamId, frame: usize, salt: u64) -> f64 {
-    let mut h = splitmix64(seed ^ salt.wrapping_mul(0xa076_1d64_78bd_642f));
-    h = splitmix64(h ^ (stream as u64).wrapping_mul(0xe703_7ed1_a0b4_28db));
-    h = splitmix64(h ^ (frame as u64).wrapping_mul(0x8ebc_6af0_9c88_c6e3));
-    // take the top 53 bits for an unbiased f64 in [0, 1)
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// Raw 64-bit hash for `(seed, stream, frame, salt)` (e.g. to pick the
 /// byte a corrupted snapshot garbles).
 #[inline]
@@ -44,6 +34,13 @@ pub fn fault_hash(seed: u64, stream: StreamId, frame: usize, salt: u64) -> u64 {
     let mut h = splitmix64(seed ^ salt.wrapping_mul(0xa076_1d64_78bd_642f));
     h = splitmix64(h ^ (stream as u64).wrapping_mul(0xe703_7ed1_a0b4_28db));
     splitmix64(h ^ (frame as u64).wrapping_mul(0x8ebc_6af0_9c88_c6e3))
+}
+
+/// One deterministic draw for `(seed, stream, frame, salt)` in `[0, 1)`:
+/// the top 53 bits of [`fault_hash`], an unbiased `f64`.
+#[inline]
+fn draw(seed: u64, stream: StreamId, frame: usize, salt: u64) -> f64 {
+    (fault_hash(seed, stream, frame, salt) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 const SALT_PANIC: u64 = 1;

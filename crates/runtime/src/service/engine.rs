@@ -25,7 +25,7 @@ use crate::session::{StreamFailure, StreamResult, StreamSpec};
 use imaging::image::ImageU16;
 use imaging::parallel::StripePool;
 use pipeline::app::{AppConfig, AppState};
-use pipeline::executor::{process_frame_recovering_on, FrameFaults};
+use pipeline::executor::{process_frame_with, FrameCtx, FrameFaults};
 use platform::bus::{DegradeMode, FaultKind, FrameEvent, StreamId};
 use platform::metrics::Observability;
 use platform::trace::TraceLog;
@@ -62,7 +62,7 @@ pub struct StreamEngine {
     /// QoS state of a stream built with it: the controller and the
     /// full-quality `AppConfig` its levels apply to (boxed: rarely set).
     qos: Option<Box<(QosController, AppConfig)>>,
-    collected: Option<Arc<Mutex<Vec<FrameEvent>>>>,
+    collected: Arc<Mutex<Vec<FrameEvent>>>,
     started: Option<Instant>,
     quarantine_cause: FaultKind,
 }
@@ -79,20 +79,17 @@ impl StreamEngine {
         if let Some(b) = spec.budget {
             manager.set_budget(b);
         }
-        // record every fault-family event this stream emits (executor- and
-        // session-level) so callers can assert replay determinism
-        let collected = spec.faults.as_ref().map(|_| {
-            let collected: Arc<Mutex<Vec<FrameEvent>>> = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&collected);
-            manager.subscribe(Box::new(move |e: &FrameEvent| {
-                if e.replay_key().is_some() {
-                    sink.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(e.clone());
-                }
-            }));
-            collected
-        });
+        // record every fault-family event this stream emits, with or without
+        // a fault plan, so callers can assert replay determinism
+        let collected = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&collected);
+        manager.subscribe(Box::new(move |e: &FrameEvent| {
+            if e.replay_key().is_some() {
+                sink.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(e.clone());
+            }
+        }));
         let state = AppState::new(spec.seq.width, spec.seq.height);
         let frames = spec.seq.frames;
         let qos = spec
@@ -212,19 +209,10 @@ impl StreamEngine {
         let faults = self
             .faults
             .map_or_else(FrameFaults::default, |p| p.frame_faults(stream, index));
-        let out = process_frame_recovering_on(
-            pool,
-            index,
-            image,
-            &mut self.state,
-            &self.app,
-            &plan.policy,
-            stream,
-            self.manager.bus_mut(),
-            faults,
-            &self.recovery.retry,
-        )
-        .map_err(|err| StreamFailure {
+        let bus = Some((stream, self.manager.bus_mut()));
+        let ctx = FrameCtx::new(pool, bus, faults, self.recovery.retry);
+        let out = process_frame_with(ctx, index, image, &mut self.state, &self.app, &plan.policy);
+        let out = out.map_err(|err| StreamFailure {
             stream,
             message: err.to_string(),
             frames_completed: self.frames_done(),
@@ -396,8 +384,9 @@ impl StreamEngine {
             dropped_frames: self.dropped_frames,
             fault_events: self
                 .collected
-                .map(|c| c.lock().unwrap_or_else(PoisonError::into_inner).clone())
-                .unwrap_or_default(),
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone(),
         }
     }
 }
@@ -454,7 +443,7 @@ mod tests {
             .faults(plan)
             .build();
         let engine = StreamEngine::new(0, spec, 1);
-        let log = engine.collected.clone().unwrap_or_default();
+        let log = Arc::clone(&engine.collected);
         (engine, log)
     }
 

@@ -213,7 +213,8 @@ pub struct StreamResult {
     /// Frames dropped at the input by fault injection (never executed).
     pub dropped_frames: usize,
     /// Fault-family events ([`FrameEvent::replay_key`] is `Some`) the
-    /// stream emitted, in emission order. Empty without fault injection.
+    /// stream emitted, in emission order, with or without a fault plan:
+    /// drift quarantine and a genuine pool fault's recovery need none.
     pub fault_events: Vec<FrameEvent>,
 }
 

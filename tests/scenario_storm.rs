@@ -6,9 +6,9 @@
 //! so the quarantine lifts and never re-fires even though the storm
 //! keeps thrashing.
 //!
-//! The trace carries a zero-rate fault overlay purely to arm the
-//! fault-event sink, so the drift quarantine's replay keys land in the
-//! ledger's fault family alongside injected faults.
+//! The trace carries no fault plan: every stream records its fault-family
+//! events, so the drift quarantine's replay keys land in the ledger's
+//! fault family without one.
 
 use runtime::workload::{Trace, TraceRunner};
 use runtime::{BackpressurePolicy, EvictionPolicy, ServiceConfig, ShardLayout};
@@ -17,8 +17,7 @@ use triple_c::platform::metrics::Observability;
 const STORM: &str = "triplec-trace v1\n\
     stream 0 profile=stent width=96 height=96 frames=26 seed=61 budget_ms=40\n\
     arrival 0 fixed period_ms=10\n\
-    scenario 0 thrash ids=0,7 period=1 cycles=13\n\
-    faults 0 seed=1\n";
+    scenario 0 thrash ids=0,7 period=1 cycles=13\n";
 
 fn pinned_config() -> ServiceConfig {
     ServiceConfig {
@@ -135,7 +134,7 @@ fn storm_without_drift_detection_stays_quiet() {
     assert!(report.report.session.is_clean());
     assert!(
         report.ledger.faults.is_empty(),
-        "zero-rate overlay plus no drift knob must inject nothing: {:?}",
+        "no fault plan and no drift knob must record no fault event: {:?}",
         report.ledger.faults
     );
     assert_eq!(obs.snapshot().counter_total("degraded_mode"), 0);
