@@ -11,7 +11,7 @@
 
 use crate::memory_model::{per_pixel, FrameGeometry};
 use crate::scenario::Scenario;
-use platform::bandwidth::Edge;
+use platform::bandwidth::{Edge, Endpoint};
 use platform::spacetime::{predict_traffic, BufferSpec, PassSpec, TaskAccessModel, TaskTraffic};
 use platform::task::Task;
 
@@ -32,24 +32,24 @@ pub fn scenario_edges(scenario: Scenario, geom: FrameGeometry, roi_fraction: f64
     if scenario.rdg_active {
         if scenario.roi_estimated {
             edges.push(Edge {
-                from: "INPUT",
-                to: Task::RdgRoi.name(),
+                from: Endpoint::Input,
+                to: Endpoint::Task(Task::RdgRoi),
                 bytes_per_frame: frame,
             });
             edges.push(Edge {
-                from: Task::RdgRoi.name(),
-                to: Task::MkxExt.name(),
+                from: Endpoint::Task(Task::RdgRoi),
+                to: Endpoint::Task(Task::MkxExt),
                 bytes_per_frame: rdg_out_roi,
             });
         } else {
             edges.push(Edge {
-                from: "INPUT",
-                to: Task::RdgFull.name(),
+                from: Endpoint::Input,
+                to: Endpoint::Task(Task::RdgFull),
                 bytes_per_frame: frame,
             });
             edges.push(Edge {
-                from: Task::RdgFull.name(),
-                to: Task::MkxExt.name(),
+                from: Endpoint::Task(Task::RdgFull),
+                to: Endpoint::Task(Task::MkxExt),
                 bytes_per_frame: rdg_out,
             });
         }
@@ -61,8 +61,8 @@ pub fn scenario_edges(scenario: Scenario, geom: FrameGeometry, roi_fraction: f64
             frame
         };
         edges.push(Edge {
-            from: "INPUT",
-            to: Task::MkxExt.name(),
+            from: Endpoint::Input,
+            to: Endpoint::Task(Task::MkxExt),
             bytes_per_frame: bytes,
         });
     }
@@ -70,52 +70,52 @@ pub fn scenario_edges(scenario: Scenario, geom: FrameGeometry, roi_fraction: f64
     // operate on a subset or feature data are negligible", Section 5.1) —
     // modelled as a small fixed record stream.
     edges.push(Edge {
-        from: Task::MkxExt.name(),
-        to: Task::CplsSel.name(),
+        from: Endpoint::Task(Task::MkxExt),
+        to: Endpoint::Task(Task::CplsSel),
         bytes_per_frame: 4096,
     });
     edges.push(Edge {
-        from: Task::CplsSel.name(),
-        to: Task::Reg.name(),
+        from: Endpoint::Task(Task::CplsSel),
+        to: Endpoint::Task(Task::Reg),
         bytes_per_frame: 512,
     });
     // registration needs the current and reference frames (temporal diff)
     edges.push(Edge {
-        from: "INPUT",
-        to: Task::Reg.name(),
+        from: Endpoint::Input,
+        to: Endpoint::Task(Task::Reg),
         bytes_per_frame: frame,
     });
     if scenario.roi_estimated {
         edges.push(Edge {
-            from: Task::Reg.name(),
-            to: Task::RoiEst.name(),
+            from: Endpoint::Task(Task::Reg),
+            to: Endpoint::Task(Task::RoiEst),
             bytes_per_frame: 512,
         });
         // The edge of Fig. 2 taken literally: guide-wire extraction reads
         // the ridge map RDG made — its f32 response accumulator, not a copy
         // — and only inside the bounding box of its search corridor.
         edges.push(Edge {
-            from: Task::RoiEst.name(),
-            to: Task::GwExt.name(),
+            from: Endpoint::Task(Task::RoiEst),
+            to: Endpoint::Task(Task::GwExt),
             bytes_per_frame: gw_corridor_box_pixels(px as f64 * roi_fraction) * 4,
         });
     }
     if scenario.reg_successful {
         // enhancement integrates the registered ROI of the input frame
         edges.push(Edge {
-            from: "INPUT",
-            to: Task::Enh.name(),
+            from: Endpoint::Input,
+            to: Endpoint::Task(Task::Enh),
             bytes_per_frame: roi_frame,
         });
         edges.push(Edge {
-            from: Task::Enh.name(),
-            to: Task::Zoom.name(),
+            from: Endpoint::Task(Task::Enh),
+            to: Endpoint::Task(Task::Zoom),
             bytes_per_frame: roi_frame,
         });
         // zoomed output to display (half-frame display buffer)
         edges.push(Edge {
-            from: Task::Zoom.name(),
-            to: "OUTPUT",
+            from: Endpoint::Task(Task::Zoom),
+            to: Endpoint::Output,
             bytes_per_frame: frame / 2,
         });
     }
@@ -354,7 +354,7 @@ mod tests {
         let gw_bytes = |fraction| {
             scenario_edges(Scenario::best_case(), GEOM, fraction)
                 .iter()
-                .find(|e| e.to == Task::GwExt.name())
+                .find(|e| e.to == Endpoint::Task(Task::GwExt))
                 .expect("a tracked scenario feeds GW EXT")
                 .bytes_per_frame
         };
@@ -373,7 +373,7 @@ mod tests {
         let edges = scenario_edges(Scenario::worst_case(), GEOM, 1.0);
         let input = edges
             .iter()
-            .find(|e| e.from == "INPUT" && e.to == Task::RdgFull.name())
+            .find(|e| e.from == Endpoint::Input && e.to == Endpoint::Task(Task::RdgFull))
             .unwrap();
         let mbs = input.bandwidth(FRAME_RATE_HZ) / 1e6;
         assert!((mbs - 62.9).abs() < 1.0, "input edge {mbs} MB/s");

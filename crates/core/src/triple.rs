@@ -187,7 +187,10 @@ impl TripleC {
         for _ in 0..count {
             // the one place a task name is parsed
             let name = r.str("facade task name")?;
-            let trained = Task::from_name(name).map(|t| (t, &self.predictors[t as usize]));
+            let trained = Task::ALL
+                .into_iter()
+                .find(|t| t.name() == name)
+                .map(|t| (t, &self.predictors[t as usize]));
             let Some((task, Some(live))) = trained else {
                 return Err(SnapshotError::Corrupt("untrained task in facade snapshot"));
             };

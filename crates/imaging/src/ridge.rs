@@ -1206,40 +1206,6 @@ fn trace_segments(
     (ridge_pixels, segments, coherence)
 }
 
-/// Cheap structure probe driving the "RDG DETECTION" switch of Fig. 2.
-///
-/// Measures mean absolute horizontal+vertical gradient on a decimated grid;
-/// a frame with dominant curvilinear structures scores high and enables the
-/// full ridge-detection stage, a quiet frame skips it.
-pub fn quick_structure_probe(src: &ImageU16, step: usize) -> f64 {
-    assert!(step > 0, "probe step must be positive");
-    let (w, h) = src.dims();
-    if w < 2 || h < 2 {
-        return 0.0;
-    }
-    let mut total = 0.0f64;
-    let mut count = 0usize;
-    let mut y = 0;
-    while y + 1 < h {
-        let row = src.row(y);
-        let next = src.row(y + 1);
-        let mut x = 0;
-        while x + 1 < w {
-            let gx = (row[x + 1] as f64 - row[x] as f64).abs();
-            let gy = (next[x] as f64 - row[x] as f64).abs();
-            total += gx + gy;
-            count += 1;
-            x += step;
-        }
-        y += step;
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1321,15 +1287,6 @@ mod tests {
         let out = rdg_full(&src, &RdgConfig::default(), &mut RdgBuffers::new(64, 64));
         assert_eq!(out.ridge_pixels, 0);
         assert_eq!(out.segments, 0);
-    }
-
-    #[test]
-    fn structure_probe_separates_busy_from_quiet() {
-        let busy = test_frame(64, 64);
-        let quiet: ImageU16 = Image::filled(64, 64, 2000);
-        let pb = quick_structure_probe(&busy, 4);
-        let pq = quick_structure_probe(&quiet, 4);
-        assert!(pb > 10.0 * (pq + 1.0), "busy {} quiet {}", pb, pq);
     }
 
     /// Three parallel diagonal wires: plenty of segments crossing every

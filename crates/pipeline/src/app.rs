@@ -497,7 +497,7 @@ mod tests {
         let noisy = Image::from_fn(128, 128, |_, _| {
             (2000.0 + rng.gen_range(-150.0..150.0)) as u16
         });
-        let raw_grad = imaging::ridge::quick_structure_probe(&noisy, 1);
+        let raw_grad = structure_probe(&noisy, 1);
         let blocked = structure_probe(&noisy, 4);
         assert!(blocked < raw_grad / 2.0, "blocked {blocked} raw {raw_grad}");
     }

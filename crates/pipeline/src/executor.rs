@@ -78,13 +78,6 @@ pub struct FrameFaults {
     pub stage_delay_ms: f64,
 }
 
-impl FrameFaults {
-    /// True when any fault is armed for this frame.
-    pub fn any(&self) -> bool {
-        self.rdg_panic_jobs > 0 || self.rdg_channel_errors > 0 || self.stage_delay_ms > 0.0
-    }
-}
-
 /// Bounded-retry policy for a striped stage whose dispatch failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageRetry {
@@ -1296,7 +1289,12 @@ mod tests {
             stage_delay_ms: 5.0,
             ..Default::default()
         };
-        let (outs, events) = run_recovering(3, 54, faults);
+        // at one stripe every task time nests inside the frame's wall time
+        // without overlap (a striped stage's time adds its bands, which
+        // run side by side), so what the wall time holds beyond them is
+        // the delay
+        let recovery = Some((faults, StageRetry::default()));
+        let (outs, events) = run_observed(3, 54, ExecutionPolicy::default(), recovery);
         for o in &outs {
             // the delay is in the frame's wall time and in no task's
             let delay = o.record.latency_ms - o.record.total_task_time();

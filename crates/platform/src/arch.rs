@@ -88,11 +88,6 @@ impl Default for ArchModel {
 }
 
 impl ArchModel {
-    /// Number of L2 cache domains.
-    pub fn l2_domains(&self) -> usize {
-        self.cores.div_ceil(self.cores_per_l2)
-    }
-
     /// The L2 domain a core belongs to.
     fn l2_domain_of(&self, core: usize) -> usize {
         assert!(core < self.cores, "core {core} out of range");
@@ -116,7 +111,6 @@ mod tests {
         assert!((a.clock_hz - 2.327e9).abs() < 1e3);
         assert_eq!(a.l1.capacity, 32 * KB);
         assert_eq!(a.l2.capacity, 4 * MB);
-        assert_eq!(a.l2_domains(), 4);
         assert_eq!(a.dram_bytes, 4 * GB);
         assert!((a.bus_memory - 29.0e9).abs() < 1e6);
     }

@@ -6,9 +6,8 @@
 //! trace-driven set-associative cache simulator (the "measurement" side of
 //! the bandwidth experiments), [`spacetime`] the analytic space-time
 //! buffer-occupation model of Section 5 (the "prediction" side, Fig. 5),
-//! [`bandwidth`] aggregates per-bus communication loads, [`mapping`]
-//! describes task-to-core partitionings, [`bus`] is the typed frame-event bus
-//! every layer above publishes onto, and [`profile`]/[`trace`] time task
+//! [`bandwidth`] holds the flow graph's data edges, [`bus`] is the typed
+//! frame-event bus every layer above publishes onto, and [`profile`]/[`trace`] time task
 //! executions and keep the per-frame records the prediction models train
 //! on. [`metrics`] and [`span`] form the observability layer: both feed
 //! off the event bus via built-in subscribers and export plain-text
@@ -21,7 +20,6 @@ pub mod arch;
 pub mod bandwidth;
 pub mod bus;
 pub mod cache;
-pub mod mapping;
 pub mod metrics;
 pub mod profile;
 pub mod spacetime;
@@ -30,13 +28,12 @@ pub mod task;
 pub mod trace;
 
 pub use arch::{ArchModel, CacheGeometry, GB, KB, MB};
-pub use bandwidth::{add_intra_task, inter_task_load, BusLoad, Edge};
+pub use bandwidth::{Edge, Endpoint};
 pub use bus::{
     DegradeMode, EventBus, FaultKind, FrameEvent, RepartitionReason, StreamId, Subscriber,
     DEFAULT_STREAM,
 };
 pub use cache::{Access, CacheSim, CacheStats};
-pub use mapping::{Mapping, MappingError, Partition};
 pub use metrics::{
     summary_of, Counter, Histogram, Labels, LatencySummary, MetricsRegistry, MetricsSnapshot,
     Observability,

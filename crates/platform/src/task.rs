@@ -12,7 +12,6 @@
 /// ```
 /// use platform::task::Task;
 /// assert_eq!(Task::GwExt.name(), "GW_EXT");
-/// assert_eq!(Task::from_name("GW_EXT"), Some(Task::GwExt));
 /// assert_eq!(Task::ALL.len(), 9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,11 +63,6 @@ impl Task {
             Task::Enh => "ENH",
             Task::Zoom => "ZOOM",
         }
-    }
-
-    /// The task named `name`, or `None` if no task has that name.
-    pub fn from_name(name: &str) -> Option<Task> {
-        Task::ALL.into_iter().find(|t| t.name() == name)
     }
 
     const fn bit(self) -> u16 {
@@ -153,15 +147,6 @@ impl IntoIterator for &TaskSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip_and_nothing_else_parses() {
-        for t in Task::ALL {
-            assert_eq!(Task::from_name(t.name()), Some(t));
-        }
-        assert_eq!(Task::from_name("MKX_FULL"), None);
-        assert_eq!(Task::from_name(""), None);
-    }
 
     #[test]
     fn all_is_in_declaration_order() {

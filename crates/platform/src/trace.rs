@@ -15,8 +15,10 @@ pub struct FrameRecord {
     pub scenario: u8,
     /// Per-task execution times, `(task, ms)`.
     pub task_times: Vec<(Task, f64)>,
-    /// Wall time of the frame, from entry to the built output, ms. Every
-    /// task time nests inside it.
+    /// Wall time of the frame, from entry to the built output, ms. At one
+    /// stripe every task time nests inside it. A striped task's time is its
+    /// serial part plus the sum of its bands' times, which run side by
+    /// side, so at more stripes the task times can add up to more.
     pub latency_ms: f64,
 }
 

@@ -203,7 +203,7 @@ mod tests {
     fn zero_config_plan_arms_nothing() {
         let plan = FaultPlan::new(9, FaultPlanConfig::default());
         for f in 0..128 {
-            assert!(!plan.frame_faults(0, f).any());
+            assert_eq!(plan.frame_faults(0, f), FrameFaults::default());
             assert!(!plan.drops_frame(0, f));
             assert!(!plan.corrupts_snapshot(0, f));
         }

@@ -70,7 +70,7 @@ fn main() {
         "\nframe period at 30 Hz is {:.1} ms -> {}",
         model.frame_period_ms(),
         if prediction.total_ms > model.frame_period_ms() {
-            "parallelization required (see examples/runtime_adaptation.rs)"
+            "parallelization required (see `repro fig7`)"
         } else {
             "fits a single core"
         }

@@ -2,13 +2,11 @@
 //!
 //! Every fallible surface of the stack converges here: snapshot
 //! (de)serialization ([`triplec::SnapshotError`]), image I/O
-//! ([`std::io::Error`]), mapping validation
-//! ([`platform::mapping::MappingError`]) and stream execution
+//! ([`std::io::Error`]) and stream execution
 //! ([`runtime::session::StreamFailure`]). `From` impls let `?` lift any
-//! of them into a [`Result`], so callers match one enum instead of four
+//! of them into a [`Result`], so callers match one enum instead of three
 //! library-specific types.
 
-use platform::mapping::MappingError;
 use runtime::session::StreamFailure;
 use triplec::SnapshotError;
 
@@ -19,8 +17,6 @@ pub enum Error {
     Snapshot(SnapshotError),
     /// An image file failed to read or write.
     Io(std::io::Error),
-    /// A task-to-core mapping failed validation.
-    Mapping(MappingError),
     /// A stream could not complete its sequence.
     Session(StreamFailure),
 }
@@ -34,7 +30,6 @@ impl std::fmt::Display for Error {
         match self {
             Error::Snapshot(e) => write!(f, "snapshot error: {e}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),
-            Error::Mapping(e) => write!(f, "mapping error: {e}"),
             Error::Session(e) => write!(f, "session error: {e}"),
         }
     }
@@ -45,7 +40,6 @@ impl std::error::Error for Error {
         match self {
             Error::Snapshot(e) => Some(e),
             Error::Io(e) => Some(e),
-            Error::Mapping(e) => Some(e),
             Error::Session(e) => Some(e),
         }
     }
@@ -60,12 +54,6 @@ impl From<SnapshotError> for Error {
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e)
-    }
-}
-
-impl From<MappingError> for Error {
-    fn from(e: MappingError) -> Self {
-        Error::Mapping(e)
     }
 }
 
@@ -89,9 +77,6 @@ mod tests {
         let snap: Error = SnapshotError::BadMagic.into();
         assert!(snap.to_string().contains("snapshot"));
 
-        let map: Error = MappingError::NoCores { task: "RDG" }.into();
-        assert!(map.to_string().contains("RDG"));
-
         let sess: Error = StreamFailure {
             stream: 3,
             message: "boom".into(),
@@ -103,11 +88,13 @@ mod tests {
 
     #[test]
     fn question_mark_lifts_library_errors() {
-        fn inner() -> Result<()> {
-            let m = platform::mapping::Mapping::new();
-            m.validate(&platform::arch::ArchModel::default())?;
+        fn inner(fail_io: bool) -> Result<()> {
+            if fail_io {
+                Err(std::io::Error::other("disk"))?
+            }
             Err(SnapshotError::BadMagic)?
         }
-        assert!(matches!(inner(), Err(Error::Snapshot(_))));
+        assert!(matches!(inner(true), Err(Error::Io(_))));
+        assert!(matches!(inner(false), Err(Error::Snapshot(_))));
     }
 }

@@ -2,6 +2,7 @@
 //! table and the flow graph.
 
 use triple_c::pipeline::graph::{edge_live, flow_graph, Node};
+use triple_c::platform::bandwidth::Endpoint;
 use triple_c::triplec::bandwidth_model::{scenario_edges, scenario_inter_task_bandwidth};
 use triple_c::triplec::memory_model::FrameGeometry;
 use triple_c::triplec::scenario::Scenario;
@@ -20,14 +21,12 @@ fn bandwidth_edges_reference_live_tasks_only() {
         let active = s.active_tasks();
         for e in scenario_edges(s, GEOM, 0.2) {
             for endpoint in [e.from, e.to] {
-                if endpoint == "INPUT" || endpoint == "OUTPUT" {
+                let Endpoint::Task(task) = endpoint else {
                     continue;
-                }
-                let task = Task::from_name(endpoint)
-                    .unwrap_or_else(|| panic!("edge endpoint {endpoint} names no task"));
+                };
                 assert!(
                     active.contains(task),
-                    "scenario {:?}: edge {}->{} references inactive task {endpoint}",
+                    "scenario {:?}: edge {}->{} references inactive task {task}",
                     s,
                     e.from,
                     e.to
@@ -44,7 +43,7 @@ fn every_active_task_receives_data() {
     for s in Scenario::all() {
         let edges = scenario_edges(s, GEOM, 0.2);
         for task in s.active_tasks() {
-            let receives = edges.iter().any(|e| e.to == task.name());
+            let receives = edges.iter().any(|e| e.to == Endpoint::Task(task));
             assert!(receives, "scenario {:?}: task {task} receives no edge", s);
         }
     }
@@ -83,23 +82,26 @@ fn switches_monotonically_add_bandwidth() {
 #[test]
 fn graph_edges_and_bandwidth_edges_agree() {
     for s in Scenario::all() {
-        let graph_pairs: Vec<(&str, &str)> = flow_graph()
+        let graph_pairs: Vec<(Task, Task)> = flow_graph()
             .iter()
             .filter(|e| edge_live(e, s))
             .filter_map(|e| match (e.from, e.to) {
-                (Node::Task(a), Node::Task(b)) => Some((a.name(), b.name())),
+                (Node::Task(a), Node::Task(b)) => Some((a, b)),
                 _ => None,
             })
             .collect();
-        let bw_pairs: Vec<(&str, &str)> = scenario_edges(s, GEOM, 0.2)
+        let bw_pairs: Vec<(Task, Task)> = scenario_edges(s, GEOM, 0.2)
             .iter()
-            .map(|e| (e.from, e.to))
+            .filter_map(|e| match (e.from, e.to) {
+                (Endpoint::Task(a), Endpoint::Task(b)) => Some((a, b)),
+                _ => None,
+            })
             .collect();
         // every direct task->task graph edge must carry bandwidth, except
         // feature-level hops the bandwidth model routes through other
         // nodes (ROI_EST is fed from REG in the bandwidth model)
         for (a, b) in graph_pairs {
-            if a == "ROI_EST" || b == "ROI_EST" {
+            if a == Task::RoiEst || b == Task::RoiEst {
                 continue;
             }
             assert!(
