@@ -4,7 +4,7 @@
 //! distance used by CPLS SEL), a guide wire running through them, and a
 //! faint stent mesh between them.
 
-use crate::canvas::Canvas;
+use crate::canvas::{line_stamps, polyline_stamps, Stamp};
 use crate::motion::{apply_motion, MotionState};
 
 /// Geometry and contrast of the device.
@@ -61,16 +61,17 @@ const WIRE_SAG: f64 = 2.0;
 /// Stent strut contrast depth (faint before enhancement).
 const STENT_DEPTH: f32 = 60.0;
 
-/// Renders the device into the canvas under the given motion state.
+/// Appends the device's absorber stamps under the given motion state to
+/// `stamps`, in drawing order: wire, stent struts, then the markers.
 ///
 /// Returns the moved marker positions (ground truth for the tests and the
 /// accuracy experiments).
-pub fn render_device(
-    canvas: &mut Canvas,
+pub(crate) fn render_device(
+    stamps: &mut Vec<Stamp>,
     cfg: &DeviceConfig,
     motion: &MotionState,
+    frame_center: (f64, f64),
 ) -> ((f64, f64), (f64, f64)) {
-    let frame_center = (canvas.width() as f64 / 2.0, canvas.height() as f64 / 2.0);
     let (ma, mb) = marker_positions(cfg, motion, frame_center);
 
     // Guide wire: passes through both markers and extends beyond them,
@@ -89,7 +90,7 @@ pub fn render_device(
         let sag = WIRE_SAG * (std::f64::consts::PI * (along / (len + 2.0 * ext) + 0.5)).sin();
         wire.push((ma.0 + ux * along + nx * sag, ma.1 + uy * along + ny * sag));
     }
-    canvas.draw_polyline(&wire, WIRE_DEPTH, WIRE_SIGMA);
+    stamps.extend(polyline_stamps(&wire, WIRE_DEPTH, WIRE_SIGMA));
 
     // Stent: a diamond mesh of faint struts between the markers.
     if cfg.stent_deployed {
@@ -101,28 +102,30 @@ pub fn render_device(
             let p0 = (ma.0 + ux * len * t0, ma.1 + uy * len * t0);
             let p1 = (ma.0 + ux * len * t1, ma.1 + uy * len * t1);
             // two crossing struts per cell
-            canvas.draw_line(
-                p0.0 + nx * radius,
-                p0.1 + ny * radius,
-                p1.0 - nx * radius,
-                p1.1 - ny * radius,
+            stamps.extend(line_stamps(
+                (p0.0 + nx * radius, p0.1 + ny * radius),
+                (p1.0 - nx * radius, p1.1 - ny * radius),
                 STENT_DEPTH,
                 0.8,
-            );
-            canvas.draw_line(
-                p0.0 - nx * radius,
-                p0.1 - ny * radius,
-                p1.0 + nx * radius,
-                p1.1 + ny * radius,
+            ));
+            stamps.extend(line_stamps(
+                (p0.0 - nx * radius, p0.1 - ny * radius),
+                (p1.0 + nx * radius, p1.1 + ny * radius),
                 STENT_DEPTH,
                 0.8,
-            );
+            ));
         }
     }
 
     // Markers last so they dominate locally.
-    canvas.stamp_absorber(ma.0, ma.1, MARKER_DEPTH, MARKER_SIGMA);
-    canvas.stamp_absorber(mb.0, mb.1, MARKER_DEPTH, MARKER_SIGMA);
+    for (cx, cy) in [ma, mb] {
+        stamps.push(Stamp {
+            cx,
+            cy,
+            depth: MARKER_DEPTH,
+            sigma: MARKER_SIGMA,
+        });
+    }
 
     (ma, mb)
 }
@@ -130,6 +133,17 @@ pub fn render_device(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canvas::Canvas;
+
+    /// The device drawn on a 128² canvas of background 2000, and the
+    /// marker positions.
+    fn drawn(cfg: &DeviceConfig, motion: &MotionState) -> (Canvas, (f64, f64), (f64, f64)) {
+        let mut stamps = Vec::new();
+        let (a, b) = render_device(&mut stamps, cfg, motion, (64.0, 64.0));
+        let mut canvas = Canvas::new(128, 128, 2000.0);
+        canvas.apply(stamps);
+        (canvas, a, b)
+    }
 
     fn centered(w: usize) -> DeviceConfig {
         DeviceConfig {
@@ -163,9 +177,7 @@ mod tests {
 
     #[test]
     fn rendered_markers_are_darkest_features() {
-        let mut canvas = Canvas::new(128, 128, 2000.0);
-        let cfg = centered(128);
-        let (a, b) = render_device(&mut canvas, &cfg, &MotionState::zero());
+        let (canvas, a, b) = drawn(&centered(128), &MotionState::zero());
         let va = canvas.get(a.0.round() as usize, a.1.round() as usize);
         let vb = canvas.get(b.0.round() as usize, b.1.round() as usize);
         assert!(va < 1500.0, "marker A {va}");
@@ -178,12 +190,9 @@ mod tests {
 
     #[test]
     fn stent_struts_appear_between_markers() {
-        let mut with = Canvas::new(128, 128, 2000.0);
-        let mut without = Canvas::new(128, 128, 2000.0);
         let cfg = centered(128);
-        render_device(&mut with, &cfg, &MotionState::zero());
-        render_device(
-            &mut without,
+        let (with, ..) = drawn(&cfg, &MotionState::zero());
+        let (without, ..) = drawn(
             &DeviceConfig {
                 stent_deployed: false,
                 ..cfg
@@ -205,14 +214,13 @@ mod tests {
 
     #[test]
     fn render_returns_ground_truth_positions() {
-        let mut canvas = Canvas::new(128, 128, 2000.0);
         let cfg = centered(128);
         let m = MotionState {
             dx: 2.0,
             dy: 1.0,
             rot: 0.0,
         };
-        let (a, b) = render_device(&mut canvas, &cfg, &m);
+        let (_, a, b) = drawn(&cfg, &m);
         let (pa, pb) = marker_positions(&cfg, &m, (64.0, 64.0));
         assert_eq!(a, pa);
         assert_eq!(b, pb);

@@ -17,8 +17,10 @@
 //!
 //! Modules: [`phantom`] (vessel tree), [`device`] (markers/wire/stent),
 //! [`motion`] (cardiac + respiratory), [`noise`] (quantum + electronic),
-//! [`scenario`] (content scripting), [`canvas`] (rendering), [`sequence`]
-//! (frame streaming), [`dataset`] (paper-shaped corpora).
+//! [`scenario`] (content scripting), [`canvas`] (absorber stamps and the
+//! row kernels that paint them), [`sequence`] (frame streaming: each frame
+//! renders in row bands on the stripe pool, bit-identical at any band
+//! count), [`dataset`] (paper-shaped corpora).
 
 pub mod canvas;
 pub mod dataset;

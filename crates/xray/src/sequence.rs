@@ -4,14 +4,16 @@
 //! deterministic per-seed frame stream with ground truth, substituting for
 //! the clinical X-ray sequences the paper trained on.
 
-use crate::canvas::Canvas;
+use crate::canvas::{polyline_stamps, shade_rows, Stamp};
 use crate::device::{render_device, DeviceConfig};
-use crate::motion::{motion_at, MotionConfig, MotionState};
-use crate::noise::{add_noise, NoiseConfig};
+use crate::motion::{apply_motion, motion_at, MotionConfig, MotionState};
+use crate::noise::{add_noise, band_rngs, NoiseConfig};
 use crate::phantom::{generate_tree, PhantomConfig, Vessel};
 use crate::scenario::{ContentState, ScenarioConfig, ScenarioProcess};
-use imaging::image::ImageU16;
-use rand::{Rng, SeedableRng};
+use imaging::image::{ImageF32, ImageU16, Pixel, Roi};
+use imaging::parallel::StripePool;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Full configuration of one synthetic sequence.
 #[derive(Debug, Clone)]
@@ -75,6 +77,36 @@ pub struct Frame {
 
 /// Detector background level (counts).
 const BACKGROUND: f32 = 2200.0;
+/// Tissue shading: vertical gradient and vignette depth (counts).
+const SHADING: (f32, f32) = (120.0, 250.0);
+
+/// What every row band of one frame paints: the frame's size, its
+/// absorber stamps in drawing order and the noise model.
+struct Scene<'a> {
+    width: usize,
+    height: usize,
+    stamps: &'a [Stamp],
+    noise: &'a NoiseConfig,
+}
+
+impl Scene<'_> {
+    /// Paints the frame's rows from `y0` on into `rows` (f32 scratch of
+    /// whole rows) and narrows them into `out`, the same rows of the
+    /// frame: background, shading, every stamp in order, then the noise,
+    /// drawn from `rng` as it stands at the band's first pixel.
+    fn paint(&self, y0: usize, rows: &mut [f32], out: &mut [Pixel], rng: &mut StdRng) {
+        rows.fill(BACKGROUND);
+        shade_rows(rows, (self.width, self.height), y0, SHADING.0, SHADING.1);
+        for stamp in self.stamps {
+            stamp.apply_rows(rows, self.width, y0);
+        }
+        add_noise(rows, self.noise, rng);
+        // as `ImageF32::to_u16` narrows
+        for (o, &v) in out.iter_mut().zip(rows.iter()) {
+            *o = v.clamp(0.0, Pixel::MAX as f32) as Pixel;
+        }
+    }
+}
 
 /// Streaming frame generator (implements [`Iterator`]).
 pub struct SequenceGenerator {
@@ -90,7 +122,7 @@ impl SequenceGenerator {
         if cfg.device.center == (0.0, 0.0) {
             cfg.device.center = (cfg.width as f64 / 2.0, cfg.height as f64 / 2.0);
         }
-        let mut tree_rng = rand::rngs::StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9));
+        let mut tree_rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9));
         let vessels = generate_tree(cfg.width, cfg.height, &cfg.phantom, &mut tree_rng);
         let scenario = ScenarioProcess::new(cfg.scenario.clone());
         Self {
@@ -106,41 +138,90 @@ impl SequenceGenerator {
         &self.vessels
     }
 
-    /// Renders frame `index` given a content state (exposed for tests).
-    fn render(&self, index: usize, content: &ContentState, rng: &mut impl Rng) -> Frame {
+    /// The next frame, rendered on `pool`.
+    pub(crate) fn next_on(&mut self, pool: &StripePool) -> Option<Frame> {
+        if self.next_frame >= self.cfg.frames {
+            return None;
+        }
+        let index = self.next_frame;
+        self.next_frame += 1;
+        // deterministic per-frame RNG derived from the master seed
+        let mut rng = StdRng::seed_from_u64(
+            self.cfg
+                .seed
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(index as u64),
+        );
+        let content = self.scenario.step(index, &mut rng);
+        Some(self.render(pool, index, &content, rng))
+    }
+
+    /// Renders frame `index` given a content state and the frame's
+    /// generator, in one row band per worker of `pool` (one band, on the
+    /// calling thread, for a pool without workers).
+    ///
+    /// The calling thread draws the motion and lists the absorber stamps
+    /// (vessels, wire, stent struts, markers), then records where the
+    /// noise stream stands at each band's first pixel ([`band_rngs`]).
+    /// Every pixel gets the same f32 operations in the same order whichever
+    /// band paints it, so the frame's bits do not depend on the band count.
+    fn render(
+        &self,
+        pool: &StripePool,
+        index: usize,
+        content: &ContentState,
+        mut rng: StdRng,
+    ) -> Frame {
         let cfg = &self.cfg;
-        let mut motion = motion_at(&MotionConfig::default(), index, rng);
+        let mut motion = motion_at(&MotionConfig::default(), index, &mut rng);
         motion.dx += content.pan_dx;
 
-        let mut canvas = Canvas::new(cfg.width, cfg.height, BACKGROUND);
-        canvas.add_shading(120.0, 250.0);
-
         // vessels, scaled by the frame's contrast factor
+        let mut stamps = Vec::new();
         let frame_center = (cfg.width as f64 / 2.0, cfg.height as f64 / 2.0);
         for vessel in &self.vessels {
             let moved: Vec<(f64, f64)> = vessel
                 .path
                 .iter()
-                .map(|&(x, y)| {
-                    crate::motion::apply_motion(&motion, x, y, frame_center.0, frame_center.1)
-                })
+                .map(|&(x, y)| apply_motion(&motion, x, y, frame_center.0, frame_center.1))
                 .collect();
             let depth = vessel.depth * content.vessel_contrast as f32;
             if depth > 1.0 {
-                canvas.draw_polyline(&moved, depth, vessel.sigma);
+                stamps.extend(polyline_stamps(&moved, depth, vessel.sigma));
             }
         }
 
         // device
         let (marker_a, marker_b) = if content.device_visible {
-            let (a, b) = render_device(&mut canvas, &cfg.device, &motion);
+            let (a, b) = render_device(&mut stamps, &cfg.device, &motion, frame_center);
             (Some(a), Some(b))
         } else {
             (None, None)
         };
 
-        add_noise(canvas.raw_mut(), &cfg.noise, rng);
-        let image = canvas.to_u16();
+        let scene = &Scene {
+            width: cfg.width,
+            height: cfg.height,
+            stamps: &stamps,
+            noise: &cfg.noise,
+        };
+        let parts = Roi::full(cfg.width, cfg.height).stripes(pool.threads().max(1));
+        let rngs = band_rngs(rng, &parts);
+        let mut canvas = ImageF32::new(cfg.width, cfg.height);
+        let mut image = ImageU16::new(cfg.width, cfg.height);
+        let jobs = canvas
+            .row_bands(&parts)
+            .zip(image.row_bands(&parts))
+            .zip(parts.iter().zip(rngs))
+            .map(|((rows, out), (part, mut rng))| move || scene.paint(part.y, rows, out, &mut rng));
+        if parts.len() > 1 {
+            pool.run(
+                jobs.map(|job| Box::new(job) as Box<dyn FnOnce() + Send + '_>)
+                    .collect(),
+            );
+        } else {
+            jobs.for_each(|mut job| job());
+        }
         Frame {
             index,
             image,
@@ -158,20 +239,7 @@ impl Iterator for SequenceGenerator {
     type Item = Frame;
 
     fn next(&mut self) -> Option<Frame> {
-        if self.next_frame >= self.cfg.frames {
-            return None;
-        }
-        let index = self.next_frame;
-        self.next_frame += 1;
-        // deterministic per-frame RNG derived from the master seed
-        let mut rng = rand::rngs::StdRng::seed_from_u64(
-            self.cfg
-                .seed
-                .wrapping_mul(0x5851_F42D_4C95_7F2D)
-                .wrapping_add(index as u64),
-        );
-        let content = self.scenario.step(index, &mut rng);
-        Some(self.render(index, &content, &mut rng))
+        self.next_on(StripePool::global())
     }
 }
 
@@ -309,5 +377,29 @@ mod tests {
             }
         }
         assert!(max_move > 0.5, "markers never moved: {max_move}");
+    }
+
+    #[test]
+    fn band_count_does_not_move_a_bit() {
+        // frame 18 of seed 5 at 256² redraws a noise uniform
+        let cfg = SequenceConfig {
+            width: 256,
+            height: 256,
+            frames: 20,
+            seed: 5,
+            ..Default::default()
+        };
+        let render_on = |workers| {
+            let pool = StripePool::new(workers);
+            let mut gen = SequenceGenerator::new(cfg.clone());
+            std::iter::from_fn(|| gen.next_on(&pool))
+                .map(|f| f.image)
+                .collect::<Vec<_>>()
+        };
+        let one_band = render_on(0);
+        assert_eq!(one_band.len(), 20);
+        for workers in [1, 3, 7] {
+            assert!(render_on(workers) == one_band, "{workers} workers");
+        }
     }
 }
